@@ -66,13 +66,11 @@ from .network import (
     t_from_s,
 )
 from .swe import (
-    FieldSample,
     WaveBasis,
     WaveIndex,
     basis,
     ground_plane_filter,
     mirror_parity,
-    outgoing_wave_field,
     outgoing_wave_table,
     project_onto_regular,
     regular_wave_field,

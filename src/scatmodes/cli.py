@@ -27,10 +27,11 @@ import os
 import sys
 import numpy as np
 
-from . import swe
 from .dipoles import (
     DipoleScene,
     Port,
+    assemble_impedance,
+    default_basis,
     generalized_scattering,
     transition,
 )
@@ -42,14 +43,21 @@ from .exceptions import (
     ShapeError,
     SolveError,
 )
-from .hybrid import HybridScene, assemble_hybrid, hybrid_impedance_modes, hybrid_scattering_modes
+from .hybrid import (
+    HybridScene,
+    assemble_hybrid,
+    default_hybrid_basis,
+    hybrid_impedance_modes,
+    hybrid_scattering_modes,
+)
 from .iterative import ScatterOracle, iterate
 from .mie import SphereSpec
 from .modes import (
-    cm_ground_plane,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
+    parity_leakage,
+    parity_restricted,
     substructure_power_check,
     tilde_tmatrix,
     track_modes,
@@ -57,15 +65,6 @@ from .modes import (
 from .network import check_t_power, check_unitary
 
 SPEED_OF_LIGHT = 299792458.0
-
-SOLVERS = (
-    "dense-scattering",
-    "dense-impedance",
-    "t-form",
-    "iterative",
-    "hybrid-impedance",
-    "hybrid-scattering",
-)
 
 CSV_HEADER = [
     "frequency_hz", "trace_id", "mode_rank", "re_t", "im_t",
@@ -165,78 +164,70 @@ def load_scenario(path: str) -> dict:
 def _sweep_basis(sc: dict):
     """One shared wave basis for the whole sweep, sized at the highest frequency."""
     k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
-    scene = sc["scene"]
-    from .dipoles import mirror_scene
-
     if sc["sphere"] is not None:
-        radius = max(scene.circumscribing_radius, sc["sphere"].radius)
-        return swe.basis(swe.truncation_order(k_max * radius))
-    scn = mirror_scene(scene) if scene.ground_plane else scene
-    radius = max(scn.circumscribing_radius, 1e-9)
-    ka = k_max * radius
-    return swe.basis(1 if ka == 0 else swe.truncation_order(ka))
+        return default_hybrid_basis(HybridScene(sc["scene"], sc["sphere"]), k_max)
+    return default_basis(sc["scene"], k_max)
+
+
+# Assemblies: (scenario, k, basis) -> (operators, point diagnostics).
+
+def _dipole_operators(sc: dict, k: float, wave_basis):
+    """Transition set of a dipole scene; above a ground plane, its parity-allowed part."""
+    ts = transition(sc["scene"], k, wave_basis)
+    diag = {"unitarity_S": check_unitary(ts.S).deviation,
+            "unitarity_S_b": check_unitary(ts.S_b).deviation}
+    return (parity_restricted(ts) if sc["scene"].ground_plane else ts), diag
+
+
+def _scattering_operators(sc: dict, k: float, wave_basis):
+    """``_dipole_operators`` for dense-scattering: ports appended; a ground plane's leakage."""
+    scene = sc["scene"]
+    if scene.ports:
+        gs = generalized_scattering(scene, k, wave_basis)
+        return gs, {"unitarity_S": check_unitary(gs.S).deviation}
+    if scene.ground_plane:
+        ts = transition(scene, k, wave_basis)
+        return parity_restricted(ts), {"parity_leakage": parity_leakage(ts)}
+    return _dipole_operators(sc, k, wave_basis)
+
+
+def _hybrid_system(sc: dict, k: float, wave_basis):
+    system = assemble_hybrid(HybridScene(sc["scene"], sc["sphere"]), k, wave_basis,
+                             residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
+    return system, {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
+
+
+# Engines: (operators, k, scenario, seed, point diagnostics) -> ModeSet.
+
+def _iterative(ts, k: float, sc: dict, seed: int, diag: dict):
+    ms, log = iterate(ScatterOracle.from_matrices(ts.T, ts.T_b), n_modes=sc["n_modes"],
+                      seed=seed)
+    ms.k = k
+    diag.update(iterations=log.n_iterations, converged=log.converged)
+    return ms
+
+
+#: solver name -> (assembly, engine)
+SOLVER_TABLE = {
+    "dense-scattering": (_scattering_operators,
+                         lambda ts, k, *_: cm_scattering(ts.S, ts.S_b, k=k)),
+    "dense-impedance": (_dipole_operators,
+                        lambda ts, k, *_: cm_impedance_substructure(ts.blocks, k=k)),
+    "t-form": (_dipole_operators, lambda ts, k, *_: cm_t_form(ts.T, ts.T_b, k=k)),
+    "iterative": (_dipole_operators, _iterative),
+    "hybrid-impedance": (_hybrid_system,
+                         lambda system, k, *_: hybrid_impedance_modes(None, k, system=system)),
+    "hybrid-scattering": (_hybrid_system,
+                          lambda system, k, *_: hybrid_scattering_modes(None, k, system=system)),
+}
+SOLVERS = tuple(SOLVER_TABLE)
 
 
 def _solve_point(sc: dict, k: float, wave_basis, seed: int):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    scene, solver = sc["scene"], sc["solver"]
-    diag: dict = {}
-    if solver.startswith("hybrid"):
-        hs = HybridScene(scene, sc["sphere"])
-        tol = sc["tolerances"].get("u4_residual", 1e-6)
-        system = assemble_hybrid(hs, k, wave_basis, residual_tol=tol)
-        diag["u4_residual"] = float(system.U4.meta["column_residuals"].max(initial=0.0))
-        if solver == "hybrid-impedance":
-            ms = hybrid_impedance_modes(hs, k, system=system)
-        else:
-            ms = hybrid_scattering_modes(hs, k, system=system)
-        return ms, diag
-
-    if solver == "dense-scattering" and scene.ports:
-        gs = generalized_scattering(scene, k, wave_basis)
-        dim = gs.S.dim
-        n_wave = gs.basis.wave.size
-        ts = transition(scene, k, wave_basis)
-        sb = np.eye(dim, dtype=complex)
-        sb[:n_wave, :n_wave] = ts.S_b.data
-        ms = cm_scattering(gs.S.data, sb, k=k)
-        diag["unitarity_S"] = check_unitary(gs.S).deviation
-        return ms, diag
-
-    if scene.ground_plane and solver == "dense-scattering":
-        ms = cm_ground_plane(scene, k, wave_basis)
-        diag["parity_leakage"] = ms.diagnostics.get("parity_leakage")
-        return ms, diag
-
-    ts = transition(scene, k, wave_basis)
-    diag["unitarity_S"] = check_unitary(ts.S).deviation
-    diag["unitarity_S_b"] = check_unitary(ts.S_b).deviation
-    if scene.ground_plane:
-        keep = swe.ground_plane_filter(wave_basis)
-        t_r = ts.T.data[np.ix_(keep, keep)]
-        tb_r = ts.T_b.data[np.ix_(keep, keep)]
-        if solver == "t-form":
-            return cm_t_form(t_r, tb_r, k=k), diag
-        oracle = ScatterOracle.from_matrices(t_r, tb_r)
-        ms, log = iterate(oracle, n_modes=sc["n_modes"], seed=seed)
-        ms.k = k
-        diag["iterations"] = log.n_iterations
-        diag["converged"] = log.converged
-        return ms, diag
-    if solver == "dense-scattering":
-        return cm_scattering(ts.S, ts.S_b, k=k), diag
-    if solver == "t-form":
-        return cm_t_form(ts.T, ts.T_b, k=k), diag
-    if solver == "dense-impedance":
-        return cm_impedance_substructure(ts.blocks, k=k), diag
-    if solver == "iterative":
-        oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-        ms, log = iterate(oracle, n_modes=sc["n_modes"], seed=seed)
-        ms.k = k
-        diag["iterations"] = log.n_iterations
-        diag["converged"] = log.converged
-        return ms, diag
-    raise ScenarioError(f"unhandled solver '{solver}'")  # pragma: no cover
+    assemble, engine = SOLVER_TABLE[sc["solver"]]
+    ops, diag = assemble(sc, k, wave_basis)
+    return engine(ops, k, sc, seed, diag), diag
 
 
 def _fmt(x: float) -> str:
@@ -251,23 +242,21 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     ks = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
     n_jobs = jobs or os.cpu_count() or 1
 
-    results: list = [None] * len(ks)
+    def solve(k):
+        return _solve_point(sc, float(k), wave_basis, seed)
+
     if n_jobs > 1 and len(ks) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            futs = {pool.submit(_solve_point, sc, float(k), wave_basis, seed): i
-                    for i, k in enumerate(ks)}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
+            results = list(pool.map(solve, ks))
     else:
-        for i, k in enumerate(ks):
-            results[i] = _solve_point(sc, float(k), wave_basis, seed)
+        results = [solve(k) for k in ks]
 
-    modesets = []
+    n_modes = sc["n_modes"]
+    tops = []
     for (ms, _), f in zip(results, freqs):
         ms.frequency_hz = float(f)
-        modesets.append(ms)
-    n_modes = sc["n_modes"]
-    sweep = track_modes([ms.top(n_modes) for ms in modesets], n_track=n_modes)
+        tops.append(ms.top(n_modes))
+    sweep = track_modes(tops, n_track=n_modes)
 
     # trace id per (point, mode)
     trace_of: dict[tuple[int, int], int] = {}
@@ -279,11 +268,10 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     with open(os.path.join(out_dir, "traces.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for i, ms in enumerate(modesets):
-            top = ms.top(n_modes)
-            orth = max(ms.diagnostics.get("orthogonality_a", 0.0) or 0.0,
-                       ms.diagnostics.get("orthogonality_f", 0.0) or 0.0)
-            flags = ms.diagnostics.get("cancellation_flags")
+        for i, top in enumerate(tops):
+            orth = max(top.diagnostics.get("orthogonality_a", 0.0) or 0.0,
+                       top.diagnostics.get("orthogonality_f", 0.0) or 0.0)
+            flags = top.diagnostics.get("cancellation_flags")
             lam = top.lam
             for rank in range(top.n_modes):
                 t = top.t[rank]
@@ -322,8 +310,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
 
     if dump_vectors:
         payload = []
-        for f, ms in zip(freqs, modesets):
-            top = ms.top(n_modes)
+        for f, top in zip(freqs, tops):
             vecs = None
             if top.a is not None:
                 vecs = [[[_fmt(z.real), _fmt(z.imag)] for z in top.a[:, n]]
@@ -350,10 +337,17 @@ def _read_traces(path: str) -> dict[float, list[complex]]:
     return by_freq
 
 
-def compare_results(path_a: str, path_b: str, tol: float) -> dict:
-    """Optimal per-frequency matching of two trace files; worst deviation vs tol."""
+def _matched(ta: np.ndarray, tb: np.ndarray):
+    """Rows of ta and their deviations |ta - tb| under the optimal one-to-one matching."""
     from scipy.optimize import linear_sum_assignment
 
+    cost = np.abs(ta[:, None] - tb[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return rows, cost[rows, cols]
+
+
+def compare_results(path_a: str, path_b: str, tol: float) -> dict:
+    """Optimal per-frequency matching of two trace files; worst deviation vs tol."""
     a = _read_traces(path_a)
     b = _read_traces(path_b)
     if sorted(a) != sorted(b):
@@ -365,15 +359,13 @@ def compare_results(path_a: str, path_b: str, tol: float) -> dict:
         tb = np.array(b[f])
         if ta.size != tb.size:
             raise ShapeError(f"mode counts differ at frequency {f!r}")
-        cost = np.abs(ta[:, None] - tb[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        dev = cost[rows, cols]
+        rows, dev = _matched(ta, tb)
         total += float(dev.sum())
         count += dev.size
         j = int(np.argmax(dev))
         if dev[j] >= worst[0]:
             worst = (float(dev[j]), f, int(rows[j]))
-    report = {
+    return {
         "max_deviation": worst[0],
         "mean_deviation": total / max(count, 1),
         "worst_frequency_hz": worst[1],
@@ -381,17 +373,14 @@ def compare_results(path_a: str, path_b: str, tol: float) -> dict:
         "tol": tol,
         "passed": bool(worst[0] <= tol),
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
-def run_checks(sc: dict, seed: int = 42) -> dict:
+def run_checks(sc: dict) -> dict:
     """Invariant suite over the sweep grid; no result files are produced."""
-    from scipy.optimize import linear_sum_assignment
-
     freqs = sc["frequencies"]
     wave_basis = _sweep_basis(sc)
     scene = sc["scene"]
@@ -406,21 +395,23 @@ def run_checks(sc: dict, seed: int = 42) -> dict:
         k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
         entry: dict = {"frequency_hz": float(f)}
         if sc["sphere"] is not None:
-            hs = HybridScene(scene, sc["sphere"])
-            system = assemble_hybrid(hs, k, wave_basis,
-                                     residual_tol=tol.get("u4_residual", 1e-6))
-            from .hybrid import hybrid_transition
-            ts = hybrid_transition(hs, k, system=system)
-            ms = cm_scattering(ts.S, ts.S_b, k=k)
-            ms_alt = hybrid_impedance_modes(hs, k, system=system)
-            entry["u4_residual"] = float(system.U4.meta["column_residuals"].max(initial=0.0))
+            system, diag = _hybrid_system(sc, k, wave_basis)
+            entry.update(diag)
+            blocks = system.blocks
         else:
-            ts = transition(scene, k, wave_basis)
-            ms = cm_scattering(ts.S, ts.S_b, k=k)
-            ms_alt = cm_impedance_substructure(ts.blocks, k=k) \
-                if not scene.ground_plane else None
-            tt = tilde_tmatrix(ts.blocks)
-            entry["tilde_identity_residual"] = tt.meta["identity_residual"]
+            blocks = assemble_impedance(scene, k, wave_basis)
+            entry["tilde_identity_residual"] = tilde_tmatrix(blocks).meta["identity_residual"]
+        ts = transition(blocks=blocks)
+        ms = cm_scattering(ts.S, ts.S_b, k=k)
+        if scene.ground_plane:
+            entry["parity_leakage"] = parity_leakage(ts)
+        else:
+            ms_alt = cm_impedance_substructure(blocks, k=k)
+            sig = 10.0 * tol_equiv
+            t1 = ms.t[np.abs(ms.t) > sig]
+            t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
+            entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
+                if t1.size == t2.size else math.inf
 
         entry["unitarity_S"] = check_unitary(ts.S).deviation
         entry["unitarity_S_b"] = check_unitary(ts.S_b).deviation
@@ -430,16 +421,6 @@ def run_checks(sc: dict, seed: int = 42) -> dict:
                                      ms.diagnostics.get("orthogonality_f", 0.0))
         entry["power_identity"] = float(
             substructure_power_check(ts.T, ts.T_b, ms).max(initial=0.0))
-        if ms_alt is not None:
-            sig = 10.0 * tol_equiv
-            t1 = ms.t[np.abs(ms.t) > sig]
-            t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
-            if t1.size == t2.size and t1.size:
-                cost = np.abs(t1[:, None] - t2[None, :])
-                rows, cols = linear_sum_assignment(cost)
-                entry["equivalence"] = float(cost[rows, cols].max())
-            else:
-                entry["equivalence"] = math.inf if t1.size != t2.size else 0.0
         ok = (
             entry["unitarity_S"] <= tol_unitary
             and entry["unitarity_S_b"] <= tol_unitary
@@ -447,6 +428,7 @@ def run_checks(sc: dict, seed: int = 42) -> dict:
             and entry["max_circle_deviation"] <= tol_circle
             and entry["power_identity"] <= tol_power
             and entry.get("equivalence", 0.0) <= tol_equiv
+            and entry.get("parity_leakage", 0.0) <= tol_equiv
             and entry.get("tilde_identity_residual", 0.0) <= tol_equiv
         )
         entry["passed"] = bool(ok)
@@ -483,7 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("checks", help="run only the invariant suite")
     p_chk.add_argument("--scenario", required=True)
-    p_chk.add_argument("--seed", type=int, default=42)
     return parser
 
 
@@ -504,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report["passed"] else 1
         if args.command == "checks":
             sc = load_scenario(args.scenario)
-            report = run_checks(sc, seed=args.seed)
+            report = run_checks(sc)
             print(json.dumps(report, indent=2, sort_keys=True))
             return 0 if report["passed"] else 1
     except ScenarioError as err:

@@ -6,7 +6,9 @@ matrix carries the exact radiative-reaction correction, so every
 assembled scene is lossless by construction: ``Re Z = U1^T U1`` with a
 real projection matrix U1 whose rows sample the regular spherical
 waves at the dipole positions.  Consequently ``S = I + 2 T`` with
-``T = -U1 Z^-1 U1^T`` is unitary to rounding.
+``T = -U1 Z^-1 U1^T`` is unitary to rounding.  Ports and the sphere
+hybrid reuse the same ``BlockImpedance`` with an augmented readout and a
+background transition offset, so every engine serves all scene kinds.
 
 Impedances are expressed in free-space-impedance units; port reference
 impedances given in Ohm are divided by eta_0 on entry.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -149,8 +151,6 @@ def mirror_scene(scene: DipoleScene) -> DipoleScene:
     """
     if not scene.ground_plane:
         raise GeometryError("mirror_scene expects a scene with the ground_plane flag")
-    if np.any(np.abs(scene.positions[:, 2]) < 1e-300):
-        raise GeometryError("dipole on the mirror plane z = 0")
     pos_img = scene.positions @ _MIRROR
     alpha_img = np.einsum("ij,njk,kl->nil", _MIRROR, scene.polarizability, _MIRROR)
     return DipoleScene(
@@ -190,12 +190,23 @@ def dyadic_green(k: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockImpedance:
-    """Impedance and projection blocks, background unknowns first.
+    """Impedance and readout blocks of one scene, background unknowns first.
 
-    The full system matrix is complex symmetric with
-    ``Re Z = U1^T U1`` to rounding (lossless construction).  ``perm``
-    maps system rows to flat scene unknowns ``3 * dipole + axis`` of the
-    assembled (possibly image-augmented) scene.
+    The scene and its background have the transition matrices
+    ``T = T_b0 - U1 Z^-1 U1^T`` and ``T_b = T_b0 - U1_b Z_bb^-1 U1_b^T``;
+    every engine works on these blocks, whatever the scene kind:
+
+    - dipole scenes: U1 is real and ``T_b0`` is None (zero);
+    - port scenes: U1 carries one ``sqrt(z0)`` row per port under the
+      wave rows, and ``basis`` is the matching ``CompositeBasis``;
+    - sphere hybrids: Z holds the sphere coupling ``U4^T T_b1 U4``, U1 is
+      the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the sphere's
+      ``T_b1``, which the controllable region sees as background.
+
+    The system matrix is complex symmetric, and lossless scenes satisfy
+    ``Re Z = Re(U1^H U1)`` to rounding.  ``perm`` maps system rows to flat
+    scene unknowns ``3 * dipole + axis`` of the assembled (possibly
+    image-augmented) scene.
     """
 
     Z_bb: np.ndarray
@@ -204,11 +215,12 @@ class BlockImpedance:
     Z_cc: np.ndarray
     U1_b: np.ndarray
     U1_c: np.ndarray
-    basis: WaveBasis
+    basis: WaveBasis | CompositeBasis
     k: float
     scene: DipoleScene
     perm: np.ndarray
     source_scene: DipoleScene | None = None
+    T_b0: np.ndarray | None = None
 
     @property
     def n_b(self) -> int:
@@ -226,17 +238,26 @@ class BlockImpedance:
     def U1(self) -> np.ndarray:
         return np.hstack([self.U1_b, self.U1_c])
 
+    def with_system(self, z: np.ndarray, u: np.ndarray, **changes) -> "BlockImpedance":
+        """Copy with the full system matrix and readout replaced, unknown order kept."""
+        nb = self.n_b
+        return replace(self, Z_bb=z[:nb, :nb], Z_bc=z[:nb, nb:], Z_cb=z[nb:, :nb],
+                       Z_cc=z[nb:, nb:], U1_b=u[:, :nb], U1_c=u[:, nb:], **changes)
+
     def factorization_residual(self) -> float:
-        """Relative deviation of Re Z from U1^T U1 (basis-resolution gauge)."""
-        z = self.Z
-        u = self.U1
-        return float(np.linalg.norm(z.real - u.T @ u) / np.linalg.norm(z.real))
+        """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
+        return factorization_residual(self.Z, self.U1)
+
+
+def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
+    """Relative deviation of Re z from Re(u^H u); zero for an empty system."""
+    r = z.real
+    return float(np.linalg.norm(r - (u.conj().T @ u).real) / max(np.linalg.norm(r), 1e-300))
 
 
 def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
-    """Wave basis from the truncation rule at the scene's circumscribing radius."""
-    scn = mirror_scene(scene) if scene.ground_plane else scene
-    ka = k * scn.circumscribing_radius
+    """Truncation-rule basis at the circumscribing radius (mirror images share it)."""
+    ka = k * scene.circumscribing_radius
     l_max = 1 if ka == 0.0 else swe.truncation_order(ka)
     return swe.basis(l_max)
 
@@ -273,8 +294,7 @@ def assemble_impedance(scene: DipoleScene, k: float,
         z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
             np.eye(3) / (6.0 * np.pi) - 1j * inv_alpha[p] / k**3
 
-    tab = swe.regular_wave_table(wave_basis, k, pos)  # (n_waves, N, 3)
-    u1 = tab.reshape(wave_basis.size, 3 * n)
+    u1 = assemble_projection(scene, k, wave_basis)
 
     mask_c = np.repeat(scene.is_controllable, 3)
     perm = np.concatenate([np.flatnonzero(~mask_c), np.flatnonzero(mask_c)])
@@ -313,10 +333,7 @@ def assemble_projection(scene: DipoleScene, k: float,
 def _solve(z: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     if z.shape[0] == 0:
         return np.zeros((0, rhs.shape[1]) if rhs.ndim == 2 else 0, dtype=complex)
-    try:
-        lu, piv = la.lu_factor(z)
-    except la.LinAlgError as err:  # pragma: no cover
-        raise SolveError(f"{what}: factorisation failed: {err}")
+    lu, piv = la.lu_factor(z)
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         cond = np.linalg.cond(z)
@@ -335,26 +352,28 @@ class TransitionSet:
     blocks: BlockImpedance
 
 
-def transition(scene: DipoleScene, k: float,
+def _t_of(z: np.ndarray, u: np.ndarray, t0: np.ndarray | None, what: str) -> np.ndarray:
+    """``t0 - u z^-1 u^T``, with ``t0 = None`` standing for zero."""
+    t = -u @ _solve(z, u.T.astype(complex), what)
+    return t if t0 is None else t0 + t
+
+
+def transition(scene: DipoleScene | None = None, k: float | None = None,
                wave_basis: WaveBasis | None = None,
                blocks: BlockImpedance | None = None) -> TransitionSet:
     """T and S for the full scene, plus the background-only T_b and S_b.
 
     The background operators use only the background block of the
     impedance system (bordered / zero-padded in the full unknown set).
-    An empty background yields T_b = 0, S_b = I.
+    An empty background yields T_b = T_b0 (zero for dipole scenes).
+    Given ``blocks`` of any scene kind, ``scene`` and ``k`` are not used.
     """
     if blocks is None:
         blocks = assemble_impedance(scene, k, wave_basis)
     b = blocks.basis
-    dim = b.size
-    eye = np.eye(dim)
-    t_full = -blocks.U1 @ _solve(blocks.Z, blocks.U1.T.astype(complex), "transition")
-    if blocks.n_b > 0:
-        t_bg = -blocks.U1_b @ _solve(blocks.Z_bb, blocks.U1_b.T.astype(complex),
-                                     "background transition")
-    else:
-        t_bg = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(b.size)
+    t_full = _t_of(blocks.Z, blocks.U1, blocks.T_b0, "transition")
+    t_bg = _t_of(blocks.Z_bb, blocks.U1_b, blocks.T_b0, "background transition")
     return TransitionSet(
         T=OperatorMatrix("T", t_full, b),
         T_b=OperatorMatrix("T", t_bg, b),
@@ -365,14 +384,14 @@ def transition(scene: DipoleScene, k: float,
 
 
 @dataclass
-class GeneralizedScattering:
-    """Port-augmented scattering matrix over (spherical waves + port power waves)."""
+class GeneralizedScattering(TransitionSet):
+    """Port-augmented operators over (spherical waves + port power waves)."""
 
-    S: OperatorMatrix
-    T: OperatorMatrix
-    basis: CompositeBasis
-    blocks: BlockImpedance
     port_rows: np.ndarray
+
+    @property
+    def basis(self) -> CompositeBasis:
+        return self.blocks.basis
 
     @property
     def n_ports(self) -> int:
@@ -381,43 +400,25 @@ class GeneralizedScattering:
 
 def generalized_scattering(scene: DipoleScene, k: float,
                            wave_basis: WaveBasis | None = None) -> GeneralizedScattering:
-    """Scattering matrix with lumped power-wave ports appended.
+    """Scattering matrices with lumped power-wave ports appended.
 
     Each port adds its reference impedance in series on the port
     element's diagonal and one power-wave channel.  The augmented
-    projection stacks sqrt(z0) port rows under U1, which keeps
+    readout stacks sqrt(z0) port rows under U1, which keeps
     ``Re Z' = U^T U`` exact and hence the full matrix unitary for these
-    lossless scenes.  With no ports this reduces to ``transition``'s S.
+    lossless scenes.  Port elements are controllable, so the background
+    S_b acts as the identity on the port channels.  With no ports this
+    reduces to ``transition``.
     """
     blocks = assemble_impedance(scene, k, wave_basis)
-    scn = blocks.scene
-    dim = blocks.basis.size
-    n_unknown = 3 * scn.n_dipoles
-
-    z = blocks.Z.copy()
-    u_rows = [blocks.U1]
-    labels = []
-    port_rows = []
-    inv_perm = np.empty(n_unknown, dtype=int)
-    inv_perm[blocks.perm] = np.arange(n_unknown)
-    for i, port in enumerate(scn.ports):
-        row = inv_perm[3 * port.element + port.axis]
-        z0 = port.z0 / ETA0
-        z[row, row] += z0
-        e = np.zeros((1, n_unknown))
-        e[0, row] = math.sqrt(z0)
-        u_rows.append(e)
-        labels.append(f"port{i}")
-        port_rows.append(row)
-    u_hat = np.vstack(u_rows)
-
-    t_hat = -u_hat @ _solve(z, u_hat.T.astype(complex), "generalized scattering")
-    basis = CompositeBasis(wave=blocks.basis, extra_labels=tuple(labels))
-    s_hat = 2.0 * t_hat + np.eye(dim + len(labels))
-    return GeneralizedScattering(
-        S=OperatorMatrix("S", s_hat, basis),
-        T=OperatorMatrix("T", t_hat, basis),
-        basis=basis,
-        blocks=blocks,
-        port_rows=np.array(port_rows, dtype=int),
-    )
+    ports = blocks.scene.ports
+    rows = np.argsort(blocks.perm)[[3 * p.element + p.axis for p in ports]]
+    z0 = np.array([p.z0 for p in ports]) / ETA0
+    z = blocks.Z
+    np.add.at(z, (rows, rows), z0)
+    u_port = np.zeros((len(ports), z.shape[0]))
+    u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
+    basis = CompositeBasis(wave=blocks.basis,
+                           extra_labels=tuple(f"port{i}" for i in range(len(ports))))
+    ported = blocks.with_system(z, np.vstack([blocks.U1, u_port]), basis=basis)
+    return GeneralizedScattering(**vars(transition(blocks=ported)), port_rows=rows)

@@ -9,11 +9,12 @@ sphere between the sphere surface and the nearest dipole, with the
 projection residual reported per column.
 
 The sphere plus the background dipoles together form the background.
-Both the modified-impedance route (sphere folded into the impedance
-matrix, then Schur-eliminated with the background dipoles) and the
-scattering route (composite and background transition matrices from
-hybrid solves) are provided; for lossless scenes they agree to the
-projection accuracy.
+The hybrid is an assembly variant, not a second engine: folding the
+sphere into the impedance matrix (``Z + U4^T T_b1 U4``, readout
+``U1 + T_b1 U4``, background offset ``T_b1``) yields a ``BlockImpedance``
+that the shared ``transition`` and ``cm_impedance_substructure`` solve
+like any dipole scene.  The impedance and scattering routes agree for
+lossless scenes to the projection accuracy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import swe
 from .dipoles import (
@@ -31,10 +31,11 @@ from .dipoles import (
     TransitionSet,
     assemble_impedance,
     dyadic_green,
+    transition,
 )
-from .exceptions import GeometryError, ResolutionError, SolveError
+from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
-from .modes import ModeSet, _mode_order, cm_scattering
+from .modes import ModeSet, cm_impedance_substructure, cm_scattering
 from .network import OperatorMatrix
 from .swe import WaveBasis
 
@@ -121,15 +122,19 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
 
 @dataclass
 class HybridSystem:
-    """Assembled hybrid operators shared by both solution routes."""
+    """Hybrid impedance blocks with the sphere folded in, and the coupling U4.
+
+    ``blocks`` holds ``Z + U4^T T_b1 U4`` and the complex readout
+    ``U1 + T_b1 U4`` (background unknowns first), with the sphere's
+    ``T_b1`` as background transition offset; ``U4`` is in system order.
+    """
 
     blocks: BlockImpedance
-    T_b1: OperatorMatrix
     U4: OperatorMatrix
-    Z_mod: np.ndarray       # Z + U4^T T_b1 U4, background unknowns first
-    U_mod: np.ndarray       # U1 + T_b1 U4 (complex), radiating readout
-    basis: WaveBasis
-    k: float
+
+    @property
+    def basis(self) -> WaveBasis:
+        return self.blocks.basis
 
 
 def assemble_hybrid(scene: HybridScene, k: float,
@@ -141,17 +146,14 @@ def assemble_hybrid(scene: HybridScene, k: float,
     if wave_basis is None:
         wave_basis = default_hybrid_basis(scene, k)
     blocks = assemble_impedance(scene.mom_scene, k, wave_basis)
-    t_b1 = mie_tmatrix(scene.sphere, k, wave_basis)
+    tb1 = mie_tmatrix(scene.sphere, k, wave_basis).data
     u4 = assemble_u4(scene, k, wave_basis, r_fit=r_fit, quad_margin=quad_margin,
                      residual_tol=residual_tol)
     u4_sys = u4.data[:, blocks.perm]
-    tb1 = t_b1.data
-    z_mod = blocks.Z + u4_sys.T @ tb1 @ u4_sys
-    u_mod = blocks.U1 + tb1 @ u4_sys
-    return HybridSystem(blocks=blocks, T_b1=t_b1,
-                        U4=OperatorMatrix("projection", u4_sys, wave_basis,
-                                          meta=u4.meta),
-                        Z_mod=z_mod, U_mod=u_mod, basis=wave_basis, k=k)
+    hybrid = blocks.with_system(blocks.Z + u4_sys.T @ tb1 @ u4_sys,
+                                blocks.U1 + tb1 @ u4_sys, T_b0=tb1)
+    return HybridSystem(blocks=hybrid,
+                        U4=OperatorMatrix("projection", u4_sys, wave_basis, meta=u4.meta))
 
 
 def hybrid_transition(scene: HybridScene, k: float,
@@ -160,33 +162,11 @@ def hybrid_transition(scene: HybridScene, k: float,
     """Composite and background transition/scattering operators.
 
     The composite couples all dipoles with the sphere; the background
-    keeps only the background dipoles plus the sphere.  Each column is
-    the hybrid solve for one incident regular wave.
+    keeps only the background dipoles plus the sphere.
     """
     if system is None:
         system = assemble_hybrid(scene, k, wave_basis)
-    dim = system.basis.size
-    eye = np.eye(dim)
-    nb = system.blocks.n_b
-    tb1 = system.T_b1.data
-
-    def _t_of(z, u):
-        if z.shape[0] == 0:
-            return tb1.copy()
-        try:
-            return tb1 - u @ la.solve(z, u.T)
-        except la.LinAlgError as err:
-            raise SolveError(f"hybrid system singular: {err}")
-
-    t_full = _t_of(system.Z_mod, system.U_mod)
-    t_bg = _t_of(system.Z_mod[:nb, :nb], system.U_mod[:, :nb])
-    return TransitionSet(
-        T=OperatorMatrix("T", t_full, system.basis),
-        T_b=OperatorMatrix("T", t_bg, system.basis),
-        S=OperatorMatrix("S", 2.0 * t_full + eye, system.basis),
-        S_b=OperatorMatrix("S", 2.0 * t_bg + eye, system.basis),
-        blocks=system.blocks,
-    )
+    return transition(blocks=system.blocks)
 
 
 def hybrid_scattering_modes(scene: HybridScene, k: float,
@@ -202,68 +182,16 @@ def hybrid_impedance_modes(scene: HybridScene, k: float,
                            system: HybridSystem | None = None) -> ModeSet:
     """Substructure modes from the sphere-augmented impedance matrix.
 
-    The sphere contribution ``U4^T T_b1 U4`` modifies the impedance
-    matrix; the background-dipole block of the modified matrix is then
-    Schur-eliminated and the real symmetric pencil of the compressed
-    reactance against the compressed resistance is solved.
+    ``cm_impedance_substructure`` on the hybrid blocks: the background
+    dipoles are Schur-eliminated from the modified matrix and the real
+    symmetric pencil of the compressed reactance against the compressed
+    resistance is solved.  Adds the U4 projection residual to the
+    diagnostics.
     """
     if system is None:
         system = assemble_hybrid(scene, k, wave_basis)
-    nb = system.blocks.n_b
-    nc = system.blocks.n_c
-    diag = {"solver": "hybrid-eigh",
-            "u4_residual": float(np.max(system.U4.meta["column_residuals"], initial=0.0))}
-    if nc == 0:
-        return ModeSet(s=np.zeros(0, dtype=complex), k=k, basis=system.basis,
-                       diagnostics=diag)
-
-    z = system.Z_mod
-    u = system.U_mod
-    if nb > 0:
-        try:
-            w = la.solve(z[:nb, :nb], z[:nb, nb:])
-        except la.LinAlgError as err:
-            raise SolveError(f"hybrid background block singular: {err}")
-        z_t = z[nb:, nb:] - z[nb:, :nb] @ w
-        u_t = u[:, nb:] - u[:, :nb] @ w
-    else:
-        w = np.zeros((0, nc))
-        z_t = z[nb:, nb:]
-        u_t = u[:, nb:]
-
-    r_t = 0.5 * (z_t.real + z_t.real.T)
-    x_t = 0.5 * (z_t.imag + z_t.imag.T)
-    diag["schur_factorization_residual"] = float(
-        np.linalg.norm(r_t - (u_t.conj().T @ u_t).real) / max(np.linalg.norm(r_t), 1e-300))
-    from .modes import _radiation_condition
-    diag["r_condition"] = _radiation_condition(r_t)
-    try:
-        lam, i_c = la.eigh(x_t, r_t)
-        lam = lam.astype(complex)
-        i_c = i_c.astype(complex)
-    except la.LinAlgError:
-        diag["solver"] = "hybrid-eig"
-        lam, i_c = la.eig(x_t, r_t)
-        norm = np.sqrt(np.einsum("in,ij,jn->n", i_c.conj(), r_t, i_c))
-        i_c = i_c / norm[None, :]
-
-    t_vals = -1.0 / (1.0 + 1j * lam)
-    f = -u_t @ i_c
-    f = f / np.linalg.norm(f, axis=0)[None, :]
-
-    # a_n = S_b^H f_n with the hybrid background (background dipoles + sphere)
-    tb1 = system.T_b1.data
-    tbh_f = tb1.conj().T @ f
-    if nb > 0:
-        ub = u[:, :nb]
-        tbh_f = tbh_f - ub.conj() @ la.solve(z[:nb, :nb].conj().T, ub.conj().T @ f)
-    a = f + 2.0 * tbh_f
-
-    i_b = -w @ i_c
-    currents = np.vstack([i_b, i_c])
-    order = _mode_order(t_vals, f, system.basis)
-    diag["lambda"] = lam[order]
-    return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a[:, order], f=f[:, order],
-                   k=k, basis=system.basis,
-                   currents=currents[:, order], currents_c=i_c[:, order],
-                   diagnostics=diag)
+    ms = cm_impedance_substructure(system.blocks, k=k)
+    ms.diagnostics["solver"] = "hybrid-" + ms.diagnostics["solver"]
+    ms.diagnostics["u4_residual"] = float(
+        np.max(system.U4.meta["column_residuals"], initial=0.0))
+    return ms

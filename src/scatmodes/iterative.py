@@ -131,7 +131,6 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
     q_cols: list[np.ndarray] = []
     f_cols: list[np.ndarray] = []
     log = IterationLog()
-    history: list[np.ndarray] = []
     scale = None
 
     for m in range(max_iter):
@@ -158,8 +157,7 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
         theta, y = np.linalg.eig(h)
         t_ritz = theta if oracle.kind == T_FORM else (theta - 1.0) / 2.0
         top = t_ritz[np.argsort(-np.abs(t_ritz))][:n_modes]
-        history.append(top)
-        log.eigenvalues.append(top.copy())
+        log.eigenvalues.append(top)
 
         vec = f - q @ (q.conj().T @ f)
         resid = float(np.linalg.norm(vec))
@@ -168,6 +166,7 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
             log.converged = True
             log.reason = "residual"
             break
+        history = log.eigenvalues
         if len(history) >= 4 and len(history[-1]) >= n_modes:
             drift = 0.0
             for a, b in zip(history[-4:-1], history[-3:]):
@@ -184,12 +183,8 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
     else:
         log.reason = "max_iter"
 
-    q = np.stack(q_cols, axis=1)
-    fm = np.stack(f_cols, axis=1)
+    # q, theta, y and t_ritz of the last iteration belong to the final basis
     log.basis = q
-    h = q.conj().T @ fm
-    theta, y = np.linalg.eig(h)
-    t_ritz = theta if oracle.kind == T_FORM else (theta - 1.0) / 2.0
     order = np.argsort(-np.abs(t_ritz))[:n_modes]
     theta = theta[order]
     ritz = q @ y[:, order]

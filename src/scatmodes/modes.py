@@ -20,15 +20,16 @@ import numpy as np
 import scipy.linalg as la
 
 from . import swe
-from .dipoles import BlockImpedance, DipoleScene, transition
-from .exceptions import ShapeError, SolveError
-from .network import (
-    EigenTriple,
-    OperatorMatrix,
-    _matrix,
-    check_unitary,
-    eigen_maps,
+from .dipoles import (
+    BlockImpedance,
+    DipoleScene,
+    TransitionSet,
+    _solve,
+    factorization_residual,
+    transition,
 )
+from .exceptions import ShapeError
+from .network import OperatorMatrix, _matrix, check_unitary
 from .swe import WaveBasis
 
 #: relative eigenvalue gap below which modes count as one degenerate cluster
@@ -80,10 +81,6 @@ class ModeSet:
         return out
 
     @property
-    def eigen(self) -> list[EigenTriple]:
-        return [eigen_maps(s) for s in self.s]
-
-    @property
     def circle_deviation(self) -> np.ndarray:
         """Per-mode distance of t from the lossless circle |t + 1/2| = 1/2."""
         return np.abs(np.abs(self.t + 0.5) - 0.5)
@@ -122,10 +119,25 @@ def _mode_order(t: np.ndarray, vectors: np.ndarray | None, basis_obj) -> np.ndar
     return np.lexsort((centroid, -mag))
 
 
-def _orthonormalize_clusters(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """QR re-orthonormalisation inside degenerate eigenvalue clusters."""
+def _schur_eig(op: np.ndarray):
+    """Eigenpairs of a normal matrix from its complex Schur form.
+
+    Returns (values, orthonormal vectors, off-diagonal norm of the Schur
+    factor); values and vectors are None when that norm shows ``op`` is
+    not normal.
+    """
+    tri, q = la.schur(op, output="complex")
+    off = float(np.linalg.norm(np.triu(tri, 1)))
+    if not off <= 1e-6 * max(np.linalg.norm(op), 1.0):
+        return None, None, off
+    return np.diag(tri).copy(), q, off
+
+
+def _eig_orthonormal(*pencil: np.ndarray):
+    """General eigenpairs with unit vectors, QR-orthonormalised inside degenerate clusters."""
+    s, v = la.eig(*pencil)
+    v = v / np.linalg.norm(v, axis=0)
     order = np.argsort(-np.abs(s), kind="stable")
-    v = vectors.copy()
     visited = np.zeros(s.size, dtype=bool)
     scale = max(np.abs(s).max(), 1.0)
     for i in order:
@@ -136,7 +148,7 @@ def _orthonormalize_clusters(s: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         if cluster.size > 1:
             q, _ = np.linalg.qr(v[:, cluster])
             v[:, cluster] = q
-    return v
+    return s, v
 
 
 def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
@@ -166,24 +178,13 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
         "unitarity_S_b": check_unitary(sb_mat).deviation,
         "solver": "schur",
     }
-    unitary_ok = diag["unitarity_S_b"] <= tol_unitary
-
-    if unitary_ok:
-        kmat = sb_mat.conj().T @ s_mat
-        tri, q = la.schur(kmat, output="complex")
-        off = np.linalg.norm(np.triu(tri, 1))
-        diag["schur_offdiag"] = float(off)
-        if off <= 1e-6 * max(np.linalg.norm(kmat), 1.0):
-            s_vals = np.diag(tri).copy()
-            a = q
-        else:
-            unitary_ok = False
-    if not unitary_ok:
+    s_vals = None
+    if diag["unitarity_S_b"] <= tol_unitary:
+        s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
+    if s_vals is None:
         warnings.warn("S_b failed the unitarity check; falling back to a QZ solve")
         diag["solver"] = "qz"
-        s_vals, a = la.eig(s_mat, sb_mat)
-        a = a / np.linalg.norm(a, axis=0)
-        a = _orthonormalize_clusters(s_vals, a)
+        s_vals, a = _eig_orthonormal(s_mat, sb_mat)
 
     f = sb_mat @ a
     t = (s_vals - 1.0) / 2.0
@@ -224,16 +225,10 @@ def cm_t_form(T, T_b, representation: str = "excitation",
     else:
         raise ValueError(f"representation must be 'excitation' or 'scattered', got {representation!r}")
 
-    tri, q = la.schur(op, output="complex")
-    off = np.linalg.norm(np.triu(tri, 1))
-    if off <= 1e-6 * max(np.linalg.norm(op), 1.0):
-        t_vals = np.diag(tri).copy()
-        vec = q
-        solver = "schur"
-    else:
-        t_vals, vec = la.eig(op)
-        vec = vec / np.linalg.norm(vec, axis=0)
-        vec = _orthonormalize_clusters(t_vals, vec)
+    t_vals, vec, off = _schur_eig(op)
+    solver = "schur"
+    if t_vals is None:
+        t_vals, vec = _eig_orthonormal(op)
         solver = "eig"
 
     sb = 2.0 * tb_mat + np.eye(t_mat.shape[0])
@@ -245,8 +240,7 @@ def cm_t_form(T, T_b, representation: str = "excitation",
         a = sb.conj().T @ f
     s_vals = 1.0 + 2.0 * t_vals
     order = _mode_order(t_vals, a, basis_obj)
-    diag = {"solver": solver, "representation": representation,
-            "schur_offdiag": float(off)}
+    diag = {"solver": solver, "representation": representation, "schur_offdiag": off}
     return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order], k=k,
                    basis=basis_obj, diagnostics=diag)
 
@@ -277,36 +271,22 @@ class SchurSystem:
         return self.Z_tilde.imag.copy()
 
     def factorization_residual(self) -> float:
-        r = self.R_tilde
-        if r.size == 0:
-            return 0.0
-        return float(np.linalg.norm(r - (self.U1_tilde.conj().T @ self.U1_tilde).real)
-                     / max(np.linalg.norm(r), 1e-300))
+        return factorization_residual(self.Z_tilde, self.U1_tilde)
 
 
 def schur_system(blocks: BlockImpedance) -> SchurSystem:
     """Eliminate background unknowns from a block impedance system."""
-    if blocks.n_b > 0:
-        try:
-            w = la.solve(blocks.Z_bb, blocks.Z_bc)
-        except la.LinAlgError as err:
-            raise SolveError(f"background block singular: {err}")
-        z_tilde = blocks.Z_cc - blocks.Z_cb @ w
-        u_tilde = blocks.U1_c - blocks.U1_b @ w
-    else:
-        w = np.zeros((0, blocks.n_c))
-        z_tilde = blocks.Z_cc.copy()
-        u_tilde = blocks.U1_c.astype(complex)
-    return SchurSystem(Z_tilde=z_tilde, U1_tilde=u_tilde, W=w)
+    w = _solve(blocks.Z_bb, blocks.Z_bc, "background block")
+    return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
+                       U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
 
 
-def _background_t_apply(blocks: BlockImpedance, vec: np.ndarray,
-                        hermitian: bool = False) -> np.ndarray:
-    """Action of T_b (or T_b^H) on wave vectors without forming it."""
-    if blocks.n_b == 0:
-        return np.zeros_like(vec, dtype=complex)
-    z = blocks.Z_bb.conj().T if hermitian else blocks.Z_bb
-    return -blocks.U1_b @ la.solve(z, blocks.U1_b.T @ vec)
+def _background_th_apply(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
+    """Action of T_b^H on wave vectors without forming it."""
+    out = np.zeros_like(vec, dtype=complex) if blocks.T_b0 is None \
+        else blocks.T_b0.conj().T @ vec
+    u_b = blocks.U1_b.conj()
+    return out - u_b @ _solve(blocks.Z_bb.conj().T, u_b.T @ vec, "background transition")
 
 
 def _radiation_condition(r_t: np.ndarray) -> float:
@@ -324,7 +304,8 @@ def cm_impedance_substructure(blocks: BlockImpedance,
     Solves the generalized symmetric eigenproblem of the Schur-complement
     reactance against the compressed radiation matrix, converts
     ``lam -> t = -1/(1 + j lam)``, and recovers scattered fields
-    ``f_n = -U1_tilde I_cn`` (unit norm) and excitations ``a_n = S_b^H f_n``.
+    ``f_n = -U1_tilde I_cn`` (normalised to unit norm) and excitations
+    ``a_n = S_b^H f_n``.  Serves dipole, port and hybrid blocks alike.
 
     Accuracy note: this formulation inherits the conditioning of the
     compressed radiation matrix, which is numerically rank deficient for
@@ -365,7 +346,8 @@ def cm_impedance_substructure(blocks: BlockImpedance,
 
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -sys.U1_tilde @ i_c
-    a = f + 2.0 * _background_t_apply(blocks, f, hermitian=True)
+    f = f / np.linalg.norm(f, axis=0)[None, :]
+    a = f + 2.0 * _background_th_apply(blocks, f)
     i_b = -sys.W @ i_c
     currents = np.vstack([i_b, i_c])
 
@@ -388,20 +370,10 @@ def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
     identity for lossless scenes.
     """
     sys = schur_system(blocks)
-    dim = blocks.basis.size
-    if blocks.n_c == 0:
-        t_tilde = np.zeros((dim, dim), dtype=complex)
-    else:
-        try:
-            t_tilde = -sys.U1_tilde @ la.solve(sys.Z_tilde, sys.U1_tilde.conj().T)
-        except la.LinAlgError as err:
-            raise SolveError(f"compressed impedance singular: {err}")
-
-    t_full = -blocks.U1 @ la.solve(blocks.Z, blocks.U1.T.astype(complex))
-    if blocks.n_b > 0:
-        t_bg = -blocks.U1_b @ la.solve(blocks.Z_bb, blocks.U1_b.T.astype(complex))
-    else:
-        t_bg = np.zeros((dim, dim), dtype=complex)
+    t_tilde = -sys.U1_tilde @ _solve(sys.Z_tilde, sys.U1_tilde.conj().T,
+                                     "compressed impedance")
+    ts = transition(blocks=blocks)
+    t_full, t_bg = ts.T.data, ts.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
     scale = max(np.linalg.norm(t_tilde), 1e-300)
     residual = float(np.linalg.norm(composed - t_tilde) / scale)
@@ -447,33 +419,20 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     t = modeset.t
     nb = blocks.n_b
 
-    v = blocks.U1.T @ a
-    i_full = la.solve(blocks.Z, v)
-    if nb > 0:
-        i_bg = la.solve(blocks.Z_bb, blocks.U1_b.T @ a)
-        i_full = i_full - np.vstack([i_bg, np.zeros((blocks.n_c, a.shape[1]))])
-    currents = i_full
+    currents = _solve(blocks.Z, blocks.U1.T @ a, "current recovery")
+    currents[:nb] -= _solve(blocks.Z_bb, blocks.U1_b.T @ a, "background current recovery")
     currents_c = currents[nb:, :]
 
     sys = schur_system(blocks)
     f_stored = modeset.f if modeset.f is not None else a
     skipped = np.abs(t) <= t_min
     f_rad = f_stored * t[None, :]
-    rhs = sys.U1_tilde.conj().T @ f_rad
-    if blocks.n_c > 0:
-        alt = la.solve(sys.Z_tilde, rhs)
-    else:
-        alt = np.zeros((0, a.shape[1]), dtype=complex)
+    alt = _solve(sys.Z_tilde, sys.U1_tilde.conj().T @ f_rad, "compressed current recovery")
     with np.errstate(invalid="ignore", divide="ignore"):
         alt = alt / t[None, :]
     alt[:, skipped] = np.nan
-
-    agreement = np.full(t.shape, np.nan)
-    for n in range(t.size):
-        if skipped[n]:
-            continue
-        denom = np.linalg.norm(currents_c[:, n])
-        agreement[n] = np.linalg.norm(currents_c[:, n] - alt[:, n]) / max(denom, 1e-300)
+    agreement = np.linalg.norm(currents_c - alt, axis=0) \
+        / np.maximum(np.linalg.norm(currents_c, axis=0), 1e-300)
     return CurrentRecovery(currents=currents, currents_c=currents_c,
                            currents_c_alt=alt, agreement=agreement, skipped=skipped)
 
@@ -499,6 +458,27 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
     return stack.max(axis=0) - stack.min(axis=0)
 
 
+def parity_restricted(ts: TransitionSet) -> TransitionSet:
+    """A ground-plane scene's operators on its parity-allowed waves only.
+
+    The restricted operators carry no basis;
+    ``swe.ground_plane_filter(ts.blocks.basis)`` gives the kept indices.
+    """
+    keep = swe.ground_plane_filter(ts.blocks.basis)
+    sub = np.ix_(keep, keep)
+    return TransitionSet(T=OperatorMatrix("T", ts.T.data[sub]),
+                         T_b=OperatorMatrix("T", ts.T_b.data[sub]),
+                         S=OperatorMatrix("S", ts.S.data[sub]),
+                         S_b=OperatorMatrix("S", ts.S_b.data[sub]), blocks=ts.blocks)
+
+
+def parity_leakage(ts: TransitionSet) -> float:
+    """Relative norm of S coupling parity-allowed to parity-forbidden waves."""
+    keep = swe.ground_plane_filter(ts.blocks.basis)
+    drop = np.setdiff1d(np.arange(ts.blocks.basis.size), keep)
+    return float(np.linalg.norm(ts.S.data[np.ix_(keep, drop)]) / np.linalg.norm(ts.S.data))
+
+
 def cm_ground_plane(scene: DipoleScene, k: float,
                     wave_basis: WaveBasis | None = None) -> ModeSet:
     """Substructure modes of a scene above an infinite PEC ground plane.
@@ -511,19 +491,11 @@ def cm_ground_plane(scene: DipoleScene, k: float,
     if not scene.ground_plane:
         raise ShapeError("cm_ground_plane expects a scene with the ground_plane flag")
     ts = transition(scene, k, wave_basis)
-    full_basis = ts.blocks.basis
-    keep = swe.ground_plane_filter(full_basis)
-    drop = np.setdiff1d(np.arange(full_basis.size), keep)
-    s_mat = ts.S.data
-    cross = np.linalg.norm(s_mat[np.ix_(keep, drop)]) / np.linalg.norm(s_mat)
-
-    s_r = s_mat[np.ix_(keep, keep)]
-    sb_r = ts.S_b.data[np.ix_(keep, keep)]
-    ms = cm_scattering(s_r, sb_r, k=k)
-    ms.basis = None
-    ms.diagnostics["kept_indices"] = keep
-    ms.diagnostics["parent_basis"] = full_basis
-    ms.diagnostics["parity_leakage"] = float(cross)
+    restricted = parity_restricted(ts)
+    ms = cm_scattering(restricted.S, restricted.S_b, k=k)
+    ms.diagnostics["kept_indices"] = swe.ground_plane_filter(ts.blocks.basis)
+    ms.diagnostics["parent_basis"] = ts.blocks.basis
+    ms.diagnostics["parity_leakage"] = parity_leakage(ts)
     return ms
 
 

@@ -288,23 +288,9 @@ def regular_wave_field(idx: WaveIndex, k: float, point: np.ndarray) -> np.ndarra
     return regular_wave_table(b, k, np.atleast_2d(point))[0, 0]
 
 
-def outgoing_wave_field(idx: WaveIndex, k: float, point: np.ndarray) -> np.ndarray:
-    """Value of one outgoing spherical vector wave at one point (complex 3-vector)."""
-    b = WaveBasis(l_max=idx.l, indices=(idx,))
-    return outgoing_wave_table(b, k, np.atleast_2d(point))[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Quadrature grids and projection
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One sampled field value: Cartesian point (m) and complex 3-vector value."""
-
-    point: np.ndarray
-    value: np.ndarray
-
 
 def sphere_quadrature(l_max: int, radius: float = 1.0,
                       polar_nodes: int | None = None,

@@ -243,7 +243,9 @@ def test_checks_ground_plane_scenario():
     scn["sweep"] = {"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1}
     report = run_checks(parse_scenario(scn))
     assert report["passed"], report
-    assert "equivalence" not in report["per_frequency"][0]
+    entry = report["per_frequency"][0]
+    assert "equivalence" not in entry
+    assert entry["parity_leakage"] < 1e-12
 
 
 def test_hybrid_impedance_scenario_runs(tmp_path):

@@ -6,14 +6,19 @@ from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
     DipoleScene,
+    HybridScene,
+    Port,
     ShapeError,
+    SolveError,
     SphereSpec,
+    assemble_hybrid,
     assemble_impedance,
     basis,
     cm_ground_plane,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
+    generalized_scattering,
     mie_modeset,
     mirror_scene,
     recover_currents,
@@ -220,6 +225,10 @@ def test_recover_currents_agreement(two_region):
     sig = (np.abs(ms.t) > 1e-3) & ~rec.skipped
     assert sig.any()
     assert np.nanmax(rec.agreement[sig]) < 1e-6
+    # per-mode reference for the column-wise agreement
+    ref = [np.linalg.norm(rec.currents_c[:, n] - rec.currents_c_alt[:, n])
+           / np.linalg.norm(rec.currents_c[:, n]) for n in np.flatnonzero(~rec.skipped)]
+    np.testing.assert_allclose(rec.agreement[~rec.skipped], ref, rtol=1e-12)
 
 
 def test_recovered_current_radiates_scaled_field(two_region):
@@ -391,3 +400,65 @@ def test_impedance_conditioning_surfaced():
     ms_s = cm_scattering(ts.S, ts.S_b)
     tilde_vals = np.linalg.eigvals(tilde_tmatrix(ts.blocks).data)
     assert matched_distance(ms_s.t, tilde_vals, threshold=1e-6) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one block-impedance core for every scene kind
+# ---------------------------------------------------------------------------
+
+def _dipole_blocks():
+    rng = np.random.default_rng(314)
+    return assemble_impedance(random_scene(rng, 8, 0.8, n_background=3), 1.0)
+
+
+def _port_blocks():
+    rng = np.random.default_rng(315)
+    scene = random_scene(rng, 6, 0.8, n_background=2)
+    ported = DipoleScene(scene.positions, scene.polarizability, scene.region,
+                         ports=(Port(3, "x", 73.0), Port(5, "z", 50.0)))
+    return generalized_scattering(ported, 1.0).blocks
+
+
+def _hybrid_blocks():
+    rng = np.random.default_rng(88)
+    k = 2.0
+    pos = rng.normal(size=(5, 3))
+    pos *= (0.62 + 0.18 * rng.random(5))[:, None] / np.linalg.norm(pos, axis=1)[:, None]
+    region = ("background",) * 2 + ("controllable",) * 3
+    scene = DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(5)), region)
+    hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
+    return assemble_hybrid(hs, k, wave_basis=basis(18)).blocks
+
+
+@pytest.mark.parametrize("make_blocks, tol", [
+    (_dipole_blocks, 1e-6),
+    (_port_blocks, 1e-6),
+    (_hybrid_blocks, 1e-5),
+], ids=["dipole", "port", "hybrid"])
+def test_impedance_engine_matches_scattering_on_every_scene_kind(make_blocks, tol):
+    blocks = make_blocks()
+    ts = transition(blocks=blocks)
+    ms_z = cm_impedance_substructure(blocks)
+    ms_s = cm_scattering(ts.S, ts.S_b)
+    assert ms_z.n_modes == blocks.n_c
+    assert matched_distance(ms_s.t, ms_z.t, threshold=1e-7) < tol
+    assert np.abs(np.linalg.norm(ms_z.f, axis=0) - 1.0).max() < 1e-12
+    assert np.abs(ms_z.f - ts.S_b.data @ ms_z.a).max() < 10 * tol
+
+
+def test_singular_system_raises_solve_error(two_region):
+    # duplicate one controllable unknown: Z and the Schur complement are singular
+    _, _, ts = two_region
+    ms = cm_scattering(ts.S, ts.S_b)
+    z, u = ts.blocks.Z, ts.blocks.U1
+    i, j = ts.blocks.n_b, ts.blocks.n_b + 1
+    z[j, :] = z[i, :]
+    z[:, j] = z[:, i]
+    u[:, j] = u[:, i]
+    singular = ts.blocks.with_system(z, u)
+    with pytest.raises(SolveError):
+        transition(blocks=singular)
+    with pytest.raises(SolveError):
+        tilde_tmatrix(singular)
+    with pytest.raises(SolveError):
+        recover_currents(ms, singular)
