@@ -343,16 +343,21 @@ def project_onto_regular(points: np.ndarray, values: np.ndarray,
     k : float
         Wavenumber (rad/m).
     table : optional
-        Precomputed ``regular_wave_table(wave_basis, k, points)``.
+        Precomputed ``regular_wave_table(wave_basis, k, points)``, shape
+        (n_waves, N, 3).
 
     Returns
     -------
     coeffs : (n_waves,) or (n_waves, B) complex array
     residual : float or (B,) array
         Relative quadrature-norm misfit of the reconstruction.
+
+    The inner products and the reconstruction run as real matrix products
+    (BLAS GEMMs) of the table, flattened to (n_waves, 3N), against the
+    complex fields viewed as interleaved real and imaginary columns.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values)
+    vals = np.asarray(values, dtype=complex)
     batched = vals.ndim == 3
     if not batched:
         vals = np.atleast_2d(vals)[..., None]
@@ -371,30 +376,32 @@ def project_onto_regular(points: np.ndarray, values: np.ndarray,
 
     if table is None:
         table = regular_wave_table(wave_basis, k, pts)  # (n, N, 3), real
+    elif table.shape != (wave_basis.size, pts.shape[0], 3):
+        raise ShapeError(
+            f"table has shape {table.shape}; expected {(wave_basis.size, pts.shape[0], 3)}"
+        )
+    # squared radial factor of each wave, divided back out of the inner products
     kr = k * radius
-    jl_all = spherical_jn(np.arange(l_max + 1), kr)
-    djl_all = spherical_jn(np.arange(l_max + 1), kr, derivative=True)
+    l, _, tm = wave_basis.arrays()
+    jl = spherical_jn(l, kr)
+    r2 = spherical_jn(l, kr, derivative=True) + jl / kr
+    r3 = np.sqrt(l * (l + 1.0)) * jl / kr
+    denom = np.where(tm, r2 * r2 + r3 * r3, jl * jl)
+    # genuine zeros of j_l occur only past the turning point kr > l;
+    # below it the function is merely (harmlessly) small
+    vanished = l[~tm & (np.abs(jl) < 1e-13) & (kr > l)]
+    if vanished.size:
+        raise ResolutionError(
+            f"j_{vanished[0]}(kr) vanishes at the sample radius; "
+            f"TE degree {vanished[0]} unresolvable"
+        )
 
-    # Quadrature inner products of the full wave vectors against the field;
-    # the squared radial factor of each wave is divided back out per (l, pol).
-    inner = np.einsum("p,npc,pcb->nb", w, table, vals)
-    denom = np.empty(wave_basis.size)
-    for n, idx in enumerate(wave_basis.indices):
-        if idx.pol == TE:
-            denom[n] = jl_all[idx.l] ** 2
-            # genuine zeros of j_l occur only past the turning point kr > l;
-            # below it the function is merely (harmlessly) small
-            if abs(jl_all[idx.l]) < 1e-13 and kr > idx.l:
-                raise ResolutionError(
-                    f"j_{idx.l}(kr) vanishes at the sample radius; TE degree {idx.l} unresolvable"
-                )
-        else:
-            r2 = djl_all[idx.l] + jl_all[idx.l] / kr
-            r3 = math.sqrt(idx.l * (idx.l + 1.0)) * jl_all[idx.l] / kr
-            denom[n] = r2 * r2 + r3 * r3
-    coeffs = inner / denom[:, None]
-
-    recon = np.einsum("nb,npc->pcb", coeffs, table)
+    # Quadrature inner products of the full wave vectors against the field,
+    # and the reconstruction from the coefficients, as real GEMMs
+    flat = table.reshape(wave_basis.size, -1)                         # (n, 3N)
+    weighted = (w[:, None, None] * vals).reshape(flat.shape[1], -1)   # (3N, B)
+    coeffs = (flat @ weighted.view(float)).view(complex) / denom[:, None]
+    recon = (flat.T @ coeffs.view(float)).view(complex).reshape(vals.shape)
     scale = np.sqrt(np.sum(w[:, None, None] * np.abs(vals) ** 2, axis=(0, 1)))
     misfit = np.sqrt(np.sum(w[:, None, None] * np.abs(recon - vals) ** 2, axis=(0, 1)))
     residual = misfit / np.where(scale > 0, scale, 1.0)

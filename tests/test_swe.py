@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scatmodes import (
     DomainError,
     ResolutionError,
+    ShapeError,
     WaveIndex,
     basis,
     ground_plane_filter,
@@ -210,6 +211,76 @@ def test_project_grid_too_small():
     pts, w = sphere_quadrature(3, radius=1.0)
     with pytest.raises(ResolutionError):
         project_onto_regular(pts, np.zeros_like(pts), w, 1.0, b)
+
+
+def test_project_batched_against_unbatched_and_loop_reference():
+    # B columns mixing real, imaginary and complex dipole fields: checks the
+    # interleaved real/imaginary GEMMs against B single calls and against a
+    # plain-loop quadrature, with the radial norm taken from the table itself
+    l_max = 4
+    b = basis(l_max)
+    k = 1.2
+    r_fit = 0.6
+    pts, w = sphere_quadrature(l_max, radius=r_fit, polar_nodes=l_max + 3,
+                               azimuth_nodes=2 * l_max + 5)
+    rng = np.random.default_rng(5)
+    src = rng.normal(size=(2, 3))
+    src *= 2.5 * r_fit / np.linalg.norm(src, axis=1)[:, None]
+    g = dyadic_green(k, pts, src)                    # (P, 2, 3, 3)
+    vals = np.stack([
+        g[:, 0] @ np.array([1.0, 0.0, 0.0]),
+        (g[:, 1] @ np.array([0.0, 0.6, 0.8])).real + 0j,
+        1j * (g[:, 0] @ np.array([0.0, 0.0, 1.0])).imag,
+        np.exp(0.7j) * (g[:, 1] @ np.array([0.3, -1.0, 0.4])),
+    ], axis=-1)                                      # (P, 3, 4)
+    table = regular_wave_table(b, k, pts)
+    coeffs, residual = project_onto_regular(pts, vals, w, k, b, table=table)
+
+    n_waves, n_pts = table.shape[:2]
+    n_cols = vals.shape[2]
+    ref = np.zeros((n_waves, n_cols), dtype=complex)
+    ref_residual = np.zeros(n_cols)
+    for col in range(n_cols):
+        single, single_residual = project_onto_regular(pts, vals[:, :, col], w, k, b)
+        assert np.abs(single - coeffs[:, col]).max() <= 1e-12 * np.abs(single).max()
+        # residuals are relative to the field's quadrature norm already
+        assert abs(single_residual - residual[col]) <= 1e-12
+        for n in range(n_waves):
+            inner = sum(w[p] * (table[n, p] @ vals[p, :, col]) for p in range(n_pts))
+            denom = sum(w[p] * (table[n, p] @ table[n, p]) for p in range(n_pts))
+            ref[n, col] = inner / denom
+        misfit = scale = 0.0
+        for p in range(n_pts):
+            recon = sum(ref[n, col] * table[n, p] for n in range(n_waves))
+            misfit += w[p] * np.sum(np.abs(recon - vals[p, :, col]) ** 2)
+            scale += w[p] * np.sum(np.abs(vals[p, :, col]) ** 2)
+        ref_residual[col] = math.sqrt(misfit / scale)
+    assert np.abs(coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(residual - ref_residual).max() <= 1e-12
+    assert residual.min() > 1e-7  # a misfit well above the roundoff floor
+
+
+@pytest.mark.parametrize("table_basis, n_points_off", [(2, 0), (3, 1)])
+def test_project_mismatched_table(table_basis, n_points_off):
+    # a table built for a smaller basis or for one point fewer is rejected
+    b = basis(3)
+    k = 1.0
+    pts, w = sphere_quadrature(3, radius=1.0)
+    table = regular_wave_table(basis(table_basis), k, pts[n_points_off:])
+    with pytest.raises(ShapeError):
+        project_onto_regular(pts, np.ones_like(pts), w, k, b, table=table)
+
+
+def test_project_vanishing_bessel_radius():
+    # k r on the first zero of j_1: TE degree 1 carries no field there
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    k = 1.0
+    r_zero = brentq(lambda x: spherical_jn(1, x), 4.0, 5.0, xtol=1e-15) / k
+    pts, w = sphere_quadrature(3, radius=r_zero)
+    with pytest.raises(ResolutionError, match="j_1"):
+        project_onto_regular(pts, np.ones_like(pts), w, k, basis(3))
 
 
 def test_quadrature_node_rule():

@@ -18,3 +18,28 @@ def test_benchmark_traced_bindings_resolve():
                for name in names
                if not callable(getattr(importlib.import_module(module_name), name, None))]
     assert child.TRACED_BINDINGS and not missing, missing
+
+
+def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
+    # the benchmark's swe.* layer metrics count calls through these module
+    # attributes; inlining the projection into the hybrid or building the
+    # table twice would silently change what they measure
+    from scatmodes import DipoleScene, HybridScene, SphereSpec, assemble_u4, basis, swe
+
+    calls = {}
+
+    def counting(name):
+        fn = getattr(swe, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(swe, name, wrapper)
+
+    counting("regular_wave_table")
+    counting("project_onto_regular")
+    scene = HybridScene(DipoleScene([[0.0, 0.0, 0.5], [0.4, 0.0, 0.0]], 0.1),
+                        SphereSpec(0.002, "dielectric", eps_r=4.0))
+    assemble_u4(scene, 1.0, basis(8))
+    assert calls == {"regular_wave_table": 1, "project_onto_regular": 1}
