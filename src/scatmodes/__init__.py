@@ -55,12 +55,9 @@ from .modes import (
 from .network import (
     CheckReport,
     CompositeBasis,
-    EigenTriple,
     OperatorMatrix,
     check_t_power,
     check_unitary,
-    eigen_from_lambda,
-    eigen_maps,
     embed_identity,
     s_from_t,
     t_from_s,

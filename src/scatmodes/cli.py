@@ -430,8 +430,8 @@ def run_checks(sc: dict) -> dict:
             entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
                 if t1.size == t2.size else math.inf
 
-        entry["unitarity_S"] = check_unitary(ts.S).deviation
-        entry["unitarity_S_b"] = check_unitary(ts.S_b).deviation
+        entry["unitarity_S"] = ms.diagnostics["unitarity_S"]
+        entry["unitarity_S_b"] = ms.diagnostics["unitarity_S_b"]
         entry["t_power"] = check_t_power(ts.T).deviation
         entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
         entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -207,6 +207,13 @@ class BlockImpedance:
     ``Re Z = Re(U1^H U1)`` to rounding.  ``perm`` maps system rows to flat
     scene unknowns ``3 * dipole + axis`` of the assembled (possibly
     image-augmented) scene.
+
+    The blocks own the two factorisations a frequency point needs, and
+    every engine takes its Z and Z_bb solves from them: ``solve`` and
+    ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU factors computed
+    (pivot-checked) on first use and kept by this object only.  Copies
+    made by ``with_system`` or ``dataclasses.replace`` start without
+    them; do not modify the blocks in place once solved.
     """
 
     Z_bb: np.ndarray
@@ -221,6 +228,7 @@ class BlockImpedance:
     perm: np.ndarray
     source_scene: DipoleScene | None = None
     T_b0: np.ndarray | None = None
+    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_b(self) -> int:
@@ -247,6 +255,18 @@ class BlockImpedance:
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
         return factorization_residual(self.Z, self.U1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``Z^-1 rhs``; raises ``SolveError`` if Z is numerically singular."""
+        if "Z" not in self._solvers:
+            self._solvers["Z"] = _solver(self.Z, "system matrix")
+        return self._solvers["Z"](rhs)
+
+    def solve_bb(self, rhs: np.ndarray) -> np.ndarray:
+        """``Z_bb^-1 rhs``; raises ``SolveError`` if Z_bb is numerically singular."""
+        if "Z_bb" not in self._solvers:
+            self._solvers["Z_bb"] = _solver(self.Z_bb, "background block")
+        return self._solvers["Z_bb"](rhs)
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
@@ -330,15 +350,16 @@ def assemble_projection(scene: DipoleScene, k: float,
     return tab.reshape(wave_basis.size, 3 * scene.n_dipoles)
 
 
-def _solve(z: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _solver(z: np.ndarray, what: str):
+    """``rhs -> z^-1 rhs`` from the LU factors of z, after a pivot-ratio singularity check."""
     if z.shape[0] == 0:
-        return np.zeros((0, rhs.shape[1]) if rhs.ndim == 2 else 0, dtype=complex)
+        return lambda rhs: np.zeros((0,) + rhs.shape[1:], dtype=complex)
     lu, piv = la.lu_factor(z)
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         cond = np.linalg.cond(z)
         raise SolveError(f"{what}: matrix numerically singular (cond ~ {cond:.3e})")
-    return la.lu_solve((lu, piv), rhs)
+    return lambda rhs: la.lu_solve((lu, piv), rhs)
 
 
 @dataclass
@@ -352,9 +373,9 @@ class TransitionSet:
     blocks: BlockImpedance
 
 
-def _t_of(z: np.ndarray, u: np.ndarray, t0: np.ndarray | None, what: str) -> np.ndarray:
-    """``t0 - u z^-1 u^T``, with ``t0 = None`` standing for zero."""
-    t = -u @ _solve(z, u.T.astype(complex), what)
+def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
+    """``t0 - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
+    t = -u @ solve(u.T.astype(complex))
     return t if t0 is None else t0 + t
 
 
@@ -372,8 +393,8 @@ def transition(scene: DipoleScene | None = None, k: float | None = None,
         blocks = assemble_impedance(scene, k, wave_basis)
     b = blocks.basis
     eye = np.eye(b.size)
-    t_full = _t_of(blocks.Z, blocks.U1, blocks.T_b0, "transition")
-    t_bg = _t_of(blocks.Z_bb, blocks.U1_b, blocks.T_b0, "background transition")
+    t_full = _t_of(blocks.solve, blocks.U1, blocks.T_b0)
+    t_bg = _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0)
     return TransitionSet(
         T=OperatorMatrix("T", t_full, b),
         T_b=OperatorMatrix("T", t_bg, b),

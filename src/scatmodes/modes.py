@@ -24,11 +24,11 @@ from .dipoles import (
     BlockImpedance,
     DipoleScene,
     TransitionSet,
-    _solve,
+    _solver,
     factorization_residual,
     transition,
 )
-from .exceptions import ShapeError
+from .exceptions import ShapeError, SolveError
 from .network import OperatorMatrix, _matrix, check_unitary
 from .swe import WaveBasis
 
@@ -276,17 +276,21 @@ class SchurSystem:
 
 def schur_system(blocks: BlockImpedance) -> SchurSystem:
     """Eliminate background unknowns from a block impedance system."""
-    w = _solve(blocks.Z_bb, blocks.Z_bc, "background block")
+    w = blocks.solve_bb(blocks.Z_bc)
     return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
                        U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
 
 
 def _background_th_apply(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
-    """Action of T_b^H on wave vectors without forming it."""
+    """Action of T_b^H on wave vectors without forming it.
+
+    Z_bb is complex symmetric (reciprocity), so ``Z_bb^-H y =
+    conj(Z_bb^-1 conj(y))`` reuses the factors of Z_bb.
+    """
     out = np.zeros_like(vec, dtype=complex) if blocks.T_b0 is None \
         else blocks.T_b0.conj().T @ vec
-    u_b = blocks.U1_b.conj()
-    return out - u_b @ _solve(blocks.Z_bb.conj().T, u_b.T @ vec, "background transition")
+    u_b = blocks.U1_b
+    return out - np.conj(u_b @ blocks.solve_bb(u_b.T @ np.conj(vec)))
 
 
 def _radiation_condition(r_t: np.ndarray) -> float:
@@ -312,7 +316,9 @@ def cm_impedance_substructure(blocks: BlockImpedance,
     dense subwavelength current grids; ``diagnostics['r_condition']``
     reports the spread and a warning is issued when cross-formulation
     agreement is expected to degrade.  The scattering-based engines are
-    immune and remain the sharp reference in that regime.
+    immune and remain the sharp reference in that regime.  Where R~ is
+    indefinite or singular, so that some eigencurrents cannot be
+    normalised, it raises ``SolveError``.
     """
     sys = schur_system(blocks)
     nc = blocks.n_c
@@ -341,8 +347,15 @@ def cm_impedance_substructure(blocks: BlockImpedance,
         warnings.warn("compressed radiation matrix not positive definite; "
                       "general eigensolver used (lossy or under-resolved basis)")
         lam, i_c = la.eig(x_t, r_t)
-        norm = np.sqrt(np.einsum("in,ij,jn->n", i_c.conj(), r_t, i_c))
-        i_c = i_c / norm[None, :]
+        power = np.einsum("in,ij,jn->n", i_c.conj(), r_t, i_c)
+        bad = ~(np.isfinite(lam) & np.isfinite(power) & (power.real > 0.0))
+        if bad.any():
+            raise SolveError(
+                f"compressed radiation matrix is indefinite or singular: {bad.sum()} of "
+                f"{nc} eigencurrents radiate no positive power, so the impedance "
+                "formulation cannot normalise them; use a scattering solver "
+                "(dense-scattering, t-form or hybrid-scattering)")
+        i_c = i_c / np.sqrt(power)[None, :]
 
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -sys.U1_tilde @ i_c
@@ -370,8 +383,8 @@ def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
     identity for lossless scenes.
     """
     sys = schur_system(blocks)
-    t_tilde = -sys.U1_tilde @ _solve(sys.Z_tilde, sys.U1_tilde.conj().T,
-                                     "compressed impedance")
+    t_tilde = -sys.U1_tilde @ _solver(sys.Z_tilde, "compressed impedance")(
+        sys.U1_tilde.conj().T)
     ts = transition(blocks=blocks)
     t_full, t_bg = ts.T.data, ts.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
@@ -419,15 +432,15 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     t = modeset.t
     nb = blocks.n_b
 
-    currents = _solve(blocks.Z, blocks.U1.T @ a, "current recovery")
-    currents[:nb] -= _solve(blocks.Z_bb, blocks.U1_b.T @ a, "background current recovery")
+    currents = blocks.solve(blocks.U1.T @ a)
+    currents[:nb] -= blocks.solve_bb(blocks.U1_b.T @ a)
     currents_c = currents[nb:, :]
 
     sys = schur_system(blocks)
     f_stored = modeset.f if modeset.f is not None else a
     skipped = np.abs(t) <= t_min
     f_rad = f_stored * t[None, :]
-    alt = _solve(sys.Z_tilde, sys.U1_tilde.conj().T @ f_rad, "compressed current recovery")
+    alt = _solver(sys.Z_tilde, "compressed current recovery")(sys.U1_tilde.conj().T @ f_rad)
     with np.errstate(invalid="ignore", divide="ignore"):
         alt = alt / t[None, :]
     alt[:, skipped] = np.nan

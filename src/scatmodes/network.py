@@ -1,8 +1,8 @@
 """Operator algebra shared by all backends.
 
-S <-> T conversion, eigenvalue maps between s, t and the classical
-eigenvalue lambda, passivity/unitarity checks, and embedding of a small
-operator into a larger basis (identity elsewhere).
+S <-> T conversion, passivity/unitarity checks, and embedding of a small
+operator into a larger basis (identity elsewhere).  The eigenvalue maps
+between s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
 """
 
 from __future__ import annotations
@@ -92,45 +92,6 @@ def t_from_s(S) -> OperatorMatrix:
     t = (s - np.eye(s.shape[0])) / 2.0
     basis = S.basis if isinstance(S, OperatorMatrix) else None
     return OperatorMatrix(kind="T", data=t, basis=basis)
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """One characteristic eigenvalue in its three equivalent encodings.
-
-    ``t = (s - 1)/2`` and ``lam = j (s + 1)/(s - 1)``; ``lam`` is an
-    explicit infinity marker (complex inf) at the no-scattering fixed
-    point s = 1.
-    """
-
-    s: complex
-    t: complex
-    lam: complex
-
-    @property
-    def lam_is_infinite(self) -> bool:
-        return not np.isfinite(self.lam)
-
-    @property
-    def modal_significance(self) -> float:
-        return abs(self.t)
-
-
-def eigen_maps(s: complex) -> EigenTriple:
-    """Map a scattering eigenvalue s to (s, t, lambda)."""
-    s = complex(s)
-    t = (s - 1.0) / 2.0
-    if s == 1.0:
-        lam = complex(math.inf, 0.0)
-    else:
-        lam = 1j * (s + 1.0) / (s - 1.0)
-    return EigenTriple(s=s, t=t, lam=lam)
-
-
-def eigen_from_lambda(lam: float) -> EigenTriple:
-    """Map a classical eigenvalue lambda to (s, t, lambda); t = -1/(1 + j lam)."""
-    t = -1.0 / (1.0 + 1j * lam)
-    return EigenTriple(s=1.0 + 2.0 * t, t=t, lam=complex(lam))
 
 
 @dataclass(frozen=True)

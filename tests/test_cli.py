@@ -1,10 +1,13 @@
 import csv
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from scatmodes.cli import (
+    SPEED_OF_LIGHT,
     ScenarioError,
     compare_results,
     main,
@@ -12,6 +15,7 @@ from scatmodes.cli import (
     run_checks,
     run_scenario,
 )
+from conftest import random_scene
 
 
 def _scenario(**overrides):
@@ -276,3 +280,22 @@ def test_solver_error_exit_code(tmp_path):
     from scatmodes.cli import main as cli_main
     code = cli_main(["run", "--scenario", path, "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("seed", [0, 2])
+def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
+    # a singular compressed radiation matrix must end in a named solver
+    # error and exit code 1, not a traceback or NaN eigenvalues
+    scene = random_scene(np.random.default_rng(seed), 150, 2.0, n_background=50)
+    f = SPEED_OF_LIGHT / (2.0 * math.pi)  # k = 1
+    scn = _scenario(solver="dense-impedance", sweep={"f_min": f, "f_max": f, "n_points": 1})
+    scn["scene"]["dipoles"] = [
+        {"position": p.tolist(), "polarizability": a.tolist(), "region": r}
+        for p, a, r in zip(scene.positions, scene.polarizability, scene.region)]
+    code = main(["run", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path / "o"),
+                 "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "SolveError: compressed radiation matrix is indefinite" in err
+    assert "Traceback" not in err

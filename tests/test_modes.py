@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -462,3 +463,31 @@ def test_singular_system_raises_solve_error(two_region):
         tilde_tmatrix(singular)
     with pytest.raises(SolveError):
         recover_currents(ms, singular)
+
+
+def test_factorisation_cache_is_scoped_to_one_blocks_object(two_region):
+    # transition factorises the blocks; a copy with another Z must solve
+    # with its own factors, whether made by with_system or replace
+    _, _, ts = two_region
+    blocks = transition(blocks=ts.blocks).blocks
+    nb = blocks.n_b
+    z = blocks.Z + 0.2 * np.eye(blocks.Z.shape[0])
+    u1, u1_b = blocks.U1, blocks.U1_b
+    for copy in (blocks.with_system(z, u1),
+                 dataclasses.replace(blocks, Z_bb=z[:nb, :nb], Z_cc=z[nb:, nb:])):
+        ts_copy = transition(blocks=copy)
+        assert np.abs(ts_copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
+        assert np.abs(ts_copy.T_b.data
+                      + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("seed", [0, 2])
+def test_indefinite_compressed_radiation_raises_solve_error(seed):
+    # 100 controllable dipoles against 448 waves: R~ is singular to rounding,
+    # so the general eigensolver returns eigencurrents it cannot normalise
+    # (infinite lambda, or a non-positive radiated power)
+    scene = random_scene(np.random.default_rng(seed), 150, 2.0, n_background=50)
+    ts = transition(scene, 1.0)
+    with pytest.raises(SolveError, match="compressed radiation matrix is indefinite"):
+        cm_impedance_substructure(ts.blocks)

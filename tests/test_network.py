@@ -8,13 +8,12 @@ import mpmath as mp
 
 from scatmodes import (
     MappingError,
+    ModeSet,
     OperatorMatrix,
     ShapeError,
     basis,
     check_t_power,
     check_unitary,
-    eigen_from_lambda,
-    eigen_maps,
     embed_identity,
     s_from_t,
     t_from_s,
@@ -42,24 +41,26 @@ def test_s_from_t_shape_error():
 
 
 def test_eigen_maps_points():
-    e = eigen_maps(-1.0)
-    assert e.t == -1.0 and e.lam == 0.0
-    e = eigen_maps(1.0)
-    assert e.t == 0.0 and e.lam_is_infinite
+    # the eigenvalue maps s -> t, lambda are ModeSet.t and ModeSet.lam
+    ms = ModeSet(s=np.array([-1.0, 1.0], dtype=complex))
+    assert ms.t[0] == -1.0 and ms.lam[0] == 0.0
+    assert ms.t[1] == 0.0 and not np.isfinite(ms.lam[1])
     # s = j against 40-digit arithmetic
     mp.mp.dps = 40
     s = mp.mpc(0, 1)
     lam_ref = complex(1j * (s + 1) / (s - 1))
-    e = eigen_maps(1j)
-    assert_allclose([e.t.real, e.t.imag], [-0.5, 0.5], rtol=1e-15)
-    assert abs(e.lam - lam_ref) < 1e-15
+    ms = ModeSet(s=np.array([1j]))
+    assert_allclose([ms.t[0].real, ms.t[0].imag], [-0.5, 0.5], rtol=1e-15)
+    assert abs(ms.lam[0] - lam_ref) < 1e-15
 
 
 def test_eigen_from_lambda_inverse():
-    for lam in (-3.0, 0.0, 0.7, 12.0):
-        e = eigen_from_lambda(lam)
-        assert abs(eigen_maps(e.s).lam - lam) < 1e-12
-    assert eigen_from_lambda(0.0).t == -1.0
+    # t = -1/(1 + j lambda), the impedance engine's map, inverts ModeSet.lam
+    lam = np.array([-3.0, 0.0, 0.7, 12.0])
+    t = -1.0 / (1.0 + 1j * lam)
+    ms = ModeSet(s=1.0 + 2.0 * t)
+    assert np.abs(ms.lam - lam).max() < 1e-12
+    assert ms.t[1] == -1.0
 
 
 def test_check_unitary():
