@@ -49,6 +49,7 @@ from .modes import (
     recover_currents,
     schur_system,
     substructure_power_check,
+    substructure_span,
     tilde_tmatrix,
     track_modes,
 )

@@ -59,7 +59,9 @@ from .modes import (
     cm_t_form,
     parity_leakage,
     parity_restricted,
+    schur_system,
     substructure_power_check,
+    substructure_span,
     tilde_tmatrix,
     track_modes,
 )
@@ -210,19 +212,32 @@ def _iterative(ts, k: float, sc: dict, seed: int, diag: dict):
     return ms
 
 
-def _dense_scattering(ts, k: float, sc: dict, seed: int, diag: dict):
-    """``cm_scattering``, reporting its unitarity checks in ``diag``.
+def _record_engine(ms, diag: dict):
+    """Copy the scattering engine's name and eigenproblem size into ``diag``."""
+    diag["engine"] = ms.diagnostics["solver"]
+    diag["rank"] = ms.diagnostics["rank"]
+    return ms
 
-    Plain scenes report S and S_b, port scenes S; a ground-plane scene
-    reports its parity leakage instead.
+
+def _dense_scattering(ts, k: float, sc: dict, seed: int, diag: dict):
+    """``cm_scattering`` on the range of ``S - S_b``, reporting its checks in ``diag``.
+
+    Plain scenes report the unitarity of S and S_b, port scenes of S; a
+    ground-plane scene reports its parity leakage instead.
     """
-    ms = cm_scattering(ts.S, ts.S_b, k=k)
+    ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts),
+                       n_modes=sc["n_modes"])
     scene = sc["scene"]
     if not scene.ground_plane:
         diag["unitarity_S"] = ms.diagnostics["unitarity_S"]
         if not scene.ports:
             diag["unitarity_S_b"] = ms.diagnostics["unitarity_S_b"]
-    return ms
+    return _record_engine(ms, diag)
+
+
+def _hybrid_scattering(system, k: float, sc: dict, seed: int, diag: dict):
+    return _record_engine(
+        hybrid_scattering_modes(None, k, system=system, n_modes=sc["n_modes"]), diag)
 
 
 #: solver name -> (assembly, engine)
@@ -234,8 +249,7 @@ SOLVER_TABLE = {
     "iterative": (_dipole_operators, _iterative),
     "hybrid-impedance": (_hybrid_system,
                          lambda system, k, *_: hybrid_impedance_modes(None, k, system=system)),
-    "hybrid-scattering": (_hybrid_system,
-                          lambda system, k, *_: hybrid_scattering_modes(None, k, system=system)),
+    "hybrid-scattering": (_hybrid_system, _hybrid_scattering),
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
@@ -417,13 +431,16 @@ def run_checks(sc: dict) -> dict:
             blocks = system.blocks
         else:
             blocks = assemble_impedance(scene, k, wave_basis)
-            entry["tilde_identity_residual"] = tilde_tmatrix(blocks).meta["identity_residual"]
         ts = transition(blocks=blocks)
-        ms = cm_scattering(ts.S, ts.S_b, k=k)
+        schur = schur_system(blocks)
+        if sc["sphere"] is None:
+            entry["tilde_identity_residual"] = \
+                tilde_tmatrix(blocks, sys=schur, ts=ts).meta["identity_residual"]
+        ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts, schur))
         if scene.ground_plane:
             entry["parity_leakage"] = parity_leakage(ts)
         else:
-            ms_alt = cm_impedance_substructure(blocks, k=k)
+            ms_alt = cm_impedance_substructure(blocks, k=k, sys=schur)
             sig = 10.0 * tol_equiv
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]

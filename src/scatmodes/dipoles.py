@@ -364,13 +364,18 @@ def _solver(z: np.ndarray, what: str):
 
 @dataclass
 class TransitionSet:
-    """Transition/scattering operators of a scene and of its background."""
+    """Transition/scattering operators of a scene and of its background.
+
+    ``kept`` lists the rows of ``blocks.basis`` the operators are
+    restricted to (None: all of them).
+    """
 
     T: OperatorMatrix
     T_b: OperatorMatrix
     S: OperatorMatrix
     S_b: OperatorMatrix
     blocks: BlockImpedance
+    kept: np.ndarray | None = field(default=None, kw_only=True)
 
 
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:

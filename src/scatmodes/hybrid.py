@@ -35,7 +35,7 @@ from .dipoles import (
 )
 from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
-from .modes import ModeSet, cm_impedance_substructure, cm_scattering
+from .modes import ModeSet, cm_impedance_substructure, cm_scattering, substructure_span
 from .network import OperatorMatrix
 from .swe import WaveBasis
 
@@ -171,10 +171,15 @@ def hybrid_transition(scene: HybridScene, k: float,
 
 def hybrid_scattering_modes(scene: HybridScene, k: float,
                             wave_basis: WaveBasis | None = None,
-                            system: HybridSystem | None = None) -> ModeSet:
-    """Substructure modes from the hybrid scattering operators."""
+                            system: HybridSystem | None = None,
+                            n_modes: int | None = None) -> ModeSet:
+    """Substructure modes from the hybrid scattering operators.
+
+    ``cm_scattering`` on the range of ``S - S_b``, which the controllable
+    dipoles span; ``n_modes`` as there.
+    """
     ts = hybrid_transition(scene, k, wave_basis, system=system)
-    return cm_scattering(ts.S, ts.S_b, k=k)
+    return cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts), n_modes=n_modes)
 
 
 def hybrid_impedance_modes(scene: HybridScene, k: float,

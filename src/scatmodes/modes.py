@@ -151,15 +151,53 @@ def _eig_orthonormal(*pencil: np.ndarray):
     return s, v
 
 
+def _orthonormal_range(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the numerical range of x.
+
+    Column-pivoted QR with the standard rcond cut ``max(x.shape) * eps``
+    relative to the largest pivot: pivoting makes every dropped column's
+    remainder no larger than the first dropped pivot, so the basis misses
+    at most ``sqrt(x.shape[1])`` times the cut of x.  (A thin SVD gives
+    the same range at several times the cost.)
+    """
+    q, r, _ = la.qr(x, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(r))
+    cut = pivots[0] * max(x.shape) * np.finfo(float).eps if pivots.size else 0.0
+    return q[:, :int(np.count_nonzero(pivots > cut))]
+
+
 def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
-                  k: float | None = None) -> ModeSet:
+                  k: float | None = None, span: np.ndarray | None = None,
+                  n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
     For unitary inputs the problem is reduced to the normal matrix
-    ``S_b^H S`` and solved by a complex Schur decomposition, which gives
-    orthonormal eigenvectors including degenerate clusters.  If ``S_b``
-    fails its unitarity check the solver falls back to a two-matrix QZ
-    factorisation and flags the result.
+    ``N = S_b^H S`` and solved by a complex Schur decomposition, which
+    gives orthonormal eigenvectors including degenerate clusters.  If
+    ``S_b`` fails its unitarity check, or the Schur factor shows ``N`` is
+    not normal, the solver falls back to a two-matrix QZ factorisation of
+    the full pencil and flags the result (``diagnostics['solver'] ==
+    'qz'``).
+
+    ``span`` is a matrix whose columns span the range of ``S - S_b``,
+    such as ``substructure_span(ts)``: the ``3 N_c`` columns of ``U1~``
+    in ``S - S_b = -2 U1~ Z~^-1 U1~^T``.  With it the Schur
+    decomposition runs on that range only: ``N - I = S_b^H (S - S_b)``
+    maps into ``V = range(S_b^H span)``, so the normal ``N`` leaves V
+    invariant and is exactly the identity on its complement.  The engine
+    takes an orthonormal basis Q of V (rank r after the rcond cut),
+    decomposes the r x r matrix ``Q^H N Q`` and returns ``a = Q z``;
+    every other mode has ``s = 1``.  Without ``span`` all n modes come
+    from the n x n Schur decomposition.  ``diagnostics['rank']`` is the
+    size of the eigenproblem solved (r, or n for the full decomposition
+    and QZ).
+
+    ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
+    range, more modes than r are filled with ``s = 1`` exactly and an
+    orthonormal basis of V's complement; without ``n_modes`` the range
+    engine returns its r modes.  The residual, orthogonality and
+    cancellation diagnostics are measured on the modes returned; the
+    unitarity deviations of S and S_b on the full matrices.
     """
     s_mat = _matrix(S)
     basis_obj = S.basis if isinstance(S, OperatorMatrix) else None
@@ -173,28 +211,47 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
     if sb_mat.shape != s_mat.shape:
         raise ShapeError(f"dimension mismatch: S {s_mat.shape}, S_b {sb_mat.shape}")
 
+    if span is not None and span.shape[0] != dim:
+        raise ShapeError(f"span has {span.shape[0]} rows, S has {dim}")
+
     diag = {
         "unitarity_S": check_unitary(s_mat).deviation,
         "unitarity_S_b": check_unitary(sb_mat).deviation,
         "solver": "schur",
+        "rank": dim,
     }
-    s_vals = None
+    s_vals = q = None
     if diag["unitarity_S_b"] <= tol_unitary:
-        s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
+        if span is None:
+            s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
+        else:
+            q = _orthonormal_range(sb_mat.conj().T @ span)
+            s_vals, z, diag["schur_offdiag"] = _schur_eig(
+                (sb_mat @ q).conj().T @ (s_mat @ q))
+            if s_vals is not None:
+                a = q @ z
+                diag["rank"] = q.shape[1]
     if s_vals is None:
         warnings.warn("S_b failed the unitarity check; falling back to a QZ solve")
         diag["solver"] = "qz"
         s_vals, a = _eig_orthonormal(s_mat, sb_mat)
 
-    f = sb_mat @ a
     t = (s_vals - 1.0) / 2.0
-    order = _mode_order(t, a, basis_obj)
-    s_vals, a, f = s_vals[order], a[:, order], f[:, order]
+    order = _mode_order(t, a, basis_obj)[:n_modes]
+    s_vals, a = s_vals[order], a[:, order]
+    n_pad = 0 if n_modes is None else min(n_modes, dim) - s_vals.size
+    if n_pad > 0:
+        rank = diag["rank"]
+        complement = np.linalg.qr(q, mode="complete")[0][:, rank:rank + n_pad]
+        s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
+        a = np.hstack([a, complement])
 
-    resid = np.linalg.norm(s_mat @ a - sb_mat @ a * s_vals[None, :], axis=0)
-    drive = np.linalg.norm(s_mat @ a, axis=0)
+    f = sb_mat @ a
+    s_a = s_mat @ a
+    resid = np.linalg.norm(s_a - f * s_vals[None, :], axis=0)
+    drive = np.linalg.norm(s_a, axis=0)
     diag["cancellation_flags"] = \
-        np.linalg.norm((s_mat - sb_mat) @ a, axis=0) < CANCELLATION_THRESHOLD * drive
+        np.linalg.norm(s_a - f, axis=0) < CANCELLATION_THRESHOLD * drive
     diag["eigen_residual"] = float(resid.max(initial=0.0))
     gram = a.conj().T @ a
     diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
@@ -281,6 +338,21 @@ def schur_system(blocks: BlockImpedance) -> SchurSystem:
                        U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
 
 
+def substructure_span(ts: TransitionSet, sys: SchurSystem | None = None) -> np.ndarray:
+    """Range factor of ``S - S_b`` for ``cm_scattering``'s ``span``.
+
+    Eliminating the background gives ``T - T_b = -U1~ Z~^-1 U1~^T`` for
+    every scene kind (the background offset ``T_b0`` cancels), so
+    ``U1_tilde``, restricted to the rows ``ts`` keeps, spans the range of
+    ``S - S_b``.  ``sys`` is the blocks' Schur system when the caller has
+    already built it; otherwise it is built from the Z_bb factors
+    ``transition`` left on the blocks.
+    """
+    if sys is None:
+        sys = schur_system(ts.blocks)
+    return sys.U1_tilde if ts.kept is None else sys.U1_tilde[ts.kept]
+
+
 def _background_th_apply(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
     """Action of T_b^H on wave vectors without forming it.
 
@@ -301,8 +373,8 @@ def _radiation_condition(r_t: np.ndarray) -> float:
     return float(d.max() / max(d.min(), 1e-300))
 
 
-def cm_impedance_substructure(blocks: BlockImpedance,
-                              k: float | None = None) -> ModeSet:
+def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None,
+                              sys: SchurSystem | None = None) -> ModeSet:
     """Substructure modes from the real symmetric pencil ``X~ I = lam R~ I``.
 
     Solves the generalized symmetric eigenproblem of the Schur-complement
@@ -318,9 +390,11 @@ def cm_impedance_substructure(blocks: BlockImpedance,
     agreement is expected to degrade.  The scattering-based engines are
     immune and remain the sharp reference in that regime.  Where R~ is
     indefinite or singular, so that some eigencurrents cannot be
-    normalised, it raises ``SolveError``.
+    normalised, it raises ``SolveError``.  ``sys`` is the blocks' Schur
+    system when the caller has already built it.
     """
-    sys = schur_system(blocks)
+    if sys is None:
+        sys = schur_system(blocks)
     nc = blocks.n_c
     diag = {"schur_factorization_residual": sys.factorization_residual(),
             "solver": "eigh"}
@@ -373,19 +447,23 @@ def cm_impedance_substructure(blocks: BlockImpedance,
                    diagnostics=diag)
 
 
-def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
+def tilde_tmatrix(blocks: BlockImpedance, sys: SchurSystem | None = None,
+                  ts: TransitionSet | None = None) -> OperatorMatrix:
     """Modified transition matrix of the controllable region.
 
     ``T~ = -U1_tilde Z_tilde^-1 U1_tilde^H`` over the wave basis; its
     eigenvalues are the substructure t_n.  The result's ``meta`` reports
     the residual of the equality ``2 T T_b^H + T_b^H + T = T~`` assembled
     from the full and background transition matrices, an executable
-    identity for lossless scenes.
+    identity for lossless scenes.  ``sys`` and ``ts`` are the blocks'
+    Schur system and transition set when the caller has already built them.
     """
-    sys = schur_system(blocks)
+    if sys is None:
+        sys = schur_system(blocks)
+    if ts is None:
+        ts = transition(blocks=blocks)
     t_tilde = -sys.U1_tilde @ _solver(sys.Z_tilde, "compressed impedance")(
         sys.U1_tilde.conj().T)
-    ts = transition(blocks=blocks)
     t_full, t_bg = ts.T.data, ts.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
     scale = max(np.linalg.norm(t_tilde), 1e-300)
@@ -482,7 +560,8 @@ def parity_restricted(ts: TransitionSet) -> TransitionSet:
     return TransitionSet(T=OperatorMatrix("T", ts.T.data[sub]),
                          T_b=OperatorMatrix("T", ts.T_b.data[sub]),
                          S=OperatorMatrix("S", ts.S.data[sub]),
-                         S_b=OperatorMatrix("S", ts.S_b.data[sub]), blocks=ts.blocks)
+                         S_b=OperatorMatrix("S", ts.S_b.data[sub]), blocks=ts.blocks,
+                         kept=keep)
 
 
 def parity_leakage(ts: TransitionSet) -> float:
@@ -493,20 +572,23 @@ def parity_leakage(ts: TransitionSet) -> float:
 
 
 def cm_ground_plane(scene: DipoleScene, k: float,
-                    wave_basis: WaveBasis | None = None) -> ModeSet:
+                    wave_basis: WaveBasis | None = None,
+                    n_modes: int | None = None) -> ModeSet:
     """Substructure modes of a scene above an infinite PEC ground plane.
 
     Assembles the mirrored free-space scene, restricts S and S_b to the
     parity-allowed wave subset, and solves the scattering eigenproblem
-    there.  Mode vectors live on the kept indices;
+    there on the range of ``S - S_b`` (``cm_scattering`` with ``span``
+    and ``n_modes``).  Mode vectors live on the kept indices;
     ``diagnostics['kept_indices']`` maps them back into the full basis.
     """
     if not scene.ground_plane:
         raise ShapeError("cm_ground_plane expects a scene with the ground_plane flag")
     ts = transition(scene, k, wave_basis)
     restricted = parity_restricted(ts)
-    ms = cm_scattering(restricted.S, restricted.S_b, k=k)
-    ms.diagnostics["kept_indices"] = swe.ground_plane_filter(ts.blocks.basis)
+    ms = cm_scattering(restricted.S, restricted.S_b, k=k,
+                       span=substructure_span(restricted), n_modes=n_modes)
+    ms.diagnostics["kept_indices"] = restricted.kept
     ms.diagnostics["parent_basis"] = ts.blocks.basis
     ms.diagnostics["parity_leakage"] = parity_leakage(ts)
     return ms

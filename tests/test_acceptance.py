@@ -37,6 +37,7 @@ from scatmodes import (
     mirror_scene,
     recover_currents,
     substructure_power_check,
+    substructure_span,
     tilde_tmatrix,
     transition,
     truncation_order,
@@ -140,28 +141,33 @@ def test_criterion_1_mie_oracle():
 
 def test_criterion_2_lossless_invariants(lossless_bank):
     t0 = time.perf_counter()
-    worst = {"unitary": 0.0, "t_power": 0.0, "circle": 0.0, "orth": 0.0}
+    worst = {"unitary": 0.0, "t_power": 0.0, "circle": 0.0, "orth": 0.0, "range": 0.0}
     for scene, k in lossless_bank:
         ts = transition(scene, k)
         dim = ts.S.dim
         dev_u = np.linalg.norm(ts.S.data.conj().T @ ts.S.data - np.eye(dim)) / math.sqrt(dim)
         dev_t = np.linalg.norm(ts.T.data.conj().T @ ts.T.data + ts.T.data.real) / math.sqrt(dim)
         ms = cm_scattering(ts.S, ts.S_b, k=k)
-        circle = float(np.max(np.abs(ms.t + 0.5) - 0.5))
-        orth = max(ms.diagnostics["orthogonality_a"], ms.diagnostics["orthogonality_f"])
+        # the range engine must reproduce the dense spectrum with the same invariants
+        ranged = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts))
+        worst["range"] = max(worst["range"], assert_multisets_close(ms.t, ranged.t))
+        for modes in (ms, ranged):
+            circle = float(np.max(np.abs(modes.t + 0.5) - 0.5))
+            orth = max(modes.diagnostics["orthogonality_a"], modes.diagnostics["orthogonality_f"])
+            assert circle <= 1e-8
+            assert orth < 1e-8
+            worst["circle"] = max(worst["circle"], circle)
+            worst["orth"] = max(worst["orth"], orth)
         assert dev_u < 1e-8 and dev_t < 1e-8
-        assert circle <= 1e-8
-        assert orth < 1e-8
         worst["unitary"] = max(worst["unitary"], dev_u)
         worst["t_power"] = max(worst["t_power"], dev_t)
-        worst["circle"] = max(worst["circle"], circle)
-        worst["orth"] = max(worst["orth"], orth)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"criterion 2 took {elapsed:.1f}s"
     _report(2, "lossless-invariants",
             f"50 scenes, worst unitarity {worst['unitary']:.2e}, "
             f"t-power {worst['t_power']:.2e}, circle {worst['circle']:.2e}, "
-            f"orthogonality {worst['orth']:.2e}, {elapsed:.1f} s")
+            f"orthogonality {worst['orth']:.2e}, range vs dense engine matched "
+            f"rel dev {worst['range']:.2e}, {elapsed:.1f} s")
 
 
 def test_criterion_3_equivalence_suite(equivalence_results):

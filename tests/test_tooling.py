@@ -30,6 +30,17 @@ def test_benchmark_traced_bindings_resolve():
     assert child.TRACED_BINDINGS and not missing, missing
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Count calls made through the binding ``module.name`` in ``calls[name]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
     # the benchmark's swe.* layer metrics count calls through these module
     # attributes; inlining the projection into the hybrid or building the
@@ -37,18 +48,8 @@ def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
     from scatmodes import DipoleScene, HybridScene, SphereSpec, assemble_u4, basis, swe
 
     calls = {}
-
-    def counting(name):
-        fn = getattr(swe, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(swe, name, wrapper)
-
-    counting("regular_wave_table")
-    counting("project_onto_regular")
+    _count_calls(monkeypatch, calls, swe, "regular_wave_table")
+    _count_calls(monkeypatch, calls, swe, "project_onto_regular")
     scene = HybridScene(DipoleScene([[0.0, 0.0, 0.5], [0.4, 0.0, 0.0]], 0.1),
                         SphereSpec(0.002, "dielectric", eps_r=4.0))
     assemble_u4(scene, 1.0, basis(8))
@@ -142,3 +143,41 @@ def test_checks_factorise_each_matrix_once_per_point(case, factorisations):
     cli.run_checks(sc)
     # the points' matrices differ, so one count over the sweep covers each point
     _assert_each_factorised_once(factorisations)
+
+
+@pytest.mark.parametrize("case", ["dense-scattering", "hybrid-scattering"])
+def test_checks_build_transition_and_schur_system_once_per_point(case, monkeypatch):
+    # T, T_b and the Schur elimination are shared by the scattering,
+    # modified-transition and impedance checks of a point, not rebuilt for each
+    from scatmodes import hybrid, modes
+
+    calls = {}
+    for module in (cli, modes, hybrid):
+        for name in ("transition", "schur_system"):
+            if hasattr(module, name):
+                _count_calls(monkeypatch, calls, module, name)
+    sc = cli.parse_scenario(FACTORISATION_CASES[case])
+    cli.run_checks(sc)
+    n_points = len(sc["frequencies"])
+    assert calls == {"transition": n_points, "schur_system": n_points}
+
+
+@pytest.mark.parametrize("case", ["dense-scattering", "ground-plane-dense-scattering",
+                                  "port", "hybrid-scattering"])
+def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
+    # the scattering solvers' Schur decompositions are at most 3 N_c square,
+    # never n x n over the whole wave basis
+    sizes = []
+    schur = scipy.linalg.schur
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", recording)
+    sc = cli.parse_scenario(FACTORISATION_CASES[case])
+    wave_basis = cli._sweep_basis(sc)
+    three_n_c = 3 * int(sc["scene"].is_controllable.sum())
+    for f in sc["frequencies"]:
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+    assert sizes and max(max(shape) for shape in sizes) <= three_n_c < wave_basis.size
