@@ -59,7 +59,6 @@ from .modes import (
     cm_t_form,
     parity_leakage,
     parity_restricted,
-    schur_system,
     substructure_power_check,
     substructure_span,
     tilde_tmatrix,
@@ -432,15 +431,14 @@ def run_checks(sc: dict) -> dict:
         else:
             blocks = assemble_impedance(scene, k, wave_basis)
         ts = transition(blocks=blocks)
-        schur = schur_system(blocks)
         if sc["sphere"] is None:
             entry["tilde_identity_residual"] = \
-                tilde_tmatrix(blocks, sys=schur, ts=ts).meta["identity_residual"]
-        ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts, schur))
+                tilde_tmatrix(blocks, ts=ts).meta["identity_residual"]
+        ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts))
         if scene.ground_plane:
             entry["parity_leakage"] = parity_leakage(ts)
         else:
-            ms_alt = cm_impedance_substructure(blocks, k=k, sys=schur)
+            ms_alt = cm_impedance_substructure(blocks, k=k)
             sig = 10.0 * tol_equiv
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]

@@ -211,9 +211,10 @@ class BlockImpedance:
     The blocks own the two factorisations a frequency point needs, and
     every engine takes its Z and Z_bb solves from them: ``solve`` and
     ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU factors computed
-    (pivot-checked) on first use and kept by this object only.  Copies
-    made by ``with_system`` or ``dataclasses.replace`` start without
-    them; do not modify the blocks in place once solved.
+    (pivot-checked) on first use and kept by this object only; ``cached``
+    keeps other per-point products, such as the Schur elimination, the
+    same way.  Copies made by ``with_system`` or ``dataclasses.replace``
+    start without them; do not modify the blocks in place once solved.
     """
 
     Z_bb: np.ndarray
@@ -228,7 +229,7 @@ class BlockImpedance:
     perm: np.ndarray
     source_scene: DipoleScene | None = None
     T_b0: np.ndarray | None = None
-    _solvers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_b(self) -> int:
@@ -256,17 +257,19 @@ class BlockImpedance:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
         return factorization_residual(self.Z, self.U1)
 
+    def cached(self, key: str, build):
+        """``build()``, computed on the first call for ``key`` and kept by this object."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``Z^-1 rhs``; raises ``SolveError`` if Z is numerically singular."""
-        if "Z" not in self._solvers:
-            self._solvers["Z"] = _solver(self.Z, "system matrix")
-        return self._solvers["Z"](rhs)
+        return self.cached("Z", lambda: _solver(self.Z, "system matrix"))(rhs)
 
     def solve_bb(self, rhs: np.ndarray) -> np.ndarray:
         """``Z_bb^-1 rhs``; raises ``SolveError`` if Z_bb is numerically singular."""
-        if "Z_bb" not in self._solvers:
-            self._solvers["Z_bb"] = _solver(self.Z_bb, "background block")
-        return self._solvers["Z_bb"](rhs)
+        return self.cached("Z_bb", lambda: _solver(self.Z_bb, "background block"))(rhs)
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:

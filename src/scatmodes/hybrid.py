@@ -176,7 +176,9 @@ def hybrid_scattering_modes(scene: HybridScene, k: float,
     """Substructure modes from the hybrid scattering operators.
 
     ``cm_scattering`` on the range of ``S - S_b``, which the controllable
-    dipoles span; ``n_modes`` as there.
+    dipoles span.  Without ``n_modes`` it returns the r modes of that
+    range, at most three per controllable dipole, not one per wave; a
+    larger ``n_modes`` pads them with ``s = 1`` modes, as there.
     """
     ts = hybrid_transition(scene, k, wave_basis, system=system)
     return cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts), n_modes=n_modes)

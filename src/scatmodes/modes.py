@@ -332,25 +332,30 @@ class SchurSystem:
 
 
 def schur_system(blocks: BlockImpedance) -> SchurSystem:
-    """Eliminate background unknowns from a block impedance system."""
-    w = blocks.solve_bb(blocks.Z_bc)
-    return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
-                       U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
+    """Eliminate background unknowns from a block impedance system.
+
+    Built once per blocks object and kept with its factors, so every
+    engine and check of a frequency point shares one elimination.
+    """
+    def eliminate():
+        w = blocks.solve_bb(blocks.Z_bc)
+        return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
+                           U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
+
+    return blocks.cached("schur_system", eliminate)
 
 
-def substructure_span(ts: TransitionSet, sys: SchurSystem | None = None) -> np.ndarray:
+def substructure_span(ts: TransitionSet) -> np.ndarray:
     """Range factor of ``S - S_b`` for ``cm_scattering``'s ``span``.
 
     Eliminating the background gives ``T - T_b = -U1~ Z~^-1 U1~^T`` for
     every scene kind (the background offset ``T_b0`` cancels), so
     ``U1_tilde``, restricted to the rows ``ts`` keeps, spans the range of
-    ``S - S_b``.  ``sys`` is the blocks' Schur system when the caller has
-    already built it; otherwise it is built from the Z_bb factors
-    ``transition`` left on the blocks.
+    ``S - S_b``.  The elimination reuses the Z_bb factors ``transition``
+    left on the blocks.
     """
-    if sys is None:
-        sys = schur_system(ts.blocks)
-    return sys.U1_tilde if ts.kept is None else sys.U1_tilde[ts.kept]
+    u = schur_system(ts.blocks).U1_tilde
+    return u if ts.kept is None else u[ts.kept]
 
 
 def _background_th_apply(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
@@ -373,8 +378,7 @@ def _radiation_condition(r_t: np.ndarray) -> float:
     return float(d.max() / max(d.min(), 1e-300))
 
 
-def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None,
-                              sys: SchurSystem | None = None) -> ModeSet:
+def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) -> ModeSet:
     """Substructure modes from the real symmetric pencil ``X~ I = lam R~ I``.
 
     Solves the generalized symmetric eigenproblem of the Schur-complement
@@ -390,11 +394,9 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None,
     agreement is expected to degrade.  The scattering-based engines are
     immune and remain the sharp reference in that regime.  Where R~ is
     indefinite or singular, so that some eigencurrents cannot be
-    normalised, it raises ``SolveError``.  ``sys`` is the blocks' Schur
-    system when the caller has already built it.
+    normalised, it raises ``SolveError``.
     """
-    if sys is None:
-        sys = schur_system(blocks)
+    sys = schur_system(blocks)
     nc = blocks.n_c
     diag = {"schur_factorization_residual": sys.factorization_residual(),
             "solver": "eigh"}
@@ -447,19 +449,17 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None,
                    diagnostics=diag)
 
 
-def tilde_tmatrix(blocks: BlockImpedance, sys: SchurSystem | None = None,
-                  ts: TransitionSet | None = None) -> OperatorMatrix:
+def tilde_tmatrix(blocks: BlockImpedance, ts: TransitionSet | None = None) -> OperatorMatrix:
     """Modified transition matrix of the controllable region.
 
     ``T~ = -U1_tilde Z_tilde^-1 U1_tilde^H`` over the wave basis; its
     eigenvalues are the substructure t_n.  The result's ``meta`` reports
     the residual of the equality ``2 T T_b^H + T_b^H + T = T~`` assembled
     from the full and background transition matrices, an executable
-    identity for lossless scenes.  ``sys`` and ``ts`` are the blocks'
-    Schur system and transition set when the caller has already built them.
+    identity for lossless scenes.  ``ts`` is the blocks' transition set
+    when the caller has already built it.
     """
-    if sys is None:
-        sys = schur_system(blocks)
+    sys = schur_system(blocks)
     if ts is None:
         ts = transition(blocks=blocks)
     t_tilde = -sys.U1_tilde @ _solver(sys.Z_tilde, "compressed impedance")(
@@ -572,22 +572,22 @@ def parity_leakage(ts: TransitionSet) -> float:
 
 
 def cm_ground_plane(scene: DipoleScene, k: float,
-                    wave_basis: WaveBasis | None = None,
-                    n_modes: int | None = None) -> ModeSet:
+                    wave_basis: WaveBasis | None = None) -> ModeSet:
     """Substructure modes of a scene above an infinite PEC ground plane.
 
     Assembles the mirrored free-space scene, restricts S and S_b to the
     parity-allowed wave subset, and solves the scattering eigenproblem
-    there on the range of ``S - S_b`` (``cm_scattering`` with ``span``
-    and ``n_modes``).  Mode vectors live on the kept indices;
+    there on the range of ``S - S_b`` (``cm_scattering`` with ``span``).
+    It returns the r modes of that range, at most three per controllable
+    dipole of the mirrored scene, not one per kept wave: every other
+    mode has ``s = 1``.  Mode vectors live on the kept indices;
     ``diagnostics['kept_indices']`` maps them back into the full basis.
     """
     if not scene.ground_plane:
         raise ShapeError("cm_ground_plane expects a scene with the ground_plane flag")
     ts = transition(scene, k, wave_basis)
     restricted = parity_restricted(ts)
-    ms = cm_scattering(restricted.S, restricted.S_b, k=k,
-                       span=substructure_span(restricted), n_modes=n_modes)
+    ms = cm_scattering(restricted.S, restricted.S_b, k=k, span=substructure_span(restricted))
     ms.diagnostics["kept_indices"] = restricted.kept
     ms.diagnostics["parent_basis"] = ts.blocks.basis
     ms.diagnostics["parity_leakage"] = parity_leakage(ts)
