@@ -2,7 +2,8 @@
 
 The sphere never becomes an unknown: its scattering enters through the
 closed-form diagonal transition matrix, coupled to the dipole currents
-by the quadrature-projected operator U4.  The script computes the
+by the operator U4, itself in closed form: the outgoing waves evaluated
+at the dipoles (the addition theorem).  The script computes the
 substructure modes of the controllable dipoles, with the background
 dipoles plus the sphere forming the background, by both the modified
 impedance route and the scattering route, and sweeps the sphere
@@ -37,8 +38,8 @@ def main():
     wb = basis(18)
 
     system = assemble_hybrid(hs, k, wave_basis=wb)
-    print(f"coupling operator U4 assembled at r_fit = "
-          f"{system.U4.meta['r_fit']:.3f} m, worst column residual "
+    print(f"coupling operator U4 in closed form, worst column truncation residual "
+          f"on the r_fit = {system.U4.meta['r_fit']:.3f} m sphere "
           f"{system.U4.meta['column_residuals'].max():.1e}")
 
     ms_s = hybrid_scattering_modes(hs, k, system=system)

@@ -47,9 +47,9 @@ from .exceptions import (
 from .hybrid import (
     HybridScene,
     assemble_hybrid,
-    default_hybrid_basis,
     hybrid_impedance_modes,
     hybrid_scattering_modes,
+    hybrid_sweep_basis,
 )
 from .iterative import ScatterOracle, iterate
 from .mie import SphereSpec
@@ -164,10 +164,16 @@ def load_scenario(path: str) -> dict:
 
 
 def _sweep_basis(sc: dict):
-    """One shared wave basis for the whole sweep, sized at the highest frequency."""
-    k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
+    """One shared wave basis for the whole sweep, sized at the highest frequency.
+
+    A hybrid scene's basis also meets the U4 truncation tolerance at every
+    frequency where a few more degrees can (``hybrid_sweep_basis``).
+    """
     if sc["sphere"] is not None:
-        return default_hybrid_basis(HybridScene(sc["scene"], sc["sphere"]), k_max)
+        ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
+        return hybrid_sweep_basis(HybridScene(sc["scene"], sc["sphere"]), ks,
+                                  sc["tolerances"].get("u4_residual", 1e-6))
+    k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     return default_basis(sc["scene"], k_max)
 
 
@@ -264,6 +270,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json_scalar(val):
+    """Flags as JSON booleans, counts as JSON integers, other numbers as floats."""
+    if isinstance(val, (bool, np.bool_)):
+        return bool(val)
+    if isinstance(val, (int, np.integer)):
+        return int(val)
+    if isinstance(val, np.floating):
+        return float(val)
+    return val
+
+
 def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
                  seed: int = 42, dump_vectors: bool = False) -> dict:
     """Execute the sweep and write result files; returns the diagnostics dict."""
@@ -328,8 +345,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
             {
                 "frequency_hz": float(f),
                 "max_circle_deviation": float(ms.circle_deviation.max(initial=0.0)),
-                **{key: (float(val) if isinstance(val, (int, float, np.floating)) else val)
-                   for key, val in point_diag.items()},
+                **{key: _json_scalar(val) for key, val in point_diag.items()},
             }
             for f, (ms, point_diag) in zip(freqs, results)
         ],

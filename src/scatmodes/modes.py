@@ -232,7 +232,13 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
                 a = q @ z
                 diag["rank"] = q.shape[1]
     if s_vals is None:
-        warnings.warn("S_b failed the unitarity check; falling back to a QZ solve")
+        if diag["unitarity_S_b"] > tol_unitary:
+            cause = (f"S_b failed the unitarity check (deviation "
+                     f"{diag['unitarity_S_b']:.1e} > {tol_unitary:.1e})")
+        else:
+            cause = (f"S_b^H S is not normal (Schur off-diagonal norm "
+                     f"{diag['schur_offdiag']:.1e})")
+        warnings.warn(f"{cause}; falling back to a QZ solve")
         diag["solver"] = "qz"
         s_vals, a = _eig_orthonormal(s_mat, sb_mat)
 

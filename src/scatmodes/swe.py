@@ -16,6 +16,7 @@ waves evaluate to real vectors for real wavenumbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +71,12 @@ class WaveBasis:
     def __post_init__(self):
         lookup = {idx: n for n, idx in enumerate(self.indices)}
         object.__setattr__(self, "_lookup", lookup)
+        arrays = (np.array([i.l for i in self.indices], dtype=int),
+                  np.array([i.m for i in self.indices], dtype=int),
+                  np.array([i.pol == TM for i in self.indices], dtype=bool))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def size(self) -> int:
@@ -83,11 +90,8 @@ class WaveBasis:
         return idx in self._lookup
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (l, m, is_tm) integer arrays over the basis order."""
-        l = np.array([i.l for i in self.indices])
-        m = np.array([i.m for i in self.indices])
-        tm = np.array([i.pol == TM for i in self.indices])
-        return l, m, tm
+        """Return read-only (l, m, is_tm) arrays over the basis order."""
+        return self._arrays
 
 
 def truncation_order(ka: float) -> int:
@@ -101,8 +105,12 @@ def truncation_order(ka: float) -> int:
     return max(1, math.ceil(ka + 7.0 * ka ** (1.0 / 3.0) + 3.0))
 
 
+@functools.lru_cache(maxsize=64)
 def basis(l_max: int) -> WaveBasis:
-    """Deterministic enumeration of all (l, m, pol) with l <= l_max."""
+    """Deterministic enumeration of all (l, m, pol) with l <= l_max.
+
+    Cached: repeated calls return the same immutable basis.
+    """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
     idx = [
@@ -160,28 +168,29 @@ def _legendre_tables(l_max: int, x: np.ndarray, s: np.ndarray):
         else:
             Q[m, m] = c * s * Q[m - 1, m - 1]
 
-    for m in range(0, l_max + 1):
-        if m + 1 <= l_max:
-            c = math.sqrt(2 * m + 3.0)
-            P[m + 1, m] = c * x * P[m, m]
-            Q[m + 1, m] = c * x * Q[m, m]
-        for l in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(
-                (2.0 * l + 1.0)
-                * ((l - 1.0) ** 2 - m * m)
-                / ((2.0 * l - 3.0) * (l * l - m * m))
-            )
-            P[l, m] = a * x * P[l - 1, m] - b * P[l - 2, m]
-            Q[l, m] = a * x * Q[l - 1, m] - b * Q[l - 2, m]
+    # first off-diagonal, then upward in l for every order m < l - 1 at once
+    m = np.arange(l_max)
+    c = np.sqrt(2 * m + 3.0)[:, None]
+    P[m + 1, m] = c * x * P[m, m]
+    Q[m + 1, m] = c * x * Q[m, m]
+    for l in range(2, l_max + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(
+            (2.0 * l + 1.0)
+            * ((l - 1.0) ** 2 - m * m)
+            / ((2.0 * l - 3.0) * (l * l - m * m))
+        )[:, None]
+        P[l, m] = a * x * P[l - 1, m] - b * P[l - 2, m]
+        Q[l, m] = a * x * Q[l - 1, m] - b * Q[l - 2, m]
 
     D = np.zeros((lm2, lm2, npts))
     for l in range(1, l_max + 1):
         D[l, 0] = -math.sqrt(l * (l + 1.0)) * P[l, 1]
-        for m in range(1, l + 1):
-            hi = math.sqrt((l - m) * (l + m + 1.0))
-            lo = math.sqrt((l + m) * (l - m + 1.0))
-            D[l, m] = 0.5 * (lo * P[l, m - 1] - hi * P[l, m + 1])
+        m = np.arange(1, l + 1)
+        hi = np.sqrt((l - m) * (l + m + 1.0))[:, None]
+        lo = np.sqrt((l + m) * (l - m + 1.0))[:, None]
+        D[l, m] = 0.5 * (lo * P[l, m - 1] - hi * P[l, m + 1])
     return P, Q, D
 
 
@@ -234,41 +243,43 @@ def _wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray, kind: str):
         raise ValueError(kind)
 
     P, Q, D = _legendre_tables(l_max, ct, st)
-    out = np.zeros((wave_basis.size, npts, 3), dtype=dtype)
-
+    # azimuthal factors F (pattern) and G (its phi derivative) per m = -l_max..l_max
+    ms = np.arange(-l_max, l_max + 1)
+    am = np.abs(ms)
+    cos_m = np.cos(am[:, None] * phi[None, :])
+    sin_m = np.sin(am[:, None] * phi[None, :])
     sqrt2 = math.sqrt(2.0)
-    for n, idx in enumerate(wave_basis.indices):
-        l, m, pol = idx.l, idx.m, idx.pol
-        am = abs(m)
-        if m > 0:
-            F = sqrt2 * np.cos(m * phi)
-            G = -sqrt2 * m * np.sin(m * phi)
-        elif m < 0:
-            F = sqrt2 * np.sin(am * phi)
-            G = sqrt2 * am * np.cos(am * phi)
-        else:
-            F = np.ones(npts)
-            G = np.zeros(npts)
+    pos, neg = (ms > 0)[:, None], (ms < 0)[:, None]
+    F = np.where(pos, sqrt2 * cos_m, np.where(neg, sqrt2 * sin_m, 1.0))
+    G = np.where(pos, -sqrt2 * ms[:, None] * sin_m,
+                 np.where(neg, sqrt2 * am[:, None] * cos_m, 0.0))
+
+    out = np.zeros((wave_basis.size, npts, 3), dtype=dtype)
+    l_arr, m_arr, tm_arr = wave_basis.arrays()
+    for l in np.unique(l_arr):
         norm = 1.0 / math.sqrt(l * (l + 1.0))
-        d_theta = D[l, am] * F          # dY/dtheta
-        d_phi = Q[l, am] * G            # (1/sin) dY/dphi
-        if pol == TE:
-            radial = zl[l]
-            vec = (norm * radial * d_phi)[:, None] * t_hat \
-                - (norm * radial * d_theta)[:, None] * p_hat
-        else:
-            Y = P[l, am] * F
-            r2 = dzl[l] + zl[l] / kr_safe
-            r3 = math.sqrt(l * (l + 1.0)) * zl[l] / kr_safe
-            vec = (norm * r2 * d_theta)[:, None] * t_hat \
-                + (norm * r2 * d_phi)[:, None] * p_hat \
-                + (r3 * Y)[:, None] * r_hat
-        if np.any(at_origin):
-            vec = vec.copy()
-            vec[at_origin] = 0.0
-            if pol == TM and l == 1:
-                vec[at_origin, _ORIGIN_AXIS[m]] = _ORIGIN_TM1
-        out[n] = vec
+        for tm in (False, True):
+            rows = np.flatnonzero((l_arr == l) & (tm_arr == tm))
+            if rows.size == 0:
+                continue
+            m = m_arr[rows]
+            f, g = F[m + l_max], G[m + l_max]
+            d_theta = D[l, np.abs(m)] * f          # dY/dtheta, (rows, npts)
+            d_phi = Q[l, np.abs(m)] * g            # (1/sin) dY/dphi
+            if not tm:
+                radial = zl[l]
+                out[rows] = (norm * radial * d_phi)[..., None] * t_hat \
+                    - (norm * radial * d_theta)[..., None] * p_hat
+            else:
+                r2 = dzl[l] + zl[l] / kr_safe
+                r3 = math.sqrt(l * (l + 1.0)) * zl[l] / kr_safe
+                out[rows] = (norm * r2 * d_theta)[..., None] * t_hat \
+                    + (norm * r2 * d_phi)[..., None] * p_hat \
+                    + (r3 * (P[l, np.abs(m)] * f))[..., None] * r_hat
+    if np.any(at_origin):
+        out[:, at_origin] = 0.0
+        for n in np.flatnonzero(tm_arr & (l_arr == 1)):
+            out[n, at_origin, _ORIGIN_AXIS[m_arr[n]]] = _ORIGIN_TM1
     return out
 
 
@@ -280,6 +291,20 @@ def regular_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> n
 def outgoing_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> np.ndarray:
     """Complex table of all outgoing waves (radial dependence exp(-jkr)/kr at infinity)."""
     return _wave_table(wave_basis, k, points, "outgoing")
+
+
+def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:
+    """Squared norm of each regular wave over a sphere of electrical radius ``kr``, per steradian.
+
+    ``j_l^2`` for TE and ``(j_l' + j_l/kr)^2 + l(l+1) j_l^2/kr^2`` for TM.
+    ``project_onto_regular`` keeps its own copy, so that the quadrature
+    stays an independent check of the code that uses this one.
+    """
+    l, _, tm = wave_basis.arrays()
+    jl = spherical_jn(l, kr)
+    r2 = spherical_jn(l, kr, derivative=True) + jl / kr
+    r3 = np.sqrt(l * (l + 1.0)) * jl / kr
+    return np.where(tm, r2 * r2 + r3 * r3, jl * jl)
 
 
 def regular_wave_field(idx: WaveIndex, k: float, point: np.ndarray) -> np.ndarray:

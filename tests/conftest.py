@@ -83,3 +83,34 @@ def ground_plane_bank():
         scenes.append((DipoleScene(pos, 6.0 * math.pi * (0.4 + rng.random(n)),
                                    tuple(region), ground_plane=True), k))
     return scenes
+
+
+def hybrid_sweep_seed7(n_points=3):
+    """Scenario of a dielectric sphere (radius 0.05 m) in a shell of four dipoles.
+
+    One background and three controllable dipoles at 0.65-0.80 m, swept
+    over k = 1.75-2.5 rad/m under ``hybrid-impedance``; the truncation
+    rule gives l_max = 14 (448 waves) at the top frequency.
+    """
+    dipoles = [
+        ([-0.2682961835807775, -0.5408466484771441, 0.5248829019000624],
+         2.6998795137532725, "background"),
+        ([0.013312997221893604, -0.6264057904904451, 0.17302759821777125],
+         1.5135872108540072, "controllable"),
+        ([-0.45266529585251136, -0.10193067290124035, -0.6088734578692179],
+         1.561489381827807, "controllable"),
+        ([0.5405252558028575, 0.2287844788202931, 0.3163823575400393],
+         1.9353393869456519, "controllable"),
+    ]
+    return {
+        "version": 1,
+        "scene": {
+            "dipoles": [{"position": p, "polarizability": a, "region": r}
+                        for p, a, r in dipoles],
+            "sphere": {"radius": 0.05, "material": "dielectric", "eps_r": 4.0},
+        },
+        "sweep": {"f_min": 83498540.2866465, "f_max": 119283628.98092356,
+                  "n_points": n_points},
+        "solver": "hybrid-impedance",
+        "n_modes": 6,
+    }

@@ -159,3 +159,105 @@ def least_squares_expansion(field, k, wave_basis, radius, n_theta, n_phi):
     scale[scale == 0.0] = 1.0
     coeffs, *_ = np.linalg.lstsq(a_mat / scale, vals.reshape(-1), rcond=None)
     return coeffs / scale
+
+
+# ---------------------------------------------------------------------------
+# Wave table evaluated one wave at a time
+# ---------------------------------------------------------------------------
+
+def legendre_tables_loop(l_max, x, s):
+    """Normalised associated Legendre tables (P, Q = P / sin, D = dP/dtheta), one (l, m) at a time.
+
+    The same recurrences as ``swe._legendre_tables``, which runs them for
+    all orders m at once.
+    """
+    lm2 = l_max + 2
+    npts = x.shape[0]
+    P = np.zeros((lm2, lm2, npts))
+    Q = np.zeros((lm2, lm2, npts))
+    P[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, lm2 - 1):
+        c = math.sqrt((2 * m + 1) / (2.0 * m))
+        P[m, m] = c * s * P[m - 1, m - 1]
+        if m == 1:
+            Q[1, 1] = math.sqrt(3.0 / (8.0 * math.pi)) * np.ones(npts)
+        else:
+            Q[m, m] = c * s * Q[m - 1, m - 1]
+    for m in range(0, l_max + 1):
+        if m + 1 <= l_max:
+            c = math.sqrt(2 * m + 3.0)
+            P[m + 1, m] = c * x * P[m, m]
+            Q[m + 1, m] = c * x * Q[m, m]
+        for l in range(m + 2, l_max + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt((2.0 * l + 1.0) * ((l - 1.0) ** 2 - m * m)
+                          / ((2.0 * l - 3.0) * (l * l - m * m)))
+            P[l, m] = a * x * P[l - 1, m] - b * P[l - 2, m]
+            Q[l, m] = a * x * Q[l - 1, m] - b * Q[l - 2, m]
+    D = np.zeros((lm2, lm2, npts))
+    for l in range(1, l_max + 1):
+        D[l, 0] = -math.sqrt(l * (l + 1.0)) * P[l, 1]
+        for m in range(1, l + 1):
+            hi = math.sqrt((l - m) * (l + m + 1.0))
+            lo = math.sqrt((l + m) * (l - m + 1.0))
+            D[l, m] = 0.5 * (lo * P[l, m - 1] - hi * P[l, m + 1])
+    return P, Q, D
+
+
+def wave_table_per_wave(wave_basis, k, points, kind="regular"):
+    """Wave table built by a Python loop over the waves, one (l, m, pol) at a time.
+
+    The library evaluates a whole degree at once, from Legendre tables
+    computed for all orders at once; this is the straightforward per-wave
+    loop over ``legendre_tables_loop`` that it replaced, shape
+    (n_waves, n_points, 3).
+    """
+    from scipy.special import spherical_yn
+
+    from scatmodes import swe
+
+    pts, r, ct, st, phi, r_hat, t_hat, p_hat = swe._spherical_frame(points)
+    npts = pts.shape[0]
+    l_max = wave_basis.l_max
+    kr = k * r
+    at_origin = kr < 1e-14
+    kr_safe = np.where(at_origin, 1.0, kr)
+    ls = np.arange(0, l_max + 1)
+    zl = spherical_jn(ls[:, None], kr_safe[None, :])
+    dzl = spherical_jn(ls[:, None], kr_safe[None, :], derivative=True)
+    if kind == "outgoing":
+        zl = zl - 1j * spherical_yn(ls[:, None], kr_safe[None, :])
+        dzl = dzl - 1j * spherical_yn(ls[:, None], kr_safe[None, :], derivative=True)
+    P, Q, D = legendre_tables_loop(l_max, ct, st)
+    out = np.zeros((wave_basis.size, npts, 3), dtype=zl.dtype)
+    sqrt2 = math.sqrt(2.0)
+    for n, idx in enumerate(wave_basis.indices):
+        l, m, pol = idx.l, idx.m, idx.pol
+        am = abs(m)
+        if m > 0:
+            F = sqrt2 * np.cos(m * phi)
+            G = -sqrt2 * m * np.sin(m * phi)
+        elif m < 0:
+            F = sqrt2 * np.sin(am * phi)
+            G = sqrt2 * am * np.cos(am * phi)
+        else:
+            F = np.ones(npts)
+            G = np.zeros(npts)
+        norm = 1.0 / math.sqrt(l * (l + 1.0))
+        d_theta = D[l, am] * F
+        d_phi = Q[l, am] * G
+        if pol == "TE":
+            vec = (norm * zl[l] * d_phi)[:, None] * t_hat \
+                - (norm * zl[l] * d_theta)[:, None] * p_hat
+        else:
+            Y = P[l, am] * F
+            r2 = dzl[l] + zl[l] / kr_safe
+            r3 = math.sqrt(l * (l + 1.0)) * zl[l] / kr_safe
+            vec = (norm * r2 * d_theta)[:, None] * t_hat \
+                + (norm * r2 * d_phi)[:, None] * p_hat \
+                + (r3 * Y)[:, None] * r_hat
+        vec[at_origin] = 0.0
+        if pol == "TM" and l == 1:
+            vec[at_origin, swe._ORIGIN_AXIS[m]] = swe._ORIGIN_TM1
+        out[n] = vec
+    return out

@@ -9,13 +9,14 @@ import pytest
 from scatmodes.cli import (
     SPEED_OF_LIGHT,
     ScenarioError,
+    _sweep_basis,
     compare_results,
     main,
     parse_scenario,
     run_checks,
     run_scenario,
 )
-from conftest import random_scene
+from conftest import hybrid_sweep_seed7, random_scene
 
 
 def _scenario(**overrides):
@@ -39,6 +40,17 @@ def _scenario(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _hybrid_scenario(solver):
+    scn = _scenario(solver=solver, sweep={"f_min": 5.0e8, "f_max": 5.0e8, "n_points": 1})
+    scn["scene"]["dipoles"] = [
+        {"position": [0.20, 0.0, 0.02], "polarizability": 0.004},
+        {"position": [0.0, 0.21, -0.02], "polarizability": 0.004,
+         "region": "background"},
+    ]
+    scn["scene"]["sphere"] = {"radius": 0.02, "material": "dielectric", "eps_r": 4.0}
+    return scn
 
 
 def _write(tmp_path, data, name="scenario.json"):
@@ -159,16 +171,7 @@ def test_ground_plane_scenario_runs(tmp_path):
 
 
 def test_hybrid_scenario_runs(tmp_path):
-    scn = _scenario()
-    scn["scene"]["dipoles"] = [
-        {"position": [0.20, 0.0, 0.02], "polarizability": 0.004},
-        {"position": [0.0, 0.21, -0.02], "polarizability": 0.004,
-         "region": "background"},
-    ]
-    scn["scene"]["sphere"] = {"radius": 0.02, "material": "dielectric", "eps_r": 4.0}
-    scn["solver"] = "hybrid-scattering"
-    scn["sweep"] = {"f_min": 5.0e8, "f_max": 5.0e8, "n_points": 1}
-    sc = parse_scenario(scn)
+    sc = parse_scenario(_hybrid_scenario("hybrid-scattering"))
     out = tmp_path / "out"
     run_scenario(sc, str(out), jobs=1)
     assert os.path.exists(out / "traces.csv")
@@ -253,16 +256,7 @@ def test_checks_ground_plane_scenario():
 
 
 def test_hybrid_impedance_scenario_runs(tmp_path):
-    scn = _scenario()
-    scn["scene"]["dipoles"] = [
-        {"position": [0.20, 0.0, 0.02], "polarizability": 0.004},
-        {"position": [0.0, 0.21, -0.02], "polarizability": 0.004,
-         "region": "background"},
-    ]
-    scn["scene"]["sphere"] = {"radius": 0.02, "material": "dielectric", "eps_r": 4.0}
-    scn["solver"] = "hybrid-impedance"
-    scn["sweep"] = {"f_min": 5.0e8, "f_max": 5.0e8, "n_points": 1}
-    sc = parse_scenario(scn)
+    sc = parse_scenario(_hybrid_scenario("hybrid-impedance"))
     out = tmp_path / "out"
     run_scenario(sc, str(out), jobs=1)
     assert os.path.exists(out / "traces.csv")
@@ -299,3 +293,49 @@ def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
     assert code == 1
     assert "SolveError: compressed radiation matrix is indefinite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver, types", [
+    ("dense-scattering", {"rank": int, "engine": str, "unitarity_S": float}),
+    ("hybrid-scattering", {"rank": int, "engine": str, "u4_residual": float}),
+    ("iterative", {"iterations": int, "converged": bool, "unitarity_S": float}),
+])
+def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
+    # counts stay JSON integers and flags JSON booleans, not 3.0 or 1.0
+    scn = _hybrid_scenario(solver) if solver.startswith("hybrid") else _scenario(solver=solver)
+    run_scenario(parse_scenario(scn), str(tmp_path), jobs=1)
+    with open(tmp_path / "diagnostics.json") as fh:
+        points = json.load(fh)["per_frequency"]
+    assert points
+    for point in points:
+        assert {key: type(point[key]) for key in types} == types
+
+
+def test_hybrid_sweep_basis_grows_to_meet_u4_tolerance(tmp_path):
+    # at 83.5 MHz alone the truncation rule gives l_max = 13, whose U4
+    # truncation residual is 1.7e-6; the sweep basis takes one more degree
+    # instead of failing the point with a ResolutionError
+    sc = parse_scenario(hybrid_sweep_seed7(n_points=1))
+    diagnostics = run_scenario(sc, str(tmp_path), jobs=1)
+    assert (diagnostics["basis_l_max"], diagnostics["basis_size"]) == (14, 448)
+    assert diagnostics["per_frequency"][0]["u4_residual"] <= 1e-6
+
+
+def test_hybrid_sweep_basis_keeps_a_passing_basis():
+    # the full sweep passes with the truncation rule's basis at f_max
+    assert _sweep_basis(parse_scenario(hybrid_sweep_seed7())).size == 448
+    loose = hybrid_sweep_seed7(n_points=1)
+    loose["tolerances"] = {"u4_residual": 2e-6}
+    assert _sweep_basis(parse_scenario(loose)).l_max == 13
+
+
+def test_hybrid_u4_failure_stands_when_more_degrees_do_not_help(tmp_path, capsys):
+    # a dipole just outside the sphere: eight more degrees cannot meet the
+    # tolerance, so the point fails with the library error, exit code 1
+    scn = _hybrid_scenario("hybrid-impedance")
+    scn["scene"]["dipoles"][0]["position"] = [0.025, 0.0, 0.0]
+    code = main(["run", "--scenario", _write(tmp_path, scn), "--out", str(tmp_path / "o"),
+                 "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ResolutionError: U4 truncation residual" in err

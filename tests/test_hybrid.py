@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
@@ -20,8 +21,12 @@ from scatmodes import (
     hybrid_transition,
     mie_tmatrix,
     outgoing_wave_table,
+    swe,
     transition,
 )
+from scatmodes.cli import SPEED_OF_LIGHT, parse_scenario
+
+from conftest import hybrid_sweep_seed7
 
 
 def matched_distance(t1, t2, threshold=1e-7):
@@ -119,6 +124,63 @@ def test_u4_residual_gate():
     hs = HybridScene(scene, sphere)
     with pytest.raises(ResolutionError):
         assemble_u4(hs, k, basis(10), residual_tol=1e-6)
+    # the closed form's truncation gauge fails the same scene
+    with pytest.raises(ResolutionError, match="U4 truncation residual"):
+        assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1e-6)
+
+
+def _generous_clearance():
+    rng = np.random.default_rng(5)
+    scene = _cloud(rng, 3, 0.7, 0.8, 2.0)
+    return HybridScene(scene, SphereSpec(0.06, "dielectric", eps_r=4.0)), [2.0], basis(20)
+
+
+def _criterion_8():
+    rng = np.random.default_rng(88)
+    scene = _cloud(rng, 7, 0.62, 0.8, 2.0, n_background=3)
+    return HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0)), [2.0], basis(18)
+
+
+def _hybrid_sweep_seed7():
+    sc = parse_scenario(hybrid_sweep_seed7())
+    ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
+    return HybridScene(sc["scene"], sc["sphere"]), ks, basis(14)
+
+
+U4_CASES = {"generous-clearance": _generous_clearance, "criterion-8": _criterion_8,
+            "hybrid-sweep-seed-7": _hybrid_sweep_seed7}
+
+
+def _closed_and_quadrature(case):
+    """(k, wave basis, closed-form system, quadrature U4) per wavenumber of the case."""
+    hs, ks, wb = U4_CASES[case]()
+    for k in ks:
+        yield (k, wb, assemble_hybrid(hs, k, wave_basis=wb),
+               assemble_u4(hs, k, wb, residual_tol=1.0))
+
+
+@pytest.mark.parametrize("case", U4_CASES)
+def test_closed_form_u4_matches_quadrature_per_degree(case):
+    # per degree, the closed form and the quadrature projection differ by
+    # less than the quadrature's own misfit of that column on the fit sphere
+    for k, wb, system, quad in _closed_and_quadrature(case):
+        closed = system.U4.data[:, np.argsort(system.blocks.perm)]   # scene order
+        norms = swe.radial_norms(wb, k * quad.meta["r_fit"])[:, None]
+        field = np.sqrt((np.abs(closed) ** 2 * norms).sum(axis=0))
+        allowed = quad.meta["column_residuals"] * field
+        ls = wb.arrays()[0]
+        for l in range(1, wb.l_max + 1):
+            rows = ls == l
+            gap = np.sqrt((np.abs(closed[rows] - quad.data[rows]) ** 2 * norms[rows]).sum(axis=0))
+            assert np.all(gap <= allowed), (l, (gap / allowed).max())
+
+
+@pytest.mark.parametrize("case", U4_CASES)
+def test_truncation_gauge_matches_quadrature_residuals(case):
+    for _, _, system, quad in _closed_and_quadrature(case):
+        gauge = system.U4.meta["column_residuals"][np.argsort(system.blocks.perm)]
+        assert_allclose(gauge, quad.meta["column_residuals"], rtol=1e-6)
+        assert system.U4.meta["r_fit"] == quad.meta["r_fit"]
 
 
 def test_vacuum_sphere_reduces_to_dipole_modes(hybrid_setup):
@@ -193,3 +255,6 @@ def test_invalid_r_fit_rejected():
         assemble_u4(hs, 1.0, basis(6), r_fit=0.1)   # inside the sphere
     with pytest.raises(GeometryError):
         assemble_u4(hs, 1.0, basis(6), r_fit=0.6)   # beyond the dipole
+    for r_fit in (0.1, 0.6):
+        with pytest.raises(GeometryError):
+            assemble_hybrid(hs, 1.0, wave_basis=basis(10), r_fit=r_fit)

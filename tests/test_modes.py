@@ -100,11 +100,22 @@ def test_cm_scattering_qz_fallback():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     sb = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="S_b failed the unitarity check"):
         ms = cm_scattering(s, sb)
     assert ms.diagnostics["solver"] == "qz"
     ref = np.sort_complex(np.linalg.eigvals(np.linalg.solve(sb, s)))
     assert np.abs(np.sort_complex(ms.s) - ref).max() < 1e-10
+
+
+def test_cm_scattering_qz_fallback_names_non_normal_operator():
+    # S_b = I passes its unitarity check; a non-unitary S makes S_b^H S non-normal
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    with pytest.warns(UserWarning, match=r"S_b\^H S is not normal") as record:
+        ms = cm_scattering(s)
+    assert ms.diagnostics["solver"] == "qz"
+    assert ms.diagnostics["unitarity_S_b"] == 0.0
+    assert not any("unitarity check" in str(w.message) for w in record)
 
 
 # ---------------------------------------------------------------------------

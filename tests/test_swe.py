@@ -8,19 +8,21 @@ from scatmodes import (
     DomainError,
     ResolutionError,
     ShapeError,
+    WaveBasis,
     WaveIndex,
     basis,
     ground_plane_filter,
     mirror_parity,
     project_onto_regular,
     regular_wave_field,
+    outgoing_wave_table,
     regular_wave_table,
     sphere_quadrature,
     truncation_order,
 )
 from scatmodes.dipoles import dyadic_green
 
-from oracles import least_squares_expansion, regular_wave_reference
+from oracles import least_squares_expansion, regular_wave_reference, wave_table_per_wave
 
 
 def test_truncation_order_examples():
@@ -289,3 +291,26 @@ def test_quadrature_node_rule():
     pts, w = sphere_quadrature(5)
     assert pts.shape == (6 * 11, 3)
     assert_allclose(w.sum(), 4.0 * math.pi, rtol=1e-13)
+
+
+@pytest.mark.parametrize("kind, table", [("regular", regular_wave_table),
+                                         ("outgoing", outgoing_wave_table)])
+@pytest.mark.parametrize("wave_basis", [basis(1), basis(9),
+                                        WaveBasis(7, basis(7).indices[3::5])],
+                         ids=["l_max=1", "l_max=9", "subset"])
+def test_wave_table_matches_per_wave_loop(kind, table, wave_basis):
+    # the per-degree table against the per-wave loop it replaced, on
+    # generic points, both poles and (regular waves only) the origin
+    rng = np.random.default_rng(31)
+    pts = rng.normal(size=(40, 3))
+    pts[1] = [0.0, 0.0, 0.7]
+    pts[2] = [0.0, 0.0, -0.3]
+    if kind == "regular":
+        pts[0] = 0.0
+    got = table(wave_basis, 1.7, pts)
+    ref = wave_table_per_wave(wave_basis, 1.7, pts, kind)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    if kind == "regular":   # only the TM l=1 waves are nonzero at the origin
+        ls, _, tm = wave_basis.arrays()
+        assert np.count_nonzero(got[:, 0]) == np.count_nonzero(tm & (ls == 1))

@@ -56,6 +56,30 @@ def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
     assert calls == {"regular_wave_table": 1, "project_onto_regular": 1}
 
 
+def test_assemble_hybrid_projects_nothing_and_tabulates_only_the_dipoles(monkeypatch):
+    # U4 comes from the closed form: no quadrature sphere, no projection,
+    # and every wave table is evaluated at the N dipole positions at most
+    from scatmodes import DipoleScene, HybridScene, SphereSpec, assemble_hybrid, basis, swe
+
+    calls = {}
+    _count_calls(monkeypatch, calls, swe, "sphere_quadrature")
+    _count_calls(monkeypatch, calls, swe, "project_onto_regular")
+    points = []
+    wave_table = swe._wave_table
+
+    def recording(wave_basis, k, pts, kind):
+        points.append(np.atleast_2d(pts).shape[0])
+        return wave_table(wave_basis, k, pts, kind)
+
+    monkeypatch.setattr(swe, "_wave_table", recording)
+    positions = [[0.0, 0.0, 0.5], [0.4, 0.0, 0.0], [0.0, -0.45, 0.1]]
+    scene = HybridScene(DipoleScene(positions, 0.1, ("background",) + ("controllable",) * 2),
+                        SphereSpec(0.05, "dielectric", eps_r=4.0))
+    assemble_hybrid(scene, 1.0, basis(8), residual_tol=1.0)
+    assert calls == {}
+    assert points and max(points) <= len(positions)
+
+
 def _ground_plane(solver):
     scn = _scenario(solver=solver)
     for d in scn["scene"]["dipoles"]:
