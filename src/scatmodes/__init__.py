@@ -47,6 +47,7 @@ from .modes import (
     cm_scattering,
     cm_t_form,
     recover_currents,
+    scattering_unitarity,
     schur_system,
     substructure_power_check,
     substructure_span,
@@ -59,6 +60,7 @@ from .network import (
     OperatorMatrix,
     check_t_power,
     check_unitary,
+    check_unitary_factored,
     embed_identity,
     s_from_t,
     t_from_s,

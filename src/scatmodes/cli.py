@@ -59,12 +59,13 @@ from .modes import (
     cm_t_form,
     parity_leakage,
     parity_restricted,
+    scattering_unitarity,
     substructure_power_check,
     substructure_span,
     tilde_tmatrix,
     track_modes,
 )
-from .network import check_t_power, check_unitary
+from .network import check_t_power, check_unitary  # noqa: F401 (traced by perfbench/child.py)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -180,17 +181,20 @@ def _sweep_basis(sc: dict):
 # Assemblies: (scenario, k, basis) -> (operators, point diagnostics).
 
 def _dipole_operators(sc: dict, k: float, wave_basis):
-    """Transition set of a dipole scene; above a ground plane, its parity-allowed part."""
+    """Transition set of a dipole scene; above a ground plane, its parity-allowed part.
+
+    Reports the unitarity of the full S and S_b (``scattering_unitarity``:
+    factored or dense, named in ``unitarity_form``).
+    """
     ts = transition(sc["scene"], k, wave_basis)
-    diag = {"unitarity_S": check_unitary(ts.S).deviation,
-            "unitarity_S_b": check_unitary(ts.S_b).deviation}
+    diag = scattering_unitarity(ts)
     return (parity_restricted(ts) if sc["scene"].ground_plane else ts), diag
 
 
 def _scattering_operators(sc: dict, k: float, wave_basis):
     """Operators for dense-scattering: ports appended; a ground plane's leakage.
 
-    Unitarity is left to the engine, which checks the same matrices.
+    Unitarity is left to the engine, which checks the same operators.
     """
     scene = sc["scene"]
     if scene.ports:
@@ -227,16 +231,17 @@ def _record_engine(ms, diag: dict):
 def _dense_scattering(ts, k: float, sc: dict, seed: int, diag: dict):
     """``cm_scattering`` on the range of ``S - S_b``, reporting its checks in ``diag``.
 
-    Plain scenes report the unitarity of S and S_b, port scenes of S; a
-    ground-plane scene reports its parity leakage instead.
+    The engine works on the blocks' factors and forms no n x n operator.
+    Plain scenes report the unitarity of S and S_b, port scenes of S,
+    both with the form of the check; a ground-plane scene reports its
+    parity leakage instead.
     """
-    ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts),
-                       n_modes=sc["n_modes"])
+    ms = cm_scattering(ts, k=k, n_modes=sc["n_modes"])
     scene = sc["scene"]
     if not scene.ground_plane:
-        diag["unitarity_S"] = ms.diagnostics["unitarity_S"]
-        if not scene.ports:
-            diag["unitarity_S_b"] = ms.diagnostics["unitarity_S_b"]
+        keys = ("unitarity_S", "unitarity_form") if scene.ports \
+            else ("unitarity_S", "unitarity_S_b", "unitarity_form")
+        diag.update((key, ms.diagnostics[key]) for key in keys)
     return _record_engine(ms, diag)
 
 

@@ -212,9 +212,10 @@ class BlockImpedance:
     every engine takes its Z and Z_bb solves from them: ``solve`` and
     ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU factors computed
     (pivot-checked) on first use and kept by this object only; ``cached``
-    keeps other per-point products, such as the Schur elimination, the
-    same way.  Copies made by ``with_system`` or ``dataclasses.replace``
-    start without them; do not modify the blocks in place once solved.
+    keeps other per-point products, such as the assembled Z, the Schur
+    elimination and the transition operators, the same way.  Copies made
+    by ``with_system`` or ``dataclasses.replace`` start without them; do
+    not modify the blocks in place once solved.
     """
 
     Z_bb: np.ndarray
@@ -241,7 +242,17 @@ class BlockImpedance:
 
     @property
     def Z(self) -> np.ndarray:
-        return np.block([[self.Z_bb, self.Z_bc], [self.Z_cb, self.Z_cc]])
+        """The full system matrix, a new array the caller may modify."""
+        return self._system_matrix().copy()
+
+    def _system_matrix(self) -> np.ndarray:
+        """The full system matrix, assembled once and kept read-only."""
+        def assemble():
+            z = np.block([[self.Z_bb, self.Z_bc], [self.Z_cb, self.Z_cc]])
+            z.flags.writeable = False
+            return z
+
+        return self.cached("Z", assemble)
 
     @property
     def U1(self) -> np.ndarray:
@@ -255,7 +266,7 @@ class BlockImpedance:
 
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
-        return factorization_residual(self.Z, self.U1)
+        return factorization_residual(self._system_matrix(), self.U1)
 
     def cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
@@ -265,17 +276,34 @@ class BlockImpedance:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``Z^-1 rhs``; raises ``SolveError`` if Z is numerically singular."""
-        return self.cached("Z", lambda: _solver(self.Z, "system matrix"))(rhs)
+        return self._lu("Z")(rhs)
 
     def solve_bb(self, rhs: np.ndarray) -> np.ndarray:
         """``Z_bb^-1 rhs``; raises ``SolveError`` if Z_bb is numerically singular."""
-        return self.cached("Z_bb", lambda: _solver(self.Z_bb, "background block"))(rhs)
+        return self._lu("Z_bb")(rhs)
+
+    def factorize(self) -> None:
+        """Factorise Z and Z_bb now, so a singular system raises here."""
+        self._lu("Z")
+        self._lu("Z_bb")
+
+    def _lu(self, which: str):
+        if which == "Z":
+            return self.cached("lu Z", lambda: _solver(self._system_matrix(), "system matrix"))
+        return self.cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
-    """Relative deviation of Re z from Re(u^H u); zero for an empty system."""
+    """Relative deviation of Re z from Re(u^H u); zero for an empty system.
+
+    ``Re(u^H u) = u_r^T u_r + u_i^T u_i`` takes real products only, one
+    when u is real.
+    """
     r = z.real
-    return float(np.linalg.norm(r - (u.conj().T @ u).real) / max(np.linalg.norm(r), 1e-300))
+    gram = u.real.T @ u.real
+    if np.iscomplexobj(u):
+        gram += u.imag.T @ u.imag
+    return float(np.linalg.norm(r - gram) / max(np.linalg.norm(r), 1e-300))
 
 
 def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
@@ -369,22 +397,56 @@ def _solver(z: np.ndarray, what: str):
 class TransitionSet:
     """Transition/scattering operators of a scene and of its background.
 
+    ``T``, ``T_b``, ``S`` and ``S_b`` are n x n ``OperatorMatrix`` objects
+    built from ``blocks`` when a caller first reads them, and kept in
+    ``blocks.cached``: an engine that works on the blocks' factors never
+    forms them, and every transition set of the same blocks shares them.
     ``kept`` lists the rows of ``blocks.basis`` the operators are
-    restricted to (None: all of them).
+    restricted to (None: all of them); restricted operators carry no basis.
     """
 
-    T: OperatorMatrix
-    T_b: OperatorMatrix
-    S: OperatorMatrix
-    S_b: OperatorMatrix
     blocks: BlockImpedance
     kept: np.ndarray | None = field(default=None, kw_only=True)
+
+    @property
+    def T(self) -> OperatorMatrix:
+        return self._operator("T")
+
+    @property
+    def T_b(self) -> OperatorMatrix:
+        return self._operator("T_b")
+
+    @property
+    def S(self) -> OperatorMatrix:
+        return self._operator("S")
+
+    @property
+    def S_b(self) -> OperatorMatrix:
+        return self._operator("S_b")
+
+    def _operator(self, name: str) -> OperatorMatrix:
+        full = self.blocks.cached(name, lambda: _full_operator(self.blocks, name))
+        if self.kept is None:
+            return full
+        sub = np.ix_(self.kept, self.kept)
+        return self.blocks.cached((name, self.kept.tobytes()),
+                                  lambda: OperatorMatrix(full.kind, full.data[sub]))
 
 
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
     """``t0 - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
     t = -u @ solve(u.T.astype(complex))
     return t if t0 is None else t0 + t
+
+
+def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
+    """T, T_b, S or S_b over the whole basis; each S comes from its cached T."""
+    if name.startswith("S"):
+        t = blocks.cached("T" + name[1:], lambda: _full_operator(blocks, "T" + name[1:]))
+        return OperatorMatrix("S", 2.0 * t.data + np.eye(blocks.basis.size), blocks.basis)
+    if name == "T":
+        return OperatorMatrix("T", _t_of(blocks.solve, blocks.U1, blocks.T_b0), blocks.basis)
+    return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
 
 
 def transition(scene: DipoleScene | None = None, k: float | None = None,
@@ -396,20 +458,15 @@ def transition(scene: DipoleScene | None = None, k: float | None = None,
     impedance system (bordered / zero-padded in the full unknown set).
     An empty background yields T_b = T_b0 (zero for dipole scenes).
     Given ``blocks`` of any scene kind, ``scene`` and ``k`` are not used.
+
+    Z and Z_bb are factorised here, so a singular system raises
+    ``SolveError`` at once; the n x n operators themselves are built only
+    when first read (see ``TransitionSet``).
     """
     if blocks is None:
         blocks = assemble_impedance(scene, k, wave_basis)
-    b = blocks.basis
-    eye = np.eye(b.size)
-    t_full = _t_of(blocks.solve, blocks.U1, blocks.T_b0)
-    t_bg = _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0)
-    return TransitionSet(
-        T=OperatorMatrix("T", t_full, b),
-        T_b=OperatorMatrix("T", t_bg, b),
-        S=OperatorMatrix("S", 2.0 * t_full + eye, b),
-        S_b=OperatorMatrix("S", 2.0 * t_bg + eye, b),
-        blocks=blocks,
-    )
+    blocks.factorize()
+    return TransitionSet(blocks)
 
 
 @dataclass
@@ -443,7 +500,7 @@ def generalized_scattering(scene: DipoleScene, k: float,
     ports = blocks.scene.ports
     rows = np.argsort(blocks.perm)[[3 * p.element + p.axis for p in ports]]
     z0 = np.array([p.z0 for p in ports]) / ETA0
-    z = blocks.Z
+    z = blocks.Z  # a copy: the source blocks keep their system matrix
     np.add.at(z, (rows, rows), z0)
     u_port = np.zeros((len(ports), z.shape[0]))
     u_port[np.arange(len(ports)), rows] = np.sqrt(z0)

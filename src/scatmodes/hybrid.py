@@ -41,7 +41,7 @@ from .dipoles import (
 )
 from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
-from .modes import ModeSet, cm_impedance_substructure, cm_scattering, substructure_span
+from .modes import ModeSet, cm_impedance_substructure, cm_scattering
 from .network import OperatorMatrix
 from .swe import WaveBasis
 
@@ -258,12 +258,15 @@ def hybrid_scattering_modes(scene: HybridScene, k: float,
     """Substructure modes from the hybrid scattering operators.
 
     ``cm_scattering`` on the range of ``S - S_b``, which the controllable
-    dipoles span.  Without ``n_modes`` it returns the r modes of that
-    range, at most three per controllable dipole, not one per wave; a
-    larger ``n_modes`` pads them with ``s = 1`` modes, as there.
+    dipoles span, fed by the hybrid blocks' solves (the sphere's ``T_b1``
+    enters as a matrix product).  The unitarity of S and S_b is checked
+    on the dense matrices (``scattering_unitarity``).  Without
+    ``n_modes`` it returns the r modes of that range, at most three per
+    controllable dipole, not one per wave; a larger ``n_modes`` pads them
+    with ``s = 1`` modes, as there.
     """
-    ts = hybrid_transition(scene, k, wave_basis, system=system)
-    return cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts), n_modes=n_modes)
+    return cm_scattering(hybrid_transition(scene, k, wave_basis, system=system),
+                         k=k, n_modes=n_modes)
 
 
 def hybrid_impedance_modes(scene: HybridScene, k: float,

@@ -29,7 +29,7 @@ from .dipoles import (
     transition,
 )
 from .exceptions import ShapeError, SolveError
-from .network import OperatorMatrix, _matrix, check_unitary
+from .network import OperatorMatrix, _matrix, check_unitary, check_unitary_factored
 from .swe import WaveBasis
 
 #: relative eigenvalue gap below which modes count as one degenerate cluster
@@ -166,6 +166,84 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
     return q[:, :int(np.count_nonzero(pivots > cut))]
 
 
+class _MatrixPencil:
+    """``S`` and ``S_b`` given as matrices, for ``cm_scattering``.
+
+    ``diff`` applies ``T - T_b = (S - S_b) / 2``; ``span`` (or None)
+    spans its range; ``matrices`` returns the dense ``(S, S_b)`` for the
+    full decomposition and the QZ fallback.
+    """
+
+    def __init__(self, S, S_b, span):
+        self.s_mat = _matrix(S)
+        self.dim = self.s_mat.shape[0]
+        if self.s_mat.shape[0] != self.s_mat.shape[1]:
+            raise ShapeError(f"S must be square, got {self.s_mat.shape}")
+        self.sb_mat = np.eye(self.dim) if S_b is None else _matrix(S_b)
+        if self.sb_mat.shape != self.s_mat.shape:
+            raise ShapeError(f"dimension mismatch: S {self.s_mat.shape}, S_b {self.sb_mat.shape}")
+        if span is not None and span.shape[0] != self.dim:
+            raise ShapeError(f"span has {span.shape[0]} rows, S has {self.dim}")
+        self.span = span
+        self.basis = S.basis if isinstance(S, OperatorMatrix) else None
+
+    def matrices(self):
+        return self.s_mat, self.sb_mat
+
+    def apply_s(self, x):
+        return self.s_mat @ x
+
+    def apply_sb(self, x):
+        return self.sb_mat @ x
+
+    def apply_sbh(self, x):
+        return self.sb_mat.conj().T @ x
+
+    def diff(self, x):
+        return 0.5 * (self.s_mat @ x - self.sb_mat @ x)
+
+    def unitarity(self) -> dict:
+        return {"unitarity_S": check_unitary(self.s_mat).deviation,
+                "unitarity_S_b": check_unitary(self.sb_mat).deviation,
+                "unitarity_form": "dense"}
+
+
+class _BlockPencil:
+    """``S`` and ``S_b`` of a ``TransitionSet`` as actions of its blocks.
+
+    ``S_b`` and ``S_b^H`` act through the Z_bb factors and ``T - T_b =
+    -U1~ Z~^-1 U1~^T`` through the Schur complement, on the rows the set
+    keeps, so no n x n matrix is formed unless the QZ fallback or a dense
+    unitarity check reads ``ts.S`` and ``ts.S_b``.
+    """
+
+    def __init__(self, ts: TransitionSet):
+        self.ts = ts
+        self.u_b, self.t_b0 = _background_readout(ts)
+        self.span = substructure_span(ts)
+        self.dim = self.span.shape[0]
+        self.basis = ts.blocks.basis if ts.kept is None else None
+
+    def matrices(self):
+        return self.ts.S.data, self.ts.S_b.data
+
+    def apply_s(self, x):
+        return self.apply_sb(x) + 2.0 * self.diff(x)
+
+    def apply_sb(self, x):
+        return x + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0, x)
+
+    def apply_sbh(self, x):
+        return x + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0, x,
+                                           adjoint=True)
+
+    def diff(self, x):
+        return -self.span @ _tilde_solve(self.ts.blocks)(self.span.T @ x)
+
+    def unitarity(self) -> dict:
+        return scattering_unitarity(self.ts)
+
+
 def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
                   k: float | None = None, span: np.ndarray | None = None,
                   n_modes: int | None = None) -> ModeSet:
@@ -186,50 +264,46 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
     maps into ``V = range(S_b^H span)``, so the normal ``N`` leaves V
     invariant and is exactly the identity on its complement.  The engine
     takes an orthonormal basis Q of V (rank r after the rcond cut),
-    decomposes the r x r matrix ``Q^H N Q`` and returns ``a = Q z``;
-    every other mode has ``s = 1``.  Without ``span`` all n modes come
-    from the n x n Schur decomposition.  ``diagnostics['rank']`` is the
-    size of the eigenproblem solved (r, or n for the full decomposition
-    and QZ).
+    decomposes the r x r matrix ``M = (S_b Q)^H (T - T_b) Q = Q^H (N -
+    I) Q / 2``, whose eigenvalues are the t_n themselves, and returns
+    ``a = Q z``; every other mode has ``s = 1``.  Without ``span`` all n
+    modes come from the n x n Schur decomposition of N.
+    ``diagnostics['rank']`` is the size of the eigenproblem solved (r, or
+    n for the full decomposition and QZ).
+
+    ``S`` may instead be a ``TransitionSet`` (``S_b`` and ``span`` left
+    out): the same range engine is then fed by its blocks' solves, on the
+    rows it keeps, and forms no n x n matrix.  ``M = -(S_b Q)^H U1~ Z~^-1
+    (U1~^T Q)`` costs O(n (3N)^2 + (3N)^3), and the unitarity of S and
+    S_b comes from ``scattering_unitarity`` (factored or dense).
 
     ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
     range, more modes than r are filled with ``s = 1`` exactly and an
     orthonormal basis of V's complement; without ``n_modes`` the range
     engine returns its r modes.  The residual, orthogonality and
     cancellation diagnostics are measured on the modes returned; the
-    unitarity deviations of S and S_b on the full matrices.
+    unitarity deviations of S and S_b on the full operators
+    (``unitarity_form`` says how).
     """
-    s_mat = _matrix(S)
-    basis_obj = S.basis if isinstance(S, OperatorMatrix) else None
-    dim = s_mat.shape[0]
-    if s_mat.shape[0] != s_mat.shape[1]:
-        raise ShapeError(f"S must be square, got {s_mat.shape}")
-    if S_b is None:
-        sb_mat = np.eye(dim)
+    if isinstance(S, TransitionSet):
+        if S_b is not None or span is not None:
+            raise ValueError("a TransitionSet carries its own S_b and span")
+        pencil = _BlockPencil(S)
     else:
-        sb_mat = _matrix(S_b)
-    if sb_mat.shape != s_mat.shape:
-        raise ShapeError(f"dimension mismatch: S {s_mat.shape}, S_b {sb_mat.shape}")
+        pencil = _MatrixPencil(S, S_b, span)
 
-    if span is not None and span.shape[0] != dim:
-        raise ShapeError(f"span has {span.shape[0]} rows, S has {dim}")
-
-    diag = {
-        "unitarity_S": check_unitary(s_mat).deviation,
-        "unitarity_S_b": check_unitary(sb_mat).deviation,
-        "solver": "schur",
-        "rank": dim,
-    }
+    diag = {**pencil.unitarity(), "solver": "schur", "rank": pencil.dim}
     s_vals = q = None
     if diag["unitarity_S_b"] <= tol_unitary:
-        if span is None:
+        if pencil.span is None:
+            s_mat, sb_mat = pencil.matrices()
             s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
         else:
-            q = _orthonormal_range(sb_mat.conj().T @ span)
-            s_vals, z, diag["schur_offdiag"] = _schur_eig(
-                (sb_mat @ q).conj().T @ (s_mat @ q))
-            if s_vals is not None:
-                a = q @ z
+            q = _orthonormal_range(pencil.apply_sbh(pencil.span))
+            t_vals, z, diag["schur_offdiag"] = _schur_eig(
+                pencil.apply_sb(q).conj().T @ pencil.diff(q))
+            if t_vals is not None:
+                s_vals, a = 1.0 + 2.0 * t_vals, q @ z
                 diag["rank"] = q.shape[1]
     if s_vals is None:
         if diag["unitarity_S_b"] > tol_unitary:
@@ -240,20 +314,20 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
                      f"{diag['schur_offdiag']:.1e})")
         warnings.warn(f"{cause}; falling back to a QZ solve")
         diag["solver"] = "qz"
-        s_vals, a = _eig_orthonormal(s_mat, sb_mat)
+        s_vals, a = _eig_orthonormal(*pencil.matrices())
 
     t = (s_vals - 1.0) / 2.0
-    order = _mode_order(t, a, basis_obj)[:n_modes]
+    order = _mode_order(t, a, pencil.basis)[:n_modes]
     s_vals, a = s_vals[order], a[:, order]
-    n_pad = 0 if n_modes is None else min(n_modes, dim) - s_vals.size
+    n_pad = 0 if n_modes is None else min(n_modes, pencil.dim) - s_vals.size
     if n_pad > 0:
         rank = diag["rank"]
         complement = np.linalg.qr(q, mode="complete")[0][:, rank:rank + n_pad]
         s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
         a = np.hstack([a, complement])
 
-    f = sb_mat @ a
-    s_a = s_mat @ a
+    f = pencil.apply_sb(a)
+    s_a = pencil.apply_s(a)
     resid = np.linalg.norm(s_a - f * s_vals[None, :], axis=0)
     drive = np.linalg.norm(s_a, axis=0)
     diag["cancellation_flags"] = \
@@ -263,7 +337,7 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
     diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
     gram_f = f.conj().T @ f
     diag["orthogonality_f"] = float(np.abs(gram_f - np.eye(gram_f.shape[0])).max(initial=0.0))
-    return ModeSet(s=s_vals, a=a, f=f, k=k, basis=basis_obj, diagnostics=diag)
+    return ModeSet(s=s_vals, a=a, f=f, k=k, basis=pencil.basis, diagnostics=diag)
 
 
 def cm_t_form(T, T_b, representation: str = "excitation",
@@ -364,16 +438,66 @@ def substructure_span(ts: TransitionSet) -> np.ndarray:
     return u if ts.kept is None else u[ts.kept]
 
 
-def _background_th_apply(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
-    """Action of T_b^H on wave vectors without forming it.
+def _background_readout(ts: TransitionSet):
+    """Background readout ``U1_b`` and offset ``T_b0`` on the rows ``ts`` keeps."""
+    blocks = ts.blocks
+    if ts.kept is None:
+        return blocks.U1_b, blocks.T_b0
+    t_b0 = None if blocks.T_b0 is None else blocks.T_b0[np.ix_(ts.kept, ts.kept)]
+    return blocks.U1_b[ts.kept], t_b0
+
+
+def _background_apply(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray | None,
+                      vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Action of ``T_b = t_b0 - u_b Z_bb^-1 u_b^T`` (or of T_b^H) without forming it.
 
     Z_bb is complex symmetric (reciprocity), so ``Z_bb^-H y =
-    conj(Z_bb^-1 conj(y))`` reuses the factors of Z_bb.
+    conj(Z_bb^-1 conj(y))`` reuses the factors of Z_bb for the adjoint.
     """
-    out = np.zeros_like(vec, dtype=complex) if blocks.T_b0 is None \
-        else blocks.T_b0.conj().T @ vec
-    u_b = blocks.U1_b
-    return out - np.conj(u_b @ blocks.solve_bb(u_b.T @ np.conj(vec)))
+    if adjoint:
+        out = 0.0 if t_b0 is None else t_b0.conj().T @ vec
+        return out - np.conj(u_b @ blocks.solve_bb(u_b.T @ np.conj(vec)))
+    out = 0.0 if t_b0 is None else t_b0 @ vec
+    return out - u_b @ blocks.solve_bb(u_b.T @ vec)
+
+
+def _tilde_solve(blocks: BlockImpedance):
+    """``rhs -> Z~^-1 rhs`` from LU factors kept by the blocks.
+
+    Without background unknowns Z~ is Z itself, whose factors are reused.
+    """
+    if blocks.n_b == 0:
+        return blocks.solve
+    return blocks.cached("lu Z_tilde", lambda: _solver(schur_system(blocks).Z_tilde,
+                                                       "compressed impedance"))
+
+
+def _factored_form_pays(blocks: BlockImpedance, u: np.ndarray) -> bool:
+    """Whether S's factors ``I - 2 u Z^-1 u^T`` serve: a real readout of at most n/2 columns."""
+    return blocks.T_b0 is None and 2 * u.shape[1] <= u.shape[0]
+
+
+def scattering_unitarity(ts: TransitionSet) -> dict:
+    """``check_unitary`` deviations of ``ts.S`` and ``ts.S_b``, and the form used.
+
+    With no background offset (dipole, port and ground-plane blocks) the
+    readout U1 is real and ``S = I - 2 U1 Z^-1 U1^T``, so where U1 has at
+    most n/2 columns (n the operator dimension) the deviations come from
+    the factors (``check_unitary_factored``, O(n (3N)^2 + (3N)^3)).
+    Otherwise (hybrid blocks, or 3N > n/2 where the factored form costs
+    more) ``check_unitary`` runs on the n x n matrices.
+    ``unitarity_form`` is ``"factored"`` or ``"dense"``.
+    """
+    blocks = ts.blocks
+    u = blocks.U1 if ts.kept is None else blocks.U1[ts.kept]
+    if _factored_form_pays(blocks, u):
+        return {"unitarity_S": check_unitary_factored(u, blocks.solve).deviation,
+                "unitarity_S_b": check_unitary_factored(u[:, :blocks.n_b],
+                                                        blocks.solve_bb).deviation,
+                "unitarity_form": "factored"}
+    return {"unitarity_S": check_unitary(ts.S).deviation,
+            "unitarity_S_b": check_unitary(ts.S_b).deviation,
+            "unitarity_form": "dense"}
 
 
 def _radiation_condition(r_t: np.ndarray) -> float:
@@ -442,7 +566,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -sys.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    a = f + 2.0 * _background_th_apply(blocks, f)
+    a = f + 2.0 * _background_apply(blocks, blocks.U1_b, blocks.T_b0, f, adjoint=True)
     i_b = -sys.W @ i_c
     currents = np.vstack([i_b, i_c])
 
@@ -558,22 +682,31 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
 def parity_restricted(ts: TransitionSet) -> TransitionSet:
     """A ground-plane scene's operators on its parity-allowed waves only.
 
-    The restricted operators carry no basis;
-    ``swe.ground_plane_filter(ts.blocks.basis)`` gives the kept indices.
+    The restricted operators carry no basis and, like those of ``ts``,
+    are built only when read; ``swe.ground_plane_filter(ts.blocks.basis)``
+    gives the kept indices.
     """
-    keep = swe.ground_plane_filter(ts.blocks.basis)
-    sub = np.ix_(keep, keep)
-    return TransitionSet(T=OperatorMatrix("T", ts.T.data[sub]),
-                         T_b=OperatorMatrix("T", ts.T_b.data[sub]),
-                         S=OperatorMatrix("S", ts.S.data[sub]),
-                         S_b=OperatorMatrix("S", ts.S_b.data[sub]), blocks=ts.blocks,
-                         kept=keep)
+    return TransitionSet(ts.blocks, kept=swe.ground_plane_filter(ts.blocks.basis))
 
 
 def parity_leakage(ts: TransitionSet) -> float:
-    """Relative norm of S coupling parity-allowed to parity-forbidden waves."""
-    keep = swe.ground_plane_filter(ts.blocks.basis)
-    drop = np.setdiff1d(np.arange(ts.blocks.basis.size), keep)
+    """Relative norm of S coupling parity-allowed to parity-forbidden waves.
+
+    ``S[keep, drop] = -2 U1_keep Z^-1 U1_drop^T`` and, with the thin QR
+    ``U1 = Q R`` (p columns in Q), ``||S||_F^2 = ||I - 2 R Z^-1 R^T||_F^2
+    + n - p``; both come from the factors where ``scattering_unitarity``
+    uses them, else from the dense S.
+    """
+    blocks = ts.blocks
+    keep = swe.ground_plane_filter(blocks.basis)
+    drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
+    u = blocks.U1
+    if _factored_form_pays(blocks, u):
+        r_keep, r_drop, r = (np.linalg.qr(x, mode="r") for x in (u[keep], u[drop], u))
+        cross = 2.0 * r_keep @ blocks.solve(r_drop.T.astype(complex))
+        s_c = np.eye(r.shape[0]) - 2.0 * r @ blocks.solve(r.T.astype(complex))
+        norm_s = math.sqrt(np.linalg.norm(s_c) ** 2 + u.shape[0] - r.shape[0])
+        return float(np.linalg.norm(cross) / norm_s)
     return float(np.linalg.norm(ts.S.data[np.ix_(keep, drop)]) / np.linalg.norm(ts.S.data))
 
 
@@ -581,9 +714,10 @@ def cm_ground_plane(scene: DipoleScene, k: float,
                     wave_basis: WaveBasis | None = None) -> ModeSet:
     """Substructure modes of a scene above an infinite PEC ground plane.
 
-    Assembles the mirrored free-space scene, restricts S and S_b to the
+    Assembles the mirrored free-space scene, restricts it to the
     parity-allowed wave subset, and solves the scattering eigenproblem
-    there on the range of ``S - S_b`` (``cm_scattering`` with ``span``).
+    there on the range of ``S - S_b`` (``cm_scattering`` on the restricted
+    transition set, fed by the blocks).
     It returns the r modes of that range, at most three per controllable
     dipole of the mirrored scene, not one per kept wave: every other
     mode has ``s = 1``.  Mode vectors live on the kept indices;
@@ -593,7 +727,7 @@ def cm_ground_plane(scene: DipoleScene, k: float,
         raise ShapeError("cm_ground_plane expects a scene with the ground_plane flag")
     ts = transition(scene, k, wave_basis)
     restricted = parity_restricted(ts)
-    ms = cm_scattering(restricted.S, restricted.S_b, k=k, span=substructure_span(restricted))
+    ms = cm_scattering(restricted, k=k)
     ms.diagnostics["kept_indices"] = restricted.kept
     ms.diagnostics["parent_basis"] = ts.blocks.basis
     ms.diagnostics["parity_leakage"] = parity_leakage(ts)

@@ -1,7 +1,8 @@
 """Operator algebra shared by all backends.
 
-S <-> T conversion, passivity/unitarity checks, and embedding of a small
-operator into a larger basis (identity elsewhere).  The eigenvalue maps
+S <-> T conversion, passivity/unitarity checks (dense, and factored for
+``S = I - 2 U Z^-1 U^T`` with a thin real readout U), and embedding of a
+small operator into a larger basis (identity elsewhere).  The eigenvalue maps
 between s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
 """
 
@@ -106,6 +107,25 @@ def check_unitary(M, tol: float = UNITARY_TOL) -> CheckReport:
     m = _square(M)
     dim = m.shape[0]
     dev = np.linalg.norm(m.conj().T @ m - np.eye(dim)) / math.sqrt(dim)
+    return CheckReport(deviation=float(dev), passed=bool(dev <= tol), tol=tol)
+
+
+def check_unitary_factored(u: np.ndarray, solve, tol: float = UNITARY_TOL) -> CheckReport:
+    """``check_unitary`` of ``S = I - 2 u z^-1 u^T`` from its factors.
+
+    ``u`` is a real readout (n x m) and ``solve`` applies ``z^-1``.  With
+    the thin QR ``u = Q R`` and ``A = z^-1``, ``S^H S - I = Q (R B R^T)
+    Q^T`` where ``B = -2 (A + A^H) + 4 A^H R^T R A``, so the Frobenius
+    norm is that of the small matrix ``R B R^T = 4 C^H C - 2 (C + C^H)``
+    with ``C = R A R^T``.  It costs O(n m^2 + m^3) and forms no n x n
+    matrix; the deviation is scaled by sqrt(n), as in ``check_unitary``.
+    """
+    n, m = u.shape
+    dev = 0.0
+    if m:
+        r = np.linalg.qr(u, mode="r")
+        c = r @ solve(r.T.astype(complex))
+        dev = np.linalg.norm(4.0 * c.conj().T @ c - 2.0 * (c + c.conj().T)) / math.sqrt(n)
     return CheckReport(deviation=float(dev), passed=bool(dev <= tol), tol=tol)
 
 

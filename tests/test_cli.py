@@ -296,9 +296,11 @@ def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize("solver, types", [
-    ("dense-scattering", {"rank": int, "engine": str, "unitarity_S": float}),
+    ("dense-scattering", {"rank": int, "engine": str, "unitarity_S": float,
+                          "unitarity_form": str}),
     ("hybrid-scattering", {"rank": int, "engine": str, "u4_residual": float}),
-    ("iterative", {"iterations": int, "converged": bool, "unitarity_S": float}),
+    ("iterative", {"iterations": int, "converged": bool, "unitarity_S": float,
+                   "unitarity_form": str}),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # counts stay JSON integers and flags JSON booleans, not 3.0 or 1.0

@@ -170,6 +170,27 @@ def test_ports_reduce_to_transition_without_ports():
     assert np.abs(gs.S.data - ts.S.data).max() == 0.0
 
 
+def test_port_assembly_leaves_its_source_blocks_unchanged(monkeypatch):
+    # the port impedances go into a copy of the source blocks' Z
+    from scatmodes import dipoles
+
+    k = 2.0
+    scene = _symmetric_port_scene(k, True)
+    sources = []
+    assemble = dipoles.assemble_impedance
+
+    def keeping(*args, **kwargs):
+        sources.append(assemble(*args, **kwargs))
+        return sources[-1]
+
+    monkeypatch.setattr(dipoles, "assemble_impedance", keeping)
+    gs = generalized_scattering(scene, k)
+    fresh = assemble(scene, k)
+    assert len(sources) == 1
+    assert np.array_equal(sources[0].Z, fresh.Z)
+    assert not np.array_equal(gs.blocks.Z[:fresh.Z.shape[0]], fresh.Z)
+
+
 def test_generalized_scattering_unitary():
     k = 2.0
     gs = generalized_scattering(_symmetric_port_scene(k, True), k)

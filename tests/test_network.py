@@ -7,14 +7,20 @@ from numpy.testing import assert_allclose
 import mpmath as mp
 
 from scatmodes import (
+    DipoleScene,
     MappingError,
     ModeSet,
     OperatorMatrix,
+    Port,
     ShapeError,
     basis,
     check_t_power,
     check_unitary,
+    check_unitary_factored,
     embed_identity,
+    generalized_scattering,
+    scattering_unitarity,
+    transition,
     s_from_t,
     t_from_s,
 )
@@ -84,6 +90,48 @@ def test_lossless_scene_checks():
     ts = transition(scene, 1.0)
     assert check_unitary(ts.S).deviation < 1e-8
     assert check_t_power(ts.T).deviation < 1e-8
+
+
+def _ground_plane_set():
+    from scatmodes.modes import parity_restricted
+    scene = DipoleScene([[0.1, 0.0, 0.2], [-0.1, 0.1, 0.3], [0.0, -0.15, 0.1]], 0.05,
+                        ("background", "controllable", "controllable"), ground_plane=True)
+    return parity_restricted(transition(scene, 2.0))
+
+
+FACTORED_UNITARITY_CASES = {
+    "lossless": lambda: transition(random_scene(np.random.default_rng(5), 10, 0.6,
+                                                n_background=4), 1.0),
+    "port": lambda: generalized_scattering(
+        DipoleScene([[0.0, -0.35, 0.0], [0.0, 0.0, 0.0], [0.0, 0.35, 0.0]], 0.5,
+                    ("background", "controllable", "background"), ports=(Port(1, "x", 73.0),)),
+        2.0),
+    "ground-plane": _ground_plane_set,
+    # one degree cannot hold two dipoles 0.8 apart at k = 2: S is far from unitary
+    "under-resolved": lambda: transition(
+        DipoleScene([[0.4, 0.0, 0.0], [-0.4, 0.1, 0.0]], 1.0, ("background", "controllable")),
+        2.0, basis(1)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:wave basis l_max=1 under-resolves")
+@pytest.mark.parametrize("case", FACTORED_UNITARITY_CASES)
+def test_factored_unitarity_matches_dense(case):
+    # ||S^H S - I|| from the QR of the readout and Z^-1 is the dense check's
+    # quantity, for S and S_b, on the rows a transition set keeps
+    ts = FACTORED_UNITARITY_CASES[case]()
+    blocks = ts.blocks
+    u = blocks.U1 if ts.kept is None else blocks.U1[ts.kept]
+    factored = [check_unitary_factored(u, blocks.solve).deviation,
+                check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb).deviation]
+    dense = [check_unitary(ts.S).deviation, check_unitary(ts.S_b).deviation]
+    assert np.abs(np.subtract(factored, dense)).max() <= 1e-14
+    if case == "under-resolved":
+        assert min(dense) > 0.01
+    else:
+        chosen = scattering_unitarity(ts)
+        assert chosen["unitarity_form"] == "factored"
+        assert [chosen["unitarity_S"], chosen["unitarity_S_b"]] == factored
 
 
 def test_map_consistency_unitary_pair():

@@ -206,3 +206,24 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
     for f in sc["frequencies"]:
         cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
     assert sizes and max(max(shape) for shape in sizes) <= three_n_c < wave_basis.size
+
+
+@pytest.mark.parametrize("case, builds", [
+    ("dense-scattering", False), ("port", False), ("ground-plane-dense-scattering", False),
+    ("t-form", True), ("iterative", True), ("checks", True),
+])
+def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
+    # the range engine and the factored unitarity check work on the blocks'
+    # factors; only the engines and checks that read T, T_b, S or S_b build
+    # them (every one of them is made from a T built by dipoles._t_of)
+    from scatmodes import dipoles
+
+    calls = {}
+    _count_calls(monkeypatch, calls, dipoles, "_t_of")
+    if case == "checks":
+        cli.run_checks(cli.parse_scenario(FACTORISATION_CASES["dense-scattering"]))
+    else:
+        sc = cli.parse_scenario(FACTORISATION_CASES[case])
+        cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
+                         cli._sweep_basis(sc), seed=1)
+    assert bool(calls) == builds, calls
