@@ -145,6 +145,7 @@ def parse_scenario(raw: dict) -> dict:
     return {
         "scene": scene,
         "sphere": sphere,
+        "hybrid": None if sphere is None else HybridScene(scene, sphere),
         "frequencies": np.linspace(f_min, f_max, int(n_points)),
         "solver": solver,
         "n_modes": int(raw.get("n_modes", 6)),
@@ -172,8 +173,7 @@ def _sweep_basis(sc: dict):
     """
     if sc["sphere"] is not None:
         ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
-        return hybrid_sweep_basis(HybridScene(sc["scene"], sc["sphere"]), ks,
-                                  sc["tolerances"].get("u4_residual", 1e-6))
+        return hybrid_sweep_basis(sc["hybrid"], ks, sc["tolerances"].get("u4_residual", 1e-6))
     k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     return default_basis(sc["scene"], k_max)
 
@@ -206,7 +206,7 @@ def _scattering_operators(sc: dict, k: float, wave_basis):
 
 
 def _hybrid_system(sc: dict, k: float, wave_basis):
-    system = assemble_hybrid(HybridScene(sc["scene"], sc["sphere"]), k, wave_basis,
+    system = assemble_hybrid(sc["hybrid"], k, wave_basis,
                              residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
     return system, {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
 

@@ -34,9 +34,6 @@ ETA0 = 376.730313668
 #: vector mirror for the z = 0 plane
 _MIRROR = np.diag([1.0, 1.0, -1.0])
 
-#: moment map of image theory (tangential flipped, normal preserved)
-IMAGE_FLIP = np.diag([-1.0, -1.0, 1.0])
-
 CONTROLLABLE = "controllable"
 BACKGROUND = "background"
 
@@ -203,19 +200,16 @@ class BlockImpedance:
       the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the sphere's
       ``T_b1``, which the controllable region sees as background.
 
-    The system matrix is complex symmetric, and lossless scenes satisfy
-    ``Re Z = Re(U1^H U1)`` to rounding.  ``perm`` maps system rows to flat
-    scene unknowns ``3 * dipole + axis`` of the assembled (possibly
-    image-augmented) scene.
-
-    The blocks own the two factorisations a frequency point needs, and
-    every engine takes its Z and Z_bb solves from them: ``solve`` and
-    ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU factors computed
-    (pivot-checked) on first use and kept by this object only; ``cached``
-    keeps other per-point products, such as the assembled Z, the Schur
-    elimination and the transition operators, the same way.  Copies made
-    by ``with_system`` or ``dataclasses.replace`` start without them; do
-    not modify the blocks in place once solved.
+    Z is complex symmetric, and lossless scenes satisfy ``Re Z =
+    Re(U1^H U1)`` to rounding.  ``perm`` maps system rows to flat scene
+    unknowns ``3 * dipole + axis`` of the assembled (possibly
+    image-augmented) scene.  ``assemble_impedance`` builds Z and U1 once,
+    in system order; the blocks are read-only views of them, and ``Z`` and
+    ``U1`` return copies.  ``solve`` and ``solve_bb`` apply ``Z^-1`` and
+    ``Z_bb^-1`` from LU factors made (pivot-checked) on first use and kept
+    by this object only; ``cached`` keeps other per-point products (Schur
+    elimination, transition operators) the same way.  Copies made by
+    ``with_system`` or ``dataclasses.replace`` start without them.
     """
 
     Z_bb: np.ndarray
@@ -245,18 +239,19 @@ class BlockImpedance:
         """The full system matrix, a new array the caller may modify."""
         return self._system_matrix().copy()
 
-    def _system_matrix(self) -> np.ndarray:
-        """The full system matrix, assembled once and kept read-only."""
-        def assemble():
-            z = np.block([[self.Z_bb, self.Z_bc], [self.Z_cb, self.Z_cc]])
-            z.flags.writeable = False
-            return z
-
-        return self.cached("Z", assemble)
-
     @property
     def U1(self) -> np.ndarray:
-        return np.hstack([self.U1_b, self.U1_c])
+        """The full readout, a new array the caller may modify."""
+        return self._readout().copy()
+
+    def _system_matrix(self) -> np.ndarray:
+        """The full system matrix, kept read-only (assembled once for copies)."""
+        return self.cached("Z", lambda: _read_only(
+            np.block([[self.Z_bb, self.Z_bc], [self.Z_cb, self.Z_cc]])))
+
+    def _readout(self) -> np.ndarray:
+        """The full readout, kept read-only (assembled once for copies)."""
+        return self.cached("U1", lambda: _read_only(np.hstack([self.U1_b, self.U1_c])))
 
     def with_system(self, z: np.ndarray, u: np.ndarray, **changes) -> "BlockImpedance":
         """Copy with the full system matrix and readout replaced, unknown order kept."""
@@ -266,7 +261,7 @@ class BlockImpedance:
 
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
-        return factorization_residual(self._system_matrix(), self.U1)
+        return factorization_residual(self._system_matrix(), self._readout())
 
     def cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
@@ -293,6 +288,11 @@ class BlockImpedance:
         return self.cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
     """Relative deviation of Re z from Re(u^H u); zero for an empty system.
 
@@ -313,6 +313,10 @@ def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
     return swe.basis(l_max)
 
 
+#: i < j dipole pairs per Green evaluation in ``assemble_impedance``
+_PAIR_CHUNK = 4096
+
+
 def assemble_impedance(scene: DipoleScene, k: float,
                        wave_basis: WaveBasis | None = None) -> BlockImpedance:
     """Assemble the block impedance system and real wave projection.
@@ -322,6 +326,8 @@ def assemble_impedance(scene: DipoleScene, k: float,
     polarisability with the exact radiative correction ``I/(6 pi)`` that
     makes each dipole, and hence the scene, lossless.  With the
     ground-plane flag set, image dipoles are appended internally.
+    Z is complex symmetric: G is evaluated on the pairs i < j only, and
+    each block is written with its transpose into the system-order Z.
     """
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
@@ -332,33 +338,28 @@ def assemble_impedance(scene: DipoleScene, k: float,
     if wave_basis is None:
         wave_basis = default_basis(scene, k)
 
-    pos = scene.positions
+    ctrl = scene.is_controllable
+    order = np.concatenate([np.flatnonzero(~ctrl), np.flatnonzero(ctrl)])
+    pos = scene.positions[order]
     n = scene.n_dipoles
-    z = np.zeros((3 * n, 3 * n), dtype=complex)
-    if n > 1:
-        gi, gj = np.nonzero(~np.eye(n, dtype=bool))
-        g = _green_blocks(k, pos[gi] - pos[gj])
-        zv = z.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
-        zv[gi, gj] = (1j / k) * g
-    inv_alpha = np.linalg.inv(scene.polarizability)
-    for p in range(n):
-        z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
-            np.eye(3) / (6.0 * np.pi) - 1j * inv_alpha[p] / k**3
-
-    u1 = assemble_projection(scene, k, wave_basis)
-
-    mask_c = np.repeat(scene.is_controllable, 3)
-    perm = np.concatenate([np.flatnonzero(~mask_c), np.flatnonzero(mask_c)])
-    z_sys = z[np.ix_(perm, perm)]
-    u_sys = u1[:, perm]
-    nb = int(np.count_nonzero(~mask_c))
+    z = np.empty((3 * n, 3 * n), dtype=complex)
+    zv = z.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)  # zv[i, j]: block of dipoles i, j
+    gi, gj = np.triu_indices(n, 1)
+    for s in range(0, gi.size, _PAIR_CHUNK):
+        i, j = gi[s:s + _PAIR_CHUNK], gj[s:s + _PAIR_CHUNK]
+        g = (1j / k) * _green_blocks(k, pos[i] - pos[j])
+        zv[i, j] = g
+        zv[j, i] = g.transpose(0, 2, 1)
+    zv[range(n), range(n)] = np.eye(3) / (6.0 * np.pi) \
+        - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
+    u = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    z.flags.writeable = u.flags.writeable = False
+    nb = 3 * int(np.count_nonzero(~ctrl))
     blocks = BlockImpedance(
-        Z_bb=z_sys[:nb, :nb], Z_bc=z_sys[:nb, nb:],
-        Z_cb=z_sys[nb:, :nb], Z_cc=z_sys[nb:, nb:],
-        U1_b=u_sys[:, :nb], U1_c=u_sys[:, nb:],
-        basis=wave_basis, k=k, scene=scene, perm=perm,
-        source_scene=source_scene,
-    )
+        Z_bb=z[:nb, :nb], Z_bc=z[:nb, nb:], Z_cb=z[nb:, :nb], Z_cc=z[nb:, nb:],
+        U1_b=u[:, :nb], U1_c=u[:, nb:], basis=wave_basis, k=k, scene=scene,
+        perm=(3 * order[:, None] + np.arange(3)).ravel(), source_scene=source_scene)
+    blocks._cache.update(Z=z, U1=u)
     if n > 0:
         residual = blocks.factorization_residual()
         if residual > 1e-6:
@@ -408,21 +409,10 @@ class TransitionSet:
     blocks: BlockImpedance
     kept: np.ndarray | None = field(default=None, kw_only=True)
 
-    @property
-    def T(self) -> OperatorMatrix:
-        return self._operator("T")
-
-    @property
-    def T_b(self) -> OperatorMatrix:
-        return self._operator("T_b")
-
-    @property
-    def S(self) -> OperatorMatrix:
-        return self._operator("S")
-
-    @property
-    def S_b(self) -> OperatorMatrix:
-        return self._operator("S_b")
+    T = property(lambda self: self._operator("T"))
+    T_b = property(lambda self: self._operator("T_b"))
+    S = property(lambda self: self._operator("S"))
+    S_b = property(lambda self: self._operator("S_b"))
 
     def _operator(self, name: str) -> OperatorMatrix:
         full = self.blocks.cached(name, lambda: _full_operator(self.blocks, name))
@@ -433,9 +423,18 @@ class TransitionSet:
                                   lambda: OperatorMatrix(full.kind, full.data[sub]))
 
 
+def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``u @ x``; a real u times a complex x is one real GEMM on x's interleaved float view
+    (numpy's mixed product would copy u to complex and run a complex GEMM)."""
+    if np.iscomplexobj(u) or not np.iscomplexobj(x):
+        return u @ x
+    flat = np.ascontiguousarray(x if x.ndim == 2 else x[:, None]).view(float)
+    return (u @ flat).view(complex).reshape(u.shape[:1] + x.shape[1:])
+
+
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
     """``t0 - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
-    t = -u @ solve(u.T.astype(complex))
+    t = -_readout_product(u, solve(u.T.astype(complex)))
     return t if t0 is None else t0 + t
 
 
@@ -445,7 +444,8 @@ def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
         t = blocks.cached("T" + name[1:], lambda: _full_operator(blocks, "T" + name[1:]))
         return OperatorMatrix("S", 2.0 * t.data + np.eye(blocks.basis.size), blocks.basis)
     if name == "T":
-        return OperatorMatrix("T", _t_of(blocks.solve, blocks.U1, blocks.T_b0), blocks.basis)
+        return OperatorMatrix("T", _t_of(blocks.solve, blocks._readout(), blocks.T_b0),
+                              blocks.basis)
     return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
 
 
@@ -506,5 +506,5 @@ def generalized_scattering(scene: DipoleScene, k: float,
     u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
     basis = CompositeBasis(wave=blocks.basis,
                            extra_labels=tuple(f"port{i}" for i in range(len(ports))))
-    ported = blocks.with_system(z, np.vstack([blocks.U1, u_port]), basis=basis)
+    ported = blocks.with_system(z, np.vstack([blocks._readout(), u_port]), basis=basis)
     return GeneralizedScattering(**vars(transition(blocks=ported)), port_rows=rows)

@@ -26,7 +26,7 @@ lossless scenes to the truncation accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,15 @@ from .swe import WaveBasis
 
 @dataclass(frozen=True)
 class HybridScene:
-    """Dipole scene around a T-matrix sphere at the global origin."""
+    """Dipole scene around a T-matrix sphere at the global origin.
+
+    ``_sweep_u4`` keeps the U4 expansions ``hybrid_sweep_basis`` made for
+    ``assemble_hybrid``, by (k, l_max, r_fit, quad_margin).
+    """
 
     mom_scene: DipoleScene
     sphere: SphereSpec
+    _sweep_u4: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mom_scene.ground_plane or self.mom_scene.ports:
@@ -137,15 +142,22 @@ def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float) -> WaveBasis
 
     Starts from the truncation rule at the highest wavenumber and raises
     ``l_max`` by at most ``QUAD_MARGIN`` degrees until the U4 truncation
-    gauge (``u4_expansion``) is within ``residual_tol`` at every ``k``.
+    gauge (``u4_expansion``) is within ``residual_tol`` at every ``k``;
+    the scene keeps that basis's expansions for ``assemble_hybrid``.
     If none is, the truncation rule's basis is returned and
     ``assemble_hybrid`` raises at the points that miss the tolerance.
     """
     start = default_hybrid_basis(scene, max(ks))
     for l_max in range(start.l_max, start.l_max + QUAD_MARGIN + 1):
         wave_basis = swe.basis(l_max)
-        if all(u4_expansion(scene, k, wave_basis)[1].max(initial=0.0) <= residual_tol
-               for k in ks):
+        expansions = {}
+        for k in ks:
+            key = (k, l_max, None, QUAD_MARGIN)
+            expansions[key] = u4_expansion(scene, k, wave_basis)
+            if expansions[key][1].max(initial=0.0) > residual_tol:
+                break
+        else:
+            scene._sweep_u4.update(expansions)
             return wave_basis
     return start
 
@@ -217,12 +229,12 @@ def assemble_hybrid(scene: HybridScene, k: float,
     sphere (default ``scene.default_r_fit()``), the same quantity the
     quadrature ``assemble_u4`` measures; a column above ``residual_tol``
     raises ``ResolutionError``, an ``r_fit`` outside the clearance
-    ``GeometryError``.
+    ``GeometryError``.  An expansion ``hybrid_sweep_basis`` kept is used once.
     """
     if wave_basis is None:
         wave_basis = default_hybrid_basis(scene, k)
-    u4, residuals, r_fit = u4_expansion(scene, k, wave_basis, r_fit=r_fit,
-                                        quad_margin=quad_margin)
+    u4, residuals, r_fit = scene._sweep_u4.pop((k, wave_basis.l_max, r_fit, quad_margin), None) \
+        or u4_expansion(scene, k, wave_basis, r_fit=r_fit, quad_margin=quad_margin)
     if np.any(residuals > residual_tol):
         raise ResolutionError(
             f"U4 truncation residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "

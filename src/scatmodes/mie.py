@@ -119,10 +119,8 @@ def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
             f"for ka={k * spec.radius:.4g}"
         )
     t_te, t_tm = mie_t_coefficients(spec, k, wave_basis.l_max)
-    diag = np.empty(wave_basis.size, dtype=complex)
-    for n, idx in enumerate(wave_basis.indices):
-        diag[n] = t_tm[idx.l - 1] if idx.pol == "TM" else t_te[idx.l - 1]
-    return OperatorMatrix("T", np.diag(diag), wave_basis)
+    l, _, tm = wave_basis.arrays()
+    return OperatorMatrix("T", np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1])), wave_basis)
 
 
 def mie_modeset(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> ModeSet:

@@ -24,6 +24,7 @@ from .dipoles import (
     BlockImpedance,
     DipoleScene,
     TransitionSet,
+    _readout_product,
     _solver,
     factorization_residual,
     transition,
@@ -403,10 +404,6 @@ class SchurSystem:
     def R_tilde(self) -> np.ndarray:
         return self.Z_tilde.real.copy()
 
-    @property
-    def X_tilde(self) -> np.ndarray:
-        return self.Z_tilde.imag.copy()
-
     def factorization_residual(self) -> float:
         return factorization_residual(self.Z_tilde, self.U1_tilde)
 
@@ -420,7 +417,7 @@ def schur_system(blocks: BlockImpedance) -> SchurSystem:
     def eliminate():
         w = blocks.solve_bb(blocks.Z_bc)
         return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
-                           U1_tilde=blocks.U1_c - blocks.U1_b @ w, W=w)
+                           U1_tilde=blocks.U1_c - _readout_product(blocks.U1_b, w), W=w)
 
     return blocks.cached("schur_system", eliminate)
 
@@ -456,9 +453,10 @@ def _background_apply(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray 
     """
     if adjoint:
         out = 0.0 if t_b0 is None else t_b0.conj().T @ vec
-        return out - np.conj(u_b @ blocks.solve_bb(u_b.T @ np.conj(vec)))
+        return out - np.conj(_readout_product(
+            u_b, blocks.solve_bb(_readout_product(u_b.T, np.conj(vec)))))
     out = 0.0 if t_b0 is None else t_b0 @ vec
-    return out - u_b @ blocks.solve_bb(u_b.T @ vec)
+    return out - _readout_product(u_b, blocks.solve_bb(_readout_product(u_b.T, vec)))
 
 
 def _tilde_solve(blocks: BlockImpedance):
@@ -489,7 +487,7 @@ def scattering_unitarity(ts: TransitionSet) -> dict:
     ``unitarity_form`` is ``"factored"`` or ``"dense"``.
     """
     blocks = ts.blocks
-    u = blocks.U1 if ts.kept is None else blocks.U1[ts.kept]
+    u = blocks._readout() if ts.kept is None else blocks._readout()[ts.kept]
     if _factored_form_pays(blocks, u):
         return {"unitarity_S": check_unitary_factored(u, blocks.solve).deviation,
                 "unitarity_S_b": check_unitary_factored(u[:, :blocks.n_b],
@@ -534,7 +532,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
         return ModeSet(s=np.zeros(0, dtype=complex), a=None, f=None, k=k,
                        basis=blocks.basis, diagnostics=diag)
 
-    r_t, x_t = sys.R_tilde, sys.X_tilde
+    r_t, x_t = sys.Z_tilde.real, sys.Z_tilde.imag
     r_t = 0.5 * (r_t + r_t.T)
     x_t = 0.5 * (x_t + x_t.T)
     diag["r_condition"] = _radiation_condition(r_t)
@@ -640,8 +638,8 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     t = modeset.t
     nb = blocks.n_b
 
-    currents = blocks.solve(blocks.U1.T @ a)
-    currents[:nb] -= blocks.solve_bb(blocks.U1_b.T @ a)
+    currents = blocks.solve(_readout_product(blocks._readout().T, a))
+    currents[:nb] -= blocks.solve_bb(_readout_product(blocks.U1_b.T, a))
     currents_c = currents[nb:, :]
 
     sys = schur_system(blocks)
@@ -700,7 +698,7 @@ def parity_leakage(ts: TransitionSet) -> float:
     blocks = ts.blocks
     keep = swe.ground_plane_filter(blocks.basis)
     drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
-    u = blocks.U1
+    u = blocks._readout()
     if _factored_form_pays(blocks, u):
         r_keep, r_drop, r = (np.linalg.qr(x, mode="r") for x in (u[keep], u[drop], u))
         cross = 2.0 * r_keep @ blocks.solve(r_drop.T.astype(complex))

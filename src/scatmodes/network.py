@@ -18,7 +18,6 @@ from .swe import WaveBasis
 
 #: library default tolerances
 UNITARY_TOL = 1e-8
-SPECTRAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,6 @@ class WaveIndex:
         if self.pol not in (TE, TM):
             raise DomainError(f"polarisation must be 'TE' or 'TM', got {self.pol!r}")
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.l, self.m, 0 if self.pol == TE else 1)
-
 
 @dataclass(frozen=True)
 class WaveBasis:
@@ -119,7 +115,6 @@ def basis(l_max: int) -> WaveBasis:
         for m in range(-l, l + 1)
         for pol in (TE, TM)
     ]
-    idx.sort(key=lambda i: i.sort_key)
     return WaveBasis(l_max=l_max, indices=tuple(idx))
 
 
@@ -233,14 +228,12 @@ def _wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray, kind: str):
     if kind == "regular":
         zl, dzl = jl, djl
         dtype = float
-    elif kind == "outgoing":
+    else:
         yl = spherical_yn(ls[:, None], kr_safe[None, :])
         dyl = spherical_yn(ls[:, None], kr_safe[None, :], derivative=True)
         zl = jl - 1j * yl
         dzl = djl - 1j * dyl
         dtype = complex
-    else:  # pragma: no cover
-        raise ValueError(kind)
 
     P, Q, D = _legendre_tables(l_max, ct, st)
     # azimuthal factors F (pattern) and G (its phi derivative) per m = -l_max..l_max

@@ -261,3 +261,40 @@ def wave_table_per_wave(wave_basis, k, points, kind="regular"):
             vec[at_origin, swe._ORIGIN_AXIS[m]] = swe._ORIGIN_TM1
         out[n] = vec
     return out
+
+
+# ---------------------------------------------------------------------------
+# Impedance system over all ordered dipole pairs, in scene order
+# ---------------------------------------------------------------------------
+
+def system_permutation(scene):
+    """System order of a scene's flat unknowns: background unknowns first, each region in scene order."""
+    mask = np.repeat(scene.is_controllable, 3)
+    return np.concatenate([np.flatnonzero(~mask), np.flatnonzero(mask)])
+
+
+def impedance_reference(scene, k, wave_basis):
+    """Z and U1 of a dipole scene in system order, assembled the straightforward way.
+
+    The Green blocks are evaluated on every ordered pair (i, j), i != j, in
+    scene order, so both G_ij and G_ji are computed; the diagonal is filled
+    one dipole at a time, and the system order is applied afterwards by
+    permuting rows and columns.  A ground-plane scene is mirrored first.
+    """
+    from scatmodes import dipoles, swe
+
+    if scene.ground_plane:
+        scene = dipoles.mirror_scene(scene)
+    pos = scene.positions
+    n = scene.n_dipoles
+    z = np.zeros((3 * n, 3 * n), dtype=complex)
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        row = (1j / k) * dipoles._green_blocks(k, pos[i] - pos[others])
+        for j, block in zip(others, row):
+            z[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
+        z[3 * i:3 * i + 3, 3 * i:3 * i + 3] = \
+            np.eye(3) / (6.0 * np.pi) - 1j * np.linalg.inv(scene.polarizability[i]) / k**3
+    u1 = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    perm = system_permutation(scene)
+    return z[np.ix_(perm, perm)], u1[:, perm]

@@ -18,8 +18,10 @@ from scatmodes import (
     mirror_scene,
     transition,
 )
+from scatmodes.dipoles import TransitionSet
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
+from oracles import impedance_reference, system_permutation
 
 
 def test_single_dipole_radiative_correction():
@@ -274,3 +276,169 @@ def test_generalized_spherical_block_is_terminated_scattering():
     w = np.linalg.eigvalsh(np.eye(nw) - s_block.conj().T @ s_block)
     assert w.min() > -1e-12
     assert w.max() > 1e-6  # the port genuinely absorbs power
+
+
+# ---------------------------------------------------------------------------
+# system-order assembly: the one array the blocks view
+# ---------------------------------------------------------------------------
+
+def _hybrid_scene():
+    from scatmodes import HybridScene, SphereSpec
+
+    pos = [[0.5, 0.0, 0.1], [0.0, 0.55, -0.1], [-0.45, 0.2, 0.3], [0.1, -0.5, 0.2]]
+    return HybridScene(DipoleScene(pos, 6.0 * math.pi * 0.8,
+                                   ("controllable", "background", "controllable", "background")),
+                       SphereSpec(0.15, "dielectric", eps_r=4.0))
+
+
+def _port_reference(scene, k, wave_basis):
+    from scatmodes.dipoles import ETA0
+
+    z, u = impedance_reference(scene, k, wave_basis)
+    perm = system_permutation(scene)
+    rows = [int(np.flatnonzero(perm == 3 * p.element + p.axis)[0]) for p in scene.ports]
+    z0 = np.array([p.z0 for p in scene.ports]) / ETA0
+    z[rows, rows] += z0
+    u_port = np.zeros((len(rows), z.shape[0]))
+    u_port[np.arange(len(rows)), rows] = np.sqrt(z0)
+    return z, np.vstack([u, u_port])
+
+
+def _hybrid_reference(hs, k, wave_basis):
+    from scatmodes import mie_tmatrix
+    from scatmodes.hybrid import u4_expansion
+
+    z, u = impedance_reference(hs.mom_scene, k, wave_basis)
+    u4 = u4_expansion(hs, k, wave_basis)[0][:, system_permutation(hs.mom_scene)]
+    tb1 = mie_tmatrix(hs.sphere, k, wave_basis).data
+    return z + u4.T @ tb1 @ u4, u + tb1 @ u4
+
+
+def _assembly_case(case):
+    """(blocks, reference Z, reference U1) of one scene kind."""
+    from scatmodes import assemble_hybrid
+
+    rng = np.random.default_rng(21)
+    k = 1.0
+    if case == "hybrid":
+        hs = _hybrid_scene()
+        wb = basis(10)
+        return (assemble_hybrid(hs, k, wb, residual_tol=1.0).blocks,
+                *_hybrid_reference(hs, k, wb))
+    if case == "port":
+        base = random_scene(rng, 9, 0.7, n_background=3)
+        scene = DipoleScene(base.positions, base.polarizability, base.region,
+                            ports=(Port(4, "x", 73.0), Port(7, "z", 50.0)))
+        blocks = generalized_scattering(scene, k).blocks
+        return blocks, *_port_reference(scene, k, blocks.basis.wave)
+    if case == "ground-plane":
+        base = random_scene(rng, 7, 0.6, n_background=3)
+        scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability,
+                            base.region, ground_plane=True)
+    else:
+        n_background = {"plain": 0, "two-region": 6, "empty-background": 0}[case]
+        scene = random_scene(rng, 14, 0.9, n_background=n_background)
+        if case == "plain":
+            # regions interleaved, so the system order is a real permutation
+            scene = DipoleScene(scene.positions, scene.polarizability,
+                                ("background", "controllable") * 7)
+    blocks = assemble_impedance(scene, k)
+    return blocks, *impedance_reference(scene, k, blocks.basis)
+
+
+ASSEMBLY_CASES = ("plain", "two-region", "empty-background", "port", "ground-plane", "hybrid")
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES)
+def test_assembly_matches_the_ordered_pair_reference(case):
+    # the i < j Green blocks written with their transposes, in system order,
+    # are bit for bit the all-ordered-pairs scene-order system permuted
+    blocks, z_ref, u_ref = _assembly_case(case)
+    assert np.array_equal(blocks.Z, z_ref)
+    assert np.array_equal(blocks.U1, u_ref)
+
+
+def test_blocks_are_read_only_views_of_one_system_matrix(monkeypatch):
+    # Z_bb, Z_bc, Z_cb and Z_cc view the system matrix, U1_b and U1_c the
+    # readout; a dipole point never stacks the blocks into new arrays
+    import sys
+
+    from scatmodes import cli, dipoles
+    from test_cli import _scenario
+
+    scene = random_scene(np.random.default_rng(22), 10, 0.8, n_background=4)
+    blocks = assemble_impedance(scene, 1.0)
+    z = blocks._system_matrix()
+    for view in (blocks.Z_bb, blocks.Z_bc, blocks.Z_cb, blocks.Z_cc):
+        assert np.shares_memory(view, z)
+        assert not view.flags.writeable
+    u = blocks._readout()
+    for view in (blocks.U1_b, blocks.U1_c):
+        assert np.shares_memory(view, u)
+        assert not view.flags.writeable
+    assert not z.flags.writeable and not u.flags.writeable
+
+    stacked = []
+    for name in ("block", "hstack"):
+        original = getattr(np, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == dipoles.__name__:
+                stacked.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, recording)
+    for solver in ("dense-scattering", "dense-impedance", "t-form", "iterative"):
+        sc = cli.parse_scenario(_scenario(solver=solver))
+        cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
+                         cli._sweep_basis(sc), seed=1)
+    assert stacked == []
+
+
+def _port_bank():
+    rng = np.random.default_rng(23)
+    scenes = []
+    for i in range(6):
+        base = random_scene(rng, 6 + i, 0.7, n_background=i % 3)
+        ports = (Port(base.n_dipoles - 1, "xyz"[i % 3], 50.0 + 10.0 * i),)
+        scenes.append(DipoleScene(base.positions, base.polarizability, base.region, ports=ports))
+    return scenes
+
+
+@pytest.mark.parametrize("bank", ["dipole", "port", "ground-plane"])
+def test_real_readout_products_match_the_complex_product(bank, request):
+    # T and T_b of a real readout come from real GEMMs on the interleaved
+    # view of Z^-1 U1^T; the plain complex product gives the same operators
+    from scatmodes.modes import parity_restricted
+
+    if bank == "dipole":
+        sets = [transition(scene, k) for scene, k in request.getfixturevalue("lossless_bank")]
+    elif bank == "port":
+        sets = [generalized_scattering(scene, 1.0) for scene in _port_bank()]
+    else:
+        sets = [parity_restricted(transition(scene, k))
+                for scene, k in request.getfixturevalue("ground_plane_bank")]
+    worst = 0.0
+    for ts in sets:
+        blocks = ts.blocks
+        full = TransitionSet(blocks)  # over the whole basis, also for a ground plane
+        assert not np.iscomplexobj(blocks.U1)
+        u = blocks.U1.astype(complex)
+        ub = u[:, :blocks.n_b]
+        for t, plain in ((full.T.data, -u @ blocks.solve(u.T.copy())),
+                         (full.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
+            worst = max(worst, np.linalg.norm(t - plain) / max(np.linalg.norm(plain), 1e-300))
+    assert worst <= 1e-15
+
+
+def test_complex_readout_keeps_the_plain_product():
+    # a hybrid's readout is complex: T is the plain complex product, unchanged
+    from scatmodes import assemble_hybrid
+
+    blocks = assemble_hybrid(_hybrid_scene(), 1.0, basis(10), residual_tol=1.0).blocks
+    ts = transition(blocks=blocks)
+    u = blocks.U1
+    assert np.iscomplexobj(u)
+    assert np.array_equal(ts.T.data, blocks.T_b0 + -u @ blocks.solve(u.T.astype(complex)))
+    ub = u[:, :blocks.n_b]
+    assert np.array_equal(ts.T_b.data, blocks.T_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))

@@ -227,3 +227,55 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
         cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
                          cli._sweep_basis(sc), seed=1)
     assert bool(calls) == builds, calls
+
+
+def test_iterative_point_holds_few_system_sized_arrays():
+    # one iterative point on a 150-dipole two-region scene whose basis
+    # (198 waves) is smaller than its 450 unknowns, so the 3N x 3N arrays
+    # dominate: the system matrix and its LU factors, plus bounded
+    # temporaries, stay under 4.5 Z-sized arrays (scene-order and permuted
+    # copies and an all-ordered-pairs Green table take about 5.8)
+    import tracemalloc
+    import warnings
+
+    from conftest import random_positions
+
+    rng = np.random.default_rng(150)
+    n = 150
+    dipoles = [{"position": [float(x) for x in p],
+                "polarizability": 0.0005 * (1.0 + rng.random()),
+                "region": "background" if i % 3 == 0 else "controllable"}
+               for i, p in enumerate(random_positions(rng, n, 0.3, min_sep=0.02))]
+    sc = cli.parse_scenario(_scenario(solver="iterative", n_modes=4,
+                                      sweep={"f_min": 5.0e7, "f_max": 5.0e7, "n_points": 1},
+                                      scene={"dipoles": dipoles}))
+    wave_basis = cli._sweep_basis(sc)
+    z_nbytes = (3 * n) ** 2 * np.dtype(complex).itemsize
+    assert 2 * wave_basis.size < 3 * n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        tracemalloc.start()
+        try:
+            cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4.5 * z_nbytes, peak / z_nbytes
+
+
+def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
+    # the sweep basis evaluates the closed-form U4 at every frequency; the
+    # points reuse those tables instead of evaluating them again
+    from scatmodes import hybrid
+    from conftest import hybrid_sweep_seed7
+
+    calls = {}
+    _count_calls(monkeypatch, calls, hybrid, "u4_expansion")
+    sc = cli.parse_scenario(hybrid_sweep_seed7())
+    wave_basis = cli._sweep_basis(sc)
+    n_points = len(sc["frequencies"])
+    assert calls == {"u4_expansion": n_points}  # the first basis tried passes
+    for f in sc["frequencies"]:
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+    assert calls == {"u4_expansion": n_points}
+    assert sc["hybrid"]._sweep_u4 == {}
