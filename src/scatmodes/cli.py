@@ -79,59 +79,88 @@ class ScenarioError(ValueError):
     """Scenario file is syntactically or semantically invalid."""
 
 
-def _need(obj: dict, key: str, context: str):
-    if key not in obj:
+_REQUIRED = object()
+
+
+def _field(obj: dict, key: str, context: str, valid=None, what: str = "",
+           default=_REQUIRED):
+    """``obj[key]`` (``default`` if given and absent); a ``ScenarioError`` names the field
+    where ``obj`` is no JSON object, a required key is missing or ``valid(value)`` fails."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"field '{context.rstrip('.')}' must be a JSON object")
+    if key not in obj and default is _REQUIRED:
         raise ScenarioError(f"missing required field '{context}{key}'")
-    return obj[key]
+    value = obj.get(key, default)
+    if valid is not None and not valid(value):
+        raise ScenarioError(f"field '{context}{key}' must be {what}, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _is_count(value, minimum: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _shape(value):
+    """Shape of ``value`` read as an array of finite floats; None if it is not one."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return arr.shape if np.isfinite(arr).all() else None
 
 
 def parse_scenario(raw: dict) -> dict:
     """Validate a scenario dictionary; error messages name the offending field."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _need(raw, "version", "")
-    scene_raw = _need(raw, "scene", "")
-    dipoles_raw = _need(scene_raw, "dipoles", "scene.")
+    _field(raw, "version", "")
+    scene_raw = _field(raw, "scene", "")
     positions, alphas, regions = [], [], []
-    for i, d in enumerate(dipoles_raw):
+    for i, d in enumerate(_field(scene_raw, "dipoles", "scene.",
+                                 lambda v: isinstance(v, list), "a list of objects")):
         ctx = f"scene.dipoles[{i}]."
-        positions.append(_need(d, "position", ctx))
-        alphas.append(_need(d, "polarizability", ctx))
+        positions.append(_field(d, "position", ctx, lambda v: _shape(v) == (3,),
+                                "3 finite numbers"))
+        a = np.asarray(_field(d, "polarizability", ctx, lambda v: _shape(v) in ((), (3, 3)),
+                              "a finite number or a 3x3 tensor"), dtype=float)
+        alphas.append(a * np.eye(3) if a.ndim == 0 else a)
         regions.append(d.get("region", "controllable"))
     ports = tuple(
-        Port(_need(p, "dipole", f"scene.ports[{i}]."),
-             _need(p, "axis", f"scene.ports[{i}]."),
-             _need(p, "z0", f"scene.ports[{i}]."))
-        for i, p in enumerate(scene_raw.get("ports", []))
+        Port(_field(p, "dipole", f"scene.ports[{i}].", lambda v: _is_count(v, 0), "an index"),
+             _field(p, "axis", f"scene.ports[{i}].", lambda v: v in ("x", "y", "z", 0, 1, 2)
+                    and not isinstance(v, bool), "'x', 'y' or 'z'"),
+             _field(p, "z0", f"scene.ports[{i}].", _is_number, "a finite number"))
+        for i, p in enumerate(_field(scene_raw, "ports", "scene.",
+                                     lambda v: isinstance(v, list), "a list of objects", []))
     )
     n = len(positions)
-    alpha_arr = np.zeros((n, 3, 3))
-    for i, a in enumerate(alphas):
-        a = np.asarray(a, dtype=float)
-        alpha_arr[i] = a * np.eye(3) if a.ndim == 0 else a
     scene = DipoleScene(
         positions=np.asarray(positions, dtype=float).reshape(n, 3),
-        polarizability=alpha_arr,
+        polarizability=np.reshape(alphas, (n, 3, 3)),
         region=tuple(regions),
         ports=ports,
-        ground_plane=bool(scene_raw.get("ground_plane", False)),
+        ground_plane=_field(scene_raw, "ground_plane", "scene.",
+                            lambda v: isinstance(v, bool), "true or false", False),
     )
-    sphere = None
-    if scene_raw.get("sphere") is not None:
-        sp = scene_raw["sphere"]
-        sphere = SphereSpec(
-            radius=_need(sp, "radius", "scene.sphere."),
-            material=sp.get("material", "pec"),
-            eps_r=sp.get("eps_r", 1.0),
-            mu_r=sp.get("mu_r", 1.0),
-        )
-    sweep = _need(raw, "sweep", "")
-    f_min = _need(sweep, "f_min", "sweep.")
-    f_max = _need(sweep, "f_max", "sweep.")
-    n_points = _need(sweep, "n_points", "sweep.")
-    if not (f_min <= f_max and n_points >= 1):
-        raise ScenarioError("sweep must satisfy f_min <= f_max and n_points >= 1")
-    solver = _need(raw, "solver", "")
+    sp = scene_raw.get("sphere")
+    sphere = None if sp is None else SphereSpec(
+        radius=_field(sp, "radius", "scene.sphere.", _is_number, "a finite number"),
+        material=sp.get("material", "pec"),
+        eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
+        mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
+    )
+    sweep = _field(raw, "sweep", "")
+    f_min = _field(sweep, "f_min", "sweep.", _is_number, "a finite number")
+    f_max = _field(sweep, "f_max", "sweep.", _is_number, "a finite number")
+    n_points = _field(sweep, "n_points", "sweep.", _is_count, "an integer >= 1")
+    if not 0 < f_min <= f_max:
+        raise ScenarioError("sweep must satisfy 0 < f_min <= f_max")
+    solver = _field(raw, "solver", "")
     if solver not in SOLVERS:
         raise ScenarioError(f"unknown solver '{solver}'; valid: {', '.join(SOLVERS)}")
     if solver.startswith("hybrid") and sphere is None:
@@ -142,15 +171,19 @@ def parse_scenario(raw: dict) -> dict:
         raise ScenarioError("scene.ports requires the dense-scattering solver")
     if scene.ground_plane and solver not in ("dense-scattering", "t-form", "iterative"):
         raise ScenarioError("ground_plane scenes support dense-scattering, t-form or iterative")
+    tolerances = _field(raw, "tolerances", "", lambda v: isinstance(v, dict), "an object", {})
+    for key in tolerances:
+        _field(tolerances, key, "tolerances.", _is_number, "a finite number")
     return {
         "scene": scene,
         "sphere": sphere,
         "hybrid": None if sphere is None else HybridScene(scene, sphere),
-        "frequencies": np.linspace(f_min, f_max, int(n_points)),
+        "frequencies": np.linspace(f_min, f_max, n_points),
         "solver": solver,
-        "n_modes": int(raw.get("n_modes", 6)),
-        "tolerances": dict(raw.get("tolerances", {})),
-        "output": raw.get("output"),
+        "n_modes": _field(raw, "n_modes", "", _is_count, "an integer >= 1", 6),
+        "tolerances": dict(tolerances),
+        "output": _field(raw, "output", "", lambda v: v is None or isinstance(v, str),
+                         "a directory name", None),
     }
 
 

@@ -187,11 +187,11 @@ def dyadic_green(k: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockImpedance:
-    """Impedance and readout blocks of one scene, background unknowns first.
+    """System matrix and readout of one scene, background unknowns first.
 
     The scene and its background have the transition matrices
     ``T = T_b0 - U1 Z^-1 U1^T`` and ``T_b = T_b0 - U1_b Z_bb^-1 U1_b^T``;
-    every engine works on these blocks, whatever the scene kind:
+    every engine works on Z and U1, whatever the scene kind:
 
     - dipole scenes: U1 is real and ``T_b0`` is None (zero);
     - port scenes: U1 carries one ``sqrt(z0)`` row per port under the
@@ -200,68 +200,50 @@ class BlockImpedance:
       the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the sphere's
       ``T_b1``, which the controllable region sees as background.
 
-    Z is complex symmetric, and lossless scenes satisfy ``Re Z =
-    Re(U1^H U1)`` to rounding.  ``perm`` maps system rows to flat scene
-    unknowns ``3 * dipole + axis`` of the assembled (possibly
-    image-augmented) scene.  ``assemble_impedance`` builds Z and U1 once,
-    in system order; the blocks are read-only views of them, and ``Z`` and
-    ``U1`` return copies.  ``solve`` and ``solve_bb`` apply ``Z^-1`` and
-    ``Z_bb^-1`` from LU factors made (pivot-checked) on first use and kept
-    by this object only; ``cached`` keeps other per-point products (Schur
-    elimination, transition operators) the same way.  Copies made by
-    ``with_system`` or ``dataclasses.replace`` start without them.
+    ``system`` (Z) and ``readout`` (U1) are kept read-only, in system
+    order: the first ``n_b`` unknowns are the background's.  ``Z_bb``,
+    ``Z_bc``, ``Z_cb``, ``Z_cc``, ``U1_b`` and ``U1_c`` are views of them;
+    ``Z`` and ``U1`` return copies the caller may modify.  Z is complex
+    symmetric, and lossless scenes satisfy ``Re Z = Re(U1^H U1)`` to
+    rounding.  ``perm`` maps system rows to flat scene unknowns ``3 *
+    dipole + axis`` of the assembled (possibly image-augmented) scene.
+    ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
+    factors made (pivot-checked) on first use and kept by this object
+    only; ``cached`` keeps other per-point products (Schur elimination,
+    transition operators) the same way.  Copies made by ``with_system``
+    or ``dataclasses.replace`` start without them.
     """
 
-    Z_bb: np.ndarray
-    Z_bc: np.ndarray
-    Z_cb: np.ndarray
-    Z_cc: np.ndarray
-    U1_b: np.ndarray
-    U1_c: np.ndarray
+    system: np.ndarray
+    readout: np.ndarray
+    n_b: int
     basis: WaveBasis | CompositeBasis
-    k: float
     scene: DipoleScene
     perm: np.ndarray
-    source_scene: DipoleScene | None = None
     T_b0: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def n_b(self) -> int:
-        return self.Z_bb.shape[0]
+    def __post_init__(self):
+        self.system.flags.writeable = self.readout.flags.writeable = False
 
-    @property
-    def n_c(self) -> int:
-        return self.Z_cc.shape[0]
+    n_c = property(lambda self: self.system.shape[0] - self.n_b)
+    Z_bb = property(lambda self: self.system[:self.n_b, :self.n_b])
+    Z_bc = property(lambda self: self.system[:self.n_b, self.n_b:])
+    Z_cb = property(lambda self: self.system[self.n_b:, :self.n_b])
+    Z_cc = property(lambda self: self.system[self.n_b:, self.n_b:])
+    U1_b = property(lambda self: self.readout[:, :self.n_b])
+    U1_c = property(lambda self: self.readout[:, self.n_b:])
 
-    @property
-    def Z(self) -> np.ndarray:
-        """The full system matrix, a new array the caller may modify."""
-        return self._system_matrix().copy()
-
-    @property
-    def U1(self) -> np.ndarray:
-        """The full readout, a new array the caller may modify."""
-        return self._readout().copy()
-
-    def _system_matrix(self) -> np.ndarray:
-        """The full system matrix, kept read-only (assembled once for copies)."""
-        return self.cached("Z", lambda: _read_only(
-            np.block([[self.Z_bb, self.Z_bc], [self.Z_cb, self.Z_cc]])))
-
-    def _readout(self) -> np.ndarray:
-        """The full readout, kept read-only (assembled once for copies)."""
-        return self.cached("U1", lambda: _read_only(np.hstack([self.U1_b, self.U1_c])))
+    Z = property(lambda self: self.system.copy(), doc="Z, a new array the caller may modify.")
+    U1 = property(lambda self: self.readout.copy(), doc="U1, a new array the caller may modify.")
 
     def with_system(self, z: np.ndarray, u: np.ndarray, **changes) -> "BlockImpedance":
         """Copy with the full system matrix and readout replaced, unknown order kept."""
-        nb = self.n_b
-        return replace(self, Z_bb=z[:nb, :nb], Z_bc=z[:nb, nb:], Z_cb=z[nb:, :nb],
-                       Z_cc=z[nb:, nb:], U1_b=u[:, :nb], U1_c=u[:, nb:], **changes)
+        return replace(self, system=z, readout=u, **changes)
 
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
-        return factorization_residual(self._system_matrix(), self._readout())
+        return factorization_residual(self.system, self.readout)
 
     def cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
@@ -284,13 +266,8 @@ class BlockImpedance:
 
     def _lu(self, which: str):
         if which == "Z":
-            return self.cached("lu Z", lambda: _solver(self._system_matrix(), "system matrix"))
+            return self.cached("lu Z", lambda: _solver(self.system, "system matrix"))
         return self.cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
@@ -331,9 +308,7 @@ def assemble_impedance(scene: DipoleScene, k: float,
     """
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
-    source_scene = None
     if scene.ground_plane:
-        source_scene = scene
         scene = mirror_scene(scene)
     if wave_basis is None:
         wave_basis = default_basis(scene, k)
@@ -353,13 +328,9 @@ def assemble_impedance(scene: DipoleScene, k: float,
     zv[range(n), range(n)] = np.eye(3) / (6.0 * np.pi) \
         - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
     u = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
-    z.flags.writeable = u.flags.writeable = False
-    nb = 3 * int(np.count_nonzero(~ctrl))
-    blocks = BlockImpedance(
-        Z_bb=z[:nb, :nb], Z_bc=z[:nb, nb:], Z_cb=z[nb:, :nb], Z_cc=z[nb:, nb:],
-        U1_b=u[:, :nb], U1_c=u[:, nb:], basis=wave_basis, k=k, scene=scene,
-        perm=(3 * order[:, None] + np.arange(3)).ravel(), source_scene=source_scene)
-    blocks._cache.update(Z=z, U1=u)
+    blocks = BlockImpedance(system=z, readout=u, n_b=3 * int(np.count_nonzero(~ctrl)),
+                            basis=wave_basis, scene=scene,
+                            perm=(3 * order[:, None] + np.arange(3)).ravel())
     if n > 0:
         residual = blocks.factorization_residual()
         if residual > 1e-6:
@@ -444,7 +415,7 @@ def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
         t = blocks.cached("T" + name[1:], lambda: _full_operator(blocks, "T" + name[1:]))
         return OperatorMatrix("S", 2.0 * t.data + np.eye(blocks.basis.size), blocks.basis)
     if name == "T":
-        return OperatorMatrix("T", _t_of(blocks.solve, blocks._readout(), blocks.T_b0),
+        return OperatorMatrix("T", _t_of(blocks.solve, blocks.readout, blocks.T_b0),
                               blocks.basis)
     return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
 
@@ -469,11 +440,8 @@ def transition(scene: DipoleScene | None = None, k: float | None = None,
     return TransitionSet(blocks)
 
 
-@dataclass
 class GeneralizedScattering(TransitionSet):
     """Port-augmented operators over (spherical waves + port power waves)."""
-
-    port_rows: np.ndarray
 
     @property
     def basis(self) -> CompositeBasis:
@@ -506,5 +474,5 @@ def generalized_scattering(scene: DipoleScene, k: float,
     u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
     basis = CompositeBasis(wave=blocks.basis,
                            extra_labels=tuple(f"port{i}" for i in range(len(ports))))
-    ported = blocks.with_system(z, np.vstack([blocks._readout(), u_port]), basis=basis)
-    return GeneralizedScattering(**vars(transition(blocks=ported)), port_rows=rows)
+    ported = blocks.with_system(z, np.vstack([blocks.readout, u_port]), basis=basis)
+    return GeneralizedScattering(**vars(transition(blocks=ported)))

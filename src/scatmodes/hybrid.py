@@ -8,7 +8,7 @@ addition theorem of the dyadic Green function those coefficients are, in
 closed form, the outgoing waves evaluated at the dipoles (Chew, *Waves
 and Fields in Inhomogeneous Media*, ch. 7), so ``assemble_hybrid`` takes
 U4 from one outgoing-wave table at the dipole positions.  The same table,
-carried ``quad_margin`` degrees past the basis, gauges the truncation:
+carried ``QUAD_MARGIN`` degrees past the basis, gauges the truncation:
 each column reports the relative tail of its dipole field's expansion on
 a fit sphere between the sphere surface and the nearest dipole.
 ``assemble_u4`` builds U4 the independent way, by quadrature projection
@@ -51,7 +51,7 @@ class HybridScene:
     """Dipole scene around a T-matrix sphere at the global origin.
 
     ``_sweep_u4`` keeps the U4 expansions ``hybrid_sweep_basis`` made for
-    ``assemble_hybrid``, by (k, l_max, r_fit, quad_margin).
+    ``assemble_hybrid``, by (k, l_max, r_fit).
     """
 
     mom_scene: DipoleScene
@@ -105,14 +105,14 @@ def _checked_r_fit(scene: HybridScene, r_fit: float | None) -> float:
 
 
 def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
-                 r_fit: float | None = None, quad_margin: int = QUAD_MARGIN):
+                 r_fit: float | None = None):
     """Closed-form U4 and its truncation gauge.
 
     By the addition theorem, the regular-wave coefficients of a unit
     dipole's field at points nearer the origin than the dipole are the
     outgoing waves at the dipole, so column (p, axis) of U4 is the
     outgoing wave table at dipole p along that axis (the sign of
-    ``assemble_u4``).  The table runs ``quad_margin`` degrees past
+    ``assemble_u4``).  The table runs ``QUAD_MARGIN`` degrees past
     ``wave_basis``; the waves outside the basis give each column's
     relative tail on the ``r_fit`` sphere, ``sqrt(sum_out |c|^2 N /
     sum_all |c|^2 N)`` with N the squared radial norms there
@@ -126,7 +126,7 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
     if n == 0:
         return np.zeros((wave_basis.size, 0), dtype=complex), np.zeros(0), r_fit
     r_fit = _checked_r_fit(scene, r_fit)
-    ext = swe.basis(wave_basis.l_max + quad_margin)
+    ext = swe.basis(wave_basis.l_max + QUAD_MARGIN)
     coeffs = swe.outgoing_wave_table(ext, k, scene.mom_scene.positions).reshape(ext.size, 3 * n)
     power = np.abs(coeffs) ** 2 * swe.radial_norms(ext, k * r_fit)[:, None]
     # position of each (l, m, pol) of wave_basis in the full basis ext:
@@ -152,7 +152,7 @@ def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float) -> WaveBasis
         wave_basis = swe.basis(l_max)
         expansions = {}
         for k in ks:
-            key = (k, l_max, None, QUAD_MARGIN)
+            key = (k, l_max, None)
             expansions[key] = u4_expansion(scene, k, wave_basis)
             if expansions[key][1].max(initial=0.0) > residual_tol:
                 break
@@ -163,8 +163,7 @@ def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float) -> WaveBasis
 
 
 def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
-                r_fit: float | None = None, quad_margin: int = QUAD_MARGIN,
-                residual_tol: float = 1e-6) -> OperatorMatrix:
+                r_fit: float | None = None, residual_tol: float = 1e-6) -> OperatorMatrix:
     """Current-to-regular-wave coupling operator about the sphere centre.
 
     Column (p, axis) holds minus the regular-wave expansion coefficients
@@ -183,8 +182,8 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
 
     l_max = wave_basis.l_max
     pts, w = swe.sphere_quadrature(l_max, radius=r_fit,
-                                   polar_nodes=l_max + 1 + quad_margin,
-                                   azimuth_nodes=2 * (l_max + quad_margin) + 1)
+                                   polar_nodes=l_max + 1 + QUAD_MARGIN,
+                                   azimuth_nodes=2 * (l_max + QUAD_MARGIN) + 1)
     # per-unit-current dipole fields at the grid, in incident-wave units
     g = dyadic_green(k, pts, scn.positions)        # (P, N, 3, 3)
     vals = (-1j / k) * g.transpose(0, 2, 1, 3).reshape(pts.shape[0], 3, 3 * n)
@@ -219,12 +218,11 @@ class HybridSystem:
 def assemble_hybrid(scene: HybridScene, k: float,
                     wave_basis: WaveBasis | None = None,
                     r_fit: float | None = None,
-                    quad_margin: int = QUAD_MARGIN,
                     residual_tol: float = 1e-6) -> HybridSystem:
     """Impedance system of the dipole cloud with the sphere folded in.
 
     U4 is the closed form of ``u4_expansion``: one outgoing-wave table at
-    the dipoles, ``quad_margin`` degrees past ``wave_basis``.  Its
+    the dipoles, ``QUAD_MARGIN`` degrees past ``wave_basis``.  Its
     ``meta['column_residuals']`` is the truncation gauge on the ``r_fit``
     sphere (default ``scene.default_r_fit()``), the same quantity the
     quadrature ``assemble_u4`` measures; a column above ``residual_tol``
@@ -233,8 +231,8 @@ def assemble_hybrid(scene: HybridScene, k: float,
     """
     if wave_basis is None:
         wave_basis = default_hybrid_basis(scene, k)
-    u4, residuals, r_fit = scene._sweep_u4.pop((k, wave_basis.l_max, r_fit, quad_margin), None) \
-        or u4_expansion(scene, k, wave_basis, r_fit=r_fit, quad_margin=quad_margin)
+    u4, residuals, r_fit = scene._sweep_u4.pop((k, wave_basis.l_max, r_fit), None) \
+        or u4_expansion(scene, k, wave_basis, r_fit=r_fit)
     if np.any(residuals > residual_tol):
         raise ResolutionError(
             f"U4 truncation residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "

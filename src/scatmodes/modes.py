@@ -30,7 +30,7 @@ from .dipoles import (
     transition,
 )
 from .exceptions import ShapeError, SolveError
-from .network import OperatorMatrix, _matrix, check_unitary, check_unitary_factored
+from .network import UNITARY_TOL, OperatorMatrix, _matrix, check_unitary, check_unitary_factored
 from .swe import WaveBasis
 
 #: relative eigenvalue gap below which modes count as one degenerate cluster
@@ -245,18 +245,17 @@ class _BlockPencil:
         return scattering_unitarity(self.ts)
 
 
-def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
-                  k: float | None = None, span: np.ndarray | None = None,
+def cm_scattering(S, S_b=None, k: float | None = None, span: np.ndarray | None = None,
                   n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
     For unitary inputs the problem is reduced to the normal matrix
     ``N = S_b^H S`` and solved by a complex Schur decomposition, which
     gives orthonormal eigenvectors including degenerate clusters.  If
-    ``S_b`` fails its unitarity check, or the Schur factor shows ``N`` is
-    not normal, the solver falls back to a two-matrix QZ factorisation of
-    the full pencil and flags the result (``diagnostics['solver'] ==
-    'qz'``).
+    ``S_b`` fails its unitarity check (``network.UNITARY_TOL``), or the
+    Schur factor shows ``N`` is not normal, the solver falls back to a
+    two-matrix QZ factorisation of the full pencil and flags the result
+    (``diagnostics['solver'] == 'qz'``).
 
     ``span`` is a matrix whose columns span the range of ``S - S_b``,
     such as ``substructure_span(ts)``: the ``3 N_c`` columns of ``U1~``
@@ -295,7 +294,7 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
 
     diag = {**pencil.unitarity(), "solver": "schur", "rank": pencil.dim}
     s_vals = q = None
-    if diag["unitarity_S_b"] <= tol_unitary:
+    if diag["unitarity_S_b"] <= UNITARY_TOL:
         if pencil.span is None:
             s_mat, sb_mat = pencil.matrices()
             s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
@@ -307,9 +306,9 @@ def cm_scattering(S, S_b=None, tol_unitary: float = 1e-8,
                 s_vals, a = 1.0 + 2.0 * t_vals, q @ z
                 diag["rank"] = q.shape[1]
     if s_vals is None:
-        if diag["unitarity_S_b"] > tol_unitary:
+        if diag["unitarity_S_b"] > UNITARY_TOL:
             cause = (f"S_b failed the unitarity check (deviation "
-                     f"{diag['unitarity_S_b']:.1e} > {tol_unitary:.1e})")
+                     f"{diag['unitarity_S_b']:.1e} > {UNITARY_TOL:.1e})")
         else:
             cause = (f"S_b^H S is not normal (Schur off-diagonal norm "
                      f"{diag['schur_offdiag']:.1e})")
@@ -462,7 +461,9 @@ def _background_apply(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray 
 def _tilde_solve(blocks: BlockImpedance):
     """``rhs -> Z~^-1 rhs`` from LU factors kept by the blocks.
 
-    Without background unknowns Z~ is Z itself, whose factors are reused.
+    Every Z~ solve of a blocks object (the range engine, ``tilde_tmatrix``,
+    ``recover_currents``) uses these factors.  Without background unknowns
+    Z~ is Z itself, whose factors are reused.
     """
     if blocks.n_b == 0:
         return blocks.solve
@@ -487,7 +488,7 @@ def scattering_unitarity(ts: TransitionSet) -> dict:
     ``unitarity_form`` is ``"factored"`` or ``"dense"``.
     """
     blocks = ts.blocks
-    u = blocks._readout() if ts.kept is None else blocks._readout()[ts.kept]
+    u = blocks.readout if ts.kept is None else blocks.readout[ts.kept]
     if _factored_form_pays(blocks, u):
         return {"unitarity_S": check_unitary_factored(u, blocks.solve).deviation,
                 "unitarity_S_b": check_unitary_factored(u[:, :blocks.n_b],
@@ -590,12 +591,12 @@ def tilde_tmatrix(blocks: BlockImpedance, ts: TransitionSet | None = None) -> Op
     sys = schur_system(blocks)
     if ts is None:
         ts = transition(blocks=blocks)
-    t_tilde = -sys.U1_tilde @ _solver(sys.Z_tilde, "compressed impedance")(
-        sys.U1_tilde.conj().T)
+    t_tilde = -sys.U1_tilde @ _tilde_solve(blocks)(sys.U1_tilde.conj().T)
     t_full, t_bg = ts.T.data, ts.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
-    scale = max(np.linalg.norm(t_tilde), 1e-300)
-    residual = float(np.linalg.norm(composed - t_tilde) / scale)
+    # without controllable dipoles T~ = 0, and the residual is measured against T
+    scale = np.linalg.norm(t_tilde) or np.linalg.norm(t_full)
+    residual = float(np.linalg.norm(composed - t_tilde) / max(scale, 1e-300))
     return OperatorMatrix("T", t_tilde, blocks.basis,
                           meta={"identity_residual": residual,
                                 "factorization_residual": sys.factorization_residual()})
@@ -638,7 +639,7 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     t = modeset.t
     nb = blocks.n_b
 
-    currents = blocks.solve(_readout_product(blocks._readout().T, a))
+    currents = blocks.solve(_readout_product(blocks.readout.T, a))
     currents[:nb] -= blocks.solve_bb(_readout_product(blocks.U1_b.T, a))
     currents_c = currents[nb:, :]
 
@@ -646,7 +647,7 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     f_stored = modeset.f if modeset.f is not None else a
     skipped = np.abs(t) <= t_min
     f_rad = f_stored * t[None, :]
-    alt = _solver(sys.Z_tilde, "compressed current recovery")(sys.U1_tilde.conj().T @ f_rad)
+    alt = _tilde_solve(blocks)(sys.U1_tilde.conj().T @ f_rad)
     with np.errstate(invalid="ignore", divide="ignore"):
         alt = alt / t[None, :]
     alt[:, skipped] = np.nan
@@ -698,7 +699,7 @@ def parity_leakage(ts: TransitionSet) -> float:
     blocks = ts.blocks
     keep = swe.ground_plane_filter(blocks.basis)
     drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
-    u = blocks._readout()
+    u = blocks.readout
     if _factored_form_pays(blocks, u):
         r_keep, r_drop, r = (np.linalg.qr(x, mode="r") for x in (u[keep], u[drop], u))
         cross = 2.0 * r_keep @ blocks.solve(r_drop.T.astype(complex))

@@ -62,7 +62,6 @@ class WaveBasis:
 
     l_max: int
     indices: tuple[WaveIndex, ...]
-    convention: str = "power-real"
 
     def __post_init__(self):
         lookup = {idx: n for n, idx in enumerate(self.indices)}

@@ -341,3 +341,55 @@ def test_hybrid_u4_failure_stands_when_more_degrees_do_not_help(tmp_path, capsys
     err = capsys.readouterr().err
     assert code == 1
     assert "ResolutionError: U4 truncation residual" in err
+
+
+def _set(path, value):
+    """Scenario with the field at ``path`` (a key sequence) set to ``value``."""
+    scn = _scenario()
+    obj = scn
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return scn
+
+
+MALFORMED_FIELDS = [
+    (("n_modes",), "abc", "n_modes"),
+    (("n_modes",), -1, "n_modes"),
+    (("n_modes",), 0, "n_modes"),
+    (("sweep", "f_min"), "a", "sweep.f_min"),
+    (("sweep", "n_points"), "2", "sweep.n_points"),
+    (("sweep", "n_points"), 2.5, "sweep.n_points"),
+    (("scene", "dipoles"), 5, "scene.dipoles"),
+    (("scene", "dipoles", 0, "position"), [0.0, 0.1], "scene.dipoles[0].position"),
+    (("scene", "dipoles", 0, "polarizability"), "x", "scene.dipoles[0].polarizability"),
+    (("scene", "ports"), [{"dipole": 0, "axis": "w", "z0": 73.0}], "scene.ports[0].axis"),
+    (("scene", "ground_plane"), "false", "scene.ground_plane"),
+    (("tolerances",), {"unitarity": "tight"}, "tolerances.unitarity"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", MALFORMED_FIELDS,
+                         ids=[f"{field}={value!r}" for _, value, field in MALFORMED_FIELDS])
+def test_malformed_field_is_a_scenario_error(tmp_path, capsys, path, value, field):
+    # a malformed field ends in a scenario error that names it, exit code 2,
+    # under both subcommands that read scenarios; never a traceback or a
+    # silently truncated or empty result
+    scenario = _write(tmp_path, _set(path, value))
+    for command in (["run", "--scenario", scenario, "--out", str(tmp_path / "o")],
+                    ["checks", "--scenario", scenario]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_checks_pass_a_scene_without_controllable_dipoles():
+    # T~ = 0 when every dipole is background: the identity residual is
+    # measured against T instead of dividing by the zero norm of T~
+    scn = _scenario(sweep={"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1})
+    for d in scn["scene"]["dipoles"]:
+        d["region"] = "background"
+    report = run_checks(parse_scenario(scn))
+    assert report["passed"], report
+    assert report["per_frequency"][0]["tilde_identity_residual"] < 1e-12

@@ -368,11 +368,11 @@ def test_blocks_are_read_only_views_of_one_system_matrix(monkeypatch):
 
     scene = random_scene(np.random.default_rng(22), 10, 0.8, n_background=4)
     blocks = assemble_impedance(scene, 1.0)
-    z = blocks._system_matrix()
+    z = blocks.system
     for view in (blocks.Z_bb, blocks.Z_bc, blocks.Z_cb, blocks.Z_cc):
         assert np.shares_memory(view, z)
         assert not view.flags.writeable
-    u = blocks._readout()
+    u = blocks.readout
     for view in (blocks.U1_b, blocks.U1_c):
         assert np.shares_memory(view, u)
         assert not view.flags.writeable

@@ -485,7 +485,7 @@ def test_factorisation_cache_is_scoped_to_one_blocks_object(two_region):
     z = blocks.Z + 0.2 * np.eye(blocks.Z.shape[0])
     u1, u1_b = blocks.U1, blocks.U1_b
     for copy in (blocks.with_system(z, u1),
-                 dataclasses.replace(blocks, Z_bb=z[:nb, :nb], Z_cc=z[nb:, nb:])):
+                 dataclasses.replace(blocks, system=z)):
         ts_copy = transition(blocks=copy)
         assert np.abs(ts_copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
         assert np.abs(ts_copy.T_b.data

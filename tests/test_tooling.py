@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scatmodes import cli
 from test_cli import _scenario
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def test_benchmark_traced_bindings_resolve():
@@ -169,6 +171,20 @@ def test_checks_factorise_each_matrix_once_per_point(case, factorisations):
     _assert_each_factorised_once(factorisations)
 
 
+def test_compressed_impedance_is_factorised_once_per_blocks_object(factorisations):
+    # the range engine, the modified transition matrix and the current
+    # cross-check all solve with Z~ of one blocks object: one factorisation
+    from scatmodes import cm_scattering, recover_currents, tilde_tmatrix, transition
+    from conftest import random_scene
+
+    ts = transition(random_scene(np.random.default_rng(5), 8, 0.8, n_background=3), 1.0)
+    recover_currents(cm_scattering(ts), ts.blocks)
+    tilde_tmatrix(ts.blocks, ts=ts)
+    # Z, Z_bb and Z~
+    assert sorted(shape for shape, _ in factorisations) == [(9, 9), (15, 15), (24, 24)]
+    _assert_each_factorised_once(factorisations)
+
+
 @pytest.mark.parametrize("case", ["dense-scattering", "hybrid-scattering"])
 def test_checks_build_transition_and_schur_system_once_per_point(case, monkeypatch):
     # T, T_b and the Schur elimination are shared by the scattering,
@@ -279,3 +295,12 @@ def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
         cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
     assert calls == {"u4_expansion": n_points}
     assert sc["hybrid"]._sweep_u4 == {}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_to_the_end(demo, tmp_path, monkeypatch, capsys):
+    # the demos call the library by name; each runs in-process to its last
+    # line (a plot, where matplotlib is installed, is written to tmp_path)
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()
