@@ -50,7 +50,6 @@ from .modes import (
     scattering_unitarity,
     schur_system,
     substructure_power_check,
-    substructure_span,
     tilde_tmatrix,
     track_modes,
 )

@@ -31,7 +31,7 @@ import numpy as np
 from .dipoles import (
     DipoleScene,
     Port,
-    assemble_impedance,
+    TransitionSet,
     default_basis,
     generalized_scattering,
     transition,
@@ -47,8 +47,7 @@ from .exceptions import (
 from .hybrid import (
     HybridScene,
     assemble_hybrid,
-    hybrid_impedance_modes,
-    hybrid_scattering_modes,
+    hybrid_impedance_modes,  # noqa: F401 (traced by perfbench/child.py)
     hybrid_sweep_basis,
 )
 from .iterative import ScatterOracle, iterate
@@ -61,11 +60,10 @@ from .modes import (
     parity_restricted,
     scattering_unitarity,
     substructure_power_check,
-    substructure_span,
     tilde_tmatrix,
     track_modes,
 )
-from .network import check_t_power, check_unitary  # noqa: F401 (traced by perfbench/child.py)
+from .network import check_t_power, check_unitary
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -118,7 +116,7 @@ def parse_scenario(raw: dict) -> dict:
     """Validate a scenario dictionary; error messages name the offending field."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    _field(raw, "version", "")
+    _field(raw, "version", "", lambda v: _is_count(v) and v == 1, "the integer 1")
     scene_raw = _field(raw, "scene", "")
     positions, alphas, regions = [], [], []
     for i, d in enumerate(_field(scene_raw, "dipoles", "scene.",
@@ -129,9 +127,12 @@ def parse_scenario(raw: dict) -> dict:
         a = np.asarray(_field(d, "polarizability", ctx, lambda v: _shape(v) in ((), (3, 3)),
                               "a finite number or a 3x3 tensor"), dtype=float)
         alphas.append(a * np.eye(3) if a.ndim == 0 else a)
-        regions.append(d.get("region", "controllable"))
+        regions.append(_field(d, "region", ctx, lambda v: v in ("controllable", "background"),
+                              "'controllable' or 'background'", "controllable"))
     ports = tuple(
-        Port(_field(p, "dipole", f"scene.ports[{i}].", lambda v: _is_count(v, 0), "an index"),
+        Port(_field(p, "dipole", f"scene.ports[{i}].",
+                    lambda v: _is_count(v, 0) and v < len(regions) and regions[v] == "controllable",
+                    "the index of a controllable dipole"),
              _field(p, "axis", f"scene.ports[{i}].", lambda v: v in ("x", "y", "z", 0, 1, 2)
                     and not isinstance(v, bool), "'x', 'y' or 'z'"),
              _field(p, "z0", f"scene.ports[{i}].", _is_number, "a finite number"))
@@ -150,7 +151,8 @@ def parse_scenario(raw: dict) -> dict:
     sp = scene_raw.get("sphere")
     sphere = None if sp is None else SphereSpec(
         radius=_field(sp, "radius", "scene.sphere.", _is_number, "a finite number"),
-        material=sp.get("material", "pec"),
+        material=_field(sp, "material", "scene.sphere.", lambda v: v in ("pec", "dielectric"),
+                        "'pec' or 'dielectric'", "pec"),
         eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
         mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
     )
@@ -211,25 +213,19 @@ def _sweep_basis(sc: dict):
     return default_basis(sc["scene"], k_max)
 
 
-# Assemblies: (scenario, k, basis) -> (operators, point diagnostics).
+def _operators(sc: dict, k: float, wave_basis):
+    """The transition set a point's engine decomposes, and what its assembly recorded.
 
-def _dipole_operators(sc: dict, k: float, wave_basis):
-    """Transition set of a dipole scene; above a ground plane, its parity-allowed part.
-
-    Reports the unitarity of the full S and S_b (``scattering_unitarity``:
-    factored or dense, named in ``unitarity_form``).
-    """
-    ts = transition(sc["scene"], k, wave_basis)
-    diag = scattering_unitarity(ts)
-    return (parity_restricted(ts) if sc["scene"].ground_plane else ts), diag
-
-
-def _scattering_operators(sc: dict, k: float, wave_basis):
-    """Operators for dense-scattering: ports appended; a ground plane's leakage.
-
-    Unitarity is left to the engine, which checks the same operators.
+    A hybrid folds the sphere into the blocks (``u4_residual``), ports
+    append their power-wave channels, and a ground-plane scene keeps its
+    parity-allowed waves (``parity_leakage`` of the full mirrored scene).
     """
     scene = sc["scene"]
+    if sc["hybrid"] is not None:
+        system = assemble_hybrid(sc["hybrid"], k, wave_basis,
+                                 residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
+        return transition(blocks=system.blocks), \
+            {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
     if scene.ports:
         return generalized_scattering(scene, k, wave_basis), {}
     ts = transition(scene, k, wave_basis)
@@ -238,15 +234,29 @@ def _scattering_operators(sc: dict, k: float, wave_basis):
     return ts, {}
 
 
-def _hybrid_system(sc: dict, k: float, wave_basis):
-    system = assemble_hybrid(sc["hybrid"], k, wave_basis,
-                             residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
-    return system, {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
+# Engines: (transition set, k, scenario, seed, point diagnostics) -> ModeSet.
+# Each records in the point diagnostics what it computed on the way.
+
+def _scattering(ts, k: float, sc: dict, seed: int, diag: dict):
+    """``cm_scattering`` on the range of ``S - S_b``: its engine, rank and unitarity checks."""
+    ms = cm_scattering(ts, k=k, n_modes=sc["n_modes"])
+    diag.update(engine=ms.diagnostics["solver"], rank=ms.diagnostics["rank"])
+    diag.update((key, ms.diagnostics[key])
+                for key in ("unitarity_S", "unitarity_S_b", "unitarity_form"))
+    return ms
 
 
-# Engines: (operators, k, scenario, seed, point diagnostics) -> ModeSet.
+def _impedance(ts, k: float, *_):
+    return cm_impedance_substructure(ts.blocks, k=k)
+
+
+def _t_form(ts, k: float, sc: dict, seed: int, diag: dict):
+    diag.update(scattering_unitarity(ts))
+    return cm_t_form(ts.T, ts.T_b, k=k)
+
 
 def _iterative(ts, k: float, sc: dict, seed: int, diag: dict):
+    diag.update(scattering_unitarity(ts))
     ms, log = iterate(ScatterOracle.from_matrices(ts.T, ts.T_b), n_modes=sc["n_modes"],
                       seed=seed)
     ms.k = k
@@ -254,54 +264,22 @@ def _iterative(ts, k: float, sc: dict, seed: int, diag: dict):
     return ms
 
 
-def _record_engine(ms, diag: dict):
-    """Copy the scattering engine's name and eigenproblem size into ``diag``."""
-    diag["engine"] = ms.diagnostics["solver"]
-    diag["rank"] = ms.diagnostics["rank"]
-    return ms
-
-
-def _dense_scattering(ts, k: float, sc: dict, seed: int, diag: dict):
-    """``cm_scattering`` on the range of ``S - S_b``, reporting its checks in ``diag``.
-
-    The engine works on the blocks' factors and forms no n x n operator.
-    Plain scenes report the unitarity of S and S_b, port scenes of S,
-    both with the form of the check; a ground-plane scene reports its
-    parity leakage instead.
-    """
-    ms = cm_scattering(ts, k=k, n_modes=sc["n_modes"])
-    scene = sc["scene"]
-    if not scene.ground_plane:
-        keys = ("unitarity_S", "unitarity_form") if scene.ports \
-            else ("unitarity_S", "unitarity_S_b", "unitarity_form")
-        diag.update((key, ms.diagnostics[key]) for key in keys)
-    return _record_engine(ms, diag)
-
-
-def _hybrid_scattering(system, k: float, sc: dict, seed: int, diag: dict):
-    return _record_engine(
-        hybrid_scattering_modes(None, k, system=system, n_modes=sc["n_modes"]), diag)
-
-
-#: solver name -> (assembly, engine)
+#: solver name -> engine
 SOLVER_TABLE = {
-    "dense-scattering": (_scattering_operators, _dense_scattering),
-    "dense-impedance": (_dipole_operators,
-                        lambda ts, k, *_: cm_impedance_substructure(ts.blocks, k=k)),
-    "t-form": (_dipole_operators, lambda ts, k, *_: cm_t_form(ts.T, ts.T_b, k=k)),
-    "iterative": (_dipole_operators, _iterative),
-    "hybrid-impedance": (_hybrid_system,
-                         lambda system, k, *_: hybrid_impedance_modes(None, k, system=system)),
-    "hybrid-scattering": (_hybrid_system, _hybrid_scattering),
+    "dense-scattering": _scattering,
+    "dense-impedance": _impedance,
+    "t-form": _t_form,
+    "iterative": _iterative,
+    "hybrid-impedance": _impedance,
+    "hybrid-scattering": _scattering,
 }
 SOLVERS = tuple(SOLVER_TABLE)
 
 
 def _solve_point(sc: dict, k: float, wave_basis, seed: int):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    assemble, engine = SOLVER_TABLE[sc["solver"]]
-    ops, diag = assemble(sc, k, wave_basis)
-    return engine(ops, k, sc, seed, diag), diag
+    ts, diag = _operators(sc, k, wave_basis)
+    return SOLVER_TABLE[sc["solver"]](ts, k, sc, seed, diag), diag
 
 
 def _fmt(x: float) -> str:
@@ -464,7 +442,10 @@ def compare_results(path_a: str, path_b: str, tol: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_checks(sc: dict) -> dict:
-    """Invariant suite over the sweep grid; no result files are produced."""
+    """Invariant suite over the sweep grid, on the operators ``run`` decomposes.
+
+    No result files are produced.
+    """
     freqs = sc["frequencies"]
     wave_basis = _sweep_basis(sc)
     scene = sc["scene"]
@@ -477,31 +458,27 @@ def run_checks(sc: dict) -> dict:
     report = {"per_frequency": [], "passed": True}
     for f in freqs:
         k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-        entry: dict = {"frequency_hz": float(f)}
-        if sc["sphere"] is not None:
-            system, diag = _hybrid_system(sc, k, wave_basis)
-            entry.update(diag)
-            blocks = system.blocks
-        else:
-            blocks = assemble_impedance(scene, k, wave_basis)
-        ts = transition(blocks=blocks)
+        ts, diag = _operators(sc, k, wave_basis)
+        entry: dict = {"frequency_hz": float(f), **diag}
         if sc["sphere"] is None:
             entry["tilde_identity_residual"] = \
-                tilde_tmatrix(blocks, ts=ts).meta["identity_residual"]
-        ms = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts))
-        if scene.ground_plane:
-            entry["parity_leakage"] = parity_leakage(ts)
-        else:
-            ms_alt = cm_impedance_substructure(blocks, k=k)
+                tilde_tmatrix(ts.blocks).meta["identity_residual"]
+        ms = cm_scattering(ts, k=k)
+        if not scene.ground_plane:
+            ms_alt = cm_impedance_substructure(ts.blocks, k=k)
             sig = 10.0 * tol_equiv
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
             entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
                 if t1.size == t2.size else math.inf
 
-        entry["unitarity_S"] = ms.diagnostics["unitarity_S"]
-        entry["unitarity_S_b"] = ms.diagnostics["unitarity_S_b"]
-        entry["t_power"] = check_t_power(ts.T).deviation
+        # S, S_b and T on all waves and port channels, also above a ground plane,
+        # checked densely; the engine's own check is reused where it was that one
+        whole = TransitionSet(ts.blocks)
+        engine_dense = ts.kept is None and ms.diagnostics["unitarity_form"] == "dense"
+        for key, op in (("unitarity_S", whole.S), ("unitarity_S_b", whole.S_b)):
+            entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
+        entry["t_power"] = check_t_power(whole.T).deviation
         entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
         entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
                                      ms.diagnostics.get("orthogonality_f", 0.0))

@@ -168,14 +168,9 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
 
 
 class _MatrixPencil:
-    """``S`` and ``S_b`` given as matrices, for ``cm_scattering``.
+    """``S`` and ``S_b`` given as n x n matrices: the dense oracle of ``cm_scattering``."""
 
-    ``diff`` applies ``T - T_b = (S - S_b) / 2``; ``span`` (or None)
-    spans its range; ``matrices`` returns the dense ``(S, S_b)`` for the
-    full decomposition and the QZ fallback.
-    """
-
-    def __init__(self, S, S_b, span):
+    def __init__(self, S, S_b):
         self.s_mat = _matrix(S)
         self.dim = self.s_mat.shape[0]
         if self.s_mat.shape[0] != self.s_mat.shape[1]:
@@ -183,9 +178,6 @@ class _MatrixPencil:
         self.sb_mat = np.eye(self.dim) if S_b is None else _matrix(S_b)
         if self.sb_mat.shape != self.s_mat.shape:
             raise ShapeError(f"dimension mismatch: S {self.s_mat.shape}, S_b {self.sb_mat.shape}")
-        if span is not None and span.shape[0] != self.dim:
-            raise ShapeError(f"span has {span.shape[0]} rows, S has {self.dim}")
-        self.span = span
         self.basis = S.basis if isinstance(S, OperatorMatrix) else None
 
     def matrices(self):
@@ -197,11 +189,9 @@ class _MatrixPencil:
     def apply_sb(self, x):
         return self.sb_mat @ x
 
-    def apply_sbh(self, x):
-        return self.sb_mat.conj().T @ x
-
-    def diff(self, x):
-        return 0.5 * (self.s_mat @ x - self.sb_mat @ x)
+    def schur(self):
+        """All n eigenpairs from the Schur decomposition of the normal ``S_b^H S``."""
+        return _schur_eig(self.sb_mat.conj().T @ self.s_mat)
 
     def unitarity(self) -> dict:
         return {"unitarity_S": check_unitary(self.s_mat).deviation,
@@ -215,14 +205,19 @@ class _BlockPencil:
     ``S_b`` and ``S_b^H`` act through the Z_bb factors and ``T - T_b =
     -U1~ Z~^-1 U1~^T`` through the Schur complement, on the rows the set
     keeps, so no n x n matrix is formed unless the QZ fallback or a dense
-    unitarity check reads ``ts.S`` and ``ts.S_b``.
+    unitarity check reads ``ts.S`` and ``ts.S_b``.  Eliminating the
+    background gives that form for every scene kind (the background
+    offset ``T_b0`` cancels), so ``U1~`` on the kept rows spans the range
+    of ``S - S_b``; the elimination reuses the Z_bb factors ``transition``
+    left on the blocks.
     """
 
     def __init__(self, ts: TransitionSet):
         self.ts = ts
         self.u_b, self.t_b0 = _background_readout(ts)
-        self.span = substructure_span(ts)
-        self.dim = self.span.shape[0]
+        u_tilde = schur_system(ts.blocks).U1_tilde
+        self.u_tilde = u_tilde if ts.kept is None else u_tilde[ts.kept]
+        self.dim = self.u_tilde.shape[0]
         self.basis = ts.blocks.basis if ts.kept is None else None
 
     def matrices(self):
@@ -234,48 +229,59 @@ class _BlockPencil:
     def apply_sb(self, x):
         return x + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0, x)
 
-    def apply_sbh(self, x):
-        return x + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0, x,
-                                           adjoint=True)
-
     def diff(self, x):
-        return -self.span @ _tilde_solve(self.ts.blocks)(self.span.T @ x)
+        """``T - T_b = (S - S_b) / 2`` applied to x."""
+        return -self.u_tilde @ _tilde_solve(self.ts.blocks)(self.u_tilde.T @ x)
+
+    def schur(self):
+        """Eigenpairs on ``V = range(S_b^H U1~)`` from the r x r ``M``; V's basis Q is kept."""
+        sbh_u = self.u_tilde + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0,
+                                                       self.u_tilde, adjoint=True)
+        self.q = _orthonormal_range(sbh_u)
+        t_vals, z, off = _schur_eig(self.apply_sb(self.q).conj().T @ self.diff(self.q))
+        if t_vals is None:
+            return None, None, off
+        return 1.0 + 2.0 * t_vals, self.q @ z, off
+
+    def complement(self, n: int) -> np.ndarray:
+        """``n`` orthonormal columns from the complement of V, where ``s = 1``."""
+        rank = self.q.shape[1]
+        return np.linalg.qr(self.q, mode="complete")[0][:, rank:rank + n]
 
     def unitarity(self) -> dict:
         return scattering_unitarity(self.ts)
 
 
-def cm_scattering(S, S_b=None, k: float | None = None, span: np.ndarray | None = None,
+def cm_scattering(S, S_b=None, k: float | None = None,
                   n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
-    For unitary inputs the problem is reduced to the normal matrix
-    ``N = S_b^H S`` and solved by a complex Schur decomposition, which
-    gives orthonormal eigenvectors including degenerate clusters.  If
-    ``S_b`` fails its unitarity check (``network.UNITARY_TOL``), or the
-    Schur factor shows ``N`` is not normal, the solver falls back to a
-    two-matrix QZ factorisation of the full pencil and flags the result
-    (``diagnostics['solver'] == 'qz'``).
+    ``S`` is a ``TransitionSet`` (``S_b`` left out) or an n x n matrix.
+    For unitary inputs the problem reduces to the normal matrix ``N =
+    S_b^H S``, solved by a complex Schur decomposition, which gives
+    orthonormal eigenvectors including degenerate clusters.  If ``S_b``
+    fails its unitarity check (``network.UNITARY_TOL``), or the Schur
+    factor shows the matrix decomposed is not normal, the solver falls
+    back to a two-matrix QZ factorisation of the full pencil and flags
+    the result (``diagnostics['solver'] == 'qz'``).
 
-    ``span`` is a matrix whose columns span the range of ``S - S_b``,
-    such as ``substructure_span(ts)``: the ``3 N_c`` columns of ``U1~``
-    in ``S - S_b = -2 U1~ Z~^-1 U1~^T``.  With it the Schur
-    decomposition runs on that range only: ``N - I = S_b^H (S - S_b)``
-    maps into ``V = range(S_b^H span)``, so the normal ``N`` leaves V
-    invariant and is exactly the identity on its complement.  The engine
-    takes an orthonormal basis Q of V (rank r after the rcond cut),
-    decomposes the r x r matrix ``M = (S_b Q)^H (T - T_b) Q = Q^H (N -
-    I) Q / 2``, whose eigenvalues are the t_n themselves, and returns
-    ``a = Q z``; every other mode has ``s = 1``.  Without ``span`` all n
-    modes come from the n x n Schur decomposition of N.
-    ``diagnostics['rank']`` is the size of the eigenproblem solved (r, or
-    n for the full decomposition and QZ).
+    A transition set is solved on the range of ``S - S_b`` only.  With
+    the background eliminated, ``S - S_b = -2 U1~ Z~^-1 U1~^T``, so ``N -
+    I = S_b^H (S - S_b)`` maps into ``V = range(S_b^H U1~)`` (at most
+    ``3 N_c`` columns), the normal ``N`` leaves V invariant and is exactly
+    the identity on its complement.  The engine takes an orthonormal
+    basis Q of V (rank r after the rcond cut), decomposes the r x r
+    matrix ``M = (S_b Q)^H (T - T_b) Q = -(S_b Q)^H U1~ Z~^-1 (U1~^T Q)``,
+    whose eigenvalues are the t_n themselves, and returns ``a = Q z``;
+    every other mode has ``s = 1``.  ``S_b``, ``S_b^H`` and ``T - T_b``
+    act through the blocks' solves on the rows the set keeps, so this
+    costs O(n (3N)^2 + (3N)^3) and forms no n x n matrix; the unitarity
+    of S and S_b comes from ``scattering_unitarity`` (factored or dense).
 
-    ``S`` may instead be a ``TransitionSet`` (``S_b`` and ``span`` left
-    out): the same range engine is then fed by its blocks' solves, on the
-    rows it keeps, and forms no n x n matrix.  ``M = -(S_b Q)^H U1~ Z~^-1
-    (U1~^T Q)`` costs O(n (3N)^2 + (3N)^3), and the unitarity of S and
-    S_b comes from ``scattering_unitarity`` (factored or dense).
+    Matrices (``S_b`` defaults to the identity) are the dense oracle: all
+    n modes from the n x n Schur decomposition of N, with ``check_unitary``
+    on both.  ``diagnostics['rank']`` is the size of the eigenproblem
+    solved (r on the range, n for the oracle and for QZ).
 
     ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
     range, more modes than r are filled with ``s = 1`` exactly and an
@@ -286,25 +292,16 @@ def cm_scattering(S, S_b=None, k: float | None = None, span: np.ndarray | None =
     (``unitarity_form`` says how).
     """
     if isinstance(S, TransitionSet):
-        if S_b is not None or span is not None:
-            raise ValueError("a TransitionSet carries its own S_b and span")
+        if S_b is not None:
+            raise ValueError("a TransitionSet carries its own S_b")
         pencil = _BlockPencil(S)
     else:
-        pencil = _MatrixPencil(S, S_b, span)
+        pencil = _MatrixPencil(S, S_b)
 
-    diag = {**pencil.unitarity(), "solver": "schur", "rank": pencil.dim}
-    s_vals = q = None
+    diag = {**pencil.unitarity(), "solver": "schur"}
+    s_vals = None
     if diag["unitarity_S_b"] <= UNITARY_TOL:
-        if pencil.span is None:
-            s_mat, sb_mat = pencil.matrices()
-            s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
-        else:
-            q = _orthonormal_range(pencil.apply_sbh(pencil.span))
-            t_vals, z, diag["schur_offdiag"] = _schur_eig(
-                pencil.apply_sb(q).conj().T @ pencil.diff(q))
-            if t_vals is not None:
-                s_vals, a = 1.0 + 2.0 * t_vals, q @ z
-                diag["rank"] = q.shape[1]
+        s_vals, a, diag["schur_offdiag"] = pencil.schur()
     if s_vals is None:
         if diag["unitarity_S_b"] > UNITARY_TOL:
             cause = (f"S_b failed the unitarity check (deviation "
@@ -315,16 +312,15 @@ def cm_scattering(S, S_b=None, k: float | None = None, span: np.ndarray | None =
         warnings.warn(f"{cause}; falling back to a QZ solve")
         diag["solver"] = "qz"
         s_vals, a = _eig_orthonormal(*pencil.matrices())
+    diag["rank"] = s_vals.size
 
     t = (s_vals - 1.0) / 2.0
     order = _mode_order(t, a, pencil.basis)[:n_modes]
     s_vals, a = s_vals[order], a[:, order]
     n_pad = 0 if n_modes is None else min(n_modes, pencil.dim) - s_vals.size
     if n_pad > 0:
-        rank = diag["rank"]
-        complement = np.linalg.qr(q, mode="complete")[0][:, rank:rank + n_pad]
         s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
-        a = np.hstack([a, complement])
+        a = np.hstack([a, pencil.complement(n_pad)])
 
     f = pencil.apply_sb(a)
     s_a = pencil.apply_s(a)
@@ -419,19 +415,6 @@ def schur_system(blocks: BlockImpedance) -> SchurSystem:
                            U1_tilde=blocks.U1_c - _readout_product(blocks.U1_b, w), W=w)
 
     return blocks.cached("schur_system", eliminate)
-
-
-def substructure_span(ts: TransitionSet) -> np.ndarray:
-    """Range factor of ``S - S_b`` for ``cm_scattering``'s ``span``.
-
-    Eliminating the background gives ``T - T_b = -U1~ Z~^-1 U1~^T`` for
-    every scene kind (the background offset ``T_b0`` cancels), so
-    ``U1_tilde``, restricted to the rows ``ts`` keeps, spans the range of
-    ``S - S_b``.  The elimination reuses the Z_bb factors ``transition``
-    left on the blocks.
-    """
-    u = schur_system(ts.blocks).U1_tilde
-    return u if ts.kept is None else u[ts.kept]
 
 
 def _background_readout(ts: TransitionSet):
@@ -578,19 +561,18 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
                    diagnostics=diag)
 
 
-def tilde_tmatrix(blocks: BlockImpedance, ts: TransitionSet | None = None) -> OperatorMatrix:
+def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
     """Modified transition matrix of the controllable region.
 
     ``T~ = -U1_tilde Z_tilde^-1 U1_tilde^H`` over the wave basis; its
     eigenvalues are the substructure t_n.  The result's ``meta`` reports
     the residual of the equality ``2 T T_b^H + T_b^H + T = T~`` assembled
     from the full and background transition matrices, an executable
-    identity for lossless scenes.  ``ts`` is the blocks' transition set
-    when the caller has already built it.
+    identity for lossless scenes.  T and T_b are those kept by the
+    blocks, built here if no caller has read them yet.
     """
     sys = schur_system(blocks)
-    if ts is None:
-        ts = transition(blocks=blocks)
+    ts = TransitionSet(blocks)
     t_tilde = -sys.U1_tilde @ _tilde_solve(blocks)(sys.U1_tilde.conj().T)
     t_full, t_bg = ts.T.data, ts.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full

@@ -37,7 +37,6 @@ from scatmodes import (
     mirror_scene,
     recover_currents,
     substructure_power_check,
-    substructure_span,
     tilde_tmatrix,
     transition,
     truncation_order,
@@ -149,7 +148,7 @@ def test_criterion_2_lossless_invariants(lossless_bank):
         dev_t = np.linalg.norm(ts.T.data.conj().T @ ts.T.data + ts.T.data.real) / math.sqrt(dim)
         ms = cm_scattering(ts.S, ts.S_b, k=k)
         # the range engine must reproduce the dense spectrum with the same invariants
-        ranged = cm_scattering(ts.S, ts.S_b, k=k, span=substructure_span(ts))
+        ranged = cm_scattering(ts, k=k)
         worst["range"] = max(worst["range"], assert_multisets_close(ms.t, ranged.t))
         for modes in (ms, ranged):
             circle = float(np.max(np.abs(modes.t + 0.5) - 0.5))

@@ -53,6 +53,25 @@ def _hybrid_scenario(solver):
     return scn
 
 
+def _ground_plane(solver="dense-scattering"):
+    scn = _scenario(solver=solver)
+    for d in scn["scene"]["dipoles"]:
+        d["position"][2] = abs(d["position"][2]) + 0.05
+    scn["scene"]["ground_plane"] = True
+    return scn
+
+
+def _port():
+    scn = _scenario()
+    scn["scene"]["dipoles"] = [
+        {"position": [0.0, -0.1, 0.0], "polarizability": 0.02},
+        {"position": [0.0, 0.0, 0.0], "polarizability": 0.02},
+        {"position": [0.0, 0.1, 0.0], "polarizability": 0.02},
+    ]
+    scn["scene"]["ports"] = [{"dipole": 1, "axis": "x", "z0": 73.0}]
+    return scn
+
+
 def _write(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -145,14 +164,7 @@ def test_compare_with_itself_and_perturbed(tmp_path):
 
 
 def test_ports_scenario_runs(tmp_path):
-    scn = _scenario()
-    scn["scene"]["dipoles"] = [
-        {"position": [0.0, -0.1, 0.0], "polarizability": 0.02},
-        {"position": [0.0, 0.0, 0.0], "polarizability": 0.02},
-        {"position": [0.0, 0.1, 0.0], "polarizability": 0.02},
-    ]
-    scn["scene"]["ports"] = [{"dipole": 1, "axis": "x", "z0": 73.0}]
-    sc = parse_scenario(scn)
+    sc = parse_scenario(_port())
     out = tmp_path / "out"
     diag = run_scenario(sc, str(out), jobs=1)
     assert os.path.exists(out / "traces.csv")
@@ -160,11 +172,7 @@ def test_ports_scenario_runs(tmp_path):
 
 
 def test_ground_plane_scenario_runs(tmp_path):
-    scn = _scenario()
-    for d in scn["scene"]["dipoles"]:
-        d["position"][2] = abs(d["position"][2]) + 0.05
-    scn["scene"]["ground_plane"] = True
-    sc = parse_scenario(scn)
+    sc = parse_scenario(_ground_plane())
     out = tmp_path / "out"
     run_scenario(sc, str(out), jobs=1)
     assert os.path.exists(out / "traces.csv")
@@ -243,10 +251,7 @@ def test_checks_hybrid_scenario():
 
 
 def test_checks_ground_plane_scenario():
-    scn = _scenario()
-    for d in scn["scene"]["dipoles"]:
-        d["position"][2] = abs(d["position"][2]) + 0.05
-    scn["scene"]["ground_plane"] = True
+    scn = _ground_plane()
     scn["sweep"] = {"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1}
     report = run_checks(parse_scenario(scn))
     assert report["passed"], report
@@ -295,22 +300,44 @@ def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
     assert "Traceback" not in err
 
 
+_UNITARITY = {"unitarity_S": float, "unitarity_S_b": float, "unitarity_form": str}
+_SCATTERING = {"engine": str, "rank": int, **_UNITARITY}
+_ITERATIVE = {"iterations": int, "converged": bool, **_UNITARITY}
+_HYBRID = {"u4_residual": float}
+_PARITY = {"parity_leakage": float}
+
+
 @pytest.mark.parametrize("solver, types", [
-    ("dense-scattering", {"rank": int, "engine": str, "unitarity_S": float,
-                          "unitarity_form": str}),
-    ("hybrid-scattering", {"rank": int, "engine": str, "u4_residual": float}),
-    ("iterative", {"iterations": int, "converged": bool, "unitarity_S": float,
-                   "unitarity_form": str}),
+    ("dense-scattering", _SCATTERING),
+    ("hybrid-scattering", {**_HYBRID, **_SCATTERING}),
+    ("iterative", _ITERATIVE),
+    ("dense-impedance", {}),
+    ("t-form", _UNITARITY),
+    ("hybrid-impedance", _HYBRID),
+    ("port", _SCATTERING),
+    ("ground-plane-dense-scattering", {**_PARITY, **_SCATTERING}),
+    ("ground-plane-t-form", {**_PARITY, **_UNITARITY}),
+    ("ground-plane-iterative", {**_PARITY, **_ITERATIVE}),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
-    # counts stay JSON integers and flags JSON booleans, not 3.0 or 1.0
-    scn = _hybrid_scenario(solver) if solver.startswith("hybrid") else _scenario(solver=solver)
+    # each point records exactly what its assembly and engine computed (the
+    # impedance engine forms no S, so it reports no unitarity); counts stay
+    # JSON integers and flags JSON booleans, not 3.0 or 1.0
+    if solver == "port":
+        scn = _port()
+    elif solver.startswith("ground-plane-"):
+        scn = _ground_plane(solver.removeprefix("ground-plane-"))
+    elif solver.startswith("hybrid"):
+        scn = _hybrid_scenario(solver)
+    else:
+        scn = _scenario(solver=solver)
     run_scenario(parse_scenario(scn), str(tmp_path), jobs=1)
     with open(tmp_path / "diagnostics.json") as fh:
         points = json.load(fh)["per_frequency"]
     assert points
     for point in points:
-        assert {key: type(point[key]) for key in types} == types
+        assert {key: type(val) for key, val in point.items()} == \
+            {"frequency_hz": float, "max_circle_deviation": float, **types}
 
 
 def test_hybrid_sweep_basis_grows_to_meet_u4_tolerance(tmp_path):
@@ -354,6 +381,11 @@ def _set(path, value):
 
 
 MALFORMED_FIELDS = [
+    (("version",), "abc", "version"),
+    (("scene", "dipoles", 0, "region"), 5, "scene.dipoles[0].region"),
+    (("scene", "sphere"), {"radius": 0.02, "material": "gold"}, "scene.sphere.material"),
+    (("scene", "ports"), [{"dipole": 4, "axis": "x", "z0": 73.0}], "scene.ports[0].dipole"),
+    (("scene", "ports"), [{"dipole": 2, "axis": "x", "z0": 73.0}], "scene.ports[0].dipole"),
     (("n_modes",), "abc", "n_modes"),
     (("n_modes",), -1, "n_modes"),
     (("n_modes",), 0, "n_modes"),

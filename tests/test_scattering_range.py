@@ -1,12 +1,11 @@
 """``cm_scattering`` on the range of S - S_b against its dense oracle.
 
 Every case solves one operator pair densely (the n x n Schur
-decomposition of S_b^H S) and with the range engine under both of its
-feeds: the bare matrices with ``span=substructure_span(ts)``, and the
-transition set itself, whose blocks' solves stand in for every n x n
-product.  The nontrivial spectra must agree at the acceptance suite's
-tolerances and the range engine's own invariants must hold on the modes
-it returns.
+decomposition of S_b^H S, from the bare matrices) and with the range
+engine, fed by the transition set itself, whose blocks' solves stand in
+for every n x n product.  The nontrivial spectra must agree at the
+acceptance suite's tolerances and the range engine's own invariants must
+hold on the modes it returns.
 The lossless bank is compared in acceptance criterion 2, which already
 solves it densely.
 """
@@ -36,7 +35,6 @@ from scatmodes import (
     generalized_scattering,
     hybrid_scattering_modes,
     hybrid_transition,
-    substructure_span,
     transition,
 )
 from scatmodes.modes import parity_restricted
@@ -47,23 +45,14 @@ LIBRARY_ERRORS = (DomainError, GeometryError, MappingError, ResolutionError,
                   ShapeError, SolveError)
 
 
-def _range_modes(ts, **kwargs):
-    return cm_scattering(ts.S, ts.S_b, span=substructure_span(ts), **kwargs)
-
-
-def _both_feeds(ts, **kwargs):
-    """The range engine on the bare matrices and on the transition set's blocks."""
-    return _range_modes(ts, **kwargs), cm_scattering(ts, **kwargs)
-
-
 def _assert_matches_dense(ts, *ranged):
-    """Range engines (default: both feeds) vs dense oracle.
+    """Range engines (default: ``cm_scattering(ts)``) vs dense oracle.
 
     Returns the worst matched |dt| above 1e-9 over the engines given.
     """
     dense = cm_scattering(ts.S, ts.S_b)
     worst = 0.0
-    for ms in ranged or _both_feeds(ts):
+    for ms in ranged or (cm_scattering(ts),):
         d = ms.diagnostics
         assert d["solver"] == "schur"
         assert d["rank"] <= ts.blocks.n_c
@@ -82,10 +71,10 @@ def test_ground_plane_bank(ground_plane_bank):
     worst = 0.0
     for scene, k in ground_plane_bank:
         restricted = parity_restricted(transition(scene, k))
-        worst = max(worst, _assert_matches_dense(restricted, cm_ground_plane(scene, k),
-                                                 _range_modes(restricted)))
+        ms = cm_ground_plane(scene, k)
+        worst = max(worst, _assert_matches_dense(restricted, ms))
         # image currents add no rank: the allowed parity sees 3 N_c of them
-        assert _range_modes(restricted).diagnostics["rank"] <= 3 * scene.is_controllable.sum()
+        assert ms.diagnostics["rank"] <= 3 * scene.is_controllable.sum()
     assert worst < 1e-12
 
 
@@ -110,20 +99,19 @@ def test_hybrid_bank(seed):
     hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
     system = assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1.0)
     ts = hybrid_transition(hs, k, system=system)
-    assert _assert_matches_dense(ts, hybrid_scattering_modes(hs, k, system=system),
-                                 _range_modes(ts)) < 1e-12
+    assert _assert_matches_dense(ts, hybrid_scattering_modes(hs, k, system=system)) < 1e-12
 
 
 def test_single_dipole_pads_with_trivial_modes():
     # three dipole modes span the range; the fourth requested mode is s = 1
     scene = DipoleScene([[0.0, 0.0, 0.0]], 6.0 * math.pi * 0.7)
     ts = transition(scene, 1.0)
-    for ms in _both_feeds(ts, n_modes=4):
-        assert ms.n_modes == 4 and ms.diagnostics["rank"] == 3
-        assert ms.t[3] == 0.0 and ms.s[3] == 1.0
-        assert np.abs(ms.a.conj().T @ ms.a - np.eye(4)).max() < 1e-14
-        assert np.abs(ms.f.conj().T @ ms.f - np.eye(4)).max() < 1e-14
-        assert np.abs(ms.f - ts.S_b.data @ ms.a).max() < 1e-14
+    ms = cm_scattering(ts, n_modes=4)
+    assert ms.n_modes == 4 and ms.diagnostics["rank"] == 3
+    assert ms.t[3] == 0.0 and ms.s[3] == 1.0
+    assert np.abs(ms.a.conj().T @ ms.a - np.eye(4)).max() < 1e-14
+    assert np.abs(ms.f.conj().T @ ms.f - np.eye(4)).max() < 1e-14
+    assert np.abs(ms.f - ts.S_b.data @ ms.a).max() < 1e-14
     _assert_matches_dense(ts)
 
 
@@ -131,17 +119,14 @@ def test_n_modes_keeps_the_most_significant():
     ts = transition(random_scene(np.random.default_rng(3), 6, 0.8, n_background=2), 1.0)
     dense = cm_scattering(ts.S, ts.S_b, n_modes=2)
     assert dense.n_modes == 2
-    for full, top in zip(_both_feeds(ts), _both_feeds(ts, n_modes=2)):
-        assert top.n_modes == 2
-        assert np.array_equal(top.s, full.s[:2])
-        assert np.abs(dense.t - top.t).max() < 1e-12
+    full, top = cm_scattering(ts), cm_scattering(ts, n_modes=2)
+    assert top.n_modes == 2
+    assert np.array_equal(top.s, full.s[:2])
+    assert np.abs(dense.t - top.t).max() < 1e-12
 
 
-def test_span_rows_must_match():
+def test_transition_set_carries_its_own_s_b():
     ts = transition(random_scene(np.random.default_rng(3), 4, 0.5), 1.0)
-    with pytest.raises(ShapeError):
-        cm_scattering(ts.S, ts.S_b, span=substructure_span(ts)[1:])
-    # a transition set brings its own S_b and span
     with pytest.raises(ValueError):
         cm_scattering(ts, ts.S_b)
 
@@ -160,9 +145,9 @@ def test_indefinite_radiation_scene_matches_dense(seed):
        background=st.floats(0.0, 1.0), anisotropic=st.booleans(),
        k=st.floats(0.5, 3.0))
 def test_random_scenes_property(seed, n, ka, background, anisotropic, k):
-    # any small random scene: the range engine, fed by the matrices or by the
-    # blocks, matches the dense oracle and keeps unitarity and the circle, or
-    # the assembly raises one of the library's own errors
+    # any small random scene: the range engine matches the dense oracle and
+    # keeps unitarity and the circle, or the assembly raises one of the
+    # library's own errors
     try:
         scene = random_scene(np.random.default_rng(seed), n, ka, k=k,
                              n_background=int(background * n), anisotropic=anisotropic)
@@ -171,5 +156,5 @@ def test_random_scenes_property(seed, n, ka, background, anisotropic, k):
         assert check_unitary(ts.S_b).deviation < 1e-8
     except LIBRARY_ERRORS:
         return
-    # a scene that assembles and factorises is solved by both feeds
+    # a scene that assembles and factorises is solved on its range
     _assert_matches_dense(ts)

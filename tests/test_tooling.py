@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from scatmodes import cli
-from test_cli import _scenario
+from test_cli import _ground_plane, _port, _scenario
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -80,25 +80,6 @@ def test_assemble_hybrid_projects_nothing_and_tabulates_only_the_dipoles(monkeyp
     assemble_hybrid(scene, 1.0, basis(8), residual_tol=1.0)
     assert calls == {}
     assert points and max(points) <= len(positions)
-
-
-def _ground_plane(solver):
-    scn = _scenario(solver=solver)
-    for d in scn["scene"]["dipoles"]:
-        d["position"][2] = abs(d["position"][2]) + 0.05
-    scn["scene"]["ground_plane"] = True
-    return scn
-
-
-def _port():
-    scn = _scenario()
-    scn["scene"]["dipoles"] = [
-        {"position": [0.0, -0.1, 0.0], "polarizability": 0.02},
-        {"position": [0.0, 0.0, 0.0], "polarizability": 0.02},
-        {"position": [0.0, 0.1, 0.0], "polarizability": 0.02},
-    ]
-    scn["scene"]["ports"] = [{"dipole": 1, "axis": "x", "z0": 73.0}]
-    return scn
 
 
 def _hybrid(solver):
@@ -179,7 +160,7 @@ def test_compressed_impedance_is_factorised_once_per_blocks_object(factorisation
 
     ts = transition(random_scene(np.random.default_rng(5), 8, 0.8, n_background=3), 1.0)
     recover_currents(cm_scattering(ts), ts.blocks)
-    tilde_tmatrix(ts.blocks, ts=ts)
+    tilde_tmatrix(ts.blocks)
     # Z, Z_bb and Z~
     assert sorted(shape for shape, _ in factorisations) == [(9, 9), (15, 15), (24, 24)]
     _assert_each_factorised_once(factorisations)
@@ -201,6 +182,48 @@ def test_checks_build_transition_and_schur_system_once_per_point(case, monkeypat
     cli.run_checks(sc)
     n_points = len(sc["frequencies"])
     assert calls == {"transition": n_points, "SchurSystem": n_points}
+
+
+@pytest.mark.parametrize("case", ["dense-scattering", "port", "ground-plane-dense-scattering",
+                                  "hybrid-scattering"])
+def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch):
+    # checks runs on the transition set the run's solver works on: a port
+    # scene's power-wave channels appended, a ground-plane scene restricted
+    # to its parity-allowed waves; S and S_b are checked densely once each,
+    # on all waves and channels (by the engine where its own check is dense)
+    from scatmodes import TransitionSet, modes, swe
+
+    sc = cli.parse_scenario(FACTORISATION_CASES[case])
+    wave_basis = cli._sweep_basis(sc)
+    ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
+    run_modes = [cli._solve_point(sc, k, wave_basis, seed=1)[0] for k in ks]
+    decomposed, unitary_dims = [], []
+    cm_scattering, check_unitary = cli.cm_scattering, cli.check_unitary
+
+    def recording_modes(*args, **kwargs):
+        ms = cm_scattering(*args, **kwargs)
+        decomposed.append((args[0], ms))
+        return ms
+
+    def recording_unitary(op, *args, **kwargs):
+        unitary_dims.append(op.dim)
+        return check_unitary(op, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cm_scattering", recording_modes)
+    for module in (cli, modes):
+        monkeypatch.setattr(module, "check_unitary", recording_unitary)
+    report = cli.run_checks(sc)
+    assert report["passed"], report
+
+    dim = wave_basis.size + len(sc["scene"].ports)
+    assert unitary_dims == [dim, dim] * len(ks)  # S and S_b of each point
+    kept = swe.ground_plane_filter(wave_basis) if sc["scene"].ground_plane else None
+    assert len(decomposed) == len(ks)
+    for (ts, ms), ms_run in zip(decomposed, run_modes):
+        assert isinstance(ts, TransitionSet) and ts.blocks.readout.shape[0] == dim
+        assert ts.kept is None if kept is None else np.array_equal(ts.kept, kept)
+        n = min(ms.n_modes, ms_run.n_modes)
+        assert np.abs(ms.t[:n] - ms_run.t[:n]).max() < 1e-12
 
 
 @pytest.mark.parametrize("case", ["dense-scattering", "ground-plane-dense-scattering",
@@ -226,12 +249,13 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
 
 @pytest.mark.parametrize("case, builds", [
     ("dense-scattering", False), ("port", False), ("ground-plane-dense-scattering", False),
-    ("t-form", True), ("iterative", True), ("checks", True),
+    ("t-form", True), ("iterative", True), ("checks", True), ("dense-impedance", False),
 ])
 def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
-    # the range engine and the factored unitarity check work on the blocks'
-    # factors; only the engines and checks that read T, T_b, S or S_b build
-    # them (every one of them is made from a T built by dipoles._t_of)
+    # the range engine, the factored unitarity check and the impedance engine
+    # work on the blocks' factors; only the engines and checks that read T,
+    # T_b, S or S_b build them (every one of them is made from a T built by
+    # dipoles._t_of)
     from scatmodes import dipoles
 
     calls = {}
