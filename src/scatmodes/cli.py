@@ -13,20 +13,24 @@ Subcommands
     Run only the invariant suite (unitarity, power identity, path
     equivalence, parity leakage) and exit nonzero on violation.
 
-Identical scenario, seed, jobs and BLAS thread count produce
-byte-identical outputs.
+Identical scenario, seed, ``--jobs`` and available cores produce
+byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
+and ``checks`` set for their sweep (``_blas_threads``).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import ctypes
 import json
 import math
 import os
 import sys
 import numpy as np
+import scipy
 
 from .dipoles import (
     DipoleScene,
@@ -56,8 +60,7 @@ from .modes import (
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
-    parity_leakage,
-    parity_restricted,
+    ground_plane_transition,
     scattering_unitarity,
     substructure_power_check,
     tilde_tmatrix,
@@ -228,10 +231,9 @@ def _operators(sc: dict, k: float, wave_basis):
             {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
     if scene.ports:
         return generalized_scattering(scene, k, wave_basis), {}
-    ts = transition(scene, k, wave_basis)
     if scene.ground_plane:
-        return parity_restricted(ts), {"parity_leakage": parity_leakage(ts)}
-    return ts, {}
+        return ground_plane_transition(scene, k, wave_basis)
+    return transition(scene, k, wave_basis), {}
 
 
 # Engines: (transition set, k, scenario, seed, point diagnostics) -> ModeSet.
@@ -297,22 +299,95 @@ def _json_scalar(val):
     return val
 
 
+# ---------------------------------------------------------------------------
+# BLAS thread pools
+# ---------------------------------------------------------------------------
+
+#: (getter, setter) names of an OpenBLAS thread count; numpy's and scipy's
+#: bundled builds prefix them, and a 64-bit-integer build appends ``64_``.
+_THREAD_CALLS = tuple((f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+                      for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _openblas_pools() -> list[tuple]:
+    """(path, get, set) of the thread count of each OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((path, get, put))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def _blas_threads(n_jobs: int):
+    """Size each OpenBLAS thread pool for ``n_jobs`` points solved at once.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool.  After
+    a numpy product that pool's idle threads keep spinning for a while and
+    take cores from the scipy factorisation that follows.  So scipy's
+    library (under scipy's install, or the only OpenBLAS loaded) gets
+    ``max(1, cores // n_jobs)`` threads and every other one 1; each gets
+    its previous count back on exit, also on an exception.  Yields the
+    record kept as the ``blas`` entry of ``diagnostics.json``; where no
+    OpenBLAS is found (no ``/proc``, or MKL or Accelerate) nothing is set
+    and its ``libraries`` is empty.
+    """
+    cores = _cores()
+    pools = _openblas_pools()
+    scipy_dirs = tuple(os.path.dirname(scipy.__file__) + tail + os.sep for tail in ("", ".libs"))
+    before = [get() for _, get, _ in pools]
+    try:
+        for path, _, put in pools:
+            runs_lapack = len(pools) == 1 or path.startswith(scipy_dirs)
+            put(max(1, cores // n_jobs) if runs_lapack else 1)
+        yield {"jobs": n_jobs, "cores": cores, "libraries": [
+            {"library": os.path.basename(path), "threads": get(), "threads_before": count}
+            for (path, get, _), count in zip(pools, before)]}
+    finally:
+        for (_, _, put), count in zip(pools, before):
+            put(count)
+
+
 def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
                  seed: int = 42, dump_vectors: bool = False) -> dict:
     """Execute the sweep and write result files; returns the diagnostics dict."""
     freqs = sc["frequencies"]
-    wave_basis = _sweep_basis(sc)
     ks = 2.0 * math.pi * freqs / SPEED_OF_LIGHT
-    n_jobs = jobs or os.cpu_count() or 1
+    n_jobs = max(1, min(jobs or _cores(), len(ks)))  # points solved at once
 
-    def solve(k):
-        return _solve_point(sc, float(k), wave_basis, seed)
+    with _blas_threads(n_jobs) as blas:
+        wave_basis = _sweep_basis(sc)
 
-    if n_jobs > 1 and len(ks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(solve, ks))
-    else:
-        results = [solve(k) for k in ks]
+        def solve(k):
+            return _solve_point(sc, float(k), wave_basis, seed)
+
+        if n_jobs > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
+                results = list(pool.map(solve, ks))
+        else:
+            results = [solve(k) for k in ks]
 
     n_modes = sc["n_modes"]
     tops = []
@@ -357,6 +432,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
         "n_modes": n_modes,
         "basis_l_max": wave_basis.l_max,
         "basis_size": wave_basis.size,
+        "blas": blas,
         "per_frequency": [
             {
                 "frequency_hz": float(f),
@@ -447,7 +523,6 @@ def run_checks(sc: dict) -> dict:
     No result files are produced.
     """
     freqs = sc["frequencies"]
-    wave_basis = _sweep_basis(sc)
     scene = sc["scene"]
     tol = sc["tolerances"]
     tol_unitary = tol.get("unitarity", 1e-8)
@@ -456,47 +531,49 @@ def run_checks(sc: dict) -> dict:
     tol_equiv = tol.get("equivalence", 1e-6)
 
     report = {"per_frequency": [], "passed": True}
-    for f in freqs:
-        k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-        ts, diag = _operators(sc, k, wave_basis)
-        entry: dict = {"frequency_hz": float(f), **diag}
-        if sc["sphere"] is None:
-            entry["tilde_identity_residual"] = \
-                tilde_tmatrix(ts.blocks).meta["identity_residual"]
-        ms = cm_scattering(ts, k=k)
-        if not scene.ground_plane:
-            ms_alt = cm_impedance_substructure(ts.blocks, k=k)
-            sig = 10.0 * tol_equiv
-            t1 = ms.t[np.abs(ms.t) > sig]
-            t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
-            entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
-                if t1.size == t2.size else math.inf
+    with _blas_threads(1):
+        wave_basis = _sweep_basis(sc)
+        for f in freqs:
+            k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
+            ts, diag = _operators(sc, k, wave_basis)
+            entry: dict = {"frequency_hz": float(f), **diag}
+            if sc["sphere"] is None:
+                entry["tilde_identity_residual"] = \
+                    tilde_tmatrix(ts.blocks).meta["identity_residual"]
+            ms = cm_scattering(ts, k=k)
+            if not scene.ground_plane:
+                ms_alt = cm_impedance_substructure(ts.blocks, k=k)
+                sig = 10.0 * tol_equiv
+                t1 = ms.t[np.abs(ms.t) > sig]
+                t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
+                entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
+                    if t1.size == t2.size else math.inf
 
-        # S, S_b and T on all waves and port channels, also above a ground plane,
-        # checked densely; the engine's own check is reused where it was that one
-        whole = TransitionSet(ts.blocks)
-        engine_dense = ts.kept is None and ms.diagnostics["unitarity_form"] == "dense"
-        for key, op in (("unitarity_S", whole.S), ("unitarity_S_b", whole.S_b)):
-            entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
-        entry["t_power"] = check_t_power(whole.T).deviation
-        entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
-        entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
-                                     ms.diagnostics.get("orthogonality_f", 0.0))
-        entry["power_identity"] = float(
-            substructure_power_check(ts.T, ts.T_b, ms).max(initial=0.0))
-        ok = (
-            entry["unitarity_S"] <= tol_unitary
-            and entry["unitarity_S_b"] <= tol_unitary
-            and entry["t_power"] <= tol_unitary
-            and entry["max_circle_deviation"] <= tol_circle
-            and entry["power_identity"] <= tol_power
-            and entry.get("equivalence", 0.0) <= tol_equiv
-            and entry.get("parity_leakage", 0.0) <= tol_equiv
-            and entry.get("tilde_identity_residual", 0.0) <= tol_equiv
-        )
-        entry["passed"] = bool(ok)
-        report["passed"] = report["passed"] and bool(ok)
-        report["per_frequency"].append(entry)
+            # S, S_b and T on all waves and port channels, also above a ground plane,
+            # checked densely; the engine's own check is reused where it was that one
+            whole = TransitionSet(ts.blocks)
+            engine_dense = ts.kept is None and ms.diagnostics["unitarity_form"] == "dense"
+            for key, op in (("unitarity_S", whole.S), ("unitarity_S_b", whole.S_b)):
+                entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
+            entry["t_power"] = check_t_power(whole.T).deviation
+            entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
+            entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
+                                         ms.diagnostics.get("orthogonality_f", 0.0))
+            entry["power_identity"] = float(
+                substructure_power_check(ts.T, ts.T_b, ms).max(initial=0.0))
+            ok = (
+                entry["unitarity_S"] <= tol_unitary
+                and entry["unitarity_S_b"] <= tol_unitary
+                and entry["t_power"] <= tol_unitary
+                and entry["max_circle_deviation"] <= tol_circle
+                and entry["power_identity"] <= tol_power
+                and entry.get("equivalence", 0.0) <= tol_equiv
+                and entry.get("parity_leakage", 0.0) <= tol_equiv
+                and entry.get("tilde_identity_residual", 0.0) <= tol_equiv
+            )
+            entry["passed"] = bool(ok)
+            report["passed"] = report["passed"] and bool(ok)
+            report["per_frequency"].append(entry)
     return report
 
 
@@ -516,7 +593,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size (default: available parallelism)")
+                       help="points solved at once, which also sizes the BLAS thread "
+                            "pools (default: available cores)")
     p_run.add_argument("--seed", type=int, default=42,
                        help="random seed for the iterative start vector")
     p_run.add_argument("--dump-vectors", action="store_true")

@@ -691,27 +691,37 @@ def parity_leakage(ts: TransitionSet) -> float:
     return float(np.linalg.norm(ts.S.data[np.ix_(keep, drop)]) / np.linalg.norm(ts.S.data))
 
 
+def ground_plane_transition(scene: DipoleScene, k: float,
+                            wave_basis: WaveBasis | None = None):
+    """A ground-plane scene's parity-restricted transition set, and its ``parity_leakage``.
+
+    Assembles the mirrored free-space scene and keeps its parity-allowed
+    waves (``parity_restricted``); the leakage is that of the full
+    mirrored scene.  Returns ``(restricted, {"parity_leakage": ...})``.
+    """
+    if not scene.ground_plane:
+        raise ShapeError("ground_plane_transition expects a scene with the ground_plane flag")
+    ts = transition(scene, k, wave_basis)
+    return parity_restricted(ts), {"parity_leakage": parity_leakage(ts)}
+
+
 def cm_ground_plane(scene: DipoleScene, k: float,
                     wave_basis: WaveBasis | None = None) -> ModeSet:
     """Substructure modes of a scene above an infinite PEC ground plane.
 
-    Assembles the mirrored free-space scene, restricts it to the
-    parity-allowed wave subset, and solves the scattering eigenproblem
-    there on the range of ``S - S_b`` (``cm_scattering`` on the restricted
-    transition set, fed by the blocks).
+    Solves the scattering eigenproblem on the parity-restricted transition
+    set of ``ground_plane_transition``, on the range of ``S - S_b``
+    (``cm_scattering`` fed by the blocks).
     It returns the r modes of that range, at most three per controllable
     dipole of the mirrored scene, not one per kept wave: every other
     mode has ``s = 1``.  Mode vectors live on the kept indices;
     ``diagnostics['kept_indices']`` maps them back into the full basis.
     """
-    if not scene.ground_plane:
-        raise ShapeError("cm_ground_plane expects a scene with the ground_plane flag")
-    ts = transition(scene, k, wave_basis)
-    restricted = parity_restricted(ts)
+    restricted, leakage = ground_plane_transition(scene, k, wave_basis)
     ms = cm_scattering(restricted, k=k)
     ms.diagnostics["kept_indices"] = restricted.kept
-    ms.diagnostics["parent_basis"] = ts.blocks.basis
-    ms.diagnostics["parity_leakage"] = parity_leakage(ts)
+    ms.diagnostics["parent_basis"] = restricted.blocks.basis
+    ms.diagnostics.update(leakage)
     return ms
 
 

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from scatmodes import cli
 from scatmodes.cli import (
+    SOLVER_TABLE,
     SPEED_OF_LIGHT,
     ScenarioError,
     _sweep_basis,
@@ -16,6 +18,7 @@ from scatmodes.cli import (
     run_checks,
     run_scenario,
 )
+from scatmodes.exceptions import SolveError
 from conftest import hybrid_sweep_seed7, random_scene
 
 
@@ -202,13 +205,18 @@ def test_determinism_byte_identical(tmp_path):
                  "--seed", "7", "--jobs", "2", "--dump-vectors"]) == 0
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "r2"),
                  "--seed", "7", "--jobs", "2", "--dump-vectors"]) == 0
-    # worker-pool size must not affect results either
+    # worker-pool size must not affect results either; diagnostics.json
+    # differs only by its record of the pool and the BLAS threads
     assert main(["run", "--scenario", path, "--out", str(tmp_path / "r3"),
                  "--seed", "7", "--jobs", "1", "--dump-vectors"]) == 0
     for name in ("traces.csv", "diagnostics.json", "vectors.json"):
-        a = (tmp_path / "r1" / name).read_bytes()
-        for run in ("r2", "r3"):
-            assert a == (tmp_path / run / name).read_bytes(), (name, run)
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+    for name in ("traces.csv", "vectors.json"):
+        assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r3" / name).read_bytes()
+    d1, d3 = (json.loads((tmp_path / run / "diagnostics.json").read_text())
+              for run in ("r1", "r3"))
+    assert (d1.pop("blas")["jobs"], d3.pop("blas")["jobs"]) == (2, 1)
+    assert d1 == d3
 
 
 def test_csv_header_exact(tmp_path):
@@ -425,3 +433,104 @@ def test_checks_pass_a_scene_without_controllable_dipoles():
     report = run_checks(parse_scenario(scn))
     assert report["passed"], report
     assert report["per_frequency"][0]["tilde_identity_residual"] < 1e-12
+
+
+def _bundled_blas():
+    """{"numpy": (basename, get, set), "scipy": ...} of the OpenBLAS each bundles."""
+    import scipy
+
+    pools = {mod.__name__: (os.path.basename(path), get, put)
+             for path, get, put in cli._openblas_pools()
+             for mod in (np, scipy) if path.startswith(os.path.dirname(mod.__file__))}
+    if len(pools) != 2:
+        pytest.skip("needs numpy and scipy each with its own OpenBLAS")
+    return pools
+
+
+def _blas_counts(pools):
+    return {name: get() for name, (_, get, _) in pools.items()}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_blas_pools_are_sized_for_jobs_during_a_point(tmp_path, monkeypatch, jobs):
+    # numpy's pool (every `@`) runs on one thread, so no spinning worker of it
+    # takes a core from scipy's LU and QR, which get the cores of one job
+    pools = _bundled_blas()
+    engine, seen = SOLVER_TABLE["dense-scattering"], []
+
+    def reading(*args):
+        seen.append(_blas_counts(pools))
+        return engine(*args)
+
+    monkeypatch.setitem(SOLVER_TABLE, "dense-scattering", reading)
+    blas = run_scenario(parse_scenario(_scenario()), str(tmp_path), jobs=jobs)["blas"]
+    cores = len(os.sched_getaffinity(0))
+    threads = {"numpy": 1, "scipy": max(1, cores // jobs)}
+    assert seen == [threads] * 3
+    assert (blas["jobs"], blas["cores"]) == (jobs, cores)
+    assert {lib["library"]: lib["threads"] for lib in blas["libraries"]} == \
+        {pools[name][0]: count for name, count in threads.items()}
+
+
+def test_blas_counts_come_back_after_run_and_checks(tmp_path, monkeypatch):
+    pools = _bundled_blas()
+    _, get_scipy, set_scipy = pools["scipy"]
+    original = get_scipy()
+    set_scipy(1)  # a count that the sweep under --jobs 1 changes
+    try:
+        before = _blas_counts(pools)
+        sc = parse_scenario(_scenario())
+        run_scenario(sc, str(tmp_path), jobs=1)
+        assert _blas_counts(pools) == before
+        run_checks(parse_scenario(_scenario(
+            sweep={"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1})))
+        assert _blas_counts(pools) == before
+
+        engine, k_first = SOLVER_TABLE["dense-scattering"], 2.0 * math.pi * 5.0e8 / SPEED_OF_LIGHT
+
+        def failing(ts, k, *rest):
+            if k > k_first:
+                raise SolveError("a later point fails")
+            return engine(ts, k, *rest)
+
+        monkeypatch.setitem(SOLVER_TABLE, "dense-scattering", failing)
+        for jobs in (1, 2):
+            with pytest.raises(SolveError):
+                run_scenario(sc, str(tmp_path), jobs=jobs)
+            assert _blas_counts(pools) == before
+
+        def raising(*args, **kwargs):
+            raise SolveError("the engine fails")
+
+        monkeypatch.setattr(cli, "cm_scattering", raising)
+        with pytest.raises(SolveError):
+            run_checks(sc)
+        assert _blas_counts(pools) == before
+    finally:
+        set_scipy(original)
+
+
+def test_run_without_openblas_records_no_libraries(tmp_path, monkeypatch):
+    # MKL, Accelerate or no /proc: nothing is set, and the record says so
+    monkeypatch.setattr(cli, "_openblas_pools", lambda: [])
+    path = _write(tmp_path, _scenario())
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o"), "--jobs", "1"]) == 0
+    blas = json.loads((tmp_path / "o" / "diagnostics.json").read_text())["blas"]
+    assert blas == {"jobs": 1, "cores": cli._cores(), "libraries": []}
+
+
+def test_jobs_1_and_2_agree_on_a_two_region_cloud(tmp_path):
+    # the two settings run scipy's LAPACK on different thread counts
+    scene = random_scene(np.random.default_rng(7), 120, 2.0, n_background=40)
+    f = SPEED_OF_LIGHT / (2.0 * math.pi)  # k = 1
+    scn = _scenario(solver="iterative", sweep={"f_min": 0.9 * f, "f_max": f, "n_points": 2})
+    scn["scene"]["dipoles"] = [
+        {"position": p.tolist(), "polarizability": a.tolist(), "region": r}
+        for p, a, r in zip(scene.positions, scene.polarizability, scene.region)]
+    path = _write(tmp_path, scn)
+    for jobs in ("1", "2"):
+        assert main(["run", "--scenario", path, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    report = compare_results(str(tmp_path / "1" / "traces.csv"),
+                             str(tmp_path / "2" / "traces.csv"), 1e-12)
+    assert report["passed"], report
