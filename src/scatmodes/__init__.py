@@ -60,7 +60,6 @@ from .network import (
     check_t_power,
     check_unitary,
     check_unitary_factored,
-    embed_identity,
     s_from_t,
     t_from_s,
 )

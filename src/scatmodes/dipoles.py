@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import blas
 
 from . import swe
 from .exceptions import DomainError, GeometryError, ShapeError, SolveError
-from .network import CompositeBasis, OperatorMatrix
+from .network import CompositeBasis, OperatorMatrix, _hermitian_norm
 from .swe import WaveBasis
 
 #: free-space wave impedance, Ohm
@@ -273,14 +274,17 @@ class BlockImpedance:
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
     """Relative deviation of Re z from Re(u^H u); zero for an empty system.
 
-    ``Re(u^H u) = u_r^T u_r + u_i^T u_i`` takes real products only, one
-    when u is real.
+    z is complex symmetric, so ``u_r^T u_r + u_i^T u_i - Re z`` is formed in
+    the upper triangle of one copy of Re z by ``dsyrk`` on scipy's BLAS.
     """
-    r = z.real
-    gram = u.real.T @ u.real
+    if z.size == 0:
+        return 0.0
+    diff = np.array(z.real, order="F")
+    scale = max(float(np.linalg.norm(diff)), 1e-300)
+    diff = blas.dsyrk(1.0, u.real.T, beta=-1.0, c=diff, overwrite_c=1)
     if np.iscomplexobj(u):
-        gram += u.imag.T @ u.imag
-    return float(np.linalg.norm(r - gram) / max(np.linalg.norm(r), 1e-300))
+        diff = blas.dsyrk(1.0, u.imag.T, beta=1.0, c=diff, overwrite_c=1)
+    return _hermitian_norm(diff) / scale
 
 
 def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
@@ -396,11 +400,12 @@ class TransitionSet:
 
 def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``u @ x``; a real u times a complex x is one real GEMM on x's interleaved float view
-    (numpy's mixed product would copy u to complex and run a complex GEMM)."""
-    if np.iscomplexobj(u) or not np.iscomplexobj(x):
+    (numpy's mixed product would copy u to complex and run a complex GEMM), on scipy's BLAS
+    as ``(flat^T u^T)^T``: C-ordered u and flat go in uncopied, the product comes out in C order."""
+    if np.iscomplexobj(u) or not np.iscomplexobj(x) or x.size == 0:
         return u @ x
     flat = np.ascontiguousarray(x if x.ndim == 2 else x[:, None]).view(float)
-    return (u @ flat).view(complex).reshape(u.shape[:1] + x.shape[1:])
+    return blas.dgemm(1.0, flat.T, u.T).T.view(complex).reshape(u.shape[:1] + x.shape[1:])
 
 
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Operator algebra shared by all backends.
 
-S <-> T conversion, passivity/unitarity checks (dense, and factored for
-``S = I - 2 U Z^-1 U^T`` with a thin real readout U), and embedding of a
-small operator into a larger basis (identity elsewhere).  The eigenvalue maps
-between s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
+S <-> T conversion and passivity/unitarity checks (dense, and factored for
+``S = I - 2 U Z^-1 U^T`` with a thin real readout U), whose Gram matrices
+are computed in one triangle on scipy's BLAS.  The eigenvalue maps between
+s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
-from .exceptions import MappingError, ShapeError
+from .exceptions import ShapeError
 from .swe import WaveBasis
 
 #: library default tolerances
@@ -101,12 +102,41 @@ class CheckReport:
     tol: float
 
 
+def _gram(a: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """``alpha a^H a`` in its upper triangle, by one ``zherk``/``dsyrk`` on scipy's BLAS.
+
+    A C-ordered a goes in uncopied as ``a.T``: the lower triangle of ``a^T
+    conj(a) = conj(a^H a)``, transposed, is the upper triangle of ``a^H a``.
+    """
+    if a.size == 0:
+        return np.zeros((a.shape[1],) * 2, dtype=a.dtype)
+    rank_k = blas.zherk if np.iscomplexobj(a) else blas.dsyrk
+    if a.flags.c_contiguous:
+        return rank_k(alpha, a.T, lower=1).T
+    return rank_k(alpha, a, trans=2)
+
+
+def _hermitian_norm(g: np.ndarray) -> float:
+    """Frobenius norm of the Hermitian matrix held in g's upper triangle.
+
+    ``sqrt(2 ||triu g||^2 - ||diag g||^2)``, ``||triu g||`` from ``zlantr``/``dlantr``.
+    Subtract any reference from g first: a small difference is lost in the norms of its terms.
+    """
+    lantr = lapack.zlantr if np.iscomplexobj(g) else lapack.dlantr
+    tri = lantr("F", g.T, uplo="L") if g.flags.c_contiguous else lantr("F", g, uplo="U")
+    diag = np.linalg.norm(np.diagonal(g))
+    return math.sqrt(2.0 * tri * tri - diag * diag)
+
+
+def _report(norm: float, dim: int, tol: float) -> CheckReport:
+    dev = norm / math.sqrt(max(dim, 1))
+    return CheckReport(deviation=dev, passed=dev <= tol, tol=tol)
+
+
 def check_unitary(M, tol: float = UNITARY_TOL) -> CheckReport:
     """Frobenius deviation of M^H M from the identity, scaled by sqrt(dim)."""
     m = _square(M)
-    dim = m.shape[0]
-    dev = np.linalg.norm(m.conj().T @ m - np.eye(dim)) / math.sqrt(dim)
-    return CheckReport(deviation=float(dev), passed=bool(dev <= tol), tol=tol)
+    return _report(_hermitian_norm(_gram(m) - np.eye(m.shape[0])), m.shape[0], tol)
 
 
 def check_unitary_factored(u: np.ndarray, solve, tol: float = UNITARY_TOL) -> CheckReport:
@@ -119,53 +149,18 @@ def check_unitary_factored(u: np.ndarray, solve, tol: float = UNITARY_TOL) -> Ch
     with ``C = R A R^T``.  It costs O(n m^2 + m^3) and forms no n x n
     matrix; the deviation is scaled by sqrt(n), as in ``check_unitary``.
     """
-    n, m = u.shape
-    dev = 0.0
-    if m:
-        r = np.linalg.qr(u, mode="r")
-        c = r @ solve(r.T.astype(complex))
-        dev = np.linalg.norm(4.0 * c.conj().T @ c - 2.0 * (c + c.conj().T)) / math.sqrt(n)
-    return CheckReport(deviation=float(dev), passed=bool(dev <= tol), tol=tol)
+    r = np.linalg.qr(u, mode="r")
+    c = r @ solve(r.T.astype(complex))
+    return _report(_hermitian_norm(_gram(c, 4.0) - 2.0 * (c + c.conj().T)), u.shape[0], tol)
 
 
 def check_t_power(T, tol: float = UNITARY_TOL) -> CheckReport:
-    """Deviation of T^H T from -Re(T) (losslessness of a transition matrix)."""
-    t = _square(T)
-    dim = t.shape[0]
-    dev = np.linalg.norm(t.conj().T @ t + t.real) / math.sqrt(dim)
-    return CheckReport(deviation=float(dev), passed=bool(dev <= tol), tol=tol)
+    """Deviation of T^H T from -Re(T) (losslessness of a transition matrix).
 
-
-def embed_identity(M: OperatorMatrix, target_basis: WaveBasis,
-                   index_map: dict[int, int] | None = None) -> OperatorMatrix:
-    """Embed M into a larger basis, acting as the identity elsewhere.
-
-    By default the map matches wave indices between M's basis and the
-    target basis; an explicit injective ``index_map`` (position in M ->
-    position in target) overrides it.
+    Of ``T^H T + Re T``, the Hermitian ``T^H T + sym(Re T)`` and the real
+    antisymmetric ``asym(Re T)`` (zero for a reciprocal T) are orthogonal.
     """
-    m = _square(M)
-    n_target = target_basis.size
-    if index_map is None:
-        if M.basis is None:
-            raise MappingError("embed_identity needs M.basis or an explicit index_map")
-        try:
-            index_map = {i: target_basis.position(idx)
-                         for i, idx in enumerate(M.basis.indices)}
-        except KeyError as err:
-            raise MappingError(f"wave index {err.args[0]} absent from the target basis")
-    if len(set(index_map.values())) != len(index_map):
-        raise MappingError("index map is not injective")
-    if len(index_map) != m.shape[0]:
-        raise MappingError("index map must cover every row of M")
-    if any(j < 0 or j >= n_target for j in index_map.values()):
-        raise MappingError("index map exceeds the target basis")
-
-    kind = M.kind
-    out = np.eye(n_target, dtype=complex) if kind == "S" \
-        else np.zeros((n_target, n_target), dtype=complex)
-    if kind not in ("S", "T"):
-        raise MappingError("identity embedding is defined for S and T operators")
-    pos = np.array([index_map[i] for i in range(m.shape[0])])
-    out[np.ix_(pos, pos)] = m
-    return OperatorMatrix(kind=kind, data=out, basis=target_basis)
+    t = _square(T)
+    r = t.real
+    norm = math.hypot(_hermitian_norm(_gram(t) + 0.5 * (r + r.T)), 0.5 * np.linalg.norm(r - r.T))
+    return _report(norm, t.shape[0], tol)

@@ -298,3 +298,79 @@ def impedance_reference(scene, k, wave_basis):
     u1 = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
     perm = system_permutation(scene)
     return z[np.ix_(perm, perm)], u1[:, perm]
+
+
+# ---------------------------------------------------------------------------
+# Operator checks as plain full-matrix numpy products
+# ---------------------------------------------------------------------------
+
+def _scaled(norm, dim):
+    return float(norm) / math.sqrt(max(dim, 1))
+
+
+def unitary_deviation_reference(m):
+    """``||M^H M - I||_F / sqrt(dim)`` from the full product (0 for an empty M)."""
+    return _scaled(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])), m.shape[0])
+
+
+def t_power_reference(t):
+    """``||T^H T + Re T||_F / sqrt(dim)`` from the full product."""
+    return _scaled(np.linalg.norm(t.conj().T @ t + t.real), t.shape[0])
+
+
+def factored_unitarity_reference(u, solve):
+    """``||4 C^H C - 2 (C + C^H)||_F / sqrt(n)`` with ``C = R z^-1 R^T`` and ``u = Q R``."""
+    n, m = u.shape
+    if m == 0:
+        return 0.0
+    r = np.linalg.qr(u, mode="r")
+    c = r @ solve(r.T.astype(complex))
+    return _scaled(np.linalg.norm(4.0 * c.conj().T @ c - 2.0 * (c + c.conj().T)), n)
+
+
+def factorization_residual_reference(z, u):
+    """``||Re z - Re(u^H u)||_F / ||Re z||_F`` from the full product (0 for an empty z)."""
+    if z.size == 0:
+        return 0.0
+    r = z.real
+    return float(np.linalg.norm(r - (u.conj().T @ u).real) / max(np.linalg.norm(r), 1e-300))
+
+
+# ---------------------------------------------------------------------------
+# Identity embedding of a small-basis operator
+# ---------------------------------------------------------------------------
+
+def embed_identity(M, target_basis, index_map=None):
+    """Embed M into a larger basis, acting as the identity elsewhere.
+
+    By default the map matches wave indices between M's basis and the
+    target basis; an explicit injective ``index_map`` (position in M ->
+    position in target) overrides it.
+    """
+    from scatmodes import MappingError, OperatorMatrix
+
+    m = M.data
+    n_target = target_basis.size
+    if index_map is None:
+        if M.basis is None:
+            raise MappingError("embed_identity needs M.basis or an explicit index_map")
+        try:
+            index_map = {i: target_basis.position(idx)
+                         for i, idx in enumerate(M.basis.indices)}
+        except KeyError as err:
+            raise MappingError(f"wave index {err.args[0]} absent from the target basis")
+    if len(set(index_map.values())) != len(index_map):
+        raise MappingError("index map is not injective")
+    if len(index_map) != m.shape[0]:
+        raise MappingError("index map must cover every row of M")
+    if any(j < 0 or j >= n_target for j in index_map.values()):
+        raise MappingError("index map exceeds the target basis")
+
+    kind = M.kind
+    out = np.eye(n_target, dtype=complex) if kind == "S" \
+        else np.zeros((n_target, n_target), dtype=complex)
+    if kind not in ("S", "T"):
+        raise MappingError("identity embedding is defined for S and T operators")
+    pos = np.array([index_map[i] for i in range(m.shape[0])])
+    out[np.ix_(pos, pos)] = m
+    return OperatorMatrix(kind=kind, data=out, basis=target_basis)

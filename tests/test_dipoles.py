@@ -18,7 +18,7 @@ from scatmodes import (
     mirror_scene,
     transition,
 )
-from scatmodes.dipoles import TransitionSet
+from scatmodes.dipoles import TransitionSet, _readout_product
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 from oracles import impedance_reference, system_permutation
@@ -442,3 +442,35 @@ def test_complex_readout_keeps_the_plain_product():
     assert np.array_equal(ts.T.data, blocks.T_b0 + -u @ blocks.solve(u.T.astype(complex)))
     ub = u[:, :blocks.n_b]
     assert np.array_equal(ts.T_b.data, blocks.T_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))
+
+
+def _readout_operands():
+    rng = np.random.default_rng(29)
+    u = rng.standard_normal((7, 5))
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    wide = np.zeros((9, 8), dtype=complex)
+    wide[2:7, 1:7:2] = x
+    return {
+        "1-D": (u, x[:, 0]),
+        "2-D": (u, x),
+        "F-ordered": (u, np.asfortranarray(x)),
+        "sliced": (u, wide[2:7, 1:7:2]),
+        "transposed-u": (np.ascontiguousarray(u.T).T, x),
+        "column-slice-u": (u[:, :4], x[:4]),
+        "no-columns-u": (u[:, :0], x[:0]),
+        "no-columns-x": (u, x[:, :0]),
+    }
+
+
+READOUT_OPERANDS = _readout_operands()
+
+
+@pytest.mark.parametrize("case", READOUT_OPERANDS)
+def test_readout_product_matches_the_plain_product(case):
+    # the real GEMM on x's interleaved float view is u @ x in C order
+    u, x = READOUT_OPERANDS[case]
+    got, want = _readout_product(u, x), u @ x
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    bound = 2 * u.shape[1] * np.finfo(float).eps * (np.abs(u) @ np.abs(x))  # summation order
+    assert np.all(np.abs(got - want) <= bound)

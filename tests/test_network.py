@@ -17,14 +17,22 @@ from scatmodes import (
     check_t_power,
     check_unitary,
     check_unitary_factored,
-    embed_identity,
     generalized_scattering,
     scattering_unitarity,
     transition,
     s_from_t,
+    schur_system,
     t_from_s,
 )
+from scatmodes.dipoles import factorization_residual
 from conftest import random_scene
+from oracles import (
+    embed_identity,
+    factored_unitarity_reference,
+    factorization_residual_reference,
+    t_power_reference,
+    unitary_deviation_reference,
+)
 
 
 def test_s_t_roundtrip_trivial():
@@ -132,6 +140,111 @@ def test_factored_unitarity_matches_dense(case):
         chosen = scattering_unitarity(ts)
         assert chosen["unitarity_form"] == "factored"
         assert [chosen["unitarity_S"], chosen["unitarity_S_b"]] == factored
+
+
+def _layouts(a):
+    """a C-ordered, F-ordered and as a non-contiguous view into a larger array."""
+    big = np.zeros((a.shape[0] + 2, 2 * a.shape[1] + 1), dtype=a.dtype)
+    big[1:-1, 1::2] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "view": big[1:-1, 1::2]}
+
+
+def _close_to_reference(got, want):
+    return abs(got - want) <= 1e-15 + 1e-12 * abs(want)
+
+
+def _unitary(rng, n, dtype):
+    a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if dtype is complex else 0)
+    return np.linalg.qr(a)[0]
+
+
+def _square_cases():
+    rng = np.random.default_rng(13)
+    ts = _ground_plane_set()  # restricted to the kept rows
+    return {
+        "real-unitary": _unitary(rng, 5, float),
+        "complex-unitary": _unitary(rng, 7, complex),
+        # the deviation of a 448 x 448 unitary is rounding, ~1e-15: it is lost
+        # if the identity is taken off after the norm instead of before
+        "complex-unitary-448": _unitary(rng, 448, complex),
+        "real-general": rng.standard_normal((4, 4)),
+        "complex-general": rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+        "empty": np.zeros((0, 0), dtype=complex),
+        "one": np.array([[np.exp(0.3j)]]),
+        "kept-S": ts.S.data,
+        "kept-T": ts.T.data,
+    }
+
+
+SQUARE_CASES = _square_cases()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+@pytest.mark.parametrize("case", SQUARE_CASES)
+def test_dense_checks_match_the_full_product(case, layout):
+    # the one-triangle Gram and norm give the full product's deviations
+    m = _layouts(SQUARE_CASES[case])[layout]
+    assert _close_to_reference(check_unitary(m).deviation, unitary_deviation_reference(m))
+    assert _close_to_reference(check_t_power(m).deviation, t_power_reference(m))
+
+
+def _readout_cases():
+    """(u, solve of z) pairs: lossless, lossy, complex readout, kept rows, 1 and 0 columns."""
+    rng = np.random.default_rng(17)
+    blocks = FACTORED_UNITARITY_CASES["lossless"]().blocks
+    plain = transition(random_scene(rng, 6, 0.6), 1.0).blocks  # n_b = 0
+    gp = _ground_plane_set()
+    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    return {
+        "lossless": (blocks.readout, blocks.solve),
+        "lossless-background": (blocks.U1_b, blocks.solve_bb),
+        "kept-rows": (gp.blocks.readout[gp.kept], gp.blocks.solve),
+        "lossy": (rng.standard_normal((20, 5)), lambda rhs: np.linalg.solve(z, rhs)),
+        "complex": (rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5)),
+                    lambda rhs: np.linalg.solve(z, rhs)),
+        "one-column": (blocks.readout[:, :1], lambda rhs: rhs / blocks.system[0, 0]),
+        "no-background": (plain.U1_b, plain.solve_bb),
+    }
+
+
+READOUT_CASES = _readout_cases()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+@pytest.mark.parametrize("case", READOUT_CASES)
+def test_factored_unitarity_matches_the_full_product(case, layout):
+    u, solve = READOUT_CASES[case]
+    u = _layouts(u)[layout]
+    assert _close_to_reference(check_unitary_factored(u, solve).deviation,
+                               factored_unitarity_reference(u, solve))
+
+
+def _impedance_cases():
+    """Complex symmetric z with u: a lossless scene (real u), its compressed system (complex u), others."""
+    rng = np.random.default_rng(19)
+    blocks = FACTORED_UNITARITY_CASES["lossless"]().blocks
+    sys_t = schur_system(blocks)
+    u = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {
+        "lossless": (blocks.system, blocks.readout),
+        "compressed": (sys_t.Z_tilde, sys_t.U1_tilde),
+        "general-real-u": (z + z.T, u.real),
+        "general-complex-u": (z + z.T, u),
+        "one": (np.array([[2.0 - 1.0j]]), u[:, :1]),
+        "empty": (np.zeros((0, 0), dtype=complex), u[:, :0]),
+    }
+
+
+IMPEDANCE_CASES = _impedance_cases()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "view"])
+@pytest.mark.parametrize("case", IMPEDANCE_CASES)
+def test_factorization_residual_matches_the_full_product(case, layout):
+    z, u = (_layouts(a)[layout] for a in IMPEDANCE_CASES[case])
+    assert _close_to_reference(factorization_residual(z, u),
+                               factorization_residual_reference(z, u))
 
 
 def test_map_consistency_unitary_pair():
