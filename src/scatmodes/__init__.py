@@ -23,7 +23,6 @@ from .dipoles import (
 from .exceptions import (
     DomainError,
     GeometryError,
-    MappingError,
     ResolutionError,
     ShapeError,
     SolveError,

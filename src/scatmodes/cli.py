@@ -16,15 +16,19 @@ Subcommands
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
 and ``checks`` set for their sweep (``_blas_threads``).
+
+``main`` has ``gc.freeze`` run at exit, so interpreter exit skips collecting what is alive.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import concurrent.futures
 import contextlib
 import csv
 import ctypes
+import gc
 import json
 import math
 import os
@@ -43,7 +47,6 @@ from .dipoles import (
 from .exceptions import (
     DomainError,
     GeometryError,
-    MappingError,
     ResolutionError,
     ShapeError,
     SolveError,
@@ -610,6 +613,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Unregister first, so the hook is registered once however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
@@ -635,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ShapeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, GeometryError, MappingError, ResolutionError, SolveError) as err:
+    except (DomainError, GeometryError, ResolutionError, SolveError) as err:
         print(f"solver error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     return 0

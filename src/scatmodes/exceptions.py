@@ -17,9 +17,5 @@ class ResolutionError(ValueError):
     """A wave basis or quadrature grid is too small for the requested accuracy."""
 
 
-class MappingError(ValueError):
-    """A basis embedding or index map is not injective / not resolvable."""
-
-
 class SolveError(RuntimeError):
     """A linear solve failed (singular or numerically unusable operator)."""

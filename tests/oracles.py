@@ -340,6 +340,10 @@ def factorization_residual_reference(z, u):
 # Identity embedding of a small-basis operator
 # ---------------------------------------------------------------------------
 
+class MappingError(ValueError):
+    """A basis embedding or index map is not injective / not resolvable."""
+
+
 def embed_identity(M, target_basis, index_map=None):
     """Embed M into a larger basis, acting as the identity elsewhere.
 
@@ -347,7 +351,7 @@ def embed_identity(M, target_basis, index_map=None):
     target basis; an explicit injective ``index_map`` (position in M ->
     position in target) overrides it.
     """
-    from scatmodes import MappingError, OperatorMatrix
+    from scatmodes import OperatorMatrix
 
     m = M.data
     n_target = target_basis.size

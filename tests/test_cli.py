@@ -1,7 +1,11 @@
+import atexit
 import csv
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -534,3 +538,52 @@ def test_jobs_1_and_2_agree_on_a_two_region_cloud(tmp_path):
     report = compare_results(str(tmp_path / "1" / "traces.csv"),
                              str(tmp_path / "2" / "traces.csv"), 1e-12)
     assert report["passed"], report
+
+
+def _one_row_traces(tmp_path):
+    path = tmp_path / "traces.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cli.CSV_HEADER)
+        writer.writerow([5.0e8, 0, 1, -0.5, 0.5, 0.5 ** 0.5, 1.0, 0.0, 0.0, 0])
+    return str(path)
+
+
+def test_main_registers_the_exit_freeze_once_and_freezes_nothing(tmp_path, monkeypatch):
+    registered = []
+
+    def unregister(fn):
+        registered[:] = [f for f in registered if f != fn]
+
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    path = _one_row_traces(tmp_path)
+    for _ in range(2):
+        assert main(["compare", path, path, "--tol", "0"]) == 0
+        assert gc.get_freeze_count() == 0
+    assert registered == [gc.freeze]
+
+
+# The probe is registered before scatmodes is imported, so it runs after main's hook.
+_EXIT_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+from scatmodes import cli
+"""
+
+
+@pytest.mark.parametrize("call, code, frozen", [
+    ("sys.exit(cli.main(['compare', {f!r}, {f!r}, '--tol', '0']))", 0, "True"),
+    ("sys.exit(cli.main(['compare', {missing!r}, {missing!r}, '--tol', '0']))", 2, "True"),
+    ("", 0, "False"),
+], ids=["exit-0", "exit-2", "no-main"])
+def test_objects_alive_at_exit_are_frozen_after_main(tmp_path, call, code, frozen):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = _EXIT_PROBE + call.format(f=_one_row_traces(tmp_path),
+                                       missing=str(tmp_path / "missing.csv"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == frozen

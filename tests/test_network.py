@@ -8,7 +8,6 @@ import mpmath as mp
 
 from scatmodes import (
     DipoleScene,
-    MappingError,
     ModeSet,
     OperatorMatrix,
     Port,
@@ -27,6 +26,7 @@ from scatmodes import (
 from scatmodes.dipoles import factorization_residual
 from conftest import random_scene
 from oracles import (
+    MappingError,
     embed_identity,
     factored_unitarity_reference,
     factorization_residual_reference,

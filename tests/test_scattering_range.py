@@ -21,7 +21,6 @@ from scatmodes import (
     DomainError,
     GeometryError,
     HybridScene,
-    MappingError,
     Port,
     ResolutionError,
     ShapeError,
@@ -39,6 +38,7 @@ from scatmodes import (
 )
 from scatmodes.modes import parity_restricted
 from conftest import random_scene
+from oracles import MappingError
 from test_acceptance import assert_multisets_close, optimal_match
 
 LIBRARY_ERRORS = (DomainError, GeometryError, MappingError, ResolutionError,
