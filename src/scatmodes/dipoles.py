@@ -191,15 +191,16 @@ class BlockImpedance:
     """System matrix and readout of one scene, background unknowns first.
 
     The scene and its background have the transition matrices
-    ``T = T_b0 - U1 Z^-1 U1^T`` and ``T_b = T_b0 - U1_b Z_bb^-1 U1_b^T``;
-    every engine works on Z and U1, whatever the scene kind:
+    ``T = diag(T_b0) - U1 Z^-1 U1^T`` and ``T_b = diag(T_b0) - U1_b Z_bb^-1
+    U1_b^T``; every engine works on Z and U1, whatever the scene kind:
 
     - dipole scenes: U1 is real and ``T_b0`` is None (zero);
     - port scenes: U1 carries one ``sqrt(z0)`` row per port under the
       wave rows, and ``basis`` is the matching ``CompositeBasis``;
     - sphere hybrids: Z holds the sphere coupling ``U4^T T_b1 U4``, U1 is
-      the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the sphere's
-      ``T_b1``, which the controllable region sees as background.
+      the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the 1-D array
+      of the sphere's Mie coefficients, the diagonal of ``T_b1``, which
+      the controllable region sees as background.
 
     ``system`` (Z) and ``readout`` (U1) are kept read-only, in system
     order: the first ``n_b`` unknowns are the background's.  ``Z_bb``,
@@ -409,9 +410,9 @@ def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
-    """``t0 - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
+    """``diag(t0) - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
     t = -_readout_product(u, solve(u.T.astype(complex)))
-    return t if t0 is None else t0 + t
+    return t if t0 is None else np.diag(t0) + t
 
 
 def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
@@ -432,7 +433,7 @@ def transition(scene: DipoleScene | None = None, k: float | None = None,
 
     The background operators use only the background block of the
     impedance system (bordered / zero-padded in the full unknown set).
-    An empty background yields T_b = T_b0 (zero for dipole scenes).
+    An empty background yields T_b = diag(T_b0) (zero for dipole scenes).
     Given ``blocks`` of any scene kind, ``scene`` and ``k`` are not used.
 
     Z and Z_bb are factorised here, so a singular system raises

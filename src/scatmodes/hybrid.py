@@ -17,10 +17,11 @@ of sampled dipole fields on that sphere, and measures the same residual.
 The sphere plus the background dipoles together form the background.
 The hybrid is an assembly variant, not a second engine: folding the
 sphere into the impedance matrix (``Z + U4^T T_b1 U4``, readout
-``U1 + T_b1 U4``, background offset ``T_b1``) yields a ``BlockImpedance``
-that the shared ``transition`` and ``cm_impedance_substructure`` solve
-like any dipole scene.  The impedance and scattering routes agree for
-lossless scenes to the truncation accuracy.
+``U1 + T_b1 U4``, background offset the diagonal of ``T_b1``, kept as a
+vector) yields a ``BlockImpedance`` that the shared ``transition`` and
+``cm_impedance_substructure`` solve like any dipole scene.  The
+impedance and scattering routes agree for lossless scenes to the
+truncation accuracy.
 """
 
 from __future__ import annotations
@@ -203,8 +204,9 @@ class HybridSystem:
     """Hybrid impedance blocks with the sphere folded in, and the coupling U4.
 
     ``blocks`` holds ``Z + U4^T T_b1 U4`` and the complex readout
-    ``U1 + T_b1 U4`` (background unknowns first), with the sphere's
-    ``T_b1`` as background transition offset; ``U4`` is in system order.
+    ``U1 + T_b1 U4`` (background unknowns first), with the sphere's Mie
+    coefficients (the diagonal of ``T_b1``) as background transition
+    offset; ``U4`` is in system order.
     """
 
     blocks: BlockImpedance
@@ -241,8 +243,8 @@ def assemble_hybrid(scene: HybridScene, k: float,
     blocks = assemble_impedance(scene.mom_scene, k, wave_basis)
     tb1 = mie_tmatrix(scene.sphere, k, wave_basis).data
     u4_sys = u4[:, blocks.perm]
-    hybrid = blocks.with_system(blocks.Z + u4_sys.T @ tb1 @ u4_sys,
-                                blocks.U1 + tb1 @ u4_sys, T_b0=tb1)
+    hybrid = blocks.with_system(blocks.system + u4_sys.T @ tb1 @ u4_sys,
+                                blocks.readout + tb1 @ u4_sys, T_b0=np.diag(tb1).copy())
     return HybridSystem(blocks=hybrid, U4=OperatorMatrix(
         "projection", u4_sys, wave_basis,
         meta={"column_residuals": residuals[blocks.perm], "r_fit": r_fit}))
@@ -269,11 +271,11 @@ def hybrid_scattering_modes(scene: HybridScene, k: float,
 
     ``cm_scattering`` on the range of ``S - S_b``, which the controllable
     dipoles span, fed by the hybrid blocks' solves (the sphere's ``T_b1``
-    enters as a matrix product).  The unitarity of S and S_b is checked
-    on the dense matrices (``scattering_unitarity``).  Without
-    ``n_modes`` it returns the r modes of that range, at most three per
-    controllable dipole, not one per wave; a larger ``n_modes`` pads them
-    with ``s = 1`` modes, as there.
+    enters as its diagonal, the Mie coefficients).  The unitarity of S
+    and S_b is checked on the dense matrices (``scattering_unitarity``).
+    Without ``n_modes`` it returns the r modes of that range, at most
+    three per controllable dipole, not one per wave; a larger ``n_modes``
+    pads them with ``s = 1`` modes, as there.
     """
     return cm_scattering(hybrid_transition(scene, k, wave_basis, system=system),
                          k=k, n_modes=n_modes)

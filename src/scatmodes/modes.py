@@ -105,7 +105,7 @@ def _l_weights(basis_obj, dim: int) -> np.ndarray:
     ls = np.zeros(dim)
     wave = getattr(basis_obj, "wave", basis_obj)
     if isinstance(wave, WaveBasis) and wave.size <= dim:
-        ls[:wave.size] = [i.l for i in wave.indices]
+        ls[:wave.size] = wave.arrays()[0]
     return ls
 
 
@@ -183,11 +183,12 @@ class _MatrixPencil:
     def matrices(self):
         return self.s_mat, self.sb_mat
 
-    def apply_s(self, x):
-        return self.s_mat @ x
-
     def apply_sb(self, x):
         return self.sb_mat @ x
+
+    def diff(self, x):
+        """``T - T_b = (S - S_b) / 2`` applied to x."""
+        return 0.5 * ((self.s_mat - self.sb_mat) @ x)
 
     def schur(self):
         """All n eigenpairs from the Schur decomposition of the normal ``S_b^H S``."""
@@ -202,32 +203,32 @@ class _MatrixPencil:
 class _BlockPencil:
     """``S`` and ``S_b`` of a ``TransitionSet`` as actions of its blocks.
 
-    ``S_b`` and ``S_b^H`` act through the Z_bb factors and ``T - T_b =
+    ``S_b`` acts through the Z_bb factors and the diagonal offset
+    ``T_b0`` (``_apply_sb``; ``S_b^H`` is its conjugate), and ``T - T_b =
     -U1~ Z~^-1 U1~^T`` through the Schur complement, on the rows the set
     keeps, so no n x n matrix is formed unless the QZ fallback or a dense
     unitarity check reads ``ts.S`` and ``ts.S_b``.  Eliminating the
     background gives that form for every scene kind (the background
-    offset ``T_b0`` cancels), so ``U1~`` on the kept rows spans the range
-    of ``S - S_b``; the elimination reuses the Z_bb factors ``transition``
-    left on the blocks.
+    offset cancels), so ``U1~`` on the kept rows spans the range of ``S -
+    S_b``; the elimination reuses the Z_bb factors ``transition`` left on
+    the blocks.
     """
 
     def __init__(self, ts: TransitionSet):
         self.ts = ts
-        self.u_b, self.t_b0 = _background_readout(ts)
-        u_tilde = schur_system(ts.blocks).U1_tilde
-        self.u_tilde = u_tilde if ts.kept is None else u_tilde[ts.kept]
+        blocks = ts.blocks
+        rows = slice(None) if ts.kept is None else ts.kept
+        self.u_b = blocks.U1_b[rows]
+        self.t_b0 = None if blocks.T_b0 is None else blocks.T_b0[rows]
+        self.u_tilde = schur_system(blocks).U1_tilde[rows]
         self.dim = self.u_tilde.shape[0]
-        self.basis = ts.blocks.basis if ts.kept is None else None
+        self.basis = blocks.basis if ts.kept is None else None
 
     def matrices(self):
         return self.ts.S.data, self.ts.S_b.data
 
-    def apply_s(self, x):
-        return self.apply_sb(x) + 2.0 * self.diff(x)
-
     def apply_sb(self, x):
-        return x + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0, x)
+        return _apply_sb(self.ts.blocks, self.u_b, self.t_b0, x)
 
     def diff(self, x):
         """``T - T_b = (S - S_b) / 2`` applied to x."""
@@ -235,8 +236,7 @@ class _BlockPencil:
 
     def schur(self):
         """Eigenpairs on ``V = range(S_b^H U1~)`` from the r x r ``M``; V's basis Q is kept."""
-        sbh_u = self.u_tilde + 2.0 * _background_apply(self.ts.blocks, self.u_b, self.t_b0,
-                                                       self.u_tilde, adjoint=True)
+        sbh_u = np.conj(self.apply_sb(np.conj(self.u_tilde)))
         self.q = _orthonormal_range(sbh_u)
         t_vals, z, off = _schur_eig(self.apply_sb(self.q).conj().T @ self.diff(self.q))
         if t_vals is None:
@@ -323,7 +323,7 @@ def cm_scattering(S, S_b=None, k: float | None = None,
         a = np.hstack([a, pencil.complement(n_pad)])
 
     f = pencil.apply_sb(a)
-    s_a = pencil.apply_s(a)
+    s_a = f + 2.0 * pencil.diff(a)
     resid = np.linalg.norm(s_a - f * s_vals[None, :], axis=0)
     drive = np.linalg.norm(s_a, axis=0)
     diag["cancellation_flags"] = \
@@ -417,28 +417,18 @@ def schur_system(blocks: BlockImpedance) -> SchurSystem:
     return blocks.cached("schur_system", eliminate)
 
 
-def _background_readout(ts: TransitionSet):
-    """Background readout ``U1_b`` and offset ``T_b0`` on the rows ``ts`` keeps."""
-    blocks = ts.blocks
-    if ts.kept is None:
-        return blocks.U1_b, blocks.T_b0
-    t_b0 = None if blocks.T_b0 is None else blocks.T_b0[np.ix_(ts.kept, ts.kept)]
-    return blocks.U1_b[ts.kept], t_b0
+def _apply_sb(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray | None,
+              vec: np.ndarray) -> np.ndarray:
+    """``S_b vec = vec + 2 (t_b0 vec - u_b Z_bb^-1 u_b^T vec)`` without forming S_b.
 
-
-def _background_apply(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray | None,
-                      vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Action of ``T_b = t_b0 - u_b Z_bb^-1 u_b^T`` (or of T_b^H) without forming it.
-
-    Z_bb is complex symmetric (reciprocity), so ``Z_bb^-H y =
-    conj(Z_bb^-1 conj(y))`` reuses the factors of Z_bb for the adjoint.
+    ``t_b0`` is the diagonal of the background offset (None: zero), ``u_b``
+    the background readout on the rows ``vec`` lives on.  S_b is complex
+    symmetric (reciprocity), so ``S_b^H y = conj(S_b conj(y))`` reuses the
+    factors of Z_bb for the adjoint.
     """
-    if adjoint:
-        out = 0.0 if t_b0 is None else t_b0.conj().T @ vec
-        return out - np.conj(_readout_product(
-            u_b, blocks.solve_bb(_readout_product(u_b.T, np.conj(vec)))))
-    out = 0.0 if t_b0 is None else t_b0 @ vec
-    return out - _readout_product(u_b, blocks.solve_bb(_readout_product(u_b.T, vec)))
+    offset = 0.0 if t_b0 is None else t_b0[:, None] * vec
+    t_b = offset - _readout_product(u_b, blocks.solve_bb(_readout_product(u_b.T, vec)))
+    return vec + 2.0 * t_b
 
 
 def _tilde_solve(blocks: BlockImpedance):
@@ -548,7 +538,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -sys.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    a = f + 2.0 * _background_apply(blocks, blocks.U1_b, blocks.T_b0, f, adjoint=True)
+    a = np.conj(_apply_sb(blocks, blocks.U1_b, blocks.T_b0, np.conj(f)))
     i_b = -sys.W @ i_c
     currents = np.vstack([i_b, i_c])
 

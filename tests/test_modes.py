@@ -21,6 +21,7 @@ from scatmodes import (
     cm_t_form,
     generalized_scattering,
     mie_modeset,
+    mie_tmatrix,
     mirror_scene,
     recover_currents,
     schur_system,
@@ -29,6 +30,7 @@ from scatmodes import (
     track_modes,
     transition,
 )
+from scatmodes.modes import _apply_sb, ground_plane_transition
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 
@@ -431,15 +433,19 @@ def _port_blocks():
     return generalized_scattering(ported, 1.0).blocks
 
 
-def _hybrid_blocks():
+def _hybrid_scene():
     rng = np.random.default_rng(88)
     k = 2.0
     pos = rng.normal(size=(5, 3))
     pos *= (0.62 + 0.18 * rng.random(5))[:, None] / np.linalg.norm(pos, axis=1)[:, None]
     region = ("background",) * 2 + ("controllable",) * 3
     scene = DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(5)), region)
-    hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
-    return assemble_hybrid(hs, k, wave_basis=basis(18)).blocks
+    return HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0)), k, basis(18)
+
+
+def _hybrid_blocks():
+    hs, k, wave_basis = _hybrid_scene()
+    return assemble_hybrid(hs, k, wave_basis=wave_basis).blocks
 
 
 @pytest.mark.parametrize("make_blocks, tol", [
@@ -456,6 +462,44 @@ def test_impedance_engine_matches_scattering_on_every_scene_kind(make_blocks, to
     assert matched_distance(ms_s.t, ms_z.t, threshold=1e-7) < tol
     assert np.abs(np.linalg.norm(ms_z.f, axis=0) - 1.0).max() < 1e-12
     assert np.abs(ms_z.f - ts.S_b.data @ ms_z.a).max() < 10 * tol
+
+
+def _ground_plane_set():
+    rng = np.random.default_rng(316)
+    base = random_scene(rng, 7, 0.6, n_background=3)
+    scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability, base.region,
+                        ground_plane=True)
+    return ground_plane_transition(scene, 1.0)[0]
+
+
+@pytest.mark.parametrize("make_set", [
+    lambda: transition(blocks=_dipole_blocks()),
+    lambda: transition(blocks=_port_blocks()),
+    _ground_plane_set,
+    lambda: transition(blocks=_hybrid_blocks()),
+], ids=["dipole", "port", "ground-plane", "hybrid"])
+def test_background_action_matches_the_dense_s_b(make_set):
+    # S_b and, through reciprocity, S_b^H act from the Z_bb factors and the
+    # diagonal offset on the rows the set keeps, as the dense S_b does
+    ts = make_set()
+    blocks = ts.blocks
+    rows = slice(None) if ts.kept is None else ts.kept
+    u_b = blocks.U1_b[rows]
+    t_b0 = None if blocks.T_b0 is None else blocks.T_b0[rows]
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((u_b.shape[0], 3)) + 1j * rng.standard_normal((u_b.shape[0], 3))
+    s_b = ts.S_b.data
+    for got, want in ((_apply_sb(blocks, u_b, t_b0, x), s_b @ x),
+                      (np.conj(_apply_sb(blocks, u_b, t_b0, np.conj(x))), s_b.conj().T @ x)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_hybrid_offset_is_the_mie_diagonal_in_its_own_array():
+    hs, k, wave_basis = _hybrid_scene()
+    t_b0 = assemble_hybrid(hs, k, wave_basis=wave_basis).blocks.T_b0
+    assert t_b0.ndim == 1
+    assert np.array_equal(t_b0, np.diag(mie_tmatrix(hs.sphere, k, wave_basis).data))
+    assert t_b0.base is None
 
 
 def test_singular_system_raises_solve_error(two_region):

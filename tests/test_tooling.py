@@ -303,6 +303,29 @@ def test_iterative_point_holds_few_system_sized_arrays():
     assert peak <= 4.5 * z_nbytes, peak / z_nbytes
 
 
+def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
+    # on the hybrid-sweep blocks (448 waves, 12 unknowns) the impedance
+    # engine applies S_b^H through the Z_bb factors and the sphere's Mie
+    # diagonal, so its temporaries stay far below one n_waves x n_waves array
+    import tracemalloc
+
+    from conftest import hybrid_sweep_seed7
+    from scatmodes.modes import cm_impedance_substructure
+
+    sc = cli.parse_scenario(hybrid_sweep_seed7())
+    wave_basis = cli._sweep_basis(sc)
+    k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
+    ts, _ = cli._operators(sc, k, wave_basis)
+    n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        cm_impedance_substructure(ts.blocks, k=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * n_nbytes, peak / n_nbytes
+
+
 def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
     # the sweep basis evaluates the closed-form U4 at every frequency; the
     # points reuse those tables instead of evaluating them again
