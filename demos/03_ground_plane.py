@@ -3,21 +3,25 @@
 Image theory turns the half-space problem into a free-space one: every
 dipole gets a mirror image below z = 0, and the plane's boundary
 condition selects half of the spherical waves (TE with even l+m, TM
-with odd l+m).  The script compares the parity-filtered path against
-brute force on the explicit mirrored scene, then shows the classic
-image-cancellation effect: a horizontal dipole close to the plane
-nearly stops scattering, a vertical one does not.
+with odd l+m).  The library assembles that mirrored system already
+reduced to the dipoles above the plane, so a ground-plane scene goes
+through ``transition`` and ``cm_scattering`` like any other.  The script
+compares this image-reduced path against brute force on the explicit
+mirrored scene, then shows the classic image-cancellation effect: a
+horizontal dipole close to the plane nearly stops scattering, a vertical
+one does not.
 """
 
 import numpy as np
 
 from scatmodes import (
     DipoleScene,
-    cm_ground_plane,
     cm_scattering,
     mirror_scene,
     transition,
 )
+from scatmodes.modes import parity_leakage
+
 
 def main():
     rng = np.random.default_rng(3)
@@ -27,14 +31,14 @@ def main():
     pos[:, 2] = 0.12 + 0.3 * rng.random(n)
     scene = DipoleScene(pos, 6.0 * np.pi * (0.4 + rng.random(n)), ground_plane=True)
 
-    ms = cm_ground_plane(scene, k)
-    print("parity-filtered path: dominant |t|:",
+    ms = cm_scattering(transition(scene, k), k=k)
+    print("image-reduced path: dominant |t|:",
           " ".join(f"{v:.4f}" for v in np.abs(ms.t[:6])))
-    print("cross-parity coupling in S:", f"{ms.diagnostics['parity_leakage']:.1e}")
 
     # brute force: solve the full mirrored free-space problem and pick the
-    # modes whose eigenvalues the filtered block reproduces
+    # modes whose eigenvalues the reduced system reproduces
     ts = transition(mirror_scene(scene), k)
+    print("cross-parity coupling in the mirrored S:", f"{parity_leakage(ts):.1e}")
     ms_full = cm_scattering(ts.S, ts.S_b, k=k)
     matches = [np.abs(ms_full.t - t).min() for t in ms.t[:6]]
     print("per-mode distance to the brute-force spectrum:",
@@ -47,7 +51,7 @@ def main():
                         ("vertical", np.diag([1e-9, 1e-9, 6.0 * np.pi]))):
         above = DipoleScene([[0.0, 0.0, 0.05]], alpha, ground_plane=True)
         free = DipoleScene([[0.0, 0.0, 0.05]], alpha)
-        t_gp = np.abs(cm_ground_plane(above, k).t).max()
+        t_gp = np.abs(cm_scattering(transition(above, k), k=k).t).max()
         t_free = np.abs(cm_scattering(transition(free, k).S).t).max()
         print(f"  {axis:10s}: |t| above plane {t_gp:.2e}  vs isolated {t_free:.5f}")
 

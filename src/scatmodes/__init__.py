@@ -14,7 +14,6 @@ from .dipoles import (
     Port,
     TransitionSet,
     assemble_impedance,
-    assemble_projection,
     dyadic_green,
     generalized_scattering,
     mirror_scene,
@@ -41,7 +40,6 @@ from .modes import (
     ModeSet,
     SchurSystem,
     SweepResult,
-    cm_ground_plane,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,

@@ -5,13 +5,18 @@ Subcommands
 ``run --scenario FILE [--out DIR] [--jobs N] [--seed S] [--dump-vectors]``
     Sweep a JSON scenario over its frequency grid with the selected
     solver path, track modes, and write ``traces.csv`` plus
-    ``diagnostics.json`` (and optionally ``vectors.json``).
+    ``diagnostics.json`` (and optionally ``vectors.json``, each written
+    mode's excitation over the whole wave basis and port channels).
 ``compare A B --tol T``
     Optimally match modal traces of two result files per frequency and
     report the worst deviation against a tolerance.
 ``checks --scenario FILE``
     Run only the invariant suite (unitarity, power identity, path
-    equivalence, parity leakage) and exit nonzero on violation.
+    equivalence, and above a ground plane the parity leakage of the
+    mirrored scene) and exit nonzero on violation.
+
+Every scene kind is decomposed on the one block core: a ground-plane
+scene's 3N image-reduced system runs under every dipole solver.
 
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
@@ -39,9 +44,9 @@ import scipy
 from .dipoles import (
     DipoleScene,
     Port,
-    TransitionSet,
     default_basis,
     generalized_scattering,
+    mirror_scene,
     transition,
 )
 from .exceptions import (
@@ -63,7 +68,7 @@ from .modes import (
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
-    ground_plane_transition,
+    parity_leakage,
     scattering_unitarity,
     substructure_power_check,
     tilde_tmatrix,
@@ -177,8 +182,6 @@ def parse_scenario(raw: dict) -> dict:
         raise ScenarioError(f"scene.sphere requires a hybrid solver, not '{solver}'")
     if ports and solver != "dense-scattering":
         raise ScenarioError("scene.ports requires the dense-scattering solver")
-    if scene.ground_plane and solver not in ("dense-scattering", "t-form", "iterative"):
-        raise ScenarioError("ground_plane scenes support dense-scattering, t-form or iterative")
     tolerances = _field(raw, "tolerances", "", lambda v: isinstance(v, dict), "an object", {})
     for key in tolerances:
         _field(tolerances, key, "tolerances.", _is_number, "a finite number")
@@ -222,9 +225,8 @@ def _sweep_basis(sc: dict):
 def _operators(sc: dict, k: float, wave_basis):
     """The transition set a point's engine decomposes, and what its assembly recorded.
 
-    A hybrid folds the sphere into the blocks (``u4_residual``), ports
-    append their power-wave channels, and a ground-plane scene keeps its
-    parity-allowed waves (``parity_leakage`` of the full mirrored scene).
+    A hybrid folds the sphere into the blocks (``u4_residual``), and ports
+    append their power-wave channels.
     """
     scene = sc["scene"]
     if sc["hybrid"] is not None:
@@ -234,8 +236,6 @@ def _operators(sc: dict, k: float, wave_basis):
             {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
     if scene.ports:
         return generalized_scattering(scene, k, wave_basis), {}
-    if scene.ground_plane:
-        return ground_plane_transition(scene, k, wave_basis)
     return transition(scene, k, wave_basis), {}
 
 
@@ -523,7 +523,9 @@ def compare_results(path_a: str, path_b: str, tol: float) -> dict:
 def run_checks(sc: dict) -> dict:
     """Invariant suite over the sweep grid, on the operators ``run`` decomposes.
 
-    No result files are produced.
+    A ground-plane scene also reports the ``parity_leakage`` of its
+    mirrored scene, the brute-force test of the image symmetry its reduced
+    system assumes.  No result files are produced.
     """
     freqs = sc["frequencies"]
     scene = sc["scene"]
@@ -544,21 +546,22 @@ def run_checks(sc: dict) -> dict:
                 entry["tilde_identity_residual"] = \
                     tilde_tmatrix(ts.blocks).meta["identity_residual"]
             ms = cm_scattering(ts, k=k)
-            if not scene.ground_plane:
-                ms_alt = cm_impedance_substructure(ts.blocks, k=k)
-                sig = 10.0 * tol_equiv
-                t1 = ms.t[np.abs(ms.t) > sig]
-                t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
-                entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
-                    if t1.size == t2.size else math.inf
+            ms_alt = cm_impedance_substructure(ts.blocks, k=k)
+            sig = 10.0 * tol_equiv
+            t1 = ms.t[np.abs(ms.t) > sig]
+            t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
+            entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
+                if t1.size == t2.size else math.inf
+            if scene.ground_plane:
+                entry["parity_leakage"] = \
+                    parity_leakage(transition(mirror_scene(scene), k, wave_basis))
 
-            # S, S_b and T on all waves and port channels, also above a ground plane,
-            # checked densely; the engine's own check is reused where it was that one
-            whole = TransitionSet(ts.blocks)
-            engine_dense = ts.kept is None and ms.diagnostics["unitarity_form"] == "dense"
-            for key, op in (("unitarity_S", whole.S), ("unitarity_S_b", whole.S_b)):
+            # S, S_b and T on all waves and port channels, checked densely;
+            # the engine's own check is reused where it was that one
+            engine_dense = ms.diagnostics["unitarity_form"] == "dense"
+            for key, op in (("unitarity_S", ts.S), ("unitarity_S_b", ts.S_b)):
                 entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
-            entry["t_power"] = check_t_power(whole.T).deviation
+            entry["t_power"] = check_t_power(ts.T).deviation
             entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
             entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
                                          ms.diagnostics.get("orthogonality_f", 0.0))

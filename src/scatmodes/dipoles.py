@@ -6,9 +6,10 @@ matrix carries the exact radiative-reaction correction, so every
 assembled scene is lossless by construction: ``Re Z = U1^T U1`` with a
 real projection matrix U1 whose rows sample the regular spherical
 waves at the dipole positions.  Consequently ``S = I + 2 T`` with
-``T = -U1 Z^-1 U1^T`` is unitary to rounding.  Ports and the sphere
-hybrid reuse the same ``BlockImpedance`` with an augmented readout and a
-background transition offset, so every engine serves all scene kinds.
+``T = -U1 Z^-1 U1^T`` is unitary to rounding.  Ground planes (by the
+image-reduced system), ports and the sphere hybrid reuse the same
+``BlockImpedance`` with an augmented readout and a background transition
+offset, so every engine serves all scene kinds.
 
 Impedances are expressed in free-space-impedance units; port reference
 impedances given in Ohm are divided by eta_0 on entry.
@@ -144,8 +145,8 @@ def mirror_scene(scene: DipoleScene) -> DipoleScene:
     """Explicit free-space image scene for a ground-plane scene.
 
     Appends, for every dipole, its mirror image below z = 0 with the
-    reflected polarisability tensor.  Used internally by the assembly and
-    as the brute-force oracle for the parity-filter path.
+    reflected polarisability tensor: the brute-force oracle of the
+    image-reduced ground-plane assembly.
     """
     if not scene.ground_plane:
         raise GeometryError("mirror_scene expects a scene with the ground_plane flag")
@@ -195,6 +196,9 @@ class BlockImpedance:
     U1_b^T``; every engine works on Z and U1, whatever the scene kind:
 
     - dipole scenes: U1 is real and ``T_b0`` is None (zero);
+    - ground-plane scenes: the same, with Z and U1 image-reduced to the
+      3N unknowns of the dipoles above the plane (``assemble_impedance``),
+      so U1's rows of the parity-forbidden waves are exactly 0;
     - port scenes: U1 carries one ``sqrt(z0)`` row per port under the
       wave rows, and ``basis`` is the matching ``CompositeBasis``;
     - sphere hybrids: Z holds the sphere coupling ``U4^T T_b1 U4``, U1 is
@@ -208,7 +212,7 @@ class BlockImpedance:
     ``Z`` and ``U1`` return copies the caller may modify.  Z is complex
     symmetric, and lossless scenes satisfy ``Re Z = Re(U1^H U1)`` to
     rounding.  ``perm`` maps system rows to flat scene unknowns ``3 *
-    dipole + axis`` of the assembled (possibly image-augmented) scene.
+    dipole + axis`` of ``scene``.
     ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
     factors made (pivot-checked) on first use and kept by this object
     only; ``cached`` keeps other per-point products (Schur elimination,
@@ -306,15 +310,24 @@ def assemble_impedance(scene: DipoleScene, k: float,
     Off-diagonal 3x3 blocks are ``(j/k) G`` with the free-space dyadic
     Green function G; diagonal blocks carry the inverse static
     polarisability with the exact radiative correction ``I/(6 pi)`` that
-    makes each dipole, and hence the scene, lossless.  With the
-    ground-plane flag set, image dipoles are appended internally.
+    makes each dipole, and hence the scene, lossless.
     Z is complex symmetric: G is evaluated on the pairs i < j only, and
     each block is written with its transpose into the system-order Z.
+
+    Above a ground plane the image of a current I is ``-M I`` with ``M =
+    diag(1, 1, -1)``, so the mirrored scene's 6N system (``mirror_scene``)
+    reduces exactly to 3N unknowns by ``P = [I; -M] / sqrt(2)``: Z is ``P^T
+    Z P = Z_oo - Z_oi M`` and U1 is ``U1 P``.  Each block of Z then also
+    holds its image term ``-(j/k) G(r_i - M r_j) M``, whose transpose is
+    the (j, i) one, so the self-images go on the diagonal and the pairs i <
+    j are evaluated once.  A wave of parity s has ``-M v(M r) = s v(r)``,
+    so U1 is ``sqrt(2)`` times the table at the dipoles on the
+    parity-allowed waves and exactly 0 on the forbidden ones.  The
+    unknowns are ``sqrt(2)`` times the currents of the dipoles above the
+    plane.
     """
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
-    if scene.ground_plane:
-        scene = mirror_scene(scene)
     if wave_basis is None:
         wave_basis = default_basis(scene, k)
 
@@ -328,11 +341,16 @@ def assemble_impedance(scene: DipoleScene, k: float,
     for s in range(0, gi.size, _PAIR_CHUNK):
         i, j = gi[s:s + _PAIR_CHUNK], gj[s:s + _PAIR_CHUNK]
         g = (1j / k) * _green_blocks(k, pos[i] - pos[j])
+        if scene.ground_plane:
+            g -= (1j / k) * _green_blocks(k, pos[i] - pos[j] @ _MIRROR) @ _MIRROR
         zv[i, j] = g
         zv[j, i] = g.transpose(0, 2, 1)
     zv[range(n), range(n)] = np.eye(3) / (6.0 * np.pi) \
         - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
     u = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    if scene.ground_plane:
+        zv[range(n), range(n)] -= (1j / k) * _green_blocks(k, pos - pos @ _MIRROR) @ _MIRROR
+        u *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
     blocks = BlockImpedance(system=z, readout=u, n_b=3 * int(np.count_nonzero(~ctrl)),
                             basis=wave_basis, scene=scene,
                             perm=(3 * order[:, None] + np.arange(3)).ravel())
@@ -345,17 +363,6 @@ def assemble_impedance(scene: DipoleScene, k: float,
                 stacklevel=2,
             )
     return blocks
-
-
-def assemble_projection(scene: DipoleScene, k: float,
-                        wave_basis: WaveBasis | None = None) -> np.ndarray:
-    """Real projection U1 (n_waves x 3N) alone, in scene (unpermuted) order."""
-    if scene.ground_plane:
-        scene = mirror_scene(scene)
-    if wave_basis is None:
-        wave_basis = default_basis(scene, k)
-    tab = swe.regular_wave_table(wave_basis, k, scene.positions)
-    return tab.reshape(wave_basis.size, 3 * scene.n_dipoles)
 
 
 def _solver(z: np.ndarray, what: str):
@@ -375,15 +382,15 @@ class TransitionSet:
     """Transition/scattering operators of a scene and of its background.
 
     ``T``, ``T_b``, ``S`` and ``S_b`` are n x n ``OperatorMatrix`` objects
-    built from ``blocks`` when a caller first reads them, and kept in
-    ``blocks.cached``: an engine that works on the blocks' factors never
-    forms them, and every transition set of the same blocks shares them.
-    ``kept`` lists the rows of ``blocks.basis`` the operators are
-    restricted to (None: all of them); restricted operators carry no basis.
+    over ``blocks.basis``, built from ``blocks`` when a caller first reads
+    them, and kept in ``blocks.cached``: an engine that works on the
+    blocks' factors never forms them, and every transition set of the same
+    blocks shares them.  Above a ground plane their rows and columns of
+    the parity-forbidden waves are those of the identity (S) and of zero
+    (T), exactly.
     """
 
     blocks: BlockImpedance
-    kept: np.ndarray | None = field(default=None, kw_only=True)
 
     T = property(lambda self: self._operator("T"))
     T_b = property(lambda self: self._operator("T_b"))
@@ -391,12 +398,7 @@ class TransitionSet:
     S_b = property(lambda self: self._operator("S_b"))
 
     def _operator(self, name: str) -> OperatorMatrix:
-        full = self.blocks.cached(name, lambda: _full_operator(self.blocks, name))
-        if self.kept is None:
-            return full
-        sub = np.ix_(self.kept, self.kept)
-        return self.blocks.cached((name, self.kept.tobytes()),
-                                  lambda: OperatorMatrix(full.kind, full.data[sub]))
+        return self.blocks.cached(name, lambda: _full_operator(self.blocks, name))
 
 
 def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 The scattering generalized eigenproblem ``S a = s S_b a`` and its
 reformulations: products of transition matrices, the Schur-complement
 impedance path with eigencurrent recovery, executable identity checks
-(power balance, modified-transition-matrix equality), ground-plane
-parity reduction, and frequency-sweep mode tracking.
+(power balance, modified-transition-matrix equality, the parity leakage
+of a mirrored ground-plane scene), and frequency-sweep mode tracking.
+Every engine serves every scene kind through its ``BlockImpedance``; a
+ground-plane scene's is image-reduced at assembly.
 
 For lossless scenes all paths produce the same eigenvalue multiset; the
 test suite exercises these equivalences at tight tolerances.
@@ -22,12 +24,10 @@ import scipy.linalg as la
 from . import swe
 from .dipoles import (
     BlockImpedance,
-    DipoleScene,
     TransitionSet,
     _readout_product,
     _solver,
     factorization_residual,
-    transition,
 )
 from .exceptions import ShapeError, SolveError
 from .network import UNITARY_TOL, OperatorMatrix, _matrix, check_unitary, check_unitary_factored
@@ -205,30 +205,25 @@ class _BlockPencil:
 
     ``S_b`` acts through the Z_bb factors and the diagonal offset
     ``T_b0`` (``_apply_sb``; ``S_b^H`` is its conjugate), and ``T - T_b =
-    -U1~ Z~^-1 U1~^T`` through the Schur complement, on the rows the set
-    keeps, so no n x n matrix is formed unless the QZ fallback or a dense
-    unitarity check reads ``ts.S`` and ``ts.S_b``.  Eliminating the
-    background gives that form for every scene kind (the background
-    offset cancels), so ``U1~`` on the kept rows spans the range of ``S -
-    S_b``; the elimination reuses the Z_bb factors ``transition`` left on
-    the blocks.
+    -U1~ Z~^-1 U1~^T`` through the Schur complement, so no n x n matrix is
+    formed unless the QZ fallback or a dense unitarity check reads
+    ``ts.S`` and ``ts.S_b``.  Eliminating the background gives that form
+    for every scene kind (the background offset cancels), so ``U1~`` spans
+    the range of ``S - S_b``; the elimination reuses the Z_bb factors
+    ``transition`` left on the blocks.
     """
 
     def __init__(self, ts: TransitionSet):
         self.ts = ts
-        blocks = ts.blocks
-        rows = slice(None) if ts.kept is None else ts.kept
-        self.u_b = blocks.U1_b[rows]
-        self.t_b0 = None if blocks.T_b0 is None else blocks.T_b0[rows]
-        self.u_tilde = schur_system(blocks).U1_tilde[rows]
+        self.u_tilde = schur_system(ts.blocks).U1_tilde
         self.dim = self.u_tilde.shape[0]
-        self.basis = blocks.basis if ts.kept is None else None
+        self.basis = ts.blocks.basis
 
     def matrices(self):
         return self.ts.S.data, self.ts.S_b.data
 
     def apply_sb(self, x):
-        return _apply_sb(self.ts.blocks, self.u_b, self.t_b0, x)
+        return _apply_sb(self.ts.blocks, x)
 
     def diff(self, x):
         """``T - T_b = (S - S_b) / 2`` applied to x."""
@@ -274,9 +269,9 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     matrix ``M = (S_b Q)^H (T - T_b) Q = -(S_b Q)^H U1~ Z~^-1 (U1~^T Q)``,
     whose eigenvalues are the t_n themselves, and returns ``a = Q z``;
     every other mode has ``s = 1``.  ``S_b``, ``S_b^H`` and ``T - T_b``
-    act through the blocks' solves on the rows the set keeps, so this
-    costs O(n (3N)^2 + (3N)^3) and forms no n x n matrix; the unitarity
-    of S and S_b comes from ``scattering_unitarity`` (factored or dense).
+    act through the blocks' solves, so this costs O(n (3N)^2 + (3N)^3)
+    and forms no n x n matrix; the unitarity of S and S_b comes from
+    ``scattering_unitarity`` (factored or dense).
 
     Matrices (``S_b`` defaults to the identity) are the dense oracle: all
     n modes from the n x n Schur decomposition of N, with ``check_unitary``
@@ -417,16 +412,15 @@ def schur_system(blocks: BlockImpedance) -> SchurSystem:
     return blocks.cached("schur_system", eliminate)
 
 
-def _apply_sb(blocks: BlockImpedance, u_b: np.ndarray, t_b0: np.ndarray | None,
-              vec: np.ndarray) -> np.ndarray:
-    """``S_b vec = vec + 2 (t_b0 vec - u_b Z_bb^-1 u_b^T vec)`` without forming S_b.
+def _apply_sb(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
+    """``S_b vec = vec + 2 (T_b0 vec - U1_b Z_bb^-1 U1_b^T vec)`` without forming S_b.
 
-    ``t_b0`` is the diagonal of the background offset (None: zero), ``u_b``
-    the background readout on the rows ``vec`` lives on.  S_b is complex
-    symmetric (reciprocity), so ``S_b^H y = conj(S_b conj(y))`` reuses the
-    factors of Z_bb for the adjoint.
+    ``T_b0`` is the diagonal of the background offset (None: zero).  S_b is
+    complex symmetric (reciprocity), so ``S_b^H y = conj(S_b conj(y))``
+    reuses the factors of Z_bb for the adjoint.
     """
-    offset = 0.0 if t_b0 is None else t_b0[:, None] * vec
+    u_b = blocks.U1_b
+    offset = 0.0 if blocks.T_b0 is None else blocks.T_b0[:, None] * vec
     t_b = offset - _readout_product(u_b, blocks.solve_bb(_readout_product(u_b.T, vec)))
     return vec + 2.0 * t_b
 
@@ -444,9 +438,9 @@ def _tilde_solve(blocks: BlockImpedance):
                                                        "compressed impedance"))
 
 
-def _factored_form_pays(blocks: BlockImpedance, u: np.ndarray) -> bool:
-    """Whether S's factors ``I - 2 u Z^-1 u^T`` serve: a real readout of at most n/2 columns."""
-    return blocks.T_b0 is None and 2 * u.shape[1] <= u.shape[0]
+def _factored_form_pays(blocks: BlockImpedance) -> bool:
+    """Whether S's factors ``I - 2 U1 Z^-1 U1^T`` serve: a real readout of at most n/2 columns."""
+    return blocks.T_b0 is None and 2 * blocks.readout.shape[1] <= blocks.readout.shape[0]
 
 
 def scattering_unitarity(ts: TransitionSet) -> dict:
@@ -461,11 +455,9 @@ def scattering_unitarity(ts: TransitionSet) -> dict:
     ``unitarity_form`` is ``"factored"`` or ``"dense"``.
     """
     blocks = ts.blocks
-    u = blocks.readout if ts.kept is None else blocks.readout[ts.kept]
-    if _factored_form_pays(blocks, u):
-        return {"unitarity_S": check_unitary_factored(u, blocks.solve).deviation,
-                "unitarity_S_b": check_unitary_factored(u[:, :blocks.n_b],
-                                                        blocks.solve_bb).deviation,
+    if _factored_form_pays(blocks):
+        return {"unitarity_S": check_unitary_factored(blocks.readout, blocks.solve).deviation,
+                "unitarity_S_b": check_unitary_factored(blocks.U1_b, blocks.solve_bb).deviation,
                 "unitarity_form": "factored"}
     return {"unitarity_S": check_unitary(ts.S).deviation,
             "unitarity_S_b": check_unitary(ts.S_b).deviation,
@@ -487,7 +479,8 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     reactance against the compressed radiation matrix, converts
     ``lam -> t = -1/(1 + j lam)``, and recovers scattered fields
     ``f_n = -U1_tilde I_cn`` (normalised to unit norm) and excitations
-    ``a_n = S_b^H f_n``.  Serves dipole, port and hybrid blocks alike.
+    ``a_n = S_b^H f_n``.  Serves dipole, ground-plane, port and hybrid
+    blocks alike.
 
     Accuracy note: this formulation inherits the conditioning of the
     compressed radiation matrix, which is numerically rank deficient for
@@ -538,7 +531,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -sys.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    a = np.conj(_apply_sb(blocks, blocks.U1_b, blocks.T_b0, np.conj(f)))
+    a = np.conj(_apply_sb(blocks, np.conj(f)))
     i_b = -sys.W @ i_c
     currents = np.vstack([i_b, i_c])
 
@@ -650,18 +643,12 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
     return stack.max(axis=0) - stack.min(axis=0)
 
 
-def parity_restricted(ts: TransitionSet) -> TransitionSet:
-    """A ground-plane scene's operators on its parity-allowed waves only.
-
-    The restricted operators carry no basis and, like those of ``ts``,
-    are built only when read; ``swe.ground_plane_filter(ts.blocks.basis)``
-    gives the kept indices.
-    """
-    return TransitionSet(ts.blocks, kept=swe.ground_plane_filter(ts.blocks.basis))
-
-
 def parity_leakage(ts: TransitionSet) -> float:
     """Relative norm of S coupling parity-allowed to parity-forbidden waves.
+
+    Zero to rounding for the mirrored scene of a ground-plane scene
+    (``mirror_scene``): the test of the image symmetry that the reduced
+    assembly takes as exact.
 
     ``S[keep, drop] = -2 U1_keep Z^-1 U1_drop^T`` and, with the thin QR
     ``U1 = Q R`` (p columns in Q), ``||S||_F^2 = ||I - 2 R Z^-1 R^T||_F^2
@@ -672,47 +659,13 @@ def parity_leakage(ts: TransitionSet) -> float:
     keep = swe.ground_plane_filter(blocks.basis)
     drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
     u = blocks.readout
-    if _factored_form_pays(blocks, u):
+    if _factored_form_pays(blocks):
         r_keep, r_drop, r = (np.linalg.qr(x, mode="r") for x in (u[keep], u[drop], u))
         cross = 2.0 * r_keep @ blocks.solve(r_drop.T.astype(complex))
         s_c = np.eye(r.shape[0]) - 2.0 * r @ blocks.solve(r.T.astype(complex))
         norm_s = math.sqrt(np.linalg.norm(s_c) ** 2 + u.shape[0] - r.shape[0])
         return float(np.linalg.norm(cross) / norm_s)
     return float(np.linalg.norm(ts.S.data[np.ix_(keep, drop)]) / np.linalg.norm(ts.S.data))
-
-
-def ground_plane_transition(scene: DipoleScene, k: float,
-                            wave_basis: WaveBasis | None = None):
-    """A ground-plane scene's parity-restricted transition set, and its ``parity_leakage``.
-
-    Assembles the mirrored free-space scene and keeps its parity-allowed
-    waves (``parity_restricted``); the leakage is that of the full
-    mirrored scene.  Returns ``(restricted, {"parity_leakage": ...})``.
-    """
-    if not scene.ground_plane:
-        raise ShapeError("ground_plane_transition expects a scene with the ground_plane flag")
-    ts = transition(scene, k, wave_basis)
-    return parity_restricted(ts), {"parity_leakage": parity_leakage(ts)}
-
-
-def cm_ground_plane(scene: DipoleScene, k: float,
-                    wave_basis: WaveBasis | None = None) -> ModeSet:
-    """Substructure modes of a scene above an infinite PEC ground plane.
-
-    Solves the scattering eigenproblem on the parity-restricted transition
-    set of ``ground_plane_transition``, on the range of ``S - S_b``
-    (``cm_scattering`` fed by the blocks).
-    It returns the r modes of that range, at most three per controllable
-    dipole of the mirrored scene, not one per kept wave: every other
-    mode has ``s = 1``.  Mode vectors live on the kept indices;
-    ``diagnostics['kept_indices']`` maps them back into the full basis.
-    """
-    restricted, leakage = ground_plane_transition(scene, k, wave_basis)
-    ms = cm_scattering(restricted, k=k)
-    ms.diagnostics["kept_indices"] = restricted.kept
-    ms.diagnostics["parent_basis"] = restricted.blocks.basis
-    ms.diagnostics.update(leakage)
-    return ms
 
 
 # ---------------------------------------------------------------------------

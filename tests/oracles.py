@@ -279,14 +279,16 @@ def impedance_reference(scene, k, wave_basis):
     The Green blocks are evaluated on every ordered pair (i, j), i != j, in
     scene order, so both G_ij and G_ji are computed; the diagonal is filled
     one dipole at a time, and the system order is applied afterwards by
-    permuting rows and columns.  A ground-plane scene is mirrored first.
+    permuting rows and columns.  A ground-plane scene is mirrored first,
+    and the mirrored Z and U1 are reduced to the 3N unknowns of the dipoles
+    above the plane as ``P^T Z P`` and ``U1 P``, with ``P = [I; -M] / sqrt(2)``
+    (the image current is ``-M I``, ``M = diag(1, 1, -1)``).
     """
     from scatmodes import dipoles, swe
 
-    if scene.ground_plane:
-        scene = dipoles.mirror_scene(scene)
-    pos = scene.positions
-    n = scene.n_dipoles
+    mirrored = dipoles.mirror_scene(scene) if scene.ground_plane else scene
+    pos = mirrored.positions
+    n = mirrored.n_dipoles
     z = np.zeros((3 * n, 3 * n), dtype=complex)
     for i in range(n):
         others = np.delete(np.arange(n), i)
@@ -294,8 +296,12 @@ def impedance_reference(scene, k, wave_basis):
         for j, block in zip(others, row):
             z[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
         z[3 * i:3 * i + 3, 3 * i:3 * i + 3] = \
-            np.eye(3) / (6.0 * np.pi) - 1j * np.linalg.inv(scene.polarizability[i]) / k**3
+            np.eye(3) / (6.0 * np.pi) - 1j * np.linalg.inv(mirrored.polarizability[i]) / k**3
     u1 = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    if scene.ground_plane:
+        images = np.kron(np.eye(scene.n_dipoles), np.diag([1.0, 1.0, -1.0]))
+        p = np.vstack([np.eye(3 * scene.n_dipoles), -images]) / math.sqrt(2.0)
+        z, u1 = p.T @ z @ p, u1 @ p
     perm = system_permutation(scene)
     return z[np.ix_(perm, perm)], u1[:, perm]
 

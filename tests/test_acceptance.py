@@ -21,7 +21,6 @@ from scatmodes import (
     assemble_hybrid,
     basis,
     check_unitary,
-    cm_ground_plane,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
@@ -249,20 +248,20 @@ def test_criterion_6_iterative_solver(equivalence_results):
 
 
 def test_criterion_7_ground_plane(ground_plane_bank):
-    """Filtered path vs brute force on the explicit mirrored scene.
+    """Image-reduced path vs brute force on the explicit mirrored scene.
 
     The brute-force eigenvalue multiset must equal the union of the
-    allowed-parity (filtered path) and forbidden-parity spectra to 1e-8.
-    Forbidden-parity eigenvector content is asserted below 1e-10 for the
-    brute-force modes whose eigenvalues are isolated from the opposite
-    parity class (where classification is well posed); filtered-path
-    vectors carry no forbidden content by construction.
+    allowed-parity (image-reduced path) and forbidden-parity spectra to
+    1e-8.  Forbidden-parity eigenvector content is asserted below 1e-10 for
+    the brute-force modes whose eigenvalues are isolated from the opposite
+    parity class (where classification is well posed), and for every
+    image-reduced mode, whose vectors live on the full basis.
     """
     worst_dt = 0.0
     worst_forbidden = 0.0
     n_vectors = 0
     for scene, k in ground_plane_bank:
-        ms_filtered = cm_ground_plane(scene, k)
+        ms_filtered = cm_scattering(transition(scene, k), k=k)
         ts = transition(mirror_scene(scene), k)
         ms_full = cm_scattering(ts.S, ts.S_b, k=k)
         keep = ground_plane_filter(ts.blocks.basis)
@@ -281,6 +280,8 @@ def test_criterion_7_ground_plane(ground_plane_bank):
 
         allowed = np.zeros(ts.blocks.basis.size)
         allowed[keep] = 1.0
+        assert np.sqrt(((1.0 - allowed)[:, None] * np.abs(ms_filtered.a) ** 2)
+                       .sum(axis=0)).max() < 1e-10
         odd_sig = ms_odd.t[np.abs(ms_odd.t) > sig]
         for n in range(ms_full.n_modes):
             t_n = ms_full.t[n]

@@ -10,7 +10,6 @@ from scatmodes import (
     GeometryError,
     Port,
     assemble_impedance,
-    assemble_projection,
     basis,
     check_unitary,
     cm_scattering,
@@ -18,8 +17,8 @@ from scatmodes import (
     mirror_scene,
     transition,
 )
-from scatmodes.dipoles import TransitionSet, _readout_product
-from scatmodes.swe import ground_plane_filter
+from scatmodes.dipoles import _readout_product
+from scatmodes.swe import ground_plane_filter, mirror_parity, regular_wave_table
 from conftest import random_scene
 from oracles import impedance_reference, system_permutation
 
@@ -49,7 +48,7 @@ def test_radiation_matrix_positive_semidefinite():
 def test_projection_origin_dipole_rows():
     scene = DipoleScene([[0.0, 0.0, 0.0]], 1.0)
     b = basis(4)
-    u1 = assemble_projection(scene, 1.0, b)
+    u1 = regular_wave_table(b, 1.0, scene.positions).reshape(b.size, 3)
     assert u1.dtype == np.float64
     ls = np.array([i.l for i in b.indices])
     nonzero = np.abs(u1).max(axis=1) > 0.0
@@ -122,10 +121,11 @@ def test_mirror_scene_geometry():
 
 def test_image_current_signs():
     # drive the mirrored scene with a PEC-symmetric excitation: the image
-    # current is the original with tangential components flipped
+    # current is the original with tangential components flipped, and the
+    # image-reduced system's unknown is sqrt(2) times the original current
     k = 1.0
     scene = DipoleScene([[0.05, 0.02, 0.3]], 1.0, ground_plane=True)
-    blocks = assemble_impedance(scene, k)
+    blocks = assemble_impedance(mirror_scene(scene), k)
     keep = ground_plane_filter(blocks.basis)
     rng = np.random.default_rng(0)
     a = np.zeros(blocks.basis.size, dtype=complex)
@@ -137,6 +137,9 @@ def test_image_current_signs():
     i_img = current[inv[3:6]]
     flip = np.array([-1.0, -1.0, 1.0])
     assert_allclose(i_img, flip * i_orig, rtol=1e-10, atol=1e-14)
+    reduced = assemble_impedance(scene, k, blocks.basis)
+    assert_allclose(np.linalg.solve(reduced.Z, reduced.U1.T @ a), math.sqrt(2.0) * i_orig,
+                    rtol=1e-10, atol=1e-14)
 
 
 def test_mirrored_scene_parity_decoupling():
@@ -146,12 +149,43 @@ def test_mirrored_scene_parity_decoupling():
                            rng.normal(size=3) * 0.1,
                            0.1 + 0.2 * rng.random(3)])
     scene = DipoleScene(pos, 6.0 * math.pi * (0.5 + rng.random(3)), ground_plane=True)
-    ts = transition(scene, 1.0)
+    ts = transition(mirror_scene(scene), 1.0)
     keep = ground_plane_filter(ts.blocks.basis)
     drop = np.setdiff1d(np.arange(ts.blocks.basis.size), keep)
     s = ts.S.data
     assert np.linalg.norm(s[np.ix_(keep, drop)]) < 1e-10 * np.linalg.norm(s)
     assert np.linalg.norm(s[np.ix_(drop, keep)]) < 1e-10 * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("solver", ["dense-scattering", "dense-impedance", "t-form", "iterative"])
+def test_ground_plane_point_factorises_the_image_reduced_system(solver, monkeypatch):
+    # a ground-plane point factorises the 3N x 3N image-reduced Z, never the
+    # 6N x 6N mirrored one, and its readout is exactly 0 on the forbidden waves
+    import scipy.linalg
+
+    from scatmodes import cli
+    from test_cli import _ground_plane
+
+    sizes = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return lu_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+    sc = cli.parse_scenario(_ground_plane(solver))
+    wave_basis = cli._sweep_basis(sc)
+    k = 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT
+    three_n = 3 * sc["scene"].n_dipoles
+    cli._solve_point(sc, k, wave_basis, seed=1)
+    assert (three_n, three_n) in sizes and max(max(shape) for shape in sizes) == three_n
+
+    readout = cli._operators(sc, k, wave_basis)[0].blocks.readout
+    allowed = mirror_parity(wave_basis) > 0
+    assert readout.shape == (wave_basis.size, three_n)
+    assert not readout[~allowed].any()
+    assert (np.abs(readout[allowed]).max(axis=1) > 0.0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +302,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
         z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
             np.eye(3) / (6.0 * math.pi) - 1j * np.eye(3) / (alpha * k**3)
     z[3 * 1 + 1, 3 * 1 + 1] += 50.0 / ETA0
-    u1 = assemble_projection(DipoleScene(pos, alpha), k, gs.basis.wave)
+    u1 = regular_wave_table(gs.basis.wave, k, pos).reshape(gs.basis.wave.size, 3 * n)
     s_ref = np.eye(nw) - 2.0 * u1 @ np.linalg.solve(z, u1.T.astype(complex))
     assert np.abs(s_block - s_ref).max() < 1e-12
 
@@ -352,10 +386,18 @@ ASSEMBLY_CASES = ("plain", "two-region", "empty-background", "port", "ground-pla
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
 def test_assembly_matches_the_ordered_pair_reference(case):
     # the i < j Green blocks written with their transposes, in system order,
-    # are bit for bit the all-ordered-pairs scene-order system permuted
+    # are bit for bit the all-ordered-pairs scene-order system permuted; above
+    # a ground plane they are P^T Z P and U1 P of the mirrored reference, to
+    # rounding, and U1 is exactly 0 on the parity-forbidden waves
     blocks, z_ref, u_ref = _assembly_case(case)
-    assert np.array_equal(blocks.Z, z_ref)
-    assert np.array_equal(blocks.U1, u_ref)
+    if case != "ground-plane":
+        assert np.array_equal(blocks.Z, z_ref)
+        assert np.array_equal(blocks.U1, u_ref)
+        return
+    assert np.abs(blocks.Z - z_ref).max() <= 1e-14 * np.abs(z_ref).max()
+    assert np.abs(blocks.U1 - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
+    drop = np.flatnonzero(mirror_parity(blocks.basis) < 0)
+    assert drop.size and not blocks.U1[drop].any()
 
 
 def test_blocks_are_read_only_views_of_one_system_matrix(monkeypatch):
@@ -409,24 +451,20 @@ def _port_bank():
 def test_real_readout_products_match_the_complex_product(bank, request):
     # T and T_b of a real readout come from real GEMMs on the interleaved
     # view of Z^-1 U1^T; the plain complex product gives the same operators
-    from scatmodes.modes import parity_restricted
-
     if bank == "dipole":
         sets = [transition(scene, k) for scene, k in request.getfixturevalue("lossless_bank")]
     elif bank == "port":
         sets = [generalized_scattering(scene, 1.0) for scene in _port_bank()]
     else:
-        sets = [parity_restricted(transition(scene, k))
-                for scene, k in request.getfixturevalue("ground_plane_bank")]
+        sets = [transition(scene, k) for scene, k in request.getfixturevalue("ground_plane_bank")]
     worst = 0.0
     for ts in sets:
         blocks = ts.blocks
-        full = TransitionSet(blocks)  # over the whole basis, also for a ground plane
         assert not np.iscomplexobj(blocks.U1)
         u = blocks.U1.astype(complex)
         ub = u[:, :blocks.n_b]
-        for t, plain in ((full.T.data, -u @ blocks.solve(u.T.copy())),
-                         (full.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
+        for t, plain in ((ts.T.data, -u @ blocks.solve(u.T.copy())),
+                         (ts.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
             worst = max(worst, np.linalg.norm(t - plain) / max(np.linalg.norm(plain), 1e-300))
     assert worst <= 1e-15
 

@@ -15,7 +15,6 @@ from scatmodes import (
     assemble_hybrid,
     assemble_impedance,
     basis,
-    cm_ground_plane,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
@@ -30,7 +29,7 @@ from scatmodes import (
     track_modes,
     transition,
 )
-from scatmodes.modes import _apply_sb, ground_plane_transition
+from scatmodes.modes import _apply_sb, parity_leakage
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 
@@ -304,21 +303,19 @@ def test_vertical_dipole_above_plane_parity():
     scene = DipoleScene([[0.0, 0.0, 0.25]],
                         np.diag([1e-8, 1e-8, 6.0 * math.pi * 1.2]),
                         ground_plane=True)
-    ms = cm_ground_plane(scene, 1.0)
-    assert ms.diagnostics["parity_leakage"] < 1e-12
-    kept = ms.diagnostics["kept_indices"]
-    parent = ms.diagnostics["parent_basis"]
+    ms = cm_scattering(transition(scene, 1.0), k=1.0)
+    assert parity_leakage(transition(mirror_scene(scene), 1.0)) < 1e-12
     sig = np.abs(ms.t) > 1e-6
     assert sig.any()
     a_sig = np.abs(ms.a[:, sig]).max(axis=1)
     for row in np.flatnonzero(a_sig > 1e-8):
-        idx = parent.indices[kept[row]]
+        idx = ms.basis.indices[row]
         assert idx.pol == "TM" and idx.m == 0 and idx.l % 2 == 1
 
 
 def test_ground_plane_matches_mirrored_brute_force(ground_plane_bank):
     scene, k = ground_plane_bank[0]
-    ms_f = cm_ground_plane(scene, k)
+    ms_f = cm_scattering(transition(scene, k), k=k)
     ts = transition(mirror_scene(scene), k)
     ms_full = cm_scattering(ts.S, ts.S_b)
     keep = ground_plane_filter(ts.blocks.basis)
@@ -337,7 +334,7 @@ def test_horizontal_dipole_image_cancellation():
     height = 0.05
     gp = DipoleScene([[0.0, 0.0, height]], alpha, ground_plane=True)
     free = DipoleScene([[0.0, 0.0, height]], alpha)
-    t_gp = np.abs(cm_ground_plane(gp, k).t).max()
+    t_gp = np.abs(cm_scattering(transition(gp, k)).t).max()
     t_free = np.abs(cm_scattering(transition(free, k).S).t).max()
     assert t_gp < t_free
 
@@ -469,7 +466,7 @@ def _ground_plane_set():
     base = random_scene(rng, 7, 0.6, n_background=3)
     scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability, base.region,
                         ground_plane=True)
-    return ground_plane_transition(scene, 1.0)[0]
+    return transition(scene, 1.0)
 
 
 @pytest.mark.parametrize("make_set", [
@@ -480,17 +477,15 @@ def _ground_plane_set():
 ], ids=["dipole", "port", "ground-plane", "hybrid"])
 def test_background_action_matches_the_dense_s_b(make_set):
     # S_b and, through reciprocity, S_b^H act from the Z_bb factors and the
-    # diagonal offset on the rows the set keeps, as the dense S_b does
+    # diagonal offset as the dense S_b does
     ts = make_set()
     blocks = ts.blocks
-    rows = slice(None) if ts.kept is None else ts.kept
-    u_b = blocks.U1_b[rows]
-    t_b0 = None if blocks.T_b0 is None else blocks.T_b0[rows]
+    n = blocks.readout.shape[0]
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((u_b.shape[0], 3)) + 1j * rng.standard_normal((u_b.shape[0], 3))
+    x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     s_b = ts.S_b.data
-    for got, want in ((_apply_sb(blocks, u_b, t_b0, x), s_b @ x),
-                      (np.conj(_apply_sb(blocks, u_b, t_b0, np.conj(x))), s_b.conj().T @ x)):
+    for got, want in ((_apply_sb(blocks, x), s_b @ x),
+                      (np.conj(_apply_sb(blocks, np.conj(x))), s_b.conj().T @ x)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

@@ -101,10 +101,10 @@ def test_lossless_scene_checks():
 
 
 def _ground_plane_set():
-    from scatmodes.modes import parity_restricted
+    """An image-reduced ground-plane set: its readout is exactly 0 on the forbidden waves."""
     scene = DipoleScene([[0.1, 0.0, 0.2], [-0.1, 0.1, 0.3], [0.0, -0.15, 0.1]], 0.05,
                         ("background", "controllable", "controllable"), ground_plane=True)
-    return parity_restricted(transition(scene, 2.0))
+    return transition(scene, 2.0)
 
 
 FACTORED_UNITARITY_CASES = {
@@ -126,10 +126,10 @@ FACTORED_UNITARITY_CASES = {
 @pytest.mark.parametrize("case", FACTORED_UNITARITY_CASES)
 def test_factored_unitarity_matches_dense(case):
     # ||S^H S - I|| from the QR of the readout and Z^-1 is the dense check's
-    # quantity, for S and S_b, on the rows a transition set keeps
+    # quantity, for S and S_b
     ts = FACTORED_UNITARITY_CASES[case]()
     blocks = ts.blocks
-    u = blocks.U1 if ts.kept is None else blocks.U1[ts.kept]
+    u = blocks.U1
     factored = [check_unitary_factored(u, blocks.solve).deviation,
                 check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb).deviation]
     dense = [check_unitary(ts.S).deviation, check_unitary(ts.S_b).deviation]
@@ -160,7 +160,7 @@ def _unitary(rng, n, dtype):
 
 def _square_cases():
     rng = np.random.default_rng(13)
-    ts = _ground_plane_set()  # restricted to the kept rows
+    ts = _ground_plane_set()  # "kept-": its S and T couple only the allowed waves
     return {
         "real-unitary": _unitary(rng, 5, float),
         "complex-unitary": _unitary(rng, 7, complex),
@@ -189,7 +189,7 @@ def test_dense_checks_match_the_full_product(case, layout):
 
 
 def _readout_cases():
-    """(u, solve of z) pairs: lossless, lossy, complex readout, kept rows, 1 and 0 columns."""
+    """(u, solve of z) pairs: lossless, lossy, complex readout, exact zero rows, 1 and 0 columns."""
     rng = np.random.default_rng(17)
     blocks = FACTORED_UNITARITY_CASES["lossless"]().blocks
     plain = transition(random_scene(rng, 6, 0.6), 1.0).blocks  # n_b = 0
@@ -198,7 +198,7 @@ def _readout_cases():
     return {
         "lossless": (blocks.readout, blocks.solve),
         "lossless-background": (blocks.U1_b, blocks.solve_bb),
-        "kept-rows": (gp.blocks.readout[gp.kept], gp.blocks.solve),
+        "kept-rows": (gp.blocks.readout, gp.blocks.solve),  # 0 on the forbidden waves
         "lossy": (rng.standard_normal((20, 5)), lambda rhs: np.linalg.solve(z, rhs)),
         "complex": (rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5)),
                     lambda rhs: np.linalg.solve(z, rhs)),

@@ -29,14 +29,12 @@ from scatmodes import (
     assemble_hybrid,
     basis,
     check_unitary,
-    cm_ground_plane,
     cm_scattering,
     generalized_scattering,
     hybrid_scattering_modes,
     hybrid_transition,
     transition,
 )
-from scatmodes.modes import parity_restricted
 from conftest import random_scene
 from oracles import MappingError
 from test_acceptance import assert_multisets_close, optimal_match
@@ -70,10 +68,11 @@ def _assert_matches_dense(ts, *ranged):
 def test_ground_plane_bank(ground_plane_bank):
     worst = 0.0
     for scene, k in ground_plane_bank:
-        restricted = parity_restricted(transition(scene, k))
-        ms = cm_ground_plane(scene, k)
-        worst = max(worst, _assert_matches_dense(restricted, ms))
-        # image currents add no rank: the allowed parity sees 3 N_c of them
+        ts = transition(scene, k)
+        ms = cm_scattering(ts, k=k)
+        worst = max(worst, _assert_matches_dense(ts, ms))
+        # image currents add no unknowns: Z is 3N x 3N and the range has rank <= 3 N_c
+        assert ts.blocks.system.shape == (3 * scene.n_dipoles,) * 2
         assert ms.diagnostics["rank"] <= 3 * scene.is_controllable.sum()
     assert worst < 1e-12
 

@@ -98,7 +98,7 @@ FACTORISATION_CASES = {
     **{solver: _scenario(solver=solver)
        for solver in ("dense-scattering", "dense-impedance", "t-form", "iterative")},
     **{f"ground-plane-{solver}": _ground_plane(solver)
-       for solver in ("dense-scattering", "t-form", "iterative")},
+       for solver in ("dense-scattering", "dense-impedance", "t-form", "iterative")},
     "port": _port(),
     "hybrid-impedance": _hybrid("hybrid-impedance"),
     "hybrid-scattering": _hybrid("hybrid-scattering"),
@@ -188,10 +188,10 @@ def test_checks_build_transition_and_schur_system_once_per_point(case, monkeypat
                                   "hybrid-scattering"])
 def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch):
     # checks runs on the transition set the run's solver works on: a port
-    # scene's power-wave channels appended, a ground-plane scene restricted
-    # to its parity-allowed waves; S and S_b are checked densely once each,
-    # on all waves and channels (by the engine where its own check is dense)
-    from scatmodes import TransitionSet, modes, swe
+    # scene's power-wave channels appended, a ground-plane scene image-reduced;
+    # S and S_b are checked densely once each, on all waves and channels (by
+    # the engine where its own check is dense)
+    from scatmodes import TransitionSet, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     wave_basis = cli._sweep_basis(sc)
@@ -217,11 +217,9 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
 
     dim = wave_basis.size + len(sc["scene"].ports)
     assert unitary_dims == [dim, dim] * len(ks)  # S and S_b of each point
-    kept = swe.ground_plane_filter(wave_basis) if sc["scene"].ground_plane else None
     assert len(decomposed) == len(ks)
     for (ts, ms), ms_run in zip(decomposed, run_modes):
         assert isinstance(ts, TransitionSet) and ts.blocks.readout.shape[0] == dim
-        assert ts.kept is None if kept is None else np.array_equal(ts.kept, kept)
         n = min(ms.n_modes, ms_run.n_modes)
         assert np.abs(ms.t[:n] - ms_run.t[:n]).max() < 1e-12
 
