@@ -6,7 +6,9 @@ modes extend to fed structures without any change of formalism.  On a
 symmetric three-dipole scene with a centre port, modes whose current
 vanishes at the port element keep their eigenvalues exactly when the
 port is added, while modes that drive the port are broadened by the
-reference impedance.
+reference impedance.  ``transition`` assembles the ported scene like
+any other: each port terminates its dipole axis in z0 and adds one
+channel to the basis.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from scatmodes import (
     Port,
     check_unitary,
     cm_scattering,
-    generalized_scattering,
     transition,
 )
 
@@ -29,9 +30,10 @@ def main():
     ported = DipoleScene(pos, alpha, ports=(Port(1, "x", 73.0),))
 
     ts = transition(unported, k)
-    gs = generalized_scattering(ported, k, ts.blocks.basis)
+    gs = transition(ported, k, ts.blocks.basis)
+    channels = gs.blocks.basis
     print(f"augmented scattering matrix: {gs.S.dim} channels "
-          f"({gs.basis.wave.size} waves + {gs.n_ports} port)")
+          f"({channels.wave.size} waves + {len(channels.extra_labels)} port)")
     print(f"unitarity deviation: {check_unitary(gs.S).deviation:.2e}")
 
     ms0 = cm_scattering(ts.S)

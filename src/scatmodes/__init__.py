@@ -15,7 +15,6 @@ from .dipoles import (
     TransitionSet,
     assemble_impedance,
     dyadic_green,
-    generalized_scattering,
     mirror_scene,
     transition,
 )
@@ -31,8 +30,6 @@ from .hybrid import (
     assemble_hybrid,
     assemble_u4,
     hybrid_impedance_modes,
-    hybrid_scattering_modes,
-    hybrid_transition,
 )
 from .iterative import ScatterOracle, composed_matvec, iterate
 from .mie import SphereSpec, mie_modeset, mie_t_coefficients, mie_tmatrix
@@ -57,8 +54,6 @@ from .network import (
     check_t_power,
     check_unitary,
     check_unitary_factored,
-    s_from_t,
-    t_from_s,
 )
 from .swe import (
     WaveBasis,

@@ -16,7 +16,8 @@ Subcommands
     mirrored scene) and exit nonzero on violation.
 
 Every scene kind is decomposed on the one block core: a ground-plane
-scene's 3N image-reduced system runs under every dipole solver.
+scene's 3N image-reduced system and a port scene's terminated system
+with its power-wave channels run under every dipole solver.
 
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
@@ -45,7 +46,6 @@ from .dipoles import (
     DipoleScene,
     Port,
     default_basis,
-    generalized_scattering,
     mirror_scene,
     transition,
 )
@@ -180,8 +180,6 @@ def parse_scenario(raw: dict) -> dict:
         raise ScenarioError("solver 'hybrid-*' requires scene.sphere")
     if sphere is not None and not solver.startswith("hybrid"):
         raise ScenarioError(f"scene.sphere requires a hybrid solver, not '{solver}'")
-    if ports and solver != "dense-scattering":
-        raise ScenarioError("scene.ports requires the dense-scattering solver")
     tolerances = _field(raw, "tolerances", "", lambda v: isinstance(v, dict), "an object", {})
     for key in tolerances:
         _field(tolerances, key, "tolerances.", _is_number, "a finite number")
@@ -225,18 +223,15 @@ def _sweep_basis(sc: dict):
 def _operators(sc: dict, k: float, wave_basis):
     """The transition set a point's engine decomposes, and what its assembly recorded.
 
-    A hybrid folds the sphere into the blocks (``u4_residual``), and ports
-    append their power-wave channels.
+    A hybrid folds the sphere into the blocks (``u4_residual``); ``transition``
+    assembles every other scene kind, its ports' power-wave channels appended.
     """
-    scene = sc["scene"]
     if sc["hybrid"] is not None:
         system = assemble_hybrid(sc["hybrid"], k, wave_basis,
                                  residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
         return transition(blocks=system.blocks), \
             {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
-    if scene.ports:
-        return generalized_scattering(scene, k, wave_basis), {}
-    return transition(scene, k, wave_basis), {}
+    return transition(sc["scene"], k, wave_basis), {}
 
 
 # Engines: (transition set, k, scenario, seed, point diagnostics) -> ModeSet.

@@ -6,10 +6,11 @@ matrix carries the exact radiative-reaction correction, so every
 assembled scene is lossless by construction: ``Re Z = U1^T U1`` with a
 real projection matrix U1 whose rows sample the regular spherical
 waves at the dipole positions.  Consequently ``S = I + 2 T`` with
-``T = -U1 Z^-1 U1^T`` is unitary to rounding.  Ground planes (by the
-image-reduced system), ports and the sphere hybrid reuse the same
-``BlockImpedance`` with an augmented readout and a background transition
-offset, so every engine serves all scene kinds.
+``T = -U1 Z^-1 U1^T`` is unitary to rounding.  ``assemble_impedance``
+also assembles ground-plane scenes (by the image-reduced system) and
+port scenes (terminated, with one power-wave channel per port), and the
+sphere hybrid folds into the same ``BlockImpedance``, so every engine
+serves all scene kinds.
 
 Impedances are expressed in free-space-impedance units; port reference
 impedances given in Ohm are divided by eta_0 on entry.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -199,8 +200,9 @@ class BlockImpedance:
     - ground-plane scenes: the same, with Z and U1 image-reduced to the
       3N unknowns of the dipoles above the plane (``assemble_impedance``),
       so U1's rows of the parity-forbidden waves are exactly 0;
-    - port scenes: U1 carries one ``sqrt(z0)`` row per port under the
-      wave rows, and ``basis`` is the matching ``CompositeBasis``;
+    - port scenes: Z holds each port's ``z0`` on its unknown's diagonal
+      entry, U1 carries one ``sqrt(z0)`` row per port under the wave rows,
+      and ``basis`` is the matching ``CompositeBasis``;
     - sphere hybrids: Z holds the sphere coupling ``U4^T T_b1 U4``, U1 is
       the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the 1-D array
       of the sphere's Mie coefficients, the diagonal of ``T_b1``, which
@@ -216,8 +218,8 @@ class BlockImpedance:
     ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
     factors made (pivot-checked) on first use and kept by this object
     only; ``cached`` keeps other per-point products (Schur elimination,
-    transition operators) the same way.  Copies made by ``with_system``
-    or ``dataclasses.replace`` start without them.
+    transition operators) the same way.  Copies made by
+    ``dataclasses.replace`` start without them.
     """
 
     system: np.ndarray
@@ -242,10 +244,6 @@ class BlockImpedance:
 
     Z = property(lambda self: self.system.copy(), doc="Z, a new array the caller may modify.")
     U1 = property(lambda self: self.readout.copy(), doc="U1, a new array the caller may modify.")
-
-    def with_system(self, z: np.ndarray, u: np.ndarray, **changes) -> "BlockImpedance":
-        """Copy with the full system matrix and readout replaced, unknown order kept."""
-        return replace(self, system=z, readout=u, **changes)
 
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
@@ -325,6 +323,14 @@ def assemble_impedance(scene: DipoleScene, k: float,
     parity-allowed waves and exactly 0 on the forbidden ones.  The
     unknowns are ``sqrt(2)`` times the currents of the dipoles above the
     plane.
+
+    Each lumped power-wave port adds its reference impedance ``z0 / eta0``
+    in series on its dipole axis's diagonal entry and one channel: a
+    readout row ``sqrt(z0 / eta0)`` at that unknown, stacked under the wave
+    rows, which keeps ``Re Z = U1^T U1`` exact and S unitary for these
+    lossless scenes.  ``basis`` is then the ``CompositeBasis`` of the waves
+    and the port channels.  Port elements are controllable, so S_b acts as
+    the identity on the port channels.
     """
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
@@ -351,9 +357,19 @@ def assemble_impedance(scene: DipoleScene, k: float,
     if scene.ground_plane:
         zv[range(n), range(n)] -= (1j / k) * _green_blocks(k, pos - pos @ _MIRROR) @ _MIRROR
         u *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
+    perm = (3 * order[:, None] + np.arange(3)).ravel()
+    channels, ports = wave_basis, scene.ports
+    if ports:
+        rows = np.argsort(perm)[[3 * p.element + p.axis for p in ports]]
+        z0 = np.array([p.z0 for p in ports]) / ETA0
+        np.add.at(z, (rows, rows), z0)
+        u_port = np.zeros((len(ports), 3 * n))
+        u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
+        u = np.vstack([u, u_port])
+        channels = CompositeBasis(wave=wave_basis,
+                                  extra_labels=tuple(f"port{i}" for i in range(len(ports))))
     blocks = BlockImpedance(system=z, readout=u, n_b=3 * int(np.count_nonzero(~ctrl)),
-                            basis=wave_basis, scene=scene,
-                            perm=(3 * order[:, None] + np.arange(3)).ravel())
+                            basis=channels, scene=scene, perm=perm)
     if n > 0:
         residual = blocks.factorization_residual()
         if residual > 1e-6:
@@ -447,40 +463,3 @@ def transition(scene: DipoleScene | None = None, k: float | None = None,
     blocks.factorize()
     return TransitionSet(blocks)
 
-
-class GeneralizedScattering(TransitionSet):
-    """Port-augmented operators over (spherical waves + port power waves)."""
-
-    @property
-    def basis(self) -> CompositeBasis:
-        return self.blocks.basis
-
-    @property
-    def n_ports(self) -> int:
-        return len(self.basis.extra_labels)
-
-
-def generalized_scattering(scene: DipoleScene, k: float,
-                           wave_basis: WaveBasis | None = None) -> GeneralizedScattering:
-    """Scattering matrices with lumped power-wave ports appended.
-
-    Each port adds its reference impedance in series on the port
-    element's diagonal and one power-wave channel.  The augmented
-    readout stacks sqrt(z0) port rows under U1, which keeps
-    ``Re Z' = U^T U`` exact and hence the full matrix unitary for these
-    lossless scenes.  Port elements are controllable, so the background
-    S_b acts as the identity on the port channels.  With no ports this
-    reduces to ``transition``.
-    """
-    blocks = assemble_impedance(scene, k, wave_basis)
-    ports = blocks.scene.ports
-    rows = np.argsort(blocks.perm)[[3 * p.element + p.axis for p in ports]]
-    z0 = np.array([p.z0 for p in ports]) / ETA0
-    z = blocks.Z  # a copy: the source blocks keep their system matrix
-    np.add.at(z, (rows, rows), z0)
-    u_port = np.zeros((len(ports), z.shape[0]))
-    u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
-    basis = CompositeBasis(wave=blocks.basis,
-                           extra_labels=tuple(f"port{i}" for i in range(len(ports))))
-    ported = blocks.with_system(z, np.vstack([blocks.readout, u_port]), basis=basis)
-    return GeneralizedScattering(**vars(transition(blocks=ported)))

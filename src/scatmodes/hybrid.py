@@ -27,22 +27,15 @@ truncation accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import swe
-from .dipoles import (
-    BlockImpedance,
-    DipoleScene,
-    TransitionSet,
-    assemble_impedance,
-    dyadic_green,
-    transition,
-)
+from .dipoles import BlockImpedance, DipoleScene, assemble_impedance, dyadic_green
 from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
-from .modes import ModeSet, cm_impedance_substructure, cm_scattering
+from .modes import ModeSet, cm_impedance_substructure
 from .network import OperatorMatrix
 from .swe import WaveBasis
 
@@ -241,44 +234,13 @@ def assemble_hybrid(scene: HybridScene, k: float,
             "increase the basis or the clearance"
         )
     blocks = assemble_impedance(scene.mom_scene, k, wave_basis)
-    tb1 = mie_tmatrix(scene.sphere, k, wave_basis).data
+    t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis).data).copy()  # T_b1's diagonal
     u4_sys = u4[:, blocks.perm]
-    hybrid = blocks.with_system(blocks.system + u4_sys.T @ tb1 @ u4_sys,
-                                blocks.readout + tb1 @ u4_sys, T_b0=np.diag(tb1).copy())
+    hybrid = replace(blocks, system=blocks.system + (u4_sys.T * t1) @ u4_sys,
+                     readout=blocks.readout + t1[:, None] * u4_sys, T_b0=t1)
     return HybridSystem(blocks=hybrid, U4=OperatorMatrix(
         "projection", u4_sys, wave_basis,
         meta={"column_residuals": residuals[blocks.perm], "r_fit": r_fit}))
-
-
-def hybrid_transition(scene: HybridScene, k: float,
-                      wave_basis: WaveBasis | None = None,
-                      system: HybridSystem | None = None) -> TransitionSet:
-    """Composite and background transition/scattering operators.
-
-    The composite couples all dipoles with the sphere; the background
-    keeps only the background dipoles plus the sphere.
-    """
-    if system is None:
-        system = assemble_hybrid(scene, k, wave_basis)
-    return transition(blocks=system.blocks)
-
-
-def hybrid_scattering_modes(scene: HybridScene, k: float,
-                            wave_basis: WaveBasis | None = None,
-                            system: HybridSystem | None = None,
-                            n_modes: int | None = None) -> ModeSet:
-    """Substructure modes from the hybrid scattering operators.
-
-    ``cm_scattering`` on the range of ``S - S_b``, which the controllable
-    dipoles span, fed by the hybrid blocks' solves (the sphere's ``T_b1``
-    enters as its diagonal, the Mie coefficients).  The unitarity of S
-    and S_b is checked on the dense matrices (``scattering_unitarity``).
-    Without ``n_modes`` it returns the r modes of that range, at most
-    three per controllable dipole, not one per wave; a larger ``n_modes``
-    pads them with ``s = 1`` modes, as there.
-    """
-    return cm_scattering(hybrid_transition(scene, k, wave_basis, system=system),
-                         k=k, n_modes=n_modes)
 
 
 def hybrid_impedance_modes(scene: HybridScene, k: float,

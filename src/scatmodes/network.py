@@ -1,6 +1,6 @@
 """Operator algebra shared by all backends.
 
-S <-> T conversion and passivity/unitarity checks (dense, and factored for
+Passivity/unitarity checks (dense, and factored for
 ``S = I - 2 U Z^-1 U^T`` with a thin real readout U), whose Gram matrices
 are computed in one triangle on scipy's BLAS.  The eigenvalue maps between
 s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
@@ -77,22 +77,6 @@ def _square(op) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"square matrix required, got shape {m.shape}")
     return m
-
-
-def s_from_t(T) -> OperatorMatrix:
-    """S = 2 T + I."""
-    t = _square(T)
-    s = 2.0 * t + np.eye(t.shape[0])
-    basis = T.basis if isinstance(T, OperatorMatrix) else None
-    return OperatorMatrix(kind="S", data=s, basis=basis)
-
-
-def t_from_s(S) -> OperatorMatrix:
-    """T = (S - I) / 2."""
-    s = _square(S)
-    t = (s - np.eye(s.shape[0])) / 2.0
-    basis = S.basis if isinstance(S, OperatorMatrix) else None
-    return OperatorMatrix(kind="T", data=t, basis=basis)
 
 
 @dataclass(frozen=True)

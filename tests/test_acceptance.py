@@ -25,10 +25,7 @@ from scatmodes import (
     cm_scattering,
     cm_t_form,
     composed_matvec,
-    generalized_scattering,
     hybrid_impedance_modes,
-    hybrid_scattering_modes,
-    hybrid_transition,
     iterate,
     mie_modeset,
     mie_t_coefficients,
@@ -318,7 +315,7 @@ def test_criterion_8_hybrid():
     system = assemble_hybrid(hs, k, wave_basis=wb)
     u4_resid = float(system.U4.meta["column_residuals"].max())
 
-    ms_s = hybrid_scattering_modes(hs, k, system=system)
+    ms_s = cm_scattering(transition(blocks=system.blocks), k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)
     sig = 1e-6
     m1 = np.abs(ms_s.t[np.abs(ms_s.t) > sig])
@@ -331,7 +328,7 @@ def test_criterion_8_hybrid():
     # vacuum-sphere limit reduces to the pure dipole backend
     vac = HybridScene(scene, SphereSpec(sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=wb)
-    ms_v = hybrid_scattering_modes(vac, k, system=sys_v)
+    ms_v = cm_scattering(transition(blocks=sys_v.blocks), k=k)
     ts_mom = transition(scene, k, wave_basis=wb)
     ms_mom = cm_scattering(ts_mom.S, ts_mom.S_b, k=k)
     sig = 1e-9
@@ -343,7 +340,7 @@ def test_criterion_8_hybrid():
 
     # sphere-only limit reduces to the analytic T-matrix
     empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
-    ts_sphere = hybrid_transition(HybridScene(empty, sphere), k, wave_basis=wb)
+    ts_sphere = transition(blocks=assemble_hybrid(HybridScene(empty, sphere), k, wb).blocks)
     t_mie = mie_tmatrix(sphere, k, wb)
     dev_m = float(np.abs(ts_sphere.T.data - t_mie.data).max())
     assert dev_m < 1e-8
@@ -369,7 +366,7 @@ def test_criterion_9_ports():
         scene0 = DipoleScene(trio, alpha, region)
         scene1 = DipoleScene(trio, alpha, region, ports=(Port(1, "x", 73.0),))
         ts = transition(scene0, k)
-        gs = generalized_scattering(scene1, k, ts.blocks.basis)
+        gs = transition(scene1, k, ts.blocks.basis)
         dev = check_unitary(gs.S).deviation
         assert dev < 1e-8
         worst_unitary = max(worst_unitary, dev)

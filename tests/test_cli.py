@@ -68,8 +68,8 @@ def _ground_plane(solver="dense-scattering"):
     return scn
 
 
-def _port():
-    scn = _scenario()
+def _port(solver="dense-scattering"):
+    scn = _scenario(solver=solver)
     scn["scene"]["dipoles"] = [
         {"position": [0.0, -0.1, 0.0], "polarizability": 0.02},
         {"position": [0.0, 0.0, 0.0], "polarizability": 0.02},
@@ -114,11 +114,6 @@ def test_invalid_solver_and_combos(tmp_path):
         parse_scenario(_scenario(solver="magic"))
     with pytest.raises(ScenarioError):
         parse_scenario(_scenario(solver="hybrid-impedance"))  # no sphere
-    sc = _scenario()
-    sc["scene"]["ports"] = [{"dipole": 0, "axis": "x", "z0": 73.0}]
-    sc["solver"] = "dense-impedance"
-    with pytest.raises(ScenarioError):
-        parse_scenario(sc)
 
 
 def test_dense_scattering_vs_impedance(tmp_path):
@@ -185,16 +180,29 @@ def test_ground_plane_scenario_runs(tmp_path):
     assert os.path.exists(out / "traces.csv")
 
 
-def test_ground_plane_dense_impedance_matches_dense_scattering(tmp_path):
-    # the image-reduced system serves the impedance engine above a ground
-    # plane, and its modes match the scattering engine's within 1e-6
+def _assert_run_matches_dense_scattering(tmp_path, scenario, solver):
+    """``run`` of ``scenario(solver)`` and of ``scenario("dense-scattering")`` exit 0,
+    and ``compare --tol 1e-6`` passes on their traces."""
     traces = []
-    for solver in ("dense-impedance", "dense-scattering"):
-        out = tmp_path / solver
-        path = _write(tmp_path, _ground_plane(solver), f"{solver}.json")
+    for name in (solver, "dense-scattering"):
+        out = tmp_path / name
+        path = _write(tmp_path, scenario(name), f"{name}.json")
         assert main(["run", "--scenario", path, "--out", str(out), "--jobs", "1"]) == 0
         traces.append(str(out / "traces.csv"))
     assert main(["compare", *traces, "--tol", "1e-6"]) == 0
+
+
+def test_ground_plane_dense_impedance_matches_dense_scattering(tmp_path):
+    # the image-reduced system serves the impedance engine above a ground
+    # plane, and its modes match the scattering engine's within 1e-6
+    _assert_run_matches_dense_scattering(tmp_path, _ground_plane, "dense-impedance")
+
+
+@pytest.mark.parametrize("solver", ["dense-impedance", "t-form"])
+def test_port_scene_matches_dense_scattering(tmp_path, solver):
+    # the terminated system with its power-wave channel serves every engine,
+    # and their modes match the scattering engine's within 1e-6
+    _assert_run_matches_dense_scattering(tmp_path, _port, solver)
 
 
 def test_hybrid_scenario_runs(tmp_path):
@@ -342,6 +350,9 @@ _HYBRID = {"u4_residual": float}
     ("ground-plane-t-form", _UNITARITY),
     ("ground-plane-iterative", _ITERATIVE),
     ("ground-plane-dense-impedance", {}),
+    ("port-dense-impedance", {}),
+    ("port-t-form", _UNITARITY),
+    ("port-iterative", _ITERATIVE),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # each point records exactly what its assembly and engine computed (the
@@ -349,6 +360,8 @@ def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # JSON integers and flags JSON booleans, not 3.0 or 1.0
     if solver == "port":
         scn = _port()
+    elif solver.startswith("port-"):
+        scn = _port(solver.removeprefix("port-"))
     elif solver.startswith("ground-plane-"):
         scn = _ground_plane(solver.removeprefix("ground-plane-"))
     elif solver.startswith("hybrid"):

@@ -13,7 +13,6 @@ from scatmodes import (
     basis,
     check_unitary,
     cm_scattering,
-    generalized_scattering,
     mirror_scene,
     transition,
 )
@@ -198,41 +197,12 @@ def _symmetric_port_scene(k, with_port):
     return DipoleScene(pos, 6.0 * math.pi / k**3 * 0.8, ports=ports)
 
 
-def test_ports_reduce_to_transition_without_ports():
+def test_port_scattering_is_unitary():
     k = 2.0
-    scene = _symmetric_port_scene(k, with_port=False)
-    ts = transition(scene, k)
-    gs = generalized_scattering(scene, k, ts.blocks.basis)
-    assert np.abs(gs.S.data - ts.S.data).max() == 0.0
-
-
-def test_port_assembly_leaves_its_source_blocks_unchanged(monkeypatch):
-    # the port impedances go into a copy of the source blocks' Z
-    from scatmodes import dipoles
-
-    k = 2.0
-    scene = _symmetric_port_scene(k, True)
-    sources = []
-    assemble = dipoles.assemble_impedance
-
-    def keeping(*args, **kwargs):
-        sources.append(assemble(*args, **kwargs))
-        return sources[-1]
-
-    monkeypatch.setattr(dipoles, "assemble_impedance", keeping)
-    gs = generalized_scattering(scene, k)
-    fresh = assemble(scene, k)
-    assert len(sources) == 1
-    assert np.array_equal(sources[0].Z, fresh.Z)
-    assert not np.array_equal(gs.blocks.Z[:fresh.Z.shape[0]], fresh.Z)
-
-
-def test_generalized_scattering_unitary():
-    k = 2.0
-    gs = generalized_scattering(_symmetric_port_scene(k, True), k)
+    gs = transition(_symmetric_port_scene(k, True), k)
     assert check_unitary(gs.S).deviation < 1e-8
-    assert gs.n_ports == 1
-    assert gs.S.dim == gs.basis.wave.size + 1
+    assert gs.blocks.basis.extra_labels == ("port0",)
+    assert gs.S.dim == gs.blocks.basis.wave.size + 1
 
 
 def test_port_leaves_quiet_modes_unchanged():
@@ -241,7 +211,7 @@ def test_port_leaves_quiet_modes_unchanged():
     scene0 = _symmetric_port_scene(k, False)
     scene1 = _symmetric_port_scene(k, True)
     ts = transition(scene0, k)
-    gs = generalized_scattering(scene1, k, ts.blocks.basis)
+    gs = transition(scene1, k, ts.blocks.basis)
 
     ms0 = cm_scattering(ts.S)
     sb_aug = np.eye(gs.S.dim, dtype=complex)
@@ -287,8 +257,8 @@ def test_generalized_spherical_block_is_terminated_scattering():
     pos = np.array([[0.0, -0.3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, 0.05]])
     alpha = 6.0 * math.pi / k**3 * 0.9
     scene = DipoleScene(pos, alpha, ports=(Port(1, "y", 50.0),))
-    gs = generalized_scattering(scene, k)
-    nw = gs.basis.wave.size
+    gs = transition(scene, k)
+    nw = gs.blocks.basis.wave.size
     s_block = gs.S.data[:nw, :nw]
 
     # independent assembly of the loaded impedance system
@@ -302,7 +272,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
         z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
             np.eye(3) / (6.0 * math.pi) - 1j * np.eye(3) / (alpha * k**3)
     z[3 * 1 + 1, 3 * 1 + 1] += 50.0 / ETA0
-    u1 = regular_wave_table(gs.basis.wave, k, pos).reshape(gs.basis.wave.size, 3 * n)
+    u1 = regular_wave_table(gs.blocks.basis.wave, k, pos).reshape(nw, 3 * n)
     s_ref = np.eye(nw) - 2.0 * u1 @ np.linalg.solve(z, u1.T.astype(complex))
     assert np.abs(s_block - s_ref).max() < 1e-12
 
@@ -344,8 +314,8 @@ def _hybrid_reference(hs, k, wave_basis):
 
     z, u = impedance_reference(hs.mom_scene, k, wave_basis)
     u4 = u4_expansion(hs, k, wave_basis)[0][:, system_permutation(hs.mom_scene)]
-    tb1 = mie_tmatrix(hs.sphere, k, wave_basis).data
-    return z + u4.T @ tb1 @ u4, u + tb1 @ u4
+    t1 = np.diag(mie_tmatrix(hs.sphere, k, wave_basis).data)
+    return z + (u4.T * t1) @ u4, u + t1[:, None] * u4
 
 
 def _assembly_case(case):
@@ -363,7 +333,7 @@ def _assembly_case(case):
         base = random_scene(rng, 9, 0.7, n_background=3)
         scene = DipoleScene(base.positions, base.polarizability, base.region,
                             ports=(Port(4, "x", 73.0), Port(7, "z", 50.0)))
-        blocks = generalized_scattering(scene, k).blocks
+        blocks = assemble_impedance(scene, k)
         return blocks, *_port_reference(scene, k, blocks.basis.wave)
     if case == "ground-plane":
         base = random_scene(rng, 7, 0.6, n_background=3)
@@ -454,7 +424,7 @@ def test_real_readout_products_match_the_complex_product(bank, request):
     if bank == "dipole":
         sets = [transition(scene, k) for scene, k in request.getfixturevalue("lossless_bank")]
     elif bank == "port":
-        sets = [generalized_scattering(scene, 1.0) for scene in _port_bank()]
+        sets = [transition(scene, 1.0) for scene in _port_bank()]
     else:
         sets = [transition(scene, k) for scene, k in request.getfixturevalue("ground_plane_bank")]
     worst = 0.0

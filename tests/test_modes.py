@@ -18,7 +18,6 @@ from scatmodes import (
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
-    generalized_scattering,
     mie_modeset,
     mie_tmatrix,
     mirror_scene,
@@ -427,7 +426,7 @@ def _port_blocks():
     scene = random_scene(rng, 6, 0.8, n_background=2)
     ported = DipoleScene(scene.positions, scene.polarizability, scene.region,
                          ports=(Port(3, "x", 73.0), Port(5, "z", 50.0)))
-    return generalized_scattering(ported, 1.0).blocks
+    return assemble_impedance(ported, 1.0)
 
 
 def _hybrid_scene():
@@ -506,7 +505,7 @@ def test_singular_system_raises_solve_error(two_region):
     z[j, :] = z[i, :]
     z[:, j] = z[:, i]
     u[:, j] = u[:, i]
-    singular = ts.blocks.with_system(z, u)
+    singular = dataclasses.replace(ts.blocks, system=z, readout=u)
     with pytest.raises(SolveError):
         transition(blocks=singular)
     with pytest.raises(SolveError):
@@ -517,18 +516,15 @@ def test_singular_system_raises_solve_error(two_region):
 
 def test_factorisation_cache_is_scoped_to_one_blocks_object(two_region):
     # transition factorises the blocks; a copy with another Z must solve
-    # with its own factors, whether made by with_system or replace
+    # with its own factors
     _, _, ts = two_region
     blocks = transition(blocks=ts.blocks).blocks
     nb = blocks.n_b
     z = blocks.Z + 0.2 * np.eye(blocks.Z.shape[0])
     u1, u1_b = blocks.U1, blocks.U1_b
-    for copy in (blocks.with_system(z, u1),
-                 dataclasses.replace(blocks, system=z)):
-        ts_copy = transition(blocks=copy)
-        assert np.abs(ts_copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
-        assert np.abs(ts_copy.T_b.data
-                      + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12
+    ts_copy = transition(blocks=dataclasses.replace(blocks, system=z))
+    assert np.abs(ts_copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
+    assert np.abs(ts_copy.T_b.data + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

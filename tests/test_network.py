@@ -11,17 +11,13 @@ from scatmodes import (
     ModeSet,
     OperatorMatrix,
     Port,
-    ShapeError,
     basis,
     check_t_power,
     check_unitary,
     check_unitary_factored,
-    generalized_scattering,
     scattering_unitarity,
     transition,
-    s_from_t,
     schur_system,
-    t_from_s,
 )
 from scatmodes.dipoles import factorization_residual
 from conftest import random_scene
@@ -33,25 +29,6 @@ from oracles import (
     t_power_reference,
     unitary_deviation_reference,
 )
-
-
-def test_s_t_roundtrip_trivial():
-    t0 = np.zeros((4, 4))
-    assert np.all(s_from_t(t0).data == np.eye(4))
-    assert np.all(t_from_s(np.eye(4)).data == 0.0)
-    assert s_from_t(np.array([[-1.0]])).data[0, 0] == -1.0
-
-
-def test_s_t_roundtrip_random():
-    rng = np.random.default_rng(0)
-    t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    back = t_from_s(s_from_t(t)).data
-    assert np.abs(back - t).max() < 1e-15
-
-
-def test_s_from_t_shape_error():
-    with pytest.raises(ShapeError):
-        s_from_t(np.zeros((2, 3)))
 
 
 def test_eigen_maps_points():
@@ -110,7 +87,7 @@ def _ground_plane_set():
 FACTORED_UNITARITY_CASES = {
     "lossless": lambda: transition(random_scene(np.random.default_rng(5), 10, 0.6,
                                                 n_background=4), 1.0),
-    "port": lambda: generalized_scattering(
+    "port": lambda: transition(
         DipoleScene([[0.0, -0.35, 0.0], [0.0, 0.0, 0.0], [0.0, 0.35, 0.0]], 0.5,
                     ("background", "controllable", "background"), ports=(Port(1, "x", 73.0),)),
         2.0),
@@ -312,8 +289,8 @@ def test_embedded_background_matches_small_basis_computation():
         SphereSpec,
         assemble_hybrid,
         cm_scattering,
-        hybrid_transition,
         mie_tmatrix,
+        transition,
     )
 
     k = 1.0
@@ -326,11 +303,12 @@ def test_embedded_background_matches_small_basis_computation():
     # the projection truncation is common to both compared paths here,
     # so the residual gate is irrelevant for this embedding check
     system = assemble_hybrid(hs, k, wave_basis=big, residual_tol=1.0)
-    ts = hybrid_transition(hs, k, system=system)
+    ts = transition(blocks=system.blocks)
 
     small = basis(2)
     t_small = mie_tmatrix(sphere, k, small, enforce_truncation=False)
-    sb_embedded = embed_identity(s_from_t(t_small), big)
+    sb_embedded = embed_identity(
+        OperatorMatrix("S", 2.0 * t_small.data + np.eye(small.size), small), big)
     ms_embed = cm_scattering(ts.S, sb_embedded)
     ms_direct = cm_scattering(ts.S, ts.S_b)
 

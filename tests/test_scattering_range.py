@@ -30,9 +30,6 @@ from scatmodes import (
     basis,
     check_unitary,
     cm_scattering,
-    generalized_scattering,
-    hybrid_scattering_modes,
-    hybrid_transition,
     transition,
 )
 from conftest import random_scene
@@ -82,7 +79,7 @@ def test_port_bank(region):
     k = 2.0
     trio = np.array([[0.0, -0.35, 0.0], [0.0, 0.0, 0.0], [0.0, 0.35, 0.0]])
     scene = DipoleScene(trio, 6.0 * math.pi / k**3 * 0.8, region, ports=(Port(1, "x", 73.0),))
-    gs = generalized_scattering(scene, k)
+    gs = transition(scene, k)
     assert _assert_matches_dense(gs) < 1e-12
 
 
@@ -97,8 +94,8 @@ def test_hybrid_bank(seed):
                         ("background",) * 3 + ("controllable",) * 3)
     hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
     system = assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1.0)
-    ts = hybrid_transition(hs, k, system=system)
-    assert _assert_matches_dense(ts, hybrid_scattering_modes(hs, k, system=system)) < 1e-12
+    ts = transition(blocks=system.blocks)
+    assert _assert_matches_dense(ts, cm_scattering(ts, k=k)) < 1e-12
 
 
 def test_single_dipole_pads_with_trivial_modes():

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import math
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from test_cli import _ground_plane, _port, _scenario
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
 
 
 def test_benchmark_traced_bindings_resolve():
@@ -100,6 +102,7 @@ FACTORISATION_CASES = {
     **{f"ground-plane-{solver}": _ground_plane(solver)
        for solver in ("dense-scattering", "dense-impedance", "t-form", "iterative")},
     "port": _port(),
+    **{f"port-{solver}": _port(solver) for solver in ("dense-impedance", "t-form", "iterative")},
     "hybrid-impedance": _hybrid("hybrid-impedance"),
     "hybrid-scattering": _hybrid("hybrid-scattering"),
 }
@@ -349,3 +352,12 @@ def test_demo_runs_to_the_end(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("tool", TOOLS, ids=lambda path: path.stem)
+def test_tool_loads(tool, monkeypatch):
+    # the tools import library names, private ones too (cli._blas_threads,
+    # dipoles._readout_product, ...); each loads by path, without running
+    # its main, so a removed name fails here
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert callable(runpy.run_path(str(tool), run_name="tool")["main"])
