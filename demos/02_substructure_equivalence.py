@@ -48,12 +48,12 @@ def main():
     print(f"scene: {scene.n_dipoles} dipoles "
           f"({np.sum(scene.is_controllable)} controllable), ka ~ 0.8")
 
-    ts = transition(scene, k)
-    ms_scat = cm_scattering(ts.S, ts.S_b, k=k)
-    ms_exc = cm_t_form(ts.T, ts.T_b, "excitation", k=k)
-    ms_sca = cm_t_form(ts.T, ts.T_b, "scattered", k=k)
-    ms_imp = cm_impedance_substructure(ts.blocks, k=k)
-    t_tilde = np.linalg.eigvals(tilde_tmatrix(ts.blocks).data)
+    blocks = transition(scene, k)
+    ms_scat = cm_scattering(blocks.S, blocks.S_b, k=k)
+    ms_exc = cm_t_form(blocks.T, blocks.T_b, "excitation", k=k)
+    ms_sca = cm_t_form(blocks.T, blocks.T_b, "scattered", k=k)
+    ms_imp = cm_impedance_substructure(blocks, k=k)
+    t_tilde = np.linalg.eigvals(tilde_tmatrix(blocks).data)
 
     def top(vals, n=8):
         vals = np.asarray(vals)
@@ -75,11 +75,11 @@ def main():
     print("\nmax |t| spread across the four formulations:",
           f"{max(np.abs(np.abs(rows[j]) - np.abs(reference)).max() for j in range(4)):.2e}")
 
-    resid = substructure_power_check(ts.T, ts.T_b, ms_scat)
+    resid = substructure_power_check(blocks.T, blocks.T_b, ms_scat)
     print("scattered-power identity, worst residual over all modes:",
           f"{resid.max():.2e}")
     print("modified-transition-matrix identity residual:",
-          f"{tilde_tmatrix(ts.blocks).meta['identity_residual']:.2e}")
+          f"{tilde_tmatrix(blocks).meta['identity_residual']:.2e}")
 
 
 if __name__ == "__main__":

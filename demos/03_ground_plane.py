@@ -37,9 +37,9 @@ def main():
 
     # brute force: solve the full mirrored free-space problem and pick the
     # modes whose eigenvalues the reduced system reproduces
-    ts = transition(mirror_scene(scene), k)
-    print("cross-parity coupling in the mirrored S:", f"{parity_leakage(ts):.1e}")
-    ms_full = cm_scattering(ts.S, ts.S_b, k=k)
+    blocks = transition(mirror_scene(scene), k)
+    print("cross-parity coupling in the mirrored S:", f"{parity_leakage(blocks):.1e}")
+    ms_full = cm_scattering(blocks.S, blocks.S_b, k=k)
     matches = [np.abs(ms_full.t - t).min() for t in ms.t[:6]]
     print("per-mode distance to the brute-force spectrum:",
           " ".join(f"{d:.1e}" for d in matches))

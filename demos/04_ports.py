@@ -29,18 +29,17 @@ def main():
     unported = DipoleScene(pos, alpha)
     ported = DipoleScene(pos, alpha, ports=(Port(1, "x", 73.0),))
 
-    ts = transition(unported, k)
-    gs = transition(ported, k, ts.blocks.basis)
-    channels = gs.blocks.basis
-    print(f"augmented scattering matrix: {gs.S.dim} channels "
+    blocks = transition(unported, k)
+    ported_blocks = transition(ported, k, blocks.basis)
+    channels = ported_blocks.basis
+    print(f"augmented scattering matrix: {ported_blocks.S.dim} channels "
           f"({channels.wave.size} waves + {len(channels.extra_labels)} port)")
-    print(f"unitarity deviation: {check_unitary(gs.S).deviation:.2e}")
+    print(f"unitarity deviation: {check_unitary(ported_blocks.S).deviation:.2e}")
 
-    ms0 = cm_scattering(ts.S)
-    sb = np.eye(gs.S.dim, dtype=complex)
-    ms1 = cm_scattering(gs.S.data, sb)
+    ms0 = cm_scattering(blocks.S)
+    sb = np.eye(ported_blocks.S.dim, dtype=complex)
+    ms1 = cm_scattering(ported_blocks.S.data, sb)
 
-    blocks = ts.blocks
     currents = np.linalg.solve(blocks.Z, blocks.U1.T @ ms0.a)
     inv = np.empty_like(blocks.perm)
     inv[blocks.perm] = np.arange(blocks.perm.size)

@@ -21,7 +21,6 @@ from scatmodes import (
     basis,
     cm_scattering,
     hybrid_impedance_modes,
-    transition,
 )
 
 
@@ -43,7 +42,7 @@ def main():
           f"on the r_fit = {system.U4.meta['r_fit']:.3f} m sphere "
           f"{system.U4.meta['column_residuals'].max():.1e}")
 
-    ms_s = cm_scattering(transition(blocks=system.blocks), k=k)
+    ms_s = cm_scattering(system.blocks, k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)
     t_s = np.abs(ms_s.t[np.abs(ms_s.t) > 1e-6])
     t_i = np.abs(ms_i.t[np.abs(ms_i.t) > 1e-6])
@@ -67,9 +66,8 @@ def main():
     rows = {}
     for eps in (1.0, 100.0):
         hs2 = HybridScene(small, SphereSpec(0.22, "dielectric", eps_r=eps))
-        rows[eps] = [np.abs(cm_scattering(transition(
-            blocks=assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0).blocks),
-            k=kk).t).max()
+        rows[eps] = [np.abs(cm_scattering(
+            assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0).blocks, k=kk).t).max()
             for kk in ks]
     print("        k: " + " ".join(f"{kk:6.2f}" for kk in ks))
     for eps, vals in rows.items():

@@ -26,11 +26,11 @@ def main():
             pos.append(p)
     scene = DipoleScene(np.array(pos), 6.0 * np.pi * (0.3 + rng.random(n)),
                         ("background",) * 5 + ("controllable",) * 7)
-    ts = transition(scene, k)
-    print(f"operator dimension: {ts.S.dim}")
+    blocks = transition(scene, k)
+    print(f"operator dimension: {blocks.S.dim}")
 
-    dense = cm_t_form(ts.T, ts.T_b)
-    oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
+    dense = cm_t_form(blocks.T, blocks.T_b)
+    oracle = ScatterOracle.from_matrices(blocks.T, blocks.T_b)
     estimate, log = iterate(oracle, n_modes=5, max_iter=60, seed=42)
 
     print(f"converged after {log.n_iterations} responses ({log.reason})")

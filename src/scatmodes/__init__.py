@@ -12,7 +12,6 @@ from .dipoles import (
     BlockImpedance,
     DipoleScene,
     Port,
-    TransitionSet,
     assemble_impedance,
     dyadic_green,
     mirror_scene,
@@ -35,14 +34,12 @@ from .iterative import ScatterOracle, composed_matvec, iterate
 from .mie import SphereSpec, mie_modeset, mie_t_coefficients, mie_tmatrix
 from .modes import (
     ModeSet,
-    SchurSystem,
     SweepResult,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
     recover_currents,
     scattering_unitarity,
-    schur_system,
     substructure_power_check,
     tilde_tmatrix,
     track_modes,

@@ -90,6 +90,9 @@ class ScenarioError(ValueError):
 
 _REQUIRED = object()
 
+#: the keys a scenario's ``tolerances`` may set
+TOLERANCES = ("unitarity", "circle", "power", "equivalence", "u4_residual")
+
 
 def _field(obj: dict, key: str, context: str, valid=None, what: str = "",
            default=_REQUIRED):
@@ -182,7 +185,11 @@ def parse_scenario(raw: dict) -> dict:
         raise ScenarioError(f"scene.sphere requires a hybrid solver, not '{solver}'")
     tolerances = _field(raw, "tolerances", "", lambda v: isinstance(v, dict), "an object", {})
     for key in tolerances:
-        _field(tolerances, key, "tolerances.", _is_number, "a finite number")
+        if key not in TOLERANCES:
+            raise ScenarioError(f"unknown field 'tolerances.{key}'; "
+                                f"valid: {', '.join(TOLERANCES)}")
+        _field(tolerances, key, "tolerances.", lambda v: _is_number(v) and v > 0,
+               "a finite positive number")
     return {
         "scene": scene,
         "sphere": sphere,
@@ -221,43 +228,45 @@ def _sweep_basis(sc: dict):
 
 
 def _operators(sc: dict, k: float, wave_basis):
-    """The transition set a point's engine decomposes, and what its assembly recorded.
+    """The factorised blocks a point's engine decomposes, and what their assembly recorded.
 
     A hybrid folds the sphere into the blocks (``u4_residual``); ``transition``
     assembles every other scene kind, its ports' power-wave channels appended.
+    Either way a singular system raises ``SolveError`` here.
     """
     if sc["hybrid"] is not None:
         system = assemble_hybrid(sc["hybrid"], k, wave_basis,
                                  residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
-        return transition(blocks=system.blocks), \
+        system.blocks.factorize()
+        return system.blocks, \
             {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
     return transition(sc["scene"], k, wave_basis), {}
 
 
-# Engines: (transition set, k, scenario, seed, point diagnostics) -> ModeSet.
+# Engines: (blocks, k, scenario, seed, point diagnostics) -> ModeSet.
 # Each records in the point diagnostics what it computed on the way.
 
-def _scattering(ts, k: float, sc: dict, seed: int, diag: dict):
+def _scattering(blocks, k: float, sc: dict, seed: int, diag: dict):
     """``cm_scattering`` on the range of ``S - S_b``: its engine, rank and unitarity checks."""
-    ms = cm_scattering(ts, k=k, n_modes=sc["n_modes"])
+    ms = cm_scattering(blocks, k=k, n_modes=sc["n_modes"])
     diag.update(engine=ms.diagnostics["solver"], rank=ms.diagnostics["rank"])
     diag.update((key, ms.diagnostics[key])
                 for key in ("unitarity_S", "unitarity_S_b", "unitarity_form"))
     return ms
 
 
-def _impedance(ts, k: float, *_):
-    return cm_impedance_substructure(ts.blocks, k=k)
+def _impedance(blocks, k: float, *_):
+    return cm_impedance_substructure(blocks, k=k)
 
 
-def _t_form(ts, k: float, sc: dict, seed: int, diag: dict):
-    diag.update(scattering_unitarity(ts))
-    return cm_t_form(ts.T, ts.T_b, k=k)
+def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
+    diag.update(scattering_unitarity(blocks))
+    return cm_t_form(blocks.T, blocks.T_b, k=k)
 
 
-def _iterative(ts, k: float, sc: dict, seed: int, diag: dict):
-    diag.update(scattering_unitarity(ts))
-    ms, log = iterate(ScatterOracle.from_matrices(ts.T, ts.T_b), n_modes=sc["n_modes"],
+def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
+    diag.update(scattering_unitarity(blocks))
+    ms, log = iterate(ScatterOracle.from_matrices(blocks.T, blocks.T_b), n_modes=sc["n_modes"],
                       seed=seed)
     ms.k = k
     diag.update(iterations=log.n_iterations, converged=log.converged)
@@ -278,8 +287,8 @@ SOLVERS = tuple(SOLVER_TABLE)
 
 def _solve_point(sc: dict, k: float, wave_basis, seed: int):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    ts, diag = _operators(sc, k, wave_basis)
-    return SOLVER_TABLE[sc["solver"]](ts, k, sc, seed, diag), diag
+    blocks, diag = _operators(sc, k, wave_basis)
+    return SOLVER_TABLE[sc["solver"]](blocks, k, sc, seed, diag), diag
 
 
 def _fmt(x: float) -> str:
@@ -535,13 +544,13 @@ def run_checks(sc: dict) -> dict:
         wave_basis = _sweep_basis(sc)
         for f in freqs:
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-            ts, diag = _operators(sc, k, wave_basis)
+            blocks, diag = _operators(sc, k, wave_basis)
             entry: dict = {"frequency_hz": float(f), **diag}
             if sc["sphere"] is None:
                 entry["tilde_identity_residual"] = \
-                    tilde_tmatrix(ts.blocks).meta["identity_residual"]
-            ms = cm_scattering(ts, k=k)
-            ms_alt = cm_impedance_substructure(ts.blocks, k=k)
+                    tilde_tmatrix(blocks).meta["identity_residual"]
+            ms = cm_scattering(blocks, k=k)
+            ms_alt = cm_impedance_substructure(blocks, k=k)
             sig = 10.0 * tol_equiv
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
@@ -554,14 +563,14 @@ def run_checks(sc: dict) -> dict:
             # S, S_b and T on all waves and port channels, checked densely;
             # the engine's own check is reused where it was that one
             engine_dense = ms.diagnostics["unitarity_form"] == "dense"
-            for key, op in (("unitarity_S", ts.S), ("unitarity_S_b", ts.S_b)):
+            for key, op in (("unitarity_S", blocks.S), ("unitarity_S_b", blocks.S_b)):
                 entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
-            entry["t_power"] = check_t_power(ts.T).deviation
+            entry["t_power"] = check_t_power(blocks.T).deviation
             entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
             entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
                                          ms.diagnostics.get("orthogonality_f", 0.0))
             entry["power_identity"] = float(
-                substructure_power_check(ts.T, ts.T_b, ms).max(initial=0.0))
+                substructure_power_check(blocks.T, blocks.T_b, ms).max(initial=0.0))
             ok = (
                 entry["unitarity_S"] <= tol_unitary
                 and entry["unitarity_S_b"] <= tol_unitary
@@ -582,6 +591,17 @@ def run_checks(sc: dict) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatmodes",
@@ -593,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="sweep a scenario and write modal traces")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=None,
+    p_run.add_argument("--jobs", type=_positive_int, default=None,
                        help="points solved at once, which also sizes the BLAS thread "
                             "pools (default: available cores)")
     p_run.add_argument("--seed", type=int, default=42,

@@ -216,10 +216,26 @@ class BlockImpedance:
     rounding.  ``perm`` maps system rows to flat scene unknowns ``3 *
     dipole + axis`` of ``scene``.
     ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
-    factors made (pivot-checked) on first use and kept by this object
-    only; ``cached`` keeps other per-point products (Schur elimination,
-    transition operators) the same way.  Copies made by
-    ``dataclasses.replace`` start without them.
+    factors made (pivot-checked) on first use; ``factorize`` makes them
+    at once, so a singular system raises there.
+
+    ``T``, ``T_b``, ``S`` and ``S_b`` are the n x n ``OperatorMatrix``
+    transition and scattering operators of the scene and its background
+    over ``basis`` (``T_b`` is ``diag(T_b0)`` without background unknowns),
+    built when first read: an engine that works on the factors never forms
+    them.  Above a ground plane their rows and columns of the
+    parity-forbidden waves are those of the identity (S) and of zero (T),
+    exactly.
+
+    Eliminating the background gives the Schur complement ``Z_tilde = Z_cc
+    - Z_cb W`` with ``W = Z_bb^-1 Z_bc`` (kept for background current
+    recovery) and its readout ``U1_tilde = U1_c - U1_b W``; for lossless
+    scenes ``Re Z_tilde = Re(U1_tilde^H U1_tilde)``.  The elimination is
+    made once, when one of the three is first read; ``solve_tilde``
+    applies ``Z_tilde^-1``.
+
+    Every factor, operator and elimination is kept by this object only;
+    copies made by ``dataclasses.replace`` start without them.
     """
 
     system: np.ndarray
@@ -245,11 +261,20 @@ class BlockImpedance:
     Z = property(lambda self: self.system.copy(), doc="Z, a new array the caller may modify.")
     U1 = property(lambda self: self.readout.copy(), doc="U1, a new array the caller may modify.")
 
+    T = property(lambda self: self._operator("T"))
+    T_b = property(lambda self: self._operator("T_b"))
+    S = property(lambda self: self._operator("S"))
+    S_b = property(lambda self: self._operator("S_b"))
+
+    Z_tilde = property(lambda self: self._cached("elimination", self._eliminate)[0])
+    U1_tilde = property(lambda self: self._cached("elimination", self._eliminate)[1])
+    W = property(lambda self: self._cached("elimination", self._eliminate)[2])
+
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
         return factorization_residual(self.system, self.readout)
 
-    def cached(self, key: str, build):
+    def _cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
         if key not in self._cache:
             self._cache[key] = build()
@@ -263,6 +288,13 @@ class BlockImpedance:
         """``Z_bb^-1 rhs``; raises ``SolveError`` if Z_bb is numerically singular."""
         return self._lu("Z_bb")(rhs)
 
+    def solve_tilde(self, rhs: np.ndarray) -> np.ndarray:
+        """``Z_tilde^-1 rhs``; raises ``SolveError`` if Z_tilde is numerically singular.
+
+        Without background unknowns Z_tilde is Z, whose factors serve.
+        """
+        return self._lu("Z" if self.n_b == 0 else "Z_tilde")(rhs)
+
     def factorize(self) -> None:
         """Factorise Z and Z_bb now, so a singular system raises here."""
         self._lu("Z")
@@ -270,8 +302,18 @@ class BlockImpedance:
 
     def _lu(self, which: str):
         if which == "Z":
-            return self.cached("lu Z", lambda: _solver(self.system, "system matrix"))
-        return self.cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
+            return self._cached("lu Z", lambda: _solver(self.system, "system matrix"))
+        if which == "Z_bb":
+            return self._cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
+        return self._cached("lu Z_tilde", lambda: _solver(self.Z_tilde, "compressed impedance"))
+
+    def _operator(self, name: str) -> OperatorMatrix:
+        return self._cached(name, lambda: _full_operator(self, name))
+
+    def _eliminate(self):
+        """``(Z_tilde, U1_tilde, W)``: the Schur elimination of the background unknowns."""
+        w = self.solve_bb(self.Z_bc)
+        return self.Z_cc - self.Z_cb @ w, self.U1_c - _readout_product(self.U1_b, w), w
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
@@ -385,36 +427,15 @@ def _solver(z: np.ndarray, what: str):
     """``rhs -> z^-1 rhs`` from the LU factors of z, after a pivot-ratio singularity check."""
     if z.shape[0] == 0:
         return lambda rhs: np.zeros((0,) + rhs.shape[1:], dtype=complex)
-    lu, piv = la.lu_factor(z)
+    try:
+        lu, piv = la.lu_factor(z)
+    except ValueError:  # lu_factor's finiteness check
+        raise SolveError(f"{what} has inf or NaN entries") from None
     diag = np.abs(np.diag(lu))
     if diag.min() <= 1e-14 * diag.max():
         cond = np.linalg.cond(z)
         raise SolveError(f"{what}: matrix numerically singular (cond ~ {cond:.3e})")
     return lambda rhs: la.lu_solve((lu, piv), rhs)
-
-
-@dataclass
-class TransitionSet:
-    """Transition/scattering operators of a scene and of its background.
-
-    ``T``, ``T_b``, ``S`` and ``S_b`` are n x n ``OperatorMatrix`` objects
-    over ``blocks.basis``, built from ``blocks`` when a caller first reads
-    them, and kept in ``blocks.cached``: an engine that works on the
-    blocks' factors never forms them, and every transition set of the same
-    blocks shares them.  Above a ground plane their rows and columns of
-    the parity-forbidden waves are those of the identity (S) and of zero
-    (T), exactly.
-    """
-
-    blocks: BlockImpedance
-
-    T = property(lambda self: self._operator("T"))
-    T_b = property(lambda self: self._operator("T_b"))
-    S = property(lambda self: self._operator("S"))
-    S_b = property(lambda self: self._operator("S_b"))
-
-    def _operator(self, name: str) -> OperatorMatrix:
-        return self.blocks.cached(name, lambda: _full_operator(self.blocks, name))
 
 
 def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -436,7 +457,7 @@ def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
 def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
     """T, T_b, S or S_b over the whole basis; each S comes from its cached T."""
     if name.startswith("S"):
-        t = blocks.cached("T" + name[1:], lambda: _full_operator(blocks, "T" + name[1:]))
+        t = blocks._operator("T" + name[1:])
         return OperatorMatrix("S", 2.0 * t.data + np.eye(blocks.basis.size), blocks.basis)
     if name == "T":
         return OperatorMatrix("T", _t_of(blocks.solve, blocks.readout, blocks.T_b0),
@@ -444,22 +465,13 @@ def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
     return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
 
 
-def transition(scene: DipoleScene | None = None, k: float | None = None,
-               wave_basis: WaveBasis | None = None,
-               blocks: BlockImpedance | None = None) -> TransitionSet:
-    """T and S for the full scene, plus the background-only T_b and S_b.
+def transition(scene: DipoleScene, k: float,
+               wave_basis: WaveBasis | None = None) -> BlockImpedance:
+    """The blocks of a plain, ground-plane or port scene, with Z and Z_bb factorised.
 
-    The background operators use only the background block of the
-    impedance system (bordered / zero-padded in the full unknown set).
-    An empty background yields T_b = diag(T_b0) (zero for dipole scenes).
-    Given ``blocks`` of any scene kind, ``scene`` and ``k`` are not used.
-
-    Z and Z_bb are factorised here, so a singular system raises
-    ``SolveError`` at once; the n x n operators themselves are built only
-    when first read (see ``TransitionSet``).
+    A singular system raises ``SolveError`` here; T, T_b, S and S_b are
+    built when first read (see ``BlockImpedance``).
     """
-    if blocks is None:
-        blocks = assemble_impedance(scene, k, wave_basis)
+    blocks = assemble_impedance(scene, k, wave_basis)
     blocks.factorize()
-    return TransitionSet(blocks)
-
+    return blocks

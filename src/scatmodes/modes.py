@@ -22,13 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import swe
-from .dipoles import (
-    BlockImpedance,
-    TransitionSet,
-    _readout_product,
-    _solver,
-    factorization_residual,
-)
+from .dipoles import BlockImpedance, _readout_product, factorization_residual
 from .exceptions import ShapeError, SolveError
 from .network import UNITARY_TOL, OperatorMatrix, _matrix, check_unitary, check_unitary_factored
 from .swe import WaveBasis
@@ -201,33 +195,32 @@ class _MatrixPencil:
 
 
 class _BlockPencil:
-    """``S`` and ``S_b`` of a ``TransitionSet`` as actions of its blocks.
+    """``S`` and ``S_b`` of a ``BlockImpedance`` as actions of its factors.
 
     ``S_b`` acts through the Z_bb factors and the diagonal offset
     ``T_b0`` (``_apply_sb``; ``S_b^H`` is its conjugate), and ``T - T_b =
     -U1~ Z~^-1 U1~^T`` through the Schur complement, so no n x n matrix is
     formed unless the QZ fallback or a dense unitarity check reads
-    ``ts.S`` and ``ts.S_b``.  Eliminating the background gives that form
-    for every scene kind (the background offset cancels), so ``U1~`` spans
-    the range of ``S - S_b``; the elimination reuses the Z_bb factors
-    ``transition`` left on the blocks.
+    ``blocks.S`` and ``blocks.S_b``.  Eliminating the background gives that
+    form for every scene kind (the background offset cancels), so ``U1~``
+    spans the range of ``S - S_b``.
     """
 
-    def __init__(self, ts: TransitionSet):
-        self.ts = ts
-        self.u_tilde = schur_system(ts.blocks).U1_tilde
+    def __init__(self, blocks: BlockImpedance):
+        self.blocks = blocks
+        self.u_tilde = blocks.U1_tilde
         self.dim = self.u_tilde.shape[0]
-        self.basis = ts.blocks.basis
+        self.basis = blocks.basis
 
     def matrices(self):
-        return self.ts.S.data, self.ts.S_b.data
+        return self.blocks.S.data, self.blocks.S_b.data
 
     def apply_sb(self, x):
-        return _apply_sb(self.ts.blocks, x)
+        return _apply_sb(self.blocks, x)
 
     def diff(self, x):
         """``T - T_b = (S - S_b) / 2`` applied to x."""
-        return -self.u_tilde @ _tilde_solve(self.ts.blocks)(self.u_tilde.T @ x)
+        return -self.u_tilde @ self.blocks.solve_tilde(self.u_tilde.T @ x)
 
     def schur(self):
         """Eigenpairs on ``V = range(S_b^H U1~)`` from the r x r ``M``; V's basis Q is kept."""
@@ -244,14 +237,14 @@ class _BlockPencil:
         return np.linalg.qr(self.q, mode="complete")[0][:, rank:rank + n]
 
     def unitarity(self) -> dict:
-        return scattering_unitarity(self.ts)
+        return scattering_unitarity(self.blocks)
 
 
 def cm_scattering(S, S_b=None, k: float | None = None,
                   n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
-    ``S`` is a ``TransitionSet`` (``S_b`` left out) or an n x n matrix.
+    ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix.
     For unitary inputs the problem reduces to the normal matrix ``N =
     S_b^H S``, solved by a complex Schur decomposition, which gives
     orthonormal eigenvectors including degenerate clusters.  If ``S_b``
@@ -260,7 +253,7 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     back to a two-matrix QZ factorisation of the full pencil and flags
     the result (``diagnostics['solver'] == 'qz'``).
 
-    A transition set is solved on the range of ``S - S_b`` only.  With
+    Blocks are solved on the range of ``S - S_b`` only.  With
     the background eliminated, ``S - S_b = -2 U1~ Z~^-1 U1~^T``, so ``N -
     I = S_b^H (S - S_b)`` maps into ``V = range(S_b^H U1~)`` (at most
     ``3 N_c`` columns), the normal ``N`` leaves V invariant and is exactly
@@ -286,9 +279,9 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     unitarity deviations of S and S_b on the full operators
     (``unitarity_form`` says how).
     """
-    if isinstance(S, TransitionSet):
+    if isinstance(S, BlockImpedance):
         if S_b is not None:
-            raise ValueError("a TransitionSet carries its own S_b")
+            raise ValueError("a BlockImpedance carries its own S_b")
         pencil = _BlockPencil(S)
     else:
         pencil = _MatrixPencil(S, S_b)
@@ -377,41 +370,6 @@ def cm_t_form(T, T_b, representation: str = "excitation",
 # Impedance (Schur complement) path
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SchurSystem:
-    """Schur complement of the background block and its radiation factor.
-
-    ``Z_tilde = Z_cc - Z_cb Z_bb^-1 Z_bc`` compresses the background
-    into a numerical Green function for the controllable region; for
-    lossless scenes its real part factors as ``U1_tilde^H U1_tilde``.
-    """
-
-    Z_tilde: np.ndarray
-    U1_tilde: np.ndarray
-    W: np.ndarray  # Z_bb^-1 Z_bc, reused for background current recovery
-
-    @property
-    def R_tilde(self) -> np.ndarray:
-        return self.Z_tilde.real.copy()
-
-    def factorization_residual(self) -> float:
-        return factorization_residual(self.Z_tilde, self.U1_tilde)
-
-
-def schur_system(blocks: BlockImpedance) -> SchurSystem:
-    """Eliminate background unknowns from a block impedance system.
-
-    Built once per blocks object and kept with its factors, so every
-    engine and check of a frequency point shares one elimination.
-    """
-    def eliminate():
-        w = blocks.solve_bb(blocks.Z_bc)
-        return SchurSystem(Z_tilde=blocks.Z_cc - blocks.Z_cb @ w,
-                           U1_tilde=blocks.U1_c - _readout_product(blocks.U1_b, w), W=w)
-
-    return blocks.cached("schur_system", eliminate)
-
-
 def _apply_sb(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
     """``S_b vec = vec + 2 (T_b0 vec - U1_b Z_bb^-1 U1_b^T vec)`` without forming S_b.
 
@@ -425,26 +383,8 @@ def _apply_sb(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
     return vec + 2.0 * t_b
 
 
-def _tilde_solve(blocks: BlockImpedance):
-    """``rhs -> Z~^-1 rhs`` from LU factors kept by the blocks.
-
-    Every Z~ solve of a blocks object (the range engine, ``tilde_tmatrix``,
-    ``recover_currents``) uses these factors.  Without background unknowns
-    Z~ is Z itself, whose factors are reused.
-    """
-    if blocks.n_b == 0:
-        return blocks.solve
-    return blocks.cached("lu Z_tilde", lambda: _solver(schur_system(blocks).Z_tilde,
-                                                       "compressed impedance"))
-
-
-def _factored_form_pays(blocks: BlockImpedance) -> bool:
-    """Whether S's factors ``I - 2 U1 Z^-1 U1^T`` serve: a real readout of at most n/2 columns."""
-    return blocks.T_b0 is None and 2 * blocks.readout.shape[1] <= blocks.readout.shape[0]
-
-
-def scattering_unitarity(ts: TransitionSet) -> dict:
-    """``check_unitary`` deviations of ``ts.S`` and ``ts.S_b``, and the form used.
+def scattering_unitarity(blocks: BlockImpedance) -> dict:
+    """``check_unitary`` deviations of ``blocks.S`` and ``blocks.S_b``, and the form used.
 
     With no background offset (dipole, port and ground-plane blocks) the
     readout U1 is real and ``S = I - 2 U1 Z^-1 U1^T``, so where U1 has at
@@ -454,13 +394,12 @@ def scattering_unitarity(ts: TransitionSet) -> dict:
     more) ``check_unitary`` runs on the n x n matrices.
     ``unitarity_form`` is ``"factored"`` or ``"dense"``.
     """
-    blocks = ts.blocks
-    if _factored_form_pays(blocks):
+    if blocks.T_b0 is None and 2 * blocks.readout.shape[1] <= blocks.readout.shape[0]:
         return {"unitarity_S": check_unitary_factored(blocks.readout, blocks.solve).deviation,
                 "unitarity_S_b": check_unitary_factored(blocks.U1_b, blocks.solve_bb).deviation,
                 "unitarity_form": "factored"}
-    return {"unitarity_S": check_unitary(ts.S).deviation,
-            "unitarity_S_b": check_unitary(ts.S_b).deviation,
+    return {"unitarity_S": check_unitary(blocks.S).deviation,
+            "unitarity_S_b": check_unitary(blocks.S_b).deviation,
             "unitarity_form": "dense"}
 
 
@@ -491,15 +430,15 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     indefinite or singular, so that some eigencurrents cannot be
     normalised, it raises ``SolveError``.
     """
-    sys = schur_system(blocks)
     nc = blocks.n_c
-    diag = {"schur_factorization_residual": sys.factorization_residual(),
+    diag = {"schur_factorization_residual":
+            factorization_residual(blocks.Z_tilde, blocks.U1_tilde),
             "solver": "eigh"}
     if nc == 0:
         return ModeSet(s=np.zeros(0, dtype=complex), a=None, f=None, k=k,
                        basis=blocks.basis, diagnostics=diag)
 
-    r_t, x_t = sys.Z_tilde.real, sys.Z_tilde.imag
+    r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
     r_t = 0.5 * (r_t + r_t.T)
     x_t = 0.5 * (x_t + x_t.T)
     diag["r_condition"] = _radiation_condition(r_t)
@@ -529,10 +468,10 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
         i_c = i_c / np.sqrt(power)[None, :]
 
     t_vals = -1.0 / (1.0 + 1j * lam)
-    f = -sys.U1_tilde @ i_c
+    f = -blocks.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
     a = np.conj(_apply_sb(blocks, np.conj(f)))
-    i_b = -sys.W @ i_c
+    i_b = -blocks.W @ i_c
     currents = np.vstack([i_b, i_c])
 
     order = _mode_order(t_vals, f, blocks.basis)
@@ -554,17 +493,17 @@ def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
     identity for lossless scenes.  T and T_b are those kept by the
     blocks, built here if no caller has read them yet.
     """
-    sys = schur_system(blocks)
-    ts = TransitionSet(blocks)
-    t_tilde = -sys.U1_tilde @ _tilde_solve(blocks)(sys.U1_tilde.conj().T)
-    t_full, t_bg = ts.T.data, ts.T_b.data
+    u_tilde = blocks.U1_tilde
+    t_tilde = -u_tilde @ blocks.solve_tilde(u_tilde.conj().T)
+    t_full, t_bg = blocks.T.data, blocks.T_b.data
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
     # without controllable dipoles T~ = 0, and the residual is measured against T
     scale = np.linalg.norm(t_tilde) or np.linalg.norm(t_full)
     residual = float(np.linalg.norm(composed - t_tilde) / max(scale, 1e-300))
     return OperatorMatrix("T", t_tilde, blocks.basis,
                           meta={"identity_residual": residual,
-                                "factorization_residual": sys.factorization_residual()})
+                                "factorization_residual":
+                                    factorization_residual(blocks.Z_tilde, u_tilde)})
 
 
 @dataclass
@@ -608,11 +547,10 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     currents[:nb] -= blocks.solve_bb(_readout_product(blocks.U1_b.T, a))
     currents_c = currents[nb:, :]
 
-    sys = schur_system(blocks)
     f_stored = modeset.f if modeset.f is not None else a
     skipped = np.abs(t) <= t_min
     f_rad = f_stored * t[None, :]
-    alt = _tilde_solve(blocks)(sys.U1_tilde.conj().T @ f_rad)
+    alt = blocks.solve_tilde(blocks.U1_tilde.conj().T @ f_rad)
     with np.errstate(invalid="ignore", divide="ignore"):
         alt = alt / t[None, :]
     alt[:, skipped] = np.nan
@@ -643,29 +581,17 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
     return stack.max(axis=0) - stack.min(axis=0)
 
 
-def parity_leakage(ts: TransitionSet) -> float:
+def parity_leakage(blocks: BlockImpedance) -> float:
     """Relative norm of S coupling parity-allowed to parity-forbidden waves.
 
     Zero to rounding for the mirrored scene of a ground-plane scene
     (``mirror_scene``): the test of the image symmetry that the reduced
     assembly takes as exact.
-
-    ``S[keep, drop] = -2 U1_keep Z^-1 U1_drop^T`` and, with the thin QR
-    ``U1 = Q R`` (p columns in Q), ``||S||_F^2 = ||I - 2 R Z^-1 R^T||_F^2
-    + n - p``; both come from the factors where ``scattering_unitarity``
-    uses them, else from the dense S.
     """
-    blocks = ts.blocks
+    s = blocks.S.data
     keep = swe.ground_plane_filter(blocks.basis)
     drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
-    u = blocks.readout
-    if _factored_form_pays(blocks):
-        r_keep, r_drop, r = (np.linalg.qr(x, mode="r") for x in (u[keep], u[drop], u))
-        cross = 2.0 * r_keep @ blocks.solve(r_drop.T.astype(complex))
-        s_c = np.eye(r.shape[0]) - 2.0 * r @ blocks.solve(r.T.astype(complex))
-        norm_s = math.sqrt(np.linalg.norm(s_c) ** 2 + u.shape[0] - r.shape[0])
-        return float(np.linalg.norm(cross) / norm_s)
-    return float(np.linalg.norm(ts.S.data[np.ix_(keep, drop)]) / np.linalg.norm(ts.S.data))
+    return float(np.linalg.norm(s[np.ix_(keep, drop)]) / np.linalg.norm(s))
 
 
 # ---------------------------------------------------------------------------

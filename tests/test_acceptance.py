@@ -88,8 +88,8 @@ def equivalence_results(equivalence_bank):
             "ms_scat": cm_scattering(ts.S, ts.S_b, k=k),
             "ms_exc": cm_t_form(ts.T, ts.T_b, "excitation", k=k),
             "ms_sca": cm_t_form(ts.T, ts.T_b, "scattered", k=k),
-            "ms_imp": cm_impedance_substructure(ts.blocks, k=k),
-            "tilde": tilde_tmatrix(ts.blocks),
+            "ms_imp": cm_impedance_substructure(ts, k=k),
+            "tilde": tilde_tmatrix(ts),
         })
     return out
 
@@ -188,7 +188,7 @@ def test_criterion_4_current_recovery(equivalence_results):
     worst = 0.0
     n_checked = 0
     for res in equivalence_results:
-        rec = recover_currents(res["ms_scat"], res["ts"].blocks)
+        rec = recover_currents(res["ms_scat"], res["ts"])
         sig = (np.abs(res["ms_scat"].t) > 1e-3) & ~rec.skipped
         if not sig.any():
             continue
@@ -261,8 +261,8 @@ def test_criterion_7_ground_plane(ground_plane_bank):
         ms_filtered = cm_scattering(transition(scene, k), k=k)
         ts = transition(mirror_scene(scene), k)
         ms_full = cm_scattering(ts.S, ts.S_b, k=k)
-        keep = ground_plane_filter(ts.blocks.basis)
-        drop = np.setdiff1d(np.arange(ts.blocks.basis.size), keep)
+        keep = ground_plane_filter(ts.basis)
+        drop = np.setdiff1d(np.arange(ts.basis.size), keep)
         ms_odd = cm_scattering(ts.S.data[np.ix_(drop, drop)],
                                ts.S_b.data[np.ix_(drop, drop)], k=k)
 
@@ -275,7 +275,7 @@ def test_criterion_7_ground_plane(ground_plane_bank):
         assert dev.max() < 1e-8
         worst_dt = max(worst_dt, float(dev.max(initial=0.0)))
 
-        allowed = np.zeros(ts.blocks.basis.size)
+        allowed = np.zeros(ts.basis.size)
         allowed[keep] = 1.0
         assert np.sqrt(((1.0 - allowed)[:, None] * np.abs(ms_filtered.a) ** 2)
                        .sum(axis=0)).max() < 1e-10
@@ -315,7 +315,7 @@ def test_criterion_8_hybrid():
     system = assemble_hybrid(hs, k, wave_basis=wb)
     u4_resid = float(system.U4.meta["column_residuals"].max())
 
-    ms_s = cm_scattering(transition(blocks=system.blocks), k=k)
+    ms_s = cm_scattering(system.blocks, k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)
     sig = 1e-6
     m1 = np.abs(ms_s.t[np.abs(ms_s.t) > sig])
@@ -328,7 +328,7 @@ def test_criterion_8_hybrid():
     # vacuum-sphere limit reduces to the pure dipole backend
     vac = HybridScene(scene, SphereSpec(sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=wb)
-    ms_v = cm_scattering(transition(blocks=sys_v.blocks), k=k)
+    ms_v = cm_scattering(sys_v.blocks, k=k)
     ts_mom = transition(scene, k, wave_basis=wb)
     ms_mom = cm_scattering(ts_mom.S, ts_mom.S_b, k=k)
     sig = 1e-9
@@ -340,7 +340,7 @@ def test_criterion_8_hybrid():
 
     # sphere-only limit reduces to the analytic T-matrix
     empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
-    ts_sphere = transition(blocks=assemble_hybrid(HybridScene(empty, sphere), k, wb).blocks)
+    ts_sphere = assemble_hybrid(HybridScene(empty, sphere), k, wb).blocks
     t_mie = mie_tmatrix(sphere, k, wb)
     dev_m = float(np.abs(ts_sphere.T.data - t_mie.data).max())
     assert dev_m < 1e-8
@@ -366,7 +366,7 @@ def test_criterion_9_ports():
         scene0 = DipoleScene(trio, alpha, region)
         scene1 = DipoleScene(trio, alpha, region, ports=(Port(1, "x", 73.0),))
         ts = transition(scene0, k)
-        gs = transition(scene1, k, ts.blocks.basis)
+        gs = transition(scene1, k, ts.basis)
         dev = check_unitary(gs.S).deviation
         assert dev < 1e-8
         worst_unitary = max(worst_unitary, dev)
@@ -377,10 +377,9 @@ def test_criterion_9_ports():
         sb_aug[:ts.S_b.dim, :ts.S_b.dim] = ts.S_b.data
         ms1 = cm_scattering(gs.S.data, sb_aug)
 
-        blocks = ts.blocks
-        currents = np.linalg.solve(blocks.Z, blocks.U1.T @ ms0.a)
-        inv = np.empty_like(blocks.perm)
-        inv[blocks.perm] = np.arange(blocks.perm.size)
+        currents = np.linalg.solve(ts.Z, ts.U1.T @ ms0.a)
+        inv = np.empty_like(ts.perm)
+        inv[ts.perm] = np.arange(ts.perm.size)
         port_row = inv[3 * 1 + 0]
         rel = np.abs(currents[port_row]) / np.linalg.norm(currents, axis=0).clip(1e-300)
         quiet = (rel < 1e-12) & (np.abs(ms0.t) > 1e-9)

@@ -299,6 +299,36 @@ def test_hybrid_impedance_scenario_runs(tmp_path):
     assert os.path.exists(out / "traces.csv")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, solver", [
+    *(("run", solver) for solver in ("dense-scattering", "dense-impedance", "t-form",
+                                     "iterative")),
+    ("checks", "dense-scattering"),
+])
+def test_tiny_frequency_is_a_solver_error(tmp_path, capsys, command, solver):
+    # at 1e-200 Hz the 1/k^3 of the self terms overflows Z: the factorisation
+    # names the non-finite matrix, exit code 1, not a traceback
+    scn = _scenario(solver=solver, sweep={"f_min": 1e-200, "f_max": 1e-200, "n_points": 1})
+    argv = [command, "--scenario", _write(tmp_path, scn)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "SolveError: system matrix has inf or NaN entries" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    # --jobs 0 is not read as all cores, nor --jobs -1 as one job
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", _write(tmp_path, _scenario()), "--out", str(tmp_path / "o"),
+              "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solver_error_exit_code(tmp_path):
     # dipole cloud tighter than the sphere: hybrid assembly must fail
     # with a diagnostic and a nonzero exit, not a traceback
@@ -435,6 +465,8 @@ MALFORMED_FIELDS = [
     (("scene", "ports"), [{"dipole": 0, "axis": "w", "z0": 73.0}], "scene.ports[0].axis"),
     (("scene", "ground_plane"), "false", "scene.ground_plane"),
     (("tolerances",), {"unitarity": "tight"}, "tolerances.unitarity"),
+    (("tolerances",), {"unitarty": 1e-30}, "tolerances.unitarty"),
+    (("tolerances",), {"unitarity": -1e-8}, "tolerances.unitarity"),
 ]
 
 

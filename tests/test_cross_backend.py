@@ -70,7 +70,7 @@ def test_hybrid_sphere_vs_equivalent_point_dipole():
     wb = basis(12)
     hs = HybridScene(cloud, SphereSpec(radius, "dielectric", eps_r=eps_r))
     system = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
-    ms_hybrid = cm_scattering(transition(blocks=system.blocks), k=k)
+    ms_hybrid = cm_scattering(system.blocks, k=k)
 
     equivalent = DipoleScene(
         np.vstack([pos, [[0.0, 0.0, 0.0]]]),

@@ -149,8 +149,8 @@ def test_mirrored_scene_parity_decoupling():
                            0.1 + 0.2 * rng.random(3)])
     scene = DipoleScene(pos, 6.0 * math.pi * (0.5 + rng.random(3)), ground_plane=True)
     ts = transition(mirror_scene(scene), 1.0)
-    keep = ground_plane_filter(ts.blocks.basis)
-    drop = np.setdiff1d(np.arange(ts.blocks.basis.size), keep)
+    keep = ground_plane_filter(ts.basis)
+    drop = np.setdiff1d(np.arange(ts.basis.size), keep)
     s = ts.S.data
     assert np.linalg.norm(s[np.ix_(keep, drop)]) < 1e-10 * np.linalg.norm(s)
     assert np.linalg.norm(s[np.ix_(drop, keep)]) < 1e-10 * np.linalg.norm(s)
@@ -180,7 +180,7 @@ def test_ground_plane_point_factorises_the_image_reduced_system(solver, monkeypa
     cli._solve_point(sc, k, wave_basis, seed=1)
     assert (three_n, three_n) in sizes and max(max(shape) for shape in sizes) == three_n
 
-    readout = cli._operators(sc, k, wave_basis)[0].blocks.readout
+    readout = cli._operators(sc, k, wave_basis)[0].readout
     allowed = mirror_parity(wave_basis) > 0
     assert readout.shape == (wave_basis.size, three_n)
     assert not readout[~allowed].any()
@@ -201,8 +201,8 @@ def test_port_scattering_is_unitary():
     k = 2.0
     gs = transition(_symmetric_port_scene(k, True), k)
     assert check_unitary(gs.S).deviation < 1e-8
-    assert gs.blocks.basis.extra_labels == ("port0",)
-    assert gs.S.dim == gs.blocks.basis.wave.size + 1
+    assert gs.basis.extra_labels == ("port0",)
+    assert gs.S.dim == gs.basis.wave.size + 1
 
 
 def test_port_leaves_quiet_modes_unchanged():
@@ -211,16 +211,15 @@ def test_port_leaves_quiet_modes_unchanged():
     scene0 = _symmetric_port_scene(k, False)
     scene1 = _symmetric_port_scene(k, True)
     ts = transition(scene0, k)
-    gs = transition(scene1, k, ts.blocks.basis)
+    gs = transition(scene1, k, ts.basis)
 
     ms0 = cm_scattering(ts.S)
     sb_aug = np.eye(gs.S.dim, dtype=complex)
     ms1 = cm_scattering(gs.S.data, sb_aug)
 
-    blocks = ts.blocks
-    currents = np.linalg.solve(blocks.Z, blocks.U1.T @ ms0.a)
-    inv = np.empty_like(blocks.perm)
-    inv[blocks.perm] = np.arange(blocks.perm.size)
+    currents = np.linalg.solve(ts.Z, ts.U1.T @ ms0.a)
+    inv = np.empty_like(ts.perm)
+    inv[ts.perm] = np.arange(ts.perm.size)
     port_row = inv[3 * 1 + 0]
     rel_port = np.abs(currents[port_row]) / np.linalg.norm(currents, axis=0).clip(1e-300)
 
@@ -258,7 +257,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
     alpha = 6.0 * math.pi / k**3 * 0.9
     scene = DipoleScene(pos, alpha, ports=(Port(1, "y", 50.0),))
     gs = transition(scene, k)
-    nw = gs.blocks.basis.wave.size
+    nw = gs.basis.wave.size
     s_block = gs.S.data[:nw, :nw]
 
     # independent assembly of the loaded impedance system
@@ -272,7 +271,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
         z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
             np.eye(3) / (6.0 * math.pi) - 1j * np.eye(3) / (alpha * k**3)
     z[3 * 1 + 1, 3 * 1 + 1] += 50.0 / ETA0
-    u1 = regular_wave_table(gs.blocks.basis.wave, k, pos).reshape(nw, 3 * n)
+    u1 = regular_wave_table(gs.basis.wave, k, pos).reshape(nw, 3 * n)
     s_ref = np.eye(nw) - 2.0 * u1 @ np.linalg.solve(z, u1.T.astype(complex))
     assert np.abs(s_block - s_ref).max() < 1e-12
 
@@ -428,13 +427,12 @@ def test_real_readout_products_match_the_complex_product(bank, request):
     else:
         sets = [transition(scene, k) for scene, k in request.getfixturevalue("ground_plane_bank")]
     worst = 0.0
-    for ts in sets:
-        blocks = ts.blocks
+    for blocks in sets:
         assert not np.iscomplexobj(blocks.U1)
         u = blocks.U1.astype(complex)
         ub = u[:, :blocks.n_b]
-        for t, plain in ((ts.T.data, -u @ blocks.solve(u.T.copy())),
-                         (ts.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
+        for t, plain in ((blocks.T.data, -u @ blocks.solve(u.T.copy())),
+                         (blocks.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
             worst = max(worst, np.linalg.norm(t - plain) / max(np.linalg.norm(plain), 1e-300))
     assert worst <= 1e-15
 
@@ -444,13 +442,12 @@ def test_complex_readout_keeps_the_plain_product():
     from scatmodes import assemble_hybrid
 
     blocks = assemble_hybrid(_hybrid_scene(), 1.0, basis(10), residual_tol=1.0).blocks
-    ts = transition(blocks=blocks)
     u = blocks.U1
     assert np.iscomplexobj(u)
     t_b0 = np.diag(blocks.T_b0)
-    assert np.array_equal(ts.T.data, t_b0 + -u @ blocks.solve(u.T.astype(complex)))
+    assert np.array_equal(blocks.T.data, t_b0 + -u @ blocks.solve(u.T.astype(complex)))
     ub = u[:, :blocks.n_b]
-    assert np.array_equal(ts.T_b.data, t_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))
+    assert np.array_equal(blocks.T_b.data, t_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))
 
 
 def _readout_operands():

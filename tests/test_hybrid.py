@@ -185,7 +185,7 @@ def test_vacuum_sphere_reduces_to_dipole_modes(hybrid_setup):
     hs, k, system = hybrid_setup
     vac = HybridScene(hs.mom_scene, SphereSpec(hs.sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=system.basis)
-    ms_v = cm_scattering(transition(blocks=sys_v.blocks), k=k)
+    ms_v = cm_scattering(sys_v.blocks, k=k)
     ts = transition(hs.mom_scene, k, wave_basis=system.basis)
     ms_ref = cm_scattering(ts.S, ts.S_b)
     assert matched_distance(ms_v.t, ms_ref.t, threshold=1e-9) < 1e-10
@@ -195,21 +195,21 @@ def test_sphere_only_reduces_to_mie(hybrid_setup):
     hs, k, system = hybrid_setup
     empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
     so = HybridScene(empty, hs.sphere)
-    ts = transition(blocks=assemble_hybrid(so, k, system.basis).blocks)
+    ts = assemble_hybrid(so, k, system.basis).blocks
     t_ref = mie_tmatrix(hs.sphere, k, system.basis)
     assert np.abs(ts.T.data - t_ref.data).max() < 1e-8
 
 
 def test_composite_unitarity(hybrid_setup):
     hs, k, system = hybrid_setup
-    ts = transition(blocks=system.blocks)
+    ts = system.blocks
     assert check_unitary(ts.S).deviation < 1e-6
     assert check_unitary(ts.S_b).deviation < 1e-6
 
 
 def test_path_equivalence(hybrid_setup):
     hs, k, system = hybrid_setup
-    ms_s = cm_scattering(transition(blocks=system.blocks), k=k)
+    ms_s = cm_scattering(system.blocks, k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)
     sig = np.abs(ms_s.t) > 1e-6
     t_s = np.abs(ms_s.t[sig])
@@ -236,7 +236,7 @@ def test_strong_sphere_detunes_dominant_mode():
         tops = []
         for k in ks:
             system = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
-            ms = cm_scattering(transition(blocks=system.blocks), k=k)
+            ms = cm_scattering(system.blocks, k=k)
             tops.append(np.abs(ms.t).max())
         return int(np.argmax(tops))
 

@@ -22,12 +22,12 @@ from scatmodes import (
     mie_tmatrix,
     mirror_scene,
     recover_currents,
-    schur_system,
     substructure_power_check,
     tilde_tmatrix,
     track_modes,
     transition,
 )
+from scatmodes.dipoles import factorization_residual
 from scatmodes.modes import _apply_sb, parity_leakage
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
@@ -160,19 +160,18 @@ def test_impedance_no_background_is_classic_cm():
     scene = random_scene(rng, 5, 0.6)
     k = 1.0
     ts = transition(scene, k)
-    ms_z = cm_impedance_substructure(ts.blocks)
+    ms_z = cm_impedance_substructure(ts)
     ms_s = cm_scattering(ts.S)
     assert matched_distance(ms_z.t, ms_s.t, threshold=1e-9) < 1e-8
     # classic pencil: eigenvalues real, currents R-orthogonal
-    sys = schur_system(ts.blocks)
-    r = sys.R_tilde
+    r = ts.Z_tilde.real
     gram = ms_z.currents_c.conj().T @ r @ ms_z.currents_c
     assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
 
 
 def test_impedance_matches_scattering(two_region):
     _, _, ts = two_region
-    ms_z = cm_impedance_substructure(ts.blocks)
+    ms_z = cm_impedance_substructure(ts)
     ms_s = cm_scattering(ts.S, ts.S_b)
     assert matched_distance(ms_s.t, ms_z.t, threshold=1e-7) < 1e-6
     # stored fields and excitations satisfy the mode-set contract
@@ -191,8 +190,7 @@ def test_impedance_single_controllable_dipole_three_modes():
 
 def test_schur_factorization_residual(two_region):
     _, _, ts = two_region
-    sys = schur_system(ts.blocks)
-    assert sys.factorization_residual() < 1e-8
+    assert factorization_residual(ts.Z_tilde, ts.U1_tilde) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_schur_factorization_residual(two_region):
 
 def test_tilde_identity_and_spectrum(two_region):
     _, _, ts = two_region
-    tt = tilde_tmatrix(ts.blocks)
+    tt = tilde_tmatrix(ts)
     assert tt.meta["identity_residual"] < 1e-8
     vals = np.linalg.eigvals(tt.data)
     assert np.abs(np.abs(vals + 0.5) - 0.5).max() < 1e-8
@@ -226,14 +224,14 @@ def test_recover_currents_empty_controllable():
     k = 1.0
     ts = transition(scene, k)
     ms = cm_scattering(ts.S, ts.S_b)
-    rec = recover_currents(ms, ts.blocks)
+    rec = recover_currents(ms, ts)
     assert np.abs(rec.currents).max() < 1e-10
 
 
 def test_recover_currents_agreement(two_region):
     _, _, ts = two_region
     ms = cm_scattering(ts.S, ts.S_b)
-    rec = recover_currents(ms, ts.blocks)
+    rec = recover_currents(ms, ts)
     sig = (np.abs(ms.t) > 1e-3) & ~rec.skipped
     assert sig.any()
     assert np.nanmax(rec.agreement[sig]) < 1e-6
@@ -247,9 +245,8 @@ def test_recovered_current_radiates_scaled_field(two_region):
     # -U1~ I_cn = t_n f_n for the stored normalisations
     _, _, ts = two_region
     ms = cm_scattering(ts.S, ts.S_b)
-    rec = recover_currents(ms, ts.blocks)
-    sys = schur_system(ts.blocks)
-    radiated = -sys.U1_tilde @ rec.currents_c
+    rec = recover_currents(ms, ts)
+    radiated = -ts.U1_tilde @ rec.currents_c
     expected = ms.f * ms.t[None, :]
     sig = np.abs(ms.t) > 1e-3
     err = np.linalg.norm(radiated[:, sig] - expected[:, sig], axis=0)
@@ -259,7 +256,7 @@ def test_recovered_current_radiates_scaled_field(two_region):
 def test_recover_currents_skips_tiny_modes(two_region):
     _, _, ts = two_region
     ms = cm_scattering(ts.S, ts.S_b)
-    rec = recover_currents(ms, ts.blocks, t_min=1e-3)
+    rec = recover_currents(ms, ts, t_min=1e-3)
     assert np.all(np.isnan(rec.agreement[rec.skipped]))
     assert rec.skipped[-1]  # weakest mode of the big basis is ~0
 
@@ -317,8 +314,8 @@ def test_ground_plane_matches_mirrored_brute_force(ground_plane_bank):
     ms_f = cm_scattering(transition(scene, k), k=k)
     ts = transition(mirror_scene(scene), k)
     ms_full = cm_scattering(ts.S, ts.S_b)
-    keep = ground_plane_filter(ts.blocks.basis)
-    proj = np.zeros(ts.blocks.basis.size)
+    keep = ground_plane_filter(ts.basis)
+    proj = np.zeros(ts.basis.size)
     proj[keep] = 1.0
     frac = (proj[:, None] * np.abs(ms_full.a) ** 2).sum(axis=0)
     t_sym = ms_full.t[frac > 0.5]
@@ -405,10 +402,10 @@ def test_impedance_conditioning_surfaced():
     scene = random_scene(rng, 16, 0.45, n_background=1, strength=(0.1, 6.0))
     ts = transition(scene, 1.0)
     with pytest.warns(UserWarning, match="radiation matrix spread"):
-        ms_z = cm_impedance_substructure(ts.blocks)
+        ms_z = cm_impedance_substructure(ts)
     assert ms_z.diagnostics["r_condition"] > 1e12
     ms_s = cm_scattering(ts.S, ts.S_b)
-    tilde_vals = np.linalg.eigvals(tilde_tmatrix(ts.blocks).data)
+    tilde_vals = np.linalg.eigvals(tilde_tmatrix(ts).data)
     assert matched_distance(ms_s.t, tilde_vals, threshold=1e-6) < 1e-10
 
 
@@ -451,16 +448,15 @@ def _hybrid_blocks():
 ], ids=["dipole", "port", "hybrid"])
 def test_impedance_engine_matches_scattering_on_every_scene_kind(make_blocks, tol):
     blocks = make_blocks()
-    ts = transition(blocks=blocks)
     ms_z = cm_impedance_substructure(blocks)
-    ms_s = cm_scattering(ts.S, ts.S_b)
+    ms_s = cm_scattering(blocks.S, blocks.S_b)
     assert ms_z.n_modes == blocks.n_c
     assert matched_distance(ms_s.t, ms_z.t, threshold=1e-7) < tol
     assert np.abs(np.linalg.norm(ms_z.f, axis=0) - 1.0).max() < 1e-12
-    assert np.abs(ms_z.f - ts.S_b.data @ ms_z.a).max() < 10 * tol
+    assert np.abs(ms_z.f - blocks.S_b.data @ ms_z.a).max() < 10 * tol
 
 
-def _ground_plane_set():
+def _ground_plane_blocks():
     rng = np.random.default_rng(316)
     base = random_scene(rng, 7, 0.6, n_background=3)
     scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability, base.region,
@@ -468,21 +464,20 @@ def _ground_plane_set():
     return transition(scene, 1.0)
 
 
-@pytest.mark.parametrize("make_set", [
-    lambda: transition(blocks=_dipole_blocks()),
-    lambda: transition(blocks=_port_blocks()),
-    _ground_plane_set,
-    lambda: transition(blocks=_hybrid_blocks()),
+@pytest.mark.parametrize("make_blocks", [
+    _dipole_blocks,
+    _port_blocks,
+    _ground_plane_blocks,
+    _hybrid_blocks,
 ], ids=["dipole", "port", "ground-plane", "hybrid"])
-def test_background_action_matches_the_dense_s_b(make_set):
+def test_background_action_matches_the_dense_s_b(make_blocks):
     # S_b and, through reciprocity, S_b^H act from the Z_bb factors and the
     # diagonal offset as the dense S_b does
-    ts = make_set()
-    blocks = ts.blocks
+    blocks = make_blocks()
     n = blocks.readout.shape[0]
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-    s_b = ts.S_b.data
+    s_b = blocks.S_b.data
     for got, want in ((_apply_sb(blocks, x), s_b @ x),
                       (np.conj(_apply_sb(blocks, np.conj(x))), s_b.conj().T @ x)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -500,14 +495,14 @@ def test_singular_system_raises_solve_error(two_region):
     # duplicate one controllable unknown: Z and the Schur complement are singular
     _, _, ts = two_region
     ms = cm_scattering(ts.S, ts.S_b)
-    z, u = ts.blocks.Z, ts.blocks.U1
-    i, j = ts.blocks.n_b, ts.blocks.n_b + 1
+    z, u = ts.Z, ts.U1
+    i, j = ts.n_b, ts.n_b + 1
     z[j, :] = z[i, :]
     z[:, j] = z[:, i]
     u[:, j] = u[:, i]
-    singular = dataclasses.replace(ts.blocks, system=z, readout=u)
+    singular = dataclasses.replace(ts, system=z, readout=u)
     with pytest.raises(SolveError):
-        transition(blocks=singular)
+        singular.factorize()
     with pytest.raises(SolveError):
         tilde_tmatrix(singular)
     with pytest.raises(SolveError):
@@ -516,15 +511,18 @@ def test_singular_system_raises_solve_error(two_region):
 
 def test_factorisation_cache_is_scoped_to_one_blocks_object(two_region):
     # transition factorises the blocks; a copy with another Z must solve
-    # with its own factors
-    _, _, ts = two_region
-    blocks = transition(blocks=ts.blocks).blocks
+    # and eliminate the background with its own factors
+    _, _, blocks = two_region
+    blocks.Z_tilde  # the original's elimination is made and kept first
     nb = blocks.n_b
     z = blocks.Z + 0.2 * np.eye(blocks.Z.shape[0])
-    u1, u1_b = blocks.U1, blocks.U1_b
-    ts_copy = transition(blocks=dataclasses.replace(blocks, system=z))
-    assert np.abs(ts_copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
-    assert np.abs(ts_copy.T_b.data + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12
+    u1, u1_b, u1_c = blocks.U1, blocks.U1_b, blocks.U1_c
+    copy = dataclasses.replace(blocks, system=z)
+    assert np.abs(copy.T.data + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
+    assert np.abs(copy.T_b.data + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12
+    w = np.linalg.solve(z[:nb, :nb], z[:nb, nb:])
+    assert np.abs(copy.Z_tilde - (z[nb:, nb:] - z[nb:, :nb] @ w)).max() < 1e-12
+    assert np.abs(copy.U1_tilde - (u1_c - u1_b @ w)).max() < 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -536,4 +534,4 @@ def test_indefinite_compressed_radiation_raises_solve_error(seed):
     scene = random_scene(np.random.default_rng(seed), 150, 2.0, n_background=50)
     ts = transition(scene, 1.0)
     with pytest.raises(SolveError, match="compressed radiation matrix is indefinite"):
-        cm_impedance_substructure(ts.blocks)
+        cm_impedance_substructure(ts)

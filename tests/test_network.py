@@ -17,7 +17,6 @@ from scatmodes import (
     check_unitary_factored,
     scattering_unitarity,
     transition,
-    schur_system,
 )
 from scatmodes.dipoles import factorization_residual
 from conftest import random_scene
@@ -104,17 +103,16 @@ FACTORED_UNITARITY_CASES = {
 def test_factored_unitarity_matches_dense(case):
     # ||S^H S - I|| from the QR of the readout and Z^-1 is the dense check's
     # quantity, for S and S_b
-    ts = FACTORED_UNITARITY_CASES[case]()
-    blocks = ts.blocks
+    blocks = FACTORED_UNITARITY_CASES[case]()
     u = blocks.U1
     factored = [check_unitary_factored(u, blocks.solve).deviation,
                 check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb).deviation]
-    dense = [check_unitary(ts.S).deviation, check_unitary(ts.S_b).deviation]
+    dense = [check_unitary(blocks.S).deviation, check_unitary(blocks.S_b).deviation]
     assert np.abs(np.subtract(factored, dense)).max() <= 1e-14
     if case == "under-resolved":
         assert min(dense) > 0.01
     else:
-        chosen = scattering_unitarity(ts)
+        chosen = scattering_unitarity(blocks)
         assert chosen["unitarity_form"] == "factored"
         assert [chosen["unitarity_S"], chosen["unitarity_S_b"]] == factored
 
@@ -168,14 +166,14 @@ def test_dense_checks_match_the_full_product(case, layout):
 def _readout_cases():
     """(u, solve of z) pairs: lossless, lossy, complex readout, exact zero rows, 1 and 0 columns."""
     rng = np.random.default_rng(17)
-    blocks = FACTORED_UNITARITY_CASES["lossless"]().blocks
-    plain = transition(random_scene(rng, 6, 0.6), 1.0).blocks  # n_b = 0
+    blocks = FACTORED_UNITARITY_CASES["lossless"]()
+    plain = transition(random_scene(rng, 6, 0.6), 1.0)  # n_b = 0
     gp = _ground_plane_set()
     z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     return {
         "lossless": (blocks.readout, blocks.solve),
         "lossless-background": (blocks.U1_b, blocks.solve_bb),
-        "kept-rows": (gp.blocks.readout, gp.blocks.solve),  # 0 on the forbidden waves
+        "kept-rows": (gp.readout, gp.solve),  # 0 on the forbidden waves
         "lossy": (rng.standard_normal((20, 5)), lambda rhs: np.linalg.solve(z, rhs)),
         "complex": (rng.standard_normal((20, 5)) + 1j * rng.standard_normal((20, 5)),
                     lambda rhs: np.linalg.solve(z, rhs)),
@@ -199,13 +197,12 @@ def test_factored_unitarity_matches_the_full_product(case, layout):
 def _impedance_cases():
     """Complex symmetric z with u: a lossless scene (real u), its compressed system (complex u), others."""
     rng = np.random.default_rng(19)
-    blocks = FACTORED_UNITARITY_CASES["lossless"]().blocks
-    sys_t = schur_system(blocks)
+    blocks = FACTORED_UNITARITY_CASES["lossless"]()
     u = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     return {
         "lossless": (blocks.system, blocks.readout),
-        "compressed": (sys_t.Z_tilde, sys_t.U1_tilde),
+        "compressed": (blocks.Z_tilde, blocks.U1_tilde),
         "general-real-u": (z + z.T, u.real),
         "general-complex-u": (z + z.T, u),
         "one": (np.array([[2.0 - 1.0j]]), u[:, :1]),
@@ -303,7 +300,7 @@ def test_embedded_background_matches_small_basis_computation():
     # the projection truncation is common to both compared paths here,
     # so the residual gate is irrelevant for this embedding check
     system = assemble_hybrid(hs, k, wave_basis=big, residual_tol=1.0)
-    ts = transition(blocks=system.blocks)
+    ts = system.blocks
 
     small = basis(2)
     t_small = mie_tmatrix(sphere, k, small, enforce_truncation=False)

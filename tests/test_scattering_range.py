@@ -2,8 +2,8 @@
 
 Every case solves one operator pair densely (the n x n Schur
 decomposition of S_b^H S, from the bare matrices) and with the range
-engine, fed by the transition set itself, whose blocks' solves stand in
-for every n x n product.  The nontrivial spectra must agree at the
+engine, fed by the blocks themselves, whose solves stand in for every
+n x n product.  The nontrivial spectra must agree at the
 acceptance suite's tolerances and the range engine's own invariants must
 hold on the modes it returns.
 The lossless bank is compared in acceptance criterion 2, which already
@@ -50,7 +50,7 @@ def _assert_matches_dense(ts, *ranged):
     for ms in ranged or (cm_scattering(ts),):
         d = ms.diagnostics
         assert d["solver"] == "schur"
-        assert d["rank"] <= ts.blocks.n_c
+        assert d["rank"] <= ts.n_c
         assert_multisets_close(dense.t, ms.t)
         assert ms.circle_deviation.max(initial=0.0) <= 1e-8
         assert max(d["orthogonality_a"], d["orthogonality_f"], d["eigen_residual"]) < 1e-8
@@ -69,7 +69,7 @@ def test_ground_plane_bank(ground_plane_bank):
         ms = cm_scattering(ts, k=k)
         worst = max(worst, _assert_matches_dense(ts, ms))
         # image currents add no unknowns: Z is 3N x 3N and the range has rank <= 3 N_c
-        assert ts.blocks.system.shape == (3 * scene.n_dipoles,) * 2
+        assert ts.system.shape == (3 * scene.n_dipoles,) * 2
         assert ms.diagnostics["rank"] <= 3 * scene.is_controllable.sum()
     assert worst < 1e-12
 
@@ -94,7 +94,7 @@ def test_hybrid_bank(seed):
                         ("background",) * 3 + ("controllable",) * 3)
     hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
     system = assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1.0)
-    ts = transition(blocks=system.blocks)
+    ts = system.blocks
     assert _assert_matches_dense(ts, cm_scattering(ts, k=k)) < 1e-12
 
 

@@ -161,40 +161,40 @@ def test_compressed_impedance_is_factorised_once_per_blocks_object(factorisation
     from scatmodes import cm_scattering, recover_currents, tilde_tmatrix, transition
     from conftest import random_scene
 
-    ts = transition(random_scene(np.random.default_rng(5), 8, 0.8, n_background=3), 1.0)
-    recover_currents(cm_scattering(ts), ts.blocks)
-    tilde_tmatrix(ts.blocks)
+    blocks = transition(random_scene(np.random.default_rng(5), 8, 0.8, n_background=3), 1.0)
+    recover_currents(cm_scattering(blocks), blocks)
+    tilde_tmatrix(blocks)
     # Z, Z_bb and Z~
     assert sorted(shape for shape, _ in factorisations) == [(9, 9), (15, 15), (24, 24)]
     _assert_each_factorised_once(factorisations)
 
 
 @pytest.mark.parametrize("case", ["dense-scattering", "hybrid-scattering"])
-def test_checks_build_transition_and_schur_system_once_per_point(case, monkeypatch):
-    # T, T_b and the Schur elimination are shared by the scattering,
-    # modified-transition and impedance checks of a point, not rebuilt for each
-    from scatmodes import hybrid, modes
+def test_checks_assemble_and_eliminate_once_per_point(case, monkeypatch):
+    # one blocks object per point, whose T, T_b and Schur elimination are
+    # shared by the scattering, modified-transition and impedance checks of
+    # the point, not rebuilt for each
+    from scatmodes import dipoles, hybrid
 
     calls = {}
-    for module in (cli, modes, hybrid):
-        if hasattr(module, "transition"):
-            _count_calls(monkeypatch, calls, module, "transition")
-    # every elimination builds one SchurSystem, however often it is asked for
-    _count_calls(monkeypatch, calls, modes, "SchurSystem")
+    for module in (dipoles, hybrid):
+        _count_calls(monkeypatch, calls, module, "assemble_impedance")
+    # the elimination is made once, however often Z~, U1~ or W is read
+    _count_calls(monkeypatch, calls, dipoles.BlockImpedance, "_eliminate")
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     cli.run_checks(sc)
     n_points = len(sc["frequencies"])
-    assert calls == {"transition": n_points, "SchurSystem": n_points}
+    assert calls == {"assemble_impedance": n_points, "_eliminate": n_points}
 
 
 @pytest.mark.parametrize("case", ["dense-scattering", "port", "ground-plane-dense-scattering",
                                   "hybrid-scattering"])
 def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch):
-    # checks runs on the transition set the run's solver works on: a port
+    # checks runs on the blocks the run's solver works on: a port
     # scene's power-wave channels appended, a ground-plane scene image-reduced;
     # S and S_b are checked densely once each, on all waves and channels (by
     # the engine where its own check is dense)
-    from scatmodes import TransitionSet, modes
+    from scatmodes import BlockImpedance, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     wave_basis = cli._sweep_basis(sc)
@@ -221,8 +221,8 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
     dim = wave_basis.size + len(sc["scene"].ports)
     assert unitary_dims == [dim, dim] * len(ks)  # S and S_b of each point
     assert len(decomposed) == len(ks)
-    for (ts, ms), ms_run in zip(decomposed, run_modes):
-        assert isinstance(ts, TransitionSet) and ts.blocks.readout.shape[0] == dim
+    for (blocks, ms), ms_run in zip(decomposed, run_modes):
+        assert isinstance(blocks, BlockImpedance) and blocks.readout.shape[0] == dim
         n = min(ms.n_modes, ms_run.n_modes)
         assert np.abs(ms.t[:n] - ms_run.t[:n]).max() < 1e-12
 
@@ -316,11 +316,11 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     sc = cli.parse_scenario(hybrid_sweep_seed7())
     wave_basis = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
-    ts, _ = cli._operators(sc, k, wave_basis)
+    blocks, _ = cli._operators(sc, k, wave_basis)
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        cm_impedance_substructure(ts.blocks, k=k)
+        cm_impedance_substructure(blocks, k=k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
