@@ -42,6 +42,7 @@ import sys
 import numpy as np
 import scipy
 
+from . import swe
 from .dipoles import (
     DipoleScene,
     Port,
@@ -215,7 +216,9 @@ def load_scenario(path: str) -> dict:
 
 
 def _sweep_basis(sc: dict):
-    """One shared wave basis for the whole sweep, sized at the highest frequency.
+    """One shared wave basis for the whole sweep, sized at the highest frequency, and the
+    angular factors of its wave tables at the dipoles in system order, built once and
+    shared read-only by the points: (basis, ``swe.AngularFactors``).
 
     A hybrid scene's basis also meets the U4 truncation tolerance at every
     frequency where a few more degrees can (``hybrid_sweep_basis``).
@@ -224,23 +227,27 @@ def _sweep_basis(sc: dict):
         ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
         return hybrid_sweep_basis(sc["hybrid"], ks, sc["tolerances"].get("u4_residual", 1e-6))
     k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
-    return default_basis(sc["scene"], k_max)
+    scene = sc["scene"]
+    wave_basis = default_basis(scene, k_max)
+    return wave_basis, swe.angular_factors(wave_basis, scene.positions[scene.system_order])
 
 
-def _operators(sc: dict, k: float, wave_basis):
+def _operators(sc: dict, k: float, wave_basis, angular):
     """The factorised blocks a point's engine decomposes, and what their assembly recorded.
 
     A hybrid folds the sphere into the blocks (``u4_residual``); ``transition``
     assembles every other scene kind, its ports' power-wave channels appended.
-    Either way a singular system raises ``SolveError`` here.
+    Either way a singular system raises ``SolveError`` here.  ``angular``
+    are the sweep's factors from ``_sweep_basis``.
     """
     if sc["hybrid"] is not None:
         system = assemble_hybrid(sc["hybrid"], k, wave_basis,
-                                 residual_tol=sc["tolerances"].get("u4_residual", 1e-6))
+                                 residual_tol=sc["tolerances"].get("u4_residual", 1e-6),
+                                 angular=angular)
         system.blocks.factorize()
         return system.blocks, \
             {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
-    return transition(sc["scene"], k, wave_basis), {}
+    return transition(sc["scene"], k, wave_basis, angular), {}
 
 
 # Engines: (blocks, k, scenario, seed, point diagnostics) -> ModeSet.
@@ -285,9 +292,9 @@ SOLVER_TABLE = {
 SOLVERS = tuple(SOLVER_TABLE)
 
 
-def _solve_point(sc: dict, k: float, wave_basis, seed: int):
+def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    blocks, diag = _operators(sc, k, wave_basis)
+    blocks, diag = _operators(sc, k, wave_basis, angular)
     return SOLVER_TABLE[sc["solver"]](blocks, k, sc, seed, diag), diag
 
 
@@ -385,10 +392,10 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     n_jobs = max(1, min(jobs or _cores(), len(ks)))  # points solved at once
 
     with _blas_threads(n_jobs) as blas:
-        wave_basis = _sweep_basis(sc)
+        wave_basis, angular = _sweep_basis(sc)
 
         def solve(k):
-            return _solve_point(sc, float(k), wave_basis, seed)
+            return _solve_point(sc, float(k), wave_basis, seed, angular)
 
         if n_jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -541,10 +548,10 @@ def run_checks(sc: dict) -> dict:
 
     report = {"per_frequency": [], "passed": True}
     with _blas_threads(1):
-        wave_basis = _sweep_basis(sc)
+        wave_basis, angular = _sweep_basis(sc)
         for f in freqs:
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-            blocks, diag = _operators(sc, k, wave_basis)
+            blocks, diag = _operators(sc, k, wave_basis, angular)
             entry: dict = {"frequency_hz": float(f), **diag}
             if sc["sphere"] is None:
                 entry["tilde_identity_residual"] = \

@@ -65,7 +65,9 @@ class DipoleScene:
     tensor, or per-dipole 3x3 tensors; it is broadcast to (N, 3, 3)
     symmetric positive definite.  ``region`` defaults to all
     controllable.  With ``ground_plane`` set the plane z = 0 is a PEC
-    mirror and all dipoles must sit strictly above it.
+    mirror and all dipoles must sit strictly above it.  ``min_distance``
+    is the shortest distance the Green function is evaluated at (dipole to
+    dipole or image; infinite for one dipole in free space).
     """
 
     positions: np.ndarray
@@ -73,6 +75,7 @@ class DipoleScene:
     region: tuple[str, ...] = None
     ports: tuple[Port, ...] = ()
     ground_plane: bool = False
+    min_distance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -83,10 +86,11 @@ class DipoleScene:
             if pos.ndim != 2 or pos.shape[1] != 3:
                 raise ShapeError(f"positions must be (N, 3), got {pos.shape}")
         n = pos.shape[0]
+        min_distance = math.inf
         if n > 1:
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.linalg.norm(diff, axis=-1) + np.eye(n)
-            if np.min(dist) <= 0.0:
+            dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+            min_distance = float(dist[np.triu_indices(n, 1)].min())
+            if min_distance <= 0.0:
                 raise GeometryError("dipole positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
 
@@ -126,6 +130,8 @@ class DipoleScene:
                 raise GeometryError("with a ground plane all dipoles must have z > 0")
             if ports:
                 raise GeometryError("ports are not supported together with a ground plane")
+            min_distance = min(min_distance, 2.0 * float(pos[:, 2].min()))
+        object.__setattr__(self, "min_distance", min_distance)
 
     @property
     def n_dipoles(self) -> int:
@@ -134,6 +140,12 @@ class DipoleScene:
     @property
     def is_controllable(self) -> np.ndarray:
         return np.array([r == CONTROLLABLE for r in self.region], dtype=bool)
+
+    @property
+    def system_order(self) -> np.ndarray:
+        """Dipole indices in system order: the background's first, each region in scene order."""
+        ctrl = self.is_controllable
+        return np.concatenate([np.flatnonzero(~ctrl), np.flatnonzero(ctrl)])
 
     @property
     def circumscribing_radius(self) -> float:
@@ -343,8 +355,22 @@ def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
 _PAIR_CHUNK = 4096
 
 
+def _check_wavenumber(scene: DipoleScene, k: float) -> None:
+    """``DomainError``, and no floating-point warning, unless k > 0 is finite and so are
+    the Green terms ``1/k^3`` and ``1/(k d)^2``, d the scene's ``min_distance``."""
+    if k <= 0 or not math.isfinite(k):
+        raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
+    with np.errstate(over="ignore", divide="ignore"):
+        scales = 1.0 / np.array([k, k * scene.min_distance]) ** [3, 2]
+    if not np.isfinite(scales).all():
+        raise DomainError(
+            f"wavenumber k={float(k)!r} is too small: 1/k^3 or 1/(k d)^2 overflows "
+            f"(d = {scene.min_distance:.4g} m, the closest dipole or image distance)")
+
+
 def assemble_impedance(scene: DipoleScene, k: float,
-                       wave_basis: WaveBasis | None = None) -> BlockImpedance:
+                       wave_basis: WaveBasis | None = None,
+                       angular: swe.AngularFactors | None = None) -> BlockImpedance:
     """Assemble the block impedance system and real wave projection.
 
     Off-diagonal 3x3 blocks are ``(j/k) G`` with the free-space dyadic
@@ -373,14 +399,16 @@ def assemble_impedance(scene: DipoleScene, k: float,
     lossless scenes.  ``basis`` is then the ``CompositeBasis`` of the waves
     and the port channels.  Port elements are controllable, so S_b acts as
     the identity on the port channels.
+
+    U1 comes from ``angular`` (by default built here): the angular factors
+    of a basis ``wave_basis`` leads, at ``scene.positions[scene.system_order]``.
+    A k whose Green terms overflow raises ``DomainError`` before any is made.
     """
-    if k <= 0 or not math.isfinite(k):
-        raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
+    _check_wavenumber(scene, k)
     if wave_basis is None:
         wave_basis = default_basis(scene, k)
 
-    ctrl = scene.is_controllable
-    order = np.concatenate([np.flatnonzero(~ctrl), np.flatnonzero(ctrl)])
+    order = scene.system_order
     pos = scene.positions[order]
     n = scene.n_dipoles
     z = np.empty((3 * n, 3 * n), dtype=complex)
@@ -395,7 +423,9 @@ def assemble_impedance(scene: DipoleScene, k: float,
         zv[j, i] = g.transpose(0, 2, 1)
     zv[range(n), range(n)] = np.eye(3) / (6.0 * np.pi) \
         - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
-    u = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    if angular is None:
+        angular = swe.angular_factors(wave_basis, pos)
+    u = swe.wave_table(angular.leading(wave_basis, pos), k).reshape(wave_basis.size, 3 * n)
     if scene.ground_plane:
         zv[range(n), range(n)] -= (1j / k) * _green_blocks(k, pos - pos @ _MIRROR) @ _MIRROR
         u *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
@@ -410,7 +440,8 @@ def assemble_impedance(scene: DipoleScene, k: float,
         u = np.vstack([u, u_port])
         channels = CompositeBasis(wave=wave_basis,
                                   extra_labels=tuple(f"port{i}" for i in range(len(ports))))
-    blocks = BlockImpedance(system=z, readout=u, n_b=3 * int(np.count_nonzero(~ctrl)),
+    blocks = BlockImpedance(system=z, readout=u,
+                            n_b=3 * int(np.count_nonzero(~scene.is_controllable)),
                             basis=channels, scene=scene, perm=perm)
     if n > 0:
         residual = blocks.factorization_residual()
@@ -465,13 +496,14 @@ def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
     return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
 
 
-def transition(scene: DipoleScene, k: float,
-               wave_basis: WaveBasis | None = None) -> BlockImpedance:
+def transition(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
+               angular: swe.AngularFactors | None = None) -> BlockImpedance:
     """The blocks of a plain, ground-plane or port scene, with Z and Z_bb factorised.
 
-    A singular system raises ``SolveError`` here; T, T_b, S and S_b are
-    built when first read (see ``BlockImpedance``).
+    ``angular`` is passed to ``assemble_impedance``.  A singular system
+    raises ``SolveError`` here; T, T_b, S and S_b are built when first read
+    (see ``BlockImpedance``).
     """
-    blocks = assemble_impedance(scene, k, wave_basis)
+    blocks = assemble_impedance(scene, k, wave_basis, angular)
     blocks.factorize()
     return blocks

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import swe
-from .dipoles import BlockImpedance, DipoleScene, assemble_impedance, dyadic_green
+from .dipoles import (BlockImpedance, DipoleScene, _check_wavenumber, assemble_impedance,
+                      dyadic_green)
 from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
 from .modes import ModeSet, cm_impedance_substructure
@@ -99,7 +100,7 @@ def _checked_r_fit(scene: HybridScene, r_fit: float | None) -> float:
 
 
 def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
-                 r_fit: float | None = None):
+                 r_fit: float | None = None, angular: swe.AngularFactors | None = None):
     """Closed-form U4 and its truncation gauge.
 
     By the addition theorem, the regular-wave coefficients of a unit
@@ -111,17 +112,24 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
     relative tail on the ``r_fit`` sphere, ``sqrt(sum_out |c|^2 N /
     sum_all |c|^2 N)`` with N the squared radial norms there
     (``swe.radial_norms``): the misfit a quadrature projection onto
-    ``wave_basis`` measures.
+    ``wave_basis`` measures.  ``angular`` (by default built here) are the
+    angular factors at the dipoles in system order of a basis that
+    ``basis(wave_basis.l_max + QUAD_MARGIN)`` leads.
 
-    Returns (U4 data, (n_waves, 3 N) in scene order; column residuals;
+    Returns (U4 data, (n_waves, 3 N) in system order; column residuals;
     r_fit).
     """
-    n = scene.mom_scene.n_dipoles
+    mom = scene.mom_scene
+    n = mom.n_dipoles
     if n == 0:
         return np.zeros((wave_basis.size, 0), dtype=complex), np.zeros(0), r_fit
+    _check_wavenumber(mom, k)
     r_fit = _checked_r_fit(scene, r_fit)
     ext = swe.basis(wave_basis.l_max + QUAD_MARGIN)
-    coeffs = swe.outgoing_wave_table(ext, k, scene.mom_scene.positions).reshape(ext.size, 3 * n)
+    pos = mom.positions[mom.system_order]
+    if angular is None:
+        angular = swe.angular_factors(ext, pos)
+    coeffs = swe.wave_table(angular.leading(ext, pos), k, "outgoing").reshape(ext.size, 3 * n)
     power = np.abs(coeffs) ** 2 * swe.radial_norms(ext, k * r_fit)[:, None]
     # position of each (l, m, pol) of wave_basis in the full basis ext:
     # 2 (l^2 - 1) waves precede degree l, then m ascending, TE before TM
@@ -131,8 +139,8 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
     return coeffs[rows], np.sqrt(tail / power.sum(axis=0)), r_fit
 
 
-def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float) -> WaveBasis:
-    """One wave basis for a sweep over the wavenumbers ``ks``.
+def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float):
+    """One wave basis for a sweep over the wavenumbers ``ks``, and its angular factors.
 
     Starts from the truncation rule at the highest wavenumber and raises
     ``l_max`` by at most ``QUAD_MARGIN`` degrees until the U4 truncation
@@ -140,20 +148,25 @@ def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float) -> WaveBasis
     the scene keeps that basis's expansions for ``assemble_hybrid``.
     If none is, the truncation rule's basis is returned and
     ``assemble_hybrid`` raises at the points that miss the tolerance.
+    Returns it with the angular factors at the dipoles that serve every table
+    of the sweep: one set, ``QUAD_MARGIN`` degrees past the largest basis tried.
     """
     start = default_hybrid_basis(scene, max(ks))
+    mom = scene.mom_scene
+    angular = swe.angular_factors(swe.basis(start.l_max + 2 * QUAD_MARGIN),
+                                  mom.positions[mom.system_order])
     for l_max in range(start.l_max, start.l_max + QUAD_MARGIN + 1):
         wave_basis = swe.basis(l_max)
         expansions = {}
         for k in ks:
             key = (k, l_max, None)
-            expansions[key] = u4_expansion(scene, k, wave_basis)
+            expansions[key] = u4_expansion(scene, k, wave_basis, angular=angular)
             if expansions[key][1].max(initial=0.0) > residual_tol:
                 break
         else:
             scene._sweep_u4.update(expansions)
-            return wave_basis
-    return start
+            return wave_basis, angular
+    return start, angular
 
 
 def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
@@ -213,7 +226,8 @@ class HybridSystem:
 def assemble_hybrid(scene: HybridScene, k: float,
                     wave_basis: WaveBasis | None = None,
                     r_fit: float | None = None,
-                    residual_tol: float = 1e-6) -> HybridSystem:
+                    residual_tol: float = 1e-6,
+                    angular: swe.AngularFactors | None = None) -> HybridSystem:
     """Impedance system of the dipole cloud with the sphere folded in.
 
     U4 is the closed form of ``u4_expansion``: one outgoing-wave table at
@@ -223,24 +237,23 @@ def assemble_hybrid(scene: HybridScene, k: float,
     quadrature ``assemble_u4`` measures; a column above ``residual_tol``
     raises ``ResolutionError``, an ``r_fit`` outside the clearance
     ``GeometryError``.  An expansion ``hybrid_sweep_basis`` kept is used once.
+    ``angular`` (from ``hybrid_sweep_basis``) serves U4's and U1's tables.
     """
     if wave_basis is None:
         wave_basis = default_hybrid_basis(scene, k)
     u4, residuals, r_fit = scene._sweep_u4.pop((k, wave_basis.l_max, r_fit), None) \
-        or u4_expansion(scene, k, wave_basis, r_fit=r_fit)
+        or u4_expansion(scene, k, wave_basis, r_fit=r_fit, angular=angular)
     if np.any(residuals > residual_tol):
         raise ResolutionError(
             f"U4 truncation residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "
             "increase the basis or the clearance"
         )
-    blocks = assemble_impedance(scene.mom_scene, k, wave_basis)
+    blocks = assemble_impedance(scene.mom_scene, k, wave_basis, angular)
     t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis).data).copy()  # T_b1's diagonal
-    u4_sys = u4[:, blocks.perm]
-    hybrid = replace(blocks, system=blocks.system + (u4_sys.T * t1) @ u4_sys,
-                     readout=blocks.readout + t1[:, None] * u4_sys, T_b0=t1)
+    hybrid = replace(blocks, system=blocks.system + (u4.T * t1) @ u4,
+                     readout=blocks.readout + t1[:, None] * u4, T_b0=t1)
     return HybridSystem(blocks=hybrid, U4=OperatorMatrix(
-        "projection", u4_sys, wave_basis,
-        meta={"column_residuals": residuals[blocks.perm], "r_fit": r_fit}))
+        "projection", u4, wave_basis, meta={"column_residuals": residuals, "r_fit": r_fit}))
 
 
 def hybrid_impedance_modes(scene: HybridScene, k: float,

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .exceptions import DomainError, ResolutionError
 from .modes import ModeSet, _mode_order
 from .network import OperatorMatrix
-from .swe import WaveBasis, truncation_order
+from .swe import WaveBasis, _j_ratios, spherical_j, spherical_y, truncation_order
 
 PEC = "pec"
 DIELECTRIC = "dielectric"
@@ -43,29 +42,10 @@ class SphereSpec:
                 raise DomainError("dielectric needs real eps_r >= 1 and mu_r > 0")
 
 
-def _log_derivative(l_max: int, x: float) -> np.ndarray:
-    """Logarithmic derivative D_l(x) = psi_l'(x)/psi_l(x) by downward recurrence.
-
-    Seeded far above l_max so the recursion has converged by l = l_max;
-    stable for every real argument, including large l * x.
-    """
-    n_start = l_max + max(15, int(1.2 * abs(x))) + 2
-    d = 0.0
-    out = np.zeros(l_max + 1)
-    for n in range(n_start, 0, -1):
-        d = n / x - 1.0 / (d + n / x)
-        if n - 1 <= l_max:
-            out[n - 1] = d
-    return out
-
-
 def _riccati(l_max: int, x: float):
     """Riccati-Bessel psi, chi and derivatives for l = 0..l_max at real x."""
-    ls = np.arange(l_max + 1)
-    jl = spherical_jn(ls, x)
-    yl = spherical_yn(ls, x)
-    djl = spherical_jn(ls, x, derivative=True)
-    dyl = spherical_yn(ls, x, derivative=True)
+    jl, djl = spherical_j(l_max, x)
+    yl, dyl = spherical_y(l_max, x)
     psi = x * jl
     chi = x * yl
     dpsi = jl + x * djl
@@ -97,7 +77,8 @@ def mie_t_coefficients(spec: SphereSpec, k: float, l_max: int):
     if n_ref == 1.0 and spec.mu_r == 1.0:
         zeros = np.zeros(l_max, dtype=complex)
         return zeros, zeros.copy()
-    d1 = _log_derivative(l_max, n_ref * x)[sl]
+    # interior psi_l'/psi_l = j_{l-1}/j_l - l/x, from swe's downward ratio recurrence
+    d1 = 1.0 / _j_ratios(l_max, n_ref * x)[sl] - np.arange(1, l_max + 1) / (n_ref * x)
     t_te = (d1 * psi[sl] - eta_rel * dpsi[sl]) / (eta_rel * dxi[sl] - d1 * xi[sl])
     t_tm = (dpsi[sl] - eta_rel * d1 * psi[sl]) / (eta_rel * d1 * xi[sl] - dxi[sl])
     return t_te, t_tm

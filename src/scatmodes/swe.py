@@ -1,8 +1,11 @@
 """Spherical vector wave bookkeeping and evaluation.
 
-Index ordering, basis truncation, evaluation of regular (and outgoing)
-spherical vector waves, parity filtering for a PEC ground plane at z = 0,
-and quadrature projection of sampled fields onto regular waves.
+Index ordering, basis truncation, the spherical Bessel functions,
+evaluation of regular (and outgoing) spherical vector waves, parity
+filtering for a PEC ground plane at z = 0, and quadrature projection of
+sampled fields onto regular waves.  A wave table is angular factors of the
+basis and points (``angular_factors``, built once per sweep) times radial
+factors of kr (``wave_table``, at each k).
 
 Conventions
 -----------
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .exceptions import DomainError, ResolutionError, ShapeError
 
@@ -104,10 +107,18 @@ def truncation_order(ka: float) -> int:
 def basis(l_max: int) -> WaveBasis:
     """Deterministic enumeration of all (l, m, pol) with l <= l_max.
 
-    Cached: repeated calls return the same immutable basis.
+    Cached: repeated calls return the same immutable basis.  ``ResolutionError``
+    where one n x n complex operator (16 n^2 bytes) exceeds physical memory.
     """
     if l_max < 1:
         raise DomainError(f"l_max must be >= 1, got {l_max}")
+    n = 2 * l_max * (l_max + 2)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
+        if hasattr(os, "sysconf") else math.inf
+    if 16 * n * n > memory:
+        raise ResolutionError(f"wave basis l_max={l_max} has n={n} waves: one n x n complex "
+                              f"operator needs {16 * n * n} bytes, more than the {memory} bytes "
+                              "of physical memory")
     idx = [
         WaveIndex(l, m, pol)
         for l in range(1, l_max + 1)
@@ -133,6 +144,66 @@ def mirror_parity(wave_basis: WaveBasis) -> np.ndarray:
     even = (l + m) % 2 == 0
     keep = np.where(tm, ~even, even)
     return np.where(keep, 1, -1)
+
+
+# ---------------------------------------------------------------------------
+# Spherical Bessel functions
+# ---------------------------------------------------------------------------
+
+def _j_ratios(l_max: int, x) -> np.ndarray:
+    """``j_l(x) / j_{l-1}(x)`` at index l = 1..l_max + 1 (index 0 unset), by the downward
+    (Miller) recurrence ``r_l = x / (2l + 1 - x r_{l+1})`` seeded with 0 above max(l_max, x)."""
+    x = np.asarray(x, dtype=float)
+    top = max(l_max, int(np.max(x, initial=0.0)))
+    ratios = np.empty((l_max + 2,) + x.shape)
+    r = np.zeros(x.shape)
+    for n in range(top + max(15, int(1.2 * top)) + 2, 0, -1):
+        r = x / (2 * n + 1 - x * r)
+        if n <= l_max + 1:
+            ratios[n] = r
+    return ratios
+
+
+def spherical_j(l_max: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """j_l(x) and j_l'(x) for l = 0..l_max at x > 0, each of shape (l_max + 1,) + x.shape.
+
+    The running product of ``_j_ratios`` is normalised by ``j_0 = sin(x)/x``,
+    or by j_1 where that is the larger (near the roots of j_0); ``j_l' =
+    j_{l-1} - (l + 1) j_l / x`` (Abramowitz & Stegun, ch. 10).  As x -> 0
+    the high degrees underflow to 0, quietly.  For l <= 30 and 1e-8 <= x <=
+    30 both kinds and their derivatives lie within 1e-13 of scipy.special,
+    relative to |value| where x <= l and to the envelope |h_l| (|h_l'|)
+    where x > l, where they oscillate; where scipy is off by more (small x,
+    high l), these are the nearer to mpmath's 40-digit values.
+    """
+    x = np.asarray(x, dtype=float)
+    j = _j_ratios(l_max, x)
+    j[0] = np.sin(x) / x
+    j1 = (j[0] - np.cos(x)) / x
+    j[1] = np.where(np.abs(j[0]) >= np.abs(j1), j[0] * j[1], j1)
+    j[1:] = np.cumprod(j[1:], axis=0)
+    return j[:l_max + 1], _derivatives(j, x)
+
+
+def spherical_y(l_max: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """y_l(x) and y_l'(x) for l = 0..l_max at x > 0, by the upward recurrence
+    ``y_{l+1} = (2l + 1) y_l / x - y_{l-1}``; as x -> 0 they overflow, quietly, as scipy's do."""
+    x = np.asarray(x, dtype=float)
+    y = np.empty((l_max + 2,) + x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y[0] = -np.cos(x) / x
+        y[1] = (y[0] - np.sin(x)) / x
+        for l in range(1, l_max + 1):
+            y[l + 1] = (2 * l + 1) / x * y[l] - y[l - 1]
+        return y[:l_max + 1], _derivatives(y, x)
+
+
+def _derivatives(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """z_l' for l = 0..L from z_0..z_{L+1} of one kind: ``-z_1``, then ``z_{l-1} - (l+1) z_l / x``."""
+    dz = np.empty_like(z[:-1])
+    dz[0] = -z[1]
+    dz[1:] = z[:-2] - np.arange(2, z.shape[0]).reshape((-1,) + (1,) * x.ndim) * z[1:-1] / x
+    return dz
 
 
 # ---------------------------------------------------------------------------
@@ -208,32 +279,44 @@ def _spherical_frame(points: np.ndarray):
     return pts, r, ct, st, phi, r_hat, t_hat, p_hat
 
 
-def _wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray, kind: str):
-    """Evaluate all basis waves at all points; shape (n_waves, n_points, 3)."""
-    if k <= 0 or not math.isfinite(k):
-        raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
+@dataclass(frozen=True)
+class AngularFactors:
+    """The k-independent part of the wave table of ``wave_basis`` at ``points`` (N, 3).
+
+    A TE row is ``z_l tangential``, a TM row ``(z_l' + z_l/kr) tangential +
+    sqrt(l(l+1)) z_l/kr radial r_hat``, with z_l = j_l or h_l = j_l - j y_l
+    at kr: ``tangential`` (n_waves, N, 3) holds the TE pattern, or on TM rows
+    r_hat times it; ``radial`` (n_waves, N) is zero on TE rows.  Read-only,
+    so threads share one object.
+    """
+
+    wave_basis: WaveBasis
+    points: np.ndarray
+    r: np.ndarray
+    r_hat: np.ndarray
+    tangential: np.ndarray
+    radial: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.points, self.r, self.r_hat, self.tangential, self.radial):
+            a.flags.writeable = False
+
+    def leading(self, wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors:
+        """The rows of ``wave_basis``, which must lead this basis (as basis(l) leads basis(L),
+        l <= L), at ``points``, which must be these factors' (else ``ShapeError``)."""
+        n = wave_basis.size
+        if not np.array_equal(points, self.points) or any(
+                not np.array_equal(a[:n], b) for a, b in zip(self.wave_basis.arrays(),
+                                                             wave_basis.arrays())):
+            raise ShapeError("angular factors were built for other points or another basis")
+        return replace(self, wave_basis=wave_basis, tangential=self.tangential[:n],
+                       radial=self.radial[:n])
+
+
+def angular_factors(wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors:
+    """Angular factors of every wave of ``wave_basis`` at the (N, 3) ``points``."""
     pts, r, ct, st, phi, r_hat, t_hat, p_hat = _spherical_frame(points)
-    npts = pts.shape[0]
     l_max = wave_basis.l_max
-    kr = k * r
-    at_origin = kr < 1e-14
-    if kind == "outgoing" and np.any(at_origin):
-        raise DomainError("outgoing waves are singular at the origin")
-
-    kr_safe = np.where(at_origin, 1.0, kr)
-    ls = np.arange(0, l_max + 1)
-    jl = spherical_jn(ls[:, None], kr_safe[None, :])
-    djl = spherical_jn(ls[:, None], kr_safe[None, :], derivative=True)
-    if kind == "regular":
-        zl, dzl = jl, djl
-        dtype = float
-    else:
-        yl = spherical_yn(ls[:, None], kr_safe[None, :])
-        dyl = spherical_yn(ls[:, None], kr_safe[None, :], derivative=True)
-        zl = jl - 1j * yl
-        dzl = djl - 1j * dyl
-        dtype = complex
-
     P, Q, D = _legendre_tables(l_max, ct, st)
     # azimuthal factors F (pattern) and G (its phi derivative) per m = -l_max..l_max
     ms = np.arange(-l_max, l_max + 1)
@@ -246,43 +329,59 @@ def _wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray, kind: str):
     G = np.where(pos, -sqrt2 * ms[:, None] * sin_m,
                  np.where(neg, sqrt2 * am[:, None] * cos_m, 0.0))
 
-    out = np.zeros((wave_basis.size, npts, 3), dtype=dtype)
-    l_arr, m_arr, tm_arr = wave_basis.arrays()
-    for l in np.unique(l_arr):
-        norm = 1.0 / math.sqrt(l * (l + 1.0))
-        for tm in (False, True):
-            rows = np.flatnonzero((l_arr == l) & (tm_arr == tm))
-            if rows.size == 0:
-                continue
-            m = m_arr[rows]
-            f, g = F[m + l_max], G[m + l_max]
-            d_theta = D[l, np.abs(m)] * f          # dY/dtheta, (rows, npts)
-            d_phi = Q[l, np.abs(m)] * g            # (1/sin) dY/dphi
-            if not tm:
-                radial = zl[l]
-                out[rows] = (norm * radial * d_phi)[..., None] * t_hat \
-                    - (norm * radial * d_theta)[..., None] * p_hat
-            else:
-                r2 = dzl[l] + zl[l] / kr_safe
-                r3 = math.sqrt(l * (l + 1.0)) * zl[l] / kr_safe
-                out[rows] = (norm * r2 * d_theta)[..., None] * t_hat \
-                    + (norm * r2 * d_phi)[..., None] * p_hat \
-                    + (r3 * (P[l, np.abs(m)] * f))[..., None] * r_hat
+    l, m, tm = wave_basis.arrays()
+    f, g, tm = F[m + l_max], G[m + l_max], tm[:, None]
+    norm = 1.0 / np.sqrt(l * (l + 1.0))[:, None]
+    d_theta = norm * D[l, np.abs(m)] * f           # dY/dtheta, (n_waves, N)
+    d_phi = norm * Q[l, np.abs(m)] * g             # (1/sin) dY/dphi
+    along_t = np.where(tm, d_theta, d_phi)
+    along_p = np.where(tm, d_phi, -d_theta)
+    return AngularFactors(
+        wave_basis=wave_basis, points=pts.copy(), r=r, r_hat=r_hat,
+        tangential=along_t[..., None] * t_hat + along_p[..., None] * p_hat,
+        radial=np.where(tm, P[l, np.abs(m)] * f, 0.0))
+
+
+def wave_table(angular: AngularFactors, k: float, kind: str = "regular") -> np.ndarray:
+    """All waves of ``angular.wave_basis`` at its points, shape (n_waves, N, 3).
+
+    ``kind`` is "regular" (a real table) or "outgoing" (complex, radial
+    dependence exp(-jkr)/kr at infinity; singular at the origin).
+    """
+    if k <= 0 or not math.isfinite(k):
+        raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
+    kr = k * angular.r
+    at_origin = kr < 1e-14
+    if kind == "outgoing" and np.any(at_origin):
+        raise DomainError("outgoing waves are singular at the origin")
+
+    kr_safe = np.where(at_origin, 1.0, kr)
+    l, m, tm = angular.wave_basis.arrays()
+    zl, dzl = spherical_j(angular.wave_basis.l_max, kr_safe)
+    if kind == "outgoing":
+        yl, dyl = spherical_y(angular.wave_basis.l_max, kr_safe)
+        zl, dzl = zl - 1j * yl, dzl - 1j * dyl
+    zl_kr = zl / kr_safe
+    rho_t = np.where(tm[:, None], (dzl + zl_kr)[l], zl[l])
+    along_r = np.sqrt(l * (l + 1.0))[:, None] * zl_kr[l] * angular.radial
+    out = rho_t[..., None] * angular.tangential
+    for axis in range(3):  # one (n_waves, N) product per axis: no (n_waves, N, 3) temporary
+        out[..., axis] += along_r * angular.r_hat[:, axis]
     if np.any(at_origin):
         out[:, at_origin] = 0.0
-        for n in np.flatnonzero(tm_arr & (l_arr == 1)):
-            out[n, at_origin, _ORIGIN_AXIS[m_arr[n]]] = _ORIGIN_TM1
+        for n in np.flatnonzero(tm & (l == 1)):
+            out[n, at_origin, _ORIGIN_AXIS[m[n]]] = _ORIGIN_TM1
     return out
 
 
 def regular_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> np.ndarray:
     """Real table of all regular waves at the given points, shape (n_waves, n_points, 3)."""
-    return _wave_table(wave_basis, k, points, "regular")
+    return wave_table(angular_factors(wave_basis, points), k, "regular")
 
 
 def outgoing_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> np.ndarray:
     """Complex table of all outgoing waves (radial dependence exp(-jkr)/kr at infinity)."""
-    return _wave_table(wave_basis, k, points, "outgoing")
+    return wave_table(angular_factors(wave_basis, points), k, "outgoing")
 
 
 def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:
@@ -293,8 +392,9 @@ def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:
     stays an independent check of the code that uses this one.
     """
     l, _, tm = wave_basis.arrays()
-    jl = spherical_jn(l, kr)
-    r2 = spherical_jn(l, kr, derivative=True) + jl / kr
+    j, dj = spherical_j(wave_basis.l_max, kr)
+    jl = j[l]
+    r2 = dj[l] + jl / kr
     r3 = np.sqrt(l * (l + 1.0)) * jl / kr
     return np.where(tm, r2 * r2 + r3 * r3, jl * jl)
 
@@ -400,8 +500,9 @@ def project_onto_regular(points: np.ndarray, values: np.ndarray,
     # squared radial factor of each wave, divided back out of the inner products
     kr = k * radius
     l, _, tm = wave_basis.arrays()
-    jl = spherical_jn(l, kr)
-    r2 = spherical_jn(l, kr, derivative=True) + jl / kr
+    j, dj = spherical_j(l_max, kr)
+    jl = j[l]
+    r2 = dj[l] + jl / kr
     r3 = np.sqrt(l * (l + 1.0)) * jl / kr
     denom = np.where(tm, r2 * r2 + r3 * r3, jl * jl)
     # genuine zeros of j_l occur only past the turning point kr > l;

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,23 +301,49 @@ def test_hybrid_impedance_scenario_runs(tmp_path):
     assert os.path.exists(out / "traces.csv")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, solver", [
     *(("run", solver) for solver in ("dense-scattering", "dense-impedance", "t-form",
                                      "iterative")),
     ("checks", "dense-scattering"),
 ])
 def test_tiny_frequency_is_a_solver_error(tmp_path, capsys, command, solver):
-    # at 1e-200 Hz the 1/k^3 of the self terms overflows Z: the factorisation
-    # names the non-finite matrix, exit code 1, not a traceback
+    # at 1e-200 Hz the 1/k^3 of the self terms would overflow Z: the assembly
+    # names the wavenumber before any Green block, exit code 1, no traceback
+    # and no floating-point RuntimeWarning
     scn = _scenario(solver=solver, sweep={"f_min": 1e-200, "f_max": 1e-200, "n_points": 1})
     argv = [command, "--scenario", _write(tmp_path, scn)]
     if command == "run":
         argv += ["--out", str(tmp_path / "o")]
-    assert main(argv) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
     err = capsys.readouterr().err
-    assert "SolveError: system matrix has inf or NaN entries" in err
+    assert "DomainError: wavenumber k=2.09584502195168" in err and "is too small" in err
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["run", "checks"])
+def test_huge_frequency_is_a_resolution_error(tmp_path, capsys, command):
+    # at 1e12 Hz the truncation rule asks for l_max = 1763 (n = 6,223,390
+    # waves); one n x n complex operator cannot fit in any host's memory, so
+    # the library refuses before it enumerates the basis or builds a table
+    scn = _scenario(sweep={"f_min": 1e12, "f_max": 1e12, "n_points": 1})
+    argv = [command, "--scenario", _write(tmp_path, scn)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "ResolutionError: wave basis l_max=1763 has n=6223390 waves" in err
+    assert f"needs {16 * 6223390 ** 2} bytes" in err
+    assert "Traceback" not in err
+    assert peak < 10 * 2**20, peak
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
@@ -419,10 +447,10 @@ def test_hybrid_sweep_basis_grows_to_meet_u4_tolerance(tmp_path):
 
 def test_hybrid_sweep_basis_keeps_a_passing_basis():
     # the full sweep passes with the truncation rule's basis at f_max
-    assert _sweep_basis(parse_scenario(hybrid_sweep_seed7())).size == 448
+    assert _sweep_basis(parse_scenario(hybrid_sweep_seed7()))[0].size == 448
     loose = hybrid_sweep_seed7(n_points=1)
     loose["tolerances"] = {"u4_residual": 2e-6}
-    assert _sweep_basis(parse_scenario(loose)).l_max == 13
+    assert _sweep_basis(parse_scenario(loose))[0].l_max == 13
 
 
 def test_hybrid_u4_failure_stands_when_more_degrees_do_not_help(tmp_path, capsys):

@@ -49,6 +49,25 @@ def test_dielectric_against_high_precision_reference():
             assert abs(tm[l - 1] - otm) <= 1e-10 * max(abs(otm), 1e-30)
 
 
+@pytest.mark.parametrize("spec", [SphereSpec(1.0, "pec"),
+                                  SphereSpec(1.0, "dielectric", eps_r=4.0),
+                                  SphereSpec(1.0, "dielectric", eps_r=2.0, mu_r=1.5)],
+                         ids=["pec", "eps4", "eps2-mu1.5"])
+def test_coefficients_against_high_precision_reference_over_sweep_sizes(spec):
+    # the recurrence Bessel functions of swe, from the Rayleigh regime to a
+    # basis past ka, against the 40-digit oracle with the tolerances above
+    for ka in (0.01, 3.0, 8.0):
+        l_max = truncation_order(ka)
+        te, tm = mie_t_coefficients(spec, ka, l_max)
+        for l in range(1, l_max + 1, 3):
+            if spec.material == "pec":
+                ote, otm = mie_reference_pec(l, ka)
+            else:
+                ote, otm = mie_reference_dielectric(l, ka, spec.eps_r, spec.mu_r)
+            assert abs(te[l - 1] - ote) <= 1e-10 * max(abs(ote), 1e-30)
+            assert abs(tm[l - 1] - otm) <= 1e-10 * max(abs(otm), 1e-30)
+
+
 def test_reference_matches_rayleigh_asymptote():
     # validates the oracle itself at small ka
     ka = 1e-2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,53 @@ from scatmodes import (
 from scatmodes.dipoles import dyadic_green
 
 from oracles import least_squares_expansion, regular_wave_reference, wave_table_per_wave
+
+
+def test_spherical_bessel_functions_against_scipy():
+    # the bound stated in swe: relative 1e-13 for l <= 30, 1e-8 <= x <= 30,
+    # wherever |value| > 1e-290; relative to the envelope |h_l| (|h_l'|)
+    # where x > l, where the functions oscillate through their roots; where
+    # scipy's own value is off by more, these are nearer to mpmath's
+    import mpmath as mp
+    from scipy.special import spherical_jn, spherical_yn
+
+    from scatmodes.swe import spherical_j, spherical_y
+
+    l_max = 30
+    # a log grid, and the roots of j_0 (where the recurrence must normalise by j_1)
+    x = np.sort(np.concatenate([np.logspace(-8, math.log10(30.0), 400),
+                                math.pi * np.arange(1, 10)]))
+    ls = np.arange(l_max + 1)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = {"j": spherical_jn(ls, x), "dj": spherical_jn(ls, x, derivative=True),
+               "y": spherical_yn(ls, x), "dy": spherical_yn(ls, x, derivative=True)}
+        envelope = {"j": np.hypot(ref["j"], ref["y"]), "dj": np.hypot(ref["dj"], ref["dy"])}
+    envelope["y"], envelope["dy"] = envelope["j"], envelope["dj"]
+    got = dict(zip(("j", "dj"), spherical_j(l_max, x)))
+    got.update(zip(("y", "dy"), spherical_y(l_max, x)))
+
+    def exact(name, l, xv):
+        fn = mp.besselj if name.endswith("j") else mp.bessely
+        f = lambda s: mp.sqrt(mp.pi / (2 * s)) * fn(l + 0.5, s)  # noqa: E731
+        return float(mp.diff(f, xv) if name.startswith("d") else f(xv))
+
+    for name, value in ref.items():
+        checked = np.isfinite(value) & (np.abs(value) > 1e-290)
+        scale = np.where(x > ls, envelope[name], np.abs(value))
+        off = checked & ~(np.abs(got[name] - value) <= 1e-13 * scale)
+        for l, i in zip(*np.nonzero(off)):
+            truth = exact(name, l, mp.mpf(x[i]))
+            assert abs(got[name][l, i] - truth) < abs(value[l, i] - truth), (name, l, x[i])
+        assert np.count_nonzero(checked) > 0.9 * value.size
+    for values in got.values():   # no NaN at the smallest argument either
+        assert not np.isnan(values).any()
+    tiny = np.array([1e-300, 1e-20, 1e-15])   # far below the table's origin cut-off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, dj = spherical_j(6, tiny)
+    assert np.all(j[0] == 1.0) and np.all(np.isfinite(dj))
+    assert_allclose(j[1], tiny / 3.0, rtol=1e-15)
+    assert_allclose(dj[1], 1.0 / 3.0, rtol=1e-15)
 
 
 def test_truncation_order_examples():

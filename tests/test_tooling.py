@@ -5,7 +5,9 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from scatmodes import cli
-from test_cli import _ground_plane, _port, _scenario
+from test_cli import _ground_plane, _port, _scenario, _write
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -69,19 +71,87 @@ def test_assemble_hybrid_projects_nothing_and_tabulates_only_the_dipoles(monkeyp
     _count_calls(monkeypatch, calls, swe, "sphere_quadrature")
     _count_calls(monkeypatch, calls, swe, "project_onto_regular")
     points = []
-    wave_table = swe._wave_table
+    wave_table = swe.wave_table
 
-    def recording(wave_basis, k, pts, kind):
-        points.append(np.atleast_2d(pts).shape[0])
-        return wave_table(wave_basis, k, pts, kind)
+    def recording(angular, k, kind="regular"):
+        points.append(angular.points.shape[0])
+        return wave_table(angular, k, kind)
 
-    monkeypatch.setattr(swe, "_wave_table", recording)
+    monkeypatch.setattr(swe, "wave_table", recording)
     positions = [[0.0, 0.0, 0.5], [0.4, 0.0, 0.0], [0.0, -0.45, 0.1]]
     scene = HybridScene(DipoleScene(positions, 0.1, ("background",) + ("controllable",) * 2),
                         SphereSpec(0.05, "dielectric", eps_r=4.0))
     assemble_hybrid(scene, 1.0, basis(8), residual_tol=1.0)
     assert calls == {}
     assert points and max(points) <= len(positions)
+
+
+def test_importing_the_cli_leaves_scipy_special_out():
+    # swe's recurrences are the library's spherical Bessel functions, so
+    # scipy.special (about 0.04 s of start-up) is not imported
+    code = "import sys, scatmodes.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [["run", "--jobs", "1"], ["run", "--jobs", "2"], ["checks"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("scene", ["dipole", "hybrid"])
+def test_a_sweep_builds_its_angular_factors_once(monkeypatch, tmp_path, scene, command):
+    # the wave tables' angular factors depend on the basis and the dipoles
+    # only: a sweep builds them once, and every point's tables (both of a
+    # hybrid's) are evaluated from that one read-only copy, in every thread
+    from scatmodes import swe
+
+    built, tables = [], []
+    angular_factors, wave_table = swe.angular_factors, swe.wave_table
+
+    def building(*args):
+        built.append(angular_factors(*args))
+        return built[-1]
+
+    def evaluating(angular, k, kind="regular"):
+        tables.append(angular)
+        return wave_table(angular, k, kind)
+
+    monkeypatch.setattr(swe, "angular_factors", building)
+    monkeypatch.setattr(swe, "wave_table", evaluating)
+    scn = _scenario() if scene == "dipole" else _hybrid("hybrid-impedance")
+    scn["sweep"] = {"f_min": 3.0e8, "f_max": 4.0e8, "n_points": 3}
+    argv = command + ["--scenario", _write(tmp_path, scn)]
+    if command[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(built) == 1
+    assert len(tables) >= 3 * (2 if scene == "hybrid" else 1)
+    assert all(np.shares_memory(t.tangential, built[0].tangential) for t in tables)
+
+
+def test_tables_from_passed_in_factors_are_the_tables():
+    # one path: a table evaluated from prebuilt factors, or from the leading
+    # rows of a larger basis's factors, is byte-identical to the table of
+    # regular_wave_table / outgoing_wave_table
+    from scatmodes import ShapeError, swe
+
+    points = np.random.default_rng(5).normal(size=(7, 3))
+    small, large = swe.basis(6), swe.basis(14)
+    factors = swe.angular_factors(large, points)
+    for kind, table in (("regular", swe.regular_wave_table),
+                        ("outgoing", swe.outgoing_wave_table)):
+        for k in (0.4, 2.3):
+            ref = table(small, k, points)
+            for angular in (swe.angular_factors(small, points), factors.leading(small, points)):
+                got = swe.wave_table(angular, k, kind)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert not factors.tangential.flags.writeable and not factors.radial.flags.writeable
+    with pytest.raises(ShapeError):
+        factors.leading(small, points[::-1])
+    with pytest.raises(ShapeError):
+        factors.leading(swe.WaveBasis(6, small.indices[1:]), points)
+    with pytest.raises(ShapeError):
+        swe.angular_factors(small, points).leading(large, points)
 
 
 def _hybrid(solver):
@@ -140,10 +210,10 @@ def test_each_solver_factorises_each_matrix_once_per_point(case, factorisations)
     # Z, Z_bb and the Schur complement Z~ are factorised at most once per
     # frequency point, whichever engine runs on the blocks
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     for f in sc["frequencies"]:
         factorisations.clear()
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
         _assert_each_factorised_once(factorisations)
 
 
@@ -197,9 +267,9 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
     from scatmodes import BlockImpedance, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
-    run_modes = [cli._solve_point(sc, k, wave_basis, seed=1)[0] for k in ks]
+    run_modes = [cli._solve_point(sc, k, wave_basis, seed=1, angular=angular)[0] for k in ks]
     decomposed, unitary_dims = [], []
     cm_scattering, check_unitary = cli.cm_scattering, cli.check_unitary
 
@@ -241,10 +311,10 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", recording)
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     three_n_c = 3 * int(sc["scene"].is_controllable.sum())
     for f in sc["frequencies"]:
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
     assert sizes and max(max(shape) for shape in sizes) <= three_n_c < wave_basis.size
 
 
@@ -265,8 +335,9 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
         cli.run_checks(cli.parse_scenario(FACTORISATION_CASES["dense-scattering"]))
     else:
         sc = cli.parse_scenario(FACTORISATION_CASES[case])
+        wave_basis, angular = cli._sweep_basis(sc)
         cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
-                         cli._sweep_basis(sc), seed=1)
+                         wave_basis, seed=1, angular=angular)
     assert bool(calls) == builds, calls
 
 
@@ -290,14 +361,14 @@ def test_iterative_point_holds_few_system_sized_arrays():
     sc = cli.parse_scenario(_scenario(solver="iterative", n_modes=4,
                                       sweep={"f_min": 5.0e7, "f_max": 5.0e7, "n_points": 1},
                                       scene={"dipoles": dipoles}))
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     z_nbytes = (3 * n) ** 2 * np.dtype(complex).itemsize
     assert 2 * wave_basis.size < 3 * n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tracemalloc.start()
         try:
-            cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+            cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,9 +385,9 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     from scatmodes.modes import cm_impedance_substructure
 
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
-    blocks, _ = cli._operators(sc, k, wave_basis)
+    blocks, _ = cli._operators(sc, k, wave_basis, angular)
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -336,11 +407,11 @@ def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, calls, hybrid, "u4_expansion")
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis = cli._sweep_basis(sc)
+    wave_basis, angular = cli._sweep_basis(sc)
     n_points = len(sc["frequencies"])
     assert calls == {"u4_expansion": n_points}  # the first basis tried passes
     for f in sc["frequencies"]:
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1)
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
     assert calls == {"u4_expansion": n_points}
     assert sc["hybrid"]._sweep_u4 == {}
 
