@@ -53,7 +53,8 @@ def main():
     ms_exc = cm_t_form(blocks.T, blocks.T_b, "excitation", k=k)
     ms_sca = cm_t_form(blocks.T, blocks.T_b, "scattered", k=k)
     ms_imp = cm_impedance_substructure(blocks, k=k)
-    t_tilde = np.linalg.eigvals(tilde_tmatrix(blocks).data)
+    t_tilde_matrix, identity_residual = tilde_tmatrix(blocks)
+    t_tilde = np.linalg.eigvals(t_tilde_matrix)
 
     def top(vals, n=8):
         vals = np.asarray(vals)
@@ -79,7 +80,7 @@ def main():
     print("scattered-power identity, worst residual over all modes:",
           f"{resid.max():.2e}")
     print("modified-transition-matrix identity residual:",
-          f"{tilde_tmatrix(blocks).meta['identity_residual']:.2e}")
+          f"{identity_residual:.2e}")
 
 
 if __name__ == "__main__":

@@ -39,8 +39,8 @@ def main():
 
     system = assemble_hybrid(hs, k, wave_basis=wb)
     print(f"coupling operator U4 in closed form, worst column truncation residual "
-          f"on the r_fit = {system.U4.meta['r_fit']:.3f} m sphere "
-          f"{system.U4.meta['column_residuals'].max():.1e}")
+          f"on the r_fit = {system.r_fit:.3f} m sphere "
+          f"{system.column_residuals.max():.1e}")
 
     ms_s = cm_scattering(system.blocks, k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)

@@ -27,7 +27,7 @@ def main():
     scene = DipoleScene(np.array(pos), 6.0 * np.pi * (0.3 + rng.random(n)),
                         ("background",) * 5 + ("controllable",) * 7)
     blocks = transition(scene, k)
-    print(f"operator dimension: {blocks.S.dim}")
+    print(f"operator dimension: {blocks.S.shape[0]}")
 
     dense = cm_t_form(blocks.T, blocks.T_b)
     oracle = ScatterOracle.from_matrices(blocks.T, blocks.T_b)

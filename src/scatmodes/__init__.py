@@ -34,7 +34,6 @@ from .iterative import ScatterOracle, composed_matvec, iterate
 from .mie import SphereSpec, mie_modeset, mie_t_coefficients, mie_tmatrix
 from .modes import (
     ModeSet,
-    SweepResult,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,
@@ -45,9 +44,7 @@ from .modes import (
     track_modes,
 )
 from .network import (
-    CheckReport,
     CompositeBasis,
-    OperatorMatrix,
     check_t_power,
     check_unitary,
     check_unitary_factored,

@@ -48,6 +48,7 @@ from .dipoles import (
     Port,
     default_basis,
     mirror_scene,
+    symmetric_positive_definite,
     transition,
 )
 from .exceptions import (
@@ -91,8 +92,9 @@ class ScenarioError(ValueError):
 
 _REQUIRED = object()
 
-#: the keys a scenario's ``tolerances`` may set
-TOLERANCES = ("unitarity", "circle", "power", "equivalence", "u4_residual")
+#: the keys a scenario's ``tolerances`` may set, and their defaults
+TOLERANCES = {"unitarity": 1e-8, "circle": 1e-8, "power": 1e-8, "equivalence": 1e-6,
+              "u4_residual": 1e-6}
 
 
 def _field(obj: dict, key: str, context: str, valid=None, what: str = "",
@@ -114,6 +116,10 @@ def _is_number(value) -> bool:
         and math.isfinite(value)
 
 
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
 def _is_count(value, minimum: int = 1) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
@@ -125,6 +131,12 @@ def _shape(value):
     except (TypeError, ValueError):
         return None
     return arr.shape if np.isfinite(arr).all() else None
+
+
+def _tensor(value) -> np.ndarray:
+    """A polarizability field, a number or a 3x3 tensor, as a 3x3 tensor."""
+    a = np.asarray(value, dtype=float)
+    return a * np.eye(3) if a.ndim == 0 else a
 
 
 def parse_scenario(raw: dict) -> dict:
@@ -139,9 +151,10 @@ def parse_scenario(raw: dict) -> dict:
         ctx = f"scene.dipoles[{i}]."
         positions.append(_field(d, "position", ctx, lambda v: _shape(v) == (3,),
                                 "3 finite numbers"))
-        a = np.asarray(_field(d, "polarizability", ctx, lambda v: _shape(v) in ((), (3, 3)),
-                              "a finite number or a 3x3 tensor"), dtype=float)
-        alphas.append(a * np.eye(3) if a.ndim == 0 else a)
+        alphas.append(_tensor(_field(
+            d, "polarizability", ctx,
+            lambda v: _shape(v) in ((), (3, 3)) and symmetric_positive_definite(_tensor(v)),
+            "a positive number or a symmetric positive-definite 3x3 tensor")))
         regions.append(_field(d, "region", ctx, lambda v: v in ("controllable", "background"),
                               "'controllable' or 'background'", "controllable"))
     ports = tuple(
@@ -150,7 +163,7 @@ def parse_scenario(raw: dict) -> dict:
                     "the index of a controllable dipole"),
              _field(p, "axis", f"scene.ports[{i}].", lambda v: v in ("x", "y", "z", 0, 1, 2)
                     and not isinstance(v, bool), "'x', 'y' or 'z'"),
-             _field(p, "z0", f"scene.ports[{i}].", _is_number, "a finite number"))
+             _field(p, "z0", f"scene.ports[{i}].", _is_positive, "a finite positive number"))
         for i, p in enumerate(_field(scene_raw, "ports", "scene.",
                                      lambda v: isinstance(v, list), "a list of objects", []))
     )
@@ -165,11 +178,12 @@ def parse_scenario(raw: dict) -> dict:
     )
     sp = scene_raw.get("sphere")
     sphere = None if sp is None else SphereSpec(
-        radius=_field(sp, "radius", "scene.sphere.", _is_number, "a finite number"),
+        radius=_field(sp, "radius", "scene.sphere.", _is_positive, "a finite positive number"),
         material=_field(sp, "material", "scene.sphere.", lambda v: v in ("pec", "dielectric"),
                         "'pec' or 'dielectric'", "pec"),
-        eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
-        mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
+        eps_r=_field(sp, "eps_r", "scene.sphere.", lambda v: _is_number(v) and v >= 1,
+                     "a finite number >= 1", 1.0),
+        mu_r=_field(sp, "mu_r", "scene.sphere.", _is_positive, "a finite positive number", 1.0),
     )
     sweep = _field(raw, "sweep", "")
     f_min = _field(sweep, "f_min", "sweep.", _is_number, "a finite number")
@@ -189,8 +203,7 @@ def parse_scenario(raw: dict) -> dict:
         if key not in TOLERANCES:
             raise ScenarioError(f"unknown field 'tolerances.{key}'; "
                                 f"valid: {', '.join(TOLERANCES)}")
-        _field(tolerances, key, "tolerances.", lambda v: _is_number(v) and v > 0,
-               "a finite positive number")
+        _field(tolerances, key, "tolerances.", _is_positive, "a finite positive number")
     return {
         "scene": scene,
         "sphere": sphere,
@@ -198,7 +211,7 @@ def parse_scenario(raw: dict) -> dict:
         "frequencies": np.linspace(f_min, f_max, n_points),
         "solver": solver,
         "n_modes": _field(raw, "n_modes", "", _is_count, "an integer >= 1", 6),
-        "tolerances": dict(tolerances),
+        "tolerances": {**TOLERANCES, **tolerances},
         "output": _field(raw, "output", "", lambda v: v is None or isinstance(v, str),
                          "a directory name", None),
     }
@@ -225,7 +238,7 @@ def _sweep_basis(sc: dict):
     """
     if sc["sphere"] is not None:
         ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
-        return hybrid_sweep_basis(sc["hybrid"], ks, sc["tolerances"].get("u4_residual", 1e-6))
+        return hybrid_sweep_basis(sc["hybrid"], ks, sc["tolerances"]["u4_residual"])
     k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     scene = sc["scene"]
     wave_basis = default_basis(scene, k_max)
@@ -242,11 +255,9 @@ def _operators(sc: dict, k: float, wave_basis, angular):
     """
     if sc["hybrid"] is not None:
         system = assemble_hybrid(sc["hybrid"], k, wave_basis,
-                                 residual_tol=sc["tolerances"].get("u4_residual", 1e-6),
-                                 angular=angular)
+                                 residual_tol=sc["tolerances"]["u4_residual"], angular=angular)
         system.blocks.factorize()
-        return system.blocks, \
-            {"u4_residual": float(system.U4.meta["column_residuals"].max(initial=0.0))}
+        return system.blocks, {"u4_residual": float(system.column_residuals.max(initial=0.0))}
     return transition(sc["scene"], k, wave_basis, angular), {}
 
 
@@ -262,13 +273,16 @@ def _scattering(blocks, k: float, sc: dict, seed: int, diag: dict):
     return ms
 
 
-def _impedance(blocks, k: float, *_):
-    return cm_impedance_substructure(blocks, k=k)
+def _impedance(blocks, k: float, sc: dict, seed: int, diag: dict):
+    """``cm_impedance_substructure``: its engine and the spread of the compressed R~."""
+    ms = cm_impedance_substructure(blocks, k=k)
+    diag.update(engine=ms.diagnostics["solver"], r_condition=ms.diagnostics["r_condition"])
+    return ms
 
 
 def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    return cm_t_form(blocks.T, blocks.T_b, k=k)
+    return cm_t_form(blocks.T, blocks.T_b, k=k, basis=blocks.basis)
 
 
 def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
@@ -408,11 +422,10 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     for (ms, _), f in zip(results, freqs):
         ms.frequency_hz = float(f)
         tops.append(ms.top(n_modes))
-    sweep = track_modes(tops, n_track=n_modes)
 
     # trace id per (point, mode)
     trace_of: dict[tuple[int, int], int] = {}
-    for tr in sweep.traces:
+    for tr in track_modes(tops, n_track=n_modes):
         for pt, md in zip(tr.points, tr.modes):
             trace_of[(pt, md)] = tr.trace_id
 
@@ -541,10 +554,6 @@ def run_checks(sc: dict) -> dict:
     freqs = sc["frequencies"]
     scene = sc["scene"]
     tol = sc["tolerances"]
-    tol_unitary = tol.get("unitarity", 1e-8)
-    tol_circle = tol.get("circle", 1e-8)
-    tol_power = tol.get("power", 1e-8)
-    tol_equiv = tol.get("equivalence", 1e-6)
 
     report = {"per_frequency": [], "passed": True}
     with _blas_threads(1):
@@ -554,11 +563,10 @@ def run_checks(sc: dict) -> dict:
             blocks, diag = _operators(sc, k, wave_basis, angular)
             entry: dict = {"frequency_hz": float(f), **diag}
             if sc["sphere"] is None:
-                entry["tilde_identity_residual"] = \
-                    tilde_tmatrix(blocks).meta["identity_residual"]
+                entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]
             ms = cm_scattering(blocks, k=k)
             ms_alt = cm_impedance_substructure(blocks, k=k)
-            sig = 10.0 * tol_equiv
+            sig = 10.0 * tol["equivalence"]
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]
             entry["equivalence"] = float(_matched(t1, t2)[1].max(initial=0.0)) \
@@ -571,22 +579,22 @@ def run_checks(sc: dict) -> dict:
             # the engine's own check is reused where it was that one
             engine_dense = ms.diagnostics["unitarity_form"] == "dense"
             for key, op in (("unitarity_S", blocks.S), ("unitarity_S_b", blocks.S_b)):
-                entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op).deviation
-            entry["t_power"] = check_t_power(blocks.T).deviation
+                entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op)
+            entry["t_power"] = check_t_power(blocks.T)
             entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
             entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
                                          ms.diagnostics.get("orthogonality_f", 0.0))
             entry["power_identity"] = float(
                 substructure_power_check(blocks.T, blocks.T_b, ms).max(initial=0.0))
             ok = (
-                entry["unitarity_S"] <= tol_unitary
-                and entry["unitarity_S_b"] <= tol_unitary
-                and entry["t_power"] <= tol_unitary
-                and entry["max_circle_deviation"] <= tol_circle
-                and entry["power_identity"] <= tol_power
-                and entry.get("equivalence", 0.0) <= tol_equiv
-                and entry.get("parity_leakage", 0.0) <= tol_equiv
-                and entry.get("tilde_identity_residual", 0.0) <= tol_equiv
+                entry["unitarity_S"] <= tol["unitarity"]
+                and entry["unitarity_S_b"] <= tol["unitarity"]
+                and entry["t_power"] <= tol["unitarity"]
+                and entry["max_circle_deviation"] <= tol["circle"]
+                and entry["power_identity"] <= tol["power"]
+                and entry.get("equivalence", 0.0) <= tol["equivalence"]
+                and entry.get("parity_leakage", 0.0) <= tol["equivalence"]
+                and entry.get("tilde_identity_residual", 0.0) <= tol["equivalence"]
             )
             entry["passed"] = bool(ok)
             report["passed"] = report["passed"] and bool(ok)

@@ -28,7 +28,7 @@ from scipy.linalg import blas
 
 from . import swe
 from .exceptions import DomainError, GeometryError, ShapeError, SolveError
-from .network import CompositeBasis, OperatorMatrix, _hermitian_norm
+from .network import CompositeBasis, _hermitian_norm
 from .swe import WaveBasis
 
 #: free-space wave impedance, Ohm
@@ -55,6 +55,13 @@ class Port:
         object.__setattr__(self, "axis", _AXES[self.axis])
         if self.z0 <= 0 or not math.isfinite(self.z0):
             raise DomainError(f"port reference impedance must be positive, got {self.z0}")
+
+
+def symmetric_positive_definite(alpha: np.ndarray) -> bool:
+    """Whether every 3x3 tensor of alpha (..., 3, 3) is symmetric, to rounding, and positive
+    definite: what a polarisability must be."""
+    return np.allclose(alpha, np.swapaxes(alpha, -1, -2), rtol=1e-12, atol=0.0) \
+        and bool(np.all(np.linalg.eigvalsh(alpha) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,8 @@ class DipoleScene:
             alpha = np.tile(alpha, (n, 1, 1))
         elif alpha.shape != (n, 3, 3):
             raise ShapeError(f"polarizability shape {alpha.shape} not broadcastable to ({n}, 3, 3)")
-        if not np.allclose(alpha, np.swapaxes(alpha, 1, 2), rtol=1e-12, atol=0.0):
-            raise DomainError("polarizability tensors must be symmetric")
-        if np.any(np.linalg.eigvalsh(alpha) <= 0.0):
-            raise DomainError("polarizability tensors must be positive definite")
+        if not symmetric_positive_definite(alpha):
+            raise DomainError("polarizability tensors must be symmetric positive definite")
         object.__setattr__(self, "polarizability", alpha)
 
         region = self.region
@@ -231,11 +236,11 @@ class BlockImpedance:
     factors made (pivot-checked) on first use; ``factorize`` makes them
     at once, so a singular system raises there.
 
-    ``T``, ``T_b``, ``S`` and ``S_b`` are the n x n ``OperatorMatrix``
-    transition and scattering operators of the scene and its background
-    over ``basis`` (``T_b`` is ``diag(T_b0)`` without background unknowns),
-    built when first read: an engine that works on the factors never forms
-    them.  Above a ground plane their rows and columns of the
+    ``T``, ``T_b``, ``S`` and ``S_b`` are the n x n transition and
+    scattering matrices of the scene and its background over ``basis``
+    (``T_b`` is ``diag(T_b0)`` without background unknowns), built when
+    first read and kept read-only: an engine that works on the factors never
+    forms them.  Above a ground plane their rows and columns of the
     parity-forbidden waves are those of the identity (S) and of zero (T),
     exactly.
 
@@ -319,7 +324,7 @@ class BlockImpedance:
             return self._cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
         return self._cached("lu Z_tilde", lambda: _solver(self.Z_tilde, "compressed impedance"))
 
-    def _operator(self, name: str) -> OperatorMatrix:
+    def _operator(self, name: str) -> np.ndarray:
         return self._cached(name, lambda: _full_operator(self, name))
 
     def _eliminate(self):
@@ -485,15 +490,16 @@ def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
     return t if t0 is None else np.diag(t0) + t
 
 
-def _full_operator(blocks: BlockImpedance, name: str) -> OperatorMatrix:
-    """T, T_b, S or S_b over the whole basis; each S comes from its cached T."""
+def _full_operator(blocks: BlockImpedance, name: str) -> np.ndarray:
+    """T, T_b, S or S_b over the whole basis, read-only; each S comes from its cached T."""
     if name.startswith("S"):
-        t = blocks._operator("T" + name[1:])
-        return OperatorMatrix("S", 2.0 * t.data + np.eye(blocks.basis.size), blocks.basis)
-    if name == "T":
-        return OperatorMatrix("T", _t_of(blocks.solve, blocks.readout, blocks.T_b0),
-                              blocks.basis)
-    return OperatorMatrix("T", _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0), blocks.basis)
+        op = 2.0 * blocks._operator("T" + name[1:]) + np.eye(blocks.basis.size)
+    elif name == "T":
+        op = _t_of(blocks.solve, blocks.readout, blocks.T_b0)
+    else:
+        op = _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0)
+    op.flags.writeable = False
+    return op
 
 
 def transition(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,

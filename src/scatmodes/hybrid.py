@@ -37,7 +37,6 @@ from .dipoles import (BlockImpedance, DipoleScene, _check_wavenumber, assemble_i
 from .exceptions import GeometryError, ResolutionError
 from .mie import SphereSpec, mie_tmatrix
 from .modes import ModeSet, cm_impedance_substructure
-from .network import OperatorMatrix
 from .swe import WaveBasis
 
 
@@ -170,21 +169,23 @@ def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float):
 
 
 def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
-                r_fit: float | None = None, residual_tol: float = 1e-6) -> OperatorMatrix:
+                r_fit: float | None = None, residual_tol: float = 1e-6):
     """Current-to-regular-wave coupling operator about the sphere centre.
 
     Column (p, axis) holds minus the regular-wave expansion coefficients
     of that dipole's field, sampled on a quadrature sphere of radius
     ``r_fit`` (sphere_radius < r_fit < nearest dipole) and projected with
     ``project_onto_regular``; the sign matches the outgoing readout
-    convention ``f = -U1 I``.  ``meta['column_residuals']`` reports the
-    per-column projection misfit; exceeding ``residual_tol`` raises.
+    convention ``f = -U1 I``.  A column whose projection misfit exceeds
+    ``residual_tol`` raises.
+
+    Returns (U4, (n_waves, 3 N) in scene order; column residuals; r_fit),
+    as ``u4_expansion`` does.
     """
     scn = scene.mom_scene
     n = scn.n_dipoles
     if n == 0:
-        return OperatorMatrix("projection", np.zeros((wave_basis.size, 0), dtype=complex),
-                              wave_basis, meta={"column_residuals": np.zeros(0)})
+        return np.zeros((wave_basis.size, 0), dtype=complex), np.zeros(0), r_fit
     r_fit = _checked_r_fit(scene, r_fit)
 
     l_max = wave_basis.l_max
@@ -201,8 +202,7 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
             f"U4 projection residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "
             "increase the basis, the fit radius margin, or the clearance"
         )
-    return OperatorMatrix("projection", -coeffs, wave_basis,
-                          meta={"column_residuals": residuals, "r_fit": r_fit})
+    return -coeffs, residuals, r_fit
 
 
 @dataclass
@@ -212,11 +212,14 @@ class HybridSystem:
     ``blocks`` holds ``Z + U4^T T_b1 U4`` and the complex readout
     ``U1 + T_b1 U4`` (background unknowns first), with the sphere's Mie
     coefficients (the diagonal of ``T_b1``) as background transition
-    offset; ``U4`` is in system order.
+    offset; ``U4`` is in system order, with its truncation gauge
+    ``column_residuals`` on the ``r_fit`` sphere.
     """
 
     blocks: BlockImpedance
-    U4: OperatorMatrix
+    U4: np.ndarray
+    column_residuals: np.ndarray
+    r_fit: float | None
 
     @property
     def basis(self) -> WaveBasis:
@@ -232,7 +235,7 @@ def assemble_hybrid(scene: HybridScene, k: float,
 
     U4 is the closed form of ``u4_expansion``: one outgoing-wave table at
     the dipoles, ``QUAD_MARGIN`` degrees past ``wave_basis``.  Its
-    ``meta['column_residuals']`` is the truncation gauge on the ``r_fit``
+    ``column_residuals`` are the truncation gauge on the ``r_fit``
     sphere (default ``scene.default_r_fit()``), the same quantity the
     quadrature ``assemble_u4`` measures; a column above ``residual_tol``
     raises ``ResolutionError``, an ``r_fit`` outside the clearance
@@ -249,11 +252,10 @@ def assemble_hybrid(scene: HybridScene, k: float,
             "increase the basis or the clearance"
         )
     blocks = assemble_impedance(scene.mom_scene, k, wave_basis, angular)
-    t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis).data).copy()  # T_b1's diagonal
+    t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis)).copy()  # T_b1's diagonal
     hybrid = replace(blocks, system=blocks.system + (u4.T * t1) @ u4,
                      readout=blocks.readout + t1[:, None] * u4, T_b0=t1)
-    return HybridSystem(blocks=hybrid, U4=OperatorMatrix(
-        "projection", u4, wave_basis, meta={"column_residuals": residuals, "r_fit": r_fit}))
+    return HybridSystem(blocks=hybrid, U4=u4, column_residuals=residuals, r_fit=r_fit)
 
 
 def hybrid_impedance_modes(scene: HybridScene, k: float,
@@ -271,6 +273,5 @@ def hybrid_impedance_modes(scene: HybridScene, k: float,
         system = assemble_hybrid(scene, k, wave_basis)
     ms = cm_impedance_substructure(system.blocks, k=k)
     ms.diagnostics["solver"] = "hybrid-" + ms.diagnostics["solver"]
-    ms.diagnostics["u4_residual"] = float(
-        np.max(system.U4.meta["column_residuals"], initial=0.0))
+    ms.diagnostics["u4_residual"] = float(np.max(system.column_residuals, initial=0.0))
     return ms

@@ -47,8 +47,8 @@ class ScatterOracle:
     @classmethod
     def from_matrices(cls, T, T_b, kind: str = T_FORM) -> "ScatterOracle":
         """Oracle backed by dense matrices (testing and the CLI iterative path)."""
-        t = np.asarray(getattr(T, "data", T))
-        tb = np.asarray(getattr(T_b, "data", T_b))
+        t = np.asarray(T)
+        tb = np.asarray(T_b)
         if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ShapeError(f"operator shapes {t.shape} / {tb.shape} unusable")
         if kind == S_FORM:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .exceptions import DomainError, ResolutionError
 from .modes import ModeSet, _mode_order
-from .network import OperatorMatrix
 from .swe import WaveBasis, _j_ratios, spherical_j, spherical_y, truncation_order
 
 PEC = "pec"
@@ -85,8 +84,8 @@ def mie_t_coefficients(spec: SphereSpec, k: float, l_max: int):
 
 
 def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
-                enforce_truncation: bool = True) -> OperatorMatrix:
-    """Diagonal transition matrix of a sphere on the given wave basis.
+                enforce_truncation: bool = True) -> np.ndarray:
+    """Diagonal transition matrix of a sphere on the given wave basis, n x n.
 
     By default the basis must satisfy the truncation rule for the
     sphere's electrical radius; ``enforce_truncation=False`` permits a
@@ -101,13 +100,12 @@ def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
         )
     t_te, t_tm = mie_t_coefficients(spec, k, wave_basis.l_max)
     l, _, tm = wave_basis.arrays()
-    return OperatorMatrix("T", np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1])), wave_basis)
+    return np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1]))
 
 
 def mie_modeset(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> ModeSet:
     """Characteristic modes of a sphere: diagonal entries with coordinate eigenvectors."""
-    t_op = mie_tmatrix(spec, k, wave_basis)
-    t_vals = np.diag(t_op.data).copy()
+    t_vals = np.diag(mie_tmatrix(spec, k, wave_basis))
     dim = wave_basis.size
     eye = np.eye(dim, dtype=complex)
     order = _mode_order(t_vals, eye, wave_basis)

@@ -24,7 +24,7 @@ import scipy.linalg as la
 from . import swe
 from .dipoles import BlockImpedance, _readout_product, factorization_residual
 from .exceptions import ShapeError, SolveError
-from .network import UNITARY_TOL, OperatorMatrix, _matrix, check_unitary, check_unitary_factored
+from .network import UNITARY_TOL, check_unitary, check_unitary_factored
 from .swe import WaveBasis
 
 #: relative eigenvalue gap below which modes count as one degenerate cluster
@@ -164,15 +164,15 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
 class _MatrixPencil:
     """``S`` and ``S_b`` given as n x n matrices: the dense oracle of ``cm_scattering``."""
 
-    def __init__(self, S, S_b):
-        self.s_mat = _matrix(S)
+    def __init__(self, S, S_b, basis):
+        self.s_mat = np.asarray(S)
         self.dim = self.s_mat.shape[0]
-        if self.s_mat.shape[0] != self.s_mat.shape[1]:
+        if self.s_mat.ndim != 2 or self.s_mat.shape[0] != self.s_mat.shape[1]:
             raise ShapeError(f"S must be square, got {self.s_mat.shape}")
-        self.sb_mat = np.eye(self.dim) if S_b is None else _matrix(S_b)
+        self.sb_mat = np.eye(self.dim) if S_b is None else np.asarray(S_b)
         if self.sb_mat.shape != self.s_mat.shape:
             raise ShapeError(f"dimension mismatch: S {self.s_mat.shape}, S_b {self.sb_mat.shape}")
-        self.basis = S.basis if isinstance(S, OperatorMatrix) else None
+        self.basis = basis
 
     def matrices(self):
         return self.s_mat, self.sb_mat
@@ -189,8 +189,8 @@ class _MatrixPencil:
         return _schur_eig(self.sb_mat.conj().T @ self.s_mat)
 
     def unitarity(self) -> dict:
-        return {"unitarity_S": check_unitary(self.s_mat).deviation,
-                "unitarity_S_b": check_unitary(self.sb_mat).deviation,
+        return {"unitarity_S": check_unitary(self.s_mat),
+                "unitarity_S_b": check_unitary(self.sb_mat),
                 "unitarity_form": "dense"}
 
 
@@ -213,7 +213,7 @@ class _BlockPencil:
         self.basis = blocks.basis
 
     def matrices(self):
-        return self.blocks.S.data, self.blocks.S_b.data
+        return self.blocks.S, self.blocks.S_b
 
     def apply_sb(self, x):
         return _apply_sb(self.blocks, x)
@@ -241,7 +241,7 @@ class _BlockPencil:
 
 
 def cm_scattering(S, S_b=None, k: float | None = None,
-                  n_modes: int | None = None) -> ModeSet:
+                  n_modes: int | None = None, basis=None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
     ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix.
@@ -268,8 +268,10 @@ def cm_scattering(S, S_b=None, k: float | None = None,
 
     Matrices (``S_b`` defaults to the identity) are the dense oracle: all
     n modes from the n x n Schur decomposition of N, with ``check_unitary``
-    on both.  ``diagnostics['rank']`` is the size of the eigenproblem
-    solved (r on the range, n for the oracle and for QZ).
+    on both; ``basis``, the matrices' wave basis, breaks ties in the mode
+    order as a block's own basis does.  ``diagnostics['rank']`` is the
+    size of the eigenproblem solved (r on the range, n for the oracle and
+    for QZ).
 
     ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
     range, more modes than r are filled with ``s = 1`` exactly and an
@@ -280,11 +282,11 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     (``unitarity_form`` says how).
     """
     if isinstance(S, BlockImpedance):
-        if S_b is not None:
-            raise ValueError("a BlockImpedance carries its own S_b")
+        if S_b is not None or basis is not None:
+            raise ValueError("a BlockImpedance carries its own S_b and basis")
         pencil = _BlockPencil(S)
     else:
-        pencil = _MatrixPencil(S, S_b)
+        pencil = _MatrixPencil(S, S_b, basis)
 
     diag = {**pencil.unitarity(), "solver": "schur"}
     s_vals = None
@@ -325,17 +327,17 @@ def cm_scattering(S, S_b=None, k: float | None = None,
 
 
 def cm_t_form(T, T_b, representation: str = "excitation",
-              k: float | None = None) -> ModeSet:
+              k: float | None = None, basis=None) -> ModeSet:
     """Characteristic modes from composed transition operators.
 
     ``representation="excitation"`` decomposes ``2 T_b^H T + T_b^H + T``
     (eigenvectors are the excitations a_n); ``"scattered"`` decomposes
     ``2 T T_b^H + T_b^H + T`` (eigenvectors are the scattered fields
-    f_n).  Both give the same eigenvalues t_n.
+    f_n).  Both give the same eigenvalues t_n.  ``basis``, the matrices'
+    wave basis, breaks ties in the mode order.
     """
-    t_mat = _matrix(T)
-    tb_mat = _matrix(T_b)
-    basis_obj = T.basis if isinstance(T, OperatorMatrix) else None
+    t_mat = np.asarray(T)
+    tb_mat = np.asarray(T_b)
     if t_mat.shape != tb_mat.shape or t_mat.shape[0] != t_mat.shape[1]:
         raise ShapeError(f"T {t_mat.shape} and T_b {tb_mat.shape} must be square and equal")
     tbh = tb_mat.conj().T
@@ -360,10 +362,10 @@ def cm_t_form(T, T_b, representation: str = "excitation",
         f = vec
         a = sb.conj().T @ f
     s_vals = 1.0 + 2.0 * t_vals
-    order = _mode_order(t_vals, a, basis_obj)
+    order = _mode_order(t_vals, a, basis)
     diag = {"solver": solver, "representation": representation, "schur_offdiag": off}
     return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order], k=k,
-                   basis=basis_obj, diagnostics=diag)
+                   basis=basis, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +397,11 @@ def scattering_unitarity(blocks: BlockImpedance) -> dict:
     ``unitarity_form`` is ``"factored"`` or ``"dense"``.
     """
     if blocks.T_b0 is None and 2 * blocks.readout.shape[1] <= blocks.readout.shape[0]:
-        return {"unitarity_S": check_unitary_factored(blocks.readout, blocks.solve).deviation,
-                "unitarity_S_b": check_unitary_factored(blocks.U1_b, blocks.solve_bb).deviation,
+        return {"unitarity_S": check_unitary_factored(blocks.readout, blocks.solve),
+                "unitarity_S_b": check_unitary_factored(blocks.U1_b, blocks.solve_bb),
                 "unitarity_form": "factored"}
-    return {"unitarity_S": check_unitary(blocks.S).deviation,
-            "unitarity_S_b": check_unitary(blocks.S_b).deviation,
+    return {"unitarity_S": check_unitary(blocks.S),
+            "unitarity_S_b": check_unitary(blocks.S_b),
             "unitarity_form": "dense"}
 
 
@@ -431,17 +433,16 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     normalised, it raises ``SolveError``.
     """
     nc = blocks.n_c
+    r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
+    r_t = 0.5 * (r_t + r_t.T)
+    x_t = 0.5 * (x_t + x_t.T)
     diag = {"schur_factorization_residual":
             factorization_residual(blocks.Z_tilde, blocks.U1_tilde),
-            "solver": "eigh"}
+            "solver": "eigh", "r_condition": _radiation_condition(r_t)}
     if nc == 0:
         return ModeSet(s=np.zeros(0, dtype=complex), a=None, f=None, k=k,
                        basis=blocks.basis, diagnostics=diag)
 
-    r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
-    r_t = 0.5 * (r_t + r_t.T)
-    x_t = 0.5 * (x_t + x_t.T)
-    diag["r_condition"] = _radiation_condition(r_t)
     if diag["r_condition"] > 1e12:
         warnings.warn(
             f"compressed radiation matrix spread {diag['r_condition']:.1e}; "
@@ -483,27 +484,23 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
                    diagnostics=diag)
 
 
-def tilde_tmatrix(blocks: BlockImpedance) -> OperatorMatrix:
-    """Modified transition matrix of the controllable region.
+def tilde_tmatrix(blocks: BlockImpedance) -> tuple[np.ndarray, float]:
+    """Modified transition matrix of the controllable region, and its identity residual.
 
     ``T~ = -U1_tilde Z_tilde^-1 U1_tilde^H`` over the wave basis; its
-    eigenvalues are the substructure t_n.  The result's ``meta`` reports
-    the residual of the equality ``2 T T_b^H + T_b^H + T = T~`` assembled
-    from the full and background transition matrices, an executable
-    identity for lossless scenes.  T and T_b are those kept by the
-    blocks, built here if no caller has read them yet.
+    eigenvalues are the substructure t_n.  The residual is that of the
+    equality ``2 T T_b^H + T_b^H + T = T~`` assembled from the full and
+    background transition matrices, an executable identity for lossless
+    scenes.  T and T_b are those kept by the blocks, built here if no
+    caller has read them yet.  Returns (T~, residual).
     """
     u_tilde = blocks.U1_tilde
     t_tilde = -u_tilde @ blocks.solve_tilde(u_tilde.conj().T)
-    t_full, t_bg = blocks.T.data, blocks.T_b.data
+    t_full, t_bg = blocks.T, blocks.T_b
     composed = 2.0 * t_full @ t_bg.conj().T + t_bg.conj().T + t_full
     # without controllable dipoles T~ = 0, and the residual is measured against T
     scale = np.linalg.norm(t_tilde) or np.linalg.norm(t_full)
-    residual = float(np.linalg.norm(composed - t_tilde) / max(scale, 1e-300))
-    return OperatorMatrix("T", t_tilde, blocks.basis,
-                          meta={"identity_residual": residual,
-                                "factorization_residual":
-                                    factorization_residual(blocks.Z_tilde, u_tilde)})
+    return t_tilde, float(np.linalg.norm(composed - t_tilde) / max(scale, 1e-300))
 
 
 @dataclass
@@ -570,9 +567,7 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
     """
     if modeset.a is None:
         raise ShapeError("mode set carries no excitation vectors")
-    t_mat = _matrix(T)
-    tb_mat = _matrix(T_b)
-    diff = (t_mat - tb_mat) @ modeset.a
+    diff = (np.asarray(T) - np.asarray(T_b)) @ modeset.a
     norm_a2 = np.linalg.norm(modeset.a, axis=0) ** 2
     e1 = 0.5 * np.linalg.norm(diff, axis=0) ** 2
     e2 = -0.5 * modeset.t.real * norm_a2
@@ -588,7 +583,7 @@ def parity_leakage(blocks: BlockImpedance) -> float:
     (``mirror_scene``): the test of the image symmetry that the reduced
     assembly takes as exact.
     """
-    s = blocks.S.data
+    s = blocks.S
     keep = swe.ground_plane_filter(blocks.basis)
     drop = np.setdiff1d(np.arange(blocks.basis.size), keep)
     return float(np.linalg.norm(s[np.ix_(keep, drop)]) / np.linalg.norm(s))
@@ -608,16 +603,7 @@ class Trace:
     t: list[complex]
 
 
-@dataclass
-class SweepResult:
-    """Tracked modal traces over an ascending frequency grid."""
-
-    frequencies: np.ndarray
-    modesets: list[ModeSet]
-    traces: list[Trace]
-
-
-def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> SweepResult:
+def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> list[Trace]:
     """Associate modes across adjacent sweep points into traces.
 
     Greedy assignment maximising the excitation-vector correlation
@@ -625,7 +611,7 @@ def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> SweepRes
     modes that find no partner start new traces.
     """
     if not modesets:
-        return SweepResult(frequencies=np.zeros(0), modesets=[], traces=[])
+        return []
     dims = {ms.a.shape[0] for ms in modesets if ms.a is not None}
     if len(dims) > 1:
         raise ShapeError(f"mode sets of mixed dimension in sweep: {sorted(dims)}")
@@ -633,8 +619,6 @@ def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> SweepRes
     def n_kept(ms):
         return ms.n_modes if n_track is None else min(n_track, ms.n_modes)
 
-    freqs = np.array([ms.frequency_hz if ms.frequency_hz is not None else (ms.k or 0.0)
-                      for ms in modesets])
     traces: list[Trace] = []
     current: dict[int, Trace] = {}
     for m in range(n_kept(modesets[0])):
@@ -669,4 +653,4 @@ def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> SweepRes
                 traces.append(tr)
                 succ[m] = tr
         current = succ
-    return SweepResult(frequencies=freqs, modesets=list(modesets), traces=traces)
+    return traces

@@ -9,7 +9,7 @@ s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -33,57 +33,11 @@ class CompositeBasis:
         return self.wave.size + len(self.extra_labels)
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense operator tagged with its kind and the basis it acts on.
-
-    kind is one of ``"S"``, ``"T"``, ``"Z"``, ``"projection"``.  Square for
-    S/T/Z kinds; projections may be rectangular.
-    """
-
-    kind: str
-    data: np.ndarray
-    basis: WaveBasis | CompositeBasis | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.kind not in ("S", "T", "Z", "projection"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind != "projection" and (
-            self.data.ndim != 2 or self.data.shape[0] != self.data.shape[1]
-        ):
-            raise ShapeError(f"{self.kind} operator must be square, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("operator entries must be finite")
-        if self.basis is not None and self.data.shape[-1] != self.basis.size \
-                and self.data.shape[0] != self.basis.size:
-            raise ShapeError("operator dimensions inconsistent with basis size")
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
-def _matrix(op) -> np.ndarray:
-    """Accept either an OperatorMatrix or a bare ndarray."""
-    if isinstance(op, OperatorMatrix):
-        return op.data
-    return np.asarray(op)
-
-
 def _square(op) -> np.ndarray:
-    m = _matrix(op)
+    m = np.asarray(op)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"square matrix required, got shape {m.shape}")
     return m
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    deviation: float
-    passed: bool
-    tol: float
 
 
 def _gram(a: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -112,18 +66,17 @@ def _hermitian_norm(g: np.ndarray) -> float:
     return math.sqrt(2.0 * tri * tri - diag * diag)
 
 
-def _report(norm: float, dim: int, tol: float) -> CheckReport:
-    dev = norm / math.sqrt(max(dim, 1))
-    return CheckReport(deviation=dev, passed=dev <= tol, tol=tol)
+def _scaled(norm: float, dim: int) -> float:
+    return norm / math.sqrt(max(dim, 1))
 
 
-def check_unitary(M, tol: float = UNITARY_TOL) -> CheckReport:
+def check_unitary(M) -> float:
     """Frobenius deviation of M^H M from the identity, scaled by sqrt(dim)."""
     m = _square(M)
-    return _report(_hermitian_norm(_gram(m) - np.eye(m.shape[0])), m.shape[0], tol)
+    return _scaled(_hermitian_norm(_gram(m) - np.eye(m.shape[0])), m.shape[0])
 
 
-def check_unitary_factored(u: np.ndarray, solve, tol: float = UNITARY_TOL) -> CheckReport:
+def check_unitary_factored(u: np.ndarray, solve) -> float:
     """``check_unitary`` of ``S = I - 2 u z^-1 u^T`` from its factors.
 
     ``u`` is a real readout (n x m) and ``solve`` applies ``z^-1``.  With
@@ -135,10 +88,10 @@ def check_unitary_factored(u: np.ndarray, solve, tol: float = UNITARY_TOL) -> Ch
     """
     r = np.linalg.qr(u, mode="r")
     c = r @ solve(r.T.astype(complex))
-    return _report(_hermitian_norm(_gram(c, 4.0) - 2.0 * (c + c.conj().T)), u.shape[0], tol)
+    return _scaled(_hermitian_norm(_gram(c, 4.0) - 2.0 * (c + c.conj().T)), u.shape[0])
 
 
-def check_t_power(T, tol: float = UNITARY_TOL) -> CheckReport:
+def check_t_power(T) -> float:
     """Deviation of T^H T from -Re(T) (losslessness of a transition matrix).
 
     Of ``T^H T + Re T``, the Hermitian ``T^H T + sym(Re T)`` and the real
@@ -147,4 +100,4 @@ def check_t_power(T, tol: float = UNITARY_TOL) -> CheckReport:
     t = _square(T)
     r = t.real
     norm = math.hypot(_hermitian_norm(_gram(t) + 0.5 * (r + r.T)), 0.5 * np.linalg.norm(r - r.T))
-    return _report(norm, t.shape[0], tol)
+    return _scaled(norm, t.shape[0])

@@ -350,23 +350,20 @@ class MappingError(ValueError):
     """A basis embedding or index map is not injective / not resolvable."""
 
 
-def embed_identity(M, target_basis, index_map=None):
-    """Embed M into a larger basis, acting as the identity elsewhere.
+def embed_identity(m, target_basis, basis=None, index_map=None):
+    """Embed the scattering matrix m into a larger basis, acting as the identity elsewhere.
 
-    By default the map matches wave indices between M's basis and the
-    target basis; an explicit injective ``index_map`` (position in M ->
+    By default the map matches wave indices between m's ``basis`` and the
+    target basis; an explicit injective ``index_map`` (position in m ->
     position in target) overrides it.
     """
-    from scatmodes import OperatorMatrix
-
-    m = M.data
     n_target = target_basis.size
     if index_map is None:
-        if M.basis is None:
-            raise MappingError("embed_identity needs M.basis or an explicit index_map")
+        if basis is None:
+            raise MappingError("embed_identity needs m's basis or an explicit index_map")
         try:
             index_map = {i: target_basis.position(idx)
-                         for i, idx in enumerate(M.basis.indices)}
+                         for i, idx in enumerate(basis.indices)}
         except KeyError as err:
             raise MappingError(f"wave index {err.args[0]} absent from the target basis")
     if len(set(index_map.values())) != len(index_map):
@@ -376,11 +373,7 @@ def embed_identity(M, target_basis, index_map=None):
     if any(j < 0 or j >= n_target for j in index_map.values()):
         raise MappingError("index map exceeds the target basis")
 
-    kind = M.kind
-    out = np.eye(n_target, dtype=complex) if kind == "S" \
-        else np.zeros((n_target, n_target), dtype=complex)
-    if kind not in ("S", "T"):
-        raise MappingError("identity embedding is defined for S and T operators")
+    out = np.eye(n_target, dtype=complex)
     pos = np.array([index_map[i] for i in range(m.shape[0])])
     out[np.ix_(pos, pos)] = m
-    return OperatorMatrix(kind=kind, data=out, basis=target_basis)
+    return out

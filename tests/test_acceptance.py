@@ -113,7 +113,7 @@ def test_criterion_1_mie_oracle():
             # multiplicity 2l+1 of every (l, pol) eigenvalue: exact float
             # equality on the assembled diagonal
             b = basis(l_max)
-            diag = np.diag(mie_tmatrix(spec, ka, b).data)
+            diag = np.diag(mie_tmatrix(spec, ka, b))
             ms = mie_modeset(spec, ka, b)
             groups = np.concatenate([te, tm])
             for l in range(1, l_max + 1):
@@ -139,9 +139,9 @@ def test_criterion_2_lossless_invariants(lossless_bank):
     worst = {"unitary": 0.0, "t_power": 0.0, "circle": 0.0, "orth": 0.0, "range": 0.0}
     for scene, k in lossless_bank:
         ts = transition(scene, k)
-        dim = ts.S.dim
-        dev_u = np.linalg.norm(ts.S.data.conj().T @ ts.S.data - np.eye(dim)) / math.sqrt(dim)
-        dev_t = np.linalg.norm(ts.T.data.conj().T @ ts.T.data + ts.T.data.real) / math.sqrt(dim)
+        dim = ts.S.shape[0]
+        dev_u = np.linalg.norm(ts.S.conj().T @ ts.S - np.eye(dim)) / math.sqrt(dim)
+        dev_t = np.linalg.norm(ts.T.conj().T @ ts.T + ts.T.real) / math.sqrt(dim)
         ms = cm_scattering(ts.S, ts.S_b, k=k)
         # the range engine must reproduce the dense spectrum with the same invariants
         ranged = cm_scattering(ts, k=k)
@@ -170,12 +170,12 @@ def test_criterion_3_equivalence_suite(equivalence_results):
     worst_resid = 0.0
     for res in equivalence_results:
         spectra = [res["ms_scat"].t, res["ms_exc"].t, res["ms_sca"].t,
-                   res["ms_imp"].t, np.linalg.eigvals(res["tilde"].data)]
+                   res["ms_imp"].t, np.linalg.eigvals(res["tilde"][0])]
         for i in range(len(spectra)):
             for j in range(i + 1, len(spectra)):
                 worst_rel = max(worst_rel,
                                 assert_multisets_close(spectra[i], spectra[j]))
-        resid = res["tilde"].meta["identity_residual"]
+        resid = res["tilde"][1]
         assert resid < 1e-8
         worst_resid = max(worst_resid, resid)
     _report(3, "equivalence-suite",
@@ -218,14 +218,14 @@ def test_criterion_6_iterative_solver(equivalence_results):
     n_run = 0
     for res in equivalence_results:
         ts = res["ts"]
-        if ts.S.dim > 300:
+        if ts.S.shape[0] > 300:
             continue
         n_run += 1
-        t_mat, tb_mat = ts.T.data, ts.T_b.data
+        t_mat, tb_mat = ts.T, ts.T_b
         oracle = ScatterOracle.from_matrices(t_mat, tb_mat)
         composed = 2.0 * tb_mat.conj().T @ t_mat + tb_mat.conj().T + t_mat
         for _ in range(3):
-            x = rng.standard_normal(ts.S.dim) + 1j * rng.standard_normal(ts.S.dim)
+            x = rng.standard_normal(ts.S.shape[0]) + 1j * rng.standard_normal(ts.S.shape[0])
             err = np.linalg.norm(composed_matvec(oracle, x) - composed @ x)
             err /= max(np.linalg.norm(composed @ x), 1e-300)
             assert err < 1e-12
@@ -263,8 +263,8 @@ def test_criterion_7_ground_plane(ground_plane_bank):
         ms_full = cm_scattering(ts.S, ts.S_b, k=k)
         keep = ground_plane_filter(ts.basis)
         drop = np.setdiff1d(np.arange(ts.basis.size), keep)
-        ms_odd = cm_scattering(ts.S.data[np.ix_(drop, drop)],
-                               ts.S_b.data[np.ix_(drop, drop)], k=k)
+        ms_odd = cm_scattering(ts.S[np.ix_(drop, drop)],
+                               ts.S_b[np.ix_(drop, drop)], k=k)
 
         sig = 1e-9
         t_union = np.concatenate([ms_filtered.t, ms_odd.t])
@@ -313,7 +313,7 @@ def test_criterion_8_hybrid():
     hs = HybridScene(scene, sphere)
     wb = basis(18)
     system = assemble_hybrid(hs, k, wave_basis=wb)
-    u4_resid = float(system.U4.meta["column_residuals"].max())
+    u4_resid = float(system.column_residuals.max())
 
     ms_s = cm_scattering(system.blocks, k=k)
     ms_i = hybrid_impedance_modes(hs, k, system=system)
@@ -342,7 +342,7 @@ def test_criterion_8_hybrid():
     empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
     ts_sphere = assemble_hybrid(HybridScene(empty, sphere), k, wb).blocks
     t_mie = mie_tmatrix(sphere, k, wb)
-    dev_m = float(np.abs(ts_sphere.T.data - t_mie.data).max())
+    dev_m = float(np.abs(ts_sphere.T - t_mie).max())
     assert dev_m < 1e-8
 
     elapsed = time.perf_counter() - t0
@@ -367,15 +367,15 @@ def test_criterion_9_ports():
         scene1 = DipoleScene(trio, alpha, region, ports=(Port(1, "x", 73.0),))
         ts = transition(scene0, k)
         gs = transition(scene1, k, ts.basis)
-        dev = check_unitary(gs.S).deviation
+        dev = check_unitary(gs.S)
         assert dev < 1e-8
         worst_unitary = max(worst_unitary, dev)
 
         ms0 = cm_scattering(ts.S, ts.S_b)
-        dim = gs.S.dim
+        dim = gs.S.shape[0]
         sb_aug = np.eye(dim, dtype=complex)
-        sb_aug[:ts.S_b.dim, :ts.S_b.dim] = ts.S_b.data
-        ms1 = cm_scattering(gs.S.data, sb_aug)
+        sb_aug[:ts.S_b.shape[0], :ts.S_b.shape[0]] = ts.S_b
+        ms1 = cm_scattering(gs.S, sb_aug)
 
         currents = np.linalg.solve(ts.Z, ts.U1.T @ ms0.a)
         inv = np.empty_like(ts.perm)

@@ -394,28 +394,30 @@ _UNITARITY = {"unitarity_S": float, "unitarity_S_b": float, "unitarity_form": st
 _SCATTERING = {"engine": str, "rank": int, **_UNITARITY}
 _ITERATIVE = {"iterations": int, "converged": bool, **_UNITARITY}
 _HYBRID = {"u4_residual": float}
+_IMPEDANCE = {"engine": str, "r_condition": float}
 
 
 @pytest.mark.parametrize("solver, types", [
     ("dense-scattering", _SCATTERING),
     ("hybrid-scattering", {**_HYBRID, **_SCATTERING}),
     ("iterative", _ITERATIVE),
-    ("dense-impedance", {}),
+    ("dense-impedance", _IMPEDANCE),
     ("t-form", _UNITARITY),
-    ("hybrid-impedance", _HYBRID),
+    ("hybrid-impedance", {**_HYBRID, **_IMPEDANCE}),
     ("port", _SCATTERING),
     ("ground-plane-dense-scattering", _SCATTERING),
     ("ground-plane-t-form", _UNITARITY),
     ("ground-plane-iterative", _ITERATIVE),
-    ("ground-plane-dense-impedance", {}),
-    ("port-dense-impedance", {}),
+    ("ground-plane-dense-impedance", _IMPEDANCE),
+    ("port-dense-impedance", _IMPEDANCE),
     ("port-t-form", _UNITARITY),
     ("port-iterative", _ITERATIVE),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # each point records exactly what its assembly and engine computed (the
-    # impedance engine forms no S, so it reports no unitarity); counts stay
-    # JSON integers and flags JSON booleans, not 3.0 or 1.0
+    # impedance engine forms no S, so it reports no unitarity, but its
+    # engine and the spread of R~); counts stay JSON integers and flags JSON
+    # booleans, not 3.0 or 1.0
     if solver == "port":
         scn = _port()
     elif solver.startswith("port-"):
@@ -433,6 +435,27 @@ def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     for point in points:
         assert {key: type(val) for key, val in point.items()} == \
             {"frequency_hz": float, "max_circle_deviation": float, **types}
+
+
+@pytest.mark.parametrize("scenario", [_scenario(solver="dense-impedance"),
+                                      _hybrid_scenario("hybrid-impedance")])
+def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario):
+    # the values the impedance engine computed, not figures made for the record
+    sc = parse_scenario(scenario)
+    points = run_scenario(sc, str(tmp_path), jobs=1)["per_frequency"]
+    wave_basis, angular = _sweep_basis(sc)
+    for point, f in zip(points, sc["frequencies"]):
+        k = 2.0 * math.pi * f / SPEED_OF_LIGHT
+        blocks, _ = cli._operators(sc, k, wave_basis, angular)
+        ms = cli.cm_impedance_substructure(blocks, k=k)
+        assert point["engine"] == ms.diagnostics["solver"] == "eigh"
+        assert point["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
+
+
+def test_tolerance_defaults_are_filled_in_and_a_given_value_overrides_them():
+    assert parse_scenario(_scenario())["tolerances"] == cli.TOLERANCES
+    sc = parse_scenario(_scenario(tolerances={"equivalence": 1e-3}))
+    assert sc["tolerances"] == {**cli.TOLERANCES, "equivalence": 1e-3}
 
 
 def test_hybrid_sweep_basis_grows_to_meet_u4_tolerance(tmp_path):
@@ -495,6 +518,17 @@ MALFORMED_FIELDS = [
     (("tolerances",), {"unitarity": "tight"}, "tolerances.unitarity"),
     (("tolerances",), {"unitarty": 1e-30}, "tolerances.unitarty"),
     (("tolerances",), {"unitarity": -1e-8}, "tolerances.unitarity"),
+    (("scene", "dipoles", 0, "polarizability"), -0.02, "scene.dipoles[0].polarizability"),
+    (("scene", "dipoles", 0, "polarizability"),
+     [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "scene.dipoles[0].polarizability"),
+    (("scene", "dipoles", 0, "polarizability"),
+     [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "scene.dipoles[0].polarizability"),
+    (("scene", "ports"), [{"dipole": 0, "axis": "x", "z0": -50.0}], "scene.ports[0].z0"),
+    (("scene", "sphere"), {"radius": -1.0}, "scene.sphere.radius"),
+    (("scene", "sphere"), {"radius": 0.02, "material": "dielectric", "eps_r": 0.5},
+     "scene.sphere.eps_r"),
+    (("scene", "sphere"), {"radius": 0.02, "material": "dielectric", "mu_r": 0.0},
+     "scene.sphere.mu_r"),
 ]
 
 

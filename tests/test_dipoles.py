@@ -65,7 +65,7 @@ def test_empty_controllable_region():
     rng = np.random.default_rng(9)
     scene = random_scene(rng, 4, 0.5, n_background=4)
     ts = transition(scene, 1.0)
-    assert np.abs(ts.T.data - ts.T_b.data).max() < 1e-15
+    assert np.abs(ts.T - ts.T_b).max() < 1e-15
     ms = cm_scattering(ts.S, ts.S_b)
     assert np.abs(ms.s - 1.0).max() < 1e-12
 
@@ -74,16 +74,16 @@ def test_empty_background_region():
     rng = np.random.default_rng(10)
     scene = random_scene(rng, 4, 0.5)
     ts = transition(scene, 1.0)
-    assert np.all(ts.S_b.data == np.eye(ts.S_b.dim))
+    assert np.all(ts.S_b == np.eye(ts.S_b.shape[0]))
 
 
 def test_two_region_unitarity():
     rng = np.random.default_rng(11)
     scene = random_scene(rng, 20, 1.2, n_background=10)
     ts = transition(scene, 1.0)
-    assert check_unitary(ts.S).deviation < 1e-8
-    assert check_unitary(ts.S_b).deviation < 1e-8
-    assert np.abs(ts.T.data - ts.T.data.T).max() < 1e-10 * np.abs(ts.T.data).max()
+    assert check_unitary(ts.S) < 1e-8
+    assert check_unitary(ts.S_b) < 1e-8
+    assert np.abs(ts.T - ts.T.T).max() < 1e-10 * np.abs(ts.T).max()
 
 
 def test_scene_validation():
@@ -151,7 +151,7 @@ def test_mirrored_scene_parity_decoupling():
     ts = transition(mirror_scene(scene), 1.0)
     keep = ground_plane_filter(ts.basis)
     drop = np.setdiff1d(np.arange(ts.basis.size), keep)
-    s = ts.S.data
+    s = ts.S
     assert np.linalg.norm(s[np.ix_(keep, drop)]) < 1e-10 * np.linalg.norm(s)
     assert np.linalg.norm(s[np.ix_(drop, keep)]) < 1e-10 * np.linalg.norm(s)
 
@@ -200,9 +200,9 @@ def _symmetric_port_scene(k, with_port):
 def test_port_scattering_is_unitary():
     k = 2.0
     gs = transition(_symmetric_port_scene(k, True), k)
-    assert check_unitary(gs.S).deviation < 1e-8
+    assert check_unitary(gs.S) < 1e-8
     assert gs.basis.extra_labels == ("port0",)
-    assert gs.S.dim == gs.basis.wave.size + 1
+    assert gs.S.shape[0] == gs.basis.wave.size + 1
 
 
 def test_port_leaves_quiet_modes_unchanged():
@@ -214,8 +214,8 @@ def test_port_leaves_quiet_modes_unchanged():
     gs = transition(scene1, k, ts.basis)
 
     ms0 = cm_scattering(ts.S)
-    sb_aug = np.eye(gs.S.dim, dtype=complex)
-    ms1 = cm_scattering(gs.S.data, sb_aug)
+    sb_aug = np.eye(gs.S.shape[0], dtype=complex)
+    ms1 = cm_scattering(gs.S, sb_aug)
 
     currents = np.linalg.solve(ts.Z, ts.U1.T @ ms0.a)
     inv = np.empty_like(ts.perm)
@@ -258,7 +258,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
     scene = DipoleScene(pos, alpha, ports=(Port(1, "y", 50.0),))
     gs = transition(scene, k)
     nw = gs.basis.wave.size
-    s_block = gs.S.data[:nw, :nw]
+    s_block = gs.S[:nw, :nw]
 
     # independent assembly of the loaded impedance system
     n = 3
@@ -313,7 +313,7 @@ def _hybrid_reference(hs, k, wave_basis):
 
     z, u = impedance_reference(hs.mom_scene, k, wave_basis)
     u4 = u4_expansion(hs, k, wave_basis)[0]  # in system order
-    t1 = np.diag(mie_tmatrix(hs.sphere, k, wave_basis).data)
+    t1 = np.diag(mie_tmatrix(hs.sphere, k, wave_basis))
     return z + (u4.T * t1) @ u4, u + t1[:, None] * u4
 
 
@@ -417,6 +417,15 @@ def _port_bank():
     return scenes
 
 
+def test_operators_are_kept_read_only_arrays():
+    # T, T_b, S and S_b are plain arrays, built once and shared by every reader
+    blocks = transition(random_scene(np.random.default_rng(23), 6, 0.8, n_background=2), 1.0)
+    for name in ("T", "T_b", "S", "S_b"):
+        op = getattr(blocks, name)
+        assert type(op) is np.ndarray and op.shape == (blocks.basis.size,) * 2
+        assert op is getattr(blocks, name) and not op.flags.writeable
+
+
 @pytest.mark.parametrize("bank", ["dipole", "port", "ground-plane"])
 def test_real_readout_products_match_the_complex_product(bank, request):
     # T and T_b of a real readout come from real GEMMs on the interleaved
@@ -432,8 +441,8 @@ def test_real_readout_products_match_the_complex_product(bank, request):
         assert not np.iscomplexobj(blocks.U1)
         u = blocks.U1.astype(complex)
         ub = u[:, :blocks.n_b]
-        for t, plain in ((blocks.T.data, -u @ blocks.solve(u.T.copy())),
-                         (blocks.T_b.data, -ub @ blocks.solve_bb(ub.T.copy()))):
+        for t, plain in ((blocks.T, -u @ blocks.solve(u.T.copy())),
+                         (blocks.T_b, -ub @ blocks.solve_bb(ub.T.copy()))):
             worst = max(worst, np.linalg.norm(t - plain) / max(np.linalg.norm(plain), 1e-300))
     assert worst <= 1e-15
 
@@ -446,9 +455,9 @@ def test_complex_readout_keeps_the_plain_product():
     u = blocks.U1
     assert np.iscomplexobj(u)
     t_b0 = np.diag(blocks.T_b0)
-    assert np.array_equal(blocks.T.data, t_b0 + -u @ blocks.solve(u.T.astype(complex)))
+    assert np.array_equal(blocks.T, t_b0 + -u @ blocks.solve(u.T.astype(complex)))
     ub = u[:, :blocks.n_b]
-    assert np.array_equal(blocks.T_b.data, t_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))
+    assert np.array_equal(blocks.T_b, t_b0 + -ub @ blocks.solve_bb(ub.T.astype(complex)))
 
 
 def _readout_operands():

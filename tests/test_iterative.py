@@ -96,7 +96,7 @@ def test_matches_dense_on_random_scene(kind):
     scene = random_scene(rng, 9, 0.9, n_background=4)
     k = 1.0
     ts = transition(scene, k)
-    assert ts.S.dim <= 300
+    assert ts.S.shape[0] <= 300
     dense = cm_t_form(ts.T, ts.T_b)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b, kind=kind)
     ms, log = iterate(oracle, n_modes=5, max_iter=60)

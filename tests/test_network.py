@@ -9,7 +9,6 @@ import mpmath as mp
 from scatmodes import (
     DipoleScene,
     ModeSet,
-    OperatorMatrix,
     Port,
     basis,
     check_t_power,
@@ -54,17 +53,16 @@ def test_eigen_from_lambda_inverse():
 
 
 def test_check_unitary():
-    assert check_unitary(np.eye(5)).deviation == 0.0
+    assert check_unitary(np.eye(5)) == 0.0
     th = np.linspace(0.1, 2.0, 5)
-    assert check_unitary(np.diag(np.exp(1j * th))).deviation < 1e-15
-    m = np.eye(3) * 1.01
-    rep = check_unitary(m, tol=1e-8)
-    assert not rep.passed
+    assert check_unitary(np.diag(np.exp(1j * th))) < 1e-15
+    # ||(1.01^2 - 1) I||_F / sqrt(3)
+    assert abs(check_unitary(np.eye(3) * 1.01) - 0.0201) < 1e-15
 
 
 def test_check_t_power():
-    assert check_t_power(np.zeros((3, 3))).passed
-    assert check_t_power(np.diag([-1.0, -1.0])).deviation < 1e-15
+    assert check_t_power(np.zeros((3, 3))) == 0.0
+    assert check_t_power(np.diag([-1.0, -1.0])) < 1e-15
 
 
 def test_lossless_scene_checks():
@@ -72,8 +70,8 @@ def test_lossless_scene_checks():
     rng = np.random.default_rng(5)
     scene = random_scene(rng, 10, 0.6)
     ts = transition(scene, 1.0)
-    assert check_unitary(ts.S).deviation < 1e-8
-    assert check_t_power(ts.T).deviation < 1e-8
+    assert check_unitary(ts.S) < 1e-8
+    assert check_t_power(ts.T) < 1e-8
 
 
 def _ground_plane_set():
@@ -105,9 +103,9 @@ def test_factored_unitarity_matches_dense(case):
     # quantity, for S and S_b
     blocks = FACTORED_UNITARITY_CASES[case]()
     u = blocks.U1
-    factored = [check_unitary_factored(u, blocks.solve).deviation,
-                check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb).deviation]
-    dense = [check_unitary(blocks.S).deviation, check_unitary(blocks.S_b).deviation]
+    factored = [check_unitary_factored(u, blocks.solve),
+                check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb)]
+    dense = [check_unitary(blocks.S), check_unitary(blocks.S_b)]
     assert np.abs(np.subtract(factored, dense)).max() <= 1e-14
     if case == "under-resolved":
         assert min(dense) > 0.01
@@ -146,8 +144,8 @@ def _square_cases():
         "complex-general": rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
         "empty": np.zeros((0, 0), dtype=complex),
         "one": np.array([[np.exp(0.3j)]]),
-        "kept-S": ts.S.data,
-        "kept-T": ts.T.data,
+        "kept-S": ts.S,
+        "kept-T": ts.T,
     }
 
 
@@ -159,8 +157,8 @@ SQUARE_CASES = _square_cases()
 def test_dense_checks_match_the_full_product(case, layout):
     # the one-triangle Gram and norm give the full product's deviations
     m = _layouts(SQUARE_CASES[case])[layout]
-    assert _close_to_reference(check_unitary(m).deviation, unitary_deviation_reference(m))
-    assert _close_to_reference(check_t_power(m).deviation, t_power_reference(m))
+    assert _close_to_reference(check_unitary(m), unitary_deviation_reference(m))
+    assert _close_to_reference(check_t_power(m), t_power_reference(m))
 
 
 def _readout_cases():
@@ -190,7 +188,7 @@ READOUT_CASES = _readout_cases()
 def test_factored_unitarity_matches_the_full_product(case, layout):
     u, solve = READOUT_CASES[case]
     u = _layouts(u)[layout]
-    assert _close_to_reference(check_unitary_factored(u, solve).deviation,
+    assert _close_to_reference(check_unitary_factored(u, solve),
                                factored_unitarity_reference(u, solve))
 
 
@@ -240,32 +238,29 @@ def test_map_consistency_unitary_pair():
 
 def test_embed_identity_explicit_map():
     b6 = basis(1)
-    s_small = OperatorMatrix("S", np.array([[0.3 + 0.1j]]))
-    out = embed_identity(s_small, b6, index_map={0: 0})
+    out = embed_identity(np.array([[0.3 + 0.1j]]), b6, index_map={0: 0})
     expected = np.eye(6, dtype=complex)
     expected[0, 0] = 0.3 + 0.1j
-    assert np.all(out.data == expected)
+    assert np.all(out == expected)
 
 
 def test_embed_identity_identity():
     b = basis(2)
-    small = OperatorMatrix("S", np.eye(6, dtype=complex), basis(1))
-    out = embed_identity(small, b)
-    assert np.all(out.data == np.eye(b.size))
+    out = embed_identity(np.eye(6, dtype=complex), b, basis(1))
+    assert np.all(out == np.eye(b.size))
 
 
 def test_embed_identity_by_wave_index():
     small_b = basis(1)
     big_b = basis(2)
-    s_small = OperatorMatrix("S", np.diag(np.arange(1.0, 7.0) + 0j), small_b)
-    out = embed_identity(s_small, big_b)
+    out = embed_identity(np.diag(np.arange(1.0, 7.0) + 0j), big_b, small_b)
     for i, idx in enumerate(small_b.indices):
-        assert out.data[big_b.position(idx), big_b.position(idx)] == i + 1.0
+        assert out[big_b.position(idx), big_b.position(idx)] == i + 1.0
 
 
 def test_embed_identity_errors():
     b = basis(1)
-    s_small = OperatorMatrix("S", np.eye(2, dtype=complex))
+    s_small = np.eye(2, dtype=complex)
     with pytest.raises(MappingError):
         embed_identity(s_small, b, index_map={0: 1, 1: 1})
     with pytest.raises(MappingError):
@@ -304,8 +299,7 @@ def test_embedded_background_matches_small_basis_computation():
 
     small = basis(2)
     t_small = mie_tmatrix(sphere, k, small, enforce_truncation=False)
-    sb_embedded = embed_identity(
-        OperatorMatrix("S", 2.0 * t_small.data + np.eye(small.size), small), big)
+    sb_embedded = embed_identity(2.0 * t_small + np.eye(small.size), big, small)
     ms_embed = cm_scattering(ts.S, sb_embedded)
     ms_direct = cm_scattering(ts.S, ts.S_b)
 

@@ -279,7 +279,7 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
         return ms
 
     def recording_unitary(op, *args, **kwargs):
-        unitary_dims.append(op.dim)
+        unitary_dims.append(op.shape[0])
         return check_unitary(op, *args, **kwargs)
 
     monkeypatch.setattr(cli, "cm_scattering", recording_modes)

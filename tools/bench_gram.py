@@ -67,7 +67,7 @@ def _cases(rng):
         return float(np.abs(a - b).max() / np.abs(b).max())
 
     return (
-        ("check_unitary S^H S", lambda: check_unitary(s).deviation,
+        ("check_unitary S^H S", lambda: check_unitary(s),
          lambda: unitary_deviation_reference(s), scalar),
         ("readout u @ x", lambda: _readout_product(u, x),
          lambda: (u @ flat).view(complex), matrix),
