@@ -116,10 +116,6 @@ def _is_number(value) -> bool:
         and math.isfinite(value)
 
 
-def _is_positive(value) -> bool:
-    return _is_number(value) and value > 0
-
-
 def _is_count(value, minimum: int = 1) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
@@ -137,6 +133,15 @@ def _tensor(value) -> np.ndarray:
     """A polarizability field, a number or a 3x3 tensor, as a 3x3 tensor."""
     a = np.asarray(value, dtype=float)
     return a * np.eye(3) if a.ndim == 0 else a
+
+
+def _built(context: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: a library object, whose constructor owns the ranges of its
+    fields; its ``DomainError`` becomes a ``ScenarioError`` naming ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as err:
+        raise ScenarioError(f"field '{context}' is out of range: {err}") from None
 
 
 def parse_scenario(raw: dict) -> dict:
@@ -158,12 +163,13 @@ def parse_scenario(raw: dict) -> dict:
         regions.append(_field(d, "region", ctx, lambda v: v in ("controllable", "background"),
                               "'controllable' or 'background'", "controllable"))
     ports = tuple(
-        Port(_field(p, "dipole", f"scene.ports[{i}].",
-                    lambda v: _is_count(v, 0) and v < len(regions) and regions[v] == "controllable",
-                    "the index of a controllable dipole"),
-             _field(p, "axis", f"scene.ports[{i}].", lambda v: v in ("x", "y", "z", 0, 1, 2)
-                    and not isinstance(v, bool), "'x', 'y' or 'z'"),
-             _field(p, "z0", f"scene.ports[{i}].", _is_positive, "a finite positive number"))
+        _built(f"scene.ports[{i}]", Port,
+               _field(p, "dipole", f"scene.ports[{i}].",
+                      lambda v: _is_count(v, 0) and v < len(regions) and regions[v] == "controllable",
+                      "the index of a controllable dipole"),
+               _field(p, "axis", f"scene.ports[{i}].", lambda v: v in ("x", "y", "z", 0, 1, 2)
+                      and not isinstance(v, bool), "'x', 'y' or 'z'"),
+               _field(p, "z0", f"scene.ports[{i}].", _is_number, "a finite number"))
         for i, p in enumerate(_field(scene_raw, "ports", "scene.",
                                      lambda v: isinstance(v, list), "a list of objects", []))
     )
@@ -177,13 +183,13 @@ def parse_scenario(raw: dict) -> dict:
                             lambda v: isinstance(v, bool), "true or false", False),
     )
     sp = scene_raw.get("sphere")
-    sphere = None if sp is None else SphereSpec(
-        radius=_field(sp, "radius", "scene.sphere.", _is_positive, "a finite positive number"),
+    sphere = None if sp is None else _built(
+        "scene.sphere", SphereSpec,
+        radius=_field(sp, "radius", "scene.sphere.", _is_number, "a finite number"),
         material=_field(sp, "material", "scene.sphere.", lambda v: v in ("pec", "dielectric"),
                         "'pec' or 'dielectric'", "pec"),
-        eps_r=_field(sp, "eps_r", "scene.sphere.", lambda v: _is_number(v) and v >= 1,
-                     "a finite number >= 1", 1.0),
-        mu_r=_field(sp, "mu_r", "scene.sphere.", _is_positive, "a finite positive number", 1.0),
+        eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
+        mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
     )
     sweep = _field(raw, "sweep", "")
     f_min = _field(sweep, "f_min", "sweep.", _is_number, "a finite number")
@@ -203,7 +209,8 @@ def parse_scenario(raw: dict) -> dict:
         if key not in TOLERANCES:
             raise ScenarioError(f"unknown field 'tolerances.{key}'; "
                                 f"valid: {', '.join(TOLERANCES)}")
-        _field(tolerances, key, "tolerances.", _is_positive, "a finite positive number")
+        _field(tolerances, key, "tolerances.", lambda v: _is_number(v) and v > 0,
+               "a finite positive number")
     return {
         "scene": scene,
         "sphere": sphere,

@@ -54,7 +54,7 @@ class Port:
     def __post_init__(self):
         object.__setattr__(self, "axis", _AXES[self.axis])
         if self.z0 <= 0 or not math.isfinite(self.z0):
-            raise DomainError(f"port reference impedance must be positive, got {self.z0}")
+            raise DomainError(f"port reference impedance z0 must be positive, got {self.z0}")
 
 
 def symmetric_positive_definite(alpha: np.ndarray) -> bool:

@@ -36,9 +36,10 @@ class SphereSpec:
             raise DomainError(f"sphere radius must be positive, got {self.radius}")
         if self.material not in (PEC, DIELECTRIC):
             raise DomainError(f"material must be '{PEC}' or '{DIELECTRIC}', got {self.material!r}")
-        if self.material == DIELECTRIC:
-            if self.eps_r < 1.0 or self.mu_r <= 0.0:
-                raise DomainError("dielectric needs real eps_r >= 1 and mu_r > 0")
+        if self.material == DIELECTRIC and not self.eps_r >= 1.0:
+            raise DomainError(f"dielectric eps_r must be >= 1, got {self.eps_r}")
+        if self.material == DIELECTRIC and not self.mu_r > 0.0:
+            raise DomainError(f"dielectric mu_r must be positive, got {self.mu_r}")
 
 
 def _riccati(l_max: int, x: float):
@@ -83,6 +84,20 @@ def mie_t_coefficients(spec: SphereSpec, k: float, l_max: int):
     return t_te, t_tm
 
 
+def _t_diagonal(spec: SphereSpec, k: float, wave_basis: WaveBasis,
+                enforce_truncation: bool = True) -> np.ndarray:
+    """The sphere's transition eigenvalue of each wave of the basis, in basis order."""
+    need = truncation_order(k * spec.radius)
+    if enforce_truncation and wave_basis.l_max < need:
+        raise ResolutionError(
+            f"basis l_max={wave_basis.l_max} below the truncation rule ({need}) "
+            f"for ka={k * spec.radius:.4g}"
+        )
+    t_te, t_tm = mie_t_coefficients(spec, k, wave_basis.l_max)
+    l, _, tm = wave_basis.arrays()
+    return np.where(tm, t_tm[l - 1], t_te[l - 1])
+
+
 def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
                 enforce_truncation: bool = True) -> np.ndarray:
     """Diagonal transition matrix of a sphere on the given wave basis, n x n.
@@ -92,22 +107,13 @@ def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
     deliberately compact basis (e.g. a small background embedded into a
     larger composite basis).
     """
-    need = truncation_order(k * spec.radius)
-    if enforce_truncation and wave_basis.l_max < need:
-        raise ResolutionError(
-            f"basis l_max={wave_basis.l_max} below the truncation rule ({need}) "
-            f"for ka={k * spec.radius:.4g}"
-        )
-    t_te, t_tm = mie_t_coefficients(spec, k, wave_basis.l_max)
-    l, _, tm = wave_basis.arrays()
-    return np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1]))
+    return np.diag(_t_diagonal(spec, k, wave_basis, enforce_truncation))
 
 
 def mie_modeset(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> ModeSet:
     """Characteristic modes of a sphere: diagonal entries with coordinate eigenvectors."""
-    t_vals = np.diag(mie_tmatrix(spec, k, wave_basis))
-    dim = wave_basis.size
-    eye = np.eye(dim, dtype=complex)
+    t_vals = _t_diagonal(spec, k, wave_basis)
+    eye = np.eye(wave_basis.size, dtype=complex)
     order = _mode_order(t_vals, eye, wave_basis)
     a = eye[:, order]
     return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a, f=a.copy(), k=k,

@@ -164,7 +164,7 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
 class _MatrixPencil:
     """``S`` and ``S_b`` given as n x n matrices: the dense oracle of ``cm_scattering``."""
 
-    def __init__(self, S, S_b, basis):
+    def __init__(self, S, S_b):
         self.s_mat = np.asarray(S)
         self.dim = self.s_mat.shape[0]
         if self.s_mat.ndim != 2 or self.s_mat.shape[0] != self.s_mat.shape[1]:
@@ -172,7 +172,7 @@ class _MatrixPencil:
         self.sb_mat = np.eye(self.dim) if S_b is None else np.asarray(S_b)
         if self.sb_mat.shape != self.s_mat.shape:
             raise ShapeError(f"dimension mismatch: S {self.s_mat.shape}, S_b {self.sb_mat.shape}")
-        self.basis = basis
+        self.basis = None
 
     def matrices(self):
         return self.s_mat, self.sb_mat
@@ -241,7 +241,7 @@ class _BlockPencil:
 
 
 def cm_scattering(S, S_b=None, k: float | None = None,
-                  n_modes: int | None = None, basis=None) -> ModeSet:
+                  n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
     ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix.
@@ -268,10 +268,9 @@ def cm_scattering(S, S_b=None, k: float | None = None,
 
     Matrices (``S_b`` defaults to the identity) are the dense oracle: all
     n modes from the n x n Schur decomposition of N, with ``check_unitary``
-    on both; ``basis``, the matrices' wave basis, breaks ties in the mode
-    order as a block's own basis does.  ``diagnostics['rank']`` is the
-    size of the eigenproblem solved (r on the range, n for the oracle and
-    for QZ).
+    on both; ties in the mode order go by index.  ``diagnostics['rank']``
+    is the size of the eigenproblem solved (r on the range, n for the
+    oracle and for QZ).
 
     ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
     range, more modes than r are filled with ``s = 1`` exactly and an
@@ -282,11 +281,11 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     (``unitarity_form`` says how).
     """
     if isinstance(S, BlockImpedance):
-        if S_b is not None or basis is not None:
-            raise ValueError("a BlockImpedance carries its own S_b and basis")
+        if S_b is not None:
+            raise ValueError("a BlockImpedance carries its own S_b")
         pencil = _BlockPencil(S)
     else:
-        pencil = _MatrixPencil(S, S_b, basis)
+        pencil = _MatrixPencil(S, S_b)
 
     diag = {**pencil.unitarity(), "solver": "schur"}
     s_vals = None

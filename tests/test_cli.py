@@ -25,6 +25,7 @@ from scatmodes.cli import (
     run_scenario,
 )
 from scatmodes.exceptions import SolveError
+from scatmodes.mie import SphereSpec
 from conftest import hybrid_sweep_seed7, random_scene
 
 
@@ -523,12 +524,13 @@ MALFORMED_FIELDS = [
      [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "scene.dipoles[0].polarizability"),
     (("scene", "dipoles", 0, "polarizability"),
      [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]], "scene.dipoles[0].polarizability"),
-    (("scene", "ports"), [{"dipole": 0, "axis": "x", "z0": -50.0}], "scene.ports[0].z0"),
-    (("scene", "sphere"), {"radius": -1.0}, "scene.sphere.radius"),
+    (("scene", "ports"), [{"dipole": 0, "axis": "x", "z0": -50.0}],
+     "'scene.ports[0]' is out of range: port reference impedance z0"),
+    (("scene", "sphere"), {"radius": -1.0}, "'scene.sphere' is out of range: sphere radius"),
     (("scene", "sphere"), {"radius": 0.02, "material": "dielectric", "eps_r": 0.5},
-     "scene.sphere.eps_r"),
+     "'scene.sphere' is out of range: dielectric eps_r"),
     (("scene", "sphere"), {"radius": 0.02, "material": "dielectric", "mu_r": 0.0},
-     "scene.sphere.mu_r"),
+     "'scene.sphere' is out of range: dielectric mu_r"),
 ]
 
 
@@ -545,6 +547,13 @@ def test_malformed_field_is_a_scenario_error(tmp_path, capsys, path, value, fiel
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_sphere_ranges_are_the_library_s():
+    # SphereSpec owns the ranges: a PEC sphere ignores its eps_r and mu_r
+    scn = _hybrid_scenario("hybrid-scattering")
+    scn["scene"]["sphere"] = {"radius": 0.02, "material": "pec", "eps_r": 0.5, "mu_r": 0.0}
+    assert parse_scenario(scn)["sphere"] == SphereSpec(0.02, "pec", 0.5, 0.0)
 
 
 def test_checks_pass_a_scene_without_controllable_dipoles():
