@@ -96,6 +96,8 @@ _REQUIRED = object()
 TOLERANCES = {"unitarity": 1e-8, "circle": 1e-8, "power": 1e-8, "equivalence": 1e-6,
               "u4_residual": 1e-6}
 
+_POLARIZABILITY = "a positive number or a symmetric positive-definite 3x3 tensor"
+
 
 def _field(obj: dict, key: str, context: str, valid=None, what: str = "",
            default=_REQUIRED):
@@ -156,12 +158,16 @@ def parse_scenario(raw: dict) -> dict:
         ctx = f"scene.dipoles[{i}]."
         positions.append(_field(d, "position", ctx, lambda v: _shape(v) == (3,),
                                 "3 finite numbers"))
-        alphas.append(_tensor(_field(
-            d, "polarizability", ctx,
-            lambda v: _shape(v) in ((), (3, 3)) and symmetric_positive_definite(_tensor(v)),
-            "a positive number or a symmetric positive-definite 3x3 tensor")))
+        alphas.append(_field(d, "polarizability", ctx, lambda v: _shape(v) in ((), (3, 3)),
+                             _POLARIZABILITY))
         regions.append(_field(d, "region", ctx, lambda v: v in ("controllable", "background"),
                               "'controllable' or 'background'", "controllable"))
+    n = len(positions)
+    tensors = np.reshape([_tensor(a) for a in alphas], (n, 3, 3))
+    bad = np.flatnonzero(~symmetric_positive_definite(tensors))
+    if bad.size:
+        raise ScenarioError(f"field 'scene.dipoles[{bad[0]}].polarizability' must be "
+                            f"{_POLARIZABILITY}, got {alphas[bad[0]]!r}")
     ports = tuple(
         _built(f"scene.ports[{i}]", Port,
                _field(p, "dipole", f"scene.ports[{i}].",
@@ -173,10 +179,9 @@ def parse_scenario(raw: dict) -> dict:
         for i, p in enumerate(_field(scene_raw, "ports", "scene.",
                                      lambda v: isinstance(v, list), "a list of objects", []))
     )
-    n = len(positions)
     scene = DipoleScene(
         positions=np.asarray(positions, dtype=float).reshape(n, 3),
-        polarizability=np.reshape(alphas, (n, 3, 3)),
+        polarizability=tensors,
         region=tuple(regions),
         ports=ports,
         ground_plane=_field(scene_raw, "ground_plane", "scene.",
@@ -294,8 +299,7 @@ def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
 
 def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    ms, log = iterate(ScatterOracle.from_matrices(blocks.T, blocks.T_b), n_modes=sc["n_modes"],
-                      seed=seed)
+    ms, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
     ms.k = k
     diag.update(iterations=log.n_iterations, converged=log.converged)
     return ms
@@ -316,6 +320,8 @@ SOLVERS = tuple(SOLVER_TABLE)
 def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
     blocks, diag = _operators(sc, k, wave_basis, angular)
+    if sc["hybrid"] is None:
+        diag["factorization_residual"] = blocks.factorization_residual()
     return SOLVER_TABLE[sc["solver"]](blocks, k, sc, seed, diag), diag
 
 

@@ -57,11 +57,11 @@ class Port:
             raise DomainError(f"port reference impedance z0 must be positive, got {self.z0}")
 
 
-def symmetric_positive_definite(alpha: np.ndarray) -> bool:
-    """Whether every 3x3 tensor of alpha (..., 3, 3) is symmetric, to rounding, and positive
-    definite: what a polarisability must be."""
-    return np.allclose(alpha, np.swapaxes(alpha, -1, -2), rtol=1e-12, atol=0.0) \
-        and bool(np.all(np.linalg.eigvalsh(alpha) > 0.0))
+def symmetric_positive_definite(alpha: np.ndarray) -> np.ndarray:
+    """Whether each 3x3 tensor of alpha (..., 3, 3) is symmetric, to rounding, and positive
+    definite, what a polarisability must be: a boolean array of shape alpha.shape[:-2]."""
+    return np.isclose(alpha, np.swapaxes(alpha, -1, -2), rtol=1e-12, atol=0.0).all(axis=(-2, -1)) \
+        & (np.linalg.eigvalsh(alpha) > 0.0).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ class DipoleScene:
         n = pos.shape[0]
         min_distance = math.inf
         if n > 1:
-            dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-            min_distance = float(dist[np.triu_indices(n, 1)].min())
+            i, j = np.triu_indices(n, 1)
+            min_distance = float(np.linalg.norm(pos[i] - pos[j], axis=-1).min())
             if min_distance <= 0.0:
                 raise GeometryError("dipole positions must be pairwise distinct")
         object.__setattr__(self, "positions", pos)
@@ -110,7 +110,7 @@ class DipoleScene:
             alpha = np.tile(alpha, (n, 1, 1))
         elif alpha.shape != (n, 3, 3):
             raise ShapeError(f"polarizability shape {alpha.shape} not broadcastable to ({n}, 3, 3)")
-        if not symmetric_positive_definite(alpha):
+        if not symmetric_positive_definite(alpha).all():
             raise DomainError("polarizability tensors must be symmetric positive definite")
         object.__setattr__(self, "polarizability", alpha)
 
@@ -287,9 +287,12 @@ class BlockImpedance:
     U1_tilde = property(lambda self: self._cached("elimination", self._eliminate)[1])
     W = property(lambda self: self._cached("elimination", self._eliminate)[2])
 
+    radiation_defect = property(lambda self: self._cached("defect", lambda: _radiation_defect(
+        self.system, self.readout, self.n_b)), doc="``_radiation_defect`` of Z, U1 and n_b.")
+
     def factorization_residual(self) -> float:
         """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
-        return factorization_residual(self.system, self.readout)
+        return self.radiation_defect[0]
 
     def _cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
@@ -334,19 +337,23 @@ class BlockImpedance:
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
-    """Relative deviation of Re z from Re(u^H u); zero for an empty system.
+    """Relative deviation of Re z from Re(u^H u); zero for an empty system."""
+    return _radiation_defect(z, u)[0]
 
-    z is complex symmetric, so ``u_r^T u_r + u_i^T u_i - Re z`` is formed in
-    the upper triangle of one copy of Re z by ``dsyrk`` on scipy's BLAS.
-    """
+
+def _radiation_defect(z: np.ndarray, u: np.ndarray, n_lead: int = 0):
+    """``(||E||_F / ||Re z||_F, ||E||_F, ||E_ll||_F)`` of ``E = Re(u^H u) - Re z`` and its leading
+    ``n_lead`` x ``n_lead`` block E_ll (zeros for an empty system).  z is complex symmetric, so E
+    is formed in the upper triangle of one copy of Re z by ``dsyrk`` on scipy's BLAS."""
     if z.size == 0:
-        return 0.0
+        return 0.0, 0.0, 0.0
     diff = np.array(z.real, order="F")
     scale = max(float(np.linalg.norm(diff)), 1e-300)
     diff = blas.dsyrk(1.0, u.real.T, beta=-1.0, c=diff, overwrite_c=1)
     if np.iscomplexobj(u):
         diff = blas.dsyrk(1.0, u.imag.T, beta=1.0, c=diff, overwrite_c=1)
-    return _hermitian_norm(diff) / scale
+    defect = _hermitian_norm(diff)
+    return defect / scale, defect, _hermitian_norm(diff[:n_lead, :n_lead]) if n_lead else 0.0
 
 
 def default_basis(scene: DipoleScene, k: float) -> WaveBasis:
@@ -477,17 +484,27 @@ def _solver(z: np.ndarray, what: str):
 def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``u @ x``; a real u times a complex x is one real GEMM on x's interleaved float view
     (numpy's mixed product would copy u to complex and run a complex GEMM), on scipy's BLAS
-    as ``(flat^T u^T)^T``: C-ordered u and flat go in uncopied, the product comes out in C order."""
+    as ``(flat^T u^T)^T``: flat and a C- or F-ordered u go in uncopied, the product comes out
+    in C order."""
     if np.iscomplexobj(u) or not np.iscomplexobj(x) or x.size == 0:
         return u @ x
     flat = np.ascontiguousarray(x if x.ndim == 2 else x[:, None]).view(float)
-    return blas.dgemm(1.0, flat.T, u.T).T.view(complex).reshape(u.shape[:1] + x.shape[1:])
+    b, trans_b = (u, 1) if u.flags.f_contiguous and not u.flags.c_contiguous else (u.T, 0)
+    return blas.dgemm(1.0, flat.T, b, trans_b=trans_b).T.view(complex).reshape(
+        u.shape[:1] + x.shape[1:])
 
 
 def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
     """``diag(t0) - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
     t = -_readout_product(u, solve(u.T.astype(complex)))
     return t if t0 is None else np.diag(t0) + t
+
+
+def _t_apply(solve, u: np.ndarray, t0: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """``(diag(t0) - u z^-1 u^T) x`` for the ``solve`` of z and an (n, p) block x, forming no
+    n x n operator; ``t0 = None`` stands for zero."""
+    offset = 0.0 if t0 is None else t0[:, None] * x
+    return offset - _readout_product(u, solve(_readout_product(u.T, x)))
 
 
 def _full_operator(blocks: BlockImpedance, name: str) -> np.ndarray:

@@ -4,31 +4,35 @@ The composed operators of the transition- and scattering-based
 eigenproblems are applied through forward solver callbacks only: for
 reciprocal (complex-symmetric) operators the Hermitian-transposed
 factors reduce to forward applications plus elementwise conjugation,
-``M^H x = conj(M conj(x))``.  A Krylov subspace is grown one response
-per iteration with modified Gram-Schmidt, and eigenvalue estimates come
-from the small projected problem, never from a full-size matrix.
+``M^H x = conj(M conj(x))``.  A block Krylov space is grown one block of
+responses per iteration, and eigenvalue estimates come from the small
+projected problem (Rayleigh-Ritz), never from a full-size matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 
+from .dipoles import _t_apply
 from .exceptions import DomainError, ShapeError
-from .modes import ModeSet
+from .modes import ModeSet, _eig_orthonormal
 
 T_FORM = "T-form"
 S_FORM = "S-form"
+
+#: columns the default starting block carries beyond ``n_modes``
+OVERSAMPLING = 2
 
 
 @dataclass
 class ScatterOracle:
     """Forward-scattering callbacks for a scene and its background.
 
-    ``apply`` and ``apply_background`` map an excitation vector to the
-    response of the full scene and of the background (T or S action
+    ``apply`` and ``apply_background`` map a (dim, p) block of excitations
+    to the responses of the full scene and of the background (T or S action
     according to ``kind``).  Both operators must be linear and complex
     symmetric (reciprocity); ``validate`` probes both properties.
     """
@@ -46,7 +50,7 @@ class ScatterOracle:
 
     @classmethod
     def from_matrices(cls, T, T_b, kind: str = T_FORM) -> "ScatterOracle":
-        """Oracle backed by dense matrices (testing and the CLI iterative path)."""
+        """Oracle backed by dense matrices, in either form."""
         t = np.asarray(T)
         tb = np.asarray(T_b)
         if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -59,44 +63,53 @@ class ScatterOracle:
         return cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x,
                    dim=t.shape[0], kind=T_FORM)
 
+    @classmethod
+    def from_blocks(cls, blocks) -> "ScatterOracle":
+        """T-form oracle on a ``BlockImpedance``'s factors, ``T x = T_b0 x - U1 Z^-1 U1^T x`` and
+        T_b likewise through Z_bb, forming no n x n operator (the CLI's ``iterative``)."""
+        u_b = np.ascontiguousarray(blocks.U1_b)
+        return cls(apply=lambda x: _t_apply(blocks.solve, blocks.readout, blocks.T_b0, x),
+                   apply_background=lambda x: _t_apply(blocks.solve_bb, u_b, blocks.T_b0, x),
+                   dim=blocks.readout.shape[0])
+
     def validate(self, rng: np.random.Generator, tol: float = 1e-10) -> None:
-        """Probe linearity and complex symmetry on random vectors."""
+        """Probe linearity and complex symmetry on one block of random vectors."""
+        xy = rng.standard_normal((self.dim, 2)) + 1j * rng.standard_normal((self.dim, 2))
+        c1, c2 = 0.37 - 1.1j, -0.64 + 0.2j
+        block = np.column_stack([xy, c1 * xy[:, 0] + c2 * xy[:, 1]])
         for op, name in ((self.apply, "apply"), (self.apply_background, "apply_background")):
-            x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            y = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            ax, ay = op(x), op(y)
+            (x, y), (ax, ay, axy) = xy.T, op(block).T
             scale = max(np.linalg.norm(ax), np.linalg.norm(ay), 1.0)
-            c1, c2 = 0.37 - 1.1j, -0.64 + 0.2j
-            lin = np.linalg.norm(op(c1 * x + c2 * y) - c1 * ax - c2 * ay)
+            lin = np.linalg.norm(axy - c1 * ax - c2 * ay)
             if lin > tol * scale:
                 raise DomainError(f"oracle {name} failed the linearity probe ({lin:.2e})")
             sym = abs(x @ ay - y @ ax)
             if sym > tol * scale:
-                raise DomainError(
-                    f"oracle {name} is not complex symmetric ({sym:.2e}); "
-                    "the conjugation trick needs reciprocal operators"
-                )
+                raise DomainError(f"oracle {name} is not complex symmetric ({sym:.2e}); "
+                                  "the conjugation trick needs reciprocal operators")
 
 
 def composed_matvec(oracle: ScatterOracle, x: np.ndarray) -> np.ndarray:
-    """Action of the composed eigenproblem operator using forward solves only.
+    """The composed eigenproblem operator on a vector or (dim, p) block, by forward solves only.
 
     T-form: ``(2 T_b^H T + T_b^H + T) x = conj(T_b conj(x + 2 T x)) + T x``.
     S-form: ``S_b^H S x = conj(S_b conj(S x))``.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape != (oracle.dim,):
-        raise ShapeError(f"vector of shape {(oracle.dim,)} expected, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[0] != oracle.dim:
+        raise ShapeError(f"vector or block of {oracle.dim} rows expected, got {x.shape}")
+    block = x.reshape(oracle.dim, -1)
     if oracle.kind == S_FORM:
-        return np.conj(oracle.apply_background(np.conj(oracle.apply(x))))
-    tx = oracle.apply(x)
-    return np.conj(oracle.apply_background(np.conj(x + 2.0 * tx))) + tx
+        out = np.conj(oracle.apply_background(np.conj(oracle.apply(block))))
+    else:
+        tx = oracle.apply(block)
+        out = np.conj(oracle.apply_background(np.conj(block + 2.0 * tx))) + tx
+    return out.reshape(x.shape)
 
 
 @dataclass
 class IterationLog:
     residuals: list[float] = field(default_factory=list)
-    eigenvalues: list[np.ndarray] = field(default_factory=list)
     converged: bool = False
     reason: str = ""
     basis: np.ndarray | None = None
@@ -106,18 +119,34 @@ class IterationLog:
         return len(self.residuals)
 
 
-def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
-            tol_residual: float = 1e-8, tol_eig: float = 1e-6,
-            seed: int | None = 42, start: np.ndarray | None = None,
-            validate: bool = True) -> tuple[ModeSet, IterationLog]:
-    """Estimate the dominant modes of the composed operator.
+def _extension(q: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning what ``block`` adds to the span of q's orthonormal columns:
+    block Gram-Schmidt against q in two passes, then a column-pivoted QR that drops directions
+    shorter than 1e-12 times the block's norm."""
+    scale = np.linalg.norm(block)
+    for _ in range(2):
+        block = block - q @ (q.conj().T @ block)
+    w, r, _ = la.qr(block, mode="economic", pivoting=True)
+    return w[:, :int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12 * scale))]
 
-    Grows an orthonormal excitation basis one solver response per
-    iteration; Ritz values of the projected operator approximate the
-    largest-|t| eigenvalues.  Stops when the subspace residual falls
-    below ``tol_residual`` (relative to the first response), when the
-    tracked eigenvalues stagnate within ``tol_eig`` over three
-    consecutive iterations, or at ``max_iter``.
+
+def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
+            tol_residual: float = 1e-8, seed: int | None = 42,
+            start: np.ndarray | None = None,
+            validate: bool = True) -> tuple[ModeSet, IterationLog]:
+    """Estimate the dominant modes of the composed operator N by block Krylov-Rayleigh-Ritz.
+
+    The starting block (``start``, dim x p of rank p >= ``n_modes``; by
+    default ``n_modes + OVERSAMPLING`` complex Gaussian columns drawn from
+    ``seed``) and each response of N to the newest block extend an
+    orthonormal basis Q of the block Krylov space, so every mode of an
+    eigenspace of multiplicity up to p is found.  The ``n_modes`` Ritz pairs
+    of ``Q^H N Q`` of largest |t| are returned once each residual ``||N x -
+    theta x||`` (x a unit vector) is at most ``tol_residual``: N is normal,
+    so each Ritz value then lies that close to an eigenvalue (Bauer-Fike).
+    The iteration also stops after ``max_iter`` applications of N, or where
+    a response adds no direction to Q (``reason == "invariant"``).
+    ``log.residuals`` holds the largest residual after each application.
     """
     if n_modes > oracle.dim:
         raise DomainError(f"n_modes={n_modes} exceeds oracle dimension {oracle.dim}")
@@ -125,75 +154,34 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
     if validate:
         oracle.validate(rng)
     if start is None:
-        start = rng.standard_normal(oracle.dim) + 1j * rng.standard_normal(oracle.dim)
-    vec = np.asarray(start, dtype=complex)
+        p = min(oracle.dim, n_modes + OVERSAMPLING)
+        start = rng.standard_normal((oracle.dim, p)) + 1j * rng.standard_normal((oracle.dim, p))
+    q = _extension(np.zeros((oracle.dim, 0), dtype=complex),
+                   np.asarray(start, dtype=complex).reshape(oracle.dim, -1))
+    if q.shape[1] < n_modes:
+        raise DomainError(f"a start block of rank {q.shape[1]} cannot hold {n_modes} modes")
 
-    q_cols: list[np.ndarray] = []
-    f_cols: list[np.ndarray] = []
-    log = IterationLog()
-    scale = None
-
-    for m in range(max_iter):
-        # modified Gram-Schmidt (two passes) then normalise
-        for _ in range(2):
-            for qc in q_cols:
-                vec = vec - qc * (qc.conj() @ vec)
-        norm = np.linalg.norm(vec)
-        if scale is not None and norm <= max(tol_residual * scale, 1e-14):
-            log.converged = True
-            log.reason = "residual"
-            break
-        vec = vec / norm
-        q_cols.append(vec)
-
-        f = composed_matvec(oracle, vec)
-        f_cols.append(f)
-        if scale is None:
-            scale = max(np.linalg.norm(f), 1e-300)
-
-        q = np.stack(q_cols, axis=1)
-        fm = np.stack(f_cols, axis=1)
-        h = q.conj().T @ fm                      # projected operator, (m+1) x (m+1)
-        theta, y = np.linalg.eig(h)
+    f = block = composed_matvec(oracle, q)
+    log = IterationLog(reason="max_iter")
+    while True:
+        theta, y = _eig_orthonormal(q.conj().T @ f)   # Rayleigh-Ritz
         t_ritz = theta if oracle.kind == T_FORM else (theta - 1.0) / 2.0
-        top = t_ritz[np.argsort(-np.abs(t_ritz))][:n_modes]
-        log.eigenvalues.append(top)
-
-        vec = f - q @ (q.conj().T @ f)
-        resid = float(np.linalg.norm(vec))
-        log.residuals.append(resid)
-        if resid <= tol_residual * scale:
-            log.converged = True
-            log.reason = "residual"
+        order = np.argsort(-np.abs(t_ritz), kind="stable")[:n_modes]
+        theta, y = theta[order], y[:, order]
+        log.residuals.append(float(np.linalg.norm(f @ y - (q @ y) * theta, axis=0).max()))
+        if log.residuals[-1] <= tol_residual:
+            log.converged, log.reason = True, "residual"
             break
-        history = log.eigenvalues
-        if len(history) >= 4 and len(history[-1]) >= n_modes:
-            drift = 0.0
-            for a, b in zip(history[-4:-1], history[-3:]):
-                nn = min(len(a), len(b), n_modes)
-                if nn < n_modes:
-                    drift = math.inf
-                    break
-                drift = max(drift, float(np.max(
-                    np.abs(a[:nn] - b[:nn]) / np.maximum(np.abs(b[:nn]), 1e-12))))
-            if drift <= tol_eig:
-                log.converged = True
-                log.reason = "stagnation"
-                break
-    else:
-        log.reason = "max_iter"
+        if log.n_iterations == max_iter:
+            break
+        new = _extension(q, block)
+        if new.shape[1] == 0:
+            log.reason = "invariant"
+            break
+        block = composed_matvec(oracle, new)
+        q, f = np.hstack([q, new]), np.hstack([f, block])
 
-    # q, theta, y and t_ritz of the last iteration belong to the final basis
     log.basis = q
-    order = np.argsort(-np.abs(t_ritz))[:n_modes]
-    theta = theta[order]
-    ritz = q @ y[:, order]
-    ritz = ritz / np.linalg.norm(ritz, axis=0)
-
-    s_vals = theta if oracle.kind == S_FORM else 1.0 + 2.0 * theta
-    ms = ModeSet(s=s_vals, a=ritz, f=None, basis=None,
-                 diagnostics={"solver": f"iterative-{oracle.kind}",
-                              "iterations": log.n_iterations,
-                              "converged": log.converged,
-                              "reason": log.reason})
-    return ms, log
+    return ModeSet(s=theta if oracle.kind == S_FORM else 1.0 + 2.0 * theta, a=q @ y, diagnostics={
+        "solver": f"iterative-{oracle.kind}", "iterations": log.n_iterations,
+        "converged": log.converged, "reason": log.reason}), log

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import swe
-from .dipoles import BlockImpedance, _readout_product, factorization_residual
+from .dipoles import BlockImpedance, _readout_product, _t_apply, factorization_residual
 from .exceptions import ShapeError, SolveError
 from .network import UNITARY_TOL, check_unitary, check_unitary_factored
 from .swe import WaveBasis
@@ -264,7 +264,7 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     every other mode has ``s = 1``.  ``S_b``, ``S_b^H`` and ``T - T_b``
     act through the blocks' solves, so this costs O(n (3N)^2 + (3N)^3)
     and forms no n x n matrix; the unitarity of S and S_b comes from
-    ``scattering_unitarity`` (factored or dense).
+    ``scattering_unitarity`` (factored, bound or dense).
 
     Matrices (``S_b`` defaults to the identity) are the dense oracle: all
     n modes from the n x n Schur decomposition of N, with ``check_unitary``
@@ -378,27 +378,45 @@ def _apply_sb(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
     complex symmetric (reciprocity), so ``S_b^H y = conj(S_b conj(y))``
     reuses the factors of Z_bb for the adjoint.
     """
-    u_b = blocks.U1_b
-    offset = 0.0 if blocks.T_b0 is None else blocks.T_b0[:, None] * vec
-    t_b = offset - _readout_product(u_b, blocks.solve_bb(_readout_product(u_b.T, vec)))
-    return vec + 2.0 * t_b
+    return vec + 2.0 * _t_apply(blocks.solve_bb, blocks.U1_b, blocks.T_b0, vec)
+
+
+def _unitarity_bound(u: np.ndarray, solve, defect: float) -> float:
+    """``4 ||B||_2^2 defect / sqrt(n)``, B = z^-1 u^T, ||B||_2 probed by the 8 complex Gaussian
+    columns (real and imaginary parts interleaved) of a fixed seed; see below."""
+    probes = np.random.default_rng(0).standard_normal((u.shape[0], 16)).view(complex)
+    norm_b = np.linalg.norm(solve(_readout_product(u.T, probes)), axis=0).max()
+    return 4.0 * (10.0 * math.sqrt(2.0 / math.pi) * norm_b) ** 2 * defect / math.sqrt(u.shape[0])
 
 
 def scattering_unitarity(blocks: BlockImpedance) -> dict:
-    """``check_unitary`` deviations of ``blocks.S`` and ``blocks.S_b``, and the form used.
+    """Deviations of ``blocks.S`` and ``blocks.S_b`` from unitarity, and the form used.
 
-    With no background offset (dipole, port and ground-plane blocks) the
-    readout U1 is real and ``S = I - 2 U1 Z^-1 U1^T``, so where U1 has at
-    most n/2 columns (n the operator dimension) the deviations come from
-    the factors (``check_unitary_factored``, O(n (3N)^2 + (3N)^3)).
-    Otherwise (hybrid blocks, or 3N > n/2 where the factored form costs
-    more) ``check_unitary`` runs on the n x n matrices.
-    ``unitarity_form`` is ``"factored"`` or ``"dense"``.
+    With no background offset (dipole, port and ground-plane blocks) U1 is
+    real and ``S = I - 2 U1 Z^-1 U1^T``.  Where U1 has at most n/2 columns
+    (n the operator dimension) the ``check_unitary`` deviations come from the
+    factors (``check_unitary_factored``).  Where it has more, ``S^H S - I = 4
+    B^H E B`` (``B = Z^-1 U1^T``, ``E = U1^T U1 - Re Z``) bounds them by ``4
+    ||B||_2^2 ||E||_F / sqrt(n)``, S_b's by Z_bb, U1_b and E's leading block
+    (``radiation_defect``), with ``||B||_2 <= 10 sqrt(2/pi) max_i ||B w_i||``
+    over 8 complex Gaussian probes w_i, which fails with probability below 1e-8
+    (Halko, Martinsson & Tropp, SIAM Review 53(2), 2011, eq. 4.3, for real
+    probes; complex ones fail less often).  Bounds above ``UNITARY_TOL``, and
+    hybrid blocks, get ``check_unitary`` on the n x n matrices instead, so
+    every check decides as the dense one.  ``unitarity_form`` is
+    ``"factored"``, ``"bound"`` or ``"dense"``.
     """
-    if blocks.T_b0 is None and 2 * blocks.readout.shape[1] <= blocks.readout.shape[0]:
-        return {"unitarity_S": check_unitary_factored(blocks.readout, blocks.solve),
+    u = blocks.readout
+    if blocks.T_b0 is None and 2 * u.shape[1] <= u.shape[0]:
+        return {"unitarity_S": check_unitary_factored(u, blocks.solve),
                 "unitarity_S_b": check_unitary_factored(blocks.U1_b, blocks.solve_bb),
                 "unitarity_form": "factored"}
+    if blocks.T_b0 is None:
+        _, defect, defect_bb = blocks.radiation_defect
+        bound = {"unitarity_S": _unitarity_bound(u, blocks.solve, defect),
+                 "unitarity_S_b": _unitarity_bound(blocks.U1_b, blocks.solve_bb, defect_bb)}
+        if max(bound.values()) <= UNITARY_TOL:
+            return {**bound, "unitarity_form": "bound"}
     return {"unitarity_S": check_unitary(blocks.S),
             "unitarity_S_b": check_unitary(blocks.S_b),
             "unitarity_form": "dense"}

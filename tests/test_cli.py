@@ -104,6 +104,22 @@ def test_single_dipole_three_degenerate_dominant_modes(tmp_path):
     assert sig[3] < 1e-10  # everything beyond the three dipole modes is dark
 
 
+@pytest.mark.parametrize("scenario", [
+    _scenario(scene={"dipoles": [{"position": [0.0, 0.0, 0.0], "polarizability": 0.02}]},
+              sweep={"f_min": 7.0e8, "f_max": 7.0e8, "n_points": 1}, n_modes=4),
+    dict(_port(), sweep={"f_min": 5.0e8, "f_max": 5.0e8, "n_points": 1}),
+], ids=["single-dipole", "port"])
+def test_iterative_returns_every_mode_of_a_degenerate_eigenspace(tmp_path, scenario):
+    # a single dipole radiates three equal modes, and the port scene has two
+    # modes of |t| 0.942179: the block holds every one of them
+    traces = []
+    for solver in ("dense-scattering", "iterative"):
+        run_scenario(parse_scenario(dict(scenario, solver=solver)), str(tmp_path / solver), jobs=1)
+        traces.append(str(tmp_path / solver / "traces.csv"))
+    report = compare_results(*traces, tol=1e-6)
+    assert report["passed"], report
+
+
 def test_missing_field_names_it(tmp_path, capsys):
     bad = _scenario()
     del bad["sweep"]["n_points"]
@@ -396,23 +412,24 @@ _SCATTERING = {"engine": str, "rank": int, **_UNITARITY}
 _ITERATIVE = {"iterations": int, "converged": bool, **_UNITARITY}
 _HYBRID = {"u4_residual": float}
 _IMPEDANCE = {"engine": str, "r_condition": float}
+_DIPOLE = {"factorization_residual": float}
 
 
 @pytest.mark.parametrize("solver, types", [
-    ("dense-scattering", _SCATTERING),
+    ("dense-scattering", {**_DIPOLE, **_SCATTERING}),
     ("hybrid-scattering", {**_HYBRID, **_SCATTERING}),
-    ("iterative", _ITERATIVE),
-    ("dense-impedance", _IMPEDANCE),
-    ("t-form", _UNITARITY),
+    ("iterative", {**_DIPOLE, **_ITERATIVE}),
+    ("dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
+    ("t-form", {**_DIPOLE, **_UNITARITY}),
     ("hybrid-impedance", {**_HYBRID, **_IMPEDANCE}),
-    ("port", _SCATTERING),
-    ("ground-plane-dense-scattering", _SCATTERING),
-    ("ground-plane-t-form", _UNITARITY),
-    ("ground-plane-iterative", _ITERATIVE),
-    ("ground-plane-dense-impedance", _IMPEDANCE),
-    ("port-dense-impedance", _IMPEDANCE),
-    ("port-t-form", _UNITARITY),
-    ("port-iterative", _ITERATIVE),
+    ("port", {**_DIPOLE, **_SCATTERING}),
+    ("ground-plane-dense-scattering", {**_DIPOLE, **_SCATTERING}),
+    ("ground-plane-t-form", {**_DIPOLE, **_UNITARITY}),
+    ("ground-plane-iterative", {**_DIPOLE, **_ITERATIVE}),
+    ("ground-plane-dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
+    ("port-dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
+    ("port-t-form", {**_DIPOLE, **_UNITARITY}),
+    ("port-iterative", {**_DIPOLE, **_ITERATIVE}),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # each point records exactly what its assembly and engine computed (the

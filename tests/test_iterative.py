@@ -4,8 +4,11 @@ import scipy.linalg as la
 from numpy.testing import assert_allclose
 
 from scatmodes import (
+    DipoleScene,
     DomainError,
+    Port,
     ScatterOracle,
+    ShapeError,
     cm_t_form,
     composed_matvec,
     iterate,
@@ -71,14 +74,23 @@ def test_linearity_probe():
 
 
 def test_invariant_subspace_exactness():
+    # a start block spanning an invariant subspace: one block of responses
+    # adds no direction, and the Ritz pairs are exact
     d = np.diag([-1.0, -0.5, -0.1] + [0.0] * 9).astype(complex)
     oracle = ScatterOracle.from_matrices(d, np.zeros_like(d))
-    start = np.zeros(12, dtype=complex)
-    start[:3] = [1.0, 2.0, -1.0]
+    start = np.zeros((12, 3), dtype=complex)
+    start[:3] = [[1.0, 2.0, -1.0], [0.5, -1.0, 3.0], [2.0, 0.0, 1.0]]
     ms, log = iterate(oracle, n_modes=3, max_iter=10, start=start)
-    assert log.n_iterations <= 4
+    assert log.converged and log.n_iterations == 1
     assert_allclose(np.sort(ms.t.real), [-1.0, -0.5, -0.1], atol=1e-12)
     assert np.abs(ms.t.imag).max() < 1e-12
+
+
+def test_start_block_narrower_than_n_modes_is_refused():
+    d = np.diag(np.arange(6.0)).astype(complex)
+    oracle = ScatterOracle.from_matrices(d, np.zeros_like(d))
+    with pytest.raises(DomainError, match="start block"):
+        iterate(oracle, n_modes=3, start=np.ones(6))
 
 
 def test_zero_operator_terminates_immediately():
@@ -133,13 +145,20 @@ def test_nested_subspace_coverage_monotone():
 
 
 def test_residual_reaches_tolerance():
+    # every returned pair's residual ||N x - theta x||, recomputed on the dense
+    # composed matrix, is within tol_residual, and so (N is normal) is each t
     rng = np.random.default_rng(36)
     scene = random_scene(rng, 5, 0.5, n_background=2)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=3, max_iter=60, tol_eig=0.0)
+    ms, log = iterate(oracle, n_modes=3, max_iter=60)
     assert log.converged and log.reason == "residual"
-    assert log.residuals[-1] < 1e-6 * max(log.residuals)
+    assert log.residuals[-1] <= 1e-8
+    tbh = ts.T_b.conj().T
+    composed = 2.0 * tbh @ ts.T + tbh + ts.T
+    assert np.abs(np.linalg.norm(ms.a, axis=0) - 1.0).max() < 1e-12
+    assert np.linalg.norm(composed @ ms.a - ms.a * ms.t, axis=0).max() <= 1e-8
+    assert np.abs(ms.t - cm_t_form(ts.T, ts.T_b).t[:3]).max() <= 1e-8
 
 
 def test_n_modes_exceeds_dimension():
@@ -153,9 +172,58 @@ def test_max_iter_returns_nonconverged_estimate():
     scene = random_scene(rng, 8, 0.8, n_background=3)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=5, max_iter=3, tol_eig=0.0)
+    ms, log = iterate(oracle, n_modes=5, max_iter=1)
     assert not log.converged
-    assert log.reason == "max_iter"
+    assert log.reason == "max_iter" and log.n_iterations == 1
+    assert log.residuals[-1] > 1e-8
     assert ms.diagnostics["converged"] is False
-    # only as many Ritz values exist as the subspace holds
-    assert ms.n_modes == min(5, log.n_iterations)
+    # the block holds n_modes Ritz pairs from the first iteration on
+    assert ms.n_modes == 5
+
+
+def _degenerate_oracle(kind):
+    # a normal composed operator with t = 0.9 three times and 0.5 twice
+    rng = np.random.default_rng(41)
+    q = la.qr(rng.standard_normal((14, 14)))[0]  # real orthogonal: T is symmetric and normal
+    t = np.array([0.9] * 3 + [0.5] * 2 + list(0.3 * rng.random(9)))
+    return ScatterOracle.from_matrices(q @ np.diag(t + 0j) @ q.T, np.zeros((14, 14)), kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["T-form", "S-form"])
+def test_block_returns_every_mode_of_a_degenerate_eigenspace(kind):
+    ms, log = iterate(_degenerate_oracle(kind), n_modes=5)
+    assert log.converged
+    assert np.abs(ms.t - [0.9, 0.9, 0.9, 0.5, 0.5]).max() < 1e-10
+    assert np.abs(ms.a.conj().T @ ms.a - np.eye(5)).max() < 1e-8
+
+
+def test_composed_matvec_of_a_block_is_the_columnwise_product():
+    rng = np.random.default_rng(42)
+    ts = transition(random_scene(rng, 6, 0.6, n_background=2), 1.0)
+    oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
+    x = rng.standard_normal((oracle.dim, 4)) + 1j * rng.standard_normal((oracle.dim, 4))
+    by_column = np.column_stack([composed_matvec(oracle, col) for col in x.T])
+    assert np.abs(composed_matvec(oracle, x) - by_column).max() < 1e-14
+    with pytest.raises(ShapeError):
+        composed_matvec(oracle, x[:-1])
+
+
+@pytest.mark.parametrize("bank", ["two-region", "port", "ground-plane"])
+def test_block_oracle_acts_as_the_dense_operators(bank):
+    # T and T_b through the factors: the composed action equals that of the
+    # n x n matrices, and the oracle passes its own probes
+    rng = np.random.default_rng(43)
+    scene = random_scene(rng, 8, 0.7, n_background=3)
+    if bank == "port":
+        scene = DipoleScene(scene.positions, scene.polarizability, scene.region,
+                            ports=(Port(5, "y", 60.0),))
+    elif bank == "ground-plane":
+        scene = DipoleScene(scene.positions + [0.0, 0.0, 1.0], scene.polarizability,
+                            scene.region, ground_plane=True)
+    blocks = transition(scene, 1.0)
+    oracle = ScatterOracle.from_blocks(blocks)
+    oracle.validate(rng)
+    dense = ScatterOracle.from_matrices(blocks.T, blocks.T_b)
+    x = rng.standard_normal((oracle.dim, 5)) + 1j * rng.standard_normal((oracle.dim, 5))
+    want = composed_matvec(dense, x)
+    assert np.abs(composed_matvec(oracle, x) - want).max() <= 1e-13 * np.abs(want).max()

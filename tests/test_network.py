@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,43 @@ def test_factored_unitarity_matches_dense(case):
         chosen = scattering_unitarity(blocks)
         assert chosen["unitarity_form"] == "factored"
         assert [chosen["unitarity_S"], chosen["unitarity_S_b"]] == factored
+
+
+def _bound_bank(kind):
+    """Real-readout blocks with 3N > n/2: a cloud, the same with two ports, or above a plane."""
+    rng = np.random.default_rng(51)
+    bank = []
+    for n, ka in ((60, 0.3), (80, 0.9)):
+        scene = random_scene(rng, n, ka, n_background=20)
+        if kind == "port":
+            scene = DipoleScene(scene.positions, scene.polarizability, scene.region,
+                                ports=(Port(30, "x", 73.0), Port(45, "z", 50.0)))
+        elif kind == "ground-plane":
+            lift = [0.0, 0.0, 1.1 * np.abs(scene.positions[:, 2]).max() + 0.05]
+            scene = DipoleScene(scene.positions + lift, scene.polarizability, scene.region,
+                                ground_plane=True)
+        blocks = transition(scene, 1.0)
+        assert 2 * blocks.readout.shape[1] > blocks.readout.shape[0]
+        bank.append(blocks)
+    return bank
+
+
+@pytest.mark.parametrize("kind", ["cloud", "port", "ground-plane"])
+def test_unitarity_bound_covers_the_dense_deviation(kind):
+    # where 3N > n/2 the deviations come from S^H S - I = 4 B^H E B with a
+    # probed ||B||_2; they are never below the dense check's, and a system
+    # whose Re Z is perturbed by 1e-6 I fails the bound and is checked densely
+    for blocks in _bound_bank(kind):
+        chosen = scattering_unitarity(blocks)
+        dense = [check_unitary(blocks.S), check_unitary(blocks.S_b)]
+        assert chosen["unitarity_form"] == "bound"
+        assert chosen["unitarity_S"] >= dense[0] and chosen["unitarity_S_b"] >= dense[1]
+        assert max(chosen["unitarity_S"], chosen["unitarity_S_b"]) <= 1e-8
+        perturbed = dataclasses.replace(
+            blocks, system=blocks.system + 1e-6 * np.eye(blocks.system.shape[0]))
+        assert scattering_unitarity(perturbed) == {
+            "unitarity_S": check_unitary(perturbed.S),
+            "unitarity_S_b": check_unitary(perturbed.S_b), "unitarity_form": "dense"}
 
 
 def _layouts(a):

@@ -320,13 +320,13 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
 
 @pytest.mark.parametrize("case, builds", [
     ("dense-scattering", False), ("port", False), ("ground-plane-dense-scattering", False),
-    ("t-form", True), ("iterative", True), ("checks", True), ("dense-impedance", False),
+    ("t-form", True), ("iterative", False), ("checks", True), ("dense-impedance", False),
 ])
 def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
-    # the range engine, the factored unitarity check and the impedance engine
-    # work on the blocks' factors; only the engines and checks that read T,
-    # T_b, S or S_b build them (every one of them is made from a T built by
-    # dipoles._t_of)
+    # the range engine, the impedance and iterative engines and the factored
+    # and bounded unitarity checks work on the blocks' factors; only the
+    # engines and checks that read T, T_b, S or S_b build them (every one of
+    # them is made from a T built by dipoles._t_of)
     from scatmodes import dipoles
 
     calls = {}
@@ -339,6 +339,30 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
         cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
                          wave_basis, seed=1, angular=angular)
     assert bool(calls) == builds, calls
+
+
+def test_iterative_cloud_point_bounds_unitarity_without_an_n_by_n_operator(monkeypatch):
+    # with 3N > n/2 the unitarity figures are bounds from the radiation defect
+    # the assembly kept, and the engine acts through the factors: neither
+    # reaches dipoles._t_of
+    from scatmodes import dipoles
+    from conftest import random_scene
+
+    scene = random_scene(np.random.default_rng(60), 60, 0.3, n_background=20)
+    sc = cli.parse_scenario(_scenario(
+        solver="iterative", sweep={"f_min": 5.0e7, "f_max": 5.0e7, "n_points": 1},
+        scene={"dipoles": [{"position": p.tolist(), "polarizability": a.tolist(), "region": r}
+                           for p, a, r in zip(scene.positions, scene.polarizability,
+                                              scene.region)]}))
+    wave_basis, angular = cli._sweep_basis(sc)
+    assert wave_basis.size < 2 * 3 * scene.n_dipoles
+    calls = {}
+    _count_calls(monkeypatch, calls, dipoles, "_t_of")
+    _, diag = cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis,
+                               seed=1, angular=angular)
+    assert diag["unitarity_form"] == "bound" and diag["converged"]
+    assert max(diag["unitarity_S"], diag["unitarity_S_b"]) <= 1e-8
+    assert not calls, calls
 
 
 def test_iterative_point_holds_few_system_sized_arrays():
