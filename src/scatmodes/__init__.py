@@ -51,13 +51,11 @@ from .network import (
 )
 from .swe import (
     WaveBasis,
-    WaveIndex,
     basis,
     ground_plane_filter,
     mirror_parity,
     outgoing_wave_table,
     project_onto_regular,
-    regular_wave_field,
     regular_wave_table,
     sphere_quadrature,
     truncation_order,

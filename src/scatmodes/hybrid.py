@@ -130,10 +130,7 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
         angular = swe.angular_factors(ext, pos)
     coeffs = swe.wave_table(angular.leading(ext, pos), k, "outgoing").reshape(ext.size, 3 * n)
     power = np.abs(coeffs) ** 2 * swe.radial_norms(ext, k * r_fit)[:, None]
-    # position of each (l, m, pol) of wave_basis in the full basis ext:
-    # 2 (l^2 - 1) waves precede degree l, then m ascending, TE before TM
-    l, m, tm = wave_basis.arrays()
-    rows = 2 * (l * l - 1 + m + l) + tm
+    rows = ext.position(*wave_basis.arrays())
     tail = np.delete(power, rows, axis=0).sum(axis=0)
     return coeffs[rows], np.sqrt(tail / power.sum(axis=0)), r_fit
 

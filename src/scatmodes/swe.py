@@ -22,14 +22,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import DomainError, ResolutionError, ShapeError
-
-TE = "TE"
-TM = "TM"
 
 #: Magnitude of a degree-1 TM regular wave at the origin, 1/sqrt(6 pi).
 _ORIGIN_TM1 = 1.0 / math.sqrt(6.0 * math.pi)
@@ -39,57 +36,59 @@ _ORIGIN_AXIS = {-1: 1, 0: 2, 1: 0}  # m -> axis index (y, z, x)
 
 
 @dataclass(frozen=True)
-class WaveIndex:
-    """Single spherical vector wave: degree ``l``, azimuthal index ``m``, polarisation."""
-
-    l: int
-    m: int
-    pol: str
-
-    def __post_init__(self):
-        if self.l < 1:
-            raise DomainError(f"wave degree must satisfy l >= 1, got l={self.l}")
-        if abs(self.m) > self.l:
-            raise DomainError(f"|m| <= l required, got l={self.l}, m={self.m}")
-        if self.pol not in (TE, TM):
-            raise DomainError(f"polarisation must be 'TE' or 'TM', got {self.pol!r}")
-
-
-@dataclass(frozen=True)
 class WaveBasis:
-    """Ordered, truncated set of spherical vector wave indices.
+    """Ordered, truncated set of spherical vector waves, compared and hashed by value: the
+    read-only arrays of each wave's degree ``l``, azimuthal index ``m`` and TM flag ``tm``.
+    ``basis(l_max)`` holds every wave of degree <= l_max, in ``_full_position``'s order.
 
-    Ordering is (l ascending, m ascending, TE before TM), which makes
-    files and tests bit-stable.  Size is ``2 * l_max * (l_max + 2)``.
+    ``ShapeError`` unless the arrays are 1-D of one length, ``DomainError`` unless every
+    wave has 1 <= l <= l_max, |m| <= l and tm 0 or 1.
     """
 
     l_max: int
-    indices: tuple[WaveIndex, ...]
+    l: np.ndarray = field(compare=False)
+    m: np.ndarray = field(compare=False)
+    tm: np.ndarray = field(compare=False)
+    _order: bytes = field(init=False, repr=False)  # _full_position's: compared, hashed
 
     def __post_init__(self):
-        lookup = {idx: n for n, idx in enumerate(self.indices)}
-        object.__setattr__(self, "_lookup", lookup)
-        arrays = (np.array([i.l for i in self.indices], dtype=int),
-                  np.array([i.m for i in self.indices], dtype=int),
-                  np.array([i.pol == TM for i in self.indices], dtype=bool))
-        for a in arrays:
+        l, m, tm = (np.array(a, dtype=int) for a in (self.l, self.m, self.tm))
+        if l.ndim != 1 or not l.shape == m.shape == tm.shape:
+            raise ShapeError(f"l, m and tm must be 1-D of one length, got shapes {l.shape}, "
+                             f"{m.shape} and {tm.shape}")
+        order = _full_position(self.l_max, l, m, tm)
+        if np.any(order < 0):
+            raise DomainError(f"waves {np.flatnonzero(order < 0)} are not within 1 <= l <= "
+                              f"{self.l_max}, |m| <= l with tm 0 or 1")
+        for name, a in (("l", l), ("m", m), ("tm", tm.astype(bool))):
             a.flags.writeable = False
-        object.__setattr__(self, "_arrays", arrays)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "_order", order.tobytes())
 
-    @property
-    def size(self) -> int:
-        return len(self.indices)
+    size = property(lambda self: self.l.size)
 
-    def position(self, idx: WaveIndex) -> int:
-        """Position of ``idx`` in this basis (raises ``KeyError`` if absent)."""
-        return self._lookup[idx]
-
-    def __contains__(self, idx: WaveIndex) -> bool:
-        return idx in self._lookup
+    def position(self, l, m, tm):
+        """Row in this basis of the wave (l, m, tm), for scalars or arrays with ``tm`` a TM
+        flag as in ``arrays()``; ``KeyError`` for a wave it lacks."""
+        rows = np.full(2 * self.l_max * (self.l_max + 2) + 1, -1)  # the last one: no wave
+        rows[_full_position(self.l_max, *self.arrays())] = np.arange(self.size)
+        rows = rows[_full_position(self.l_max, l, m, tm)]
+        if np.any(rows < 0):
+            raise KeyError(f"(l, m, tm) = ({l}, {m}, {tm}): not all in the basis")
+        return rows if rows.ndim else int(rows)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return read-only (l, m, is_tm) arrays over the basis order."""
-        return self._arrays
+        """Return the read-only (l, m, is_tm) arrays over the basis order."""
+        return self.l, self.m, self.tm
+
+
+def _full_position(l_max: int, l, m, tm):
+    """Position of the wave (l, m, tm) among all waves of degree <= l_max, ordered l
+    ascending, m ascending, TE before TM: 2 (l^2 - 1) waves precede degree l.  -1 for
+    no such wave."""
+    l, m = np.asarray(l), np.asarray(m)
+    valid = (l >= 1) & (l <= l_max) & (np.abs(m) <= l) & np.isin(tm, (0, 1))
+    return np.where(valid, 2 * (l * l - 1 + m + l) + tm, -1)
 
 
 def truncation_order(ka: float) -> int:
@@ -105,7 +104,7 @@ def truncation_order(ka: float) -> int:
 
 @functools.lru_cache(maxsize=64)
 def basis(l_max: int) -> WaveBasis:
-    """Deterministic enumeration of all (l, m, pol) with l <= l_max.
+    """All waves (l, m, tm) with l <= l_max, in the order of ``_full_position``.
 
     Cached: repeated calls return the same immutable basis.  ``ResolutionError``
     where one n x n complex operator (16 n^2 bytes) exceeds physical memory.
@@ -119,13 +118,9 @@ def basis(l_max: int) -> WaveBasis:
         raise ResolutionError(f"wave basis l_max={l_max} has n={n} waves: one n x n complex "
                               f"operator needs {16 * n * n} bytes, more than the {memory} bytes "
                               "of physical memory")
-    idx = [
-        WaveIndex(l, m, pol)
-        for l in range(1, l_max + 1)
-        for m in range(-l, l + 1)
-        for pol in (TE, TM)
-    ]
-    return WaveBasis(l_max=l_max, indices=tuple(idx))
+    q, tm = np.divmod(np.arange(n), 2)  # _full_position inverted: q = l^2 - 1 + m + l
+    l = np.sqrt(q + 1).astype(int)       # exact: l^2 <= q + 1 < (l + 1)^2
+    return WaveBasis(l_max, l, q + 1 - l * (l + 1), tm)
 
 
 def ground_plane_filter(wave_basis: WaveBasis) -> np.ndarray:
@@ -305,9 +300,8 @@ class AngularFactors:
         """The rows of ``wave_basis``, which must lead this basis (as basis(l) leads basis(L),
         l <= L), at ``points``, which must be these factors' (else ``ShapeError``)."""
         n = wave_basis.size
-        if not np.array_equal(points, self.points) or any(
-                not np.array_equal(a[:n], b) for a, b in zip(self.wave_basis.arrays(),
-                                                             wave_basis.arrays())):
+        if not (np.array_equal(points, self.points)
+                and self.wave_basis._order.startswith(wave_basis._order)):
             raise ShapeError("angular factors were built for other points or another basis")
         return replace(self, wave_basis=wave_basis, tangential=self.tangential[:n],
                        radial=self.radial[:n])
@@ -397,12 +391,6 @@ def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:
     r2 = dj[l] + jl / kr
     r3 = np.sqrt(l * (l + 1.0)) * jl / kr
     return np.where(tm, r2 * r2 + r3 * r3, jl * jl)
-
-
-def regular_wave_field(idx: WaveIndex, k: float, point: np.ndarray) -> np.ndarray:
-    """Value of one regular spherical vector wave at one point (real 3-vector)."""
-    b = WaveBasis(l_max=idx.l, indices=(idx,))
-    return regular_wave_table(b, k, np.atleast_2d(point))[0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ def regular_wave_reference(l, m, pol, k, point, h=1e-6, kind="regular"):
     return norm * r2 * (dth * t_hat + dph * p_hat) + r3 * yv * r_hat
 
 
+def regular_wave_field(l, m, pol, k, point):
+    """Value of the regular wave (l, m, pol) at one point (real 3-vector), from the library's
+    table on the one-wave basis."""
+    from scatmodes import swe
+
+    one = swe.WaveBasis(l, [l], [m], [pol == "TM"])
+    return swe.regular_wave_table(one, k, np.atleast_2d(point))[0, 0]
+
+
 def dipole_expansion_reference(wave_basis, k, src, axis):
     """Regular-wave coefficients of a unit-dipole field about the origin.
 
@@ -71,8 +80,8 @@ def dipole_expansion_reference(wave_basis, k, src, axis):
     with the outgoing waves evaluated through the lpmv-based reference.
     """
     out = np.empty(wave_basis.size, dtype=complex)
-    for n, idx in enumerate(wave_basis.indices):
-        u = regular_wave_reference(idx.l, idx.m, idx.pol, k, src, kind="outgoing")
+    for n, (l, m, tm) in enumerate(zip(*(a.tolist() for a in wave_basis.arrays()))):
+        u = regular_wave_reference(l, m, "TM" if tm else "TE", k, src, kind="outgoing")
         out[n] = -1j * k * (u @ axis)
     return out
 
@@ -231,8 +240,8 @@ def wave_table_per_wave(wave_basis, k, points, kind="regular"):
     P, Q, D = legendre_tables_loop(l_max, ct, st)
     out = np.zeros((wave_basis.size, npts, 3), dtype=zl.dtype)
     sqrt2 = math.sqrt(2.0)
-    for n, idx in enumerate(wave_basis.indices):
-        l, m, pol = idx.l, idx.m, idx.pol
+    for n, (l, m, tm) in enumerate(zip(*(a.tolist() for a in wave_basis.arrays()))):
+        pol = "TM" if tm else "TE"
         am = abs(m)
         if m > 0:
             F = sqrt2 * np.cos(m * phi)
@@ -362,8 +371,7 @@ def embed_identity(m, target_basis, basis=None, index_map=None):
         if basis is None:
             raise MappingError("embed_identity needs m's basis or an explicit index_map")
         try:
-            index_map = {i: target_basis.position(idx)
-                         for i, idx in enumerate(basis.indices)}
+            index_map = dict(enumerate(target_basis.position(*basis.arrays()).tolist()))
         except KeyError as err:
             raise MappingError(f"wave index {err.args[0]} absent from the target basis")
     if len(set(index_map.values())) != len(index_map):

@@ -16,7 +16,6 @@ from scatmodes import (
     DipoleScene,
     HybridScene,
     SphereSpec,
-    WaveIndex,
     assemble_hybrid,
     basis,
     cm_scattering,
@@ -108,7 +107,7 @@ def test_axis_value_of_axisymmetric_tm_wave():
     x = k * z
     v = regular_wave_table(basis(1), k, np.array([[0.0, 0.0, z]]))
     b = basis(1)
-    tm10 = v[b.position(WaveIndex(1, 0, "TM"))][0]
+    tm10 = v[b.position(1, 0, True)][0]
     r3 = math.sqrt(2.0) * spherical_jn(1, x) / x
     n10 = math.sqrt(3.0 / (4.0 * math.pi))
     # dY10/dtheta vanishes on the axis, so only the radial term survives

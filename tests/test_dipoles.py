@@ -49,7 +49,7 @@ def test_projection_origin_dipole_rows():
     b = basis(4)
     u1 = regular_wave_table(b, 1.0, scene.positions).reshape(b.size, 3)
     assert u1.dtype == np.float64
-    ls = np.array([i.l for i in b.indices])
+    ls = b.l
     nonzero = np.abs(u1).max(axis=1) > 0.0
     assert np.all(ls[nonzero] == 1)
 

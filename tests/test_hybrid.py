@@ -75,7 +75,7 @@ def test_u4_against_outgoing_wave_oracle(hybrid_setup):
     oracle = oracle.reshape(system.basis.size, -1)[:, system.blocks.perm]
     scale = np.abs(oracle).max(axis=1)
     err = np.abs(system.U4 - oracle).max(axis=1) / scale
-    ls = np.array([i.l for i in system.basis.indices])
+    ls = system.basis.l
     assert err[ls <= 8].max() < 1e-8
     assert err[ls <= 12].max() < 1e-6
     assert err.max() < 1e-3
@@ -99,7 +99,7 @@ def test_u4_far_dipole_small_without_high_l_growth():
     k = 2.0
     sphere = SphereSpec(0.05, "dielectric", eps_r=4.0)
     b = basis(8)
-    ls = np.array([i.l for i in b.indices])
+    ls = b.l
     far = assemble_u4(HybridScene(DipoleScene([[0.0, 0.0, 20.0]], 1.0), sphere),
                       k, b, r_fit=0.3, residual_tol=1.0)[0]
     near = assemble_u4(HybridScene(DipoleScene([[0.0, 0.0, 0.45]], 1.0), sphere),

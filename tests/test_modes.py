@@ -305,8 +305,8 @@ def test_vertical_dipole_above_plane_parity():
     assert sig.any()
     a_sig = np.abs(ms.a[:, sig]).max(axis=1)
     for row in np.flatnonzero(a_sig > 1e-8):
-        idx = ms.basis.indices[row]
-        assert idx.pol == "TM" and idx.m == 0 and idx.l % 2 == 1
+        l, m, tm = (a[row] for a in ms.basis.arrays())
+        assert tm and m == 0 and l % 2 == 1
 
 
 def test_ground_plane_matches_mirrored_brute_force(ground_plane_bank):

@@ -292,8 +292,8 @@ def test_embed_identity_by_wave_index():
     small_b = basis(1)
     big_b = basis(2)
     out = embed_identity(np.diag(np.arange(1.0, 7.0) + 0j), big_b, small_b)
-    for i, idx in enumerate(small_b.indices):
-        assert out[big_b.position(idx), big_b.position(idx)] == i + 1.0
+    for i, wave in enumerate(zip(*small_b.arrays())):
+        assert out[big_b.position(*wave), big_b.position(*wave)] == i + 1.0
 
 
 def test_embed_identity_errors():

@@ -10,12 +10,10 @@ from scatmodes import (
     ResolutionError,
     ShapeError,
     WaveBasis,
-    WaveIndex,
     basis,
     ground_plane_filter,
     mirror_parity,
     project_onto_regular,
-    regular_wave_field,
     outgoing_wave_table,
     regular_wave_table,
     sphere_quadrature,
@@ -23,7 +21,8 @@ from scatmodes import (
 )
 from scatmodes.dipoles import dyadic_green
 
-from oracles import least_squares_expansion, regular_wave_reference, wave_table_per_wave
+from oracles import (least_squares_expansion, regular_wave_field, regular_wave_reference,
+                     wave_table_per_wave)
 
 
 def test_spherical_bessel_functions_against_scipy():
@@ -93,38 +92,90 @@ def test_basis_sizes():
 
 def test_basis_ordering_deterministic():
     b = basis(2)
-    first = [(i.l, i.m, i.pol) for i in b.indices[:4]]
+    waves = list(zip(*(a.tolist() for a in b.arrays())))
+    first = [(l, m, "TM" if tm else "TE") for l, m, tm in waves[:4]]
     assert first == [(1, -1, "TE"), (1, -1, "TM"), (1, 0, "TE"), (1, 0, "TM")]
-    assert len(set(b.indices)) == b.size
-    for idx in b.indices:
-        assert b.position(idx) == b.indices.index(idx)
+    assert len(set(waves)) == b.size
+    for wave in waves:
+        assert b.position(*wave) == waves.index(wave)
 
 
 def test_basis_domain():
     with pytest.raises(DomainError):
         basis(0)
     with pytest.raises(DomainError):
-        WaveIndex(2, 3, "TE")
+        WaveBasis(2, [2], [3], [False])   # |m| > l
     with pytest.raises(DomainError):
-        WaveIndex(1, 0, "TEM")
+        WaveBasis(1, [1], [0], [2])       # neither TE (0) nor TM (1)
+    with pytest.raises(DomainError):
+        WaveBasis(2, [0, 3], [0, 0], [0, 1])  # l outside 1..l_max
+    with pytest.raises(ShapeError):
+        WaveBasis(2, [1, 2], [0, 0], [0])
+
+
+def test_position_is_the_enumeration_order():
+    # position owns the order (l ascending, m ascending, TE before TM), and
+    # basis(L) leads basis(L + 8), as AngularFactors.leading and
+    # u4_expansion rely on
+    for l_max in range(1, 21):
+        b = basis(l_max)
+        waves = [(l, m, tm) for l in range(1, l_max + 1) for m in range(-l, l + 1)
+                 for tm in (False, True)]
+        assert list(zip(*(a.tolist() for a in b.arrays()))) == waves
+        assert [b.position(*wave) for wave in waves] == list(range(b.size))
+        assert np.array_equal(b.position(*b.arrays()), np.arange(b.size))
+        big = basis(l_max + 8)
+        assert all(np.array_equal(a, a_big[:b.size]) for a, a_big in zip(b.arrays(), big.arrays()))
+
+
+def test_position_in_a_subset_basis():
+    # the subset of test_wave_table_matches_per_wave_loop finds its members
+    full = basis(7)
+    sub = WaveBasis(7, *(a[3::5] for a in full.arrays()))
+    assert np.array_equal(sub.position(*sub.arrays()), np.arange(sub.size))
+    assert np.array_equal(full.position(*sub.arrays()), np.arange(3, full.size, 5))
+    with pytest.raises(KeyError):
+        sub.position(*(a[4] for a in full.arrays()))   # wave 4 of basis(7) is left out
+    with pytest.raises(KeyError):
+        full.position(8, 0, False)                      # past l_max
+    with pytest.raises(KeyError):
+        full.position([1, 2], [0, 3], [True, False])    # |m| > l in the second
+
+
+def test_bases_compare_and_hash_by_value():
+    from scatmodes import CompositeBasis, DipoleScene, Port, assemble_impedance
+
+    b = basis(3)
+    twin = WaveBasis(3, *b.arrays())
+    assert twin is not b and twin == b and hash(twin) == hash(b)
+    assert b != basis(4) and b != WaveBasis(4, *b.arrays())
+    assert b != WaveBasis(3, *(a[1:] for a in b.arrays()))
+    assert len({b, twin, basis(4)}) == 2
+    scene = DipoleScene([[0.0, -0.3, 0.0], [0.0, 0.0, 0.0]], 0.5, ports=(Port(1, "y", 50.0),))
+    channels = assemble_impedance(scene, 2.0).basis
+    wave = channels.wave
+    copy = CompositeBasis(WaveBasis(wave.l_max, *wave.arrays()), ("port0",))
+    assert isinstance(channels, CompositeBasis)
+    assert copy == channels and hash(copy) == hash(channels)
+    assert copy != CompositeBasis(basis(wave.l_max + 1), ("port0",))
 
 
 def test_regular_waves_at_origin():
     origin = np.zeros(3)
     for l in (2, 3, 5):
         for pol in ("TE", "TM"):
-            v = regular_wave_field(WaveIndex(l, min(1, l - 1), pol), 2.0, origin)
+            v = regular_wave_field(l, min(1, l - 1), pol, 2.0, origin)
             assert np.all(v == 0.0)
-    v = regular_wave_field(WaveIndex(1, 0, "TM"), 2.0, origin)
+    v = regular_wave_field(1, 0, "TM", 2.0, origin)
     assert v[0] == 0.0 and v[1] == 0.0
     assert_allclose(v[2], 1.0 / math.sqrt(6.0 * math.pi), rtol=1e-14)
-    assert np.all(regular_wave_field(WaveIndex(1, 0, "TE"), 2.0, origin) == 0.0)
+    assert np.all(regular_wave_field(1, 0, "TE", 2.0, origin) == 0.0)
 
 
 def test_te_dipole_value_against_reference():
     # TE (1, 0) at |r| = 1/k on the x axis: j_1(1) * sqrt(3/8pi) * y_hat
     k = 3.0
-    v = regular_wave_field(WaveIndex(1, 0, "TE"), k, np.array([1.0 / k, 0.0, 0.0]))
+    v = regular_wave_field(1, 0, "TE", k, np.array([1.0 / k, 0.0, 0.0]))
     from scipy.special import spherical_jn
     expected = spherical_jn(1, 1.0) * math.sqrt(3.0 / (8.0 * math.pi))
     assert_allclose(v, [0.0, expected, 0.0], atol=1e-15)
@@ -139,7 +190,7 @@ def test_wave_table_against_lpmv_reference():
         pol = "TE" if rng.random() < 0.5 else "TM"
         pt = rng.normal(size=3)
         pt *= (0.2 + 2.0 * rng.random()) / np.linalg.norm(pt)
-        mine = regular_wave_field(WaveIndex(l, m, pol), k, pt)
+        mine = regular_wave_field(l, m, pol, k, pt)
         ref = regular_wave_reference(l, m, pol, k, pt)
         assert_allclose(mine, ref, atol=5e-10)
 
@@ -166,9 +217,9 @@ def test_angular_orthonormality():
 def test_ground_plane_filter_examples():
     b = basis(3)
     kept = set(ground_plane_filter(b))
-    assert b.position(WaveIndex(1, 0, "TM")) in kept
-    assert b.position(WaveIndex(1, 0, "TE")) not in kept
-    assert b.position(WaveIndex(1, 1, "TE")) in kept
+    assert b.position(1, 0, True) in kept
+    assert b.position(1, 0, False) not in kept
+    assert b.position(1, 1, False) in kept
 
 
 def test_parity_keeps_half_of_each_degree_block():
@@ -199,7 +250,7 @@ def test_project_single_wave_roundtrip():
     k = 2.0
     pts, w = sphere_quadrature(l_max, radius=0.8)
     tab = regular_wave_table(b, k, pts)
-    n0 = b.position(WaveIndex(3, -2, "TM"))
+    n0 = b.position(3, -2, True)
     coeffs, residual = project_onto_regular(pts, tab[n0], w, k, b)
     expected = np.zeros(b.size)
     expected[n0] = 1.0
@@ -241,12 +292,12 @@ def test_project_dipole_field_against_lstsq():
 
     big = basis(20)
     ref_big = least_squares_expansion(field, k, big, r_fit, n_theta=30, n_phi=60)
-    ref = ref_big[[big.position(i) for i in b.indices]]
+    ref = ref_big[big.position(*b.arrays())]
     truth = dipole_expansion_reference(b, k, src, axis)
 
     # coefficients grow like (2l-1)!! with degree, so compare per block;
     # the fit's own bias from the truncated near field grows with l too
-    ls = np.array([i.l for i in b.indices])
+    ls = b.l
     for l in range(1, l_max + 1):
         m = ls == l
         scale = np.abs(truth[m]).max()
@@ -344,7 +395,7 @@ def test_quadrature_node_rule():
 @pytest.mark.parametrize("kind, table", [("regular", regular_wave_table),
                                          ("outgoing", outgoing_wave_table)])
 @pytest.mark.parametrize("wave_basis", [basis(1), basis(9),
-                                        WaveBasis(7, basis(7).indices[3::5])],
+                                        WaveBasis(7, *(a[3::5] for a in basis(7).arrays()))],
                          ids=["l_max=1", "l_max=9", "subset"])
 def test_wave_table_matches_per_wave_loop(kind, table, wave_basis):
     # the per-degree table against the per-wave loop it replaced, on

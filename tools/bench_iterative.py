@@ -8,36 +8,77 @@ Builds the cloud-sweep scenario of ``perfbench/scenarios.py`` (300 dipoles,
 900 unknowns, 448 waves, ``iterative``) and times, under the OpenBLAS thread
 counts ``run --jobs 1`` sets, the four stages of point P of its sweep:
 
-- assembly: ``assemble_impedance`` (Green blocks, readout, radiation defect);
+- assembly: ``assemble_impedance``, in parts: the Green blocks with their
+  transposed scatter (the rest of the stage), ``swe.wave_table`` (the
+  readout) and ``_radiation_defect``;
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
 - engine: ``iterate`` on ``ScatterOracle.from_blocks``, the block Krylov
-  iteration on the factors;
+  iteration on the factors, in parts: ``ScatterOracle.validate``, the block
+  applications (``composed_matvec``), Rayleigh-Ritz (``_eig_orthonormal``)
+  and the rest (the Krylov basis and the residuals);
 - unitarity: ``scattering_unitarity`` (the bound, or the dense check).
 
-One untimed repeat first loads the libraries and warms the caches.  Prints
-the median time of each stage, their sum, and the engine's iteration count
-and the unitarity form of the last repeat.
+One untimed repeat first loads the libraries and warms the caches.  The parts
+are timed by wrapping those names during the timed repeats only.  Prints the
+median time of each part, each stage as the sum of its parts, their total,
+and the engine's iteration count and the unitarity form of the last repeat.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import statistics
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from scatmodes import cli  # noqa: E402
+from scatmodes import cli, dipoles, iterative, swe  # noqa: E402
 from scatmodes.dipoles import assemble_impedance  # noqa: E402
 from scatmodes.iterative import ScatterOracle, iterate  # noqa: E402
 from scatmodes.modes import scattering_unitarity  # noqa: E402
 from scenarios import scenario  # noqa: E402
 
 STAGES = ("assembly", "factors", "engine", "unitarity")
+
+#: (stage, part, owner, name): the timed parts of a stage; its time beyond them is REST's part
+PARTS = (
+    ("assembly", "wave table", swe, "wave_table"),
+    ("assembly", "radiation defect", dipoles, "_radiation_defect"),
+    ("engine", "validate", ScatterOracle, "validate"),
+    ("engine", "block applications", iterative, "composed_matvec"),
+    ("engine", "Rayleigh-Ritz", iterative, "_eig_orthonormal"),
+)
+REST = {"assembly": "Green blocks, scatter", "engine": "Krylov basis, residuals"}
+
+
+@contextlib.contextmanager
+def _timed_parts(spent: dict):
+    """Wrap the names of ``PARTS`` so each call adds its time to ``spent[part]``; restore them
+    on exit."""
+    saved = [(owner, name, getattr(owner, name)) for _, _, owner, name in PARTS]
+
+    def timed(part, fn):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[part] += time.perf_counter() - start
+        return call
+
+    try:
+        for (_, part, owner, name), (_, _, fn) in zip(PARTS, saved):
+            setattr(owner, name, timed(part, fn))
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 def _point(sc, k, wave_basis, angular, seed):
@@ -54,6 +95,15 @@ def _point(sc, k, wave_basis, angular, seed):
     return [b - a for a, b in zip([start] + marks, marks)], log.n_iterations, form
 
 
+def _parts(stage_times, spent: dict) -> dict:
+    """Time (s) of every part of one point by stage: the wrapped parts and each stage's rest."""
+    parts = {}
+    for stage, total in zip(STAGES, stage_times):
+        named = {part: spent[part] for st, part, _, _ in PARTS if st == stage}
+        parts[stage] = {REST.get(stage, stage): total - sum(named.values()), **named}
+    return parts
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=11)
@@ -62,17 +112,28 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sc = cli.parse_scenario(scenario("cloud-sweep", args.seed))
     k = 2.0 * math.pi * float(sc["frequencies"][args.point]) / cli.SPEED_OF_LIGHT
+    runs = []
     with cli._blas_threads(1):
         wave_basis, angular = cli._sweep_basis(sc)
         _point(sc, k, wave_basis, angular, args.seed)
-        runs = [_point(sc, k, wave_basis, angular, args.seed) for _ in range(args.repeats)]
-    medians = [1e3 * statistics.median(run[0][i] for run in runs) for i in range(len(STAGES))]
+        for _ in range(args.repeats):
+            spent = defaultdict(float)
+            with _timed_parts(spent):
+                stage_times, n_iterations, form = _point(sc, k, wave_basis, angular, args.seed)
+            runs.append(_parts(stage_times, spent))
     print(f"cloud-sweep seed {args.seed}, point {args.point} (k = {k:.3f}), "
-          f"{args.repeats} repeats: median ms")
-    for name, ms in zip(STAGES, medians):
-        print(f"  {name:<10} {ms:8.1f}")
-    print(f"  {'total':<10} {sum(medians):8.1f}")
-    print(f"engine iterations {runs[-1][1]}, unitarity form {runs[-1][2]!r}")
+          f"{args.repeats} repeats: median ms, each stage the sum of its parts")
+    total = 0.0
+    for stage in STAGES:
+        medians = {part: 1e3 * statistics.median(run[stage][part] for run in runs)
+                   for part in runs[0][stage]}
+        total += sum(medians.values())
+        print(f"  {stage:<28} {sum(medians.values()):8.1f}")
+        if len(medians) > 1:
+            for part, ms in medians.items():
+                print(f"    {part:<26} {ms:8.1f}")
+    print(f"  {'total':<28} {total:8.1f}")
+    print(f"engine iterations {n_iterations}, unitarity form {form!r}")
 
 
 if __name__ == "__main__":
