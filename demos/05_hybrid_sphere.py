@@ -7,21 +7,25 @@ at the dipoles (the addition theorem).  The script computes the
 substructure modes of the controllable dipoles, with the background
 dipoles plus the sphere forming the background, by both the modified
 impedance route and the scattering route, and sweeps the sphere
-permittivity to show the background detuning the dominant mode.
+permittivity to show the background detuning the dominant mode.  The
+sphere is a field of the scene; ``assemble_hybrid`` folds it into the
+dipoles' factorised blocks.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
     DipoleScene,
-    HybridScene,
     SphereSpec,
     assemble_hybrid,
     basis,
     cm_scattering,
     hybrid_impedance_modes,
 )
+from scatmodes.hybrid import u4_expansion
 
 
 def main():
@@ -32,18 +36,17 @@ def main():
     pos /= np.linalg.norm(pos, axis=1)[:, None]
     pos *= (0.62 + 0.18 * rng.random(n))[:, None]
     scene = DipoleScene(pos, 6.0 * np.pi / k**3 * (0.3 + rng.random(n)),
-                        ("background",) * 3 + ("controllable",) * 4)
-    sphere = SphereSpec(0.08, "dielectric", eps_r=4.0)
-    hs = HybridScene(scene, sphere)
+                        ("background",) * 3 + ("controllable",) * 4,
+                        sphere=SphereSpec(0.08, "dielectric", eps_r=4.0))
     wb = basis(18)
 
-    system = assemble_hybrid(hs, k, wave_basis=wb)
+    expansion = u4_expansion(scene, k, wb)
+    _, residuals, r_fit = expansion
     print(f"coupling operator U4 in closed form, worst column truncation residual "
-          f"on the r_fit = {system.r_fit:.3f} m sphere "
-          f"{system.column_residuals.max():.1e}")
+          f"on the r_fit = {r_fit:.3f} m sphere {residuals.max():.1e}")
 
-    ms_s = cm_scattering(system.blocks, k=k)
-    ms_i = hybrid_impedance_modes(hs, k, system=system)
+    ms_s = cm_scattering(assemble_hybrid(scene, k, wave_basis=wb, expansion=expansion), k=k)
+    ms_i = hybrid_impedance_modes(scene, k, wb, expansion=expansion)
     t_s = np.abs(ms_s.t[np.abs(ms_s.t) > 1e-6])
     t_i = np.abs(ms_i.t[np.abs(ms_i.t) > 1e-6])
     cost = np.abs(t_s[:, None] - t_i[None, :])
@@ -65,9 +68,9 @@ def main():
     wb2 = basis(14)
     rows = {}
     for eps in (1.0, 100.0):
-        hs2 = HybridScene(small, SphereSpec(0.22, "dielectric", eps_r=eps))
+        hs2 = replace(small, sphere=SphereSpec(0.22, "dielectric", eps_r=eps))
         rows[eps] = [np.abs(cm_scattering(
-            assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0).blocks, k=kk).t).max()
+            assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0), k=kk).t).max()
             for kk in ks]
     print("        k: " + " ".join(f"{kk:6.2f}" for kk in ks))
     for eps, vals in rows.items():

@@ -24,12 +24,7 @@ from .exceptions import (
     ShapeError,
     SolveError,
 )
-from .hybrid import (
-    HybridScene,
-    assemble_hybrid,
-    assemble_u4,
-    hybrid_impedance_modes,
-)
+from .hybrid import assemble_hybrid, assemble_u4, hybrid_impedance_modes
 from .iterative import ScatterOracle, composed_matvec, iterate
 from .mie import SphereSpec, mie_modeset, mie_t_coefficients, mie_tmatrix
 from .modes import (

@@ -59,7 +59,6 @@ from .exceptions import (
     SolveError,
 )
 from .hybrid import (
-    HybridScene,
     assemble_hybrid,
     hybrid_impedance_modes,  # noqa: F401 (traced by perfbench/child.py)
     hybrid_sweep_basis,
@@ -179,14 +178,8 @@ def parse_scenario(raw: dict) -> dict:
         for i, p in enumerate(_field(scene_raw, "ports", "scene.",
                                      lambda v: isinstance(v, list), "a list of objects", []))
     )
-    scene = DipoleScene(
-        positions=np.asarray(positions, dtype=float).reshape(n, 3),
-        polarizability=tensors,
-        region=tuple(regions),
-        ports=ports,
-        ground_plane=_field(scene_raw, "ground_plane", "scene.",
-                            lambda v: isinstance(v, bool), "true or false", False),
-    )
+    ground_plane = _field(scene_raw, "ground_plane", "scene.",
+                          lambda v: isinstance(v, bool), "true or false", False)
     sp = scene_raw.get("sphere")
     sphere = None if sp is None else _built(
         "scene.sphere", SphereSpec,
@@ -196,6 +189,12 @@ def parse_scenario(raw: dict) -> dict:
         eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
         mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
     )
+    if sphere is not None and (ground_plane or ports):  # its Mie T-matrix is a free-space one
+        raise ScenarioError("field 'scene.sphere' cannot be combined with "
+                            f"{'a ground plane' if ground_plane else 'ports'}")
+    scene = DipoleScene(positions=np.asarray(positions, dtype=float).reshape(n, 3),
+                        polarizability=tensors, region=tuple(regions), ports=ports,
+                        ground_plane=ground_plane, sphere=sphere)
     sweep = _field(raw, "sweep", "")
     f_min = _field(sweep, "f_min", "sweep.", _is_number, "a finite number")
     f_max = _field(sweep, "f_max", "sweep.", _is_number, "a finite number")
@@ -218,8 +217,6 @@ def parse_scenario(raw: dict) -> dict:
                "a finite positive number")
     return {
         "scene": scene,
-        "sphere": sphere,
-        "hybrid": None if sphere is None else HybridScene(scene, sphere),
         "frequencies": np.linspace(f_min, f_max, n_points),
         "solver": solver,
         "n_modes": _field(raw, "n_modes", "", _is_count, "an integer >= 1", 6),
@@ -241,36 +238,39 @@ def load_scenario(path: str) -> dict:
 
 
 def _sweep_basis(sc: dict):
-    """One shared wave basis for the whole sweep, sized at the highest frequency, and the
+    """One shared wave basis for the whole sweep, sized at the highest frequency, the
     angular factors of its wave tables at the dipoles in system order, built once and
-    shared read-only by the points: (basis, ``swe.AngularFactors``).
+    shared read-only by the points, and each point's U4 expansion (None without a
+    sphere): (basis, ``swe.AngularFactors``, expansions).
 
-    A hybrid scene's basis also meets the U4 truncation tolerance at every
+    A sphere scene's basis also meets the U4 truncation tolerance at every
     frequency where a few more degrees can (``hybrid_sweep_basis``).
     """
-    if sc["sphere"] is not None:
-        ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
-        return hybrid_sweep_basis(sc["hybrid"], ks, sc["tolerances"]["u4_residual"])
-    k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     scene = sc["scene"]
+    if scene.sphere is not None:
+        ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
+        return hybrid_sweep_basis(scene, ks, sc["tolerances"]["u4_residual"])
+    k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     wave_basis = default_basis(scene, k_max)
-    return wave_basis, swe.angular_factors(wave_basis, scene.positions[scene.system_order])
+    return (wave_basis, swe.angular_factors(wave_basis, scene.positions[scene.system_order]),
+            [None] * len(sc["frequencies"]))
 
 
-def _operators(sc: dict, k: float, wave_basis, angular):
+def _operators(sc: dict, k: float, wave_basis, angular, expansion=None):
     """The factorised blocks a point's engine decomposes, and what their assembly recorded.
 
-    A hybrid folds the sphere into the blocks (``u4_residual``); ``transition``
-    assembles every other scene kind, its ports' power-wave channels appended.
-    Either way a singular system raises ``SolveError`` here.  ``angular``
-    are the sweep's factors from ``_sweep_basis``.
+    ``assemble_hybrid`` folds a scene's sphere in by the point's U4 ``expansion``
+    (from ``_sweep_basis``) and records its ``u4_residual``; ``transition``
+    assembles every other scene kind, ports' channels appended.
+    Either way a singular system raises ``SolveError`` here.  ``angular`` are
+    the sweep's factors from ``_sweep_basis``.
     """
-    if sc["hybrid"] is not None:
-        system = assemble_hybrid(sc["hybrid"], k, wave_basis,
-                                 residual_tol=sc["tolerances"]["u4_residual"], angular=angular)
-        system.blocks.factorize()
-        return system.blocks, {"u4_residual": float(system.column_residuals.max(initial=0.0))}
-    return transition(sc["scene"], k, wave_basis, angular), {}
+    scene = sc["scene"]
+    if scene.sphere is None:
+        return transition(scene, k, wave_basis, angular), {}
+    blocks = assemble_hybrid(scene, k, wave_basis, sc["tolerances"]["u4_residual"], angular,
+                             expansion)
+    return blocks, {"u4_residual": float(expansion[1].max(initial=0.0))}
 
 
 # Engines: (blocks, k, scenario, seed, point diagnostics) -> ModeSet.
@@ -299,7 +299,9 @@ def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
 
 def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    ms, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
+    # the library builds the oracle linear and complex-symmetric: no probe for it
+    ms, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed,
+                      validate=False)
     ms.k = k
     diag.update(iterations=log.n_iterations, converged=log.converged)
     return ms
@@ -317,10 +319,10 @@ SOLVER_TABLE = {
 SOLVERS = tuple(SOLVER_TABLE)
 
 
-def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular):
+def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, expansion=None):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    blocks, diag = _operators(sc, k, wave_basis, angular)
-    if sc["hybrid"] is None:
+    blocks, diag = _operators(sc, k, wave_basis, angular, expansion)
+    if sc["scene"].sphere is None:
         diag["factorization_residual"] = blocks.factorization_residual()
     return SOLVER_TABLE[sc["solver"]](blocks, k, sc, seed, diag), diag
 
@@ -419,16 +421,16 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     n_jobs = max(1, min(jobs or _cores(), len(ks)))  # points solved at once
 
     with _blas_threads(n_jobs) as blas:
-        wave_basis, angular = _sweep_basis(sc)
+        wave_basis, angular, expansions = _sweep_basis(sc)
 
-        def solve(k):
-            return _solve_point(sc, float(k), wave_basis, seed, angular)
+        def solve(k, expansion):
+            return _solve_point(sc, float(k), wave_basis, seed, angular, expansion)
 
         if n_jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                results = list(pool.map(solve, ks))
+                results = list(pool.map(solve, ks, expansions))
         else:
-            results = [solve(k) for k in ks]
+            results = [solve(k, expansion) for k, expansion in zip(ks, expansions)]
 
     n_modes = sc["n_modes"]
     tops = []
@@ -570,12 +572,12 @@ def run_checks(sc: dict) -> dict:
 
     report = {"per_frequency": [], "passed": True}
     with _blas_threads(1):
-        wave_basis, angular = _sweep_basis(sc)
-        for f in freqs:
+        wave_basis, angular, expansions = _sweep_basis(sc)
+        for f, expansion in zip(freqs, expansions):
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-            blocks, diag = _operators(sc, k, wave_basis, angular)
+            blocks, diag = _operators(sc, k, wave_basis, angular, expansion)
             entry: dict = {"frequency_hz": float(f), **diag}
-            if sc["sphere"] is None:
+            if scene.sphere is None:
                 entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]
             ms = cm_scattering(blocks, k=k)
             ms_alt = cm_impedance_substructure(blocks, k=k)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as la
@@ -30,6 +31,9 @@ from . import swe
 from .exceptions import DomainError, GeometryError, ShapeError, SolveError
 from .network import CompositeBasis, _hermitian_norm
 from .swe import WaveBasis
+
+if TYPE_CHECKING:  # mie imports modes, which imports this module
+    from .mie import SphereSpec
 
 #: free-space wave impedance, Ohm
 ETA0 = 376.730313668
@@ -74,7 +78,10 @@ class DipoleScene:
     controllable.  With ``ground_plane`` set the plane z = 0 is a PEC
     mirror and all dipoles must sit strictly above it.  ``min_distance``
     is the shortest distance the Green function is evaluated at (dipole to
-    dipole or image; infinite for one dipole in free space).
+    dipole or image; infinite for one dipole in free space).  ``sphere`` is
+    a sphere at the origin known only by its Mie T-matrix, strictly inside
+    every dipole, in a scene without ports or ground plane; ``assemble_impedance``
+    assembles the dipoles alone and ``hybrid.assemble_hybrid`` folds the sphere in.
     """
 
     positions: np.ndarray
@@ -82,6 +89,7 @@ class DipoleScene:
     region: tuple[str, ...] = None
     ports: tuple[Port, ...] = ()
     ground_plane: bool = False
+    sphere: SphereSpec | None = None
     min_distance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,6 +146,12 @@ class DipoleScene:
             min_distance = min(min_distance, 2.0 * float(pos[:, 2].min()))
         object.__setattr__(self, "min_distance", min_distance)
 
+        if self.sphere is not None and (self.ground_plane or ports):
+            raise GeometryError("hybrid scenes support neither ground planes nor ports")
+        if self.sphere is not None and self.min_dipole_radius <= self.sphere.radius:
+            raise GeometryError(f"all dipoles must lie strictly outside the sphere (clearance "
+                                f"{self.min_dipole_radius - self.sphere.radius:.4g} m)")
+
     @property
     def n_dipoles(self) -> int:
         return self.positions.shape[0]
@@ -154,9 +168,14 @@ class DipoleScene:
 
     @property
     def circumscribing_radius(self) -> float:
-        if self.n_dipoles == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.positions, axis=1)))
+        """Radius about the origin of the smallest sphere holding every dipole and the sphere."""
+        radius = 0.0 if self.sphere is None else self.sphere.radius
+        return float(np.max(np.linalg.norm(self.positions, axis=1), initial=radius))
+
+    @property
+    def min_dipole_radius(self) -> float:
+        """Distance from the origin to the nearest dipole (infinite without dipoles)."""
+        return float(np.min(np.linalg.norm(self.positions, axis=1), initial=math.inf))
 
 
 def mirror_scene(scene: DipoleScene) -> DipoleScene:
@@ -220,10 +239,10 @@ class BlockImpedance:
     - port scenes: Z holds each port's ``z0`` on its unknown's diagonal
       entry, U1 carries one ``sqrt(z0)`` row per port under the wave rows,
       and ``basis`` is the matching ``CompositeBasis``;
-    - sphere hybrids: Z holds the sphere coupling ``U4^T T_b1 U4``, U1 is
-      the complex readout ``U1 + T_b1 U4`` and ``T_b0`` is the 1-D array
-      of the sphere's Mie coefficients, the diagonal of ``T_b1``, which
-      the controllable region sees as background.
+    - scenes with a sphere (``hybrid.assemble_hybrid``): Z holds the sphere
+      coupling ``U4^T T_b1 U4``, U1 is the complex readout ``U1 + T_b1 U4``
+      and ``T_b0`` is the 1-D array of the sphere's Mie coefficients, the
+      diagonal of ``T_b1``, which the controllable region sees as background.
 
     ``system`` (Z) and ``readout`` (U1) are kept read-only, in system
     order: the first ``n_b`` unknowns are the background's.  ``Z_bb``,
@@ -231,7 +250,7 @@ class BlockImpedance:
     ``Z`` and ``U1`` return copies the caller may modify.  Z is complex
     symmetric, and lossless scenes satisfy ``Re Z = Re(U1^H U1)`` to
     rounding.  ``perm`` maps system rows to flat scene unknowns ``3 *
-    dipole + axis`` of ``scene``.
+    dipole + axis`` of the assembled scene.
     ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
     factors made (pivot-checked) on first use; ``factorize`` makes them
     at once, so a singular system raises there.
@@ -259,7 +278,6 @@ class BlockImpedance:
     readout: np.ndarray
     n_b: int
     basis: WaveBasis | CompositeBasis
-    scene: DipoleScene
     perm: np.ndarray
     T_b0: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -383,7 +401,10 @@ def _check_wavenumber(scene: DipoleScene, k: float) -> None:
 def assemble_impedance(scene: DipoleScene, k: float,
                        wave_basis: WaveBasis | None = None,
                        angular: swe.AngularFactors | None = None) -> BlockImpedance:
-    """Assemble the block impedance system and real wave projection.
+    """Assemble the block impedance system and real wave projection of the dipoles.
+
+    A scene's ``sphere`` is left out: ``hybrid.assemble_hybrid`` folds it
+    into these blocks.
 
     Off-diagonal 3x3 blocks are ``(j/k) G`` with the free-space dyadic
     Green function G; diagonal blocks carry the inverse static
@@ -454,7 +475,7 @@ def assemble_impedance(scene: DipoleScene, k: float,
                                   extra_labels=tuple(f"port{i}" for i in range(len(ports))))
     blocks = BlockImpedance(system=z, readout=u,
                             n_b=3 * int(np.count_nonzero(~scene.is_controllable)),
-                            basis=channels, scene=scene, perm=perm)
+                            basis=channels, perm=perm)
     if n > 0:
         residual = blocks.factorization_residual()
         if residual > 1e-6:
@@ -525,8 +546,11 @@ def transition(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None
 
     ``angular`` is passed to ``assemble_impedance``.  A singular system
     raises ``SolveError`` here; T, T_b, S and S_b are built when first read
-    (see ``BlockImpedance``).
+    (see ``BlockImpedance``).  A scene with a sphere raises ``GeometryError``:
+    ``hybrid.assemble_hybrid`` assembles it.
     """
+    if scene.sphere is not None:
+        raise GeometryError("transition assembles no sphere; use hybrid.assemble_hybrid")
     blocks = assemble_impedance(scene, k, wave_basis, angular)
     blocks.factorize()
     return blocks

@@ -14,81 +14,43 @@ a fit sphere between the sphere surface and the nearest dipole.
 ``assemble_u4`` builds U4 the independent way, by quadrature projection
 of sampled dipole fields on that sphere, and measures the same residual.
 
-The sphere plus the background dipoles together form the background.
-The hybrid is an assembly variant, not a second engine: folding the
-sphere into the impedance matrix (``Z + U4^T T_b1 U4``, readout
+The sphere is a field of the scene (``DipoleScene.sphere``); it and the
+background dipoles together form the background.  The hybrid is an
+assembly variant, not a second engine: ``assemble_hybrid`` folds the
+sphere into the dipoles' impedance matrix (``Z + U4^T T_b1 U4``, readout
 ``U1 + T_b1 U4``, background offset the diagonal of ``T_b1``, kept as a
-vector) yields a ``BlockImpedance`` that the shared ``transition`` and
-``cm_impedance_substructure`` solve like any dipole scene.  The
-impedance and scattering routes agree for lossless scenes to the
-truncation accuracy.
+vector) and returns the factorised ``BlockImpedance`` that every engine
+solves like any dipole scene's.  ``hybrid_sweep_basis`` sizes one basis
+for a sweep and makes each point's U4 expansion, which the point passes
+to ``assemble_hybrid``.  The impedance and scattering routes agree for
+lossless scenes to the truncation accuracy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import swe
 from .dipoles import (BlockImpedance, DipoleScene, _check_wavenumber, assemble_impedance,
-                      dyadic_green)
+                      default_basis, dyadic_green)
 from .exceptions import GeometryError, ResolutionError
-from .mie import SphereSpec, mie_tmatrix
+from .mie import mie_tmatrix
 from .modes import ModeSet, cm_impedance_substructure
 from .swe import WaveBasis
-
-
-@dataclass(frozen=True)
-class HybridScene:
-    """Dipole scene around a T-matrix sphere at the global origin.
-
-    ``_sweep_u4`` keeps the U4 expansions ``hybrid_sweep_basis`` made for
-    ``assemble_hybrid``, by (k, l_max, r_fit).
-    """
-
-    mom_scene: DipoleScene
-    sphere: SphereSpec
-    _sweep_u4: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.mom_scene.ground_plane or self.mom_scene.ports:
-            raise GeometryError("hybrid scenes support neither ground planes nor ports")
-        if self.clearance <= 0.0:
-            raise GeometryError(
-                f"all dipoles must lie strictly outside the sphere "
-                f"(clearance {self.clearance:.4g} m)"
-            )
-
-    @property
-    def min_dipole_radius(self) -> float:
-        if self.mom_scene.n_dipoles == 0:
-            return math.inf
-        return float(np.min(np.linalg.norm(self.mom_scene.positions, axis=1)))
-
-    @property
-    def clearance(self) -> float:
-        return self.min_dipole_radius - self.sphere.radius
-
-    def default_r_fit(self) -> float:
-        """Geometric mean of sphere radius and nearest dipole distance."""
-        return math.sqrt(self.sphere.radius * self.min_dipole_radius)
 
 
 #: Degrees past the basis in U4's truncation gauge (and quadrature grid).
 QUAD_MARGIN = 8
 
 
-def default_hybrid_basis(scene: HybridScene, k: float) -> WaveBasis:
-    ka = k * max(scene.mom_scene.circumscribing_radius, scene.sphere.radius)
-    return swe.basis(swe.truncation_order(ka))
-
-
-def _checked_r_fit(scene: HybridScene, r_fit: float | None) -> float:
-    """``r_fit``, by default ``scene.default_r_fit()``, between the sphere and the nearest dipole."""
+def _checked_r_fit(scene: DipoleScene, r_fit: float | None) -> float:
+    """``r_fit``, by default the geometric mean of the sphere radius and the nearest dipole
+    distance, between the sphere and the nearest dipole."""
     if r_fit is None:
-        r_fit = scene.default_r_fit()
+        r_fit = math.sqrt(scene.sphere.radius * scene.min_dipole_radius)
     if not scene.sphere.radius < r_fit < scene.min_dipole_radius:
         raise GeometryError(
             f"r_fit={r_fit:.4g} must lie between the sphere surface "
@@ -98,7 +60,7 @@ def _checked_r_fit(scene: HybridScene, r_fit: float | None) -> float:
     return r_fit
 
 
-def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
+def u4_expansion(scene: DipoleScene, k: float, wave_basis: WaveBasis,
                  r_fit: float | None = None, angular: swe.AngularFactors | None = None):
     """Closed-form U4 and its truncation gauge.
 
@@ -118,14 +80,13 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
     Returns (U4 data, (n_waves, 3 N) in system order; column residuals;
     r_fit).
     """
-    mom = scene.mom_scene
-    n = mom.n_dipoles
+    n = scene.n_dipoles
     if n == 0:
         return np.zeros((wave_basis.size, 0), dtype=complex), np.zeros(0), r_fit
-    _check_wavenumber(mom, k)
+    _check_wavenumber(scene, k)
     r_fit = _checked_r_fit(scene, r_fit)
     ext = swe.basis(wave_basis.l_max + QUAD_MARGIN)
-    pos = mom.positions[mom.system_order]
+    pos = scene.positions[scene.system_order]
     if angular is None:
         angular = swe.angular_factors(ext, pos)
     coeffs = swe.wave_table(angular.leading(ext, pos), k, "outgoing").reshape(ext.size, 3 * n)
@@ -135,37 +96,34 @@ def u4_expansion(scene: HybridScene, k: float, wave_basis: WaveBasis,
     return coeffs[rows], np.sqrt(tail / power.sum(axis=0)), r_fit
 
 
-def hybrid_sweep_basis(scene: HybridScene, ks, residual_tol: float):
-    """One wave basis for a sweep over the wavenumbers ``ks``, and its angular factors.
+def hybrid_sweep_basis(scene: DipoleScene, ks, residual_tol: float):
+    """One wave basis for a sweep over the wavenumbers ``ks``, and each point's U4 expansion.
 
-    Starts from the truncation rule at the highest wavenumber and raises
+    Starts from ``default_basis`` at the highest wavenumber and raises
     ``l_max`` by at most ``QUAD_MARGIN`` degrees until the U4 truncation
-    gauge (``u4_expansion``) is within ``residual_tol`` at every ``k``;
-    the scene keeps that basis's expansions for ``assemble_hybrid``.
-    If none is, the truncation rule's basis is returned and
+    gauge (``u4_expansion``) is within ``residual_tol`` at every ``k``.
+    Returns (basis, angular factors at the dipoles that serve every table of
+    the sweep, ``QUAD_MARGIN`` degrees past the largest basis tried, and the
+    ``u4_expansion`` at each k, ``assemble_hybrid``'s ``expansion``).  If no
+    basis passes, the truncation rule's is returned with its expansions, and
     ``assemble_hybrid`` raises at the points that miss the tolerance.
-    Returns it with the angular factors at the dipoles that serve every table
-    of the sweep: one set, ``QUAD_MARGIN`` degrees past the largest basis tried.
     """
-    start = default_hybrid_basis(scene, max(ks))
-    mom = scene.mom_scene
+    start = default_basis(scene, max(ks))
     angular = swe.angular_factors(swe.basis(start.l_max + 2 * QUAD_MARGIN),
-                                  mom.positions[mom.system_order])
+                                  scene.positions[scene.system_order])
     for l_max in range(start.l_max, start.l_max + QUAD_MARGIN + 1):
         wave_basis = swe.basis(l_max)
-        expansions = {}
+        expansions = []
         for k in ks:
-            key = (k, l_max, None)
-            expansions[key] = u4_expansion(scene, k, wave_basis, angular=angular)
-            if expansions[key][1].max(initial=0.0) > residual_tol:
+            expansions.append(u4_expansion(scene, k, wave_basis, angular=angular))
+            if expansions[-1][1].max(initial=0.0) > residual_tol:
                 break
         else:
-            scene._sweep_u4.update(expansions)
-            return wave_basis, angular
-    return start, angular
+            return wave_basis, angular, expansions
+    return start, angular, [u4_expansion(scene, k, start, angular=angular) for k in ks]
 
 
-def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
+def assemble_u4(scene: DipoleScene, k: float, wave_basis: WaveBasis,
                 r_fit: float | None = None, residual_tol: float = 1e-6):
     """Current-to-regular-wave coupling operator about the sphere centre.
 
@@ -179,8 +137,7 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
     Returns (U4, (n_waves, 3 N) in scene order; column residuals; r_fit),
     as ``u4_expansion`` does.
     """
-    scn = scene.mom_scene
-    n = scn.n_dipoles
+    n = scene.n_dipoles
     if n == 0:
         return np.zeros((wave_basis.size, 0), dtype=complex), np.zeros(0), r_fit
     r_fit = _checked_r_fit(scene, r_fit)
@@ -190,7 +147,7 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
                                    polar_nodes=l_max + 1 + QUAD_MARGIN,
                                    azimuth_nodes=2 * (l_max + QUAD_MARGIN) + 1)
     # per-unit-current dipole fields at the grid, in incident-wave units
-    g = dyadic_green(k, pts, scn.positions)        # (P, N, 3, 3)
+    g = dyadic_green(k, pts, scene.positions)        # (P, N, 3, 3)
     vals = (-1j / k) * g.transpose(0, 2, 1, 3).reshape(pts.shape[0], 3, 3 * n)
     table = swe.regular_wave_table(wave_basis, k, pts)
     coeffs, residuals = swe.project_onto_regular(pts, vals, w, k, wave_basis, table=table)
@@ -202,73 +159,44 @@ def assemble_u4(scene: HybridScene, k: float, wave_basis: WaveBasis,
     return -coeffs, residuals, r_fit
 
 
-@dataclass
-class HybridSystem:
-    """Hybrid impedance blocks with the sphere folded in, and the coupling U4.
+def assemble_hybrid(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
+                    residual_tol: float = 1e-6, angular: swe.AngularFactors | None = None,
+                    expansion: tuple | None = None) -> BlockImpedance:
+    """The blocks of a scene with a sphere, the sphere folded in, with Z and Z_bb factorised.
 
-    ``blocks`` holds ``Z + U4^T T_b1 U4`` and the complex readout
-    ``U1 + T_b1 U4`` (background unknowns first), with the sphere's Mie
-    coefficients (the diagonal of ``T_b1``) as background transition
-    offset; ``U4`` is in system order, with its truncation gauge
-    ``column_residuals`` on the ``r_fit`` sphere.
+    Z is ``Z + U4^T T_b1 U4`` and the readout the complex ``U1 + T_b1 U4``
+    (background unknowns first), with the sphere's Mie coefficients (the
+    diagonal of ``T_b1``) as background transition offset ``T_b0``.  U4 and
+    its truncation gauge are ``expansion``, by default ``u4_expansion``'s at
+    the default fit radius; a column above ``residual_tol`` raises
+    ``ResolutionError``, a singular system ``SolveError``.  ``angular`` (from
+    ``hybrid_sweep_basis``) serves U4's and U1's tables.
     """
-
-    blocks: BlockImpedance
-    U4: np.ndarray
-    column_residuals: np.ndarray
-    r_fit: float | None
-
-    @property
-    def basis(self) -> WaveBasis:
-        return self.blocks.basis
-
-
-def assemble_hybrid(scene: HybridScene, k: float,
-                    wave_basis: WaveBasis | None = None,
-                    r_fit: float | None = None,
-                    residual_tol: float = 1e-6,
-                    angular: swe.AngularFactors | None = None) -> HybridSystem:
-    """Impedance system of the dipole cloud with the sphere folded in.
-
-    U4 is the closed form of ``u4_expansion``: one outgoing-wave table at
-    the dipoles, ``QUAD_MARGIN`` degrees past ``wave_basis``.  Its
-    ``column_residuals`` are the truncation gauge on the ``r_fit``
-    sphere (default ``scene.default_r_fit()``), the same quantity the
-    quadrature ``assemble_u4`` measures; a column above ``residual_tol``
-    raises ``ResolutionError``, an ``r_fit`` outside the clearance
-    ``GeometryError``.  An expansion ``hybrid_sweep_basis`` kept is used once.
-    ``angular`` (from ``hybrid_sweep_basis``) serves U4's and U1's tables.
-    """
+    if scene.sphere is None:
+        raise GeometryError("assemble_hybrid needs a scene with a sphere; use transition")
     if wave_basis is None:
-        wave_basis = default_hybrid_basis(scene, k)
-    u4, residuals, r_fit = scene._sweep_u4.pop((k, wave_basis.l_max, r_fit), None) \
-        or u4_expansion(scene, k, wave_basis, r_fit=r_fit, angular=angular)
+        wave_basis = default_basis(scene, k)
+    u4, residuals, _ = expansion or u4_expansion(scene, k, wave_basis, angular=angular)
     if np.any(residuals > residual_tol):
         raise ResolutionError(
             f"U4 truncation residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "
             "increase the basis or the clearance"
         )
-    blocks = assemble_impedance(scene.mom_scene, k, wave_basis, angular)
+    blocks = assemble_impedance(scene, k, wave_basis, angular)
     t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis)).copy()  # T_b1's diagonal
     hybrid = replace(blocks, system=blocks.system + (u4.T * t1) @ u4,
                      readout=blocks.readout + t1[:, None] * u4, T_b0=t1)
-    return HybridSystem(blocks=hybrid, U4=u4, column_residuals=residuals, r_fit=r_fit)
+    hybrid.factorize()
+    return hybrid
 
 
-def hybrid_impedance_modes(scene: HybridScene, k: float,
-                           wave_basis: WaveBasis | None = None,
-                           system: HybridSystem | None = None) -> ModeSet:
-    """Substructure modes from the sphere-augmented impedance matrix.
-
-    ``cm_impedance_substructure`` on the hybrid blocks: the background
-    dipoles are Schur-eliminated from the modified matrix and the real
-    symmetric pencil of the compressed reactance against the compressed
-    resistance is solved.  Adds the largest U4 truncation residual to
-    the diagnostics.
-    """
-    if system is None:
-        system = assemble_hybrid(scene, k, wave_basis)
-    ms = cm_impedance_substructure(system.blocks, k=k)
+def hybrid_impedance_modes(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
+                           expansion: tuple | None = None) -> ModeSet:
+    """``cm_impedance_substructure`` on the ``assemble_hybrid`` blocks, with the largest U4
+    truncation residual of ``expansion`` (by default ``u4_expansion``'s) in its diagnostics."""
+    wave_basis = default_basis(scene, k) if wave_basis is None else wave_basis
+    expansion = expansion or u4_expansion(scene, k, wave_basis)
+    ms = cm_impedance_substructure(assemble_hybrid(scene, k, wave_basis, expansion=expansion), k=k)
     ms.diagnostics["solver"] = "hybrid-" + ms.diagnostics["solver"]
-    ms.diagnostics["u4_residual"] = float(np.max(system.column_residuals, initial=0.0))
+    ms.diagnostics["u4_residual"] = float(np.max(expansion[1], initial=0.0))
     return ms

@@ -7,6 +7,7 @@ criterion summary lines; every tolerance is pinned in the assertions.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
     DipoleScene,
-    HybridScene,
     Port,
     ScatterOracle,
     SphereSpec,
@@ -37,6 +37,7 @@ from scatmodes import (
     transition,
     truncation_order,
 )
+from scatmodes.hybrid import u4_expansion
 from scatmodes.swe import ground_plane_filter
 
 from oracles import mie_reference_dielectric, mie_reference_pec
@@ -309,14 +310,14 @@ def test_criterion_8_hybrid():
     pos /= np.linalg.norm(pos, axis=1)[:, None]
     pos *= (0.62 + 0.18 * rng.random(n))[:, None]
     scene = DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(n)),
-                        ("background",) * 3 + ("controllable",) * 4)
-    hs = HybridScene(scene, sphere)
+                        ("background",) * 3 + ("controllable",) * 4, sphere=sphere)
     wb = basis(18)
-    system = assemble_hybrid(hs, k, wave_basis=wb)
-    u4_resid = float(system.column_residuals.max())
+    expansion = u4_expansion(scene, k, wb)
+    blocks = assemble_hybrid(scene, k, wave_basis=wb, expansion=expansion)
+    u4_resid = float(expansion[1].max())
 
-    ms_s = cm_scattering(system.blocks, k=k)
-    ms_i = hybrid_impedance_modes(hs, k, system=system)
+    ms_s = cm_scattering(blocks, k=k)
+    ms_i = hybrid_impedance_modes(scene, k, wb, expansion=expansion)
     sig = 1e-6
     m1 = np.abs(ms_s.t[np.abs(ms_s.t) > sig])
     m2 = np.abs(ms_i.t[np.abs(ms_i.t) > sig])
@@ -326,10 +327,10 @@ def test_criterion_8_hybrid():
     path_dev = float(dev.max())
 
     # vacuum-sphere limit reduces to the pure dipole backend
-    vac = HybridScene(scene, SphereSpec(sphere.radius, "dielectric", eps_r=1.0))
+    vac = replace(scene, sphere=SphereSpec(sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=wb)
-    ms_v = cm_scattering(sys_v.blocks, k=k)
-    ts_mom = transition(scene, k, wave_basis=wb)
+    ms_v = cm_scattering(sys_v, k=k)
+    ts_mom = transition(replace(scene, sphere=None), k, wave_basis=wb)
     ms_mom = cm_scattering(ts_mom.S, ts_mom.S_b, k=k)
     sig = 1e-9
     v1 = ms_v.t[np.abs(ms_v.t) > sig]
@@ -339,8 +340,8 @@ def test_criterion_8_hybrid():
     assert dev_v.max() < 1e-10
 
     # sphere-only limit reduces to the analytic T-matrix
-    empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
-    ts_sphere = assemble_hybrid(HybridScene(empty, sphere), k, wb).blocks
+    empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), (), sphere=sphere)
+    ts_sphere = assemble_hybrid(empty, k, wb)
     t_mie = mie_tmatrix(sphere, k, wb)
     dev_m = float(np.abs(ts_sphere.T - t_mie).max())
     assert dev_m < 1e-8

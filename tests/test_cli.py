@@ -461,10 +461,10 @@ def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario
     # the values the impedance engine computed, not figures made for the record
     sc = parse_scenario(scenario)
     points = run_scenario(sc, str(tmp_path), jobs=1)["per_frequency"]
-    wave_basis, angular = _sweep_basis(sc)
-    for point, f in zip(points, sc["frequencies"]):
+    wave_basis, angular, expansions = _sweep_basis(sc)
+    for point, f, expansion in zip(points, sc["frequencies"], expansions):
         k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-        blocks, _ = cli._operators(sc, k, wave_basis, angular)
+        blocks, _ = cli._operators(sc, k, wave_basis, angular, expansion)
         ms = cli.cm_impedance_substructure(blocks, k=k)
         assert point["engine"] == ms.diagnostics["solver"] == "eigh"
         assert point["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
@@ -570,7 +570,37 @@ def test_sphere_ranges_are_the_library_s():
     # SphereSpec owns the ranges: a PEC sphere ignores its eps_r and mu_r
     scn = _hybrid_scenario("hybrid-scattering")
     scn["scene"]["sphere"] = {"radius": 0.02, "material": "pec", "eps_r": 0.5, "mu_r": 0.0}
-    assert parse_scenario(scn)["sphere"] == SphereSpec(0.02, "pec", 0.5, 0.0)
+    assert parse_scenario(scn)["scene"].sphere == SphereSpec(0.02, "pec", 0.5, 0.0)
+
+
+def _sphere_above_ground_plane():
+    scn = _hybrid_scenario("hybrid-scattering")
+    for d in scn["scene"]["dipoles"]:
+        d["position"][2] = abs(d["position"][2]) + 0.05
+    scn["scene"]["ground_plane"] = True
+    return scn
+
+
+def _sphere_with_port():
+    scn = _hybrid_scenario("hybrid-scattering")
+    scn["scene"]["ports"] = [{"dipole": 0, "axis": "x", "z0": 50.0}]
+    return scn
+
+
+@pytest.mark.parametrize("make, what", [(_sphere_above_ground_plane, "a ground plane"),
+                                        (_sphere_with_port, "ports")],
+                         ids=["ground-plane", "port"])
+def test_sphere_with_ground_plane_or_ports_is_a_scenario_limit(tmp_path, capsys, make, what):
+    # the sphere's T-matrix is a free-space one: such a scene is a limit of
+    # the scenario (exit 2, naming scene.sphere), not a geometry fault
+    scenario = _write(tmp_path, make())
+    for command in (["run", "--scenario", scenario, "--out", str(tmp_path / "o")],
+                    ["checks", "--scenario", scenario]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert f"scenario error: field 'scene.sphere' cannot be combined with {what}" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_checks_pass_a_scene_without_controllable_dipoles():

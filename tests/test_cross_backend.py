@@ -14,7 +14,6 @@ import pytest
 
 from scatmodes import (
     DipoleScene,
-    HybridScene,
     SphereSpec,
     assemble_hybrid,
     basis,
@@ -64,12 +63,11 @@ def test_hybrid_sphere_vs_equivalent_point_dipole():
     pos /= np.linalg.norm(pos, axis=1)[:, None]
     pos *= (0.45 + 0.2 * rng.random(n))[:, None]
     alpha = 6.0 * math.pi * (0.4 + rng.random(n))
-    cloud = DipoleScene(pos, alpha, ("background",) * 2 + ("controllable",) * 2)
+    cloud = DipoleScene(pos, alpha, ("background",) * 2 + ("controllable",) * 2,
+                        sphere=SphereSpec(radius, "dielectric", eps_r=eps_r))
 
     wb = basis(12)
-    hs = HybridScene(cloud, SphereSpec(radius, "dielectric", eps_r=eps_r))
-    system = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
-    ms_hybrid = cm_scattering(system.blocks, k=k)
+    ms_hybrid = cm_scattering(assemble_hybrid(cloud, k, wave_basis=wb, residual_tol=1.0), k=k)
 
     equivalent = DipoleScene(
         np.vstack([pos, [[0.0, 0.0, 0.0]]]),

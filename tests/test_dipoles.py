@@ -174,7 +174,7 @@ def test_ground_plane_point_factorises_the_image_reduced_system(solver, monkeypa
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
     sc = cli.parse_scenario(_ground_plane(solver))
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, _ = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT
     three_n = 3 * sc["scene"].n_dipoles
     cli._solve_point(sc, k, wave_basis, seed=1, angular=angular)
@@ -286,12 +286,12 @@ def test_generalized_spherical_block_is_terminated_scattering():
 # ---------------------------------------------------------------------------
 
 def _hybrid_scene():
-    from scatmodes import HybridScene, SphereSpec
+    from scatmodes import SphereSpec
 
     pos = [[0.5, 0.0, 0.1], [0.0, 0.55, -0.1], [-0.45, 0.2, 0.3], [0.1, -0.5, 0.2]]
-    return HybridScene(DipoleScene(pos, 6.0 * math.pi * 0.8,
-                                   ("controllable", "background", "controllable", "background")),
-                       SphereSpec(0.15, "dielectric", eps_r=4.0))
+    return DipoleScene(pos, 6.0 * math.pi * 0.8,
+                       ("controllable", "background", "controllable", "background"),
+                       sphere=SphereSpec(0.15, "dielectric", eps_r=4.0))
 
 
 def _port_reference(scene, k, wave_basis):
@@ -311,7 +311,7 @@ def _hybrid_reference(hs, k, wave_basis):
     from scatmodes import mie_tmatrix
     from scatmodes.hybrid import u4_expansion
 
-    z, u = impedance_reference(hs.mom_scene, k, wave_basis)
+    z, u = impedance_reference(hs, k, wave_basis)
     u4 = u4_expansion(hs, k, wave_basis)[0]  # in system order
     t1 = np.diag(mie_tmatrix(hs.sphere, k, wave_basis))
     return z + (u4.T * t1) @ u4, u + t1[:, None] * u4
@@ -326,7 +326,7 @@ def _assembly_case(case):
     if case == "hybrid":
         hs = _hybrid_scene()
         wb = basis(10)
-        return (assemble_hybrid(hs, k, wb, residual_tol=1.0).blocks,
+        return (assemble_hybrid(hs, k, wb, residual_tol=1.0),
                 *_hybrid_reference(hs, k, wb))
     if case == "port":
         base = random_scene(rng, 9, 0.7, n_background=3)
@@ -401,7 +401,7 @@ def test_blocks_are_read_only_views_of_one_system_matrix(monkeypatch):
         monkeypatch.setattr(np, name, recording)
     for solver in ("dense-scattering", "dense-impedance", "t-form", "iterative"):
         sc = cli.parse_scenario(_scenario(solver=solver))
-        wave_basis, angular = cli._sweep_basis(sc)
+        wave_basis, angular, _ = cli._sweep_basis(sc)
         cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
                          wave_basis, seed=1, angular=angular)
     assert stacked == []
@@ -451,7 +451,7 @@ def test_complex_readout_keeps_the_plain_product():
     # a hybrid's readout is complex: T is the plain complex product, unchanged
     from scatmodes import assemble_hybrid
 
-    blocks = assemble_hybrid(_hybrid_scene(), 1.0, basis(10), residual_tol=1.0).blocks
+    blocks = assemble_hybrid(_hybrid_scene(), 1.0, basis(10), residual_tol=1.0)
     u = blocks.U1
     assert np.iscomplexobj(u)
     t_b0 = np.diag(blocks.T_b0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from scatmodes import (
     DipoleScene,
     GeometryError,
-    HybridScene,
+    Port,
     ResolutionError,
     SphereSpec,
     assemble_hybrid,
@@ -23,6 +24,8 @@ from scatmodes import (
     transition,
 )
 from scatmodes.cli import SPEED_OF_LIGHT, parse_scenario
+from scatmodes.dipoles import default_basis
+from scatmodes.hybrid import u4_expansion
 
 from conftest import hybrid_sweep_seed7
 
@@ -40,42 +43,69 @@ def matched_distance(t1, t2, threshold=1e-7):
     return float(cost[rows, cols].max())
 
 
-def _cloud(rng, n, r_lo, r_hi, k, n_background=0):
+def _cloud(rng, n, r_lo, r_hi, k, n_background=0, sphere=None):
     pos = rng.normal(size=(n, 3))
     pos /= np.linalg.norm(pos, axis=1)[:, None]
     pos *= (r_lo + (r_hi - r_lo) * rng.random(n))[:, None]
     region = ["background"] * n_background + ["controllable"] * (n - n_background)
-    return DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(n)), tuple(region))
+    return DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(n)), tuple(region),
+                       sphere=sphere)
 
 
 @pytest.fixture(scope="module")
 def hybrid_setup():
+    """(scene with its sphere, k, hybrid blocks, the U4 expansion they fold in)."""
     rng = np.random.default_rng(88)
     k = 2.0
     sphere = SphereSpec(0.08, "dielectric", eps_r=4.0)
-    scene = _cloud(rng, 7, 0.62, 0.8, k, n_background=3)
-    hs = HybridScene(scene, sphere)
-    system = assemble_hybrid(hs, k, wave_basis=basis(18))
-    return hs, k, system
+    scene = _cloud(rng, 7, 0.62, 0.8, k, n_background=3, sphere=sphere)
+    expansion = u4_expansion(scene, k, basis(18))
+    return scene, k, assemble_hybrid(scene, k, basis(18), expansion=expansion), expansion
 
 
 def test_scene_validation():
     sphere = SphereSpec(0.3, "pec")
-    inside = DipoleScene([[0.0, 0.0, 0.2]], 1.0)
-    with pytest.raises(GeometryError):
-        HybridScene(inside, sphere)
+    with pytest.raises(GeometryError, match="strictly outside the sphere"):
+        DipoleScene([[0.0, 0.0, 0.2]], 1.0, sphere=sphere)
+    # the sphere's T-matrix is a free-space one: no ground plane, no ports
+    with pytest.raises(GeometryError, match="neither ground planes nor ports"):
+        DipoleScene([[0.0, 0.0, 0.5]], 1.0, ground_plane=True, sphere=sphere)
+    with pytest.raises(GeometryError, match="neither ground planes nor ports"):
+        DipoleScene([[0.0, 0.0, 0.5]], 1.0, ports=(Port(0, "z", 50.0),), sphere=sphere)
+
+
+def test_circumscribing_radius_covers_the_sphere():
+    # the default basis of a scene with a sphere resolves the sphere too
+    sphere = SphereSpec(0.3, "dielectric", eps_r=4.0)
+    empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), (), sphere=sphere)
+    assert empty.circumscribing_radius == sphere.radius
+    assert default_basis(empty, 10.0) == basis(swe.truncation_order(10.0 * sphere.radius))
+    scene = DipoleScene([[0.0, 0.0, 0.5], [0.0, 0.4, 0.0]], 1.0, sphere=sphere)
+    assert scene.circumscribing_radius == 0.5
+    assert scene.min_dipole_radius == 0.4
+
+
+def test_no_route_drops_a_sphere():
+    # transition assembles dipoles only, so it refuses a scene with a sphere
+    # and names the route that folds the sphere in; assemble_hybrid refuses
+    # a scene without one
+    with_sphere = DipoleScene([[0.0, 0.0, 0.5]], 1.0, sphere=SphereSpec(0.1))
+    with pytest.raises(GeometryError, match="assemble_hybrid"):
+        transition(with_sphere, 1.0)
+    with pytest.raises(GeometryError, match="transition"):
+        assemble_hybrid(replace(with_sphere, sphere=None), 1.0)
 
 
 def test_u4_against_outgoing_wave_oracle(hybrid_setup):
     # the projected coupling operator must reproduce the outgoing-wave
     # samples; aliasing noise grows with degree, so the gate tightens
     # toward low degrees where the sphere actually responds
-    hs, k, system = hybrid_setup
-    oracle = outgoing_wave_table(system.basis, k, hs.mom_scene.positions)
-    oracle = oracle.reshape(system.basis.size, -1)[:, system.blocks.perm]
+    scene, k, blocks, (u4, _, _) = hybrid_setup
+    oracle = outgoing_wave_table(blocks.basis, k, scene.positions)
+    oracle = oracle.reshape(blocks.basis.size, -1)[:, blocks.perm]
     scale = np.abs(oracle).max(axis=1)
-    err = np.abs(system.U4 - oracle).max(axis=1) / scale
-    ls = system.basis.l
+    err = np.abs(u4 - oracle).max(axis=1) / scale
+    ls = blocks.basis.l
     assert err[ls <= 8].max() < 1e-8
     assert err[ls <= 12].max() < 1e-6
     assert err.max() < 1e-3
@@ -86,10 +116,9 @@ def test_u4_column_residuals_with_generous_clearance():
     rng = np.random.default_rng(5)
     k = 2.0
     sphere = SphereSpec(0.06, "dielectric", eps_r=4.0)
-    scene = _cloud(rng, 3, 0.7, 0.8, k)
-    hs = HybridScene(scene, sphere)
-    assert hs.clearance >= sphere.radius
-    _, residuals, _ = assemble_u4(hs, k, basis(20), residual_tol=1e-8)
+    scene = _cloud(rng, 3, 0.7, 0.8, k, sphere=sphere)
+    assert scene.min_dipole_radius - sphere.radius >= sphere.radius
+    _, residuals, _ = assemble_u4(scene, k, basis(20), residual_tol=1e-8)
     assert residuals.max() < 1e-8
 
 
@@ -100,9 +129,9 @@ def test_u4_far_dipole_small_without_high_l_growth():
     sphere = SphereSpec(0.05, "dielectric", eps_r=4.0)
     b = basis(8)
     ls = b.l
-    far = assemble_u4(HybridScene(DipoleScene([[0.0, 0.0, 20.0]], 1.0), sphere),
+    far = assemble_u4(DipoleScene([[0.0, 0.0, 20.0]], 1.0, sphere=sphere),
                       k, b, r_fit=0.3, residual_tol=1.0)[0]
-    near = assemble_u4(HybridScene(DipoleScene([[0.0, 0.0, 0.45]], 1.0), sphere),
+    near = assemble_u4(DipoleScene([[0.0, 0.0, 0.45]], 1.0, sphere=sphere),
                        k, b, r_fit=0.14, residual_tol=1.0)[0]
 
     def high_low(u4):
@@ -118,31 +147,30 @@ def test_u4_residual_gate():
     rng = np.random.default_rng(6)
     k = 2.0
     sphere = SphereSpec(0.3, "dielectric", eps_r=4.0)
-    scene = _cloud(rng, 3, 0.62, 0.7, k)  # tight clearance
-    hs = HybridScene(scene, sphere)
+    scene = _cloud(rng, 3, 0.62, 0.7, k, sphere=sphere)  # tight clearance
     with pytest.raises(ResolutionError):
-        assemble_u4(hs, k, basis(10), residual_tol=1e-6)
+        assemble_u4(scene, k, basis(10), residual_tol=1e-6)
     # the closed form's truncation gauge fails the same scene
     with pytest.raises(ResolutionError, match="U4 truncation residual"):
-        assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1e-6)
+        assemble_hybrid(scene, k, wave_basis=basis(10), residual_tol=1e-6)
 
 
 def _generous_clearance():
     rng = np.random.default_rng(5)
-    scene = _cloud(rng, 3, 0.7, 0.8, 2.0)
-    return HybridScene(scene, SphereSpec(0.06, "dielectric", eps_r=4.0)), [2.0], basis(20)
+    return _cloud(rng, 3, 0.7, 0.8, 2.0, sphere=SphereSpec(0.06, "dielectric", eps_r=4.0)), \
+        [2.0], basis(20)
 
 
 def _criterion_8():
     rng = np.random.default_rng(88)
-    scene = _cloud(rng, 7, 0.62, 0.8, 2.0, n_background=3)
-    return HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0)), [2.0], basis(18)
+    return _cloud(rng, 7, 0.62, 0.8, 2.0, n_background=3,
+                  sphere=SphereSpec(0.08, "dielectric", eps_r=4.0)), [2.0], basis(18)
 
 
 def _hybrid_sweep_seed7():
     sc = parse_scenario(hybrid_sweep_seed7())
     ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
-    return HybridScene(sc["scene"], sc["sphere"]), ks, basis(14)
+    return sc["scene"], ks, basis(14)
 
 
 U4_CASES = {"generous-clearance": _generous_clearance, "criterion-8": _criterion_8,
@@ -150,19 +178,21 @@ U4_CASES = {"generous-clearance": _generous_clearance, "criterion-8": _criterion
 
 
 def _closed_and_quadrature(case):
-    """(k, wave basis, closed-form system, quadrature U4) per wavenumber of the case."""
-    hs, ks, wb = U4_CASES[case]()
+    """(k, wave basis, closed-form U4 expansion, the blocks folding it in, quadrature U4) per
+    wavenumber of the case."""
+    scene, ks, wb = U4_CASES[case]()
     for k in ks:
-        yield (k, wb, assemble_hybrid(hs, k, wave_basis=wb),
-               assemble_u4(hs, k, wb, residual_tol=1.0))
+        expansion = u4_expansion(scene, k, wb)
+        yield (k, wb, expansion, assemble_hybrid(scene, k, wb, expansion=expansion),
+               assemble_u4(scene, k, wb, residual_tol=1.0))
 
 
 @pytest.mark.parametrize("case", U4_CASES)
 def test_closed_form_u4_matches_quadrature_per_degree(case):
     # per degree, the closed form and the quadrature projection differ by
     # less than the quadrature's own misfit of that column on the fit sphere
-    for k, wb, system, (quad, quad_residuals, r_fit) in _closed_and_quadrature(case):
-        closed = system.U4[:, np.argsort(system.blocks.perm)]   # scene order
+    for k, wb, (u4, _, _), blocks, (quad, quad_residuals, r_fit) in _closed_and_quadrature(case):
+        closed = u4[:, np.argsort(blocks.perm)]   # scene order
         norms = swe.radial_norms(wb, k * r_fit)[:, None]
         field = np.sqrt((np.abs(closed) ** 2 * norms).sum(axis=0))
         allowed = quad_residuals * field
@@ -175,42 +205,41 @@ def test_closed_form_u4_matches_quadrature_per_degree(case):
 
 @pytest.mark.parametrize("case", U4_CASES)
 def test_truncation_gauge_matches_quadrature_residuals(case):
-    for _, _, system, (_, quad_residuals, r_fit) in _closed_and_quadrature(case):
-        gauge = system.column_residuals[np.argsort(system.blocks.perm)]
+    for _, _, (_, residuals, closed_r_fit), blocks, (_, quad_residuals, r_fit) \
+            in _closed_and_quadrature(case):
+        gauge = residuals[np.argsort(blocks.perm)]
         assert_allclose(gauge, quad_residuals, rtol=1e-6)
-        assert system.r_fit == r_fit
+        assert closed_r_fit == r_fit
 
 
 def test_vacuum_sphere_reduces_to_dipole_modes(hybrid_setup):
-    hs, k, system = hybrid_setup
-    vac = HybridScene(hs.mom_scene, SphereSpec(hs.sphere.radius, "dielectric", eps_r=1.0))
-    sys_v = assemble_hybrid(vac, k, wave_basis=system.basis)
-    ms_v = cm_scattering(sys_v.blocks, k=k)
-    ts = transition(hs.mom_scene, k, wave_basis=system.basis)
+    scene, k, blocks, _ = hybrid_setup
+    vac = replace(scene, sphere=SphereSpec(scene.sphere.radius, "dielectric", eps_r=1.0))
+    sys_v = assemble_hybrid(vac, k, wave_basis=blocks.basis)
+    ms_v = cm_scattering(sys_v, k=k)
+    ts = transition(replace(scene, sphere=None), k, wave_basis=blocks.basis)
     ms_ref = cm_scattering(ts.S, ts.S_b)
     assert matched_distance(ms_v.t, ms_ref.t, threshold=1e-9) < 1e-10
 
 
 def test_sphere_only_reduces_to_mie(hybrid_setup):
-    hs, k, system = hybrid_setup
-    empty = DipoleScene(np.zeros((0, 3)), np.zeros(0), ())
-    so = HybridScene(empty, hs.sphere)
-    ts = assemble_hybrid(so, k, system.basis).blocks
-    t_ref = mie_tmatrix(hs.sphere, k, system.basis)
+    scene, k, blocks, _ = hybrid_setup
+    so = DipoleScene(np.zeros((0, 3)), np.zeros(0), (), sphere=scene.sphere)
+    ts = assemble_hybrid(so, k, blocks.basis)
+    t_ref = mie_tmatrix(scene.sphere, k, blocks.basis)
     assert np.abs(ts.T - t_ref).max() < 1e-8
 
 
 def test_composite_unitarity(hybrid_setup):
-    hs, k, system = hybrid_setup
-    ts = system.blocks
+    _, _, ts, _ = hybrid_setup
     assert check_unitary(ts.S) < 1e-6
     assert check_unitary(ts.S_b) < 1e-6
 
 
 def test_path_equivalence(hybrid_setup):
-    hs, k, system = hybrid_setup
-    ms_s = cm_scattering(system.blocks, k=k)
-    ms_i = hybrid_impedance_modes(hs, k, system=system)
+    scene, k, blocks, expansion = hybrid_setup
+    ms_s = cm_scattering(blocks, k=k)
+    ms_i = hybrid_impedance_modes(scene, k, blocks.basis, expansion=expansion)
     sig = np.abs(ms_s.t) > 1e-6
     t_s = np.abs(ms_s.t[sig])
     t_i = np.abs(ms_i.t[np.abs(ms_i.t) > 1e-6])
@@ -232,11 +261,11 @@ def test_strong_sphere_detunes_dominant_mode():
     wb = basis(14)
 
     def peak_k(eps_r):
-        hs = HybridScene(scene, SphereSpec(0.22, "dielectric", eps_r=eps_r))
+        hs = replace(scene, sphere=SphereSpec(0.22, "dielectric", eps_r=eps_r))
         tops = []
         for k in ks:
-            system = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
-            ms = cm_scattering(system.blocks, k=k)
+            blocks = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
+            ms = cm_scattering(blocks, k=k)
             tops.append(np.abs(ms.t).max())
         return int(np.argmax(tops))
 
@@ -248,11 +277,12 @@ def test_strong_sphere_detunes_dominant_mode():
 
 def test_invalid_r_fit_rejected():
     sphere = SphereSpec(0.2, "dielectric", eps_r=4.0)
-    hs = HybridScene(DipoleScene([[0.0, 0.0, 0.5]], 1.0), sphere)
+    scene = DipoleScene([[0.0, 0.0, 0.5]], 1.0, sphere=sphere)
     with pytest.raises(GeometryError):
-        assemble_u4(hs, 1.0, basis(6), r_fit=0.1)   # inside the sphere
+        assemble_u4(scene, 1.0, basis(6), r_fit=0.1)   # inside the sphere
     with pytest.raises(GeometryError):
-        assemble_u4(hs, 1.0, basis(6), r_fit=0.6)   # beyond the dipole
+        assemble_u4(scene, 1.0, basis(6), r_fit=0.6)   # beyond the dipole
     for r_fit in (0.1, 0.6):
         with pytest.raises(GeometryError):
-            assemble_hybrid(hs, 1.0, wave_basis=basis(10), r_fit=r_fit)
+            assemble_hybrid(scene, 1.0, basis(10),
+                            expansion=u4_expansion(scene, 1.0, basis(10), r_fit=r_fit))

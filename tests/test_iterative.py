@@ -9,6 +9,8 @@ from scatmodes import (
     Port,
     ScatterOracle,
     ShapeError,
+    SphereSpec,
+    assemble_hybrid,
     cm_t_form,
     composed_matvec,
     iterate,
@@ -208,10 +210,11 @@ def test_composed_matvec_of_a_block_is_the_columnwise_product():
         composed_matvec(oracle, x[:-1])
 
 
-@pytest.mark.parametrize("bank", ["two-region", "port", "ground-plane"])
+@pytest.mark.parametrize("bank", ["two-region", "port", "ground-plane", "hybrid"])
 def test_block_oracle_acts_as_the_dense_operators(bank):
     # T and T_b through the factors: the composed action equals that of the
-    # n x n matrices, and the oracle passes its own probes
+    # n x n matrices, and the oracle passes its own probes (a hybrid's
+    # readout is complex and its T_b carries the sphere's Mie offset)
     rng = np.random.default_rng(43)
     scene = random_scene(rng, 8, 0.7, n_background=3)
     if bank == "port":
@@ -220,7 +223,11 @@ def test_block_oracle_acts_as_the_dense_operators(bank):
     elif bank == "ground-plane":
         scene = DipoleScene(scene.positions + [0.0, 0.0, 1.0], scene.polarizability,
                             scene.region, ground_plane=True)
-    blocks = transition(scene, 1.0)
+    elif bank == "hybrid":
+        sphere = SphereSpec(0.5 * scene.min_dipole_radius, "dielectric", eps_r=4.0)
+        scene = DipoleScene(scene.positions, scene.polarizability, scene.region, sphere=sphere)
+    blocks = assemble_hybrid(scene, 1.0, residual_tol=1.0) if bank == "hybrid" \
+        else transition(scene, 1.0)
     oracle = ScatterOracle.from_blocks(blocks)
     oracle.validate(rng)
     dense = ScatterOracle.from_matrices(blocks.T, blocks.T_b)

@@ -7,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
     DipoleScene,
-    HybridScene,
     Port,
     ShapeError,
     SolveError,
@@ -431,12 +430,12 @@ def _hybrid_scene():
     pos *= (0.62 + 0.18 * rng.random(5))[:, None] / np.linalg.norm(pos, axis=1)[:, None]
     region = ("background",) * 2 + ("controllable",) * 3
     scene = DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(5)), region)
-    return HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0)), k, basis(18)
+    return dataclasses.replace(scene, sphere=SphereSpec(0.08, "dielectric", eps_r=4.0)), k, basis(18)
 
 
 def _hybrid_blocks():
     hs, k, wave_basis = _hybrid_scene()
-    return assemble_hybrid(hs, k, wave_basis=wave_basis).blocks
+    return assemble_hybrid(hs, k, wave_basis=wave_basis)
 
 
 @pytest.mark.parametrize("make_blocks, tol", [
@@ -483,7 +482,7 @@ def test_background_action_matches_the_dense_s_b(make_blocks):
 
 def test_hybrid_offset_is_the_mie_diagonal_in_its_own_array():
     hs, k, wave_basis = _hybrid_scene()
-    t_b0 = assemble_hybrid(hs, k, wave_basis=wave_basis).blocks.T_b0
+    t_b0 = assemble_hybrid(hs, k, wave_basis=wave_basis).T_b0
     assert t_b0.ndim == 1
     assert np.array_equal(t_b0, np.diag(mie_tmatrix(hs.sphere, k, wave_basis)))
     assert t_b0.base is None

@@ -315,7 +315,6 @@ def test_embedded_background_matches_small_basis_computation():
 
     from scatmodes import (
         DipoleScene,
-        HybridScene,
         SphereSpec,
         assemble_hybrid,
         cm_scattering,
@@ -326,14 +325,12 @@ def test_embedded_background_matches_small_basis_computation():
     k = 1.0
     sphere = SphereSpec(0.15, "dielectric", eps_r=4.0)
     pos = np.array([[0.5, 0.0, 0.1], [0.0, 0.55, -0.1], [-0.45, 0.2, 0.3]])
-    scene = DipoleScene(pos, 6.0 * math.pi * 0.8)
-    hs = HybridScene(scene, sphere)
+    scene = DipoleScene(pos, 6.0 * math.pi * 0.8, sphere=sphere)
 
     big = basis(10)
     # the projection truncation is common to both compared paths here,
     # so the residual gate is irrelevant for this embedding check
-    system = assemble_hybrid(hs, k, wave_basis=big, residual_tol=1.0)
-    ts = system.blocks
+    ts = assemble_hybrid(scene, k, wave_basis=big, residual_tol=1.0)
 
     small = basis(2)
     t_small = mie_tmatrix(sphere, k, small, enforce_truncation=False)

@@ -20,7 +20,6 @@ from scatmodes import (
     DipoleScene,
     DomainError,
     GeometryError,
-    HybridScene,
     Port,
     ResolutionError,
     ShapeError,
@@ -91,10 +90,9 @@ def test_hybrid_bank(seed):
     pos /= np.linalg.norm(pos, axis=1)[:, None]
     pos *= (0.62 + 0.18 * rng.random(6))[:, None]
     scene = DipoleScene(pos, 6.0 * math.pi / k**3 * (0.3 + rng.random(6)),
-                        ("background",) * 3 + ("controllable",) * 3)
-    hs = HybridScene(scene, SphereSpec(0.08, "dielectric", eps_r=4.0))
-    system = assemble_hybrid(hs, k, wave_basis=basis(10), residual_tol=1.0)
-    ts = system.blocks
+                        ("background",) * 3 + ("controllable",) * 3,
+                        sphere=SphereSpec(0.08, "dielectric", eps_r=4.0))
+    ts = assemble_hybrid(scene, k, wave_basis=basis(10), residual_tol=1.0)
     assert _assert_matches_dense(ts, cm_scattering(ts, k=k)) < 1e-12
 
 

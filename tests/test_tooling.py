@@ -51,13 +51,13 @@ def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
     # the benchmark's swe.* layer metrics count calls through these module
     # attributes; inlining the projection into the hybrid or building the
     # table twice would silently change what they measure
-    from scatmodes import DipoleScene, HybridScene, SphereSpec, assemble_u4, basis, swe
+    from scatmodes import DipoleScene, SphereSpec, assemble_u4, basis, swe
 
     calls = {}
     _count_calls(monkeypatch, calls, swe, "regular_wave_table")
     _count_calls(monkeypatch, calls, swe, "project_onto_regular")
-    scene = HybridScene(DipoleScene([[0.0, 0.0, 0.5], [0.4, 0.0, 0.0]], 0.1),
-                        SphereSpec(0.002, "dielectric", eps_r=4.0))
+    scene = DipoleScene([[0.0, 0.0, 0.5], [0.4, 0.0, 0.0]], 0.1,
+                        sphere=SphereSpec(0.002, "dielectric", eps_r=4.0))
     assemble_u4(scene, 1.0, basis(8))
     assert calls == {"regular_wave_table": 1, "project_onto_regular": 1}
 
@@ -65,7 +65,7 @@ def test_assemble_u4_reaches_each_traced_swe_layer_once(monkeypatch):
 def test_assemble_hybrid_projects_nothing_and_tabulates_only_the_dipoles(monkeypatch):
     # U4 comes from the closed form: no quadrature sphere, no projection,
     # and every wave table is evaluated at the N dipole positions at most
-    from scatmodes import DipoleScene, HybridScene, SphereSpec, assemble_hybrid, basis, swe
+    from scatmodes import DipoleScene, SphereSpec, assemble_hybrid, basis, swe
 
     calls = {}
     _count_calls(monkeypatch, calls, swe, "sphere_quadrature")
@@ -79,8 +79,8 @@ def test_assemble_hybrid_projects_nothing_and_tabulates_only_the_dipoles(monkeyp
 
     monkeypatch.setattr(swe, "wave_table", recording)
     positions = [[0.0, 0.0, 0.5], [0.4, 0.0, 0.0], [0.0, -0.45, 0.1]]
-    scene = HybridScene(DipoleScene(positions, 0.1, ("background",) + ("controllable",) * 2),
-                        SphereSpec(0.05, "dielectric", eps_r=4.0))
+    scene = DipoleScene(positions, 0.1, ("background",) + ("controllable",) * 2,
+                        sphere=SphereSpec(0.05, "dielectric", eps_r=4.0))
     assemble_hybrid(scene, 1.0, basis(8), residual_tol=1.0)
     assert calls == {}
     assert points and max(points) <= len(positions)
@@ -210,10 +210,11 @@ def test_each_solver_factorises_each_matrix_once_per_point(case, factorisations)
     # Z, Z_bb and the Schur complement Z~ are factorised at most once per
     # frequency point, whichever engine runs on the blocks
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular = cli._sweep_basis(sc)
-    for f in sc["frequencies"]:
+    wave_basis, angular, expansions = cli._sweep_basis(sc)
+    for f, expansion in zip(sc["frequencies"], expansions):
         factorisations.clear()
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
+                         angular=angular, expansion=expansion)
         _assert_each_factorised_once(factorisations)
 
 
@@ -267,9 +268,10 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
     from scatmodes import BlockImpedance, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, expansions = cli._sweep_basis(sc)
     ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
-    run_modes = [cli._solve_point(sc, k, wave_basis, seed=1, angular=angular)[0] for k in ks]
+    run_modes = [cli._solve_point(sc, k, wave_basis, seed=1, angular=angular,
+                                  expansion=expansion)[0] for k, expansion in zip(ks, expansions)]
     decomposed, unitary_dims = [], []
     cm_scattering, check_unitary = cli.cm_scattering, cli.check_unitary
 
@@ -311,10 +313,11 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", recording)
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, expansions = cli._sweep_basis(sc)
     three_n_c = 3 * int(sc["scene"].is_controllable.sum())
-    for f in sc["frequencies"]:
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
+    for f, expansion in zip(sc["frequencies"], expansions):
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
+                         angular=angular, expansion=expansion)
     assert sizes and max(max(shape) for shape in sizes) <= three_n_c < wave_basis.size
 
 
@@ -335,7 +338,7 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
         cli.run_checks(cli.parse_scenario(FACTORISATION_CASES["dense-scattering"]))
     else:
         sc = cli.parse_scenario(FACTORISATION_CASES[case])
-        wave_basis, angular = cli._sweep_basis(sc)
+        wave_basis, angular, _ = cli._sweep_basis(sc)
         cli._solve_point(sc, 2.0 * math.pi * sc["frequencies"][0] / cli.SPEED_OF_LIGHT,
                          wave_basis, seed=1, angular=angular)
     assert bool(calls) == builds, calls
@@ -354,7 +357,7 @@ def test_iterative_cloud_point_bounds_unitarity_without_an_n_by_n_operator(monke
         scene={"dipoles": [{"position": p.tolist(), "polarizability": a.tolist(), "region": r}
                            for p, a, r in zip(scene.positions, scene.polarizability,
                                               scene.region)]}))
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, _ = cli._sweep_basis(sc)
     assert wave_basis.size < 2 * 3 * scene.n_dipoles
     calls = {}
     _count_calls(monkeypatch, calls, dipoles, "_t_of")
@@ -385,7 +388,7 @@ def test_iterative_point_holds_few_system_sized_arrays():
     sc = cli.parse_scenario(_scenario(solver="iterative", n_modes=4,
                                       sweep={"f_min": 5.0e7, "f_max": 5.0e7, "n_points": 1},
                                       scene={"dipoles": dipoles}))
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, _ = cli._sweep_basis(sc)
     z_nbytes = (3 * n) ** 2 * np.dtype(complex).itemsize
     assert 2 * wave_basis.size < 3 * n
     with warnings.catch_warnings():
@@ -409,9 +412,9 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     from scatmodes.modes import cm_impedance_substructure
 
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, expansions = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
-    blocks, _ = cli._operators(sc, k, wave_basis, angular)
+    blocks, _ = cli._operators(sc, k, wave_basis, angular, expansions[-1])
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -431,13 +434,13 @@ def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, calls, hybrid, "u4_expansion")
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis, angular = cli._sweep_basis(sc)
+    wave_basis, angular, expansions = cli._sweep_basis(sc)
     n_points = len(sc["frequencies"])
     assert calls == {"u4_expansion": n_points}  # the first basis tried passes
-    for f in sc["frequencies"]:
-        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
+    for f, expansion in zip(sc["frequencies"], expansions):
+        cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
+                         angular=angular, expansion=expansion)
     assert calls == {"u4_expansion": n_points}
-    assert sc["hybrid"]._sweep_u4 == {}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
