@@ -198,18 +198,21 @@ def mirror_scene(scene: DipoleScene) -> DipoleScene:
     )
 
 
-def _green_blocks(k: float, diff: np.ndarray) -> np.ndarray:
-    """Dyadic Green blocks for an array of separation vectors (..., 3)."""
+def _green_terms(k: float, diff: np.ndarray):
+    """``(sc, t1, t2, u)`` of ``G = sc (t1 I + t2 u u^T)`` at separation vectors diff (..., 3)."""
     d = np.linalg.norm(diff, axis=-1)
     if np.any(d == 0.0):
         raise GeometryError("dyadic Green function evaluated at coincident points")
-    u = diff / d[..., None]
     kr = k * d
-    sc = np.exp(-1j * kr) / (4.0 * np.pi * d)
-    t1 = 1.0 - 1j / kr - 1.0 / kr**2
-    t2 = -1.0 + 3j / kr + 3.0 / kr**2
-    uu = u[..., :, None] * u[..., None, :]
-    return sc[..., None, None] * (t1[..., None, None] * np.eye(3) + t2[..., None, None] * uu)
+    return (np.exp(-1j * kr) / (4.0 * np.pi * d), 1.0 - 1j / kr - 1.0 / kr**2,
+            -1.0 + 3j / kr + 3.0 / kr**2, diff / d[..., None])
+
+
+def _green_component(k: float, terms, a: int, b: int) -> np.ndarray:
+    """Component (a, b) of ``(j/k) G`` from ``_green_terms``, bit for bit as in ``dyadic_green``."""
+    sc, t1, t2, u = terms
+    g = t2 * (u[..., a] * u[..., b])
+    return (1j / k) * (sc * (t1 + g if a == b else g))
 
 
 def dyadic_green(k: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -221,7 +224,9 @@ def dyadic_green(k: float, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """
     a = np.atleast_2d(np.asarray(r1, dtype=float))
     b = np.atleast_2d(np.asarray(r2, dtype=float))
-    return _green_blocks(k, a[:, None, :] - b[None, :, :])
+    sc, t1, t2, u = _green_terms(k, a[:, None, :] - b[None, :, :])
+    uu = u[..., :, None] * u[..., None, :]
+    return sc[..., None, None] * (t1[..., None, None] * np.eye(3) + t2[..., None, None] * uu)
 
 
 @dataclass
@@ -410,8 +415,8 @@ def assemble_impedance(scene: DipoleScene, k: float,
     Green function G; diagonal blocks carry the inverse static
     polarisability with the exact radiative correction ``I/(6 pi)`` that
     makes each dipole, and hence the scene, lossless.
-    Z is complex symmetric: G is evaluated on the pairs i < j only, and
-    each block is written with its transpose into the system-order Z.
+    Z is complex symmetric: G is evaluated on the pairs i < j only, each
+    component written at its two places in Z, which is in column order.
 
     Above a ground plane the image of a current I is ``-M I`` with ``M =
     diag(1, 1, -1)``, so the mirrored scene's 6N system (``mirror_scene``)
@@ -444,23 +449,33 @@ def assemble_impedance(scene: DipoleScene, k: float,
     order = scene.system_order
     pos = scene.positions[order]
     n = scene.n_dipoles
-    z = np.empty((3 * n, 3 * n), dtype=complex)
-    zv = z.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)  # zv[i, j]: block of dipoles i, j
+    z = np.empty((3 * n, 3 * n), dtype=complex, order="F")
+    flat = z.T.reshape(-1)  # z.T is C-ordered: flat[3 n r + c] is Z[c, r]
     gi, gj = np.triu_indices(n, 1)
     for s in range(0, gi.size, _PAIR_CHUNK):
         i, j = gi[s:s + _PAIR_CHUNK], gj[s:s + _PAIR_CHUNK]
-        g = (1j / k) * _green_blocks(k, pos[i] - pos[j])
-        if scene.ground_plane:
-            g -= (1j / k) * _green_blocks(k, pos[i] - pos[j] @ _MIRROR) @ _MIRROR
-        zv[i, j] = g
-        zv[j, i] = g.transpose(0, 2, 1)
-    zv[range(n), range(n)] = np.eye(3) / (6.0 * np.pi) \
-        - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
+        ij, ji = 3 * (3 * n * i + j), 3 * (3 * n * j + i)
+        direct = _green_terms(k, pos[i] - pos[j])
+        image = _green_terms(k, pos[i] - pos[j] @ _MIRROR) if scene.ground_plane else None
+        for a, b in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)) if image is None \
+                else np.ndindex(3, 3):  # M breaks the symmetry of the image term
+            g = _green_component(k, direct, a, b)
+            if image is not None:  # minus (j/k) G(r_i - M r_j) M
+                g = g - _MIRROR[b, b] * _green_component(k, image, a, b)
+            flat[ij + (3 * n * a + b)] = flat[ji + (3 * n * b + a)] = g  # Z[3j+b, 3i+a] and back
+            if image is None and a != b:
+                flat[ij + (3 * n * b + a)] = flat[ji + (3 * n * a + b)] = g
+    diag = np.eye(3) / (6.0 * np.pi) - 1j * np.linalg.inv(scene.polarizability[order]) / k**3
+    if scene.ground_plane:  # minus (j/k) G(r_i - M r_i) M
+        image = _green_terms(k, pos - pos @ _MIRROR)
+        for a, b in np.ndindex(3, 3):
+            diag[:, a, b] -= _MIRROR[b, b] * _green_component(k, image, a, b)
+    # through z.T the diagonal blocks go in transposed: alpha^-1 need not be exactly symmetric
+    z.T.reshape(n, 3, n, 3)[range(n), :, range(n)] = diag.transpose(0, 2, 1)
     if angular is None:
         angular = swe.angular_factors(wave_basis, pos)
     u = swe.wave_table(angular.leading(wave_basis, pos), k).reshape(wave_basis.size, 3 * n)
     if scene.ground_plane:
-        zv[range(n), range(n)] -= (1j / k) * _green_blocks(k, pos - pos @ _MIRROR) @ _MIRROR
         u *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
     perm = (3 * order[:, None] + np.arange(3)).ravel()
     channels, ports = wave_basis, scene.ports

@@ -164,7 +164,8 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
     f = block = composed_matvec(oracle, q)
     log = IterationLog(reason="max_iter")
     while True:
-        theta, y = _eig_orthonormal(q.conj().T @ f)   # Rayleigh-Ritz
+        theta, y = _eig_orthonormal(  # Rayleigh-Ritz; S-form ranks by |theta - 1|, not |theta|
+            q.conj().T @ f, keep=n_modes if oracle.kind == T_FORM else None)
         t_ritz = theta if oracle.kind == T_FORM else (theta - 1.0) / 2.0
         order = np.argsort(-np.abs(t_ritz), kind="stable")[:n_modes]
         theta, y = theta[order], y[:, order]

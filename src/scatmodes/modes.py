@@ -128,17 +128,20 @@ def _schur_eig(op: np.ndarray):
     return np.diag(tri).copy(), q, off
 
 
-def _eig_orthonormal(*pencil: np.ndarray):
-    """General eigenpairs with unit vectors, QR-orthonormalised inside degenerate clusters."""
+def _eig_orthonormal(*pencil: np.ndarray, keep: int | None = None):
+    """General eigenpairs with unit vectors, QR-orthonormalised inside degenerate clusters; with
+    ``keep``, only those that can hold a ``keep`` pair of largest |s| (these come out the same)."""
     s, v = la.eig(*pencil)
     v = v / np.linalg.norm(v, axis=0)
     order = np.argsort(-np.abs(s), kind="stable")
     visited = np.zeros(s.size, dtype=bool)
-    scale = max(np.abs(s).max(), 1.0)
-    for i in order:
+    gap = DEGENERACY_GAP * max(np.abs(s).max(), 1.0)
+    floor = abs(s[order[keep - 1]]) - 2.0 * gap if keep and keep < s.size else -np.inf
+    # a cluster about s_i holds a kept s_j only if |s_i| >= |s_j| - gap > floor
+    for i in order[:np.count_nonzero(np.abs(s) >= floor)]:
         if visited[i]:
             continue
-        cluster = np.flatnonzero(np.abs(s - s[i]) <= DEGENERACY_GAP * scale)
+        cluster = np.flatnonzero(np.abs(s - s[i]) <= gap)
         visited[cluster] = True
         if cluster.size > 1:
             q, _ = np.linalg.qr(v[:, cluster])

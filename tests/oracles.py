@@ -301,7 +301,7 @@ def impedance_reference(scene, k, wave_basis):
     z = np.zeros((3 * n, 3 * n), dtype=complex)
     for i in range(n):
         others = np.delete(np.arange(n), i)
-        row = (1j / k) * dipoles._green_blocks(k, pos[i] - pos[others])
+        row = (1j / k) * dipoles.dyadic_green(k, pos[i], pos[others])[0]
         for j, block in zip(others, row):
             z[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
         z[3 * i:3 * i + 3, 3 * i:3 * i + 3] = \
@@ -311,6 +311,37 @@ def impedance_reference(scene, k, wave_basis):
         images = np.kron(np.eye(scene.n_dipoles), np.diag([1.0, 1.0, -1.0]))
         p = np.vstack([np.eye(3 * scene.n_dipoles), -images]) / math.sqrt(2.0)
         z, u1 = p.T @ z @ p, u1 @ p
+    perm = system_permutation(scene)
+    return z[np.ix_(perm, perm)], u1[:, perm]
+
+
+def ground_plane_pair_reference(scene, k, wave_basis):
+    """Z and U1 of a ground-plane scene in system order, image-reduced one ordered pair at a time.
+
+    With ``M = diag(1, 1, -1)`` the (i, j) block is ``(j/k) [G(r_i - r_j) -
+    G(r_i - M r_j) M]`` for i != j and ``I/(6 pi) - j alpha_i^-1 / k^3 - (j/k)
+    G(r_i - M r_i) M`` for i = j.  Every block is evaluated in scene order,
+    the (j, i) one too rather than taken as the transpose of the (i, j) one,
+    and the system order is applied afterwards by permuting rows and
+    columns.  U1 is ``sqrt(2)`` times the wave table at the dipoles on the
+    parity-allowed waves and 0 on the others.
+    """
+    from scatmodes import dipoles, swe
+
+    mirror = np.diag([1.0, 1.0, -1.0])
+    pos = scene.positions
+    n = scene.n_dipoles
+    z = np.zeros((3 * n, 3 * n), dtype=complex)
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        image = (1j / k) * dipoles.dyadic_green(k, pos[i], pos @ mirror)[0] @ mirror
+        row = (1j / k) * dipoles.dyadic_green(k, pos[i], pos[others])[0] - image[others]
+        for j, block in zip(others, row):
+            z[3 * i:3 * i + 3, 3 * j:3 * j + 3] = block
+        z[3 * i:3 * i + 3, 3 * i:3 * i + 3] = np.eye(3) / (6.0 * np.pi) \
+            - 1j * np.linalg.inv(scene.polarizability[i]) / k**3 - image[i]
+    u1 = swe.regular_wave_table(wave_basis, k, pos).reshape(wave_basis.size, 3 * n)
+    u1 *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
     perm = system_permutation(scene)
     return z[np.ix_(perm, perm)], u1[:, perm]
 

@@ -19,7 +19,7 @@ from scatmodes import (
 from scatmodes.dipoles import _readout_product
 from scatmodes.swe import ground_plane_filter, mirror_parity, regular_wave_table
 from conftest import random_scene
-from oracles import impedance_reference, system_permutation
+from oracles import ground_plane_pair_reference, impedance_reference, system_permutation
 
 
 def test_single_dipole_radiative_correction():
@@ -318,7 +318,8 @@ def _hybrid_reference(hs, k, wave_basis):
 
 
 def _assembly_case(case):
-    """(blocks, reference Z, reference U1) of one scene kind."""
+    """(scene, blocks, reference Z, reference U1) of one scene kind, the references in
+    ordered pairs."""
     from scatmodes import assemble_hybrid
 
     rng = np.random.default_rng(21)
@@ -326,47 +327,59 @@ def _assembly_case(case):
     if case == "hybrid":
         hs = _hybrid_scene()
         wb = basis(10)
-        return (assemble_hybrid(hs, k, wb, residual_tol=1.0),
-                *_hybrid_reference(hs, k, wb))
+        return hs, assemble_hybrid(hs, k, wb, residual_tol=1.0), *_hybrid_reference(hs, k, wb)
     if case == "port":
         base = random_scene(rng, 9, 0.7, n_background=3)
         scene = DipoleScene(base.positions, base.polarizability, base.region,
                             ports=(Port(4, "x", 73.0), Port(7, "z", 50.0)))
         blocks = assemble_impedance(scene, k)
-        return blocks, *_port_reference(scene, k, blocks.basis.wave)
+        return scene, blocks, *_port_reference(scene, k, blocks.basis.wave)
     if case == "ground-plane":
         base = random_scene(rng, 7, 0.6, n_background=3)
         scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability,
                             base.region, ground_plane=True)
-    else:
-        n_background = {"plain": 0, "two-region": 6, "empty-background": 0}[case]
-        scene = random_scene(rng, 14, 0.9, n_background=n_background)
-        if case == "plain":
-            # regions interleaved, so the system order is a real permutation
-            scene = DipoleScene(scene.positions, scene.polarizability,
-                                ("background", "controllable") * 7)
+        blocks = assemble_impedance(scene, k)
+        return scene, blocks, *ground_plane_pair_reference(scene, k, blocks.basis)
+    n_background = {"plain": 0, "two-region": 6, "empty-background": 0, "anisotropic": 5}[case]
+    scene = random_scene(rng, 14, 0.9, n_background=n_background,
+                         anisotropic=case == "anisotropic")
+    if case == "plain":
+        # regions interleaved, so the system order is a real permutation
+        scene = DipoleScene(scene.positions, scene.polarizability,
+                            ("background", "controllable") * 7)
     blocks = assemble_impedance(scene, k)
-    return blocks, *impedance_reference(scene, k, blocks.basis)
+    return scene, blocks, *impedance_reference(scene, k, blocks.basis)
 
 
-ASSEMBLY_CASES = ("plain", "two-region", "empty-background", "port", "ground-plane", "hybrid")
+ASSEMBLY_CASES = ("plain", "two-region", "empty-background", "anisotropic", "port", "ground-plane",
+                  "hybrid")
 
 
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
 def test_assembly_matches_the_ordered_pair_reference(case):
-    # the i < j Green blocks written with their transposes, in system order,
-    # are bit for bit the all-ordered-pairs scene-order system permuted; above
-    # a ground plane they are P^T Z P and U1 P of the mirrored reference, to
-    # rounding, and U1 is exactly 0 on the parity-forbidden waves
-    blocks, z_ref, u_ref = _assembly_case(case)
+    # Z filled by components from the i < j pairs, in system order, is bit for
+    # bit the all-ordered-pairs scene-order system permuted, anisotropic (not
+    # exactly symmetric) diagonal blocks and, above a ground plane, the image
+    # terms included; there it is also P^T Z P and U1 P of the mirrored
+    # reference, to rounding, and U1 is exactly 0 on the parity-forbidden waves
+    scene, blocks, z_ref, u_ref = _assembly_case(case)
+    assert np.array_equal(blocks.Z, z_ref)
+    assert np.array_equal(blocks.U1, u_ref)
     if case != "ground-plane":
-        assert np.array_equal(blocks.Z, z_ref)
-        assert np.array_equal(blocks.U1, u_ref)
         return
+    z_ref, u_ref = impedance_reference(scene, 1.0, blocks.basis)
     assert np.abs(blocks.Z - z_ref).max() <= 1e-14 * np.abs(z_ref).max()
     assert np.abs(blocks.U1 - u_ref).max() <= 1e-14 * np.abs(u_ref).max()
     drop = np.flatnonzero(mirror_parity(blocks.basis) < 0)
     assert drop.size and not blocks.U1[drop].any()
+
+
+@pytest.mark.parametrize("case", ["two-region", "port", "ground-plane"])
+def test_system_matrix_is_in_column_order(case):
+    # Z is assembled in LAPACK's column order, so its LU factorisation and the
+    # copy of Re Z in the radiation check read it without a transposing copy
+    _, blocks, _, _ = _assembly_case(case)
+    assert blocks.system.flags.f_contiguous
 
 
 def test_blocks_are_read_only_views_of_one_system_matrix(monkeypatch):

@@ -27,7 +27,7 @@ from scatmodes import (
     transition,
 )
 from scatmodes.dipoles import factorization_residual
-from scatmodes.modes import _apply_sb, parity_leakage
+from scatmodes.modes import DEGENERACY_GAP, _apply_sb, _eig_orthonormal, parity_leakage
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 
@@ -532,3 +532,21 @@ def test_indefinite_compressed_radiation_raises_solve_error(seed):
     ts = transition(scene, 1.0)
     with pytest.raises(SolveError, match="compressed radiation matrix is indefinite"):
         cm_impedance_substructure(ts)
+
+
+def test_kept_eigenpairs_are_those_of_every_cluster_orthonormalised():
+    # with keep, _eig_orthonormal orthonormalises only the clusters that can
+    # reach the keep pairs of largest |s|, and those pairs come out bit for
+    # bit as when every cluster is; here a chain 2 + 0.7 g, 2, 2 - 0.7 g (each
+    # within the gap g of the next, the ends not) straddles the third pair, so
+    # the cluster about the fourth value re-orthonormalises the third vector
+    g = DEGENERACY_GAP * 3.0
+    vals = np.array([3.0, 2.0 + 0.7 * g, 2.0, 2.0 - 0.7 * g, 1.0, 0.5, -0.25, 0.1])
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m = x @ np.diag(vals) @ np.linalg.inv(x)
+    s_all, v_all = _eig_orthonormal(m)
+    top = np.argsort(-np.abs(s_all), kind="stable")[:3]
+    s_kept, v_kept = _eig_orthonormal(m, keep=3)
+    assert np.array_equal(s_kept, s_all)
+    assert np.array_equal(v_kept[:, top], v_all[:, top])

@@ -368,15 +368,10 @@ def test_iterative_cloud_point_bounds_unitarity_without_an_n_by_n_operator(monke
     assert not calls, calls
 
 
-def test_iterative_point_holds_few_system_sized_arrays():
-    # one iterative point on a 150-dipole two-region scene whose basis
-    # (198 waves) is smaller than its 450 unknowns, so the 3N x 3N arrays
-    # dominate: the system matrix and its LU factors, plus bounded
-    # temporaries, stay under 4.5 Z-sized arrays (scene-order and permuted
-    # copies and an all-ordered-pairs Green table take about 5.8)
-    import tracemalloc
-    import warnings
-
+def _cloud_150():
+    """A 150-dipole two-region ``iterative`` scenario at 50 MHz whose basis (198 waves) is
+    smaller than its 450 unknowns, so the 3N x 3N arrays dominate: (sc, k, wave basis, angular
+    factors, bytes of one Z-sized array)."""
     from conftest import random_positions
 
     rng = np.random.default_rng(150)
@@ -389,17 +384,45 @@ def test_iterative_point_holds_few_system_sized_arrays():
                                       sweep={"f_min": 5.0e7, "f_max": 5.0e7, "n_points": 1},
                                       scene={"dipoles": dipoles}))
     wave_basis, angular, _ = cli._sweep_basis(sc)
-    z_nbytes = (3 * n) ** 2 * np.dtype(complex).itemsize
     assert 2 * wave_basis.size < 3 * n
+    k = 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT
+    return sc, k, wave_basis, angular, (3 * n) ** 2 * np.dtype(complex).itemsize
+
+
+def _traced_peak(call):
+    """Peak of the memory traced while ``call()`` runs, warnings ignored."""
+    import tracemalloc
+    import warnings
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tracemalloc.start()
         try:
-            cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis, seed=1, angular=angular)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+
+def test_iterative_point_holds_few_system_sized_arrays():
+    # one iterative point on the 150-dipole scene: the system matrix and its
+    # LU factors, plus bounded temporaries, stay under 4.5 Z-sized arrays
+    # (scene-order and permuted copies and an all-ordered-pairs Green table
+    # take about 5.8)
+    sc, k, wave_basis, angular, z_nbytes = _cloud_150()
+    peak = _traced_peak(lambda: cli._solve_point(sc, k, wave_basis, seed=1, angular=angular))
     assert peak <= 4.5 * z_nbytes, peak / z_nbytes
+
+
+def test_assembly_holds_two_system_sized_arrays():
+    # assemble_impedance alone on the 150-dipole scene: Z, the copy of Re Z
+    # its radiation check makes, and the chunked pair temporaries stay within
+    # 2.0 Z-sized arrays (a fill of all pairs at once takes about 2.2)
+    from scatmodes.dipoles import assemble_impedance
+
+    sc, k, wave_basis, angular, z_nbytes = _cloud_150()
+    peak = _traced_peak(lambda: assemble_impedance(sc["scene"], k, wave_basis, angular))
+    assert peak <= 2.0 * z_nbytes, peak / z_nbytes
 
 
 def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():

@@ -8,9 +8,9 @@ Builds the cloud-sweep scenario of ``perfbench/scenarios.py`` (300 dipoles,
 900 unknowns, 448 waves, ``iterative``) and times, under the OpenBLAS thread
 counts ``run --jobs 1`` sets, the four stages of point P of its sweep:
 
-- assembly: ``assemble_impedance``, in parts: the Green blocks with their
-  transposed scatter (the rest of the stage), ``swe.wave_table`` (the
-  readout) and ``_radiation_defect``;
+- assembly: ``assemble_impedance``, in parts: the fill of Z by Green
+  components from the i < j pairs (the rest of the stage), ``swe.wave_table``
+  (the readout) and ``_radiation_defect``;
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
 - engine: ``iterate`` on ``ScatterOracle.from_blocks`` without the
   oracle's validation, as ``run`` calls it, the block Krylov iteration on
@@ -54,7 +54,7 @@ PARTS = (
     ("engine", "block applications", iterative, "composed_matvec"),
     ("engine", "Rayleigh-Ritz", iterative, "_eig_orthonormal"),
 )
-REST = {"assembly": "Green blocks, scatter", "engine": "Krylov basis, residuals"}
+REST = {"assembly": "Green fill by components", "engine": "Krylov basis, residuals"}
 
 
 @contextlib.contextmanager
