@@ -2,8 +2,9 @@
 
 Modes are computed from scattering, transition, or impedance operators;
 built-in backends are a coupled-dipole volumetric MoM, analytic Mie
-spheres, and their hybrid, with a matrix-free iterative solver for
-operator-callback access.
+spheres, and their hybrid.  One pencil, ``ScatterOracle`` (the actions
+of T and T_b), feeds the scattering engine and the matrix-free iterative
+solver.
 """
 
 from .dipoles import (
@@ -25,10 +26,11 @@ from .exceptions import (
     SolveError,
 )
 from .hybrid import assemble_hybrid, assemble_u4, hybrid_impedance_modes
-from .iterative import ScatterOracle, composed_matvec, iterate
+from .iterative import composed_matvec, iterate
 from .mie import SphereSpec, mie_modeset, mie_t_coefficients, mie_tmatrix
 from .modes import (
     ModeSet,
+    ScatterOracle,
     cm_impedance_substructure,
     cm_scattering,
     cm_t_form,

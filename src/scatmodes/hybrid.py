@@ -184,7 +184,7 @@ def assemble_hybrid(scene: DipoleScene, k: float, wave_basis: WaveBasis | None =
         )
     blocks = assemble_impedance(scene, k, wave_basis, angular)
     t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis)).copy()  # T_b1's diagonal
-    hybrid = replace(blocks, system=blocks.system + (u4.T * t1) @ u4,
+    hybrid = replace(blocks, system=np.add(blocks.system, (u4.T * t1) @ u4, order="F"),
                      readout=blocks.readout + t1[:, None] * u4, T_b0=t1)
     hybrid.factorize()
     return hybrid

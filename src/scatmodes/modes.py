@@ -1,8 +1,9 @@
 """Dense characteristic-mode engines.
 
-The scattering generalized eigenproblem ``S a = s S_b a`` and its
-reformulations: products of transition matrices, the Schur-complement
-impedance path with eigencurrent recovery, executable identity checks
+The scattering generalized eigenproblem ``S a = s S_b a`` on its pencil
+(``ScatterOracle``, the actions of T and T_b) and its reformulations:
+products of transition matrices, the Schur-complement impedance path
+with eigencurrent recovery, executable identity checks
 (power balance, modified-transition-matrix equality, the parity leakage
 of a mirrored ground-plane scene), and frequency-sweep mode tracking.
 Every engine serves every scene kind through its ``BlockImpedance``; a
@@ -23,7 +24,7 @@ import scipy.linalg as la
 
 from . import swe
 from .dipoles import BlockImpedance, _readout_product, _t_apply, factorization_residual
-from .exceptions import ShapeError, SolveError
+from .exceptions import DomainError, ShapeError, SolveError
 from .network import UNITARY_TOL, check_unitary, check_unitary_factored
 from .swe import WaveBasis
 
@@ -164,136 +165,173 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
     return q[:, :int(np.count_nonzero(pivots > cut))]
 
 
-class _MatrixPencil:
-    """``S`` and ``S_b`` given as n x n matrices: the dense oracle of ``cm_scattering``."""
+@dataclass
+class ScatterOracle:
+    """The scattering pencil of a scene and its background: the actions of T and T_b.
 
-    def __init__(self, S, S_b):
-        self.s_mat = np.asarray(S)
-        self.dim = self.s_mat.shape[0]
-        if self.s_mat.ndim != 2 or self.s_mat.shape[0] != self.s_mat.shape[1]:
-            raise ShapeError(f"S must be square, got {self.s_mat.shape}")
-        self.sb_mat = np.eye(self.dim) if S_b is None else np.asarray(S_b)
-        if self.sb_mat.shape != self.s_mat.shape:
-            raise ShapeError(f"dimension mismatch: S {self.s_mat.shape}, S_b {self.sb_mat.shape}")
-        self.basis = None
-
-    def matrices(self):
-        return self.s_mat, self.sb_mat
-
-    def apply_sb(self, x):
-        return self.sb_mat @ x
-
-    def diff(self, x):
-        """``T - T_b = (S - S_b) / 2`` applied to x."""
-        return 0.5 * ((self.s_mat - self.sb_mat) @ x)
-
-    def schur(self):
-        """All n eigenpairs from the Schur decomposition of the normal ``S_b^H S``."""
-        return _schur_eig(self.sb_mat.conj().T @ self.s_mat)
-
-    def unitarity(self) -> dict:
-        return {"unitarity_S": check_unitary(self.s_mat),
-                "unitarity_S_b": check_unitary(self.sb_mat),
-                "unitarity_form": "dense"}
-
-
-class _BlockPencil:
-    """``S`` and ``S_b`` of a ``BlockImpedance`` as actions of its factors.
-
-    ``S_b`` acts through the Z_bb factors and the diagonal offset
-    ``T_b0`` (``_apply_sb``; ``S_b^H`` is its conjugate), and ``T - T_b =
-    -U1~ Z~^-1 U1~^T`` through the Schur complement, so no n x n matrix is
-    formed unless the QZ fallback or a dense unitarity check reads
-    ``blocks.S`` and ``blocks.S_b``.  Eliminating the background gives that
-    form for every scene kind (the background offset cancels), so ``U1~``
-    spans the range of ``S - S_b``.
+    ``apply`` and ``apply_background`` map a (dim, p) block of excitations to
+    ``T x`` and ``T_b x`` (``S = I + 2 T``, ``S_b = I + 2 T_b``).  Both must be
+    linear and complex symmetric (reciprocity, so ``S_b^H y = conj(S_b
+    conj(y))``), which ``validate`` probes.  ``from_blocks`` keeps its
+    ``BlockImpedance`` as ``blocks`` (and its ``basis``); ``T - T_b`` then
+    acts through its Schur complement.  ``matrices()`` needs either
+    constructor.
     """
 
-    def __init__(self, blocks: BlockImpedance):
-        self.blocks = blocks
-        self.u_tilde = blocks.U1_tilde
-        self.dim = self.u_tilde.shape[0]
-        self.basis = blocks.basis
+    apply: callable
+    apply_background: callable
+    dim: int
+    blocks: BlockImpedance | None = field(default=None, init=False, repr=False)
+    _dense: tuple | None = field(default=None, init=False, repr=False)  # from_matrices' T, T_b
 
-    def matrices(self):
-        return self.blocks.S, self.blocks.S_b
+    def __post_init__(self):
+        if self.dim < 1:
+            raise DomainError("oracle dimension must be positive")
 
-    def apply_sb(self, x):
-        return _apply_sb(self.blocks, x)
+    basis = property(lambda self: None if self.blocks is None else self.blocks.basis)
 
-    def diff(self, x):
-        """``T - T_b = (S - S_b) / 2`` applied to x."""
-        return -self.u_tilde @ self.blocks.solve_tilde(self.u_tilde.T @ x)
+    @classmethod
+    def from_matrices(cls, T, T_b) -> "ScatterOracle":
+        """Oracle backed by the dense n x n matrices T and T_b."""
+        t = np.asarray(T)
+        tb = np.asarray(T_b)
+        if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ShapeError(f"operator shapes {t.shape} / {tb.shape} unusable")
+        oracle = cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x, dim=t.shape[0])
+        oracle._dense = t, tb
+        return oracle
 
-    def schur(self):
-        """Eigenpairs on ``V = range(S_b^H U1~)`` from the r x r ``M``; V's basis Q is kept."""
-        sbh_u = np.conj(self.apply_sb(np.conj(self.u_tilde)))
-        self.q = _orthonormal_range(sbh_u)
-        t_vals, z, off = _schur_eig(self.apply_sb(self.q).conj().T @ self.diff(self.q))
-        if t_vals is None:
-            return None, None, off
-        return 1.0 + 2.0 * t_vals, self.q @ z, off
+    @classmethod
+    def from_blocks(cls, blocks: BlockImpedance) -> "ScatterOracle":
+        """Oracle on a ``BlockImpedance``'s factors, ``T x = T_b0 x - U1 Z^-1 U1^T x`` and T_b
+        likewise through Z_bb, forming no n x n operator."""
+        oracle = cls(
+            apply=lambda x: _t_apply(blocks.solve, blocks.readout, blocks.T_b0, x),
+            apply_background=lambda x: _t_apply(blocks.solve_bb, blocks.U1_b, blocks.T_b0, x),
+            dim=blocks.readout.shape[0])
+        oracle.blocks = blocks
+        return oracle
 
-    def complement(self, n: int) -> np.ndarray:
-        """``n`` orthonormal columns from the complement of V, where ``s = 1``."""
-        rank = self.q.shape[1]
-        return np.linalg.qr(self.q, mode="complete")[0][:, rank:rank + n]
+    def apply_sb(self, x: np.ndarray) -> np.ndarray:
+        """``S_b x = x + 2 T_b x``."""
+        return x + 2.0 * self.apply_background(x)
+
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        """``(T - T_b) x``; on blocks ``-U1~ Z~^-1 U1~^T x``, since eliminating the background
+        cancels its offset for every scene kind (so ``U1~`` spans the range of ``S - S_b``)."""
+        if self.blocks is None:
+            return self.apply(x) - self.apply_background(x)
+        u_tilde = self.blocks.U1_tilde
+        return -u_tilde @ self.blocks.solve_tilde(u_tilde.T @ x)
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """S and S_b as n x n matrices: the blocks' own, or ``I + 2 T`` and ``I + 2 T_b``."""
+        if self.blocks is not None:
+            return self.blocks.S, self.blocks.S_b
+        eye = np.eye(self.dim)
+        return eye + 2.0 * self._dense[0], eye + 2.0 * self._dense[1]
 
     def unitarity(self) -> dict:
-        return scattering_unitarity(self.blocks)
+        """``scattering_unitarity`` of the blocks, else ``check_unitary`` of ``matrices()``."""
+        if self.blocks is not None:
+            return scattering_unitarity(self.blocks)
+        s, s_b = self.matrices()
+        return {"unitarity_S": check_unitary(s), "unitarity_S_b": check_unitary(s_b),
+                "unitarity_form": "dense"}
+
+    def validate(self, rng: np.random.Generator, tol: float = 1e-10) -> None:
+        """Probe linearity and complex symmetry on one block of random vectors."""
+        xy = rng.standard_normal((self.dim, 2)) + 1j * rng.standard_normal((self.dim, 2))
+        c1, c2 = 0.37 - 1.1j, -0.64 + 0.2j
+        block = np.column_stack([xy, c1 * xy[:, 0] + c2 * xy[:, 1]])
+        for op, name in ((self.apply, "apply"), (self.apply_background, "apply_background")):
+            (x, y), (ax, ay, axy) = xy.T, op(block).T
+            scale = max(np.linalg.norm(ax), np.linalg.norm(ay), 1.0)
+            lin = np.linalg.norm(axy - c1 * ax - c2 * ay)
+            if lin > tol * scale:
+                raise DomainError(f"oracle {name} failed the linearity probe ({lin:.2e})")
+            sym = abs(x @ ay - y @ ax)
+            if sym > tol * scale:
+                raise DomainError(f"oracle {name} is not complex symmetric ({sym:.2e}); "
+                                  "the conjugation trick needs reciprocal operators")
+
+
+def _range_schur(oracle: ScatterOracle):
+    """Eigenpairs of a blocks oracle on ``V = range(S_b^H U1~)`` from the r x r ``M``: (s values,
+    vectors, Schur off-diagonal norm, V's orthonormal basis Q), values and vectors None where
+    ``M`` is not normal."""
+    u_tilde = oracle.blocks.U1_tilde
+    q = _orthonormal_range(np.conj(oracle.apply_sb(np.conj(u_tilde))))
+    t_vals, z, off = _schur_eig(oracle.apply_sb(q).conj().T @ oracle.diff(q))
+    if t_vals is None:
+        return None, None, off, q
+    return 1.0 + 2.0 * t_vals, q @ z, off, q
 
 
 def cm_scattering(S, S_b=None, k: float | None = None,
                   n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
-    ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix.
-    For unitary inputs the problem reduces to the normal matrix ``N =
-    S_b^H S``, solved by a complex Schur decomposition, which gives
-    orthonormal eigenvectors including degenerate clusters.  If ``S_b``
-    fails its unitarity check (``network.UNITARY_TOL``), or the Schur
-    factor shows the matrix decomposed is not normal, the solver falls
-    back to a two-matrix QZ factorisation of the full pencil and flags
-    the result (``diagnostics['solver'] == 'qz'``).
+    ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix,
+    decomposed as a ``ScatterOracle``.  For unitary inputs the problem
+    reduces to the normal matrix ``N = S_b^H S``, solved by a complex Schur
+    decomposition, which gives orthonormal eigenvectors including
+    degenerate clusters.  If ``S_b`` fails its unitarity check
+    (``network.UNITARY_TOL``), or the Schur factor shows the matrix
+    decomposed is not normal, the solver falls back to a two-matrix QZ
+    factorisation of the full pencil (``matrices()``) and flags the result
+    (``diagnostics['solver'] == 'qz'``).
 
-    Blocks are solved on the range of ``S - S_b`` only.  With
-    the background eliminated, ``S - S_b = -2 U1~ Z~^-1 U1~^T``, so ``N -
-    I = S_b^H (S - S_b)`` maps into ``V = range(S_b^H U1~)`` (at most
-    ``3 N_c`` columns), the normal ``N`` leaves V invariant and is exactly
-    the identity on its complement.  The engine takes an orthonormal
-    basis Q of V (rank r after the rcond cut), decomposes the r x r
-    matrix ``M = (S_b Q)^H (T - T_b) Q = -(S_b Q)^H U1~ Z~^-1 (U1~^T Q)``,
-    whose eigenvalues are the t_n themselves, and returns ``a = Q z``;
-    every other mode has ``s = 1``.  ``S_b``, ``S_b^H`` and ``T - T_b``
-    act through the blocks' solves, so this costs O(n (3N)^2 + (3N)^3)
-    and forms no n x n matrix; the unitarity of S and S_b comes from
-    ``scattering_unitarity`` (factored, bound or dense).
+    Blocks (``ScatterOracle.from_blocks``) are solved on the range of ``S
+    - S_b`` only.  With the background eliminated, ``S - S_b = -2 U1~
+    Z~^-1 U1~^T``, so ``N - I = S_b^H (S - S_b)`` maps into ``V =
+    range(S_b^H U1~)`` (at most ``3 N_c`` columns), the normal ``N`` leaves
+    V invariant and is exactly the identity on its complement.  The engine
+    takes an orthonormal basis Q of V (rank r after the rcond cut),
+    decomposes the r x r matrix ``M = (S_b Q)^H (T - T_b) Q = -(S_b Q)^H
+    U1~ Z~^-1 (U1~^T Q)``, whose eigenvalues are the t_n themselves, and
+    returns ``a = Q z``; every other mode has ``s = 1``.  ``S_b``, ``S_b^H``
+    and ``T - T_b`` act through the blocks' solves, so this costs O(n
+    (3N)^2 + (3N)^3) and forms no n x n matrix; the unitarity of S and S_b
+    comes from ``scattering_unitarity`` (factored, bound or dense).
 
-    Matrices (``S_b`` defaults to the identity) are the dense oracle: all
-    n modes from the n x n Schur decomposition of N, with ``check_unitary``
-    on both; ties in the mode order go by index.  ``diagnostics['rank']``
+    Matrices (``S_b`` defaults to the identity) are the dense oracle,
+    ``from_matrices`` of ``(S - I) / 2`` and ``(S_b - I) / 2``: all n modes
+    from the n x n Schur decomposition of N, with ``check_unitary`` on
+    both; ties in the mode order go by index.  ``diagnostics['rank']``
     is the size of the eigenproblem solved (r on the range, n for the
     oracle and for QZ).
 
-    ``n_modes`` keeps the ``n_modes`` most significant modes.  On the
-    range, more modes than r are filled with ``s = 1`` exactly and an
-    orthonormal basis of V's complement; without ``n_modes`` the range
+    ``n_modes`` (at least 1) keeps the ``n_modes`` most significant modes.
+    On the range, more modes than r are filled with ``s = 1`` exactly and
+    an orthonormal basis of V's complement; without ``n_modes`` the range
     engine returns its r modes.  The residual, orthogonality and
     cancellation diagnostics are measured on the modes returned; the
     unitarity deviations of S and S_b on the full operators
     (``unitarity_form`` says how).
     """
+    if n_modes is not None and n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     if isinstance(S, BlockImpedance):
         if S_b is not None:
             raise ValueError("a BlockImpedance carries its own S_b")
-        pencil = _BlockPencil(S)
+        oracle = ScatterOracle.from_blocks(S)
     else:
-        pencil = _MatrixPencil(S, S_b)
+        s_mat = np.asarray(S)
+        eye = np.eye(len(s_mat) if s_mat.ndim else 0)
+        sb_mat = eye if S_b is None else np.asarray(S_b)
+        if s_mat.shape != eye.shape or sb_mat.shape != eye.shape:
+            raise ShapeError(f"S {s_mat.shape} and S_b {sb_mat.shape} must be square and equal")
+        oracle = ScatterOracle.from_matrices(0.5 * (s_mat - eye), 0.5 * (sb_mat - eye))
 
-    diag = {**pencil.unitarity(), "solver": "schur"}
+    diag = {**oracle.unitarity(), "solver": "schur"}
     s_vals = None
     if diag["unitarity_S_b"] <= UNITARY_TOL:
-        s_vals, a, diag["schur_offdiag"] = pencil.schur()
+        if oracle.blocks is None:
+            s_mat, sb_mat = oracle.matrices()
+            s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
+        else:
+            s_vals, a, diag["schur_offdiag"], q = _range_schur(oracle)
     if s_vals is None:
         if diag["unitarity_S_b"] > UNITARY_TOL:
             cause = (f"S_b failed the unitarity check (deviation "
@@ -303,19 +341,20 @@ def cm_scattering(S, S_b=None, k: float | None = None,
                      f"{diag['schur_offdiag']:.1e})")
         warnings.warn(f"{cause}; falling back to a QZ solve")
         diag["solver"] = "qz"
-        s_vals, a = _eig_orthonormal(*pencil.matrices())
+        s_vals, a = _eig_orthonormal(*oracle.matrices())
     diag["rank"] = s_vals.size
 
     t = (s_vals - 1.0) / 2.0
-    order = _mode_order(t, a, pencil.basis)[:n_modes]
+    order = _mode_order(t, a, oracle.basis)[:n_modes]
     s_vals, a = s_vals[order], a[:, order]
-    n_pad = 0 if n_modes is None else min(n_modes, pencil.dim) - s_vals.size
-    if n_pad > 0:
+    n_pad = 0 if n_modes is None else min(n_modes, oracle.dim) - s_vals.size
+    if n_pad > 0:  # only the range engine returns fewer than n modes; pad from V's complement
+        rank = q.shape[1]
         s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
-        a = np.hstack([a, pencil.complement(n_pad)])
+        a = np.hstack([a, np.linalg.qr(q, mode="complete")[0][:, rank:rank + n_pad]])
 
-    f = pencil.apply_sb(a)
-    s_a = f + 2.0 * pencil.diff(a)
+    f = oracle.apply_sb(a)
+    s_a = f + 2.0 * oracle.diff(a)
     resid = np.linalg.norm(s_a - f * s_vals[None, :], axis=0)
     drive = np.linalg.norm(s_a, axis=0)
     diag["cancellation_flags"] = \
@@ -325,7 +364,7 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
     gram_f = f.conj().T @ f
     diag["orthogonality_f"] = float(np.abs(gram_f - np.eye(gram_f.shape[0])).max(initial=0.0))
-    return ModeSet(s=s_vals, a=a, f=f, k=k, basis=pencil.basis, diagnostics=diag)
+    return ModeSet(s=s_vals, a=a, f=f, k=k, basis=oracle.basis, diagnostics=diag)
 
 
 def cm_t_form(T, T_b, representation: str = "excitation",
@@ -373,16 +412,6 @@ def cm_t_form(T, T_b, representation: str = "excitation",
 # ---------------------------------------------------------------------------
 # Impedance (Schur complement) path
 # ---------------------------------------------------------------------------
-
-def _apply_sb(blocks: BlockImpedance, vec: np.ndarray) -> np.ndarray:
-    """``S_b vec = vec + 2 (T_b0 vec - U1_b Z_bb^-1 U1_b^T vec)`` without forming S_b.
-
-    ``T_b0`` is the diagonal of the background offset (None: zero).  S_b is
-    complex symmetric (reciprocity), so ``S_b^H y = conj(S_b conj(y))``
-    reuses the factors of Z_bb for the adjoint.
-    """
-    return vec + 2.0 * _t_apply(blocks.solve_bb, blocks.U1_b, blocks.T_b0, vec)
-
 
 def _unitarity_bound(u: np.ndarray, solve, defect: float) -> float:
     """``4 ||B||_2^2 defect / sqrt(n)``, B = z^-1 u^T, ||B||_2 probed by the 8 complex Gaussian
@@ -491,7 +520,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -blocks.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    a = np.conj(_apply_sb(blocks, np.conj(f)))
+    a = np.conj(ScatterOracle.from_blocks(blocks).apply_sb(np.conj(f)))
     i_b = -blocks.W @ i_c
     currents = np.vstack([i_b, i_c])
 

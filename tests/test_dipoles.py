@@ -374,10 +374,11 @@ def test_assembly_matches_the_ordered_pair_reference(case):
     assert drop.size and not blocks.U1[drop].any()
 
 
-@pytest.mark.parametrize("case", ["two-region", "port", "ground-plane"])
+@pytest.mark.parametrize("case", ["two-region", "port", "ground-plane", "hybrid"])
 def test_system_matrix_is_in_column_order(case):
-    # Z is assembled in LAPACK's column order, so its LU factorisation and the
-    # copy of Re Z in the radiation check read it without a transposing copy
+    # Z is assembled in LAPACK's column order (a sphere's coupling is added in
+    # that order), so its LU factorisation and the copy of Re Z in the
+    # radiation check read it without a transposing copy
     _, blocks, _, _ = _assembly_case(case)
     assert blocks.system.flags.f_contiguous
 

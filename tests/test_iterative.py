@@ -11,6 +11,7 @@ from scatmodes import (
     ShapeError,
     SphereSpec,
     assemble_hybrid,
+    cm_scattering,
     cm_t_form,
     composed_matvec,
     iterate,
@@ -50,9 +51,6 @@ def test_composed_matvec_against_dense_product():
     o_t = ScatterOracle.from_matrices(t, tb)
     explicit = (2.0 * tb.conj().T @ t + tb.conj().T + t) @ x
     assert np.abs(composed_matvec(o_t, x) - explicit).max() < 1e-12
-
-    o_s = ScatterOracle.from_matrices(t, tb, kind="S-form")
-    assert np.abs(composed_matvec(o_s, x) - sb.conj().T @ s @ x).max() < 1e-12
 
 
 def test_symmetry_probe_rejects_nonreciprocal_operator():
@@ -104,15 +102,14 @@ def test_zero_operator_terminates_immediately():
     assert np.abs(ms.t).max() == 0.0
 
 
-@pytest.mark.parametrize("kind", ["T-form", "S-form"])
-def test_matches_dense_on_random_scene(kind):
+def test_matches_dense_on_random_scene():
     rng = np.random.default_rng(33)
     scene = random_scene(rng, 9, 0.9, n_background=4)
     k = 1.0
     ts = transition(scene, k)
     assert ts.S.shape[0] <= 300
     dense = cm_t_form(ts.T, ts.T_b)
-    oracle = ScatterOracle.from_matrices(ts.T, ts.T_b, kind=kind)
+    oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
     ms, log = iterate(oracle, n_modes=5, max_iter=60)
     assert log.n_iterations <= 60
     assert np.abs(np.abs(dense.t[:5]) - np.abs(ms.t[:5])).max() < 1e-6
@@ -183,17 +180,16 @@ def test_max_iter_returns_nonconverged_estimate():
     assert ms.n_modes == 5
 
 
-def _degenerate_oracle(kind):
+def _degenerate_oracle():
     # a normal composed operator with t = 0.9 three times and 0.5 twice
     rng = np.random.default_rng(41)
     q = la.qr(rng.standard_normal((14, 14)))[0]  # real orthogonal: T is symmetric and normal
     t = np.array([0.9] * 3 + [0.5] * 2 + list(0.3 * rng.random(9)))
-    return ScatterOracle.from_matrices(q @ np.diag(t + 0j) @ q.T, np.zeros((14, 14)), kind=kind)
+    return ScatterOracle.from_matrices(q @ np.diag(t + 0j) @ q.T, np.zeros((14, 14)))
 
 
-@pytest.mark.parametrize("kind", ["T-form", "S-form"])
-def test_block_returns_every_mode_of_a_degenerate_eigenspace(kind):
-    ms, log = iterate(_degenerate_oracle(kind), n_modes=5)
+def test_block_returns_every_mode_of_a_degenerate_eigenspace():
+    ms, log = iterate(_degenerate_oracle(), n_modes=5)
     assert log.converged
     assert np.abs(ms.t - [0.9, 0.9, 0.9, 0.5, 0.5]).max() < 1e-10
     assert np.abs(ms.a.conj().T @ ms.a - np.eye(5)).max() < 1e-8
@@ -212,9 +208,10 @@ def test_composed_matvec_of_a_block_is_the_columnwise_product():
 
 @pytest.mark.parametrize("bank", ["two-region", "port", "ground-plane", "hybrid"])
 def test_block_oracle_acts_as_the_dense_operators(bank):
-    # T and T_b through the factors: the composed action equals that of the
-    # n x n matrices, and the oracle passes its own probes (a hybrid's
-    # readout is complex and its T_b carries the sphere's Mie offset)
+    # T and T_b through the factors: the composed action, S_b and T - T_b (the
+    # latter through the Schur complement) equal those of the n x n matrices,
+    # and the oracle passes its own probes (a hybrid's readout is complex and
+    # its T_b carries the sphere's Mie offset)
     rng = np.random.default_rng(43)
     scene = random_scene(rng, 8, 0.7, n_background=3)
     if bank == "port":
@@ -232,5 +229,19 @@ def test_block_oracle_acts_as_the_dense_operators(bank):
     oracle.validate(rng)
     dense = ScatterOracle.from_matrices(blocks.T, blocks.T_b)
     x = rng.standard_normal((oracle.dim, 5)) + 1j * rng.standard_normal((oracle.dim, 5))
-    want = composed_matvec(dense, x)
-    assert np.abs(composed_matvec(oracle, x) - want).max() <= 1e-13 * np.abs(want).max()
+    for got, want in ((composed_matvec(oracle, x), composed_matvec(dense, x)),
+                      (oracle.apply_sb(x), dense.apply_sb(x)),
+                      (oracle.diff(x), dense.diff(x))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_modes", [0, -1])
+@pytest.mark.parametrize("engine", ["iterate", "cm_scattering-blocks", "cm_scattering-matrices"])
+def test_n_modes_below_one_is_a_domain_error(engine, n_modes):
+    blocks = transition(random_scene(np.random.default_rng(44), 4, 0.5, n_background=2), 1.0)
+    run = {"iterate": lambda: iterate(ScatterOracle.from_blocks(blocks), n_modes=n_modes),
+           "cm_scattering-blocks": lambda: cm_scattering(blocks, n_modes=n_modes),
+           "cm_scattering-matrices": lambda: cm_scattering(blocks.S, blocks.S_b,
+                                                           n_modes=n_modes)}[engine]
+    with pytest.raises(DomainError, match="n_modes"):
+        run()

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 from scatmodes import (
     DipoleScene,
     Port,
+    ScatterOracle,
     ShapeError,
     SolveError,
     SphereSpec,
@@ -27,7 +28,7 @@ from scatmodes import (
     transition,
 )
 from scatmodes.dipoles import factorization_residual
-from scatmodes.modes import DEGENERACY_GAP, _apply_sb, _eig_orthonormal, parity_leakage
+from scatmodes.modes import DEGENERACY_GAP, _eig_orthonormal, parity_leakage
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 
@@ -475,8 +476,9 @@ def test_background_action_matches_the_dense_s_b(make_blocks):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     s_b = blocks.S_b
-    for got, want in ((_apply_sb(blocks, x), s_b @ x),
-                      (np.conj(_apply_sb(blocks, np.conj(x))), s_b.conj().T @ x)):
+    apply_sb = ScatterOracle.from_blocks(blocks).apply_sb
+    for got, want in ((apply_sb(x), s_b @ x),
+                      (np.conj(apply_sb(np.conj(x))), s_b.conj().T @ x)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

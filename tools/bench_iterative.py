@@ -12,9 +12,10 @@ counts ``run --jobs 1`` sets, the four stages of point P of its sweep:
   components from the i < j pairs (the rest of the stage), ``swe.wave_table``
   (the readout) and ``_radiation_defect``;
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
-- engine: ``iterate`` on ``ScatterOracle.from_blocks`` without the
-  oracle's validation, as ``run`` calls it, the block Krylov iteration on
-  the factors, in parts: the block applications (``composed_matvec``),
+- engine: ``iterate`` on the pencil ``ScatterOracle.from_blocks`` (the one
+  ``cm_scattering`` decomposes; T_b acts through the ``U1_b`` view of the
+  readout) without the oracle's validation, as ``run`` calls it, the block
+  Krylov iteration on the factors, in parts: the block applications (``composed_matvec``),
   Rayleigh-Ritz (``_eig_orthonormal``) and the rest (the Krylov basis and
   the residuals);
 - unitarity: ``scattering_unitarity`` (the bound, or the dense check).
