@@ -31,9 +31,11 @@ def main():
     print(f"operator dimension: {blocks.S.shape[0]}")
 
     dense = cm_t_form(blocks.T, blocks.T_b)
-    estimate, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=5, seed=42)
+    estimate = iterate(ScatterOracle.from_blocks(blocks), n_modes=5, seed=42)
+    diagnostics = estimate.diagnostics
 
-    print(f"converged after {log.n_iterations} block applications ({log.reason})")
+    print(f"converged after {diagnostics['iterations']} block applications "
+          f"({diagnostics['reason']})")
     print(f"\n{'|t| dense':>12} {'|t| matrix-free':>16}")
     for i in range(5):
         print(f"{abs(dense.t[i]):12.10f} {abs(estimate.t[i]):16.10f}")
@@ -41,8 +43,9 @@ def main():
           f"{np.abs(np.abs(dense.t[:5]) - np.abs(estimate.t[:5])).max():.2e}")
 
     print("\nlargest residual ||N x - theta x|| of the returned pairs per iteration:")
-    for i, r in enumerate(log.residuals):
-        bar = "#" * max(1, int(40 * r / max(log.residuals)))
+    residuals = diagnostics["residuals"]
+    for i, r in enumerate(residuals):
+        bar = "#" * max(1, int(40 * r / max(residuals)))
         print(f"  {i:3d}  {r:9.2e}  {bar}")
 
 

@@ -299,11 +299,9 @@ def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
 
 def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    # the library builds the oracle linear and complex-symmetric: no probe for it
-    ms, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed,
-                      validate=False)
+    ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
     ms.k = k
-    diag.update(iterations=log.n_iterations, converged=log.converged)
+    diag.update(iterations=ms.diagnostics["iterations"], converged=ms.diagnostics["converged"])
     return ms
 
 
@@ -507,13 +505,21 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _read_traces(path: str) -> dict[float, list[complex]]:
+    """t of each mode by frequency in a ``traces.csv``; a malformed file raises ``ShapeError``."""
     by_freq: dict[float, list[complex]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:  # bad bytes: U+FFFD
         reader = csv.DictReader(fh)
         for row in reader:
-            f = float(row["frequency_hz"])
-            by_freq.setdefault(f, []).append(
-                complex(float(row["re_t"]), float(row["im_t"])))
+            try:
+                f, re_t, im_t = (float(row[key]) for key in ("frequency_hz", "re_t", "im_t"))
+            except KeyError as err:
+                raise ShapeError(f"{path} has no {err} column") from None
+            except (TypeError, ValueError):  # a short row reads None
+                f = re_t = im_t = math.nan
+            if not all(map(math.isfinite, (f, re_t, im_t))):
+                raise ShapeError(f"{path}, line {reader.line_num}: frequency_hz, re_t and im_t "
+                                 "must be finite numbers")
+            by_freq.setdefault(f, []).append(complex(re_t, im_t))
     return by_freq
 
 
@@ -528,8 +534,7 @@ def _matched(ta: np.ndarray, tb: np.ndarray):
 
 def compare_results(path_a: str, path_b: str, tol: float) -> dict:
     """Optimal per-frequency matching of two trace files; worst deviation vs tol."""
-    a = _read_traces(path_a)
-    b = _read_traces(path_b)
+    a, b = _read_traces(path_a), _read_traces(path_b)
     if sorted(a) != sorted(b):
         raise ShapeError("frequency grids differ between the two result files")
     worst = (0.0, None, None)

@@ -5,14 +5,12 @@ The composed operator ``2 T_b^H T + T_b^H + T`` of a ``ScatterOracle``
 oracle's forward callbacks only: for reciprocal (complex-symmetric)
 operators the Hermitian-transposed factors reduce to forward applications
 plus elementwise conjugation, ``M^H x = conj(M conj(x))``.  A block Krylov
-space is grown one block of responses per iteration, and eigenvalue
-estimates come from the small projected problem (Rayleigh-Ritz), never
-from a full-size matrix.
+space grows by one block of responses per iteration, and the modes, a
+``ModeSet`` as from every engine, come from the small projected problem
+(Rayleigh-Ritz), never from a full-size matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
@@ -22,6 +20,8 @@ from .modes import ModeSet, ScatterOracle, _eig_orthonormal
 
 #: columns the default starting block carries beyond ``n_modes``
 OVERSAMPLING = 2
+#: largest residual ``||N x - theta x||`` of a returned Ritz pair that counts as converged
+TOL_RESIDUAL = 1e-8
 
 
 def composed_matvec(oracle: ScatterOracle, x: np.ndarray) -> np.ndarray:
@@ -36,18 +36,6 @@ def composed_matvec(oracle: ScatterOracle, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@dataclass
-class IterationLog:
-    residuals: list[float] = field(default_factory=list)
-    converged: bool = False
-    reason: str = ""
-    basis: np.ndarray | None = None
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.residuals)
-
-
 def _extension(q: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning what ``block`` adds to the span of q's orthonormal columns:
     block Gram-Schmidt against q in two passes, then a column-pivoted QR that drops directions
@@ -60,28 +48,26 @@ def _extension(q: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
-            tol_residual: float = 1e-8, seed: int | None = 42,
-            start: np.ndarray | None = None,
-            validate: bool = True) -> tuple[ModeSet, IterationLog]:
+            seed: int | None = 42, start: np.ndarray | None = None) -> ModeSet:
     """Estimate the dominant modes of the composed operator N by block Krylov-Rayleigh-Ritz.
 
-    The starting block (``start``, dim x p of rank p >= ``n_modes``; by
-    default ``n_modes + OVERSAMPLING`` complex Gaussian columns drawn from
-    ``seed``) and each response of N to the newest block extend an
-    orthonormal basis Q of the block Krylov space, so every mode of an
-    eigenspace of multiplicity up to p is found.  The ``n_modes`` Ritz pairs
-    of ``Q^H N Q`` of largest |t| are returned once each residual ``||N x -
-    theta x||`` (x a unit vector) is at most ``tol_residual``: N is normal,
-    so each Ritz value then lies that close to an eigenvalue (Bauer-Fike).
-    The iteration also stops after ``max_iter`` applications of N, or where
-    a response adds no direction to Q (``reason == "invariant"``).
-    ``log.residuals`` holds the largest residual after each application.
-    ``n_modes`` outside 1..``oracle.dim`` raises ``DomainError``.
+    An oracle not built from blocks is first probed (``oracle.validate``).  The starting block
+    (``start``, dim x p of rank p >= ``n_modes``; by default ``n_modes + OVERSAMPLING`` complex
+    Gaussian columns drawn from ``seed``) and each response of N to the newest block extend an
+    orthonormal basis Q of the block Krylov space, so every mode of an eigenspace of
+    multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of largest |t|
+    are returned once each residual ``||N x - theta x||`` (x a unit vector) is at most
+    ``TOL_RESIDUAL``: N is normal, so each Ritz value then lies that close to an eigenvalue
+    (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N, or where a
+    response adds no direction to Q (``reason == "invariant"``).  The diagnostics hold
+    ``iterations``, ``converged``, ``reason``, ``residuals`` (the largest after each
+    application) and ``krylov_basis`` (Q).  ``n_modes`` outside 1..``oracle.dim`` raises
+    ``DomainError``.
     """
     if not 1 <= n_modes <= oracle.dim:
         raise DomainError(f"n_modes={n_modes} is outside 1..{oracle.dim}, the oracle dimension")
     rng = np.random.default_rng(seed)
-    if validate:
+    if oracle.blocks is None:
         oracle.validate(rng)
     if start is None:
         p = min(oracle.dim, n_modes + OVERSAMPLING)
@@ -92,25 +78,24 @@ def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
         raise DomainError(f"a start block of rank {q.shape[1]} cannot hold {n_modes} modes")
 
     f = block = composed_matvec(oracle, q)
-    log = IterationLog(reason="max_iter")
+    residuals, reason = [], "max_iter"
     while True:
         theta, y = _eig_orthonormal(q.conj().T @ f, keep=n_modes)  # Rayleigh-Ritz
         order = np.argsort(-np.abs(theta), kind="stable")[:n_modes]
         theta, y = theta[order], y[:, order]
-        log.residuals.append(float(np.linalg.norm(f @ y - (q @ y) * theta, axis=0).max()))
-        if log.residuals[-1] <= tol_residual:
-            log.converged, log.reason = True, "residual"
+        residuals.append(float(np.linalg.norm(f @ y - (q @ y) * theta, axis=0).max()))
+        if residuals[-1] <= TOL_RESIDUAL:
+            reason = "residual"
             break
-        if log.n_iterations == max_iter:
+        if len(residuals) == max_iter:
             break
         new = _extension(q, block)
         if new.shape[1] == 0:
-            log.reason = "invariant"
+            reason = "invariant"
             break
         block = composed_matvec(oracle, new)
         q, f = np.hstack([q, new]), np.hstack([f, block])
 
-    log.basis = q
     return ModeSet(s=1.0 + 2.0 * theta, a=q @ y, diagnostics={
-        "solver": "iterative", "iterations": log.n_iterations,
-        "converged": log.converged, "reason": log.reason}), log
+        "solver": "iterative", "iterations": len(residuals), "converged": reason == "residual",
+        "reason": reason, "residuals": residuals, "krylov_basis": q})

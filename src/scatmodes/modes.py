@@ -172,10 +172,10 @@ class ScatterOracle:
     ``apply`` and ``apply_background`` map a (dim, p) block of excitations to
     ``T x`` and ``T_b x`` (``S = I + 2 T``, ``S_b = I + 2 T_b``).  Both must be
     linear and complex symmetric (reciprocity, so ``S_b^H y = conj(S_b
-    conj(y))``), which ``validate`` probes.  ``from_blocks`` keeps its
-    ``BlockImpedance`` as ``blocks`` (and its ``basis``); ``T - T_b`` then
-    acts through its Schur complement.  ``matrices()`` needs either
-    constructor.
+    conj(y))``); ``iterate`` probes that (``validate``) unless ``from_blocks``
+    built them.  ``from_blocks`` keeps its ``BlockImpedance`` as ``blocks``
+    (and its ``basis``); ``T - T_b`` then acts through its Schur complement.
+    ``matrices()`` needs either constructor.
     """
 
     apply: callable
@@ -239,8 +239,8 @@ class ScatterOracle:
         return {"unitarity_S": check_unitary(s), "unitarity_S_b": check_unitary(s_b),
                 "unitarity_form": "dense"}
 
-    def validate(self, rng: np.random.Generator, tol: float = 1e-10) -> None:
-        """Probe linearity and complex symmetry on one block of random vectors."""
+    def validate(self, rng: np.random.Generator) -> None:
+        """Probe linearity and complex symmetry (to 1e-10 relative) on a block of random vectors."""
         xy = rng.standard_normal((self.dim, 2)) + 1j * rng.standard_normal((self.dim, 2))
         c1, c2 = 0.37 - 1.1j, -0.64 + 0.2j
         block = np.column_stack([xy, c1 * xy[:, 0] + c2 * xy[:, 1]])
@@ -248,10 +248,10 @@ class ScatterOracle:
             (x, y), (ax, ay, axy) = xy.T, op(block).T
             scale = max(np.linalg.norm(ax), np.linalg.norm(ay), 1.0)
             lin = np.linalg.norm(axy - c1 * ax - c2 * ay)
-            if lin > tol * scale:
+            if lin > 1e-10 * scale:
                 raise DomainError(f"oracle {name} failed the linearity probe ({lin:.2e})")
             sym = abs(x @ ay - y @ ax)
-            if sym > tol * scale:
+            if sym > 1e-10 * scale:
                 raise DomainError(f"oracle {name} is not complex symmetric ({sym:.2e}); "
                                   "the conjugation trick needs reciprocal operators")
 

@@ -724,6 +724,29 @@ def _one_row_traces(tmp_path):
     return str(path)
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("lines", [
+    [b"trace_id,mode_rank,re_t,im_t", b"0,1,-0.5,0.5"],
+    [b"frequency_hz,re_t,im_t", b"500000000.0,abc,0.5"],
+    [b"frequency_hz,re_t,im_t", b"500000000.0,nan,0.5"],
+    [b"frequency_hz,re_t,im_t", b"500000000.0,\xff,0.5"],
+], ids=["no-frequency-column", "non-numeric-cell", "nan-t", "not-utf-8"])
+def test_compare_of_a_malformed_trace_file_exits_2_without_a_traceback(tmp_path, lines):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    proc = subprocess.run([sys.executable, "-m", "scatmodes.cli", "compare",
+                           _one_row_traces(tmp_path), str(bad), "--tol", "0"],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_registers_the_exit_freeze_once_and_freezes_nothing(tmp_path, monkeypatch):
     registered = []
 
@@ -753,12 +776,9 @@ from scatmodes import cli
     ("", 0, "False"),
 ], ids=["exit-0", "exit-2", "no-main"])
 def test_objects_alive_at_exit_are_frozen_after_main(tmp_path, call, code, frozen):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = _EXIT_PROBE + call.format(f=_one_row_traces(tmp_path),
                                        missing=str(tmp_path / "missing.csv"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=_subprocess_env(), timeout=120)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.splitlines()[-1] == frozen

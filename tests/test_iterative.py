@@ -73,6 +73,28 @@ def test_linearity_probe():
         oracle.validate(np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("pencil", ["blocks", "non-reciprocal-matrices", "non-linear-callback"])
+def test_iterate_probes_only_pencils_not_built_from_blocks(pencil):
+    # a from_blocks pencil is trusted: Z is solved once per application of N and never for a
+    # probe; matrices and callbacks are probed, and the probe still rejects bad ones
+    rng = np.random.default_rng(45)
+    if pencil == "blocks":
+        blocks = transition(random_scene(rng, 6, 0.6, n_background=2), 1.0)
+        solve, calls = blocks.solve, []
+        blocks.solve = lambda rhs: calls.append(rhs.shape) or solve(rhs)
+        ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=3)
+        assert len(calls) == ms.diagnostics["iterations"]
+        return
+    if pencil == "non-reciprocal-matrices":
+        t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        oracle = ScatterOracle.from_matrices(t, np.zeros_like(t))
+    else:
+        oracle = ScatterOracle(apply=lambda x: x + 1e-3 * np.abs(x),
+                               apply_background=lambda x: 0 * x, dim=5)
+    with pytest.raises(DomainError):
+        iterate(oracle, n_modes=3)
+
+
 def test_invariant_subspace_exactness():
     # a start block spanning an invariant subspace: one block of responses
     # adds no direction, and the Ritz pairs are exact
@@ -80,8 +102,8 @@ def test_invariant_subspace_exactness():
     oracle = ScatterOracle.from_matrices(d, np.zeros_like(d))
     start = np.zeros((12, 3), dtype=complex)
     start[:3] = [[1.0, 2.0, -1.0], [0.5, -1.0, 3.0], [2.0, 0.0, 1.0]]
-    ms, log = iterate(oracle, n_modes=3, max_iter=10, start=start)
-    assert log.converged and log.n_iterations == 1
+    ms = iterate(oracle, n_modes=3, max_iter=10, start=start)
+    assert ms.diagnostics["converged"] and ms.diagnostics["iterations"] == 1
     assert_allclose(np.sort(ms.t.real), [-1.0, -0.5, -0.1], atol=1e-12)
     assert np.abs(ms.t.imag).max() < 1e-12
 
@@ -96,9 +118,9 @@ def test_start_block_narrower_than_n_modes_is_refused():
 def test_zero_operator_terminates_immediately():
     z = np.zeros((10, 10), dtype=complex)
     oracle = ScatterOracle.from_matrices(z, z)
-    ms, log = iterate(oracle, n_modes=3, max_iter=20)
-    assert log.converged
-    assert log.n_iterations <= 2
+    ms = iterate(oracle, n_modes=3, max_iter=20)
+    assert ms.diagnostics["converged"]
+    assert ms.diagnostics["iterations"] <= 2
     assert np.abs(ms.t).max() == 0.0
 
 
@@ -110,8 +132,8 @@ def test_matches_dense_on_random_scene():
     assert ts.S.shape[0] <= 300
     dense = cm_t_form(ts.T, ts.T_b)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=5, max_iter=60)
-    assert log.n_iterations <= 60
+    ms = iterate(oracle, n_modes=5, max_iter=60)
+    assert ms.diagnostics["iterations"] <= 60
     assert np.abs(np.abs(dense.t[:5]) - np.abs(ms.t[:5])).max() < 1e-6
 
 
@@ -120,8 +142,8 @@ def test_krylov_basis_orthonormal():
     scene = random_scene(rng, 7, 0.7, n_background=3)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=4, max_iter=40)
-    q = log.basis
+    ms = iterate(oracle, n_modes=4, max_iter=40)
+    q = ms.diagnostics["krylov_basis"]
     assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-10
 
 
@@ -133,8 +155,8 @@ def test_nested_subspace_coverage_monotone():
     scene = random_scene(rng, 6, 0.6, n_background=2)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=4, max_iter=30)
-    q = log.basis
+    ms = iterate(oracle, n_modes=4, max_iter=30)
+    q = ms.diagnostics["krylov_basis"]
     probe = composed_matvec(oracle, ms.a[:, 0])
     errs = []
     for m in range(1, q.shape[1] + 1):
@@ -145,14 +167,14 @@ def test_nested_subspace_coverage_monotone():
 
 def test_residual_reaches_tolerance():
     # every returned pair's residual ||N x - theta x||, recomputed on the dense
-    # composed matrix, is within tol_residual, and so (N is normal) is each t
+    # composed matrix, is within TOL_RESIDUAL, and so (N is normal) is each t
     rng = np.random.default_rng(36)
     scene = random_scene(rng, 5, 0.5, n_background=2)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=3, max_iter=60)
-    assert log.converged and log.reason == "residual"
-    assert log.residuals[-1] <= 1e-8
+    ms = iterate(oracle, n_modes=3, max_iter=60)
+    assert ms.diagnostics["converged"] and ms.diagnostics["reason"] == "residual"
+    assert ms.diagnostics["residuals"][-1] <= 1e-8
     tbh = ts.T_b.conj().T
     composed = 2.0 * tbh @ ts.T + tbh + ts.T
     assert np.abs(np.linalg.norm(ms.a, axis=0) - 1.0).max() < 1e-12
@@ -171,10 +193,9 @@ def test_max_iter_returns_nonconverged_estimate():
     scene = random_scene(rng, 8, 0.8, n_background=3)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms, log = iterate(oracle, n_modes=5, max_iter=1)
-    assert not log.converged
-    assert log.reason == "max_iter" and log.n_iterations == 1
-    assert log.residuals[-1] > 1e-8
+    ms = iterate(oracle, n_modes=5, max_iter=1)
+    assert ms.diagnostics["reason"] == "max_iter" and ms.diagnostics["iterations"] == 1
+    assert ms.diagnostics["residuals"][-1] > 1e-8
     assert ms.diagnostics["converged"] is False
     # the block holds n_modes Ritz pairs from the first iteration on
     assert ms.n_modes == 5
@@ -189,8 +210,8 @@ def _degenerate_oracle():
 
 
 def test_block_returns_every_mode_of_a_degenerate_eigenspace():
-    ms, log = iterate(_degenerate_oracle(), n_modes=5)
-    assert log.converged
+    ms = iterate(_degenerate_oracle(), n_modes=5)
+    assert ms.diagnostics["converged"]
     assert np.abs(ms.t - [0.9, 0.9, 0.9, 0.5, 0.5]).max() < 1e-10
     assert np.abs(ms.a.conj().T @ ms.a - np.eye(5)).max() < 1e-8
 

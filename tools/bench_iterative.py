@@ -14,8 +14,8 @@ counts ``run --jobs 1`` sets, the four stages of point P of its sweep:
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
 - engine: ``iterate`` on the pencil ``ScatterOracle.from_blocks`` (the one
   ``cm_scattering`` decomposes; T_b acts through the ``U1_b`` view of the
-  readout) without the oracle's validation, as ``run`` calls it, the block
-  Krylov iteration on the factors, in parts: the block applications (``composed_matvec``),
+  readout; a pencil built from blocks is not probed), as ``run`` calls it, the
+  block Krylov iteration on the factors, in parts: the block applications (``composed_matvec``),
   Rayleigh-Ritz (``_eig_orthonormal``) and the rest (the Krylov basis and
   the residuals);
 - unitarity: ``scattering_unitarity`` (the bound, or the dense check).
@@ -89,12 +89,11 @@ def _point(sc, k, wave_basis, angular, seed):
     marks = [time.perf_counter()]
     blocks.factorize()
     marks.append(time.perf_counter())
-    _, log = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed,
-                     validate=False)
+    ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
     marks.append(time.perf_counter())
     form = scattering_unitarity(blocks)["unitarity_form"]
     marks.append(time.perf_counter())
-    return [b - a for a, b in zip([start] + marks, marks)], log.n_iterations, form
+    return [b - a for a, b in zip([start] + marks, marks)], ms.diagnostics["iterations"], form
 
 
 def _parts(stage_times, spent: dict) -> dict:
