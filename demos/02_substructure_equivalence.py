@@ -49,10 +49,10 @@ def main():
           f"({np.sum(scene.is_controllable)} controllable), ka ~ 0.8")
 
     blocks = transition(scene, k)
-    ms_scat = cm_scattering(blocks.S, blocks.S_b, k=k)
-    ms_exc = cm_t_form(blocks.T, blocks.T_b, "excitation", k=k)
-    ms_sca = cm_t_form(blocks.T, blocks.T_b, "scattered", k=k)
-    ms_imp = cm_impedance_substructure(blocks, k=k)
+    ms_scat = cm_scattering(blocks.S, blocks.S_b)
+    ms_exc = cm_t_form(blocks.T, blocks.T_b, "excitation")
+    ms_sca = cm_t_form(blocks.T, blocks.T_b, "scattered")
+    ms_imp = cm_impedance_substructure(blocks)
     t_tilde_matrix, identity_residual = tilde_tmatrix(blocks)
     t_tilde = np.linalg.eigvals(t_tilde_matrix)
 

@@ -31,7 +31,7 @@ def main():
     pos[:, 2] = 0.12 + 0.3 * rng.random(n)
     scene = DipoleScene(pos, 6.0 * np.pi * (0.4 + rng.random(n)), ground_plane=True)
 
-    ms = cm_scattering(transition(scene, k), k=k)
+    ms = cm_scattering(transition(scene, k))
     print("image-reduced path: dominant |t|:",
           " ".join(f"{v:.4f}" for v in np.abs(ms.t[:6])))
 
@@ -39,7 +39,7 @@ def main():
     # modes whose eigenvalues the reduced system reproduces
     blocks = transition(mirror_scene(scene), k)
     print("cross-parity coupling in the mirrored S:", f"{parity_leakage(blocks):.1e}")
-    ms_full = cm_scattering(blocks.S, blocks.S_b, k=k)
+    ms_full = cm_scattering(blocks.S, blocks.S_b)
     matches = [np.abs(ms_full.t - t).min() for t in ms.t[:6]]
     print("per-mode distance to the brute-force spectrum:",
           " ".join(f"{d:.1e}" for d in matches))
@@ -51,7 +51,7 @@ def main():
                         ("vertical", np.diag([1e-9, 1e-9, 6.0 * np.pi]))):
         above = DipoleScene([[0.0, 0.0, 0.05]], alpha, ground_plane=True)
         free = DipoleScene([[0.0, 0.0, 0.05]], alpha)
-        t_gp = np.abs(cm_scattering(transition(above, k), k=k).t).max()
+        t_gp = np.abs(cm_scattering(transition(above, k)).t).max()
         t_free = np.abs(cm_scattering(transition(free, k).S).t).max()
         print(f"  {axis:10s}: |t| above plane {t_gp:.2e}  vs isolated {t_free:.5f}")
 

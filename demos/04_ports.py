@@ -8,7 +8,7 @@ vanishes at the port element keep their eigenvalues exactly when the
 port is added, while modes that drive the port are broadened by the
 reference impedance.  ``transition`` assembles the ported scene like
 any other: each port terminates its dipole axis in z0 and adds one
-channel to the basis.
+channel, a readout row past the wave basis.
 """
 
 import numpy as np
@@ -31,9 +31,8 @@ def main():
 
     blocks = transition(unported, k)
     ported_blocks = transition(ported, k, blocks.basis)
-    channels = ported_blocks.basis
     print(f"augmented scattering matrix: {ported_blocks.S.shape[0]} channels "
-          f"({channels.wave.size} waves + {len(channels.extra_labels)} port)")
+          f"({ported_blocks.basis.size} waves + {len(ported.ports)} port)")
     print(f"unitarity deviation: {check_unitary(ported_blocks.S):.2e}")
 
     ms0 = cm_scattering(blocks.S)

@@ -45,7 +45,7 @@ def main():
     print(f"coupling operator U4 in closed form, worst column truncation residual "
           f"on the r_fit = {r_fit:.3f} m sphere {residuals.max():.1e}")
 
-    ms_s = cm_scattering(assemble_hybrid(scene, k, wave_basis=wb, expansion=expansion), k=k)
+    ms_s = cm_scattering(assemble_hybrid(scene, k, wave_basis=wb, expansion=expansion))
     ms_i = hybrid_impedance_modes(scene, k, wb, expansion=expansion)
     t_s = np.abs(ms_s.t[np.abs(ms_s.t) > 1e-6])
     t_i = np.abs(ms_i.t[np.abs(ms_i.t) > 1e-6])
@@ -70,7 +70,7 @@ def main():
     for eps in (1.0, 100.0):
         hs2 = replace(small, sphere=SphereSpec(0.22, "dielectric", eps_r=eps))
         rows[eps] = [np.abs(cm_scattering(
-            assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0), k=kk).t).max()
+            assemble_hybrid(hs2, kk, wave_basis=wb2, residual_tol=1.0)).t).max()
             for kk in ks]
     print("        k: " + " ".join(f"{kk:6.2f}" for kk in ks))
     for eps, vals in rows.items():

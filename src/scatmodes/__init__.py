@@ -41,7 +41,6 @@ from .modes import (
     track_modes,
 )
 from .network import (
-    CompositeBasis,
     check_t_power,
     check_unitary,
     check_unitary_factored,

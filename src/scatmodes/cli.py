@@ -232,6 +232,8 @@ def load_scenario(path: str) -> dict:
             raw = json.load(fh)
     except OSError as err:
         raise ScenarioError(f"cannot read scenario file: {err}")
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"scenario file is not UTF-8 text (byte {err.start}): {err.reason}")
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario is not valid JSON (line {err.lineno}): {err.msg}")
     return parse_scenario(raw)
@@ -273,34 +275,33 @@ def _operators(sc: dict, k: float, wave_basis, angular, expansion=None):
     return blocks, {"u4_residual": float(expansion[1].max(initial=0.0))}
 
 
-# Engines: (blocks, k, scenario, seed, point diagnostics) -> ModeSet.
+# Engines: (blocks, scenario, seed, point diagnostics) -> ModeSet.
 # Each records in the point diagnostics what it computed on the way.
 
-def _scattering(blocks, k: float, sc: dict, seed: int, diag: dict):
+def _scattering(blocks, sc: dict, seed: int, diag: dict):
     """``cm_scattering`` on the range of ``S - S_b``: its engine, rank and unitarity checks."""
-    ms = cm_scattering(blocks, k=k, n_modes=sc["n_modes"])
+    ms = cm_scattering(blocks, n_modes=sc["n_modes"])
     diag.update(engine=ms.diagnostics["solver"], rank=ms.diagnostics["rank"])
     diag.update((key, ms.diagnostics[key])
                 for key in ("unitarity_S", "unitarity_S_b", "unitarity_form"))
     return ms
 
 
-def _impedance(blocks, k: float, sc: dict, seed: int, diag: dict):
+def _impedance(blocks, sc: dict, seed: int, diag: dict):
     """``cm_impedance_substructure``: its engine and the spread of the compressed R~."""
-    ms = cm_impedance_substructure(blocks, k=k)
+    ms = cm_impedance_substructure(blocks)
     diag.update(engine=ms.diagnostics["solver"], r_condition=ms.diagnostics["r_condition"])
     return ms
 
 
-def _t_form(blocks, k: float, sc: dict, seed: int, diag: dict):
+def _t_form(blocks, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    return cm_t_form(blocks.T, blocks.T_b, k=k, basis=blocks.basis)
+    return cm_t_form(blocks.T, blocks.T_b, basis=blocks.basis)
 
 
-def _iterative(blocks, k: float, sc: dict, seed: int, diag: dict):
+def _iterative(blocks, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
     ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
-    ms.k = k
     diag.update(iterations=ms.diagnostics["iterations"], converged=ms.diagnostics["converged"])
     return ms
 
@@ -322,7 +323,7 @@ def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, expansion=N
     blocks, diag = _operators(sc, k, wave_basis, angular, expansion)
     if sc["scene"].sphere is None:
         diag["factorization_residual"] = blocks.factorization_residual()
-    return SOLVER_TABLE[sc["solver"]](blocks, k, sc, seed, diag), diag
+    return SOLVER_TABLE[sc["solver"]](blocks, sc, seed, diag), diag
 
 
 def _fmt(x: float) -> str:
@@ -431,10 +432,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
             results = [solve(k, expansion) for k, expansion in zip(ks, expansions)]
 
     n_modes = sc["n_modes"]
-    tops = []
-    for (ms, _), f in zip(results, freqs):
-        ms.frequency_hz = float(f)
-        tops.append(ms.top(n_modes))
+    tops = [ms.top(n_modes) for ms, _ in results]
 
     # trace id per (point, mode)
     trace_of: dict[tuple[int, int], int] = {}
@@ -584,8 +582,8 @@ def run_checks(sc: dict) -> dict:
             entry: dict = {"frequency_hz": float(f), **diag}
             if scene.sphere is None:
                 entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]
-            ms = cm_scattering(blocks, k=k)
-            ms_alt = cm_impedance_substructure(blocks, k=k)
+            ms = cm_scattering(blocks)
+            ms_alt = cm_impedance_substructure(blocks)
             sig = 10.0 * tol["equivalence"]
             t1 = ms.t[np.abs(ms.t) > sig]
             t2 = ms_alt.t[np.abs(ms_alt.t) > sig]

@@ -29,7 +29,7 @@ from scipy.linalg import blas
 
 from . import swe
 from .exceptions import DomainError, GeometryError, ShapeError, SolveError
-from .network import CompositeBasis, _hermitian_norm
+from .network import _hermitian_norm
 from .swe import WaveBasis
 
 if TYPE_CHECKING:  # mie imports modes, which imports this module
@@ -200,7 +200,8 @@ def mirror_scene(scene: DipoleScene) -> DipoleScene:
 
 def _green_terms(k: float, diff: np.ndarray):
     """``(sc, t1, t2, u)`` of ``G = sc (t1 I + t2 u u^T)`` at separation vectors diff (..., 3)."""
-    d = np.linalg.norm(diff, axis=-1)
+    x, y, z = np.moveaxis(diff, -1, 0)
+    d = np.sqrt((x**2 + y**2) + z**2)  # np.linalg.norm's sum, in its order, without its copies
     if np.any(d == 0.0):
         raise GeometryError("dyadic Green function evaluated at coincident points")
     kr = k * d
@@ -242,8 +243,8 @@ class BlockImpedance:
       3N unknowns of the dipoles above the plane (``assemble_impedance``),
       so U1's rows of the parity-forbidden waves are exactly 0;
     - port scenes: Z holds each port's ``z0`` on its unknown's diagonal
-      entry, U1 carries one ``sqrt(z0)`` row per port under the wave rows,
-      and ``basis`` is the matching ``CompositeBasis``;
+      entry and U1 carries one ``sqrt(z0)`` row per port under the wave
+      rows: the port channels are U1's rows past ``basis.size``;
     - scenes with a sphere (``hybrid.assemble_hybrid``): Z holds the sphere
       coupling ``U4^T T_b1 U4``, U1 is the complex readout ``U1 + T_b1 U4``
       and ``T_b0`` is the 1-D array of the sphere's Mie coefficients, the
@@ -261,8 +262,9 @@ class BlockImpedance:
     at once, so a singular system raises there.
 
     ``T``, ``T_b``, ``S`` and ``S_b`` are the n x n transition and
-    scattering matrices of the scene and its background over ``basis``
-    (``T_b`` is ``diag(T_b0)`` without background unknowns), built when
+    scattering matrices of the scene and its background over U1's rows, the
+    waves of ``basis`` and any port channels (``T_b`` is ``diag(T_b0)``
+    without background unknowns), built when
     first read and kept read-only: an engine that works on the factors never
     forms them.  Above a ground plane their rows and columns of the
     parity-forbidden waves are those of the identity (S) and of zero (T),
@@ -282,7 +284,7 @@ class BlockImpedance:
     system: np.ndarray
     readout: np.ndarray
     n_b: int
-    basis: WaveBasis | CompositeBasis
+    basis: WaveBasis
     perm: np.ndarray
     T_b0: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -434,9 +436,9 @@ def assemble_impedance(scene: DipoleScene, k: float,
     in series on its dipole axis's diagonal entry and one channel: a
     readout row ``sqrt(z0 / eta0)`` at that unknown, stacked under the wave
     rows, which keeps ``Re Z = U1^T U1`` exact and S unitary for these
-    lossless scenes.  ``basis`` is then the ``CompositeBasis`` of the waves
-    and the port channels.  Port elements are controllable, so S_b acts as
-    the identity on the port channels.
+    lossless scenes.  ``basis`` stays ``wave_basis``: the port channels are
+    the readout rows past its size.  Port elements are controllable, so S_b
+    acts as the identity on the port channels.
 
     U1 comes from ``angular`` (by default built here): the angular factors
     of a basis ``wave_basis`` leads, at ``scene.positions[scene.system_order]``.
@@ -478,7 +480,7 @@ def assemble_impedance(scene: DipoleScene, k: float,
     if scene.ground_plane:
         u *= np.where(swe.mirror_parity(wave_basis) > 0, math.sqrt(2.0), 0.0)[:, None]
     perm = (3 * order[:, None] + np.arange(3)).ravel()
-    channels, ports = wave_basis, scene.ports
+    ports = scene.ports
     if ports:
         rows = np.argsort(perm)[[3 * p.element + p.axis for p in ports]]
         z0 = np.array([p.z0 for p in ports]) / ETA0
@@ -486,11 +488,9 @@ def assemble_impedance(scene: DipoleScene, k: float,
         u_port = np.zeros((len(ports), 3 * n))
         u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
         u = np.vstack([u, u_port])
-        channels = CompositeBasis(wave=wave_basis,
-                                  extra_labels=tuple(f"port{i}" for i in range(len(ports))))
     blocks = BlockImpedance(system=z, readout=u,
                             n_b=3 * int(np.count_nonzero(~scene.is_controllable)),
-                            basis=channels, perm=perm)
+                            basis=wave_basis, perm=perm)
     if n > 0:
         residual = blocks.factorization_residual()
         if residual > 1e-6:
@@ -544,9 +544,9 @@ def _t_apply(solve, u: np.ndarray, t0: np.ndarray | None, x: np.ndarray) -> np.n
 
 
 def _full_operator(blocks: BlockImpedance, name: str) -> np.ndarray:
-    """T, T_b, S or S_b over the whole basis, read-only; each S comes from its cached T."""
+    """T, T_b, S or S_b over the readout's rows, read-only; each S comes from its cached T."""
     if name.startswith("S"):
-        op = 2.0 * blocks._operator("T" + name[1:]) + np.eye(blocks.basis.size)
+        op = 2.0 * blocks._operator("T" + name[1:]) + np.eye(blocks.readout.shape[0])
     elif name == "T":
         op = _t_of(blocks.solve, blocks.readout, blocks.T_b0)
     else:

@@ -196,7 +196,7 @@ def hybrid_impedance_modes(scene: DipoleScene, k: float, wave_basis: WaveBasis |
     truncation residual of ``expansion`` (by default ``u4_expansion``'s) in its diagnostics."""
     wave_basis = default_basis(scene, k) if wave_basis is None else wave_basis
     expansion = expansion or u4_expansion(scene, k, wave_basis)
-    ms = cm_impedance_substructure(assemble_hybrid(scene, k, wave_basis, expansion=expansion), k=k)
+    ms = cm_impedance_substructure(assemble_hybrid(scene, k, wave_basis, expansion=expansion))
     ms.diagnostics["solver"] = "hybrid-" + ms.diagnostics["solver"]
     ms.diagnostics["u4_residual"] = float(np.max(expansion[1], initial=0.0))
     return ms

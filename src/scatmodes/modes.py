@@ -37,7 +37,7 @@ CANCELLATION_THRESHOLD = 1e-6
 
 @dataclass
 class ModeSet:
-    """Eigenpairs of one characteristic-mode decomposition at one wavenumber.
+    """Eigenpairs of one characteristic-mode decomposition.
 
     Columns of ``a`` (excitations) and ``f`` (scattered fields, ``f_n =
     S_b a_n``) are unit vectors, ordered by modal significance ``|t_n|``
@@ -49,9 +49,7 @@ class ModeSet:
     s: np.ndarray
     a: np.ndarray | None = None
     f: np.ndarray | None = None
-    k: float | None = None
-    frequency_hz: float | None = None
-    basis: object | None = None
+    basis: WaveBasis | None = None
     currents: np.ndarray | None = None
     currents_c: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -88,7 +86,7 @@ class ModeSet:
             s=self.s[sl],
             a=None if self.a is None else self.a[:, sl],
             f=None if self.f is None else self.f[:, sl],
-            k=self.k, frequency_hz=self.frequency_hz, basis=self.basis,
+            basis=self.basis,
             currents=None if self.currents is None else self.currents[:, sl],
             currents_c=None if self.currents_c is None else self.currents_c[:, sl],
             diagnostics=dict(self.diagnostics),
@@ -96,11 +94,11 @@ class ModeSet:
 
 
 def _l_weights(basis_obj, dim: int) -> np.ndarray:
-    """Degree of each basis entry for tie-breaking; extra channels count as 0."""
+    """Degree of each basis entry for tie-breaking; entries past the basis (port channels)
+    count as 0."""
     ls = np.zeros(dim)
-    wave = getattr(basis_obj, "wave", basis_obj)
-    if isinstance(wave, WaveBasis) and wave.size <= dim:
-        ls[:wave.size] = wave.arrays()[0]
+    if isinstance(basis_obj, WaveBasis) and basis_obj.size <= dim:
+        ls[:basis_obj.size] = basis_obj.arrays()[0]
     return ls
 
 
@@ -268,8 +266,7 @@ def _range_schur(oracle: ScatterOracle):
     return 1.0 + 2.0 * t_vals, q @ z, off, q
 
 
-def cm_scattering(S, S_b=None, k: float | None = None,
-                  n_modes: int | None = None) -> ModeSet:
+def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
     ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix,
@@ -364,18 +361,19 @@ def cm_scattering(S, S_b=None, k: float | None = None,
     diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
     gram_f = f.conj().T @ f
     diag["orthogonality_f"] = float(np.abs(gram_f - np.eye(gram_f.shape[0])).max(initial=0.0))
-    return ModeSet(s=s_vals, a=a, f=f, k=k, basis=oracle.basis, diagnostics=diag)
+    return ModeSet(s=s_vals, a=a, f=f, basis=oracle.basis, diagnostics=diag)
 
 
-def cm_t_form(T, T_b, representation: str = "excitation",
-              k: float | None = None, basis=None) -> ModeSet:
+def cm_t_form(T, T_b, representation: str = "excitation", basis=None) -> ModeSet:
     """Characteristic modes from composed transition operators.
 
     ``representation="excitation"`` decomposes ``2 T_b^H T + T_b^H + T``
     (eigenvectors are the excitations a_n); ``"scattered"`` decomposes
     ``2 T T_b^H + T_b^H + T`` (eigenvectors are the scattered fields
     f_n).  Both give the same eigenvalues t_n.  ``basis``, the matrices'
-    wave basis, breaks ties in the mode order.
+    wave basis, breaks ties in the mode order.  ``diagnostics`` holds
+    ``solver`` (``"schur"``, or ``"eig"`` where the operator is not normal)
+    and ``schur_offdiag``.
     """
     t_mat = np.asarray(T)
     tb_mat = np.asarray(T_b)
@@ -404,9 +402,8 @@ def cm_t_form(T, T_b, representation: str = "excitation",
         a = sb.conj().T @ f
     s_vals = 1.0 + 2.0 * t_vals
     order = _mode_order(t_vals, a, basis)
-    diag = {"solver": solver, "representation": representation, "schur_offdiag": off}
-    return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order], k=k,
-                   basis=basis, diagnostics=diag)
+    return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order], basis=basis,
+                   diagnostics={"solver": solver, "schur_offdiag": off})
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +459,7 @@ def _radiation_condition(r_t: np.ndarray) -> float:
     return float(d.max() / max(d.min(), 1e-300))
 
 
-def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) -> ModeSet:
+def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
     """Substructure modes from the real symmetric pencil ``X~ I = lam R~ I``.
 
     Solves the generalized symmetric eigenproblem of the Schur-complement
@@ -480,6 +477,10 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     immune and remain the sharp reference in that regime.  Where R~ is
     indefinite or singular, so that some eigencurrents cannot be
     normalised, it raises ``SolveError``.
+
+    ``diagnostics`` holds ``solver`` (``"eigh"``, or ``"eig"`` where R~ is
+    not positive definite), ``r_condition`` and
+    ``schur_factorization_residual``; the eigenvalues lam are ``ModeSet.lam``.
     """
     nc = blocks.n_c
     r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
@@ -489,8 +490,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
             factorization_residual(blocks.Z_tilde, blocks.U1_tilde),
             "solver": "eigh", "r_condition": _radiation_condition(r_t)}
     if nc == 0:
-        return ModeSet(s=np.zeros(0, dtype=complex), a=None, f=None, k=k,
-                       basis=blocks.basis, diagnostics=diag)
+        return ModeSet(s=np.zeros(0, dtype=complex), basis=blocks.basis, diagnostics=diag)
 
     if diag["r_condition"] > 1e12:
         warnings.warn(
@@ -503,7 +503,6 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
         i_c = i_c.astype(complex)
     except la.LinAlgError:
         diag["solver"] = "eig"
-        diag["r_indefinite"] = True
         warnings.warn("compressed radiation matrix not positive definite; "
                       "general eigensolver used (lossy or under-resolved basis)")
         lam, i_c = la.eig(x_t, r_t)
@@ -525,11 +524,8 @@ def cm_impedance_substructure(blocks: BlockImpedance, k: float | None = None) ->
     currents = np.vstack([i_b, i_c])
 
     order = _mode_order(t_vals, f, blocks.basis)
-    s_vals = 1.0 + 2.0 * t_vals[order]
-    diag["lambda"] = lam[order]
-    return ModeSet(s=s_vals, a=a[:, order], f=f[:, order], k=k,
-                   basis=blocks.basis,
-                   currents=currents[:, order], currents_c=i_c[:, order],
+    return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a[:, order], f=f[:, order],
+                   basis=blocks.basis, currents=currents[:, order], currents_c=i_c[:, order],
                    diagnostics=diag)
 
 

@@ -9,28 +9,14 @@ s, t and the classical lambda are ``ModeSet.t`` and ``ModeSet.lam``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .exceptions import ShapeError
-from .swe import WaveBasis
 
 #: library default tolerances
 UNITARY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CompositeBasis:
-    """Spherical-wave basis augmented with labelled extra channels (ports)."""
-
-    wave: WaveBasis
-    extra_labels: tuple[str, ...] = ()
-
-    @property
-    def size(self) -> int:
-        return self.wave.size + len(self.extra_labels)
 
 
 def _square(op) -> np.ndarray:

@@ -86,10 +86,10 @@ def equivalence_results(equivalence_bank):
         ts = transition(scene, k)
         out.append({
             "scene": scene, "k": k, "ts": ts,
-            "ms_scat": cm_scattering(ts.S, ts.S_b, k=k),
-            "ms_exc": cm_t_form(ts.T, ts.T_b, "excitation", k=k),
-            "ms_sca": cm_t_form(ts.T, ts.T_b, "scattered", k=k),
-            "ms_imp": cm_impedance_substructure(ts, k=k),
+            "ms_scat": cm_scattering(ts.S, ts.S_b),
+            "ms_exc": cm_t_form(ts.T, ts.T_b, "excitation"),
+            "ms_sca": cm_t_form(ts.T, ts.T_b, "scattered"),
+            "ms_imp": cm_impedance_substructure(ts),
             "tilde": tilde_tmatrix(ts),
         })
     return out
@@ -143,9 +143,9 @@ def test_criterion_2_lossless_invariants(lossless_bank):
         dim = ts.S.shape[0]
         dev_u = np.linalg.norm(ts.S.conj().T @ ts.S - np.eye(dim)) / math.sqrt(dim)
         dev_t = np.linalg.norm(ts.T.conj().T @ ts.T + ts.T.real) / math.sqrt(dim)
-        ms = cm_scattering(ts.S, ts.S_b, k=k)
+        ms = cm_scattering(ts.S, ts.S_b)
         # the range engine must reproduce the dense spectrum with the same invariants
-        ranged = cm_scattering(ts, k=k)
+        ranged = cm_scattering(ts)
         worst["range"] = max(worst["range"], assert_multisets_close(ms.t, ranged.t))
         for modes in (ms, ranged):
             circle = float(np.max(np.abs(modes.t + 0.5) - 0.5))
@@ -259,13 +259,13 @@ def test_criterion_7_ground_plane(ground_plane_bank):
     worst_forbidden = 0.0
     n_vectors = 0
     for scene, k in ground_plane_bank:
-        ms_filtered = cm_scattering(transition(scene, k), k=k)
+        ms_filtered = cm_scattering(transition(scene, k))
         ts = transition(mirror_scene(scene), k)
-        ms_full = cm_scattering(ts.S, ts.S_b, k=k)
+        ms_full = cm_scattering(ts.S, ts.S_b)
         keep = ground_plane_filter(ts.basis)
         drop = np.setdiff1d(np.arange(ts.basis.size), keep)
         ms_odd = cm_scattering(ts.S[np.ix_(drop, drop)],
-                               ts.S_b[np.ix_(drop, drop)], k=k)
+                               ts.S_b[np.ix_(drop, drop)])
 
         sig = 1e-9
         t_union = np.concatenate([ms_filtered.t, ms_odd.t])
@@ -316,7 +316,7 @@ def test_criterion_8_hybrid():
     blocks = assemble_hybrid(scene, k, wave_basis=wb, expansion=expansion)
     u4_resid = float(expansion[1].max())
 
-    ms_s = cm_scattering(blocks, k=k)
+    ms_s = cm_scattering(blocks)
     ms_i = hybrid_impedance_modes(scene, k, wb, expansion=expansion)
     sig = 1e-6
     m1 = np.abs(ms_s.t[np.abs(ms_s.t) > sig])
@@ -329,9 +329,9 @@ def test_criterion_8_hybrid():
     # vacuum-sphere limit reduces to the pure dipole backend
     vac = replace(scene, sphere=SphereSpec(sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=wb)
-    ms_v = cm_scattering(sys_v, k=k)
+    ms_v = cm_scattering(sys_v)
     ts_mom = transition(replace(scene, sphere=None), k, wave_basis=wb)
-    ms_mom = cm_scattering(ts_mom.S, ts_mom.S_b, k=k)
+    ms_mom = cm_scattering(ts_mom.S, ts_mom.S_b)
     sig = 1e-9
     v1 = ms_v.t[np.abs(ms_v.t) > sig]
     v2 = ms_mom.t[np.abs(ms_mom.t) > sig]

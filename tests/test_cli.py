@@ -465,7 +465,7 @@ def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario
     for point, f, expansion in zip(points, sc["frequencies"], expansions):
         k = 2.0 * math.pi * f / SPEED_OF_LIGHT
         blocks, _ = cli._operators(sc, k, wave_basis, angular, expansion)
-        ms = cli.cm_impedance_substructure(blocks, k=k)
+        ms = cli.cm_impedance_substructure(blocks)
         assert point["engine"] == ms.diagnostics["solver"] == "eigh"
         assert point["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
 
@@ -665,15 +665,17 @@ def test_blas_counts_come_back_after_run_and_checks(tmp_path, monkeypatch):
             sweep={"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1})))
         assert _blas_counts(pools) == before
 
-        engine, k_first = SOLVER_TABLE["dense-scattering"], 2.0 * math.pi * 5.0e8 / SPEED_OF_LIGHT
+        engine, calls = SOLVER_TABLE["dense-scattering"], []
 
-        def failing(ts, k, *rest):
-            if k > k_first:
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > 1:  # the first point to reach its engine solves, a later one fails
                 raise SolveError("a later point fails")
-            return engine(ts, k, *rest)
+            return engine(*args)
 
         monkeypatch.setitem(SOLVER_TABLE, "dense-scattering", failing)
         for jobs in (1, 2):
+            calls.clear()
             with pytest.raises(SolveError):
                 run_scenario(sc, str(tmp_path), jobs=jobs)
             assert _blas_counts(pools) == before
@@ -744,6 +746,18 @@ def test_compare_of_a_malformed_trace_file_exits_2_without_a_traceback(tmp_path,
                           capture_output=True, text=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "checks"])
+def test_a_scenario_that_is_not_utf_8_exits_2_without_a_traceback(tmp_path, command):
+    bad = tmp_path / "scenario.json"
+    bad.write_bytes(b'{"version": 1, "x": "\xff"}')
+    proc = subprocess.run([sys.executable, "-m", "scatmodes.cli", command, "--scenario", str(bad)],
+                          capture_output=True, text=True, env=_subprocess_env(), cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("scenario error: ") and "UTF-8" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -67,7 +67,7 @@ def test_hybrid_sphere_vs_equivalent_point_dipole():
                         sphere=SphereSpec(radius, "dielectric", eps_r=eps_r))
 
     wb = basis(12)
-    ms_hybrid = cm_scattering(assemble_hybrid(cloud, k, wave_basis=wb, residual_tol=1.0), k=k)
+    ms_hybrid = cm_scattering(assemble_hybrid(cloud, k, wave_basis=wb, residual_tol=1.0))
 
     equivalent = DipoleScene(
         np.vstack([pos, [[0.0, 0.0, 0.0]]]),
@@ -75,7 +75,7 @@ def test_hybrid_sphere_vs_equivalent_point_dipole():
         ("background",) * 2 + ("controllable",) * 2 + ("background",),
     )
     ts = transition(equivalent, k, wave_basis=wb)
-    ms_dip = cm_scattering(ts.S, ts.S_b, k=k)
+    ms_dip = cm_scattering(ts.S, ts.S_b)
 
     top_h = np.sort(np.abs(ms_hybrid.t))[::-1][:5]
     top_d = np.sort(np.abs(ms_dip.t))[::-1][:5]

@@ -17,7 +17,7 @@ from scatmodes import (
     transition,
 )
 from scatmodes.dipoles import _readout_product
-from scatmodes.swe import ground_plane_filter, mirror_parity, regular_wave_table
+from scatmodes.swe import WaveBasis, ground_plane_filter, mirror_parity, regular_wave_table
 from conftest import random_scene
 from oracles import ground_plane_pair_reference, impedance_reference, system_permutation
 
@@ -201,8 +201,9 @@ def test_port_scattering_is_unitary():
     k = 2.0
     gs = transition(_symmetric_port_scene(k, True), k)
     assert check_unitary(gs.S) < 1e-8
-    assert gs.basis.extra_labels == ("port0",)
-    assert gs.S.shape[0] == gs.basis.wave.size + 1
+    # the port channel is the readout row past the wave basis
+    assert gs.readout.shape[0] == gs.S.shape[0] == gs.basis.size + 1
+    assert isinstance(gs.basis, WaveBasis)
 
 
 def test_port_leaves_quiet_modes_unchanged():
@@ -257,7 +258,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
     alpha = 6.0 * math.pi / k**3 * 0.9
     scene = DipoleScene(pos, alpha, ports=(Port(1, "y", 50.0),))
     gs = transition(scene, k)
-    nw = gs.basis.wave.size
+    nw = gs.basis.size
     s_block = gs.S[:nw, :nw]
 
     # independent assembly of the loaded impedance system
@@ -271,7 +272,7 @@ def test_generalized_spherical_block_is_terminated_scattering():
         z[3 * p:3 * p + 3, 3 * p:3 * p + 3] = \
             np.eye(3) / (6.0 * math.pi) - 1j * np.eye(3) / (alpha * k**3)
     z[3 * 1 + 1, 3 * 1 + 1] += 50.0 / ETA0
-    u1 = regular_wave_table(gs.basis.wave, k, pos).reshape(nw, 3 * n)
+    u1 = regular_wave_table(gs.basis, k, pos).reshape(nw, 3 * n)
     s_ref = np.eye(nw) - 2.0 * u1 @ np.linalg.solve(z, u1.T.astype(complex))
     assert np.abs(s_block - s_ref).max() < 1e-12
 
@@ -333,7 +334,7 @@ def _assembly_case(case):
         scene = DipoleScene(base.positions, base.polarizability, base.region,
                             ports=(Port(4, "x", 73.0), Port(7, "z", 50.0)))
         blocks = assemble_impedance(scene, k)
-        return scene, blocks, *_port_reference(scene, k, blocks.basis.wave)
+        return scene, blocks, *_port_reference(scene, k, blocks.basis)
     if case == "ground-plane":
         base = random_scene(rng, 7, 0.6, n_background=3)
         scene = DipoleScene(base.positions + [0.0, 0.0, 1.0], base.polarizability,

@@ -216,7 +216,7 @@ def test_vacuum_sphere_reduces_to_dipole_modes(hybrid_setup):
     scene, k, blocks, _ = hybrid_setup
     vac = replace(scene, sphere=SphereSpec(scene.sphere.radius, "dielectric", eps_r=1.0))
     sys_v = assemble_hybrid(vac, k, wave_basis=blocks.basis)
-    ms_v = cm_scattering(sys_v, k=k)
+    ms_v = cm_scattering(sys_v)
     ts = transition(replace(scene, sphere=None), k, wave_basis=blocks.basis)
     ms_ref = cm_scattering(ts.S, ts.S_b)
     assert matched_distance(ms_v.t, ms_ref.t, threshold=1e-9) < 1e-10
@@ -238,7 +238,7 @@ def test_composite_unitarity(hybrid_setup):
 
 def test_path_equivalence(hybrid_setup):
     scene, k, blocks, expansion = hybrid_setup
-    ms_s = cm_scattering(blocks, k=k)
+    ms_s = cm_scattering(blocks)
     ms_i = hybrid_impedance_modes(scene, k, blocks.basis, expansion=expansion)
     sig = np.abs(ms_s.t) > 1e-6
     t_s = np.abs(ms_s.t[sig])
@@ -265,7 +265,7 @@ def test_strong_sphere_detunes_dominant_mode():
         tops = []
         for k in ks:
             blocks = assemble_hybrid(hs, k, wave_basis=wb, residual_tol=1.0)
-            ms = cm_scattering(blocks, k=k)
+            ms = cm_scattering(blocks)
             tops.append(np.abs(ms.t).max())
         return int(np.argmax(tops))
 

@@ -299,7 +299,7 @@ def test_vertical_dipole_above_plane_parity():
     scene = DipoleScene([[0.0, 0.0, 0.25]],
                         np.diag([1e-8, 1e-8, 6.0 * math.pi * 1.2]),
                         ground_plane=True)
-    ms = cm_scattering(transition(scene, 1.0), k=1.0)
+    ms = cm_scattering(transition(scene, 1.0))
     assert parity_leakage(transition(mirror_scene(scene), 1.0)) < 1e-12
     sig = np.abs(ms.t) > 1e-6
     assert sig.any()
@@ -311,7 +311,7 @@ def test_vertical_dipole_above_plane_parity():
 
 def test_ground_plane_matches_mirrored_brute_force(ground_plane_bank):
     scene, k = ground_plane_bank[0]
-    ms_f = cm_scattering(transition(scene, k), k=k)
+    ms_f = cm_scattering(transition(scene, k))
     ts = transition(mirror_scene(scene), k)
     ms_full = cm_scattering(ts.S, ts.S_b)
     keep = ground_plane_filter(ts.basis)
@@ -352,7 +352,7 @@ def test_track_constant_operators():
     rng = np.random.default_rng(6)
     scene = random_scene(rng, 5, 0.6, n_background=2)
     ts = transition(scene, 1.0)
-    ms = [cm_scattering(ts.S, ts.S_b, k=1.0) for _ in range(3)]
+    ms = [cm_scattering(ts.S, ts.S_b) for _ in range(3)]
     main = [tr for tr in track_modes(ms, n_track=6) if len(tr.points) == 3]
     assert len(main) == 6
     for tr in main:

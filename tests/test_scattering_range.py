@@ -65,7 +65,7 @@ def test_ground_plane_bank(ground_plane_bank):
     worst = 0.0
     for scene, k in ground_plane_bank:
         ts = transition(scene, k)
-        ms = cm_scattering(ts, k=k)
+        ms = cm_scattering(ts)
         worst = max(worst, _assert_matches_dense(ts, ms))
         # image currents add no unknowns: Z is 3N x 3N and the range has rank <= 3 N_c
         assert ts.system.shape == (3 * scene.n_dipoles,) * 2
@@ -93,7 +93,7 @@ def test_hybrid_bank(seed):
                         ("background",) * 3 + ("controllable",) * 3,
                         sphere=SphereSpec(0.08, "dielectric", eps_r=4.0))
     ts = assemble_hybrid(scene, k, wave_basis=basis(10), residual_tol=1.0)
-    assert _assert_matches_dense(ts, cm_scattering(ts, k=k)) < 1e-12
+    assert _assert_matches_dense(ts, cm_scattering(ts)) < 1e-12
 
 
 def test_single_dipole_pads_with_trivial_modes():

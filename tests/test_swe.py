@@ -143,21 +143,12 @@ def test_position_in_a_subset_basis():
 
 
 def test_bases_compare_and_hash_by_value():
-    from scatmodes import CompositeBasis, DipoleScene, Port, assemble_impedance
-
     b = basis(3)
     twin = WaveBasis(3, *b.arrays())
     assert twin is not b and twin == b and hash(twin) == hash(b)
     assert b != basis(4) and b != WaveBasis(4, *b.arrays())
     assert b != WaveBasis(3, *(a[1:] for a in b.arrays()))
     assert len({b, twin, basis(4)}) == 2
-    scene = DipoleScene([[0.0, -0.3, 0.0], [0.0, 0.0, 0.0]], 0.5, ports=(Port(1, "y", 50.0),))
-    channels = assemble_impedance(scene, 2.0).basis
-    wave = channels.wave
-    copy = CompositeBasis(WaveBasis(wave.l_max, *wave.arrays()), ("port0",))
-    assert isinstance(channels, CompositeBasis)
-    assert copy == channels and hash(copy) == hash(channels)
-    assert copy != CompositeBasis(basis(wave.l_max + 1), ("port0",))
 
 
 def test_regular_waves_at_origin():

@@ -441,7 +441,7 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        cm_impedance_substructure(blocks, k=k)
+        cm_impedance_substructure(blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
