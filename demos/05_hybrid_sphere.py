@@ -7,9 +7,11 @@ at the dipoles (the addition theorem).  The script computes the
 substructure modes of the controllable dipoles, with the background
 dipoles plus the sphere forming the background, by both the modified
 impedance route and the scattering route, and sweeps the sphere
-permittivity to show the background detuning the dominant mode.  The
-sphere is a field of the scene; ``assemble_hybrid`` folds it into the
-dipoles' factorised blocks.
+permittivity to show the background detuning the dominant mode, and
+puts a lumped port on a controllable dipole beside the sphere to show
+how the port moves the dominant mode.  The sphere is a field of the
+scene; ``assemble_hybrid`` folds it into the dipoles' factorised blocks,
+port channels included.
 """
 
 from dataclasses import replace
@@ -19,6 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from scatmodes import (
     DipoleScene,
+    Port,
     SphereSpec,
     assemble_hybrid,
     basis,
@@ -77,6 +80,17 @@ def main():
         peak = int(np.argmax(vals))
         print(f"  eps {eps:5.0f}: " + " ".join(f"{v:6.3f}" for v in vals)
               + f"   (peak at k = {ks[peak]:.2f})")
+
+    print("\nport beside the sphere: weaker dipoles (one background) around a smaller")
+    print("sphere (eps_r = 4), with and without a 73 Ohm port on dipole 1 (x axis):")
+    weak = replace(small, polarizability=0.05 * small.polarizability,
+                   region=("background", "controllable", "controllable"),
+                   sphere=SphereSpec(0.05, "dielectric", eps_r=4.0))
+    ported = replace(weak, ports=(Port(1, "x", 73.0),))
+    for kk in (1.5, 2.0, 2.5):
+        top = [np.abs(cm_scattering(assemble_hybrid(sc, kk, wave_basis=wb)).t).max()
+               for sc in (weak, ported)]
+        print(f"  k = {kk:.1f}: top |t| {top[0]:.4f} without the port, {top[1]:.4f} with it")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ Subcommands
 
 Every scene kind is decomposed on the one block core: a ground-plane
 scene's 3N image-reduced system and a port scene's terminated system
-with its power-wave channels run under every dipole solver.
+with its power-wave channels run under every dipole solver, a sphere
+scene's (ports allowed) under the hybrid solvers.
 
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
@@ -58,11 +59,9 @@ from .exceptions import (
     ShapeError,
     SolveError,
 )
-from .hybrid import (
-    assemble_hybrid,
-    hybrid_impedance_modes,  # noqa: F401 (traced by perfbench/child.py)
-    hybrid_sweep_basis,
-)
+from .hybrid import assemble_hybrid  # noqa: F401 (traced by perfbench/child.py)
+from .hybrid import hybrid_impedance_modes  # noqa: F401 (traced by perfbench/child.py)
+from .hybrid import hybrid_sweep_basis, sphere_fold
 from .iterative import ScatterOracle, iterate
 from .mie import SphereSpec
 from .modes import (
@@ -189,9 +188,8 @@ def parse_scenario(raw: dict) -> dict:
         eps_r=_field(sp, "eps_r", "scene.sphere.", _is_number, "a finite number", 1.0),
         mu_r=_field(sp, "mu_r", "scene.sphere.", _is_number, "a finite number", 1.0),
     )
-    if sphere is not None and (ground_plane or ports):  # its Mie T-matrix is a free-space one
-        raise ScenarioError("field 'scene.sphere' cannot be combined with "
-                            f"{'a ground plane' if ground_plane else 'ports'}")
+    if sphere is not None and ground_plane:  # the background would be the sphere and its image
+        raise ScenarioError("field 'scene.sphere' cannot be combined with a ground plane")
     scene = DipoleScene(positions=np.asarray(positions, dtype=float).reshape(n, 3),
                         polarizability=tensors, region=tuple(regions), ports=ports,
                         ground_plane=ground_plane, sphere=sphere)
@@ -242,37 +240,36 @@ def load_scenario(path: str) -> dict:
 def _sweep_basis(sc: dict):
     """One shared wave basis for the whole sweep, sized at the highest frequency, the
     angular factors of its wave tables at the dipoles in system order, built once and
-    shared read-only by the points, and each point's U4 expansion (None without a
-    sphere): (basis, ``swe.AngularFactors``, expansions).
+    shared read-only by the points, and each point's sphere ``fold`` for ``transition``
+    (None without a sphere) with what the point records of it: (basis,
+    ``swe.AngularFactors``, [(fold, record)]).
 
-    A sphere scene's basis also meets the U4 truncation tolerance at every
-    frequency where a few more degrees can (``hybrid_sweep_basis``).
+    A sphere scene's basis also meets the U4 truncation tolerance at every frequency
+    where a few more degrees can (``hybrid_sweep_basis``); ``sphere_fold`` raises where not.
     """
     scene = sc["scene"]
     if scene.sphere is not None:
+        tol = sc["tolerances"]["u4_residual"]
         ks = 2.0 * math.pi * sc["frequencies"] / SPEED_OF_LIGHT
-        return hybrid_sweep_basis(scene, ks, sc["tolerances"]["u4_residual"])
+        wave_basis, angular, expansions = hybrid_sweep_basis(scene, ks, tol)
+        return wave_basis, angular, [
+            (sphere_fold(scene, float(k), wave_basis, expansion, tol),
+             {"u4_residual": float(expansion[1].max(initial=0.0))})
+            for k, expansion in zip(ks, expansions)]
     k_max = 2.0 * math.pi * sc["frequencies"][-1] / SPEED_OF_LIGHT
     wave_basis = default_basis(scene, k_max)
     return (wave_basis, swe.angular_factors(wave_basis, scene.positions[scene.system_order]),
-            [None] * len(sc["frequencies"]))
+            [(None, {})] * len(sc["frequencies"]))
 
 
-def _operators(sc: dict, k: float, wave_basis, angular, expansion=None):
+def _operators(sc: dict, k: float, wave_basis, angular, point=(None, {})):
     """The factorised blocks a point's engine decomposes, and what their assembly recorded.
 
-    ``assemble_hybrid`` folds a scene's sphere in by the point's U4 ``expansion``
-    (from ``_sweep_basis``) and records its ``u4_residual``; ``transition``
-    assembles every other scene kind, ports' channels appended.
-    Either way a singular system raises ``SolveError`` here.  ``angular`` are
-    the sweep's factors from ``_sweep_basis``.
+    ``transition`` assembles every scene kind, a sphere folded in by the point's
+    ``(fold, record)`` from ``_sweep_basis``; a singular system raises ``SolveError``.
     """
-    scene = sc["scene"]
-    if scene.sphere is None:
-        return transition(scene, k, wave_basis, angular), {}
-    blocks = assemble_hybrid(scene, k, wave_basis, sc["tolerances"]["u4_residual"], angular,
-                             expansion)
-    return blocks, {"u4_residual": float(expansion[1].max(initial=0.0))}
+    fold, record = point
+    return transition(sc["scene"], k, wave_basis, angular, fold), dict(record)
 
 
 # Engines: (blocks, scenario, seed, point diagnostics) -> ModeSet.
@@ -318,9 +315,9 @@ SOLVER_TABLE = {
 SOLVERS = tuple(SOLVER_TABLE)
 
 
-def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, expansion=None):
+def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, point=(None, {})):
     """One frequency point; returns (ModeSet, diagnostics dict)."""
-    blocks, diag = _operators(sc, k, wave_basis, angular, expansion)
+    blocks, diag = _operators(sc, k, wave_basis, angular, point)
     if sc["scene"].sphere is None:
         diag["factorization_residual"] = blocks.factorization_residual()
     return SOLVER_TABLE[sc["solver"]](blocks, sc, seed, diag), diag
@@ -420,16 +417,16 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     n_jobs = max(1, min(jobs or _cores(), len(ks)))  # points solved at once
 
     with _blas_threads(n_jobs) as blas:
-        wave_basis, angular, expansions = _sweep_basis(sc)
+        wave_basis, angular, points = _sweep_basis(sc)
 
-        def solve(k, expansion):
-            return _solve_point(sc, float(k), wave_basis, seed, angular, expansion)
+        def solve(k, point):
+            return _solve_point(sc, float(k), wave_basis, seed, angular, point)
 
         if n_jobs > 1:
             with concurrent.futures.ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                results = list(pool.map(solve, ks, expansions))
+                results = list(pool.map(solve, ks, points))
         else:
-            results = [solve(k, expansion) for k, expansion in zip(ks, expansions)]
+            results = [solve(k, point) for k, point in zip(ks, points)]
 
     n_modes = sc["n_modes"]
     tops = [ms.top(n_modes) for ms, _ in results]
@@ -575,10 +572,10 @@ def run_checks(sc: dict) -> dict:
 
     report = {"per_frequency": [], "passed": True}
     with _blas_threads(1):
-        wave_basis, angular, expansions = _sweep_basis(sc)
-        for f, expansion in zip(freqs, expansions):
+        wave_basis, angular, points = _sweep_basis(sc)
+        for f, point in zip(freqs, points):
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-            blocks, diag = _operators(sc, k, wave_basis, angular, expansion)
+            blocks, diag = _operators(sc, k, wave_basis, angular, point)
             entry: dict = {"frequency_hz": float(f), **diag}
             if scene.sphere is None:
                 entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]

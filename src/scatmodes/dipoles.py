@@ -7,10 +7,9 @@ assembled scene is lossless by construction: ``Re Z = U1^T U1`` with a
 real projection matrix U1 whose rows sample the regular spherical
 waves at the dipole positions.  Consequently ``S = I + 2 T`` with
 ``T = -U1 Z^-1 U1^T`` is unitary to rounding.  ``assemble_impedance``
-also assembles ground-plane scenes (by the image-reduced system) and
-port scenes (terminated, with one power-wave channel per port), and the
-sphere hybrid folds into the same ``BlockImpedance``, so every engine
-serves all scene kinds.
+also assembles ground-plane scenes (by the image-reduced system), port
+scenes (terminated, with one power-wave channel per port) and scenes with
+a sphere, all into one ``BlockImpedance``, so every engine serves them all.
 
 Impedances are expressed in free-space-impedance units; port reference
 impedances given in Ohm are divided by eta_0 on entry.
@@ -80,8 +79,8 @@ class DipoleScene:
     is the shortest distance the Green function is evaluated at (dipole to
     dipole or image; infinite for one dipole in free space).  ``sphere`` is
     a sphere at the origin known only by its Mie T-matrix, strictly inside
-    every dipole, in a scene without ports or ground plane; ``assemble_impedance``
-    assembles the dipoles alone and ``hybrid.assemble_hybrid`` folds the sphere in.
+    every dipole, in a scene without a ground plane (whose background would
+    be the sphere and its image); ``assemble_impedance`` folds it in.
     """
 
     positions: np.ndarray
@@ -146,8 +145,8 @@ class DipoleScene:
             min_distance = min(min_distance, 2.0 * float(pos[:, 2].min()))
         object.__setattr__(self, "min_distance", min_distance)
 
-        if self.sphere is not None and (self.ground_plane or ports):
-            raise GeometryError("hybrid scenes support neither ground planes nor ports")
+        if self.sphere is not None and self.ground_plane:
+            raise GeometryError("a sphere cannot sit above a ground plane: its image joins it")
         if self.sphere is not None and self.min_dipole_radius <= self.sphere.radius:
             raise GeometryError(f"all dipoles must lie strictly outside the sphere (clearance "
                                 f"{self.min_dipole_radius - self.sphere.radius:.4g} m)")
@@ -245,10 +244,10 @@ class BlockImpedance:
     - port scenes: Z holds each port's ``z0`` on its unknown's diagonal
       entry and U1 carries one ``sqrt(z0)`` row per port under the wave
       rows: the port channels are U1's rows past ``basis.size``;
-    - scenes with a sphere (``hybrid.assemble_hybrid``): Z holds the sphere
-      coupling ``U4^T T_b1 U4``, U1 is the complex readout ``U1 + T_b1 U4``
-      and ``T_b0`` is the 1-D array of the sphere's Mie coefficients, the
-      diagonal of ``T_b1``, which the controllable region sees as background.
+    - scenes with a sphere (``assemble_impedance``'s ``fold``): Z holds the
+      sphere coupling ``U4^T T_b1 U4``, U1 is the complex readout ``U1 +
+      T_b1 U4`` and ``T_b0`` the sphere's Mie coefficients t1, the diagonal
+      of ``T_b1``, 0 on any port channels.
 
     ``system`` (Z) and ``readout`` (U1) are kept read-only, in system
     order: the first ``n_b`` unknowns are the background's.  ``Z_bb``,
@@ -271,11 +270,10 @@ class BlockImpedance:
     exactly.
 
     Eliminating the background gives the Schur complement ``Z_tilde = Z_cc
-    - Z_cb W`` with ``W = Z_bb^-1 Z_bc`` (kept for background current
-    recovery) and its readout ``U1_tilde = U1_c - U1_b W``; for lossless
-    scenes ``Re Z_tilde = Re(U1_tilde^H U1_tilde)``.  The elimination is
-    made once, when one of the three is first read; ``solve_tilde``
-    applies ``Z_tilde^-1``.
+    - Z_cb W`` with ``W = Z_bb^-1 Z_bc`` and its readout ``U1_tilde = U1_c
+    - U1_b W``; for lossless scenes ``Re Z_tilde = Re(U1_tilde^H
+    U1_tilde)``.  The elimination is made once, when one of the two is
+    first read; ``solve_tilde`` applies ``Z_tilde^-1``.
 
     Every factor, operator and elimination is kept by this object only;
     copies made by ``dataclasses.replace`` start without them.
@@ -310,7 +308,6 @@ class BlockImpedance:
 
     Z_tilde = property(lambda self: self._cached("elimination", self._eliminate)[0])
     U1_tilde = property(lambda self: self._cached("elimination", self._eliminate)[1])
-    W = property(lambda self: self._cached("elimination", self._eliminate)[2])
 
     radiation_defect = property(lambda self: self._cached("defect", lambda: _radiation_defect(
         self.system, self.readout, self.n_b)), doc="``_radiation_defect`` of Z, U1 and n_b.")
@@ -356,9 +353,9 @@ class BlockImpedance:
         return self._cached(name, lambda: _full_operator(self, name))
 
     def _eliminate(self):
-        """``(Z_tilde, U1_tilde, W)``: the Schur elimination of the background unknowns."""
+        """``(Z_tilde, U1_tilde)``: the Schur elimination of the background unknowns."""
         w = self.solve_bb(self.Z_bc)
-        return self.Z_cc - self.Z_cb @ w, self.U1_c - _readout_product(self.U1_b, w), w
+        return self.Z_cc - self.Z_cb @ w, self.U1_c - _readout_product(self.U1_b, w)
 
 
 def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
@@ -407,11 +404,9 @@ def _check_wavenumber(scene: DipoleScene, k: float) -> None:
 
 def assemble_impedance(scene: DipoleScene, k: float,
                        wave_basis: WaveBasis | None = None,
-                       angular: swe.AngularFactors | None = None) -> BlockImpedance:
-    """Assemble the block impedance system and real wave projection of the dipoles.
-
-    A scene's ``sphere`` is left out: ``hybrid.assemble_hybrid`` folds it
-    into these blocks.
+                       angular: swe.AngularFactors | None = None,
+                       fold: tuple | None = None) -> BlockImpedance:
+    """Assemble the block impedance system and wave readout of a scene.
 
     Off-diagonal 3x3 blocks are ``(j/k) G`` with the free-space dyadic
     Green function G; diagonal blocks carry the inverse static
@@ -440,10 +435,19 @@ def assemble_impedance(scene: DipoleScene, k: float,
     the readout rows past its size.  Port elements are controllable, so S_b
     acts as the identity on the port channels.
 
+    A scene's ``sphere`` is folded in after the port loads by ``fold``, the
+    point's ``(U4, t1)`` from ``hybrid``, both 0 on the port channels: Z
+    gains ``U4^T T_b1 U4`` in place, U1 becomes ``U1 + T_b1 U4`` and
+    ``T_b0`` t1.  The under-resolution warning tests the dipoles' own Z and
+    U1.  A sphere without its fold, or a fold without a sphere, raises
+    ``GeometryError``.
+
     U1 comes from ``angular`` (by default built here): the angular factors
     of a basis ``wave_basis`` leads, at ``scene.positions[scene.system_order]``.
     A k whose Green terms overflow raises ``DomainError`` before any is made.
     """
+    if (fold is None) != (scene.sphere is None):
+        raise GeometryError("a sphere goes with its fold, which hybrid.assemble_hybrid makes")
     _check_wavenumber(scene, k)
     if wave_basis is None:
         wave_basis = default_basis(scene, k)
@@ -488,17 +492,19 @@ def assemble_impedance(scene: DipoleScene, k: float,
         u_port = np.zeros((len(ports), 3 * n))
         u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
         u = np.vstack([u, u_port])
-    blocks = BlockImpedance(system=z, readout=u,
-                            n_b=3 * int(np.count_nonzero(~scene.is_controllable)),
-                            basis=wave_basis, perm=perm)
-    if n > 0:
-        residual = blocks.factorization_residual()
-        if residual > 1e-6:
-            warnings.warn(
-                f"wave basis l_max={wave_basis.l_max} under-resolves the scene: "
-                f"radiation factorization residual {residual:.2e}",
-                stacklevel=2,
-            )
+    n_b = 3 * int(np.count_nonzero(~scene.is_controllable))
+    defect = _radiation_defect(z, u, n_b)  # of the dipoles' own Z and U1
+    if defect[0] > 1e-6:
+        warnings.warn(f"wave basis l_max={wave_basis.l_max} under-resolves the scene: "
+                      f"radiation factorization residual {defect[0]:.2e}", stacklevel=2)
+    u4, t1 = fold or (None, None)
+    if fold is not None:
+        z += (u4.T * t1) @ u4
+        t1 = np.pad(t1, (0, len(ports)))  # the port channels see no sphere
+        u = u + t1[:, None] * np.pad(u4, ((0, len(ports)), (0, 0)))
+    blocks = BlockImpedance(system=z, readout=u, n_b=n_b, basis=wave_basis, perm=perm, T_b0=t1)
+    if fold is None:  # the defect holds for these blocks: keep it
+        blocks._cache["defect"] = defect
     return blocks
 
 
@@ -556,16 +562,14 @@ def _full_operator(blocks: BlockImpedance, name: str) -> np.ndarray:
 
 
 def transition(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
-               angular: swe.AngularFactors | None = None) -> BlockImpedance:
-    """The blocks of a plain, ground-plane or port scene, with Z and Z_bb factorised.
+               angular: swe.AngularFactors | None = None,
+               fold: tuple | None = None) -> BlockImpedance:
+    """The blocks of any scene, with Z and Z_bb factorised: the one assembly route.
 
-    ``angular`` is passed to ``assemble_impedance``.  A singular system
-    raises ``SolveError`` here; T, T_b, S and S_b are built when first read
-    (see ``BlockImpedance``).  A scene with a sphere raises ``GeometryError``:
-    ``hybrid.assemble_hybrid`` assembles it.
+    ``angular`` and a sphere's ``fold`` are passed to ``assemble_impedance``.
+    A singular system raises ``SolveError`` here; T, T_b, S and S_b are
+    built when first read (see ``BlockImpedance``).
     """
-    if scene.sphere is not None:
-        raise GeometryError("transition assembles no sphere; use hybrid.assemble_hybrid")
-    blocks = assemble_impedance(scene, k, wave_basis, angular)
+    blocks = assemble_impedance(scene, k, wave_basis, angular, fold)
     blocks.factorize()
     return blocks

@@ -6,7 +6,7 @@ diagonal transition matrix.  The coupling operator U4 maps dipole
 currents to regular-wave coefficients about the sphere centre.  By the
 addition theorem of the dyadic Green function those coefficients are, in
 closed form, the outgoing waves evaluated at the dipoles (Chew, *Waves
-and Fields in Inhomogeneous Media*, ch. 7), so ``assemble_hybrid`` takes
+and Fields in Inhomogeneous Media*, ch. 7), so ``u4_expansion`` takes
 U4 from one outgoing-wave table at the dipole positions.  The same table,
 carried ``QUAD_MARGIN`` degrees past the basis, gauges the truncation:
 each column reports the relative tail of its dipole field's expansion on
@@ -16,28 +16,29 @@ of sampled dipole fields on that sphere, and measures the same residual.
 
 The sphere is a field of the scene (``DipoleScene.sphere``); it and the
 background dipoles together form the background.  The hybrid is an
-assembly variant, not a second engine: ``assemble_hybrid`` folds the
-sphere into the dipoles' impedance matrix (``Z + U4^T T_b1 U4``, readout
-``U1 + T_b1 U4``, background offset the diagonal of ``T_b1``, kept as a
-vector) and returns the factorised ``BlockImpedance`` that every engine
-solves like any dipole scene's.  ``hybrid_sweep_basis`` sizes one basis
-for a sweep and makes each point's U4 expansion, which the point passes
-to ``assemble_hybrid``.  The impedance and scattering routes agree for
-lossless scenes to the truncation accuracy.
+assembly variant, not a second engine: ``sphere_fold`` gates a point's U4
+and pairs it with the sphere's Mie coefficients t1 (the diagonal of
+``T_b1``), which ``dipoles.transition`` folds into the scene's one
+``BlockImpedance`` (``Z + U4^T T_b1 U4``, readout ``U1 + T_b1 U4``,
+background offset t1).  ``hybrid_sweep_basis`` sizes one basis for a
+sweep and makes each point's U4 expansion; ``assemble_hybrid`` is the
+one-point front.  The impedance and scattering routes agree for lossless
+scenes to the truncation accuracy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import swe
-from .dipoles import (BlockImpedance, DipoleScene, _check_wavenumber, assemble_impedance,
-                      default_basis, dyadic_green)
+from .dipoles import (BlockImpedance, DipoleScene, _check_wavenumber, default_basis,
+                      dyadic_green, transition)
+from .dipoles import assemble_impedance  # noqa: F401 (traced by perfbench/child.py)
 from .exceptions import GeometryError, ResolutionError
-from .mie import mie_tmatrix
+from .mie import _t_diagonal
+from .mie import mie_tmatrix  # noqa: F401 (traced by perfbench/child.py)
 from .modes import ModeSet, cm_impedance_substructure
 from .swe import WaveBasis
 
@@ -104,9 +105,9 @@ def hybrid_sweep_basis(scene: DipoleScene, ks, residual_tol: float):
     gauge (``u4_expansion``) is within ``residual_tol`` at every ``k``.
     Returns (basis, angular factors at the dipoles that serve every table of
     the sweep, ``QUAD_MARGIN`` degrees past the largest basis tried, and the
-    ``u4_expansion`` at each k, ``assemble_hybrid``'s ``expansion``).  If no
+    ``u4_expansion`` at each k, ``sphere_fold``'s ``expansion``).  If no
     basis passes, the truncation rule's is returned with its expansions, and
-    ``assemble_hybrid`` raises at the points that miss the tolerance.
+    ``sphere_fold`` raises at the points that miss the tolerance.
     """
     start = default_basis(scene, max(ks))
     angular = swe.angular_factors(swe.basis(start.l_max + 2 * QUAD_MARGIN),
@@ -159,35 +160,35 @@ def assemble_u4(scene: DipoleScene, k: float, wave_basis: WaveBasis,
     return -coeffs, residuals, r_fit
 
 
+def sphere_fold(scene: DipoleScene, k: float, wave_basis: WaveBasis, expansion: tuple,
+                residual_tol: float):
+    """The sphere's ``fold`` for ``transition`` at one point, ``(U4, t1)``: U4 of ``expansion``
+    (``u4_expansion``'s) and the sphere's Mie coefficients t1 on ``wave_basis``.  The U4 gate:
+    a column whose truncation residual exceeds ``residual_tol`` raises ``ResolutionError``."""
+    u4, residuals, _ = expansion
+    if np.any(residuals > residual_tol):
+        raise ResolutionError(f"U4 truncation residual {residuals.max():.3e} exceeds "
+                              f"{residual_tol:.1e}; increase the basis or the clearance")
+    return u4, _t_diagonal(scene.sphere, k, wave_basis)
+
+
 def assemble_hybrid(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
                     residual_tol: float = 1e-6, angular: swe.AngularFactors | None = None,
                     expansion: tuple | None = None) -> BlockImpedance:
-    """The blocks of a scene with a sphere, the sphere folded in, with Z and Z_bb factorised.
+    """``transition`` of a scene with a sphere, folded in by ``sphere_fold``: its blocks,
+    with Z and Z_bb factorised.
 
-    Z is ``Z + U4^T T_b1 U4`` and the readout the complex ``U1 + T_b1 U4``
-    (background unknowns first), with the sphere's Mie coefficients (the
-    diagonal of ``T_b1``) as background transition offset ``T_b0``.  U4 and
-    its truncation gauge are ``expansion``, by default ``u4_expansion``'s at
-    the default fit radius; a column above ``residual_tol`` raises
-    ``ResolutionError``, a singular system ``SolveError``.  ``angular`` (from
-    ``hybrid_sweep_basis``) serves U4's and U1's tables.
+    ``wave_basis`` defaults to ``default_basis`` and ``expansion`` to
+    ``u4_expansion``'s at the default fit radius; a U4 column above
+    ``residual_tol`` raises ``ResolutionError``, a singular system
+    ``SolveError``.  ``angular`` (from ``hybrid_sweep_basis``) serves the tables.
     """
     if scene.sphere is None:
         raise GeometryError("assemble_hybrid needs a scene with a sphere; use transition")
-    if wave_basis is None:
-        wave_basis = default_basis(scene, k)
-    u4, residuals, _ = expansion or u4_expansion(scene, k, wave_basis, angular=angular)
-    if np.any(residuals > residual_tol):
-        raise ResolutionError(
-            f"U4 truncation residual {residuals.max():.3e} exceeds {residual_tol:.1e}; "
-            "increase the basis or the clearance"
-        )
-    blocks = assemble_impedance(scene, k, wave_basis, angular)
-    t1 = np.diag(mie_tmatrix(scene.sphere, k, wave_basis)).copy()  # T_b1's diagonal
-    hybrid = replace(blocks, system=np.add(blocks.system, (u4.T * t1) @ u4, order="F"),
-                     readout=blocks.readout + t1[:, None] * u4, T_b0=t1)
-    hybrid.factorize()
-    return hybrid
+    wave_basis = default_basis(scene, k) if wave_basis is None else wave_basis
+    expansion = expansion or u4_expansion(scene, k, wave_basis, angular=angular)
+    return transition(scene, k, wave_basis, angular,
+                      sphere_fold(scene, k, wave_basis, expansion, residual_tol))
 
 
 def hybrid_impedance_modes(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,

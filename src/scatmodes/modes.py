@@ -41,7 +41,7 @@ class ModeSet:
 
     Columns of ``a`` (excitations) and ``f`` (scattered fields, ``f_n =
     S_b a_n``) are unit vectors, ordered by modal significance ``|t_n|``
-    descending.  ``currents`` / ``currents_c`` hold eigencurrents when a
+    descending.  ``currents_c`` holds the controllable eigencurrents when a
     decomposition produces them.  ``diagnostics`` carries residuals of
     the invariant checks performed while solving.
     """
@@ -50,7 +50,6 @@ class ModeSet:
     a: np.ndarray | None = None
     f: np.ndarray | None = None
     basis: WaveBasis | None = None
-    currents: np.ndarray | None = None
     currents_c: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -87,7 +86,6 @@ class ModeSet:
             a=None if self.a is None else self.a[:, sl],
             f=None if self.f is None else self.f[:, sl],
             basis=self.basis,
-            currents=None if self.currents is None else self.currents[:, sl],
             currents_c=None if self.currents_c is None else self.currents_c[:, sl],
             diagnostics=dict(self.diagnostics),
         )
@@ -520,12 +518,10 @@ def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
     f = -blocks.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
     a = np.conj(ScatterOracle.from_blocks(blocks).apply_sb(np.conj(f)))
-    i_b = -blocks.W @ i_c
-    currents = np.vstack([i_b, i_c])
 
     order = _mode_order(t_vals, f, blocks.basis)
     return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a[:, order], f=f[:, order],
-                   basis=blocks.basis, currents=currents[:, order], currents_c=i_c[:, order],
+                   basis=blocks.basis, currents_c=i_c[:, order],
                    diagnostics=diag)
 
 

@@ -460,14 +460,14 @@ def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
 def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario):
     # the values the impedance engine computed, not figures made for the record
     sc = parse_scenario(scenario)
-    points = run_scenario(sc, str(tmp_path), jobs=1)["per_frequency"]
-    wave_basis, angular, expansions = _sweep_basis(sc)
-    for point, f, expansion in zip(points, sc["frequencies"], expansions):
+    recorded = run_scenario(sc, str(tmp_path), jobs=1)["per_frequency"]
+    wave_basis, angular, points = _sweep_basis(sc)
+    for record, f, point in zip(recorded, sc["frequencies"], points):
         k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-        blocks, _ = cli._operators(sc, k, wave_basis, angular, expansion)
+        blocks, _ = cli._operators(sc, k, wave_basis, angular, point)
         ms = cli.cm_impedance_substructure(blocks)
-        assert point["engine"] == ms.diagnostics["solver"] == "eigh"
-        assert point["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
+        assert record["engine"] == ms.diagnostics["solver"] == "eigh"
+        assert record["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
 
 
 def test_tolerance_defaults_are_filled_in_and_a_given_value_overrides_them():
@@ -581,17 +581,20 @@ def _sphere_above_ground_plane():
     return scn
 
 
-def _sphere_with_port():
-    scn = _hybrid_scenario("hybrid-scattering")
+def _sphere_with_port(solver="hybrid-scattering"):
+    """The ``_hybrid_scenario`` scene with a port on its one controllable dipole, at three
+    points over 300-600 MHz; the engines return 3 N_c = 3 modes."""
+    scn = _hybrid_scenario(solver)
     scn["scene"]["ports"] = [{"dipole": 0, "axis": "x", "z0": 50.0}]
+    scn.update(n_modes=3, sweep={"f_min": 3.0e8, "f_max": 6.0e8, "n_points": 3})
     return scn
 
 
-@pytest.mark.parametrize("make, what", [(_sphere_above_ground_plane, "a ground plane"),
-                                        (_sphere_with_port, "ports")],
-                         ids=["ground-plane", "port"])
+@pytest.mark.parametrize("make, what", [(_sphere_above_ground_plane, "a ground plane")],
+                         ids=["ground-plane"])
 def test_sphere_with_ground_plane_or_ports_is_a_scenario_limit(tmp_path, capsys, make, what):
-    # the sphere's T-matrix is a free-space one: such a scene is a limit of
+    # above a ground plane the sphere's background would be the sphere and its
+    # image, which no diagonal T-matrix describes: such a scene is a limit of
     # the scenario (exit 2, naming scene.sphere), not a geometry fault
     scenario = _write(tmp_path, make())
     for command in (["run", "--scenario", scenario, "--out", str(tmp_path / "o")],
@@ -601,6 +604,19 @@ def test_sphere_with_ground_plane_or_ports_is_a_scenario_limit(tmp_path, capsys,
         assert f"scenario error: field 'scene.sphere' cannot be combined with {what}" in err
         assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_sphere_with_port_runs_under_both_hybrid_solvers(tmp_path, capsys):
+    # the port channel sees no sphere (U4 and the Mie diagonal are 0 there):
+    # both hybrid solvers run the scene and agree, and it passes the checks
+    traces = []
+    for solver in ("hybrid-impedance", "hybrid-scattering"):
+        out = tmp_path / solver
+        path = _write(tmp_path, _sphere_with_port(solver), f"{solver}.json")
+        assert main(["run", "--scenario", path, "--out", str(out), "--jobs", "1"]) == 0
+        traces.append(str(out / "traces.csv"))
+    assert main(["compare", *traces, "--tol", "1e-6"]) == 0
+    assert main(["checks", "--scenario", path]) == 0
 
 
 def test_checks_pass_a_scene_without_controllable_dipoles():

@@ -309,13 +309,16 @@ def _port_reference(scene, k, wave_basis):
 
 
 def _hybrid_reference(hs, k, wave_basis):
+    """The sphere folded into the port reference (the plain one without ports): U4 and the
+    Mie diagonal padded with 0 on the port channels."""
     from scatmodes import mie_tmatrix
     from scatmodes.hybrid import u4_expansion
 
-    z, u = impedance_reference(hs, k, wave_basis)
+    z, u = _port_reference(hs, k, wave_basis)
     u4 = u4_expansion(hs, k, wave_basis)[0]  # in system order
     t1 = np.diag(mie_tmatrix(hs.sphere, k, wave_basis))
-    return z + (u4.T * t1) @ u4, u + t1[:, None] * u4
+    pad = len(hs.ports)
+    return z + (u4.T * t1) @ u4, u + np.pad(t1, (0, pad))[:, None] * np.pad(u4, ((0, pad), (0, 0)))
 
 
 def _assembly_case(case):
@@ -325,8 +328,11 @@ def _assembly_case(case):
 
     rng = np.random.default_rng(21)
     k = 1.0
-    if case == "hybrid":
+    if case in ("hybrid", "sphere-with-port"):
         hs = _hybrid_scene()
+        if case == "sphere-with-port":
+            hs = DipoleScene(hs.positions, hs.polarizability, hs.region,
+                             ports=(Port(2, "y", 73.0),), sphere=hs.sphere)
         wb = basis(10)
         return hs, assemble_hybrid(hs, k, wb, residual_tol=1.0), *_hybrid_reference(hs, k, wb)
     if case == "port":
@@ -353,7 +359,7 @@ def _assembly_case(case):
 
 
 ASSEMBLY_CASES = ("plain", "two-region", "empty-background", "anisotropic", "port", "ground-plane",
-                  "hybrid")
+                  "hybrid", "sphere-with-port")
 
 
 @pytest.mark.parametrize("case", ASSEMBLY_CASES)
@@ -362,10 +368,16 @@ def test_assembly_matches_the_ordered_pair_reference(case):
     # bit the all-ordered-pairs scene-order system permuted, anisotropic (not
     # exactly symmetric) diagonal blocks and, above a ground plane, the image
     # terms included; there it is also P^T Z P and U1 P of the mirrored
-    # reference, to rounding, and U1 is exactly 0 on the parity-forbidden waves
+    # reference, to rounding, and U1 is exactly 0 on the parity-forbidden waves;
+    # a sphere is folded in after the port loads, its T_b0 0 on the port channels
+    from scatmodes import mie_tmatrix
+
     scene, blocks, z_ref, u_ref = _assembly_case(case)
     assert np.array_equal(blocks.Z, z_ref)
     assert np.array_equal(blocks.U1, u_ref)
+    if scene.sphere is not None:
+        t1 = np.diag(mie_tmatrix(scene.sphere, 1.0, blocks.basis))
+        assert np.array_equal(blocks.T_b0, np.pad(t1, (0, len(scene.ports))))
     if case != "ground-plane":
         return
     z_ref, u_ref = impedance_reference(scene, 1.0, blocks.basis)
@@ -375,7 +387,8 @@ def test_assembly_matches_the_ordered_pair_reference(case):
     assert drop.size and not blocks.U1[drop].any()
 
 
-@pytest.mark.parametrize("case", ["two-region", "port", "ground-plane", "hybrid"])
+@pytest.mark.parametrize("case", ["two-region", "port", "ground-plane", "hybrid",
+                                  "sphere-with-port"])
 def test_system_matrix_is_in_column_order(case):
     # Z is assembled in LAPACK's column order (a sphere's coupling is added in
     # that order), so its LU factorisation and the copy of Re Z in the

@@ -67,11 +67,12 @@ def test_scene_validation():
     sphere = SphereSpec(0.3, "pec")
     with pytest.raises(GeometryError, match="strictly outside the sphere"):
         DipoleScene([[0.0, 0.0, 0.2]], 1.0, sphere=sphere)
-    # the sphere's T-matrix is a free-space one: no ground plane, no ports
-    with pytest.raises(GeometryError, match="neither ground planes nor ports"):
+    # above a ground plane the background would be the sphere and its image,
+    # which no diagonal T-matrix describes; a port rides on a dipole
+    with pytest.raises(GeometryError, match="above a ground plane"):
         DipoleScene([[0.0, 0.0, 0.5]], 1.0, ground_plane=True, sphere=sphere)
-    with pytest.raises(GeometryError, match="neither ground planes nor ports"):
-        DipoleScene([[0.0, 0.0, 0.5]], 1.0, ports=(Port(0, "z", 50.0),), sphere=sphere)
+    scene = DipoleScene([[0.0, 0.0, 0.5]], 1.0, ports=(Port(0, "z", 50.0),), sphere=sphere)
+    assert scene.ports and scene.sphere == sphere
 
 
 def test_circumscribing_radius_covers_the_sphere():
@@ -86,9 +87,9 @@ def test_circumscribing_radius_covers_the_sphere():
 
 
 def test_no_route_drops_a_sphere():
-    # transition assembles dipoles only, so it refuses a scene with a sphere
-    # and names the route that folds the sphere in; assemble_hybrid refuses
-    # a scene without one
+    # transition folds a sphere in only by the input hybrid makes, so without
+    # it a scene with a sphere is refused, naming the route that makes it;
+    # assemble_hybrid refuses a scene without a sphere
     with_sphere = DipoleScene([[0.0, 0.0, 0.5]], 1.0, sphere=SphereSpec(0.1))
     with pytest.raises(GeometryError, match="assemble_hybrid"):
         transition(with_sphere, 1.0)

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 
 from scatmodes import cli
-from test_cli import _ground_plane, _port, _scenario, _write
+from test_cli import _ground_plane, _port, _scenario, _sphere_with_port, _write
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
@@ -175,6 +175,8 @@ FACTORISATION_CASES = {
     **{f"port-{solver}": _port(solver) for solver in ("dense-impedance", "t-form", "iterative")},
     "hybrid-impedance": _hybrid("hybrid-impedance"),
     "hybrid-scattering": _hybrid("hybrid-scattering"),
+    **{f"sphere-with-port-{solver}": _sphere_with_port(solver)
+       for solver in ("hybrid-impedance", "hybrid-scattering")},
 }
 
 
@@ -210,11 +212,11 @@ def test_each_solver_factorises_each_matrix_once_per_point(case, factorisations)
     # Z, Z_bb and the Schur complement Z~ are factorised at most once per
     # frequency point, whichever engine runs on the blocks
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular, expansions = cli._sweep_basis(sc)
-    for f, expansion in zip(sc["frequencies"], expansions):
+    wave_basis, angular, points = cli._sweep_basis(sc)
+    for f, point in zip(sc["frequencies"], points):
         factorisations.clear()
         cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
-                         angular=angular, expansion=expansion)
+                         angular=angular, point=point)
         _assert_each_factorised_once(factorisations)
 
 
@@ -245,12 +247,11 @@ def test_checks_assemble_and_eliminate_once_per_point(case, monkeypatch):
     # one blocks object per point, whose T, T_b and Schur elimination are
     # shared by the scattering, modified-transition and impedance checks of
     # the point, not rebuilt for each
-    from scatmodes import dipoles, hybrid
+    from scatmodes import dipoles
 
     calls = {}
-    for module in (dipoles, hybrid):
-        _count_calls(monkeypatch, calls, module, "assemble_impedance")
-    # the elimination is made once, however often Z~, U1~ or W is read
+    _count_calls(monkeypatch, calls, dipoles, "assemble_impedance")  # every scene's one route
+    # the elimination is made once, however often Z~ or U1~ is read
     _count_calls(monkeypatch, calls, dipoles.BlockImpedance, "_eliminate")
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     cli.run_checks(sc)
@@ -268,10 +269,10 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
     from scatmodes import BlockImpedance, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular, expansions = cli._sweep_basis(sc)
+    wave_basis, angular, points = cli._sweep_basis(sc)
     ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
     run_modes = [cli._solve_point(sc, k, wave_basis, seed=1, angular=angular,
-                                  expansion=expansion)[0] for k, expansion in zip(ks, expansions)]
+                                  point=point)[0] for k, point in zip(ks, points)]
     decomposed, unitary_dims = [], []
     cm_scattering, check_unitary = cli.cm_scattering, cli.check_unitary
 
@@ -313,11 +314,11 @@ def test_scattering_solvers_decompose_only_the_range(case, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "schur", recording)
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
-    wave_basis, angular, expansions = cli._sweep_basis(sc)
+    wave_basis, angular, points = cli._sweep_basis(sc)
     three_n_c = 3 * int(sc["scene"].is_controllable.sum())
-    for f, expansion in zip(sc["frequencies"], expansions):
+    for f, point in zip(sc["frequencies"], points):
         cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
-                         angular=angular, expansion=expansion)
+                         angular=angular, point=point)
     assert sizes and max(max(shape) for shape in sizes) <= three_n_c < wave_basis.size
 
 
@@ -435,9 +436,9 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     from scatmodes.modes import cm_impedance_substructure
 
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis, angular, expansions = cli._sweep_basis(sc)
+    wave_basis, angular, points = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
-    blocks, _ = cli._operators(sc, k, wave_basis, angular, expansions[-1])
+    blocks, _ = cli._operators(sc, k, wave_basis, angular, points[-1])
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -446,6 +447,23 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * n_nbytes, peak / n_nbytes
+
+
+def test_hybrid_assembly_holds_no_wave_sized_matrix():
+    # a hybrid point's assembly at hybrid-sweep's 448-wave basis folds the
+    # sphere in by its Mie diagonal, a vector: the peak stays below one
+    # n_waves x n_waves complex array (the n x n Mie matrix alone is one)
+    from conftest import hybrid_sweep_seed7
+    from scatmodes.hybrid import assemble_hybrid, hybrid_sweep_basis
+
+    sc = cli.parse_scenario(hybrid_sweep_seed7())
+    ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
+    wave_basis, angular, expansions = hybrid_sweep_basis(sc["scene"], ks, 1e-6)
+    assert wave_basis.size == 448
+    peak = _traced_peak(lambda: assemble_hybrid(sc["scene"], float(ks[-1]), wave_basis,
+                                                angular=angular, expansion=expansions[-1]))
+    n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
+    assert peak < n_nbytes, peak / n_nbytes
 
 
 def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
@@ -457,12 +475,12 @@ def test_hybrid_sweep_computes_each_points_u4_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, calls, hybrid, "u4_expansion")
     sc = cli.parse_scenario(hybrid_sweep_seed7())
-    wave_basis, angular, expansions = cli._sweep_basis(sc)
+    wave_basis, angular, points = cli._sweep_basis(sc)
     n_points = len(sc["frequencies"])
     assert calls == {"u4_expansion": n_points}  # the first basis tried passes
-    for f, expansion in zip(sc["frequencies"], expansions):
+    for f, point in zip(sc["frequencies"], points):
         cli._solve_point(sc, 2.0 * math.pi * f / cli.SPEED_OF_LIGHT, wave_basis, seed=1,
-                         angular=angular, expansion=expansion)
+                         angular=angular, point=point)
     assert calls == {"u4_expansion": n_points}
 
 
