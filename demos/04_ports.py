@@ -39,7 +39,7 @@ def main():
     sb = np.eye(ported_blocks.S.shape[0], dtype=complex)
     ms1 = cm_scattering(ported_blocks.S, sb)
 
-    currents = np.linalg.solve(blocks.Z, blocks.U1.T @ ms0.a)
+    currents = np.linalg.solve(blocks.system, blocks.readout.T @ ms0.a)
     inv = np.empty_like(blocks.perm)
     inv[blocks.perm] = np.arange(blocks.perm.size)
     port_row = inv[3 * 1 + 0]

@@ -50,7 +50,6 @@ from .swe import (
     basis,
     ground_plane_filter,
     mirror_parity,
-    outgoing_wave_table,
     project_onto_regular,
     regular_wave_table,
     sphere_quadrature,

@@ -262,16 +262,6 @@ def _sweep_basis(sc: dict):
             [(None, {})] * len(sc["frequencies"]))
 
 
-def _operators(sc: dict, k: float, wave_basis, angular, point=(None, {})):
-    """The factorised blocks a point's engine decomposes, and what their assembly recorded.
-
-    ``transition`` assembles every scene kind, a sphere folded in by the point's
-    ``(fold, record)`` from ``_sweep_basis``; a singular system raises ``SolveError``.
-    """
-    fold, record = point
-    return transition(sc["scene"], k, wave_basis, angular, fold), dict(record)
-
-
 # Engines: (blocks, scenario, seed, point diagnostics) -> ModeSet.
 # Each records in the point diagnostics what it computed on the way.
 
@@ -316,10 +306,13 @@ SOLVERS = tuple(SOLVER_TABLE)
 
 
 def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, point=(None, {})):
-    """One frequency point; returns (ModeSet, diagnostics dict)."""
-    blocks, diag = _operators(sc, k, wave_basis, angular, point)
+    """One frequency point, on the factorised blocks ``transition`` assembles for every scene
+    kind, a sphere folded in by the point's ``(fold, record)`` from ``_sweep_basis``; returns
+    (ModeSet, diagnostics dict)."""
+    fold, record = point
+    blocks, diag = transition(sc["scene"], k, wave_basis, angular, fold), dict(record)
     if sc["scene"].sphere is None:
-        diag["factorization_residual"] = blocks.factorization_residual()
+        diag["factorization_residual"] = blocks.radiation_defect[0]
     return SOLVER_TABLE[sc["solver"]](blocks, sc, seed, diag), diag
 
 
@@ -573,10 +566,10 @@ def run_checks(sc: dict) -> dict:
     report = {"per_frequency": [], "passed": True}
     with _blas_threads(1):
         wave_basis, angular, points = _sweep_basis(sc)
-        for f, point in zip(freqs, points):
+        for f, (fold, record) in zip(freqs, points):
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
-            blocks, diag = _operators(sc, k, wave_basis, angular, point)
-            entry: dict = {"frequency_hz": float(f), **diag}
+            blocks = transition(scene, k, wave_basis, angular, fold)
+            entry: dict = {"frequency_hz": float(f), **record}
             if scene.sphere is None:
                 entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]
             ms = cm_scattering(blocks)

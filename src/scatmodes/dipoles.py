@@ -250,12 +250,14 @@ class BlockImpedance:
       of ``T_b1``, 0 on any port channels.
 
     ``system`` (Z) and ``readout`` (U1) are kept read-only, in system
-    order: the first ``n_b`` unknowns are the background's.  ``Z_bb``,
-    ``Z_bc``, ``Z_cb``, ``Z_cc``, ``U1_b`` and ``U1_c`` are views of them;
-    ``Z`` and ``U1`` return copies the caller may modify.  Z is complex
+    order and in column order: the first ``n_b`` unknowns are the
+    background's.  ``Z_bb``, ``Z_bc``, ``Z_cb``, ``Z_cc``, ``U1_b`` and
+    ``U1_c`` are views of them, ``U1_b`` and ``U1_c`` contiguous; a caller
+    that modifies Z or U1 takes its own ``.copy()``.  Z is complex
     symmetric, and lossless scenes satisfy ``Re Z = Re(U1^H U1)`` to
-    rounding.  ``perm`` maps system rows to flat scene unknowns ``3 *
-    dipole + axis`` of the assembled scene.
+    rounding; ``radiation_defect[0]`` is the relative deviation
+    (``factorization_residual``).  ``perm`` maps system rows to flat scene
+    unknowns ``3 * dipole + axis`` of the assembled scene.
     ``solve`` and ``solve_bb`` apply ``Z^-1`` and ``Z_bb^-1`` from LU
     factors made (pivot-checked) on first use; ``factorize`` makes them
     at once, so a singular system raises there.
@@ -298,9 +300,6 @@ class BlockImpedance:
     U1_b = property(lambda self: self.readout[:, :self.n_b])
     U1_c = property(lambda self: self.readout[:, self.n_b:])
 
-    Z = property(lambda self: self.system.copy(), doc="Z, a new array the caller may modify.")
-    U1 = property(lambda self: self.readout.copy(), doc="U1, a new array the caller may modify.")
-
     T = property(lambda self: self._operator("T"))
     T_b = property(lambda self: self._operator("T_b"))
     S = property(lambda self: self._operator("S"))
@@ -311,10 +310,6 @@ class BlockImpedance:
 
     radiation_defect = property(lambda self: self._cached("defect", lambda: _radiation_defect(
         self.system, self.readout, self.n_b)), doc="``_radiation_defect`` of Z, U1 and n_b.")
-
-    def factorization_residual(self) -> float:
-        """Relative deviation of Re Z from Re(U1^H U1) (basis-resolution gauge)."""
-        return self.radiation_defect[0]
 
     def _cached(self, key: str, build):
         """``build()``, computed on the first call for ``key`` and kept by this object."""
@@ -366,14 +361,15 @@ def factorization_residual(z: np.ndarray, u: np.ndarray) -> float:
 def _radiation_defect(z: np.ndarray, u: np.ndarray, n_lead: int = 0):
     """``(||E||_F / ||Re z||_F, ||E||_F, ||E_ll||_F)`` of ``E = Re(u^H u) - Re z`` and its leading
     ``n_lead`` x ``n_lead`` block E_ll (zeros for an empty system).  z is complex symmetric, so E
-    is formed in the upper triangle of one copy of Re z by ``dsyrk`` on scipy's BLAS."""
+    is formed in the upper triangle of one copy of Re z by ``dsyrk`` on scipy's BLAS, which
+    reads a column-ordered real u as it is."""
     if z.size == 0:
         return 0.0, 0.0, 0.0
     diff = np.array(z.real, order="F")
     scale = max(float(np.linalg.norm(diff)), 1e-300)
-    diff = blas.dsyrk(1.0, u.real.T, beta=-1.0, c=diff, overwrite_c=1)
+    diff = blas.dsyrk(1.0, u.real, beta=-1.0, c=diff, trans=1, overwrite_c=1)
     if np.iscomplexobj(u):
-        diff = blas.dsyrk(1.0, u.imag.T, beta=1.0, c=diff, overwrite_c=1)
+        diff = blas.dsyrk(1.0, u.imag, beta=1.0, c=diff, trans=1, overwrite_c=1)
     defect = _hermitian_norm(diff)
     return defect / scale, defect, _hermitian_norm(diff[:n_lead, :n_lead]) if n_lead else 0.0
 
@@ -442,8 +438,9 @@ def assemble_impedance(scene: DipoleScene, k: float,
     U1.  A sphere without its fold, or a fold without a sphere, raises
     ``GeometryError``.
 
-    U1 comes from ``angular`` (by default built here): the angular factors
-    of a basis ``wave_basis`` leads, at ``scene.positions[scene.system_order]``.
+    U1 is ``wave_table``'s column-ordered view, from ``angular`` (by default
+    built here): the angular factors of a basis ``wave_basis`` leads, at
+    ``scene.positions[scene.system_order]``.
     A k whose Green terms overflow raises ``DomainError`` before any is made.
     """
     if (fold is None) != (scene.sphere is None):
@@ -489,9 +486,8 @@ def assemble_impedance(scene: DipoleScene, k: float,
         rows = np.argsort(perm)[[3 * p.element + p.axis for p in ports]]
         z0 = np.array([p.z0 for p in ports]) / ETA0
         np.add.at(z, (rows, rows), z0)
-        u_port = np.zeros((len(ports), 3 * n))
-        u_port[np.arange(len(ports)), rows] = np.sqrt(z0)
-        u = np.vstack([u, u_port])
+        u = np.pad(u, ((0, len(ports)), (0, 0)))  # in u's column order
+        u[wave_basis.size + np.arange(len(ports)), rows] = np.sqrt(z0)
     n_b = 3 * int(np.count_nonzero(~scene.is_controllable))
     defect = _radiation_defect(z, u, n_b)  # of the dipoles' own Z and U1
     if defect[0] > 1e-6:
@@ -501,7 +497,7 @@ def assemble_impedance(scene: DipoleScene, k: float,
     if fold is not None:
         z += (u4.T * t1) @ u4
         t1 = np.pad(t1, (0, len(ports)))  # the port channels see no sphere
-        u = u + t1[:, None] * np.pad(u4, ((0, len(ports)), (0, 0)))
+        u = np.add(u, t1[:, None] * np.pad(u4, ((0, len(ports)), (0, 0))), order="F")
     blocks = BlockImpedance(system=z, readout=u, n_b=n_b, basis=wave_basis, perm=perm, T_b0=t1)
     if fold is None:  # the defect holds for these blocks: keep it
         blocks._cache["defect"] = defect

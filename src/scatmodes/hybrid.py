@@ -91,7 +91,8 @@ def u4_expansion(scene: DipoleScene, k: float, wave_basis: WaveBasis,
     if angular is None:
         angular = swe.angular_factors(ext, pos)
     coeffs = swe.wave_table(angular.leading(ext, pos), k, "outgoing").reshape(ext.size, 3 * n)
-    power = np.abs(coeffs) ** 2 * swe.radial_norms(ext, k * r_fit)[:, None]
+    # in C order, so the column sums below add the waves one after another
+    power = np.multiply(np.abs(coeffs) ** 2, swe.radial_norms(ext, k * r_fit)[:, None], order="C")
     rows = ext.position(*wave_basis.arrays())
     tail = np.delete(power, rows, axis=0).sum(axis=0)
     return coeffs[rows], np.sqrt(tail / power.sum(axis=0)), r_fit

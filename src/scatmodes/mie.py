@@ -84,11 +84,11 @@ def mie_t_coefficients(spec: SphereSpec, k: float, l_max: int):
     return t_te, t_tm
 
 
-def _t_diagonal(spec: SphereSpec, k: float, wave_basis: WaveBasis,
-                enforce_truncation: bool = True) -> np.ndarray:
-    """The sphere's transition eigenvalue of each wave of the basis, in basis order."""
+def _t_diagonal(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> np.ndarray:
+    """The sphere's transition eigenvalue of each wave of the basis, in basis order; the basis
+    must satisfy the truncation rule for the sphere's electrical radius (``ResolutionError``)."""
     need = truncation_order(k * spec.radius)
-    if enforce_truncation and wave_basis.l_max < need:
+    if wave_basis.l_max < need:
         raise ResolutionError(
             f"basis l_max={wave_basis.l_max} below the truncation rule ({need}) "
             f"for ka={k * spec.radius:.4g}"
@@ -98,16 +98,14 @@ def _t_diagonal(spec: SphereSpec, k: float, wave_basis: WaveBasis,
     return np.where(tm, t_tm[l - 1], t_te[l - 1])
 
 
-def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis,
-                enforce_truncation: bool = True) -> np.ndarray:
+def mie_tmatrix(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> np.ndarray:
     """Diagonal transition matrix of a sphere on the given wave basis, n x n.
 
-    By default the basis must satisfy the truncation rule for the
-    sphere's electrical radius; ``enforce_truncation=False`` permits a
-    deliberately compact basis (e.g. a small background embedded into a
-    larger composite basis).
+    The basis must satisfy the truncation rule for the sphere's electrical
+    radius (else ``ResolutionError``); a deliberately compact basis takes
+    ``mie_t_coefficients`` instead.
     """
-    return np.diag(_t_diagonal(spec, k, wave_basis, enforce_truncation))
+    return np.diag(_t_diagonal(spec, k, wave_basis))
 
 
 def mie_modeset(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> ModeSet:

@@ -227,14 +227,6 @@ class ScatterOracle:
         eye = np.eye(self.dim)
         return eye + 2.0 * self._dense[0], eye + 2.0 * self._dense[1]
 
-    def unitarity(self) -> dict:
-        """``scattering_unitarity`` of the blocks, else ``check_unitary`` of ``matrices()``."""
-        if self.blocks is not None:
-            return scattering_unitarity(self.blocks)
-        s, s_b = self.matrices()
-        return {"unitarity_S": check_unitary(s), "unitarity_S_b": check_unitary(s_b),
-                "unitarity_form": "dense"}
-
     def validate(self, rng: np.random.Generator) -> None:
         """Probe linearity and complex symmetry (to 1e-10 relative) on a block of random vectors."""
         xy = rng.standard_normal((self.dim, 2)) + 1j * rng.standard_normal((self.dim, 2))
@@ -293,9 +285,9 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
     Matrices (``S_b`` defaults to the identity) are the dense oracle,
     ``from_matrices`` of ``(S - I) / 2`` and ``(S_b - I) / 2``: all n modes
     from the n x n Schur decomposition of N, with ``check_unitary`` on
-    both; ties in the mode order go by index.  ``diagnostics['rank']``
-    is the size of the eigenproblem solved (r on the range, n for the
-    oracle and for QZ).
+    both (``unitarity_form`` ``"dense"``); ties in the mode order go by
+    index.  ``diagnostics['rank']`` is the size of the eigenproblem solved
+    (r on the range, n for the oracle and for QZ).
 
     ``n_modes`` (at least 1) keeps the ``n_modes`` most significant modes.
     On the range, more modes than r are filled with ``s = 1`` exactly and
@@ -311,6 +303,7 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
         if S_b is not None:
             raise ValueError("a BlockImpedance carries its own S_b")
         oracle = ScatterOracle.from_blocks(S)
+        diag = scattering_unitarity(S)
     else:
         s_mat = np.asarray(S)
         eye = np.eye(len(s_mat) if s_mat.ndim else 0)
@@ -318,12 +311,13 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
         if s_mat.shape != eye.shape or sb_mat.shape != eye.shape:
             raise ShapeError(f"S {s_mat.shape} and S_b {sb_mat.shape} must be square and equal")
         oracle = ScatterOracle.from_matrices(0.5 * (s_mat - eye), 0.5 * (sb_mat - eye))
+        s_mat, sb_mat = oracle.matrices()  # what the Schur below decomposes
+        diag = {"unitarity_S": check_unitary(s_mat), "unitarity_S_b": check_unitary(sb_mat),
+                "unitarity_form": "dense"}
 
-    diag = {**oracle.unitarity(), "solver": "schur"}
-    s_vals = None
+    diag["solver"], s_vals = "schur", None
     if diag["unitarity_S_b"] <= UNITARY_TOL:
         if oracle.blocks is None:
-            s_mat, sb_mat = oracle.matrices()
             s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
         else:
             s_vals, a, diag["schur_offdiag"], q = _range_schur(oracle)

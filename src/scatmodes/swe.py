@@ -278,11 +278,12 @@ def _spherical_frame(points: np.ndarray):
 class AngularFactors:
     """The k-independent part of the wave table of ``wave_basis`` at ``points`` (N, 3).
 
-    A TE row is ``z_l tangential``, a TM row ``(z_l' + z_l/kr) tangential +
+    A TE wave is ``z_l tangential``, a TM wave ``(z_l' + z_l/kr) tangential +
     sqrt(l(l+1)) z_l/kr radial r_hat``, with z_l = j_l or h_l = j_l - j y_l
-    at kr: ``tangential`` (n_waves, N, 3) holds the TE pattern, or on TM rows
-    r_hat times it; ``radial`` (n_waves, N) is zero on TE rows.  Read-only,
-    so threads share one object.
+    at kr: ``tangential`` (N, 3, n_waves) holds the TE pattern, or for TM
+    waves r_hat times it; ``radial`` (N, n_waves) is zero for TE waves.  Both
+    are point-major, the waves last, as ``wave_table`` writes its table.
+    Read-only, so threads share one object.
     """
 
     wave_basis: WaveBasis
@@ -303,8 +304,8 @@ class AngularFactors:
         if not (np.array_equal(points, self.points)
                 and self.wave_basis._order.startswith(wave_basis._order)):
             raise ShapeError("angular factors were built for other points or another basis")
-        return replace(self, wave_basis=wave_basis, tangential=self.tangential[:n],
-                       radial=self.radial[:n])
+        return replace(self, wave_basis=wave_basis, tangential=self.tangential[..., :n],
+                       radial=self.radial[:, :n])
 
 
 def angular_factors(wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors:
@@ -328,19 +329,21 @@ def angular_factors(wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors
     norm = 1.0 / np.sqrt(l * (l + 1.0))[:, None]
     d_theta = norm * D[l, np.abs(m)] * f           # dY/dtheta, (n_waves, N)
     d_phi = norm * Q[l, np.abs(m)] * g             # (1/sin) dY/dphi
-    along_t = np.where(tm, d_theta, d_phi)
-    along_p = np.where(tm, d_phi, -d_theta)
+    along_t = np.ascontiguousarray(np.where(tm, d_theta, d_phi).T)[:, None]
+    along_p = np.ascontiguousarray(np.where(tm, d_phi, -d_theta).T)[:, None]
     return AngularFactors(
         wave_basis=wave_basis, points=pts.copy(), r=r, r_hat=r_hat,
-        tangential=along_t[..., None] * t_hat + along_p[..., None] * p_hat,
-        radial=np.where(tm, P[l, np.abs(m)] * f, 0.0))
+        tangential=along_t * t_hat[..., None] + along_p * p_hat[..., None],
+        radial=np.ascontiguousarray(np.where(tm, P[l, np.abs(m)] * f, 0.0).T))
 
 
 def wave_table(angular: AngularFactors, k: float, kind: str = "regular") -> np.ndarray:
     """All waves of ``angular.wave_basis`` at its points, shape (n_waves, N, 3).
 
     ``kind`` is "regular" (a real table) or "outgoing" (complex, radial
-    dependence exp(-jkr)/kr at infinity; singular at the origin).
+    dependence exp(-jkr)/kr at infinity; singular at the origin).  The table
+    is written in (N, 3, n_waves) memory order, so its ``reshape(n_waves,
+    3 N)`` is a column-ordered view, not a copy.
     """
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
@@ -351,31 +354,29 @@ def wave_table(angular: AngularFactors, k: float, kind: str = "regular") -> np.n
 
     kr_safe = np.where(at_origin, 1.0, kr)
     l, m, tm = angular.wave_basis.arrays()
-    zl, dzl = spherical_j(angular.wave_basis.l_max, kr_safe)
+    l_max = angular.wave_basis.l_max
+    zl, dzl = spherical_j(l_max, kr_safe)
     if kind == "outgoing":
-        yl, dyl = spherical_y(angular.wave_basis.l_max, kr_safe)
+        yl, dyl = spherical_y(l_max, kr_safe)
         zl, dzl = zl - 1j * yl, dzl - 1j * dyl
-    zl_kr = zl / kr_safe
-    rho_t = np.where(tm[:, None], (dzl + zl_kr)[l], zl[l])
-    along_r = np.sqrt(l * (l + 1.0))[:, None] * zl_kr[l] * angular.radial
-    out = rho_t[..., None] * angular.tangential
-    for axis in range(3):  # one (n_waves, N) product per axis: no (n_waves, N, 3) temporary
-        out[..., axis] += along_r * angular.r_hat[:, axis]
+    zl_kr = (zl / kr_safe).T  # (N, l_max + 1), points first as in the factors
+    # each wave's radial factors gathered once from per-degree columns: z_l, z_l' + z_l/kr
+    rho_t = np.hstack([zl.T, dzl.T + zl_kr])[:, tm * (l_max + 1) + l]
+    degree = np.arange(l_max + 1)
+    along_r = (np.sqrt(degree * (degree + 1.0)) * zl_kr)[:, l] * angular.radial
+    out = rho_t[:, None] * angular.tangential  # (N, 3, n_waves)
+    for axis in range(3):  # one (N, n_waves) product per axis: no (N, 3, n_waves) temporary
+        out[:, axis] += along_r * angular.r_hat[:, axis, None]
     if np.any(at_origin):
-        out[:, at_origin] = 0.0
+        out[at_origin] = 0.0
         for n in np.flatnonzero(tm & (l == 1)):
-            out[n, at_origin, _ORIGIN_AXIS[m[n]]] = _ORIGIN_TM1
-    return out
+            out[at_origin, _ORIGIN_AXIS[m[n]], n] = _ORIGIN_TM1
+    return out.transpose(2, 0, 1)
 
 
 def regular_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> np.ndarray:
     """Real table of all regular waves at the given points, shape (n_waves, n_points, 3)."""
     return wave_table(angular_factors(wave_basis, points), k, "regular")
-
-
-def outgoing_wave_table(wave_basis: WaveBasis, k: float, points: np.ndarray) -> np.ndarray:
-    """Complex table of all outgoing waves (radial dependence exp(-jkr)/kr at infinity)."""
-    return wave_table(angular_factors(wave_basis, points), k, "outgoing")
 
 
 def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:

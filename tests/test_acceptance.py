@@ -378,7 +378,7 @@ def test_criterion_9_ports():
         sb_aug[:ts.S_b.shape[0], :ts.S_b.shape[0]] = ts.S_b
         ms1 = cm_scattering(gs.S, sb_aug)
 
-        currents = np.linalg.solve(ts.Z, ts.U1.T @ ms0.a)
+        currents = np.linalg.solve(ts.system, ts.readout.T @ ms0.a)
         inv = np.empty_like(ts.perm)
         inv[ts.perm] = np.arange(ts.perm.size)
         port_row = inv[3 * 1 + 0]

@@ -464,7 +464,7 @@ def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario
     wave_basis, angular, points = _sweep_basis(sc)
     for record, f, point in zip(recorded, sc["frequencies"], points):
         k = 2.0 * math.pi * f / SPEED_OF_LIGHT
-        blocks, _ = cli._operators(sc, k, wave_basis, angular, point)
+        blocks = cli.transition(sc["scene"], k, wave_basis, angular, point[0])
         ms = cli.cm_impedance_substructure(blocks)
         assert record["engine"] == ms.diagnostics["solver"] == "eigh"
         assert record["r_condition"] == ms.diagnostics["r_condition"] >= 1.0

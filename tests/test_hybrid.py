@@ -19,7 +19,6 @@ from scatmodes import (
     cm_scattering,
     hybrid_impedance_modes,
     mie_tmatrix,
-    outgoing_wave_table,
     swe,
     transition,
 )
@@ -102,7 +101,7 @@ def test_u4_against_outgoing_wave_oracle(hybrid_setup):
     # samples; aliasing noise grows with degree, so the gate tightens
     # toward low degrees where the sphere actually responds
     scene, k, blocks, (u4, _, _) = hybrid_setup
-    oracle = outgoing_wave_table(blocks.basis, k, scene.positions)
+    oracle = swe.wave_table(swe.angular_factors(blocks.basis, scene.positions), k, "outgoing")
     oracle = oracle.reshape(blocks.basis.size, -1)[:, blocks.perm]
     scale = np.abs(oracle).max(axis=1)
     err = np.abs(u4 - oracle).max(axis=1) / scale

@@ -494,7 +494,7 @@ def test_singular_system_raises_solve_error(two_region):
     # duplicate one controllable unknown: Z and the Schur complement are singular
     _, _, ts = two_region
     ms = cm_scattering(ts.S, ts.S_b)
-    z, u = ts.Z, ts.U1
+    z, u = ts.system.copy(), ts.readout.copy()
     i, j = ts.n_b, ts.n_b + 1
     z[j, :] = z[i, :]
     z[:, j] = z[:, i]
@@ -514,8 +514,8 @@ def test_factorisation_cache_is_scoped_to_one_blocks_object(two_region):
     _, _, blocks = two_region
     blocks.Z_tilde  # the original's elimination is made and kept first
     nb = blocks.n_b
-    z = blocks.Z + 0.2 * np.eye(blocks.Z.shape[0])
-    u1, u1_b, u1_c = blocks.U1, blocks.U1_b, blocks.U1_c
+    z = blocks.system + 0.2 * np.eye(blocks.system.shape[0])
+    u1, u1_b, u1_c = blocks.readout, blocks.U1_b, blocks.U1_c
     copy = dataclasses.replace(blocks, system=z)
     assert np.abs(copy.T + u1 @ np.linalg.solve(z, u1.T)).max() < 1e-12
     assert np.abs(copy.T_b + u1_b @ np.linalg.solve(z[:nb, :nb], u1_b.T)).max() < 1e-12

@@ -103,7 +103,7 @@ def test_factored_unitarity_matches_dense(case):
     # ||S^H S - I|| from the QR of the readout and Z^-1 is the dense check's
     # quantity, for S and S_b
     blocks = FACTORED_UNITARITY_CASES[case]()
-    u = blocks.U1
+    u = blocks.readout
     factored = [check_unitary_factored(u, blocks.solve),
                 check_unitary_factored(u[:, :blocks.n_b], blocks.solve_bb)]
     dense = [check_unitary(blocks.S), check_unitary(blocks.S_b)]
@@ -151,6 +151,28 @@ def test_unitarity_bound_covers_the_dense_deviation(kind):
         assert scattering_unitarity(perturbed) == {
             "unitarity_S": check_unitary(perturbed.S),
             "unitarity_S_b": check_unitary(perturbed.S_b), "unitarity_form": "dense"}
+
+
+def test_cm_scattering_records_the_unitarity_of_its_pencil():
+    # dense matrices are checked as the engine decomposes them, I + 2 (S - I) / 2
+    # and likewise S_b, with form "dense"; blocks record scattering_unitarity's
+    # figures key for key, in its factored and its bound form
+    from scatmodes import cm_scattering
+
+    blocks = FACTORED_UNITARITY_CASES["lossless"]()
+    s, s_b = 0.9 * blocks.S, blocks.S_b  # a lossy S against a unitary S_b
+    eye = np.eye(s.shape[0])
+    recorded = cm_scattering(s, s_b).diagnostics
+    assert {key: recorded[key] for key in ("unitarity_S", "unitarity_S_b", "unitarity_form")} \
+        == {"unitarity_S": check_unitary(eye + 2.0 * (0.5 * (s - eye))),
+            "unitarity_S_b": check_unitary(eye + 2.0 * (0.5 * (s_b - eye))),
+            "unitarity_form": "dense"}
+    assert recorded["unitarity_S"] > 0.1 and recorded["unitarity_S_b"] < 1e-12
+    for blocks, form in ((blocks, "factored"), (_bound_bank("cloud")[0], "bound")):
+        chosen = scattering_unitarity(blocks)
+        recorded = cm_scattering(blocks).diagnostics
+        assert chosen["unitarity_form"] == form
+        assert {key: recorded[key] for key in chosen} == chosen
 
 
 def _layouts(a):
@@ -318,7 +340,7 @@ def test_embedded_background_matches_small_basis_computation():
         SphereSpec,
         assemble_hybrid,
         cm_scattering,
-        mie_tmatrix,
+        mie_t_coefficients,
         transition,
     )
 
@@ -333,7 +355,10 @@ def test_embedded_background_matches_small_basis_computation():
     ts = assemble_hybrid(scene, k, wave_basis=big, residual_tol=1.0)
 
     small = basis(2)
-    t_small = mie_tmatrix(sphere, k, small, enforce_truncation=False)
+    # the compact background's Mie diagonal, below the truncation rule's basis
+    t_te, t_tm = mie_t_coefficients(sphere, k, small.l_max)
+    l, _, tm = small.arrays()
+    t_small = np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1]))
     sb_embedded = embed_identity(2.0 * t_small + np.eye(small.size), big, small)
     ms_embed = cm_scattering(ts.S, sb_embedded)
     ms_direct = cm_scattering(ts.S, ts.S_b)

@@ -14,12 +14,12 @@ from scatmodes import (
     ground_plane_filter,
     mirror_parity,
     project_onto_regular,
-    outgoing_wave_table,
     regular_wave_table,
     sphere_quadrature,
     truncation_order,
 )
 from scatmodes.dipoles import dyadic_green
+from scatmodes.swe import angular_factors, wave_table
 
 from oracles import (least_squares_expansion, regular_wave_field, regular_wave_reference,
                      wave_table_per_wave)
@@ -383,8 +383,12 @@ def test_quadrature_node_rule():
     assert_allclose(w.sum(), 4.0 * math.pi, rtol=1e-13)
 
 
+def _outgoing_table(wave_basis, k, points):
+    return wave_table(angular_factors(wave_basis, points), k, "outgoing")
+
+
 @pytest.mark.parametrize("kind, table", [("regular", regular_wave_table),
-                                         ("outgoing", outgoing_wave_table)])
+                                         ("outgoing", _outgoing_table)])
 @pytest.mark.parametrize("wave_basis", [basis(1), basis(9),
                                         WaveBasis(7, *(a[3::5] for a in basis(7).arrays()))],
                          ids=["l_max=1", "l_max=9", "subset"])

@@ -130,21 +130,24 @@ def test_a_sweep_builds_its_angular_factors_once(monkeypatch, tmp_path, scene, c
 
 
 def test_tables_from_passed_in_factors_are_the_tables():
-    # one path: a table evaluated from prebuilt factors, or from the leading
-    # rows of a larger basis's factors, is byte-identical to the table of
-    # regular_wave_table / outgoing_wave_table
+    # one path: a table evaluated from the leading rows of a larger basis's
+    # factors is byte-identical to the table from the basis's own factors
+    # (regular_wave_table's, for regular waves), and its reshape to
+    # (n_waves, 3 N) is a column-ordered view of it
     from scatmodes import ShapeError, swe
 
     points = np.random.default_rng(5).normal(size=(7, 3))
     small, large = swe.basis(6), swe.basis(14)
     factors = swe.angular_factors(large, points)
-    for kind, table in (("regular", swe.regular_wave_table),
-                        ("outgoing", swe.outgoing_wave_table)):
+    for kind in ("regular", "outgoing"):
         for k in (0.4, 2.3):
-            ref = table(small, k, points)
-            for angular in (swe.angular_factors(small, points), factors.leading(small, points)):
-                got = swe.wave_table(angular, k, kind)
-                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            ref = swe.wave_table(swe.angular_factors(small, points), k, kind)
+            if kind == "regular":
+                assert ref.tobytes() == swe.regular_wave_table(small, k, points).tobytes()
+            got = swe.wave_table(factors.leading(small, points), k, kind)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            flat = got.reshape(small.size, -1)
+            assert flat.flags.f_contiguous and np.shares_memory(flat, got)
     assert not factors.tangential.flags.writeable and not factors.radial.flags.writeable
     with pytest.raises(ShapeError):
         factors.leading(small, points[::-1])
@@ -438,7 +441,7 @@ def test_hybrid_impedance_engine_holds_no_wave_sized_matrix():
     sc = cli.parse_scenario(hybrid_sweep_seed7())
     wave_basis, angular, points = cli._sweep_basis(sc)
     k = 2.0 * math.pi * sc["frequencies"][-1] / cli.SPEED_OF_LIGHT
-    blocks, _ = cli._operators(sc, k, wave_basis, angular, points[-1])
+    blocks = cli.transition(sc["scene"], k, wave_basis, angular, points[-1][0])
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
@@ -500,3 +503,20 @@ def test_tool_loads(tool, monkeypatch):
     # its main, so a removed name fails here
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert callable(runpy.run_path(str(tool), run_name="tool")["main"])
+
+
+def test_bench_iterative_times_every_part_it_names(monkeypatch, capsys):
+    # every part the stage tool times is called on a cloud point, so no
+    # part reads 0 ms; a part whose name no longer reaches the code it times
+    # makes the tool exit 1, naming it (here one iterate never calls)
+    from scatmodes import modes
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = next(path for path in TOOLS if path.stem == "bench_iterative")
+    main = runpy.run_path(str(tool), run_name="tool")["main"]
+    assert main(["--repeats", "1"]) == 0
+    assert "never called" not in capsys.readouterr().err
+    parts = main.__globals__["PARTS"] + (("engine", "dense Schur", modes, "_schur_eig"),)
+    monkeypatch.setitem(main.__globals__, "PARTS", parts)
+    assert main(["--repeats", "1"]) == 1
+    assert "never called, so not timed: scatmodes.modes._schur_eig" in capsys.readouterr().err

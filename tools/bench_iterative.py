@@ -24,6 +24,8 @@ One untimed repeat first loads the libraries and warms the caches.  The parts
 are timed by wrapping those names during the timed repeats only.  Prints the
 median time of each part, each stage as the sum of its parts, their total,
 and the engine's iteration count and the unitarity form of the last repeat.
+Exits 1, naming it, if a part was never called: its name no longer reaches
+the code it times, and its 0 ms would be read as free.
 """
 
 from __future__ import annotations
@@ -59,13 +61,14 @@ REST = {"assembly": "Green fill by components", "engine": "Krylov basis, residua
 
 
 @contextlib.contextmanager
-def _timed_parts(spent: dict):
-    """Wrap the names of ``PARTS`` so each call adds its time to ``spent[part]``; restore them
-    on exit."""
+def _timed_parts(spent: dict, calls: dict):
+    """Wrap the names of ``PARTS`` so each call adds its time to ``spent[part]`` and 1 to
+    ``calls[part]``; restore them on exit."""
     saved = [(owner, name, getattr(owner, name)) for _, _, owner, name in PARTS]
 
     def timed(part, fn):
         def call(*args, **kwargs):
+            calls[part] += 1
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -113,13 +116,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sc = cli.parse_scenario(scenario("cloud-sweep", args.seed))
     k = 2.0 * math.pi * float(sc["frequencies"][args.point]) / cli.SPEED_OF_LIGHT
-    runs = []
+    runs, calls = [], defaultdict(int)
     with cli._blas_threads(1):
         wave_basis, angular, _ = cli._sweep_basis(sc)
         _point(sc, k, wave_basis, angular, args.seed)
         for _ in range(args.repeats):
             spent = defaultdict(float)
-            with _timed_parts(spent):
+            with _timed_parts(spent, calls):
                 stage_times, n_iterations, form = _point(sc, k, wave_basis, angular, args.seed)
             runs.append(_parts(stage_times, spent))
     print(f"cloud-sweep seed {args.seed}, point {args.point} (k = {k:.3f}), "
@@ -135,7 +138,12 @@ def main(argv=None):
                 print(f"    {part:<26} {ms:8.1f}")
     print(f"  {'total':<28} {total:8.1f}")
     print(f"engine iterations {n_iterations}, unitarity form {form!r}")
+    missing = [f"{owner.__name__}.{name}" for _, part, owner, name in PARTS if not calls[part]]
+    if missing:
+        print(f"never called, so not timed: {', '.join(missing)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

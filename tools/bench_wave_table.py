@@ -6,8 +6,8 @@ Usage (from the repository root)::
 
 Times three ways to the same table, at the sizes the sweeps use: the
 per-wave Python loop kept as a test oracle in ``tests/oracles.py``, the full
-``swe.regular_wave_table`` / ``swe.outgoing_wave_table`` (angular factors
-and radial factors, as a single call builds them), and the per-point part
+``swe.wave_table(swe.angular_factors(...), k, kind)`` (angular factors and
+radial factors, as a single call builds them), and the per-point part
 alone, ``swe.wave_table`` from angular factors built beforehand, which is
 what a sweep pays at each frequency.  Sizes: the 390-wave basis (l_max = 13)
 of dipole-sweep at 4 dipoles, the 448-wave basis (l_max = 14) at 4 dipoles,
@@ -55,7 +55,6 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
-    table = {"regular": swe.regular_wave_table, "outgoing": swe.outgoing_wave_table}
     print(f"{'l_max':>5} {'points':>6} {'kind':>8} {'per-wave ms':>11} "
           f"{'full ms':>8} {'per-point ms':>12} {'max rel diff':>12}")
     for l_max, n_points, kind in CASES:
@@ -67,7 +66,9 @@ def main(argv=None):
         diff = np.abs(new - old).max() / np.abs(old).max()
         t_old = _median_ms(lambda: wave_table_per_wave(wave_basis, 2.0, points, kind),
                            args.repeats)
-        t_full = _median_ms(lambda: table[kind](wave_basis, 2.0, points), args.repeats)
+        t_full = _median_ms(
+            lambda: swe.wave_table(swe.angular_factors(wave_basis, points), 2.0, kind),
+            args.repeats)
         t_point = _median_ms(lambda: swe.wave_table(angular, 2.0, kind), args.repeats)
         print(f"{l_max:>5} {n_points:>6} {kind:>8} {t_old:>11.2f} {t_full:>8.2f} "
               f"{t_point:>12.2f} {diff:>12.1e}")
