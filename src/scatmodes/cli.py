@@ -16,9 +16,9 @@ Subcommands
     mirrored scene) and exit nonzero on violation.
 
 Every scene kind is decomposed on the one block core: a ground-plane
-scene's 3N image-reduced system and a port scene's terminated system
-with its power-wave channels run under every dipole solver, a sphere
-scene's (ports allowed) under the hybrid solvers.
+scene's 3N image-reduced system, a port scene's terminated system with its
+power-wave channels and a sphere scene's folded one (ports allowed) run
+under every solver name, ``hybrid-*`` being aliases of ``dense-*``.
 
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
@@ -202,10 +202,6 @@ def parse_scenario(raw: dict) -> dict:
     solver = _field(raw, "solver", "")
     if solver not in SOLVERS:
         raise ScenarioError(f"unknown solver '{solver}'; valid: {', '.join(SOLVERS)}")
-    if solver.startswith("hybrid") and sphere is None:
-        raise ScenarioError("solver 'hybrid-*' requires scene.sphere")
-    if sphere is not None and not solver.startswith("hybrid"):
-        raise ScenarioError(f"scene.sphere requires a hybrid solver, not '{solver}'")
     tolerances = _field(raw, "tolerances", "", lambda v: isinstance(v, dict), "an object", {})
     for key in tolerances:
         if key not in TOLERANCES:
@@ -293,7 +289,7 @@ def _iterative(blocks, sc: dict, seed: int, diag: dict):
     return ms
 
 
-#: solver name -> engine
+#: solver name -> engine; each runs every scene kind (the ``hybrid-*`` names are aliases)
 SOLVER_TABLE = {
     "dense-scattering": _scattering,
     "dense-impedance": _impedance,
@@ -310,9 +306,8 @@ def _solve_point(sc: dict, k: float, wave_basis, seed: int, angular, point=(None
     kind, a sphere folded in by the point's ``(fold, record)`` from ``_sweep_basis``; returns
     (ModeSet, diagnostics dict)."""
     fold, record = point
-    blocks, diag = transition(sc["scene"], k, wave_basis, angular, fold), dict(record)
-    if sc["scene"].sphere is None:
-        diag["factorization_residual"] = blocks.radiation_defect[0]
+    blocks = transition(sc["scene"], k, wave_basis, angular, fold)
+    diag = {**record, "factorization_residual": blocks.radiation_defect[0]}
     return SOLVER_TABLE[sc["solver"]](blocks, sc, seed, diag), diag
 
 
@@ -569,9 +564,8 @@ def run_checks(sc: dict) -> dict:
         for f, (fold, record) in zip(freqs, points):
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
             blocks = transition(scene, k, wave_basis, angular, fold)
-            entry: dict = {"frequency_hz": float(f), **record}
-            if scene.sphere is None:
-                entry["tilde_identity_residual"] = tilde_tmatrix(blocks)[1]
+            entry = {"frequency_hz": float(f), **record,
+                     "tilde_identity_residual": tilde_tmatrix(blocks)[1]}
             ms = cm_scattering(blocks)
             ms_alt = cm_impedance_substructure(blocks)
             sig = 10.0 * tol["equivalence"]
@@ -602,7 +596,7 @@ def run_checks(sc: dict) -> dict:
                 and entry["power_identity"] <= tol["power"]
                 and entry.get("equivalence", 0.0) <= tol["equivalence"]
                 and entry.get("parity_leakage", 0.0) <= tol["equivalence"]
-                and entry.get("tilde_identity_residual", 0.0) <= tol["equivalence"]
+                and entry["tilde_identity_residual"] <= tol["equivalence"]
             )
             entry["passed"] = bool(ok)
             report["passed"] = report["passed"] and bool(ok)

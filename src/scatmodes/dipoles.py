@@ -434,9 +434,11 @@ def assemble_impedance(scene: DipoleScene, k: float,
     A scene's ``sphere`` is folded in after the port loads by ``fold``, the
     point's ``(U4, t1)`` from ``hybrid``, both 0 on the port channels: Z
     gains ``U4^T T_b1 U4`` in place, U1 becomes ``U1 + T_b1 U4`` and
-    ``T_b0`` t1.  The under-resolution warning tests the dipoles' own Z and
-    U1.  A sphere without its fold, or a fold without a sphere, raises
-    ``GeometryError``.
+    ``T_b0`` t1.  A sphere without its fold, or a fold without a sphere,
+    raises ``GeometryError``.  The under-resolution warning tests the
+    returned blocks' ``radiation_defect``, for every scene kind: a lossless
+    sphere has ``Re t1 = -|t1|^2``, so the fold leaves ``Re(U1^H U1) - Re Z``
+    as it was, in exact arithmetic.
 
     U1 is ``wave_table``'s column-ordered view, from ``angular`` (by default
     built here): the angular factors of a basis ``wave_basis`` leads, at
@@ -488,19 +490,17 @@ def assemble_impedance(scene: DipoleScene, k: float,
         np.add.at(z, (rows, rows), z0)
         u = np.pad(u, ((0, len(ports)), (0, 0)))  # in u's column order
         u[wave_basis.size + np.arange(len(ports)), rows] = np.sqrt(z0)
-    n_b = 3 * int(np.count_nonzero(~scene.is_controllable))
-    defect = _radiation_defect(z, u, n_b)  # of the dipoles' own Z and U1
-    if defect[0] > 1e-6:
-        warnings.warn(f"wave basis l_max={wave_basis.l_max} under-resolves the scene: "
-                      f"radiation factorization residual {defect[0]:.2e}", stacklevel=2)
     u4, t1 = fold or (None, None)
     if fold is not None:
         z += (u4.T * t1) @ u4
         t1 = np.pad(t1, (0, len(ports)))  # the port channels see no sphere
         u = np.add(u, t1[:, None] * np.pad(u4, ((0, len(ports)), (0, 0))), order="F")
-    blocks = BlockImpedance(system=z, readout=u, n_b=n_b, basis=wave_basis, perm=perm, T_b0=t1)
-    if fold is None:  # the defect holds for these blocks: keep it
-        blocks._cache["defect"] = defect
+    blocks = BlockImpedance(system=z, readout=u, perm=perm, T_b0=t1, basis=wave_basis,
+                            n_b=3 * int(np.count_nonzero(~scene.is_controllable)))
+    if blocks.radiation_defect[0] > 1e-6:
+        warnings.warn(f"wave basis l_max={wave_basis.l_max} under-resolves the scene: "
+                      f"radiation factorization residual {blocks.radiation_defect[0]:.2e}",
+                      stacklevel=2)
     return blocks
 
 

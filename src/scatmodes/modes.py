@@ -505,7 +505,7 @@ def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
                 f"compressed radiation matrix is indefinite or singular: {bad.sum()} of "
                 f"{nc} eigencurrents radiate no positive power, so the impedance "
                 "formulation cannot normalise them; use a scattering solver "
-                "(dense-scattering, t-form or hybrid-scattering)")
+                "(dense-scattering, t-form or iterative)")
         i_c = i_c / np.sqrt(power)[None, :]
 
     t_vals = -1.0 / (1.0 + 1j * lam)

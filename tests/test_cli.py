@@ -129,10 +129,16 @@ def test_missing_field_names_it(tmp_path, capsys):
 
 
 def test_invalid_solver_and_combos(tmp_path):
+    # an unknown solver is refused; the hybrid-* names are aliases that run
+    # any scene kind, byte for byte as the dense solvers they stand for
     with pytest.raises(ScenarioError):
         parse_scenario(_scenario(solver="magic"))
-    with pytest.raises(ScenarioError):
-        parse_scenario(_scenario(solver="hybrid-impedance"))  # no sphere
+    for alias, solver in (("hybrid-impedance", "dense-impedance"),
+                          ("hybrid-scattering", "dense-scattering")):
+        for name in (alias, solver):
+            run_scenario(parse_scenario(_scenario(solver=name)), str(tmp_path / name), jobs=1)
+        assert (tmp_path / alias / "traces.csv").read_bytes() == \
+            (tmp_path / solver / "traces.csv").read_bytes()
 
 
 def test_dense_scattering_vs_impedance(tmp_path):
@@ -298,6 +304,7 @@ def test_checks_hybrid_scenario():
     entry = report["per_frequency"][0]
     assert "u4_residual" in entry
     assert entry["unitarity_S"] < 1e-6
+    assert entry["tilde_identity_residual"] < 1e-12  # gated for every scene kind
     assert report["passed"], report
 
 
@@ -410,38 +417,43 @@ def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
 _UNITARITY = {"unitarity_S": float, "unitarity_S_b": float, "unitarity_form": str}
 _SCATTERING = {"engine": str, "rank": int, **_UNITARITY}
 _ITERATIVE = {"iterations": int, "converged": bool, **_UNITARITY}
-_HYBRID = {"u4_residual": float}
+_ASSEMBLY = {"factorization_residual": float}
+_SPHERE = {**_ASSEMBLY, "u4_residual": float}
 _IMPEDANCE = {"engine": str, "r_condition": float}
-_DIPOLE = {"factorization_residual": float}
 
 
 @pytest.mark.parametrize("solver, types", [
-    ("dense-scattering", {**_DIPOLE, **_SCATTERING}),
-    ("hybrid-scattering", {**_HYBRID, **_SCATTERING}),
-    ("iterative", {**_DIPOLE, **_ITERATIVE}),
-    ("dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
-    ("t-form", {**_DIPOLE, **_UNITARITY}),
-    ("hybrid-impedance", {**_HYBRID, **_IMPEDANCE}),
-    ("port", {**_DIPOLE, **_SCATTERING}),
-    ("ground-plane-dense-scattering", {**_DIPOLE, **_SCATTERING}),
-    ("ground-plane-t-form", {**_DIPOLE, **_UNITARITY}),
-    ("ground-plane-iterative", {**_DIPOLE, **_ITERATIVE}),
-    ("ground-plane-dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
-    ("port-dense-impedance", {**_DIPOLE, **_IMPEDANCE}),
-    ("port-t-form", {**_DIPOLE, **_UNITARITY}),
-    ("port-iterative", {**_DIPOLE, **_ITERATIVE}),
+    ("dense-scattering", {**_ASSEMBLY, **_SCATTERING}),
+    ("hybrid-scattering", {**_SPHERE, **_SCATTERING}),
+    ("iterative", {**_ASSEMBLY, **_ITERATIVE}),
+    ("dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
+    ("t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("hybrid-impedance", {**_SPHERE, **_IMPEDANCE}),
+    ("port", {**_ASSEMBLY, **_SCATTERING}),
+    ("ground-plane-dense-scattering", {**_ASSEMBLY, **_SCATTERING}),
+    ("ground-plane-t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("ground-plane-iterative", {**_ASSEMBLY, **_ITERATIVE}),
+    ("ground-plane-dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
+    ("port-dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
+    ("port-t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("port-iterative", {**_ASSEMBLY, **_ITERATIVE}),
+    ("sphere-t-form", {**_SPHERE, **_UNITARITY}),
+    ("sphere-iterative", {**_SPHERE, **_ITERATIVE}),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     # each point records exactly what its assembly and engine computed (the
     # impedance engine forms no S, so it reports no unitarity, but its
     # engine and the spread of R~); counts stay JSON integers and flags JSON
-    # booleans, not 3.0 or 1.0
+    # booleans, not 3.0 or 1.0; the assembly's factorization_residual is
+    # recorded for every scene kind, a sphere's u4_residual besides
     if solver == "port":
         scn = _port()
     elif solver.startswith("port-"):
         scn = _port(solver.removeprefix("port-"))
     elif solver.startswith("ground-plane-"):
         scn = _ground_plane(solver.removeprefix("ground-plane-"))
+    elif solver.startswith("sphere-"):
+        scn = _hybrid_scenario(solver.removeprefix("sphere-"))
     elif solver.startswith("hybrid"):
         scn = _hybrid_scenario(solver)
     else:
@@ -590,32 +602,34 @@ def _sphere_with_port(solver="hybrid-scattering"):
     return scn
 
 
-@pytest.mark.parametrize("make, what", [(_sphere_above_ground_plane, "a ground plane")],
-                         ids=["ground-plane"])
-def test_sphere_with_ground_plane_or_ports_is_a_scenario_limit(tmp_path, capsys, make, what):
+def test_sphere_above_ground_plane_is_a_scenario_limit(tmp_path, capsys):
     # above a ground plane the sphere's background would be the sphere and its
     # image, which no diagonal T-matrix describes: such a scene is a limit of
     # the scenario (exit 2, naming scene.sphere), not a geometry fault
-    scenario = _write(tmp_path, make())
+    scenario = _write(tmp_path, _sphere_above_ground_plane())
     for command in (["run", "--scenario", scenario, "--out", str(tmp_path / "o")],
                     ["checks", "--scenario", scenario]):
         assert main(command) == 2
         err = capsys.readouterr().err
-        assert f"scenario error: field 'scene.sphere' cannot be combined with {what}" in err
+        assert "scenario error: field 'scene.sphere' cannot be combined with a ground plane" in err
         assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
-def test_sphere_with_port_runs_under_both_hybrid_solvers(tmp_path, capsys):
+def test_sphere_with_port_runs_under_every_formulation(tmp_path, capsys):
     # the port channel sees no sphere (U4 and the Mie diagonal are 0 there):
-    # both hybrid solvers run the scene and agree, and it passes the checks
-    traces = []
-    for solver in ("hybrid-impedance", "hybrid-scattering"):
+    # each of the four formulations runs the scene and agrees with the
+    # hybrid-scattering alias, and the scene passes the checks
+    traces = {}
+    for solver in ("hybrid-scattering", "dense-scattering", "dense-impedance", "t-form",
+                   "iterative"):
         out = tmp_path / solver
         path = _write(tmp_path, _sphere_with_port(solver), f"{solver}.json")
         assert main(["run", "--scenario", path, "--out", str(out), "--jobs", "1"]) == 0
-        traces.append(str(out / "traces.csv"))
-    assert main(["compare", *traces, "--tol", "1e-6"]) == 0
+        traces[solver] = str(out / "traces.csv")
+    reference = traces.pop("hybrid-scattering")
+    for solver, trace in traces.items():
+        assert main(["compare", trace, reference, "--tol", "1e-12"]) == 0, solver
     assert main(["checks", "--scenario", path]) == 0
 
 

@@ -506,16 +506,19 @@ def test_tool_loads(tool, monkeypatch):
 
 
 def test_bench_iterative_times_every_part_it_names(monkeypatch, capsys):
-    # every part the stage tool times is called on a cloud point, so no
-    # part reads 0 ms; a part whose name no longer reaches the code it times
-    # makes the tool exit 1, naming it (here one iterate never calls)
+    # every part the stage tool times is called on a cloud point and on a
+    # hybrid-sweep point (folded in as run folds it), so no part reads 0 ms;
+    # a part whose name no longer reaches the code it times makes the tool
+    # exit 1, naming it (here one iterate never calls)
     from scatmodes import modes
 
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = next(path for path in TOOLS if path.stem == "bench_iterative")
     main = runpy.run_path(str(tool), run_name="tool")["main"]
     assert main(["--repeats", "1"]) == 0
-    assert "never called" not in capsys.readouterr().err
+    assert main(["--workload", "hybrid-sweep", "--repeats", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "never called" not in err and "hybrid-sweep seed 7, point 0" in out
     parts = main.__globals__["PARTS"] + (("engine", "dense Schur", modes, "_schur_eig"),)
     monkeypatch.setitem(main.__globals__, "PARTS", parts)
     assert main(["--repeats", "1"]) == 1

@@ -1,16 +1,20 @@
-"""Stage times of one ``iterative`` cloud-sweep point, solved in-process.
+"""Stage times of one ``iterative`` point of a benchmark workload, solved in-process.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python3 tools/bench_iterative.py [--repeats N] [--seed S] [--point P]
+    PYTHONPATH=src python3 tools/bench_iterative.py [--workload NAME] [--repeats N]
+        [--seed S] [--point P]
 
-Builds the cloud-sweep scenario of ``perfbench/scenarios.py`` (300 dipoles,
-900 unknowns, 448 waves, ``iterative``) and times, under the OpenBLAS thread
-counts ``run --jobs 1`` sets, the four stages of point P of its sweep:
+Builds the scenario of workload NAME of ``perfbench/scenarios.py`` (by default
+cloud-sweep: 300 dipoles, 900 unknowns, 448 waves) and times, under the
+OpenBLAS thread counts ``run --jobs 1`` sets, the four stages of point P of its
+sweep under ``iterative``, whatever solver the workload names:
 
 - assembly: ``assemble_impedance``, in parts: the fill of Z by Green
   components from the i < j pairs (the rest of the stage), ``swe.wave_table``
-  (the readout) and ``_radiation_defect``;
+  (the readout) and ``_radiation_defect``; a sphere scene's point (hybrid-sweep)
+  is folded in by its fold from ``cli._sweep_basis``, whose U4 expansions are
+  made before the timed repeats;
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
 - engine: ``iterate`` on the pencil ``ScatterOracle.from_blocks`` (the one
   ``cm_scattering`` decomposes; T_b acts through the ``U1_b`` view of the
@@ -46,7 +50,7 @@ from scatmodes import cli, dipoles, iterative, swe  # noqa: E402
 from scatmodes.dipoles import assemble_impedance  # noqa: E402
 from scatmodes.iterative import ScatterOracle, iterate  # noqa: E402
 from scatmodes.modes import scattering_unitarity  # noqa: E402
-from scenarios import scenario  # noqa: E402
+from scenarios import WORKLOADS, scenario  # noqa: E402
 
 STAGES = ("assembly", "factors", "engine", "unitarity")
 
@@ -85,10 +89,10 @@ def _timed_parts(spent: dict, calls: dict):
             setattr(owner, name, fn)
 
 
-def _point(sc, k, wave_basis, angular, seed):
+def _point(sc, k, wave_basis, angular, fold, seed):
     """Stage times (s) of one point, the engine's iteration count and the unitarity form."""
     start = time.perf_counter()
-    blocks = assemble_impedance(sc["scene"], k, wave_basis, angular)
+    blocks = assemble_impedance(sc["scene"], k, wave_basis, angular, fold)
     marks = [time.perf_counter()]
     blocks.factorize()
     marks.append(time.perf_counter())
@@ -110,22 +114,24 @@ def _parts(stage_times, spent: dict) -> dict:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="cloud-sweep", choices=WORKLOADS)
     parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--point", type=int, default=0, help="index of the sweep point")
     args = parser.parse_args(argv)
-    sc = cli.parse_scenario(scenario("cloud-sweep", args.seed))
+    sc = cli.parse_scenario(scenario(args.workload, args.seed))
     k = 2.0 * math.pi * float(sc["frequencies"][args.point]) / cli.SPEED_OF_LIGHT
     runs, calls = [], defaultdict(int)
     with cli._blas_threads(1):
-        wave_basis, angular, _ = cli._sweep_basis(sc)
-        _point(sc, k, wave_basis, angular, args.seed)
+        wave_basis, angular, points = cli._sweep_basis(sc)
+        point = (sc, k, wave_basis, angular, points[args.point][0], args.seed)
+        _point(*point)
         for _ in range(args.repeats):
             spent = defaultdict(float)
             with _timed_parts(spent, calls):
-                stage_times, n_iterations, form = _point(sc, k, wave_basis, angular, args.seed)
+                stage_times, n_iterations, form = _point(*point)
             runs.append(_parts(stage_times, spent))
-    print(f"cloud-sweep seed {args.seed}, point {args.point} (k = {k:.3f}), "
+    print(f"{args.workload} seed {args.seed}, point {args.point} (k = {k:.3f}), "
           f"{args.repeats} repeats: median ms, each stage the sum of its parts")
     total = 0.0
     for stage in STAGES:
