@@ -22,7 +22,10 @@ under every solver name, ``hybrid-*`` being aliases of ``dense-*``.
 
 Identical scenario, seed, ``--jobs`` and available cores produce
 byte-identical outputs: those fix the OpenBLAS thread counts that ``run``
-and ``checks`` set for their sweep (``_blas_threads``).
+and ``checks`` set for their sweep (``_blas_threads``).  Inside a
+degenerate cluster (t equal to rounding) row order, vectors and trace ids
+follow last-digit rounding, so they can differ across BLAS builds or
+kernels, while ``compare``, which matches by t, does not.
 
 ``main`` has ``gc.freeze`` run at exit, so interpreter exit skips collecting what is alive.
 """
@@ -272,7 +275,7 @@ def _scattering(blocks, sc: dict, seed: int, diag: dict):
 
 def _impedance(blocks, sc: dict, seed: int, diag: dict):
     """``cm_impedance_substructure``: its engine and the spread of the compressed R~."""
-    ms = cm_impedance_substructure(blocks)
+    ms = cm_impedance_substructure(blocks, n_modes=sc["n_modes"])
     diag.update(engine=ms.diagnostics["solver"], r_condition=ms.diagnostics["r_condition"])
     return ms
 

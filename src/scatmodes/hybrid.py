@@ -93,9 +93,8 @@ def u4_expansion(scene: DipoleScene, k: float, wave_basis: WaveBasis,
     coeffs = swe.wave_table(angular.leading(ext, pos), k, "outgoing").reshape(ext.size, 3 * n)
     # in C order, so the column sums below add the waves one after another
     power = np.multiply(np.abs(coeffs) ** 2, swe.radial_norms(ext, k * r_fit)[:, None], order="C")
-    rows = ext.position(*wave_basis.arrays())
-    tail = np.delete(power, rows, axis=0).sum(axis=0)
-    return coeffs[rows], np.sqrt(tail / power.sum(axis=0)), r_fit
+    w = wave_basis.size  # wave_basis leads ext, so U4 is its first w rows
+    return coeffs[:w].copy(), np.sqrt(power[w:].sum(axis=0) / power.sum(axis=0)), r_fit
 
 
 def hybrid_sweep_basis(scene: DipoleScene, ks, residual_tol: float):

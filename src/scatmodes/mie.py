@@ -114,5 +114,4 @@ def mie_modeset(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> ModeSet:
     eye = np.eye(wave_basis.size, dtype=complex)
     order = _mode_order(t_vals, eye, wave_basis)
     a = eye[:, order]
-    return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a, f=a.copy(), basis=wave_basis,
-                   diagnostics={"solver": "mie"})
+    return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a, f=a.copy(), diagnostics={"solver": "mie"})

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import swe
-from .dipoles import BlockImpedance, _readout_product, _t_apply, factorization_residual
+from .dipoles import BlockImpedance, _readout_product, _t_apply
 from .exceptions import DomainError, ShapeError, SolveError
 from .network import UNITARY_TOL, check_unitary, check_unitary_factored
 from .swe import WaveBasis
@@ -49,7 +49,6 @@ class ModeSet:
     s: np.ndarray
     a: np.ndarray | None = None
     f: np.ndarray | None = None
-    basis: WaveBasis | None = None
     currents_c: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -85,27 +84,20 @@ class ModeSet:
             s=self.s[sl],
             a=None if self.a is None else self.a[:, sl],
             f=None if self.f is None else self.f[:, sl],
-            basis=self.basis,
             currents_c=None if self.currents_c is None else self.currents_c[:, sl],
             diagnostics=dict(self.diagnostics),
         )
 
 
-def _l_weights(basis_obj, dim: int) -> np.ndarray:
-    """Degree of each basis entry for tie-breaking; entries past the basis (port channels)
-    count as 0."""
-    ls = np.zeros(dim)
-    if isinstance(basis_obj, WaveBasis) and basis_obj.size <= dim:
-        ls[:basis_obj.size] = basis_obj.arrays()[0]
-    return ls
-
-
-def _mode_order(t: np.ndarray, vectors: np.ndarray | None, basis_obj) -> np.ndarray:
-    """Sort by |t| descending; ties by ascending l-content centroid."""
+def _mode_order(t: np.ndarray, vectors: np.ndarray | None, basis_obj: WaveBasis | None):
+    """Sort by |t| descending; ties by ascending l-content centroid, entries past the basis
+    (port channels) counting as degree 0."""
     mag = np.abs(t)
     if vectors is None or basis_obj is None:
         return np.lexsort((np.arange(t.size), -mag))
-    ls = _l_weights(basis_obj, vectors.shape[0])
+    ls = np.zeros(vectors.shape[0])
+    if basis_obj.size <= ls.size:
+        ls[:basis_obj.size] = basis_obj.l
     weight = np.abs(vectors) ** 2
     centroid = (ls[:, None] * weight).sum(axis=0) / np.maximum(weight.sum(axis=0), 1e-300)
     return np.lexsort((centroid, -mag))
@@ -338,9 +330,8 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
     s_vals, a = s_vals[order], a[:, order]
     n_pad = 0 if n_modes is None else min(n_modes, oracle.dim) - s_vals.size
     if n_pad > 0:  # only the range engine returns fewer than n modes; pad from V's complement
-        rank = q.shape[1]
         s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
-        a = np.hstack([a, np.linalg.qr(q, mode="complete")[0][:, rank:rank + n_pad]])
+        a = np.hstack([a, _complement(q, n_pad)])
 
     f = oracle.apply_sb(a)
     s_a = f + 2.0 * oracle.diff(a)
@@ -353,7 +344,12 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
     diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
     gram_f = f.conj().T @ f
     diag["orthogonality_f"] = float(np.abs(gram_f - np.eye(gram_f.shape[0])).max(initial=0.0))
-    return ModeSet(s=s_vals, a=a, f=f, basis=oracle.basis, diagnostics=diag)
+    return ModeSet(s=s_vals, a=a, f=f, diagnostics=diag)
+
+
+def _complement(span: np.ndarray, count: int) -> np.ndarray:
+    """``count`` orthonormal columns orthogonal to the columns of ``span`` (full column rank)."""
+    return np.linalg.qr(span, mode="complete")[0][:, span.shape[1]:span.shape[1] + count]
 
 
 def cm_t_form(T, T_b, representation: str = "excitation", basis=None) -> ModeSet:
@@ -394,7 +390,7 @@ def cm_t_form(T, T_b, representation: str = "excitation", basis=None) -> ModeSet
         a = sb.conj().T @ f
     s_vals = 1.0 + 2.0 * t_vals
     order = _mode_order(t_vals, a, basis)
-    return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order], basis=basis,
+    return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order],
                    diagnostics={"solver": solver, "schur_offdiag": off})
 
 
@@ -451,7 +447,7 @@ def _radiation_condition(r_t: np.ndarray) -> float:
     return float(d.max() / max(d.min(), 1e-300))
 
 
-def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
+def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None) -> ModeSet:
     """Substructure modes from the real symmetric pencil ``X~ I = lam R~ I``.
 
     Solves the generalized symmetric eigenproblem of the Schur-complement
@@ -460,6 +456,10 @@ def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
     ``f_n = -U1_tilde I_cn`` (normalised to unit norm) and excitations
     ``a_n = S_b^H f_n``.  Serves dipole, ground-plane, port and hybrid
     blocks alike.
+
+    ``n_modes`` (at least 1) fills up to ``n_modes`` modes with ``s = 1``, as
+    ``cm_scattering``'s range engine does: their a orthonormal and orthogonal
+    to the engine's, ``f = S_b a``, zero currents.  All 3 N_c modes are kept.
 
     Accuracy note: this formulation inherits the conditioning of the
     compressed radiation matrix, which is numerically rank deficient for
@@ -471,19 +471,16 @@ def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
     normalised, it raises ``SolveError``.
 
     ``diagnostics`` holds ``solver`` (``"eigh"``, or ``"eig"`` where R~ is
-    not positive definite), ``r_condition`` and
-    ``schur_factorization_residual``; the eigenvalues lam are ``ModeSet.lam``.
+    not positive definite) and ``r_condition``; the eigenvalues lam are
+    ``ModeSet.lam``.
     """
+    if n_modes is not None and n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     nc = blocks.n_c
     r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
     r_t = 0.5 * (r_t + r_t.T)
     x_t = 0.5 * (x_t + x_t.T)
-    diag = {"schur_factorization_residual":
-            factorization_residual(blocks.Z_tilde, blocks.U1_tilde),
-            "solver": "eigh", "r_condition": _radiation_condition(r_t)}
-    if nc == 0:
-        return ModeSet(s=np.zeros(0, dtype=complex), basis=blocks.basis, diagnostics=diag)
-
+    diag = {"solver": "eigh", "r_condition": _radiation_condition(r_t)}
     if diag["r_condition"] > 1e12:
         warnings.warn(
             f"compressed radiation matrix spread {diag['r_condition']:.1e}; "
@@ -511,12 +508,18 @@ def cm_impedance_substructure(blocks: BlockImpedance) -> ModeSet:
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -blocks.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    a = np.conj(ScatterOracle.from_blocks(blocks).apply_sb(np.conj(f)))
+    oracle = ScatterOracle.from_blocks(blocks)
+    a = np.conj(oracle.apply_sb(np.conj(f)))
 
     order = _mode_order(t_vals, f, blocks.basis)
-    return ModeSet(s=1.0 + 2.0 * t_vals[order], a=a[:, order], f=f[:, order],
-                   basis=blocks.basis, currents_c=i_c[:, order],
-                   diagnostics=diag)
+    t_vals, a, f, i_c = t_vals[order], a[:, order], f[:, order], i_c[:, order]
+    n_pad = 0 if n_modes is None else min(n_modes, oracle.dim) - t_vals.size
+    if n_pad > 0:  # the s = 1 modes, from the complement of the engine's excitations
+        a_pad = _complement(a, n_pad)
+        t_vals = np.concatenate([t_vals, np.zeros(n_pad, dtype=complex)])
+        a, f = np.hstack([a, a_pad]), np.hstack([f, oracle.apply_sb(a_pad)])
+        i_c = np.hstack([i_c, np.zeros((nc, n_pad), dtype=complex)])
+    return ModeSet(s=1.0 + 2.0 * t_vals, a=a, f=f, currents_c=i_c, diagnostics=diag)
 
 
 def tilde_tmatrix(blocks: BlockImpedance) -> tuple[np.ndarray, float]:

@@ -37,58 +37,48 @@ _ORIGIN_AXIS = {-1: 1, 0: 2, 1: 0}  # m -> axis index (y, z, x)
 
 @dataclass(frozen=True)
 class WaveBasis:
-    """Ordered, truncated set of spherical vector waves, compared and hashed by value: the
-    read-only arrays of each wave's degree ``l``, azimuthal index ``m`` and TM flag ``tm``.
-    ``basis(l_max)`` holds every wave of degree <= l_max, in ``_full_position``'s order.
-
-    ``ShapeError`` unless the arrays are 1-D of one length, ``DomainError`` unless every
-    wave has 1 <= l <= l_max, |m| <= l and tm 0 or 1.
+    """Every spherical vector wave of degree 1 <= l <= ``l_max``, compared and hashed by
+    ``l_max``, ordered l ascending, m ascending, TE before TM (2 (l^2 - 1) waves precede
+    degree l): ``l``, ``m`` and ``tm`` are the read-only arrays of each wave's degree,
+    azimuthal index and TM flag.  ``DomainError`` for l_max < 1, ``ResolutionError`` where
+    one n x n complex operator (16 n^2 bytes) exceeds physical memory.
     """
 
     l_max: int
-    l: np.ndarray = field(compare=False)
-    m: np.ndarray = field(compare=False)
-    tm: np.ndarray = field(compare=False)
-    _order: bytes = field(init=False, repr=False)  # _full_position's: compared, hashed
+    l: np.ndarray = field(init=False, compare=False, repr=False)
+    m: np.ndarray = field(init=False, compare=False, repr=False)
+    tm: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        l, m, tm = (np.array(a, dtype=int) for a in (self.l, self.m, self.tm))
-        if l.ndim != 1 or not l.shape == m.shape == tm.shape:
-            raise ShapeError(f"l, m and tm must be 1-D of one length, got shapes {l.shape}, "
-                             f"{m.shape} and {tm.shape}")
-        order = _full_position(self.l_max, l, m, tm)
-        if np.any(order < 0):
-            raise DomainError(f"waves {np.flatnonzero(order < 0)} are not within 1 <= l <= "
-                              f"{self.l_max}, |m| <= l with tm 0 or 1")
-        for name, a in (("l", l), ("m", m), ("tm", tm.astype(bool))):
+        if self.l_max < 1:
+            raise DomainError(f"l_max must be >= 1, got {self.l_max}")
+        n = 2 * self.l_max * (self.l_max + 2)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
+            if hasattr(os, "sysconf") else math.inf
+        if 16 * n * n > memory:
+            raise ResolutionError(f"wave basis l_max={self.l_max} has n={n} waves: one n x n "
+                                  f"complex operator needs {16 * n * n} bytes, more than the "
+                                  f"{memory} bytes of physical memory")
+        q, tm = np.divmod(np.arange(n), 2)  # position inverted: q = l^2 - 1 + m + l
+        l = np.sqrt(q + 1).astype(int)       # exact: l^2 <= q + 1 < (l + 1)^2
+        for name, a in (("l", l), ("m", q + 1 - l * (l + 1)), ("tm", tm.astype(bool))):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "_order", order.tobytes())
 
     size = property(lambda self: self.l.size)
 
     def position(self, l, m, tm):
         """Row in this basis of the wave (l, m, tm), for scalars or arrays with ``tm`` a TM
         flag as in ``arrays()``; ``KeyError`` for a wave it lacks."""
-        rows = np.full(2 * self.l_max * (self.l_max + 2) + 1, -1)  # the last one: no wave
-        rows[_full_position(self.l_max, *self.arrays())] = np.arange(self.size)
-        rows = rows[_full_position(self.l_max, l, m, tm)]
-        if np.any(rows < 0):
+        l, m, tm = np.asarray(l), np.asarray(m), np.asarray(tm)
+        if not np.all((l >= 1) & (l <= self.l_max) & (np.abs(m) <= l) & np.isin(tm, (0, 1))):
             raise KeyError(f"(l, m, tm) = ({l}, {m}, {tm}): not all in the basis")
+        rows = 2 * (l * l - 1 + m + l) + tm
         return rows if rows.ndim else int(rows)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return the read-only (l, m, is_tm) arrays over the basis order."""
         return self.l, self.m, self.tm
-
-
-def _full_position(l_max: int, l, m, tm):
-    """Position of the wave (l, m, tm) among all waves of degree <= l_max, ordered l
-    ascending, m ascending, TE before TM: 2 (l^2 - 1) waves precede degree l.  -1 for
-    no such wave."""
-    l, m = np.asarray(l), np.asarray(m)
-    valid = (l >= 1) & (l <= l_max) & (np.abs(m) <= l) & np.isin(tm, (0, 1))
-    return np.where(valid, 2 * (l * l - 1 + m + l) + tm, -1)
 
 
 def truncation_order(ka: float) -> int:
@@ -104,23 +94,8 @@ def truncation_order(ka: float) -> int:
 
 @functools.lru_cache(maxsize=64)
 def basis(l_max: int) -> WaveBasis:
-    """All waves (l, m, tm) with l <= l_max, in the order of ``_full_position``.
-
-    Cached: repeated calls return the same immutable basis.  ``ResolutionError``
-    where one n x n complex operator (16 n^2 bytes) exceeds physical memory.
-    """
-    if l_max < 1:
-        raise DomainError(f"l_max must be >= 1, got {l_max}")
-    n = 2 * l_max * (l_max + 2)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
-        if hasattr(os, "sysconf") else math.inf
-    if 16 * n * n > memory:
-        raise ResolutionError(f"wave basis l_max={l_max} has n={n} waves: one n x n complex "
-                              f"operator needs {16 * n * n} bytes, more than the {memory} bytes "
-                              "of physical memory")
-    q, tm = np.divmod(np.arange(n), 2)  # _full_position inverted: q = l^2 - 1 + m + l
-    l = np.sqrt(q + 1).astype(int)       # exact: l^2 <= q + 1 < (l + 1)^2
-    return WaveBasis(l_max, l, q + 1 - l * (l + 1), tm)
+    """``WaveBasis(l_max)``, cached: repeated calls return the same immutable basis."""
+    return WaveBasis(l_max)
 
 
 def ground_plane_filter(wave_basis: WaveBasis) -> np.ndarray:
@@ -298,11 +273,11 @@ class AngularFactors:
             a.flags.writeable = False
 
     def leading(self, wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors:
-        """The rows of ``wave_basis``, which must lead this basis (as basis(l) leads basis(L),
-        l <= L), at ``points``, which must be these factors' (else ``ShapeError``)."""
+        """The rows of ``wave_basis``, which leads this basis if it is no larger, at ``points``,
+        which must be these factors' (else ``ShapeError``)."""
         n = wave_basis.size
         if not (np.array_equal(points, self.points)
-                and self.wave_basis._order.startswith(wave_basis._order)):
+                and wave_basis.l_max <= self.wave_basis.l_max):
             raise ShapeError("angular factors were built for other points or another basis")
         return replace(self, wave_basis=wave_basis, tangential=self.tangential[..., :n],
                        radial=self.radial[:, :n])

@@ -65,11 +65,11 @@ def regular_wave_reference(l, m, pol, k, point, h=1e-6, kind="regular"):
 
 def regular_wave_field(l, m, pol, k, point):
     """Value of the regular wave (l, m, pol) at one point (real 3-vector), from the library's
-    table on the one-wave basis."""
+    table on basis(l)."""
     from scatmodes import swe
 
-    one = swe.WaveBasis(l, [l], [m], [pol == "TM"])
-    return swe.regular_wave_table(one, k, np.atleast_2d(point))[0, 0]
+    b = swe.basis(l)
+    return swe.regular_wave_table(b, k, np.atleast_2d(point))[b.position(l, m, pol == "TM"), 0]
 
 
 def dipole_expansion_reference(wave_basis, k, src, axis):

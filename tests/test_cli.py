@@ -205,16 +205,16 @@ def test_ground_plane_scenario_runs(tmp_path):
     assert os.path.exists(out / "traces.csv")
 
 
-def _assert_run_matches_dense_scattering(tmp_path, scenario, solver):
+def _assert_run_matches_dense_scattering(tmp_path, scenario, solver, tol="1e-6"):
     """``run`` of ``scenario(solver)`` and of ``scenario("dense-scattering")`` exit 0,
-    and ``compare --tol 1e-6`` passes on their traces."""
+    and ``compare --tol tol`` passes on their traces."""
     traces = []
     for name in (solver, "dense-scattering"):
         out = tmp_path / name
         path = _write(tmp_path, scenario(name), f"{name}.json")
         assert main(["run", "--scenario", path, "--out", str(out), "--jobs", "1"]) == 0
         traces.append(str(out / "traces.csv"))
-    assert main(["compare", *traces, "--tol", "1e-6"]) == 0
+    assert main(["compare", *traces, "--tol", tol]) == 0
 
 
 def test_ground_plane_dense_impedance_matches_dense_scattering(tmp_path):
@@ -228,6 +228,14 @@ def test_port_scene_matches_dense_scattering(tmp_path, solver):
     # the terminated system with its power-wave channel serves every engine,
     # and their modes match the scattering engine's within 1e-6
     _assert_run_matches_dense_scattering(tmp_path, _port, solver)
+
+
+def test_dense_impedance_writes_n_modes_rows(tmp_path):
+    # one controllable dipole has 3 eigencurrents; the impedance engine fills
+    # n_modes = 5 with s = 1 modes, as the scattering engine does, so the two
+    # runs write the same rows and compare matches them to rounding
+    _assert_run_matches_dense_scattering(tmp_path, _hybrid_scenario, "dense-impedance",
+                                         tol="1e-12")
 
 
 def test_hybrid_scenario_runs(tmp_path):

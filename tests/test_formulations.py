@@ -2,8 +2,9 @@
 
 ``run`` decomposes one ``BlockImpedance`` per point whatever the scene kind,
 so each of the four formulations behind its solver names serves each kind.
-On random scenes of the five kinds, the four must agree on every significant
-mode, or the point must end in one of the library's own errors.
+On random scenes of the five kinds, each must return ``n_modes`` modes (or
+all of them, where the operator is smaller) and the four must agree on every
+significant mode, or the point must end in one of the library's own errors.
 """
 
 import itertools
@@ -71,14 +72,14 @@ def _assert_agree(t_by_formulation, tol):
 @pytest.mark.parametrize("kind", SCENE_KINDS)
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), background=st.floats(0.0, 1.0),
-       k=st.floats(0.5, 2.0), pec=st.booleans())
-def test_every_formulation_agrees_on_every_scene_kind(kind, seed, n, background, k, pec):
+       k=st.floats(0.5, 2.0), pec=st.booleans(), extra=st.integers(0, 3))
+def test_every_formulation_agrees_on_every_scene_kind(kind, seed, n, background, k, pec, extra):
     # a sphere scene takes the U4 gate of ``run``'s sweep basis, which passes
     # at these clearances in most examples; a point that fails it, or any
     # other point that cannot be solved, raises instead
     n_background = min(int(background * n), n - 1)  # a controllable dipole carries the port
     sc = {"frequencies": np.array([k * cli.SPEED_OF_LIGHT / (2.0 * math.pi)]),
-          "n_modes": 3 * (n - n_background), "tolerances": cli.TOLERANCES}
+          "n_modes": 3 * (n - n_background) + extra, "tolerances": cli.TOLERANCES}
     t_by_formulation = {}
     try:
         sc["scene"] = _scene(kind, np.random.default_rng(seed), n, n_background, k, pec)
@@ -86,6 +87,7 @@ def test_every_formulation_agrees_on_every_scene_kind(kind, seed, n, background,
         for solver in FORMULATIONS:
             ms, _ = cli._solve_point({**sc, "solver": solver}, k, wave_basis, 1, angular,
                                      points[0])
+            assert ms.top(sc["n_modes"]).n_modes == min(sc["n_modes"], ms.a.shape[0]), solver
             t_by_formulation[solver] = ms.t
     except LIBRARY_ERRORS as err:
         event(f"{kind}: {type(err).__name__}")

@@ -299,13 +299,14 @@ def test_vertical_dipole_above_plane_parity():
     scene = DipoleScene([[0.0, 0.0, 0.25]],
                         np.diag([1e-8, 1e-8, 6.0 * math.pi * 1.2]),
                         ground_plane=True)
-    ms = cm_scattering(transition(scene, 1.0))
+    blocks = transition(scene, 1.0)
+    ms = cm_scattering(blocks)
     assert parity_leakage(transition(mirror_scene(scene), 1.0)) < 1e-12
     sig = np.abs(ms.t) > 1e-6
     assert sig.any()
     a_sig = np.abs(ms.a[:, sig]).max(axis=1)
     for row in np.flatnonzero(a_sig > 1e-8):
-        l, m, tm = (a[row] for a in ms.basis.arrays())
+        l, m, tm = (a[row] for a in blocks.basis.arrays())
         assert tm and m == 0 and l % 2 == 1
 
 

@@ -152,8 +152,6 @@ def test_tables_from_passed_in_factors_are_the_tables():
     with pytest.raises(ShapeError):
         factors.leading(small, points[::-1])
     with pytest.raises(ShapeError):
-        factors.leading(swe.WaveBasis(6, *(a[1:] for a in small.arrays())), points)
-    with pytest.raises(ShapeError):
         swe.angular_factors(small, points).leading(large, points)
 
 
