@@ -5,14 +5,16 @@ When the scattering operators are only reachable through forward solves
 eigenproblem operator can still be applied exactly: reciprocity turns the
 Hermitian transposed factor into a forward solve plus conjugations.  A
 block Krylov space grown by one block of responses per iteration then
-delivers the dominant modes; this script feeds it from the point's LU
-factors (``ScatterOracle.from_blocks``, no n x n operator) and compares
-its estimates and residual history against the dense decomposition.
+delivers the dominant modes; this script feeds it the point's
+``BlockImpedance``, whose actions of T and T_b go through its LU factors
+(no n x n operator), and compares its estimates and residual history
+against the dense decomposition.  Any other solver's callbacks enter as a
+``ScatterOracle(apply, apply_background, dim)``.
 """
 
 import numpy as np
 
-from scatmodes import DipoleScene, ScatterOracle, cm_t_form, iterate, transition
+from scatmodes import DipoleScene, cm_t_form, iterate, transition
 
 
 def main():
@@ -31,7 +33,7 @@ def main():
     print(f"operator dimension: {blocks.S.shape[0]}")
 
     dense = cm_t_form(blocks.T, blocks.T_b)
-    estimate = iterate(ScatterOracle.from_blocks(blocks), n_modes=5, seed=42)
+    estimate = iterate(blocks, n_modes=5, seed=42)
     diagnostics = estimate.diagnostics
 
     print(f"converged after {diagnostics['iterations']} block applications "

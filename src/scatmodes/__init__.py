@@ -2,9 +2,10 @@
 
 Modes are computed from scattering, transition, or impedance operators;
 built-in backends are a coupled-dipole volumetric MoM, analytic Mie
-spheres, and their hybrid.  One pencil, ``ScatterOracle`` (the actions
-of T and T_b), feeds the scattering engine and the matrix-free iterative
-solver.
+spheres, and their hybrid.  A scene's ``BlockImpedance`` is its own
+pencil (the actions of T and T_b) and feeds the scattering engine and the
+matrix-free iterative solver; ``ScatterOracle`` gives the latter any
+other solver's actions as callbacks.
 """
 
 from .dipoles import (

@@ -65,7 +65,7 @@ from .exceptions import (
 from .hybrid import assemble_hybrid  # noqa: F401 (traced by perfbench/child.py)
 from .hybrid import hybrid_impedance_modes  # noqa: F401 (traced by perfbench/child.py)
 from .hybrid import hybrid_sweep_basis, sphere_fold
-from .iterative import ScatterOracle, iterate
+from .iterative import iterate
 from .mie import SphereSpec
 from .modes import (
     cm_impedance_substructure,
@@ -287,7 +287,7 @@ def _t_form(blocks, sc: dict, seed: int, diag: dict):
 
 def _iterative(blocks, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
+    ms = iterate(blocks, n_modes=sc["n_modes"], seed=seed)
     diag.update(iterations=ms.diagnostics["iterations"], converged=ms.diagnostics["converged"])
     return ms
 
@@ -424,7 +424,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
 
     # trace id per (point, mode)
     trace_of: dict[tuple[int, int], int] = {}
-    for tr in track_modes(tops, n_track=n_modes):
+    for tr in track_modes(tops):
         for pt, md in zip(tr.points, tr.modes):
             trace_of[(pt, md)] = tr.trace_id
 
@@ -433,9 +433,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for i, top in enumerate(tops):
-            orth = max(top.diagnostics.get("orthogonality_a", 0.0) or 0.0,
-                       top.diagnostics.get("orthogonality_f", 0.0) or 0.0)
-            flags = top.diagnostics.get("cancellation_flags")
+            orth, flags = top.orthogonality, top.cancellation
             lam = top.lam
             for rank in range(top.n_modes):
                 t = top.t[rank]
@@ -449,7 +447,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
                     "inf" if not np.isfinite(lam_r) else _fmt(lam_r),
                     _fmt(top.circle_deviation[rank]),
                     _fmt(orth),
-                    int(bool(flags[rank])) if flags is not None and rank < len(flags) else 0,
+                    int(flags[rank]),
                 ])
 
     diagnostics = {
@@ -462,10 +460,10 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
         "per_frequency": [
             {
                 "frequency_hz": float(f),
-                "max_circle_deviation": float(ms.circle_deviation.max(initial=0.0)),
+                "max_circle_deviation": float(top.circle_deviation.max(initial=0.0)),
                 **{key: _json_scalar(val) for key, val in point_diag.items()},
             }
-            for f, (ms, point_diag) in zip(freqs, results)
+            for f, top, (_, point_diag) in zip(freqs, tops, results)
         ],
     }
     with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
@@ -587,8 +585,7 @@ def run_checks(sc: dict) -> dict:
                 entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op)
             entry["t_power"] = check_t_power(blocks.T)
             entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
-            entry["orthogonality"] = max(ms.diagnostics.get("orthogonality_a", 0.0),
-                                         ms.diagnostics.get("orthogonality_f", 0.0))
+            entry["orthogonality"] = ms.orthogonality
             entry["power_identity"] = float(
                 substructure_power_check(blocks.T, blocks.T_b, ms).max(initial=0.0))
             ok = (
@@ -611,15 +608,17 @@ def run_checks(sc: dict) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """``--jobs`` value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(lower: int):
+    """Argument type of an integer of at least ``lower`` (``--jobs`` 1, ``--seed`` 0)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lower - 1
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lower}, got {text!r}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -633,10 +632,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="sweep a scenario and write modal traces")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=_positive_int, default=None,
+    p_run.add_argument("--jobs", type=_int_at_least(1), default=None,
                        help="points solved at once, which also sizes the BLAS thread "
                             "pools (default: available cores)")
-    p_run.add_argument("--seed", type=int, default=42,
+    p_run.add_argument("--seed", type=_int_at_least(0), default=42,
                        help="random seed for the iterative start vector")
     p_run.add_argument("--dump-vectors", action="store_true")
 

@@ -277,6 +277,11 @@ class BlockImpedance:
     U1_tilde)``.  The elimination is made once, when one of the two is
     first read; ``solve_tilde`` applies ``Z_tilde^-1``.
 
+    The blocks are their own scattering pencil: ``apply``, ``apply_background``,
+    ``apply_sb`` and ``diff`` map a (dim, p) block x to ``T x``, ``T_b x``, ``S_b
+    x`` and ``(T - T_b) x = -U1_tilde Z_tilde^-1 U1_tilde^T x`` (eliminating the
+    background cancels its offset) through the solves, forming no n x n operator.
+
     Every factor, operator and elimination is kept by this object only;
     copies made by ``dataclasses.replace`` start without them.
     """
@@ -299,6 +304,7 @@ class BlockImpedance:
     Z_cc = property(lambda self: self.system[self.n_b:, self.n_b:])
     U1_b = property(lambda self: self.readout[:, :self.n_b])
     U1_c = property(lambda self: self.readout[:, self.n_b:])
+    dim = property(lambda self: self.readout.shape[0])
 
     T = property(lambda self: self._operator("T"))
     T_b = property(lambda self: self._operator("T_b"))
@@ -331,6 +337,19 @@ class BlockImpedance:
         Without background unknowns Z_tilde is Z, whose factors serve.
         """
         return self._lu("Z" if self.n_b == 0 else "Z_tilde")(rhs)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return _t_apply(self.solve, self.readout, self.T_b0, x)
+
+    def apply_background(self, x: np.ndarray) -> np.ndarray:
+        return _t_apply(self.solve_bb, self.U1_b, self.T_b0, x)
+
+    def apply_sb(self, x: np.ndarray) -> np.ndarray:
+        return x + 2.0 * self.apply_background(x)
+
+    def diff(self, x: np.ndarray) -> np.ndarray:
+        u_tilde = self.U1_tilde
+        return -u_tilde @ self.solve_tilde(u_tilde.T @ x)
 
     def factorize(self) -> None:
         """Factorise Z and Z_bb now, so a singular system raises here."""

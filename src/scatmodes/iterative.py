@@ -1,10 +1,10 @@
 """Matrix-free estimation of dominant substructure modes.
 
-The composed operator ``2 T_b^H T + T_b^H + T`` of a ``ScatterOracle``
-(the pencil of ``modes``, re-exported here) is applied through the
-oracle's forward callbacks only: for reciprocal (complex-symmetric)
-operators the Hermitian-transposed factors reduce to forward applications
-plus elementwise conjugation, ``M^H x = conj(M conj(x))``.  A block Krylov
+The composed operator ``2 T_b^H T + T_b^H + T`` of a ``BlockImpedance`` or
+a ``ScatterOracle`` (re-exported here) is applied through their forward
+actions only: for reciprocal (complex-symmetric) operators the
+Hermitian-transposed factors reduce to forward applications plus
+elementwise conjugation, ``M^H x = conj(M conj(x))``.  A block Krylov
 space grows by one block of responses per iteration, and the modes, a
 ``ModeSet`` as from every engine, come from the small projected problem
 (Rayleigh-Ritz), never from a full-size matrix.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
+from .dipoles import BlockImpedance
 from .exceptions import DomainError, ShapeError
 from .modes import ModeSet, ScatterOracle, _eig_orthonormal
 
@@ -24,7 +25,7 @@ OVERSAMPLING = 2
 TOL_RESIDUAL = 1e-8
 
 
-def composed_matvec(oracle: ScatterOracle, x: np.ndarray) -> np.ndarray:
+def composed_matvec(oracle: ScatterOracle | BlockImpedance, x: np.ndarray) -> np.ndarray:
     """The composed operator on a vector or (dim, p) block, by forward solves only:
     ``(2 T_b^H T + T_b^H + T) x = conj(T_b conj(x + 2 T x)) + T x``."""
     x = np.asarray(x, dtype=complex)
@@ -47,27 +48,27 @@ def _extension(q: np.ndarray, block: np.ndarray) -> np.ndarray:
     return w[:, :int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12 * scale))]
 
 
-def iterate(oracle: ScatterOracle, n_modes: int = 5, max_iter: int = 60,
+def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: int = 60,
             seed: int | None = 42, start: np.ndarray | None = None) -> ModeSet:
     """Estimate the dominant modes of the composed operator N by block Krylov-Rayleigh-Ritz.
 
-    An oracle not built from blocks is first probed (``oracle.validate``).  The starting block
-    (``start``, dim x p of rank p >= ``n_modes``; by default ``n_modes + OVERSAMPLING`` complex
-    Gaussian columns drawn from ``seed``) and each response of N to the newest block extend an
-    orthonormal basis Q of the block Krylov space, so every mode of an eigenspace of
-    multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of largest |t|
-    are returned once each residual ``||N x - theta x||`` (x a unit vector) is at most
-    ``TOL_RESIDUAL``: N is normal, so each Ritz value then lies that close to an eigenvalue
-    (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N, or where a
-    response adds no direction to Q (``reason == "invariant"``).  The diagnostics hold
-    ``iterations``, ``converged``, ``reason``, ``residuals`` (the largest after each
+    A ``ScatterOracle`` is first probed (``oracle.validate``); a ``BlockImpedance`` is trusted.
+    The starting block (``start``, dim x p of rank p >= ``n_modes``; by default ``n_modes +
+    OVERSAMPLING`` complex Gaussian columns drawn from ``seed``) and each response of N to the
+    newest block extend an orthonormal basis Q of the block Krylov space, so every mode of an
+    eigenspace of multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of
+    largest |t| are returned once each residual ``||N x - theta x||`` (x a unit vector) is at
+    most ``TOL_RESIDUAL``: N is normal, so each Ritz value then lies that close to an
+    eigenvalue (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N,
+    or where a response adds no direction to Q (``reason == "invariant"``).  The diagnostics
+    hold ``iterations``, ``converged``, ``reason``, ``residuals`` (the largest after each
     application) and ``krylov_basis`` (Q).  ``n_modes`` outside 1..``oracle.dim`` raises
     ``DomainError``.
     """
     if not 1 <= n_modes <= oracle.dim:
         raise DomainError(f"n_modes={n_modes} is outside 1..{oracle.dim}, the oracle dimension")
     rng = np.random.default_rng(seed)
-    if oracle.blocks is None:
+    if isinstance(oracle, ScatterOracle):
         oracle.validate(rng)
     if start is None:
         p = min(oracle.dim, n_modes + OVERSAMPLING)

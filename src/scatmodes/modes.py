@@ -1,9 +1,9 @@
 """Dense characteristic-mode engines.
 
-The scattering generalized eigenproblem ``S a = s S_b a`` on its pencil
-(``ScatterOracle``, the actions of T and T_b) and its reformulations:
-products of transition matrices, the Schur-complement impedance path
-with eigencurrent recovery, executable identity checks
+The scattering generalized eigenproblem ``S a = s S_b a`` on a
+``BlockImpedance``, its own pencil, or on n x n matrices, and its
+reformulations: products of transition matrices, the Schur-complement
+impedance path with eigencurrent recovery, executable identity checks
 (power balance, modified-transition-matrix equality, the parity leakage
 of a mirrored ground-plane scene), and frequency-sweep mode tracking.
 Every engine serves every scene kind through its ``BlockImpedance``; a
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as la
 
 from . import swe
-from .dipoles import BlockImpedance, _readout_product, _t_apply
+from .dipoles import BlockImpedance, _readout_product
 from .exceptions import DomainError, ShapeError, SolveError
 from .network import UNITARY_TOL, check_unitary, check_unitary_factored
 from .swe import WaveBasis
@@ -76,6 +76,19 @@ class ModeSet:
     def circle_deviation(self) -> np.ndarray:
         """Per-mode distance of t from the lossless circle |t + 1/2| = 1/2."""
         return np.abs(np.abs(self.t + 0.5) - 0.5)
+
+    @property
+    def orthogonality(self) -> float:
+        """Largest entry of ``|a^H a - I|`` and ``|f^H f - I|`` over the vectors held."""
+        dev = [np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0)
+               for v in (self.a, self.f) if v is not None]
+        return float(max(dev, default=0.0))
+
+    @property
+    def cancellation(self) -> np.ndarray:
+        """Per-mode ``|s - 1| < CANCELLATION_THRESHOLD |s|``, for an eigenpair ``||(S - S_b) a_n||
+        < CANCELLATION_THRESHOLD ||S a_n||``: the scene's and background's fields nearly cancel."""
+        return np.abs(self.s - 1.0) < CANCELLATION_THRESHOLD * np.abs(self.s)
 
     def top(self, n: int) -> "ModeSet":
         """The n most significant modes."""
@@ -155,28 +168,22 @@ def _orthonormal_range(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ScatterOracle:
-    """The scattering pencil of a scene and its background: the actions of T and T_b.
+    """The scattering pencil of any full-wave solver: its actions of T and T_b.
 
     ``apply`` and ``apply_background`` map a (dim, p) block of excitations to
     ``T x`` and ``T_b x`` (``S = I + 2 T``, ``S_b = I + 2 T_b``).  Both must be
     linear and complex symmetric (reciprocity, so ``S_b^H y = conj(S_b
-    conj(y))``); ``iterate`` probes that (``validate``) unless ``from_blocks``
-    built them.  ``from_blocks`` keeps its ``BlockImpedance`` as ``blocks``
-    (and its ``basis``); ``T - T_b`` then acts through its Schur complement.
-    ``matrices()`` needs either constructor.
+    conj(y))``); ``iterate`` probes that (``validate``).  The library's own
+    ``BlockImpedance`` is a pencil of its own and needs no oracle.
     """
 
     apply: callable
     apply_background: callable
     dim: int
-    blocks: BlockImpedance | None = field(default=None, init=False, repr=False)
-    _dense: tuple | None = field(default=None, init=False, repr=False)  # from_matrices' T, T_b
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("oracle dimension must be positive")
-
-    basis = property(lambda self: None if self.blocks is None else self.blocks.basis)
 
     @classmethod
     def from_matrices(cls, T, T_b) -> "ScatterOracle":
@@ -185,39 +192,7 @@ class ScatterOracle:
         tb = np.asarray(T_b)
         if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ShapeError(f"operator shapes {t.shape} / {tb.shape} unusable")
-        oracle = cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x, dim=t.shape[0])
-        oracle._dense = t, tb
-        return oracle
-
-    @classmethod
-    def from_blocks(cls, blocks: BlockImpedance) -> "ScatterOracle":
-        """Oracle on a ``BlockImpedance``'s factors, ``T x = T_b0 x - U1 Z^-1 U1^T x`` and T_b
-        likewise through Z_bb, forming no n x n operator."""
-        oracle = cls(
-            apply=lambda x: _t_apply(blocks.solve, blocks.readout, blocks.T_b0, x),
-            apply_background=lambda x: _t_apply(blocks.solve_bb, blocks.U1_b, blocks.T_b0, x),
-            dim=blocks.readout.shape[0])
-        oracle.blocks = blocks
-        return oracle
-
-    def apply_sb(self, x: np.ndarray) -> np.ndarray:
-        """``S_b x = x + 2 T_b x``."""
-        return x + 2.0 * self.apply_background(x)
-
-    def diff(self, x: np.ndarray) -> np.ndarray:
-        """``(T - T_b) x``; on blocks ``-U1~ Z~^-1 U1~^T x``, since eliminating the background
-        cancels its offset for every scene kind (so ``U1~`` spans the range of ``S - S_b``)."""
-        if self.blocks is None:
-            return self.apply(x) - self.apply_background(x)
-        u_tilde = self.blocks.U1_tilde
-        return -u_tilde @ self.blocks.solve_tilde(u_tilde.T @ x)
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """S and S_b as n x n matrices: the blocks' own, or ``I + 2 T`` and ``I + 2 T_b``."""
-        if self.blocks is not None:
-            return self.blocks.S, self.blocks.S_b
-        eye = np.eye(self.dim)
-        return eye + 2.0 * self._dense[0], eye + 2.0 * self._dense[1]
+        return cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x, dim=t.shape[0])
 
     def validate(self, rng: np.random.Generator) -> None:
         """Probe linearity and complex symmetry (to 1e-10 relative) on a block of random vectors."""
@@ -236,13 +211,12 @@ class ScatterOracle:
                                   "the conjugation trick needs reciprocal operators")
 
 
-def _range_schur(oracle: ScatterOracle):
-    """Eigenpairs of a blocks oracle on ``V = range(S_b^H U1~)`` from the r x r ``M``: (s values,
+def _range_schur(blocks: BlockImpedance):
+    """Eigenpairs of the blocks on ``V = range(S_b^H U1~)`` from the r x r ``M``: (s values,
     vectors, Schur off-diagonal norm, V's orthonormal basis Q), values and vectors None where
     ``M`` is not normal."""
-    u_tilde = oracle.blocks.U1_tilde
-    q = _orthonormal_range(np.conj(oracle.apply_sb(np.conj(u_tilde))))
-    t_vals, z, off = _schur_eig(oracle.apply_sb(q).conj().T @ oracle.diff(q))
+    q = _orthonormal_range(np.conj(blocks.apply_sb(np.conj(blocks.U1_tilde))))
+    t_vals, z, off = _schur_eig(blocks.apply_sb(q).conj().T @ blocks.diff(q))
     if t_vals is None:
         return None, None, off, q
     return 1.0 + 2.0 * t_vals, q @ z, off, q
@@ -251,50 +225,48 @@ def _range_schur(oracle: ScatterOracle):
 def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from the generalized problem ``S a = s S_b a``.
 
-    ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix,
-    decomposed as a ``ScatterOracle``.  For unitary inputs the problem
-    reduces to the normal matrix ``N = S_b^H S``, solved by a complex Schur
-    decomposition, which gives orthonormal eigenvectors including
-    degenerate clusters.  If ``S_b`` fails its unitarity check
-    (``network.UNITARY_TOL``), or the Schur factor shows the matrix
-    decomposed is not normal, the solver falls back to a two-matrix QZ
-    factorisation of the full pencil (``matrices()``) and flags the result
-    (``diagnostics['solver'] == 'qz'``).
+    ``S`` is a ``BlockImpedance`` (``S_b`` left out) or an n x n matrix.
+    For unitary inputs the problem reduces to the normal matrix ``N = S_b^H
+    S``, solved by a complex Schur decomposition, which gives orthonormal
+    eigenvectors including degenerate clusters.  If ``S_b`` fails its
+    unitarity check (``network.UNITARY_TOL``), or the Schur factor shows the
+    matrix decomposed is not normal, the solver falls back to a two-matrix
+    QZ factorisation of the full pencil (S and S_b as n x n matrices) and
+    flags the result (``diagnostics['solver'] == 'qz'``).
 
-    Blocks (``ScatterOracle.from_blocks``) are solved on the range of ``S
-    - S_b`` only.  With the background eliminated, ``S - S_b = -2 U1~
-    Z~^-1 U1~^T``, so ``N - I = S_b^H (S - S_b)`` maps into ``V =
-    range(S_b^H U1~)`` (at most ``3 N_c`` columns), the normal ``N`` leaves
-    V invariant and is exactly the identity on its complement.  The engine
-    takes an orthonormal basis Q of V (rank r after the rcond cut),
-    decomposes the r x r matrix ``M = (S_b Q)^H (T - T_b) Q = -(S_b Q)^H
-    U1~ Z~^-1 (U1~^T Q)``, whose eigenvalues are the t_n themselves, and
-    returns ``a = Q z``; every other mode has ``s = 1``.  ``S_b``, ``S_b^H``
-    and ``T - T_b`` act through the blocks' solves, so this costs O(n
-    (3N)^2 + (3N)^3) and forms no n x n matrix; the unitarity of S and S_b
-    comes from ``scattering_unitarity`` (factored, bound or dense).
+    Blocks are solved on the range of ``S - S_b`` only.  With the
+    background eliminated, ``S - S_b = -2 U1~ Z~^-1 U1~^T``, so ``N - I =
+    S_b^H (S - S_b)`` maps into ``V = range(S_b^H U1~)`` (at most ``3 N_c``
+    columns), the normal ``N`` leaves V invariant and is exactly the
+    identity on its complement.  The engine takes an orthonormal basis Q of
+    V (rank r after the rcond cut), decomposes the r x r matrix ``M = (S_b
+    Q)^H (T - T_b) Q = -(S_b Q)^H U1~ Z~^-1 (U1~^T Q)``, whose eigenvalues
+    are the t_n themselves, and returns ``a = Q z``; every other mode has
+    ``s = 1``.  ``S_b``, ``S_b^H`` and ``T - T_b`` act through the blocks'
+    solves (``apply_sb``, ``diff``), so this costs O(n (3N)^2 + (3N)^3) and
+    forms no n x n matrix; the unitarity of S and S_b comes from
+    ``scattering_unitarity`` (factored, bound or dense).
 
-    Matrices (``S_b`` defaults to the identity) are the dense oracle,
-    ``from_matrices`` of ``(S - I) / 2`` and ``(S_b - I) / 2``: all n modes
-    from the n x n Schur decomposition of N, with ``check_unitary`` on
-    both (``unitarity_form`` ``"dense"``); ties in the mode order go by
+    Matrices (``S_b`` defaults to the identity) are the dense oracle: all
+    n modes from the n x n Schur decomposition of N, with ``check_unitary``
+    on both (``unitarity_form`` ``"dense"``); ties in the mode order go by
     index.  ``diagnostics['rank']`` is the size of the eigenproblem solved
     (r on the range, n for the oracle and for QZ).
 
     ``n_modes`` (at least 1) keeps the ``n_modes`` most significant modes.
     On the range, more modes than r are filled with ``s = 1`` exactly and
     an orthonormal basis of V's complement; without ``n_modes`` the range
-    engine returns its r modes.  The residual, orthogonality and
-    cancellation diagnostics are measured on the modes returned; the
-    unitarity deviations of S and S_b on the full operators
-    (``unitarity_form`` says how).
+    engine returns its r modes.  ``eigen_residual`` is measured on the
+    modes returned, the unitarity deviations of S and S_b on the full
+    operators (``unitarity_form`` says how).
     """
     if n_modes is not None and n_modes < 1:
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     if isinstance(S, BlockImpedance):
         if S_b is not None:
             raise ValueError("a BlockImpedance carries its own S_b")
-        oracle = ScatterOracle.from_blocks(S)
+        basis, dim, apply_sb, diff = S.basis, S.dim, S.apply_sb, S.diff
+        schur, pencil = (lambda: _range_schur(S)), (lambda: (S.S, S.S_b))
         diag = scattering_unitarity(S)
     else:
         s_mat = np.asarray(S)
@@ -302,17 +274,16 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
         sb_mat = eye if S_b is None else np.asarray(S_b)
         if s_mat.shape != eye.shape or sb_mat.shape != eye.shape:
             raise ShapeError(f"S {s_mat.shape} and S_b {sb_mat.shape} must be square and equal")
-        oracle = ScatterOracle.from_matrices(0.5 * (s_mat - eye), 0.5 * (sb_mat - eye))
-        s_mat, sb_mat = oracle.matrices()  # what the Schur below decomposes
+        basis, dim = None, len(eye)
+        apply_sb, diff = (lambda x: sb_mat @ x), (lambda x: 0.5 * ((s_mat - sb_mat) @ x))
+        schur, pencil = (lambda: (*_schur_eig(sb_mat.conj().T @ s_mat), None)), \
+            (lambda: (s_mat, sb_mat))
         diag = {"unitarity_S": check_unitary(s_mat), "unitarity_S_b": check_unitary(sb_mat),
                 "unitarity_form": "dense"}
 
     diag["solver"], s_vals = "schur", None
     if diag["unitarity_S_b"] <= UNITARY_TOL:
-        if oracle.blocks is None:
-            s_vals, a, diag["schur_offdiag"] = _schur_eig(sb_mat.conj().T @ s_mat)
-        else:
-            s_vals, a, diag["schur_offdiag"], q = _range_schur(oracle)
+        s_vals, a, diag["schur_offdiag"], q = schur()
     if s_vals is None:
         if diag["unitarity_S_b"] > UNITARY_TOL:
             cause = (f"S_b failed the unitarity check (deviation "
@@ -322,28 +293,20 @@ def cm_scattering(S, S_b=None, n_modes: int | None = None) -> ModeSet:
                      f"{diag['schur_offdiag']:.1e})")
         warnings.warn(f"{cause}; falling back to a QZ solve")
         diag["solver"] = "qz"
-        s_vals, a = _eig_orthonormal(*oracle.matrices())
+        s_vals, a = _eig_orthonormal(*pencil())
     diag["rank"] = s_vals.size
 
     t = (s_vals - 1.0) / 2.0
-    order = _mode_order(t, a, oracle.basis)[:n_modes]
+    order = _mode_order(t, a, basis)[:n_modes]
     s_vals, a = s_vals[order], a[:, order]
-    n_pad = 0 if n_modes is None else min(n_modes, oracle.dim) - s_vals.size
+    n_pad = 0 if n_modes is None else min(n_modes, dim) - s_vals.size
     if n_pad > 0:  # only the range engine returns fewer than n modes; pad from V's complement
         s_vals = np.concatenate([s_vals, np.ones(n_pad, dtype=complex)])
         a = np.hstack([a, _complement(q, n_pad)])
 
-    f = oracle.apply_sb(a)
-    s_a = f + 2.0 * oracle.diff(a)
-    resid = np.linalg.norm(s_a - f * s_vals[None, :], axis=0)
-    drive = np.linalg.norm(s_a, axis=0)
-    diag["cancellation_flags"] = \
-        np.linalg.norm(s_a - f, axis=0) < CANCELLATION_THRESHOLD * drive
+    f = apply_sb(a)
+    resid = np.linalg.norm(f + 2.0 * diff(a) - f * s_vals[None, :], axis=0)
     diag["eigen_residual"] = float(resid.max(initial=0.0))
-    gram = a.conj().T @ a
-    diag["orthogonality_a"] = float(np.abs(gram - np.eye(gram.shape[0])).max(initial=0.0))
-    gram_f = f.conj().T @ f
-    diag["orthogonality_f"] = float(np.abs(gram_f - np.eye(gram_f.shape[0])).max(initial=0.0))
     return ModeSet(s=s_vals, a=a, f=f, diagnostics=diag)
 
 
@@ -508,16 +471,15 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     t_vals = -1.0 / (1.0 + 1j * lam)
     f = -blocks.U1_tilde @ i_c
     f = f / np.linalg.norm(f, axis=0)[None, :]
-    oracle = ScatterOracle.from_blocks(blocks)
-    a = np.conj(oracle.apply_sb(np.conj(f)))
+    a = np.conj(blocks.apply_sb(np.conj(f)))
 
     order = _mode_order(t_vals, f, blocks.basis)
     t_vals, a, f, i_c = t_vals[order], a[:, order], f[:, order], i_c[:, order]
-    n_pad = 0 if n_modes is None else min(n_modes, oracle.dim) - t_vals.size
+    n_pad = 0 if n_modes is None else min(n_modes, blocks.dim) - t_vals.size
     if n_pad > 0:  # the s = 1 modes, from the complement of the engine's excitations
         a_pad = _complement(a, n_pad)
         t_vals = np.concatenate([t_vals, np.zeros(n_pad, dtype=complex)])
-        a, f = np.hstack([a, a_pad]), np.hstack([f, oracle.apply_sb(a_pad)])
+        a, f = np.hstack([a, a_pad]), np.hstack([f, blocks.apply_sb(a_pad)])
         i_c = np.hstack([i_c, np.zeros((nc, n_pad), dtype=complex)])
     return ModeSet(s=1.0 + 2.0 * t_vals, a=a, f=f, currents_c=i_c, diagnostics=diag)
 
@@ -641,12 +603,12 @@ class Trace:
     t: list[complex]
 
 
-def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> list[Trace]:
-    """Associate modes across adjacent sweep points into traces.
+def track_modes(modesets: list[ModeSet]) -> list[Trace]:
+    """Associate every mode of each set across adjacent sweep points into traces.
 
     Greedy assignment maximising the excitation-vector correlation
     ``|a_m(f_i)^H a_n(f_i+1)|`` between neighbouring frequency samples;
-    modes that find no partner start new traces.
+    modes that find no partner start new traces (``ModeSet.top`` tracks fewer).
     """
     if not modesets:
         return []
@@ -654,12 +616,9 @@ def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> list[Tra
     if len(dims) > 1:
         raise ShapeError(f"mode sets of mixed dimension in sweep: {sorted(dims)}")
 
-    def n_kept(ms):
-        return ms.n_modes if n_track is None else min(n_track, ms.n_modes)
-
     traces: list[Trace] = []
     current: dict[int, Trace] = {}
-    for m in range(n_kept(modesets[0])):
+    for m in range(modesets[0].n_modes):
         tr = Trace(trace_id=len(traces), points=[0], modes=[m],
                    t=[complex(modesets[0].t[m])])
         traces.append(tr)
@@ -667,10 +626,10 @@ def track_modes(modesets: list[ModeSet], n_track: int | None = None) -> list[Tra
 
     for i in range(len(modesets) - 1):
         prev, nxt = modesets[i], modesets[i + 1]
-        np_prev, np_next = n_kept(prev), n_kept(nxt)
+        np_prev, np_next = prev.n_modes, nxt.n_modes
         succ: dict[int, Trace] = {}
         if prev.a is not None and nxt.a is not None and np_prev and np_next:
-            overlap = np.abs(prev.a[:, :np_prev].conj().T @ nxt.a[:, :np_next])
+            overlap = np.abs(prev.a.conj().T @ nxt.a)
             work = overlap.copy()
             for _ in range(min(np_prev, np_next)):
                 r, c = np.unravel_index(np.argmax(work), work.shape)

@@ -149,7 +149,7 @@ def test_criterion_2_lossless_invariants(lossless_bank):
         worst["range"] = max(worst["range"], assert_multisets_close(ms.t, ranged.t))
         for modes in (ms, ranged):
             circle = float(np.max(np.abs(modes.t + 0.5) - 0.5))
-            orth = max(modes.diagnostics["orthogonality_a"], modes.diagnostics["orthogonality_f"])
+            orth = modes.orthogonality
             assert circle <= 1e-8
             assert orth < 1e-8
             worst["circle"] = max(worst["circle"], circle)

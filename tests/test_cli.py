@@ -26,6 +26,7 @@ from scatmodes.cli import (
 )
 from scatmodes.exceptions import SolveError
 from scatmodes.mie import SphereSpec
+from scatmodes.modes import CANCELLATION_THRESHOLD
 from conftest import hybrid_sweep_seed7, random_scene
 
 
@@ -286,6 +287,27 @@ def test_csv_header_exact(tmp_path):
                       "modal_significance,lambda,circle_dev,orth_dev,cancel_flag")
 
 
+@pytest.mark.parametrize("solver", SOLVER_TABLE)
+def test_orth_dev_and_cancel_flag_measure_the_written_modes(tmp_path, solver):
+    # every formulation's orth_dev is the orthogonality of the modes it writes (at least
+    # that of their excitations), and cancel_flag marks the modes with s = 1 + 2t within
+    # CANCELLATION_THRESHOLD of 1: here the two past the one dipole's three
+    out = tmp_path / "out"
+    run_scenario(parse_scenario(_hybrid_scenario(solver)), str(out), jobs=1, dump_vectors=True)
+    with open(out / "traces.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    a = np.array([[complex(float(re), float(im)) for re, im in col]
+                  for col in json.loads((out / "vectors.json").read_text())[0]["a"]]).T
+    orth = {float(r["orth_dev"]) for r in rows}
+    assert len(orth) == 1
+    a_dev = np.abs(a.conj().T @ a - np.eye(a.shape[1])).max()
+    assert 0.0 < a_dev <= orth.pop() < 1e-8
+    s = np.array([1.0 + 2.0 * complex(float(r["re_t"]), float(r["im_t"])) for r in rows])
+    flags = [int(r["cancel_flag"]) for r in rows]
+    assert flags == list((np.abs(s - 1.0) < CANCELLATION_THRESHOLD * np.abs(s)).astype(int))
+    assert flags == [0, 0, 0, 1, 1]
+
+
 def test_anisotropic_polarizability_json(tmp_path):
     scn = _scenario()
     scn["scene"]["dipoles"][0]["polarizability"] = [
@@ -386,6 +408,19 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
               "--jobs", jobs])
     assert exc.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # the iterative start block's generator takes no negative seed: refused at parsing,
+    # not by a worker thread's traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", _write(tmp_path, _scenario(solver="iterative")),
+              "--out", str(tmp_path / "o"), "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected an integer >= 0, got '-1'" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

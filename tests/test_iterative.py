@@ -75,14 +75,14 @@ def test_linearity_probe():
 
 @pytest.mark.parametrize("pencil", ["blocks", "non-reciprocal-matrices", "non-linear-callback"])
 def test_iterate_probes_only_pencils_not_built_from_blocks(pencil):
-    # a from_blocks pencil is trusted: Z is solved once per application of N and never for a
+    # blocks are trusted: Z is solved once per application of N and never for a
     # probe; matrices and callbacks are probed, and the probe still rejects bad ones
     rng = np.random.default_rng(45)
     if pencil == "blocks":
         blocks = transition(random_scene(rng, 6, 0.6, n_background=2), 1.0)
         solve, calls = blocks.solve, []
         blocks.solve = lambda rhs: calls.append(rhs.shape) or solve(rhs)
-        ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=3)
+        ms = iterate(blocks, n_modes=3)
         assert len(calls) == ms.diagnostics["iterations"]
         return
     if pencil == "non-reciprocal-matrices":
@@ -229,10 +229,10 @@ def test_composed_matvec_of_a_block_is_the_columnwise_product():
 
 @pytest.mark.parametrize("bank", ["two-region", "port", "ground-plane", "hybrid"])
 def test_block_oracle_acts_as_the_dense_operators(bank):
-    # T and T_b through the factors: the composed action, S_b and T - T_b (the
-    # latter through the Schur complement) equal those of the n x n matrices,
-    # and the oracle passes its own probes (a hybrid's readout is complex and
-    # its T_b carries the sphere's Mie offset)
+    # T and T_b through the factors: the blocks' composed action, S_b and T - T_b (the
+    # latter through the Schur complement) equal those of the n x n matrices, and an
+    # oracle on the blocks' actions passes its probes (a hybrid's readout is complex
+    # and its T_b carries the sphere's Mie offset)
     rng = np.random.default_rng(43)
     scene = random_scene(rng, 8, 0.7, n_background=3)
     if bank == "port":
@@ -246,13 +246,13 @@ def test_block_oracle_acts_as_the_dense_operators(bank):
         scene = DipoleScene(scene.positions, scene.polarizability, scene.region, sphere=sphere)
     blocks = assemble_hybrid(scene, 1.0, residual_tol=1.0) if bank == "hybrid" \
         else transition(scene, 1.0)
-    oracle = ScatterOracle.from_blocks(blocks)
-    oracle.validate(rng)
-    dense = ScatterOracle.from_matrices(blocks.T, blocks.T_b)
-    x = rng.standard_normal((oracle.dim, 5)) + 1j * rng.standard_normal((oracle.dim, 5))
-    for got, want in ((composed_matvec(oracle, x), composed_matvec(dense, x)),
-                      (oracle.apply_sb(x), dense.apply_sb(x)),
-                      (oracle.diff(x), dense.diff(x))):
+    ScatterOracle(blocks.apply, blocks.apply_background, blocks.dim).validate(rng)
+    t, t_b = blocks.T, blocks.T_b
+    x = rng.standard_normal((blocks.dim, 5)) + 1j * rng.standard_normal((blocks.dim, 5))
+    for got, want in ((composed_matvec(blocks, x),
+                       composed_matvec(ScatterOracle.from_matrices(t, t_b), x)),
+                      (blocks.apply_sb(x), x + 2.0 * t_b @ x),
+                      (blocks.diff(x), (t - t_b) @ x)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -260,7 +260,7 @@ def test_block_oracle_acts_as_the_dense_operators(bank):
 @pytest.mark.parametrize("engine", ["iterate", "cm_scattering-blocks", "cm_scattering-matrices"])
 def test_n_modes_below_one_is_a_domain_error(engine, n_modes):
     blocks = transition(random_scene(np.random.default_rng(44), 4, 0.5, n_background=2), 1.0)
-    run = {"iterate": lambda: iterate(ScatterOracle.from_blocks(blocks), n_modes=n_modes),
+    run = {"iterate": lambda: iterate(blocks, n_modes=n_modes),
            "cm_scattering-blocks": lambda: cm_scattering(blocks, n_modes=n_modes),
            "cm_scattering-matrices": lambda: cm_scattering(blocks.S, blocks.S_b,
                                                            n_modes=n_modes)}[engine]

@@ -8,7 +8,6 @@ from scipy.optimize import linear_sum_assignment
 from scatmodes import (
     DipoleScene,
     Port,
-    ScatterOracle,
     ShapeError,
     SolveError,
     SphereSpec,
@@ -28,7 +27,13 @@ from scatmodes import (
     transition,
 )
 from scatmodes.dipoles import factorization_residual
-from scatmodes.modes import DEGENERACY_GAP, _eig_orthonormal, parity_leakage
+from scatmodes.modes import (
+    CANCELLATION_THRESHOLD,
+    DEGENERACY_GAP,
+    ModeSet,
+    _eig_orthonormal,
+    parity_leakage,
+)
 from scatmodes.swe import ground_plane_filter
 from conftest import random_scene
 
@@ -94,6 +99,22 @@ def test_cm_scattering_orthogonality(two_region):
     assert np.abs(ms.f.conj().T @ ms.f - np.eye(n)).max() < 1e-8
     assert np.abs(ms.f - ts.S_b @ ms.a).max() < 1e-12
     assert ms.circle_deviation.max() < 1e-8
+
+
+def test_modeset_measures_equal_the_eigenpairs_own(two_region):
+    # orthogonality is the larger Gram deviation of a and f, and the cancellation flag
+    # from s is the measured ||(S - S_b) a|| < threshold ||S a||, the range engine's
+    # s = 1 padding included
+    _, _, ts = two_region
+    ms = cm_scattering(ts, n_modes=ts.n_c + 4)
+    gram = [np.abs(v.conj().T @ v - np.eye(ms.n_modes)).max() for v in (ms.a, ms.f)]
+    assert ms.orthogonality == max(gram)
+    s_a = ts.S @ ms.a
+    measured = np.linalg.norm(s_a - ts.S_b @ ms.a, axis=0) \
+        < CANCELLATION_THRESHOLD * np.linalg.norm(s_a, axis=0)
+    assert np.array_equal(ms.cancellation, measured)
+    assert ms.cancellation[-4:].all() and not ms.cancellation[:3].any()
+    assert ModeSet(s=np.ones(2)).orthogonality == 0.0
 
 
 def test_cm_scattering_qz_fallback():
@@ -354,7 +375,7 @@ def test_track_constant_operators():
     scene = random_scene(rng, 5, 0.6, n_background=2)
     ts = transition(scene, 1.0)
     ms = [cm_scattering(ts.S, ts.S_b) for _ in range(3)]
-    main = [tr for tr in track_modes(ms, n_track=6) if len(tr.points) == 3]
+    main = [tr for tr in track_modes([m.top(6) for m in ms]) if len(tr.points) == 3]
     assert len(main) == 6
     for tr in main:
         assert tr.modes == [tr.modes[0]] * 3
@@ -373,7 +394,8 @@ def test_track_mie_crossing_keeps_identity():
     mags = np.abs(analytic)  # columns: TE1, TM1
     assert (mags[0, 0] > mags[0, 1]) != (mags[-1, 0] > mags[-1, 1])  # they swap
 
-    long = [tr for tr in track_modes(sets, n_track=6) if len(tr.points) == len(kas)]
+    long = [tr for tr in track_modes([ms.top(6) for ms in sets])
+            if len(tr.points) == len(kas)]
     assert long
     matched = 0
     for col in range(2):
@@ -477,7 +499,7 @@ def test_background_action_matches_the_dense_s_b(make_blocks):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     s_b = blocks.S_b
-    apply_sb = ScatterOracle.from_blocks(blocks).apply_sb
+    apply_sb = blocks.apply_sb
     for got, want in ((apply_sb(x), s_b @ x),
                       (np.conj(apply_sb(np.conj(x))), s_b.conj().T @ x)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

@@ -52,7 +52,7 @@ def _assert_matches_dense(ts, *ranged):
         assert d["rank"] <= ts.n_c
         assert_multisets_close(dense.t, ms.t)
         assert ms.circle_deviation.max(initial=0.0) <= 1e-8
-        assert max(d["orthogonality_a"], d["orthogonality_f"], d["eigen_residual"]) < 1e-8
+        assert max(ms.orthogonality, d["eigen_residual"]) < 1e-8
         # every mode left out of the range has s = 1 to rounding
         assert np.sort(np.abs(dense.t))[:dense.n_modes - ms.n_modes].max(initial=0.0) < 1e-9
         sig1, sig2 = dense.t[np.abs(dense.t) > 1e-9], ms.t[np.abs(ms.t) > 1e-9]

@@ -16,10 +16,10 @@ sweep under ``iterative``, whatever solver the workload names:
   is folded in by its fold from ``cli._sweep_basis``, whose U4 expansions are
   made before the timed repeats;
 - factors: the LU factors of Z and Z_bb (``BlockImpedance.factorize``);
-- engine: ``iterate`` on the pencil ``ScatterOracle.from_blocks`` (the one
+- engine: ``iterate`` on the blocks, their own pencil (the one
   ``cm_scattering`` decomposes; T_b acts through the ``U1_b`` view of the
-  readout; a pencil built from blocks is not probed), as ``run`` calls it, the
-  block Krylov iteration on the factors, in parts: the block applications (``composed_matvec``),
+  readout; blocks are not probed), as ``run`` calls it, the block Krylov
+  iteration on the factors, in parts: the block applications (``composed_matvec``),
   Rayleigh-Ritz (``_eig_orthonormal``) and the rest (the Krylov basis and
   the residuals);
 - unitarity: ``scattering_unitarity`` (the bound, or the dense check).
@@ -48,7 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from scatmodes import cli, dipoles, iterative, swe  # noqa: E402
 from scatmodes.dipoles import assemble_impedance  # noqa: E402
-from scatmodes.iterative import ScatterOracle, iterate  # noqa: E402
+from scatmodes.iterative import iterate  # noqa: E402
 from scatmodes.modes import scattering_unitarity  # noqa: E402
 from scenarios import WORKLOADS, scenario  # noqa: E402
 
@@ -96,7 +96,7 @@ def _point(sc, k, wave_basis, angular, fold, seed):
     marks = [time.perf_counter()]
     blocks.factorize()
     marks.append(time.perf_counter())
-    ms = iterate(ScatterOracle.from_blocks(blocks), n_modes=sc["n_modes"], seed=seed)
+    ms = iterate(blocks, n_modes=sc["n_modes"], seed=seed)
     marks.append(time.perf_counter())
     form = scattering_unitarity(blocks)["unitarity_form"]
     marks.append(time.perf_counter())
