@@ -282,7 +282,7 @@ def _impedance(blocks, sc: dict, seed: int, diag: dict):
 
 def _t_form(blocks, sc: dict, seed: int, diag: dict):
     diag.update(scattering_unitarity(blocks))
-    return cm_t_form(blocks.T, blocks.T_b, basis=blocks.basis)
+    return cm_t_form(blocks.T, blocks.T_b, basis=blocks.basis, n_modes=sc["n_modes"])
 
 
 def _iterative(blocks, sc: dict, seed: int, diag: dict):
@@ -419,12 +419,11 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
         else:
             results = [solve(k, point) for k, point in zip(ks, points)]
 
-    n_modes = sc["n_modes"]
-    tops = [ms.top(n_modes) for ms, _ in results]
+    modesets = [ms for ms, _ in results]
 
     # trace id per (point, mode)
     trace_of: dict[tuple[int, int], int] = {}
-    for tr in track_modes(tops):
+    for tr in track_modes(modesets):
         for pt, md in zip(tr.points, tr.modes):
             trace_of[(pt, md)] = tr.trace_id
 
@@ -432,11 +431,11 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     with open(os.path.join(out_dir, "traces.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for i, top in enumerate(tops):
-            orth, flags = top.orthogonality, top.cancellation
-            lam = top.lam
-            for rank in range(top.n_modes):
-                t = top.t[rank]
+        for i, ms in enumerate(modesets):
+            orth, flags = ms.orthogonality, ms.cancellation
+            lam = ms.lam
+            for rank in range(ms.n_modes):
+                t = ms.t[rank]
                 lam_r = lam[rank].real
                 writer.writerow([
                     _fmt(freqs[i]),
@@ -445,7 +444,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
                     _fmt(t.real), _fmt(t.imag),
                     _fmt(abs(t)),
                     "inf" if not np.isfinite(lam_r) else _fmt(lam_r),
-                    _fmt(top.circle_deviation[rank]),
+                    _fmt(ms.circle_deviation[rank]),
                     _fmt(orth),
                     int(flags[rank]),
                 ])
@@ -453,17 +452,17 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
     diagnostics = {
         "solver": sc["solver"],
         "seed": seed,
-        "n_modes": n_modes,
+        "n_modes": sc["n_modes"],
         "basis_l_max": wave_basis.l_max,
         "basis_size": wave_basis.size,
         "blas": blas,
         "per_frequency": [
             {
                 "frequency_hz": float(f),
-                "max_circle_deviation": float(top.circle_deviation.max(initial=0.0)),
+                "max_circle_deviation": float(ms.circle_deviation.max(initial=0.0)),
                 **{key: _json_scalar(val) for key, val in point_diag.items()},
             }
-            for f, top, (_, point_diag) in zip(freqs, tops, results)
+            for f, (ms, point_diag) in zip(freqs, results)
         ],
     }
     with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
@@ -471,13 +470,9 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
         fh.write("\n")
 
     if dump_vectors:
-        payload = []
-        for f, top in zip(freqs, tops):
-            vecs = None
-            if top.a is not None:
-                vecs = [[[_fmt(z.real), _fmt(z.imag)] for z in top.a[:, n]]
-                        for n in range(top.n_modes)]
-            payload.append({"frequency_hz": float(f), "a": vecs})
+        payload = [{"frequency_hz": float(f),
+                    "a": [[[_fmt(z.real), _fmt(z.imag)] for z in col] for col in ms.a.T]}
+                   for f, ms in zip(freqs, modesets)]
         with open(os.path.join(out_dir, "vectors.json"), "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
             fh.write("\n")

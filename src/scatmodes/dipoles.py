@@ -265,11 +265,12 @@ class BlockImpedance:
     ``T``, ``T_b``, ``S`` and ``S_b`` are the n x n transition and
     scattering matrices of the scene and its background over U1's rows, the
     waves of ``basis`` and any port channels (``T_b`` is ``diag(T_b0)``
-    without background unknowns), built when
-    first read and kept read-only: an engine that works on the factors never
-    forms them.  Above a ground plane their rows and columns of the
-    parity-forbidden waves are those of the identity (S) and of zero (T),
-    exactly.
+    without background unknowns), built when first read and kept read-only:
+    T and T_b are ``apply`` and ``apply_background`` of the identity, and
+    each S is ``I + 2 T`` from its kept T, so reading S and T costs one
+    solve.  An engine that works on the factors never forms them.  Above a
+    ground plane their rows and columns of the parity-forbidden waves are
+    those of the identity (S) and of zero (T), exactly.
 
     Eliminating the background gives the Schur complement ``Z_tilde = Z_cc
     - Z_cb W`` with ``W = Z_bb^-1 Z_bc`` and its readout ``U1_tilde = U1_c
@@ -306,10 +307,10 @@ class BlockImpedance:
     U1_c = property(lambda self: self.readout[:, self.n_b:])
     dim = property(lambda self: self.readout.shape[0])
 
-    T = property(lambda self: self._operator("T"))
-    T_b = property(lambda self: self._operator("T_b"))
-    S = property(lambda self: self._operator("S"))
-    S_b = property(lambda self: self._operator("S_b"))
+    T = property(lambda self: self._operator("T", self.apply))
+    T_b = property(lambda self: self._operator("T_b", self.apply_background))
+    S = property(lambda self: self._operator("S", lambda eye: eye + 2.0 * self.T))
+    S_b = property(lambda self: self._operator("S_b", lambda eye: eye + 2.0 * self.T_b))
 
     Z_tilde = property(lambda self: self._cached("elimination", self._eliminate)[0])
     U1_tilde = property(lambda self: self._cached("elimination", self._eliminate)[1])
@@ -363,8 +364,13 @@ class BlockImpedance:
             return self._cached("lu Z_bb", lambda: _solver(self.Z_bb, "background block"))
         return self._cached("lu Z_tilde", lambda: _solver(self.Z_tilde, "compressed impedance"))
 
-    def _operator(self, name: str) -> np.ndarray:
-        return self._cached(name, lambda: _full_operator(self, name))
+    def _operator(self, name: str, action) -> np.ndarray:
+        """``action`` of the dim x dim identity, kept read-only under ``name``."""
+        def build():
+            op = action(np.eye(self.dim, dtype=complex))
+            op.flags.writeable = False
+            return op
+        return self._cached(name, build)
 
     def _eliminate(self):
         """``(Z_tilde, U1_tilde)``: the Schur elimination of the background unknowns."""
@@ -551,29 +557,11 @@ def _readout_product(u: np.ndarray, x: np.ndarray) -> np.ndarray:
         u.shape[:1] + x.shape[1:])
 
 
-def _t_of(solve, u: np.ndarray, t0: np.ndarray | None) -> np.ndarray:
-    """``diag(t0) - u z^-1 u^T`` for the ``solve`` of z, with ``t0 = None`` standing for zero."""
-    t = -_readout_product(u, solve(u.T.astype(complex)))
-    return t if t0 is None else np.diag(t0) + t
-
-
 def _t_apply(solve, u: np.ndarray, t0: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """``(diag(t0) - u z^-1 u^T) x`` for the ``solve`` of z and an (n, p) block x, forming no
     n x n operator; ``t0 = None`` stands for zero."""
     offset = 0.0 if t0 is None else t0[:, None] * x
     return offset - _readout_product(u, solve(_readout_product(u.T, x)))
-
-
-def _full_operator(blocks: BlockImpedance, name: str) -> np.ndarray:
-    """T, T_b, S or S_b over the readout's rows, read-only; each S comes from its cached T."""
-    if name.startswith("S"):
-        op = 2.0 * blocks._operator("T" + name[1:]) + np.eye(blocks.readout.shape[0])
-    elif name == "T":
-        op = _t_of(blocks.solve, blocks.readout, blocks.T_b0)
-    else:
-        op = _t_of(blocks.solve_bb, blocks.U1_b, blocks.T_b0)
-    op.flags.writeable = False
-    return op
 
 
 def transition(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,

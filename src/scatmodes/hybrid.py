@@ -173,22 +173,21 @@ def sphere_fold(scene: DipoleScene, k: float, wave_basis: WaveBasis, expansion: 
 
 
 def assemble_hybrid(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,
-                    residual_tol: float = 1e-6, angular: swe.AngularFactors | None = None,
-                    expansion: tuple | None = None) -> BlockImpedance:
+                    residual_tol: float = 1e-6, expansion: tuple | None = None) -> BlockImpedance:
     """``transition`` of a scene with a sphere, folded in by ``sphere_fold``: its blocks,
     with Z and Z_bb factorised.
 
     ``wave_basis`` defaults to ``default_basis`` and ``expansion`` to
     ``u4_expansion``'s at the default fit radius; a U4 column above
     ``residual_tol`` raises ``ResolutionError``, a singular system
-    ``SolveError``.  ``angular`` (from ``hybrid_sweep_basis``) serves the tables.
+    ``SolveError``.
     """
     if scene.sphere is None:
         raise GeometryError("assemble_hybrid needs a scene with a sphere; use transition")
     wave_basis = default_basis(scene, k) if wave_basis is None else wave_basis
-    expansion = expansion or u4_expansion(scene, k, wave_basis, angular=angular)
-    return transition(scene, k, wave_basis, angular,
-                      sphere_fold(scene, k, wave_basis, expansion, residual_tol))
+    expansion = expansion or u4_expansion(scene, k, wave_basis)
+    return transition(scene, k, wave_basis,
+                      fold=sphere_fold(scene, k, wave_basis, expansion, residual_tol))
 
 
 def hybrid_impedance_modes(scene: DipoleScene, k: float, wave_basis: WaveBasis | None = None,

@@ -57,7 +57,8 @@ def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: 
     OVERSAMPLING`` complex Gaussian columns drawn from ``seed``) and each response of N to the
     newest block extend an orthonormal basis Q of the block Krylov space, so every mode of an
     eigenspace of multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of
-    largest |t| are returned once each residual ``||N x - theta x||`` (x a unit vector) is at
+    largest |t| are returned, excitations ``a`` with ``f = a + 2 T_b a`` from one more
+    background application, once each residual ``||N x - theta x||`` (x a unit vector) is at
     most ``TOL_RESIDUAL``: N is normal, so each Ritz value then lies that close to an
     eigenvalue (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N,
     or where a response adds no direction to Q (``reason == "invariant"``).  The diagnostics
@@ -97,6 +98,8 @@ def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: 
         block = composed_matvec(oracle, new)
         q, f = np.hstack([q, new]), np.hstack([f, block])
 
-    return ModeSet(s=1.0 + 2.0 * theta, a=q @ y, diagnostics={
-        "solver": "iterative", "iterations": len(residuals), "converged": reason == "residual",
-        "reason": reason, "residuals": residuals, "krylov_basis": q})
+    a = q @ y
+    return ModeSet(s=1.0 + 2.0 * theta, a=a, f=a + 2.0 * oracle.apply_background(a),
+                   diagnostics={"solver": "iterative", "iterations": len(residuals),
+                                "converged": reason == "residual", "reason": reason,
+                                "residuals": residuals, "krylov_basis": q})

@@ -94,7 +94,7 @@ def _t_diagonal(spec: SphereSpec, k: float, wave_basis: WaveBasis) -> np.ndarray
             f"for ka={k * spec.radius:.4g}"
         )
     t_te, t_tm = mie_t_coefficients(spec, k, wave_basis.l_max)
-    l, _, tm = wave_basis.arrays()
+    l, tm = wave_basis.l, wave_basis.tm
     return np.where(tm, t_tm[l - 1], t_te[l - 1])
 
 

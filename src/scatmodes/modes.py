@@ -41,14 +41,15 @@ class ModeSet:
 
     Columns of ``a`` (excitations) and ``f`` (scattered fields, ``f_n =
     S_b a_n``) are unit vectors, ordered by modal significance ``|t_n|``
-    descending.  ``currents_c`` holds the controllable eigencurrents when a
-    decomposition produces them.  ``diagnostics`` carries residuals of
-    the invariant checks performed while solving.
+    descending; every engine returns both, for the modes it was asked for
+    (its ``n_modes``).  ``currents_c`` holds the controllable eigencurrents
+    when a decomposition produces them.  ``diagnostics`` carries residuals
+    of the invariant checks performed while solving.
     """
 
     s: np.ndarray
-    a: np.ndarray | None = None
-    f: np.ndarray | None = None
+    a: np.ndarray
+    f: np.ndarray
     currents_c: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -79,10 +80,9 @@ class ModeSet:
 
     @property
     def orthogonality(self) -> float:
-        """Largest entry of ``|a^H a - I|`` and ``|f^H f - I|`` over the vectors held."""
-        dev = [np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0)
-               for v in (self.a, self.f) if v is not None]
-        return float(max(dev, default=0.0))
+        """Largest entry of ``|a^H a - I|`` and ``|f^H f - I|``."""
+        return float(max(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0)
+                         for v in (self.a, self.f)))
 
     @property
     def cancellation(self) -> np.ndarray:
@@ -90,23 +90,12 @@ class ModeSet:
         < CANCELLATION_THRESHOLD ||S a_n||``: the scene's and background's fields nearly cancel."""
         return np.abs(self.s - 1.0) < CANCELLATION_THRESHOLD * np.abs(self.s)
 
-    def top(self, n: int) -> "ModeSet":
-        """The n most significant modes."""
-        sl = slice(0, n)
-        return ModeSet(
-            s=self.s[sl],
-            a=None if self.a is None else self.a[:, sl],
-            f=None if self.f is None else self.f[:, sl],
-            currents_c=None if self.currents_c is None else self.currents_c[:, sl],
-            diagnostics=dict(self.diagnostics),
-        )
 
-
-def _mode_order(t: np.ndarray, vectors: np.ndarray | None, basis_obj: WaveBasis | None):
+def _mode_order(t: np.ndarray, vectors: np.ndarray, basis_obj: WaveBasis | None):
     """Sort by |t| descending; ties by ascending l-content centroid, entries past the basis
     (port channels) counting as degree 0."""
     mag = np.abs(t)
-    if vectors is None or basis_obj is None:
+    if basis_obj is None:
         return np.lexsort((np.arange(t.size), -mag))
     ls = np.zeros(vectors.shape[0])
     if basis_obj.size <= ls.size:
@@ -315,17 +304,22 @@ def _complement(span: np.ndarray, count: int) -> np.ndarray:
     return np.linalg.qr(span, mode="complete")[0][:, span.shape[1]:span.shape[1] + count]
 
 
-def cm_t_form(T, T_b, representation: str = "excitation", basis=None) -> ModeSet:
+def cm_t_form(T, T_b, representation: str = "excitation", basis=None,
+              n_modes: int | None = None) -> ModeSet:
     """Characteristic modes from composed transition operators.
 
     ``representation="excitation"`` decomposes ``2 T_b^H T + T_b^H + T``
     (eigenvectors are the excitations a_n); ``"scattered"`` decomposes
     ``2 T T_b^H + T_b^H + T`` (eigenvectors are the scattered fields
-    f_n).  Both give the same eigenvalues t_n.  ``basis``, the matrices'
-    wave basis, breaks ties in the mode order.  ``diagnostics`` holds
-    ``solver`` (``"schur"``, or ``"eig"`` where the operator is not normal)
-    and ``schur_offdiag``.
+    f_n).  Both give the same eigenvalues t_n, and ``f = S_b a`` (in the
+    scattered representation to the unitarity of S_b).  ``basis``, the
+    matrices' wave basis, breaks ties in the mode order.  ``n_modes`` (at
+    least 1) keeps the ``n_modes`` most significant of the n modes; without
+    it all n are returned.  ``diagnostics`` holds ``solver`` (``"schur"``,
+    or ``"eig"`` where the operator is not normal) and ``schur_offdiag``.
     """
+    if n_modes is not None and n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     t_mat = np.asarray(T)
     tb_mat = np.asarray(T_b)
     if t_mat.shape != tb_mat.shape or t_mat.shape[0] != t_mat.shape[1]:
@@ -352,7 +346,7 @@ def cm_t_form(T, T_b, representation: str = "excitation", basis=None) -> ModeSet
         f = vec
         a = sb.conj().T @ f
     s_vals = 1.0 + 2.0 * t_vals
-    order = _mode_order(t_vals, a, basis)
+    order = _mode_order(t_vals, a, basis)[:n_modes]
     return ModeSet(s=s_vals[order], a=a[:, order], f=f[:, order],
                    diagnostics={"solver": solver, "schur_offdiag": off})
 
@@ -420,9 +414,11 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     ``a_n = S_b^H f_n``.  Serves dipole, ground-plane, port and hybrid
     blocks alike.
 
-    ``n_modes`` (at least 1) fills up to ``n_modes`` modes with ``s = 1``, as
+    ``n_modes`` (at least 1) keeps the ``n_modes`` most significant of the 3 N_c
+    modes, or fills up to ``n_modes`` modes with ``s = 1``, as
     ``cm_scattering``'s range engine does: their a orthonormal and orthogonal
-    to the engine's, ``f = S_b a``, zero currents.  All 3 N_c modes are kept.
+    to the engine's, ``f = S_b a``, zero currents.  Without it all 3 N_c modes
+    are returned.
 
     Accuracy note: this formulation inherits the conditioning of the
     compressed radiation matrix, which is numerically rank deficient for
@@ -473,7 +469,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     f = f / np.linalg.norm(f, axis=0)[None, :]
     a = np.conj(blocks.apply_sb(np.conj(f)))
 
-    order = _mode_order(t_vals, f, blocks.basis)
+    order = _mode_order(t_vals, f, blocks.basis)[:n_modes]
     t_vals, a, f, i_c = t_vals[order], a[:, order], f[:, order], i_c[:, order]
     n_pad = 0 if n_modes is None else min(n_modes, blocks.dim) - t_vals.size
     if n_pad > 0:  # the s = 1 modes, from the complement of the engine's excitations
@@ -534,8 +530,6 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     by I_n), which removes the normalisation ambiguity between the two
     routes; it is skipped where ``|t_n| <= t_min``.
     """
-    if modeset.a is None:
-        raise ShapeError("mode set carries no excitation vectors")
     a = modeset.a
     t = modeset.t
     nb = blocks.n_b
@@ -544,9 +538,8 @@ def recover_currents(modeset: ModeSet, blocks: BlockImpedance,
     currents[:nb] -= blocks.solve_bb(_readout_product(blocks.U1_b.T, a))
     currents_c = currents[nb:, :]
 
-    f_stored = modeset.f if modeset.f is not None else a
     skipped = np.abs(t) <= t_min
-    f_rad = f_stored * t[None, :]
+    f_rad = modeset.f * t[None, :]
     alt = blocks.solve_tilde(blocks.U1_tilde.conj().T @ f_rad)
     with np.errstate(invalid="ignore", divide="ignore"):
         alt = alt / t[None, :]
@@ -565,8 +558,6 @@ def substructure_power_check(T, T_b, modeset: ModeSet) -> np.ndarray:
     for lossless operators; the returned residual is the largest
     pairwise difference.
     """
-    if modeset.a is None:
-        raise ShapeError("mode set carries no excitation vectors")
     diff = (np.asarray(T) - np.asarray(T_b)) @ modeset.a
     norm_a2 = np.linalg.norm(modeset.a, axis=0) ** 2
     e1 = 0.5 * np.linalg.norm(diff, axis=0) ** 2
@@ -608,11 +599,12 @@ def track_modes(modesets: list[ModeSet]) -> list[Trace]:
 
     Greedy assignment maximising the excitation-vector correlation
     ``|a_m(f_i)^H a_n(f_i+1)|`` between neighbouring frequency samples;
-    modes that find no partner start new traces (``ModeSet.top`` tracks fewer).
+    modes that find no partner start new traces (an engine's ``n_modes`` tracks
+    fewer).
     """
     if not modesets:
         return []
-    dims = {ms.a.shape[0] for ms in modesets if ms.a is not None}
+    dims = {ms.a.shape[0] for ms in modesets}
     if len(dims) > 1:
         raise ShapeError(f"mode sets of mixed dimension in sweep: {sorted(dims)}")
 
@@ -628,7 +620,7 @@ def track_modes(modesets: list[ModeSet]) -> list[Trace]:
         prev, nxt = modesets[i], modesets[i + 1]
         np_prev, np_next = prev.n_modes, nxt.n_modes
         succ: dict[int, Trace] = {}
-        if prev.a is not None and nxt.a is not None and np_prev and np_next:
+        if np_prev and np_next:
             overlap = np.abs(prev.a.conj().T @ nxt.a)
             work = overlap.copy()
             for _ in range(min(np_prev, np_next)):

@@ -69,16 +69,12 @@ class WaveBasis:
 
     def position(self, l, m, tm):
         """Row in this basis of the wave (l, m, tm), for scalars or arrays with ``tm`` a TM
-        flag as in ``arrays()``; ``KeyError`` for a wave it lacks."""
+        flag as in the ``tm`` attribute; ``KeyError`` for a wave it lacks."""
         l, m, tm = np.asarray(l), np.asarray(m), np.asarray(tm)
         if not np.all((l >= 1) & (l <= self.l_max) & (np.abs(m) <= l) & np.isin(tm, (0, 1))):
             raise KeyError(f"(l, m, tm) = ({l}, {m}, {tm}): not all in the basis")
         rows = 2 * (l * l - 1 + m + l) + tm
         return rows if rows.ndim else int(rows)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return the read-only (l, m, is_tm) arrays over the basis order."""
-        return self.l, self.m, self.tm
 
 
 def truncation_order(ka: float) -> int:
@@ -110,7 +106,7 @@ def ground_plane_filter(wave_basis: WaveBasis) -> np.ndarray:
 
 def mirror_parity(wave_basis: WaveBasis) -> np.ndarray:
     """Parity (+1 kept / -1 rejected) of each wave under the PEC image map z -> -z."""
-    l, m, tm = wave_basis.arrays()
+    l, m, tm = wave_basis.l, wave_basis.m, wave_basis.tm
     even = (l + m) % 2 == 0
     keep = np.where(tm, ~even, even)
     return np.where(keep, 1, -1)
@@ -299,7 +295,7 @@ def angular_factors(wave_basis: WaveBasis, points: np.ndarray) -> AngularFactors
     G = np.where(pos, -sqrt2 * ms[:, None] * sin_m,
                  np.where(neg, sqrt2 * am[:, None] * cos_m, 0.0))
 
-    l, m, tm = wave_basis.arrays()
+    l, m, tm = wave_basis.l, wave_basis.m, wave_basis.tm
     f, g, tm = F[m + l_max], G[m + l_max], tm[:, None]
     norm = 1.0 / np.sqrt(l * (l + 1.0))[:, None]
     d_theta = norm * D[l, np.abs(m)] * f           # dY/dtheta, (n_waves, N)
@@ -328,7 +324,7 @@ def wave_table(angular: AngularFactors, k: float, kind: str = "regular") -> np.n
         raise DomainError("outgoing waves are singular at the origin")
 
     kr_safe = np.where(at_origin, 1.0, kr)
-    l, m, tm = angular.wave_basis.arrays()
+    l, m, tm = angular.wave_basis.l, angular.wave_basis.m, angular.wave_basis.tm
     l_max = angular.wave_basis.l_max
     zl, dzl = spherical_j(l_max, kr_safe)
     if kind == "outgoing":
@@ -361,7 +357,7 @@ def radial_norms(wave_basis: WaveBasis, kr: float) -> np.ndarray:
     ``project_onto_regular`` keeps its own copy, so that the quadrature
     stays an independent check of the code that uses this one.
     """
-    l, _, tm = wave_basis.arrays()
+    l, tm = wave_basis.l, wave_basis.tm
     j, dj = spherical_j(wave_basis.l_max, kr)
     jl = j[l]
     r2 = dj[l] + jl / kr
@@ -463,7 +459,7 @@ def project_onto_regular(points: np.ndarray, values: np.ndarray,
         )
     # squared radial factor of each wave, divided back out of the inner products
     kr = k * radius
-    l, _, tm = wave_basis.arrays()
+    l, tm = wave_basis.l, wave_basis.tm
     j, dj = spherical_j(l_max, kr)
     jl = j[l]
     r2 = dj[l] + jl / kr

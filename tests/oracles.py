@@ -80,7 +80,8 @@ def dipole_expansion_reference(wave_basis, k, src, axis):
     with the outgoing waves evaluated through the lpmv-based reference.
     """
     out = np.empty(wave_basis.size, dtype=complex)
-    for n, (l, m, tm) in enumerate(zip(*(a.tolist() for a in wave_basis.arrays()))):
+    for n, (l, m, tm) in enumerate(zip(wave_basis.l.tolist(), wave_basis.m.tolist(),
+                                       wave_basis.tm.tolist())):
         u = regular_wave_reference(l, m, "TM" if tm else "TE", k, src, kind="outgoing")
         out[n] = -1j * k * (u @ axis)
     return out
@@ -240,7 +241,8 @@ def wave_table_per_wave(wave_basis, k, points, kind="regular"):
     P, Q, D = legendre_tables_loop(l_max, ct, st)
     out = np.zeros((wave_basis.size, npts, 3), dtype=zl.dtype)
     sqrt2 = math.sqrt(2.0)
-    for n, (l, m, tm) in enumerate(zip(*(a.tolist() for a in wave_basis.arrays()))):
+    for n, (l, m, tm) in enumerate(zip(wave_basis.l.tolist(), wave_basis.m.tolist(),
+                                       wave_basis.tm.tolist())):
         pol = "TM" if tm else "TE"
         am = abs(m)
         if m > 0:
@@ -402,7 +404,7 @@ def embed_identity(m, target_basis, basis=None, index_map=None):
         if basis is None:
             raise MappingError("embed_identity needs m's basis or an explicit index_map")
         try:
-            index_map = dict(enumerate(target_basis.position(*basis.arrays()).tolist()))
+            index_map = dict(enumerate(target_basis.position(basis.l, basis.m, basis.tm).tolist()))
         except KeyError as err:
             raise MappingError(f"wave index {err.args[0]} absent from the target basis")
     if len(set(index_map.values())) != len(index_map):

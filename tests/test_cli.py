@@ -24,6 +24,7 @@ from scatmodes.cli import (
     run_checks,
     run_scenario,
 )
+from scatmodes.dipoles import transition
 from scatmodes.exceptions import SolveError
 from scatmodes.mie import SphereSpec
 from scatmodes.modes import CANCELLATION_THRESHOLD
@@ -289,19 +290,28 @@ def test_csv_header_exact(tmp_path):
 
 @pytest.mark.parametrize("solver", SOLVER_TABLE)
 def test_orth_dev_and_cancel_flag_measure_the_written_modes(tmp_path, solver):
-    # every formulation's orth_dev is the orthogonality of the modes it writes (at least
-    # that of their excitations), and cancel_flag marks the modes with s = 1 + 2t within
-    # CANCELLATION_THRESHOLD of 1: here the two past the one dipole's three
+    # every formulation's orth_dev is the orthogonality of the modes it writes, of their
+    # excitations a and scattered fields f = S_b a alike (f as the engine returns it,
+    # checked against the point's blocks), and cancel_flag marks the modes with s = 1 + 2t
+    # within CANCELLATION_THRESHOLD of 1: here the two past the one dipole's three
+    sc = parse_scenario(_hybrid_scenario(solver))
     out = tmp_path / "out"
-    run_scenario(parse_scenario(_hybrid_scenario(solver)), str(out), jobs=1, dump_vectors=True)
+    run_scenario(sc, str(out), jobs=1, dump_vectors=True)
     with open(out / "traces.csv") as fh:
         rows = list(csv.DictReader(fh))
     a = np.array([[complex(float(re), float(im)) for re, im in col]
                   for col in json.loads((out / "vectors.json").read_text())[0]["a"]]).T
-    orth = {float(r["orth_dev"]) for r in rows}
-    assert len(orth) == 1
-    a_dev = np.abs(a.conj().T @ a - np.eye(a.shape[1])).max()
-    assert 0.0 < a_dev <= orth.pop() < 1e-8
+    wave_basis, angular, points = _sweep_basis(sc)
+    k = 2.0 * math.pi * sc["frequencies"][0] / SPEED_OF_LIGHT
+    with cli._blas_threads(1):  # as run sizes the BLAS pools, so its rounding is run's
+        ms, _ = cli._solve_point(sc, k, wave_basis, 42, angular, points[0])
+    f = ms.f
+    assert np.array_equal(ms.a, a)
+    sb_a = transition(sc["scene"], k, wave_basis, angular, points[0][0]).apply_sb(a)
+    assert np.linalg.norm(f - sb_a) <= 1e-12 * np.linalg.norm(f)
+    devs = [np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() for v in (a, f)]
+    assert {float(r["orth_dev"]) for r in rows} == {max(devs)}
+    assert 0.0 < max(devs) < 1e-8
     s = np.array([1.0 + 2.0 * complex(float(r["re_t"]), float(r["im_t"])) for r in rows])
     flags = [int(r["cancel_flag"]) for r in rows]
     assert flags == list((np.abs(s - 1.0) < CANCELLATION_THRESHOLD * np.abs(s)).astype(int))

@@ -3,8 +3,9 @@
 ``run`` decomposes one ``BlockImpedance`` per point whatever the scene kind,
 so each of the four formulations behind its solver names serves each kind.
 On random scenes of the five kinds, each must return ``n_modes`` modes (or
-all of them, where the operator is smaller) and the four must agree on every
-significant mode, or the point must end in one of the library's own errors.
+all of them, where the operator is smaller), each with ``f = S_b a``, and the
+four must agree on every significant mode, or the point must end in one of the
+library's own errors.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from scatmodes import (
     ShapeError,
     SolveError,
     SphereSpec,
+    transition,
 )
 from scatmodes import cli
 from test_acceptance import optimal_match
@@ -84,10 +86,13 @@ def test_every_formulation_agrees_on_every_scene_kind(kind, seed, n, background,
     try:
         sc["scene"] = _scene(kind, np.random.default_rng(seed), n, n_background, k, pec)
         wave_basis, angular, points = cli._sweep_basis(sc)
+        blocks = transition(sc["scene"], k, wave_basis, angular, points[0][0])
         for solver in FORMULATIONS:
             ms, _ = cli._solve_point({**sc, "solver": solver}, k, wave_basis, 1, angular,
                                      points[0])
-            assert ms.top(sc["n_modes"]).n_modes == min(sc["n_modes"], ms.a.shape[0]), solver
+            assert ms.n_modes == min(sc["n_modes"], blocks.dim), solver
+            f_norm = np.linalg.norm(ms.f)
+            assert np.linalg.norm(ms.f - blocks.apply_sb(ms.a)) <= 1e-12 * f_norm, solver
             t_by_formulation[solver] = ms.t
     except LIBRARY_ERRORS as err:
         event(f"{kind}: {type(err).__name__}")

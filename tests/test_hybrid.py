@@ -196,7 +196,7 @@ def test_closed_form_u4_matches_quadrature_per_degree(case):
         norms = swe.radial_norms(wb, k * r_fit)[:, None]
         field = np.sqrt((np.abs(closed) ** 2 * norms).sum(axis=0))
         allowed = quad_residuals * field
-        ls = wb.arrays()[0]
+        ls = wb.l
         for l in range(1, wb.l_max + 1):
             rows = ls == l
             gap = np.sqrt((np.abs(closed[rows] - quad[rows]) ** 2 * norms[rows]).sum(axis=0))

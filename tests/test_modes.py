@@ -114,7 +114,8 @@ def test_modeset_measures_equal_the_eigenpairs_own(two_region):
         < CANCELLATION_THRESHOLD * np.linalg.norm(s_a, axis=0)
     assert np.array_equal(ms.cancellation, measured)
     assert ms.cancellation[-4:].all() and not ms.cancellation[:3].any()
-    assert ModeSet(s=np.ones(2)).orthogonality == 0.0
+    eye = np.eye(3, 2, dtype=complex)
+    assert ModeSet(s=np.ones(2), a=eye, f=eye).orthogonality == 0.0
 
 
 def test_cm_scattering_qz_fallback():
@@ -327,7 +328,7 @@ def test_vertical_dipole_above_plane_parity():
     assert sig.any()
     a_sig = np.abs(ms.a[:, sig]).max(axis=1)
     for row in np.flatnonzero(a_sig > 1e-8):
-        l, m, tm = (a[row] for a in blocks.basis.arrays())
+        l, m, tm = blocks.basis.l[row], blocks.basis.m[row], blocks.basis.tm[row]
         assert tm and m == 0 and l % 2 == 1
 
 
@@ -374,8 +375,8 @@ def test_track_constant_operators():
     rng = np.random.default_rng(6)
     scene = random_scene(rng, 5, 0.6, n_background=2)
     ts = transition(scene, 1.0)
-    ms = [cm_scattering(ts.S, ts.S_b) for _ in range(3)]
-    main = [tr for tr in track_modes([m.top(6) for m in ms]) if len(tr.points) == 3]
+    ms = [cm_scattering(ts.S, ts.S_b, n_modes=6) for _ in range(3)]
+    main = [tr for tr in track_modes(ms) if len(tr.points) == 3]
     assert len(main) == 6
     for tr in main:
         assert tr.modes == [tr.modes[0]] * 3
@@ -394,8 +395,7 @@ def test_track_mie_crossing_keeps_identity():
     mags = np.abs(analytic)  # columns: TE1, TM1
     assert (mags[0, 0] > mags[0, 1]) != (mags[-1, 0] > mags[-1, 1])  # they swap
 
-    long = [tr for tr in track_modes([ms.top(6) for ms in sets])
-            if len(tr.points) == len(kas)]
+    long = [tr for tr in track_modes(sets) if len(tr.points) == len(kas)]
     assert long
     matched = 0
     for col in range(2):

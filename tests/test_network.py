@@ -32,14 +32,15 @@ from oracles import (
 
 def test_eigen_maps_points():
     # the eigenvalue maps s -> t, lambda are ModeSet.t and ModeSet.lam
-    ms = ModeSet(s=np.array([-1.0, 1.0], dtype=complex))
+    eye = np.eye(2, dtype=complex)
+    ms = ModeSet(s=np.array([-1.0, 1.0], dtype=complex), a=eye, f=eye)
     assert ms.t[0] == -1.0 and ms.lam[0] == 0.0
     assert ms.t[1] == 0.0 and not np.isfinite(ms.lam[1])
     # s = j against 40-digit arithmetic
     mp.mp.dps = 40
     s = mp.mpc(0, 1)
     lam_ref = complex(1j * (s + 1) / (s - 1))
-    ms = ModeSet(s=np.array([1j]))
+    ms = ModeSet(s=np.array([1j]), a=eye[:, :1], f=eye[:, :1])
     assert_allclose([ms.t[0].real, ms.t[0].imag], [-0.5, 0.5], rtol=1e-15)
     assert abs(ms.lam[0] - lam_ref) < 1e-15
 
@@ -48,7 +49,8 @@ def test_eigen_from_lambda_inverse():
     # t = -1/(1 + j lambda), the impedance engine's map, inverts ModeSet.lam
     lam = np.array([-3.0, 0.0, 0.7, 12.0])
     t = -1.0 / (1.0 + 1j * lam)
-    ms = ModeSet(s=1.0 + 2.0 * t)
+    eye = np.eye(t.size, dtype=complex)
+    ms = ModeSet(s=1.0 + 2.0 * t, a=eye, f=eye)
     assert np.abs(ms.lam - lam).max() < 1e-12
     assert ms.t[1] == -1.0
 
@@ -314,7 +316,7 @@ def test_embed_identity_by_wave_index():
     small_b = basis(1)
     big_b = basis(2)
     out = embed_identity(np.diag(np.arange(1.0, 7.0) + 0j), big_b, small_b)
-    for i, wave in enumerate(zip(*small_b.arrays())):
+    for i, wave in enumerate(zip(small_b.l, small_b.m, small_b.tm)):
         assert out[big_b.position(*wave), big_b.position(*wave)] == i + 1.0
 
 
@@ -357,7 +359,7 @@ def test_embedded_background_matches_small_basis_computation():
     small = basis(2)
     # the compact background's Mie diagonal, below the truncation rule's basis
     t_te, t_tm = mie_t_coefficients(sphere, k, small.l_max)
-    l, _, tm = small.arrays()
+    l, tm = small.l, small.tm
     t_small = np.diag(np.where(tm, t_tm[l - 1], t_te[l - 1]))
     sb_embedded = embed_identity(2.0 * t_small + np.eye(small.size), big, small)
     ms_embed = cm_scattering(ts.S, sb_embedded)

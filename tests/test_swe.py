@@ -92,7 +92,7 @@ def test_basis_sizes():
 
 def test_basis_ordering_deterministic():
     b = basis(2)
-    waves = list(zip(*(a.tolist() for a in b.arrays())))
+    waves = list(zip(b.l.tolist(), b.m.tolist(), b.tm.tolist()))
     first = [(l, m, "TM" if tm else "TE") for l, m, tm in waves[:4]]
     assert first == [(1, -1, "TE"), (1, -1, "TM"), (1, 0, "TE"), (1, 0, "TM")]
     assert len(set(waves)) == b.size
@@ -115,11 +115,12 @@ def test_position_is_the_enumeration_order():
         b = basis(l_max)
         waves = [(l, m, tm) for l in range(1, l_max + 1) for m in range(-l, l + 1)
                  for tm in (False, True)]
-        assert list(zip(*(a.tolist() for a in b.arrays()))) == waves
+        assert list(zip(b.l.tolist(), b.m.tolist(), b.tm.tolist())) == waves
         assert [b.position(*wave) for wave in waves] == list(range(b.size))
-        assert np.array_equal(b.position(*b.arrays()), np.arange(b.size))
+        assert np.array_equal(b.position(b.l, b.m, b.tm), np.arange(b.size))
         big = basis(l_max + 8)
-        assert all(np.array_equal(a, a_big[:b.size]) for a, a_big in zip(b.arrays(), big.arrays()))
+        assert all(np.array_equal(getattr(b, name), getattr(big, name)[:b.size])
+                   for name in ("l", "m", "tm"))
 
 
 def test_position_of_an_absent_wave():
@@ -203,7 +204,7 @@ def test_ground_plane_filter_examples():
 def test_parity_keeps_half_of_each_degree_block():
     b = basis(6)
     sigma = mirror_parity(b)
-    ls, _, _ = b.arrays()
+    ls = b.l
     for l in range(1, 7):
         block = ls == l
         assert (sigma[block] > 0).sum() == block.sum() // 2 == 2 * l + 1
@@ -270,7 +271,7 @@ def test_project_dipole_field_against_lstsq():
 
     big = basis(20)
     ref_big = least_squares_expansion(field, k, big, r_fit, n_theta=30, n_phi=60)
-    ref = ref_big[big.position(*b.arrays())]
+    ref = ref_big[big.position(b.l, b.m, b.tm)]
     truth = dipole_expansion_reference(b, k, src, axis)
 
     # coefficients grow like (2l-1)!! with degree, so compare per block;
@@ -391,5 +392,5 @@ def test_wave_table_matches_per_wave_loop(kind, table, wave_basis):
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     if kind == "regular":   # only the TM l=1 waves are nonzero at the origin
-        ls, _, tm = wave_basis.arrays()
+        ls, tm = wave_basis.l, wave_basis.tm
         assert np.count_nonzero(got[:, 0]) == np.count_nonzero(tm & (ls == 1))

@@ -331,11 +331,11 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
     # the range engine, the impedance and iterative engines and the factored
     # and bounded unitarity checks work on the blocks' factors; only the
     # engines and checks that read T, T_b, S or S_b build them (every one of
-    # them is made from a T built by dipoles._t_of)
-    from scatmodes import dipoles
+    # them is made by BlockImpedance._operator)
+    from scatmodes.dipoles import BlockImpedance
 
     calls = {}
-    _count_calls(monkeypatch, calls, dipoles, "_t_of")
+    _count_calls(monkeypatch, calls, BlockImpedance, "_operator")
     if case == "checks":
         cli.run_checks(cli.parse_scenario(FACTORISATION_CASES["dense-scattering"]))
     else:
@@ -349,8 +349,8 @@ def test_dense_scattering_builds_no_n_by_n_operator(case, builds, monkeypatch):
 def test_iterative_cloud_point_bounds_unitarity_without_an_n_by_n_operator(monkeypatch):
     # with 3N > n/2 the unitarity figures are bounds from the radiation defect
     # the assembly kept, and the engine acts through the factors: neither
-    # reaches dipoles._t_of
-    from scatmodes import dipoles
+    # reaches BlockImpedance._operator
+    from scatmodes.dipoles import BlockImpedance
     from conftest import random_scene
 
     scene = random_scene(np.random.default_rng(60), 60, 0.3, n_background=20)
@@ -362,7 +362,7 @@ def test_iterative_cloud_point_bounds_unitarity_without_an_n_by_n_operator(monke
     wave_basis, angular, _ = cli._sweep_basis(sc)
     assert wave_basis.size < 2 * 3 * scene.n_dipoles
     calls = {}
-    _count_calls(monkeypatch, calls, dipoles, "_t_of")
+    _count_calls(monkeypatch, calls, BlockImpedance, "_operator")
     _, diag = cli._solve_point(sc, 2.0 * math.pi * 5.0e7 / cli.SPEED_OF_LIGHT, wave_basis,
                                seed=1, angular=angular)
     assert diag["unitarity_form"] == "bound" and diag["converged"]
@@ -459,10 +459,10 @@ def test_hybrid_assembly_holds_no_wave_sized_matrix():
 
     sc = cli.parse_scenario(hybrid_sweep_seed7())
     ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
-    wave_basis, angular, expansions = hybrid_sweep_basis(sc["scene"], ks, 1e-6)
+    wave_basis, _, expansions = hybrid_sweep_basis(sc["scene"], ks, 1e-6)
     assert wave_basis.size == 448
     peak = _traced_peak(lambda: assemble_hybrid(sc["scene"], float(ks[-1]), wave_basis,
-                                                angular=angular, expansion=expansions[-1]))
+                                                expansion=expansions[-1]))
     n_nbytes = wave_basis.size ** 2 * np.dtype(complex).itemsize
     assert peak < n_nbytes, peak / n_nbytes
 
