@@ -281,14 +281,21 @@ def _impedance(blocks, sc: dict, seed: int, diag: dict):
 
 
 def _t_form(blocks, sc: dict, seed: int, diag: dict):
+    """``cm_t_form`` on the blocks' T and T_b: its engine (``schur``, or ``eig`` where the
+    operator is not normal) and the unitarity of S and S_b."""
     diag.update(scattering_unitarity(blocks))
-    return cm_t_form(blocks.T, blocks.T_b, basis=blocks.basis, n_modes=sc["n_modes"])
+    ms = cm_t_form(blocks.T, blocks.T_b, basis=blocks.basis, n_modes=sc["n_modes"])
+    diag.update(engine=ms.diagnostics["solver"])
+    return ms
 
 
 def _iterative(blocks, sc: dict, seed: int, diag: dict):
+    """``iterate`` on the blocks: its engine, iterations and convergence, and the unitarity of
+    S and S_b."""
     diag.update(scattering_unitarity(blocks))
     ms = iterate(blocks, n_modes=sc["n_modes"], seed=seed)
-    diag.update(iterations=ms.diagnostics["iterations"], converged=ms.diagnostics["converged"])
+    diag.update(engine=ms.diagnostics["solver"], iterations=ms.diagnostics["iterations"],
+                converged=ms.diagnostics["converged"])
     return ms
 
 
@@ -420,12 +427,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
             results = [solve(k, point) for k, point in zip(ks, points)]
 
     modesets = [ms for ms, _ in results]
-
-    # trace id per (point, mode)
-    trace_of: dict[tuple[int, int], int] = {}
-    for tr in track_modes(modesets):
-        for pt, md in zip(tr.points, tr.modes):
-            trace_of[(pt, md)] = tr.trace_id
+    trace_ids = track_modes(modesets)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "traces.csv"), "w", newline="", encoding="utf-8") as fh:
@@ -439,7 +441,7 @@ def run_scenario(sc: dict, out_dir: str, jobs: int | None = None,
                 lam_r = lam[rank].real
                 writer.writerow([
                     _fmt(freqs[i]),
-                    trace_of.get((i, rank), -1),
+                    trace_ids[i][rank],
                     rank + 1,
                     _fmt(t.real), _fmt(t.imag),
                     _fmt(abs(t)),
@@ -561,6 +563,7 @@ def run_checks(sc: dict) -> dict:
             k = 2.0 * math.pi * float(f) / SPEED_OF_LIGHT
             blocks = transition(scene, k, wave_basis, angular, fold)
             entry = {"frequency_hz": float(f), **record,
+                     "factorization_residual": blocks.radiation_defect[0],
                      "tilde_identity_residual": tilde_tmatrix(blocks)[1]}
             ms = cm_scattering(blocks)
             ms_alt = cm_impedance_substructure(blocks)

@@ -63,11 +63,12 @@ def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: 
     eigenvalue (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N,
     or where a response adds no direction to Q (``reason == "invariant"``).  The diagnostics
     hold ``iterations``, ``converged``, ``reason``, ``residuals`` (the largest after each
-    application) and ``krylov_basis`` (Q).  ``n_modes`` outside 1..``oracle.dim`` raises
-    ``DomainError``.
+    application) and ``krylov_basis`` (Q).  As every engine, it returns min(``n_modes``,
+    ``oracle.dim``) modes; ``n_modes`` below 1 raises ``DomainError``.
     """
-    if not 1 <= n_modes <= oracle.dim:
-        raise DomainError(f"n_modes={n_modes} is outside 1..{oracle.dim}, the oracle dimension")
+    if n_modes < 1:
+        raise DomainError(f"n_modes must be at least 1, got {n_modes}")
+    n_modes = min(n_modes, oracle.dim)
     rng = np.random.default_rng(seed)
     if isinstance(oracle, ScatterOracle):
         oracle.validate(rng)

@@ -584,62 +584,34 @@ def parity_leakage(blocks: BlockImpedance) -> float:
 # Mode tracking across a frequency sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Trace:
-    """One tracked mode: (sweep point, mode index) memberships and t values."""
-
-    trace_id: int
-    points: list[int]
-    modes: list[int]
-    t: list[complex]
-
-
-def track_modes(modesets: list[ModeSet]) -> list[Trace]:
-    """Associate every mode of each set across adjacent sweep points into traces.
+def track_modes(modesets: list[ModeSet]) -> list[np.ndarray]:
+    """Trace id of every mode of each set, associating modes across adjacent sweep points.
 
     Greedy assignment maximising the excitation-vector correlation
-    ``|a_m(f_i)^H a_n(f_i+1)|`` between neighbouring frequency samples;
-    modes that find no partner start new traces (an engine's ``n_modes`` tracks
-    fewer).
+    ``|a_m(f_i)^H a_n(f_i+1)|`` between neighbouring frequency samples: a
+    matched mode takes its partner's id, and modes that find no partner get
+    new ids in mode order (an engine's ``n_modes`` tracks fewer).  Returns one
+    integer array per set, the ids of its modes; the first set's are 0..n-1.
     """
-    if not modesets:
-        return []
     dims = {ms.a.shape[0] for ms in modesets}
     if len(dims) > 1:
         raise ShapeError(f"mode sets of mixed dimension in sweep: {sorted(dims)}")
 
-    traces: list[Trace] = []
-    current: dict[int, Trace] = {}
-    for m in range(modesets[0].n_modes):
-        tr = Trace(trace_id=len(traces), points=[0], modes=[m],
-                   t=[complex(modesets[0].t[m])])
-        traces.append(tr)
-        current[m] = tr
-
-    for i in range(len(modesets) - 1):
-        prev, nxt = modesets[i], modesets[i + 1]
-        np_prev, np_next = prev.n_modes, nxt.n_modes
-        succ: dict[int, Trace] = {}
-        if np_prev and np_next:
-            overlap = np.abs(prev.a.conj().T @ nxt.a)
-            work = overlap.copy()
-            for _ in range(min(np_prev, np_next)):
+    ids: list[np.ndarray] = []
+    n_traces = 0
+    for i, ms in enumerate(modesets):
+        own = np.full(ms.n_modes, -1)
+        if i:
+            work = np.abs(modesets[i - 1].a.conj().T @ ms.a)
+            for _ in range(min(work.shape)):
                 r, c = np.unravel_index(np.argmax(work), work.shape)
                 if work[r, c] <= 0.0:
                     break
-                tr = current.get(r)
-                if tr is not None:
-                    tr.points.append(i + 1)
-                    tr.modes.append(int(c))
-                    tr.t.append(complex(nxt.t[c]))
-                    succ[int(c)] = tr
+                own[c] = ids[-1][r]
                 work[r, :] = -1.0
                 work[:, c] = -1.0
-        for m in range(np_next):
-            if m not in succ:
-                tr = Trace(trace_id=len(traces), points=[i + 1], modes=[m],
-                           t=[complex(nxt.t[m])])
-                traces.append(tr)
-                succ[m] = tr
-        current = succ
-    return traces
+        new = np.flatnonzero(own < 0)
+        own[new] = n_traces + np.arange(new.size)
+        n_traces += new.size
+        ids.append(own)
+    return ids

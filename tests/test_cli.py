@@ -248,13 +248,16 @@ def test_hybrid_scenario_runs(tmp_path):
 
 
 def test_checks_subcommand(tmp_path):
-    report = run_checks(parse_scenario(_scenario(
-        sweep={"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1})))
+    sc = parse_scenario(_scenario(sweep={"f_min": 6.0e8, "f_max": 6.0e8, "n_points": 1}))
+    report = run_checks(sc)
     assert report["passed"], report
     entry = report["per_frequency"][0]
     assert entry["unitarity_S"] < 1e-8
     assert entry["equivalence"] < 1e-6
     assert entry["power_identity"] < 1e-8
+    # the assembly's residual, as run's point records it
+    point = run_scenario(sc, str(tmp_path), jobs=1)["per_frequency"][0]
+    assert entry["factorization_residual"] == point["factorization_residual"]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -286,6 +289,38 @@ def test_csv_header_exact(tmp_path):
         header = fh.readline().strip()
     assert header == ("frequency_hz,trace_id,mode_rank,re_t,im_t,"
                       "modal_significance,lambda,circle_dev,orth_dev,cancel_flag")
+
+
+def test_trace_ids_are_distinct_at_every_point(tmp_path):
+    sc = parse_scenario(_scenario())
+    run_scenario(sc, str(tmp_path), jobs=1)
+    ids = {}
+    with open(tmp_path / "traces.csv") as fh:
+        for row in csv.DictReader(fh):
+            ids.setdefault(float(row["frequency_hz"]), []).append(int(row["trace_id"]))
+    assert len(ids) == len(sc["frequencies"])
+    assert all(len(set(point)) == len(point) == sc["n_modes"] for point in ids.values())
+    assert ids[min(ids)] == list(range(sc["n_modes"]))
+
+
+@pytest.mark.parametrize("solver", ["dense-scattering", "dense-impedance", "t-form",
+                                    "iterative"])
+def test_n_modes_above_the_dimension_writes_every_mode(tmp_path, solver):
+    # every formulation writes the n modes of the n-dimensional operator, and
+    # they are dense-scattering's
+    scn = _scenario(scene={"dipoles": [
+        {"position": [0.0, 0.0, 0.0], "polarizability": 0.02},
+        {"position": [0.03, 0.0, 0.0], "polarizability": 0.015, "region": "background"}]},
+        sweep={"f_min": 5.0e8, "f_max": 7.0e8, "n_points": 2}, n_modes=10000)
+    for name in dict.fromkeys(("dense-scattering", solver)):
+        assert main(["run", "--scenario", _write(tmp_path, dict(scn, solver=name), f"{name}.json"),
+                     "--out", str(tmp_path / name), "--jobs", "1"]) == 0
+    n = json.loads((tmp_path / solver / "diagnostics.json").read_text())["basis_size"]
+    with open(tmp_path / solver / "traces.csv") as fh:
+        rows = [row["frequency_hz"] for row in csv.DictReader(fh)]
+    assert n < 10000 and [rows.count(f) for f in sorted(set(rows))] == [n, n]
+    assert main(["compare", str(tmp_path / "dense-scattering" / "traces.csv"),
+                 str(tmp_path / solver / "traces.csv"), "--tol", "1e-10"]) == 0
 
 
 @pytest.mark.parametrize("solver", SOLVER_TABLE)
@@ -469,7 +504,8 @@ def test_dense_impedance_indefinite_radiation_exit_code(tmp_path, capsys, seed):
 
 _UNITARITY = {"unitarity_S": float, "unitarity_S_b": float, "unitarity_form": str}
 _SCATTERING = {"engine": str, "rank": int, **_UNITARITY}
-_ITERATIVE = {"iterations": int, "converged": bool, **_UNITARITY}
+_T_FORM = {"engine": str, **_UNITARITY}
+_ITERATIVE = {"engine": str, "iterations": int, "converged": bool, **_UNITARITY}
 _ASSEMBLY = {"factorization_residual": float}
 _SPHERE = {**_ASSEMBLY, "u4_residual": float}
 _IMPEDANCE = {"engine": str, "r_condition": float}
@@ -480,17 +516,17 @@ _IMPEDANCE = {"engine": str, "r_condition": float}
     ("hybrid-scattering", {**_SPHERE, **_SCATTERING}),
     ("iterative", {**_ASSEMBLY, **_ITERATIVE}),
     ("dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
-    ("t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("t-form", {**_ASSEMBLY, **_T_FORM}),
     ("hybrid-impedance", {**_SPHERE, **_IMPEDANCE}),
     ("port", {**_ASSEMBLY, **_SCATTERING}),
     ("ground-plane-dense-scattering", {**_ASSEMBLY, **_SCATTERING}),
-    ("ground-plane-t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("ground-plane-t-form", {**_ASSEMBLY, **_T_FORM}),
     ("ground-plane-iterative", {**_ASSEMBLY, **_ITERATIVE}),
     ("ground-plane-dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
     ("port-dense-impedance", {**_ASSEMBLY, **_IMPEDANCE}),
-    ("port-t-form", {**_ASSEMBLY, **_UNITARITY}),
+    ("port-t-form", {**_ASSEMBLY, **_T_FORM}),
     ("port-iterative", {**_ASSEMBLY, **_ITERATIVE}),
-    ("sphere-t-form", {**_SPHERE, **_UNITARITY}),
+    ("sphere-t-form", {**_SPHERE, **_T_FORM}),
     ("sphere-iterative", {**_SPHERE, **_ITERATIVE}),
 ])
 def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
@@ -533,6 +569,17 @@ def test_impedance_points_record_their_engine_and_r_condition(tmp_path, scenario
         ms = cli.cm_impedance_substructure(blocks)
         assert record["engine"] == ms.diagnostics["solver"] == "eigh"
         assert record["r_condition"] == ms.diagnostics["r_condition"] >= 1.0
+
+
+def test_t_form_points_record_the_eig_fallback(tmp_path, monkeypatch):
+    # where the Schur factor shows the operator is not normal, cm_t_form falls
+    # back to eig, and the point says so
+    from scatmodes import modes
+
+    monkeypatch.setattr(modes, "_schur_eig", lambda op: (None, None, 1.0))
+    points = run_scenario(parse_scenario(_scenario(solver="t-form")), str(tmp_path),
+                          jobs=1)["per_frequency"]
+    assert points and all(point["engine"] == "eig" for point in points)
 
 
 def test_tolerance_defaults_are_filled_in_and_a_given_value_overrides_them():

@@ -366,9 +366,9 @@ def test_track_single_point():
     rng = np.random.default_rng(5)
     scene = random_scene(rng, 4, 0.5)
     ms = cm_scattering(transition(scene, 1.0).S)
-    traces = track_modes([ms])
-    assert len(traces) == ms.n_modes
-    assert all(len(tr.points) == 1 for tr in traces)
+    ids = track_modes([ms])
+    assert len(ids) == 1
+    assert list(ids[0]) == list(range(ms.n_modes))  # n_modes traces of one point each
 
 
 def test_track_constant_operators():
@@ -376,10 +376,12 @@ def test_track_constant_operators():
     scene = random_scene(rng, 5, 0.6, n_background=2)
     ts = transition(scene, 1.0)
     ms = [cm_scattering(ts.S, ts.S_b, n_modes=6) for _ in range(3)]
-    main = [tr for tr in track_modes(ms) if len(tr.points) == 3]
+    ids = track_modes(ms)
+    main = set.intersection(*(set(point.tolist()) for point in ids))
     assert len(main) == 6
-    for tr in main:
-        assert tr.modes == [tr.modes[0]] * 3
+    for trace_id in main:
+        modes = [int(np.flatnonzero(point == trace_id)[0]) for point in ids]
+        assert modes == [modes[0]] * 3
 
 
 def test_track_mie_crossing_keeps_identity():
@@ -395,15 +397,34 @@ def test_track_mie_crossing_keeps_identity():
     mags = np.abs(analytic)  # columns: TE1, TM1
     assert (mags[0, 0] > mags[0, 1]) != (mags[-1, 0] > mags[-1, 1])  # they swap
 
-    long = [tr for tr in track_modes(sets) if len(tr.points) == len(kas)]
+    ids = track_modes(sets)
+    # the t of each trace present at every point
+    long = [[ms.t[point == trace_id][0] for ms, point in zip(sets, ids)]
+            for trace_id in sorted(set.intersection(*(set(point.tolist()) for point in ids)))]
     assert long
     matched = 0
     for col in range(2):
-        for tr in long:
-            if np.allclose(np.abs(np.array(tr.t)), mags[:, col], atol=1e-12):
+        for t in long:
+            if np.allclose(np.abs(np.array(t)), mags[:, col], atol=1e-12):
                 matched += 1
                 break
     assert matched == 2
+
+
+def test_track_numbers_unmatched_modes_with_the_next_free_ids():
+    # 3 modes, then 4 whose 4th overlaps no earlier mode, then 2: matched
+    # modes take their partner's id, and an unmatched one the next free id
+    eye = np.eye(5, dtype=complex)
+
+    def modeset(cols):
+        return ModeSet(s=np.ones(len(cols), dtype=complex), a=eye[:, cols], f=eye[:, cols])
+
+    sets = [modeset([0, 1, 2]), modeset([1, 0, 2, 3]), modeset([4, 3])]
+    ids = track_modes(sets)
+    assert [point.tolist() for point in ids] == [[0, 1, 2], [1, 0, 2, 3], [4, 3]]
+    assert all(len(set(point.tolist())) == point.size for point in ids)
+    assert [3 in point for point in ids] == [False, True, True]  # one trace, two points
+    assert track_modes([]) == []
 
 
 def test_track_dimension_mismatch():

@@ -503,6 +503,19 @@ def test_tool_loads(tool, monkeypatch):
     assert callable(runpy.run_path(str(tool), run_name="tool")["main"])
 
 
+def test_compare_outputs_finds_a_tree_identical_to_itself(monkeypatch, capsys):
+    # both sides this tree's src/: one dipole-sweep run under one solver,
+    # with every exit code and file identical, exits 0
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = next(path for path in TOOLS if path.stem == "compare_outputs")
+    main = runpy.run_path(str(tool), run_name="tool")["main"]
+    root = Path(__file__).resolve().parents[1]
+    assert main(["--parent-src", str(root / "src"), "--workload", "dipole-sweep",
+                 "--seeds", "1", "--solver", "dense-scattering"]) == 0
+    out = capsys.readouterr().out
+    assert "exit 0/0" in out and "1 of 1 runs identical" in out
+
+
 def test_bench_iterative_times_every_part_it_names(monkeypatch, capsys):
     # every part the stage tool times is called on a cloud point and on a
     # hybrid-sweep point (folded in as run folds it), so no part reads 0 ms;
