@@ -509,11 +509,27 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = next(path for path in TOOLS if path.stem == "compare_outputs")
     main = runpy.run_path(str(tool), run_name="tool")["main"]
+    monkeypatch.setitem(main.__globals__, "solvers", lambda name: ["dense-scattering"])
     root = Path(__file__).resolve().parents[1]
     assert main(["--parent-src", str(root / "src"), "--workload", "dipole-sweep",
-                 "--seeds", "1", "--solver", "dense-scattering"]) == 0
+                 "--seeds", "1"]) == 0
     out = capsys.readouterr().out
     assert "exit 0/0" in out and "1 of 1 runs identical" in out
+
+
+def test_compare_outputs_fails_a_run_both_sides_fail(monkeypatch, capsys):
+    # a solver name no scenario accepts: both sides exit nonzero and write
+    # nothing, which is no comparison, so the run is a DIFF and the tool exits 1
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = next(path for path in TOOLS if path.stem == "compare_outputs")
+    main = runpy.run_path(str(tool), run_name="tool")["main"]
+    monkeypatch.setitem(main.__globals__, "solvers", lambda name: ["no-such-solver"])
+    root = Path(__file__).resolve().parents[1]
+    assert main(["--parent-src", str(root / "src"), "--workload", "dipole-sweep",
+                 "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("DIFF") and "traces.csv absent" in out
+    assert "exit 0/0" not in out and "0 of 1 runs identical" in out
 
 
 def test_bench_iterative_times_every_part_it_names(monkeypatch, capsys):

@@ -4,15 +4,14 @@ Usage (from the repository root)::
 
     mkdir -p /tmp/other && git archive REV src | tar -x -C /tmp/other
     python3 tools/compare_outputs.py --parent-src /tmp/other/src
-        [--workload NAME|all] [--seeds 1 7] [--solver NAME]
+        [--workload NAME|all] [--seeds 1 7]
 
 For each workload of ``perfbench/scenarios.py`` (read, never changed) and each
 seed it writes the seeded scenario and runs ``scatmodes run --jobs 1
 --dump-vectors`` on it twice, with this tree's ``src/`` and with the other one
 on ``PYTHONPATH``: under the workload's solver and its reference, and
 dipole-sweep and hybrid-sweep also under the four formulations
-(dense-scattering, dense-impedance, t-form, iterative).  ``--solver`` runs
-that one solver name only.
+(dense-scattering, dense-impedance, t-form, iterative).
 
 Prints, per run, both exit codes and whether ``traces.csv``, ``vectors.json``
 and ``diagnostics.json`` (without its ``blas`` record, which names the host's
@@ -20,7 +19,9 @@ thread pools) are identical.  Where ``traces.csv`` differs, the ``compare``
 deviation of the two; where ``diagnostics.json`` does, the keys (top level,
 or ``per_frequency.KEY`` of the points) that only this tree writes (``+``),
 only the other one writes (``-``) or that both write with other values
-(``~``).  Exits 0 only when every exit code and file is identical, else 1.
+(``~``).  A run counts as identical only when both sides exit 0 and write
+every file, and the files are identical; the tool exits 0 only when every
+run is, else 1.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ def compare_run(ours: Path, theirs: Path) -> tuple[bool, list[str]]:
     for name in FILES:
         a, b = ours / name, theirs / name
         if not (a.exists() and b.exists()):
-            equal = a.exists() == b.exists()
-            notes.append(f"{name} {'absent' if equal else 'written by one side only'}")
+            equal = False
+            one_side = "written by one side only" if a.exists() or b.exists() else "absent"
+            notes.append(f"{name} {one_side}")
         elif name == "diagnostics.json":
             ours_d, theirs_d = _diagnostics(a), _diagnostics(b)
             equal = json.dumps(ours_d, sort_keys=True) == json.dumps(theirs_d, sort_keys=True)
@@ -118,8 +120,6 @@ def main(argv=None):
                         help="the other tree's src/ directory, holding scatmodes/")
     parser.add_argument("--workload", default="all", choices=[*WORKLOADS, "all"])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 7])
-    parser.add_argument("--solver", default=None,
-                        help="run this solver name only, instead of each workload's set")
     args = parser.parse_args(argv)
     other = args.parent_src.resolve()
     if not (other / "scatmodes" / "cli.py").is_file():
@@ -130,7 +130,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             for seed in args.seeds:
-                for solver in [args.solver] if args.solver else solvers(name):
+                for solver in solvers(name):
                     case = Path(tmp) / f"{name}-{seed}-{solver}"
                     case.mkdir()
                     path = case / "scenario.json"
@@ -138,7 +138,7 @@ def main(argv=None):
                     codes = [run(src, path, case / side)
                              for src, side in ((ROOT / "src", "ours"), (other, "theirs"))]
                     same, notes = compare_run(case / "ours", case / "theirs")
-                    ok = same and codes[0] == codes[1]
+                    ok = same and codes == [0, 0]
                     total += 1
                     failures += not ok
                     print(f"{'ok  ' if ok else 'DIFF'} {name} seed {seed} {solver}: "
