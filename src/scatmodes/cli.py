@@ -115,8 +115,11 @@ def _field(obj: dict, key: str, context: str, valid=None, what: str = "",
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def _is_count(value, minimum: int = 1) -> bool:
@@ -127,7 +130,7 @@ def _shape(value):
     """Shape of ``value`` read as an array of finite floats; None if it is not one."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return arr.shape if np.isfinite(arr).all() else None
 
@@ -199,7 +202,9 @@ def parse_scenario(raw: dict) -> dict:
     sweep = _field(raw, "sweep", "")
     f_min = _field(sweep, "f_min", "sweep.", _is_number, "a finite number")
     f_max = _field(sweep, "f_max", "sweep.", _is_number, "a finite number")
-    n_points = _field(sweep, "n_points", "sweep.", _is_count, "an integer >= 1")
+    n_points = _field(sweep, "n_points", "sweep.",
+                      lambda v: _is_count(v) and 8 * v <= swe.physical_memory(),
+                      "an integer >= 1 whose frequency grid fits in physical memory")
     if not 0 < f_min <= f_max:
         raise ScenarioError("sweep must satisfy 0 < f_min <= f_max")
     solver = _field(raw, "solver", "")
@@ -233,6 +238,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario file is not UTF-8 text (byte {err.start}): {err.reason}")
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario is not valid JSON (line {err.lineno}): {err.msg}")
+    except ValueError as err:  # e.g. an integer literal beyond Python's digit limit
+        raise ScenarioError(f"scenario cannot be read: {err}")
     return parse_scenario(raw)
 
 
@@ -576,11 +583,9 @@ def run_checks(sc: dict) -> dict:
                 entry["parity_leakage"] = \
                     parity_leakage(transition(mirror_scene(scene), k, wave_basis))
 
-            # S, S_b and T on all waves and port channels, checked densely;
-            # the engine's own check is reused where it was that one
-            engine_dense = ms.diagnostics["unitarity_form"] == "dense"
-            for key, op in (("unitarity_S", blocks.S), ("unitarity_S_b", blocks.S_b)):
-                entry[key] = ms.diagnostics[key] if engine_dense else check_unitary(op)
+            # S, S_b and T on all waves and port channels, checked densely
+            entry["unitarity_S"] = check_unitary(blocks.S)
+            entry["unitarity_S_b"] = check_unitary(blocks.S_b)
             entry["t_power"] = check_t_power(blocks.T)
             entry["max_circle_deviation"] = float(ms.circle_deviation.max(initial=0.0))
             entry["orthogonality"] = ms.orthogonality
@@ -606,15 +611,17 @@ def run_checks(sc: dict) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _int_at_least(lower: int):
-    """Argument type of an integer of at least ``lower`` (``--jobs`` 1, ``--seed`` 0)."""
-    def parse(text: str) -> int:
+def _at_least(lower, kind=int):
+    """Argument type of a finite ``kind`` of at least ``lower`` (``--jobs`` 1, ``--seed`` 0,
+    ``--tol`` 0.0)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
             value = lower - 1
-        if value < lower:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lower}, got {text!r}")
+        if not lower <= value < math.inf:
+            what = "an integer" if kind is int else "a finite number"
+            raise argparse.ArgumentTypeError(f"expected {what} >= {lower}, got {text!r}")
         return value
     return parse
 
@@ -630,17 +637,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="sweep a scenario and write modal traces")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=_int_at_least(1), default=None,
+    p_run.add_argument("--jobs", type=_at_least(1), default=None,
                        help="points solved at once, which also sizes the BLAS thread "
                             "pools (default: available cores)")
-    p_run.add_argument("--seed", type=_int_at_least(0), default=42,
+    p_run.add_argument("--seed", type=_at_least(0), default=42,
                        help="random seed for the iterative start vector")
     p_run.add_argument("--dump-vectors", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="compare two traces.csv files")
     p_cmp.add_argument("result_a")
     p_cmp.add_argument("result_b")
-    p_cmp.add_argument("--tol", type=float, required=True)
+    p_cmp.add_argument("--tol", type=_at_least(0.0, float), required=True)
 
     p_chk = sub.add_parser("checks", help="run only the invariant suite")
     p_chk.add_argument("--scenario", required=True)

@@ -19,10 +19,12 @@ from .dipoles import BlockImpedance
 from .exceptions import DomainError, ShapeError
 from .modes import ModeSet, ScatterOracle, _eig_orthonormal
 
-#: columns the default starting block carries beyond ``n_modes``
+#: columns the starting block carries beyond ``n_modes``
 OVERSAMPLING = 2
 #: largest residual ``||N x - theta x||`` of a returned Ritz pair that counts as converged
 TOL_RESIDUAL = 1e-8
+#: applications of N after which the iteration stops unconverged
+MAX_ITER = 60
 
 
 def composed_matvec(oracle: ScatterOracle | BlockImpedance, x: np.ndarray) -> np.ndarray:
@@ -48,19 +50,19 @@ def _extension(q: np.ndarray, block: np.ndarray) -> np.ndarray:
     return w[:, :int(np.count_nonzero(np.abs(np.diag(r)) > 1e-12 * scale))]
 
 
-def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: int = 60,
-            seed: int | None = 42, start: np.ndarray | None = None) -> ModeSet:
+def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5,
+            seed: int | None = 42) -> ModeSet:
     """Estimate the dominant modes of the composed operator N by block Krylov-Rayleigh-Ritz.
 
-    A ``ScatterOracle`` is first probed (``oracle.validate``); a ``BlockImpedance`` is trusted.
-    The starting block (``start``, dim x p of rank p >= ``n_modes``; by default ``n_modes +
-    OVERSAMPLING`` complex Gaussian columns drawn from ``seed``) and each response of N to the
-    newest block extend an orthonormal basis Q of the block Krylov space, so every mode of an
-    eigenspace of multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of
+    A ``ScatterOracle`` was probed when made and a ``BlockImpedance`` is trusted, so both are
+    taken alike.  The starting block (p = min(``n_modes + OVERSAMPLING``, dim) complex Gaussian
+    columns drawn from ``seed``) and each response of N to the newest block extend an
+    orthonormal basis Q of the block Krylov space, so every mode of an eigenspace of
+    multiplicity up to p is found.  The ``n_modes`` Ritz pairs of ``Q^H N Q`` of
     largest |t| are returned, excitations ``a`` with ``f = a + 2 T_b a`` from one more
     background application, once each residual ``||N x - theta x||`` (x a unit vector) is at
     most ``TOL_RESIDUAL``: N is normal, so each Ritz value then lies that close to an
-    eigenvalue (Bauer-Fike).  The iteration also stops after ``max_iter`` applications of N,
+    eigenvalue (Bauer-Fike).  The iteration also stops after ``MAX_ITER`` applications of N,
     or where a response adds no direction to Q (``reason == "invariant"``).  The diagnostics
     hold ``iterations``, ``converged``, ``reason``, ``residuals`` (the largest after each
     application) and ``krylov_basis`` (Q).  As every engine, it returns min(``n_modes``,
@@ -70,15 +72,9 @@ def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: 
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     n_modes = min(n_modes, oracle.dim)
     rng = np.random.default_rng(seed)
-    if isinstance(oracle, ScatterOracle):
-        oracle.validate(rng)
-    if start is None:
-        p = min(oracle.dim, n_modes + OVERSAMPLING)
-        start = rng.standard_normal((oracle.dim, p)) + 1j * rng.standard_normal((oracle.dim, p))
-    q = _extension(np.zeros((oracle.dim, 0), dtype=complex),
-                   np.asarray(start, dtype=complex).reshape(oracle.dim, -1))
-    if q.shape[1] < n_modes:
-        raise DomainError(f"a start block of rank {q.shape[1]} cannot hold {n_modes} modes")
+    p = min(oracle.dim, n_modes + OVERSAMPLING)
+    start = rng.standard_normal((oracle.dim, p)) + 1j * rng.standard_normal((oracle.dim, p))
+    q = _extension(np.zeros((oracle.dim, 0), dtype=complex), start)
 
     f = block = composed_matvec(oracle, q)
     residuals, reason = [], "max_iter"
@@ -90,7 +86,7 @@ def iterate(oracle: ScatterOracle | BlockImpedance, n_modes: int = 5, max_iter: 
         if residuals[-1] <= TOL_RESIDUAL:
             reason = "residual"
             break
-        if len(residuals) == max_iter:
+        if len(residuals) == MAX_ITER:
             break
         new = _extension(q, block)
         if new.shape[1] == 0:

@@ -42,15 +42,14 @@ class ModeSet:
     Columns of ``a`` (excitations) and ``f`` (scattered fields, ``f_n =
     S_b a_n``) are unit vectors, ordered by modal significance ``|t_n|``
     descending; every engine returns both, for the modes it was asked for
-    (its ``n_modes``).  ``currents_c`` holds the controllable eigencurrents
-    when a decomposition produces them.  ``diagnostics`` carries residuals
-    of the invariant checks performed while solving.
+    (its ``n_modes``).  ``diagnostics`` carries residuals of the invariant
+    checks performed while solving; ``recover_currents`` gives the
+    eigencurrents of a mode set on its blocks.
     """
 
     s: np.ndarray
     a: np.ndarray
     f: np.ndarray
-    currents_c: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -162,7 +161,8 @@ class ScatterOracle:
     ``apply`` and ``apply_background`` map a (dim, p) block of excitations to
     ``T x`` and ``T_b x`` (``S = I + 2 T``, ``S_b = I + 2 T_b``).  Both must be
     linear and complex symmetric (reciprocity, so ``S_b^H y = conj(S_b
-    conj(y))``); ``iterate`` probes that (``validate``).  The library's own
+    conj(y))``), which construction probes on random vectors of a fixed seed
+    (to 1e-10 relative, else ``DomainError``).  The library's own
     ``BlockImpedance`` is a pencil of its own and needs no oracle.
     """
 
@@ -173,18 +173,7 @@ class ScatterOracle:
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("oracle dimension must be positive")
-
-    @classmethod
-    def from_matrices(cls, T, T_b) -> "ScatterOracle":
-        """Oracle backed by the dense n x n matrices T and T_b."""
-        t = np.asarray(T)
-        tb = np.asarray(T_b)
-        if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ShapeError(f"operator shapes {t.shape} / {tb.shape} unusable")
-        return cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x, dim=t.shape[0])
-
-    def validate(self, rng: np.random.Generator) -> None:
-        """Probe linearity and complex symmetry (to 1e-10 relative) on a block of random vectors."""
+        rng = np.random.default_rng(0)
         xy = rng.standard_normal((self.dim, 2)) + 1j * rng.standard_normal((self.dim, 2))
         c1, c2 = 0.37 - 1.1j, -0.64 + 0.2j
         block = np.column_stack([xy, c1 * xy[:, 0] + c2 * xy[:, 1]])
@@ -198,6 +187,15 @@ class ScatterOracle:
             if sym > 1e-10 * scale:
                 raise DomainError(f"oracle {name} is not complex symmetric ({sym:.2e}); "
                                   "the conjugation trick needs reciprocal operators")
+
+    @classmethod
+    def from_matrices(cls, T, T_b) -> "ScatterOracle":
+        """Oracle backed by the dense n x n matrices T and T_b."""
+        t = np.asarray(T)
+        tb = np.asarray(T_b)
+        if t.shape != tb.shape or t.ndim != 2 or t.shape[0] != t.shape[1]:
+            raise ShapeError(f"operator shapes {t.shape} / {tb.shape} unusable")
+        return cls(apply=lambda x: t @ x, apply_background=lambda x: tb @ x, dim=t.shape[0])
 
 
 def _range_schur(blocks: BlockImpedance):
@@ -322,7 +320,7 @@ def cm_t_form(T, T_b, representation: str = "excitation", basis=None,
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
     t_mat = np.asarray(T)
     tb_mat = np.asarray(T_b)
-    if t_mat.shape != tb_mat.shape or t_mat.shape[0] != t_mat.shape[1]:
+    if t_mat.shape != tb_mat.shape or t_mat.ndim != 2 or t_mat.shape[0] != t_mat.shape[1]:
         raise ShapeError(f"T {t_mat.shape} and T_b {tb_mat.shape} must be square and equal")
     tbh = tb_mat.conj().T
     if representation == "excitation":
@@ -417,8 +415,8 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     ``n_modes`` (at least 1) keeps the ``n_modes`` most significant of the 3 N_c
     modes, or fills up to ``n_modes`` modes with ``s = 1``, as
     ``cm_scattering``'s range engine does: their a orthonormal and orthogonal
-    to the engine's, ``f = S_b a``, zero currents.  Without it all 3 N_c modes
-    are returned.
+    to the engine's, ``f = S_b a``.  Without it all 3 N_c modes are returned;
+    ``recover_currents`` gives their eigencurrents.
 
     Accuracy note: this formulation inherits the conditioning of the
     compressed radiation matrix, which is numerically rank deficient for
@@ -435,7 +433,6 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     """
     if n_modes is not None and n_modes < 1:
         raise DomainError(f"n_modes must be at least 1, got {n_modes}")
-    nc = blocks.n_c
     r_t, x_t = blocks.Z_tilde.real, blocks.Z_tilde.imag
     r_t = 0.5 * (r_t + r_t.T)
     x_t = 0.5 * (x_t + x_t.T)
@@ -459,7 +456,7 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
         if bad.any():
             raise SolveError(
                 f"compressed radiation matrix is indefinite or singular: {bad.sum()} of "
-                f"{nc} eigencurrents radiate no positive power, so the impedance "
+                f"{blocks.n_c} eigencurrents radiate no positive power, so the impedance "
                 "formulation cannot normalise them; use a scattering solver "
                 "(dense-scattering, t-form or iterative)")
         i_c = i_c / np.sqrt(power)[None, :]
@@ -470,14 +467,13 @@ def cm_impedance_substructure(blocks: BlockImpedance, n_modes: int | None = None
     a = np.conj(blocks.apply_sb(np.conj(f)))
 
     order = _mode_order(t_vals, f, blocks.basis)[:n_modes]
-    t_vals, a, f, i_c = t_vals[order], a[:, order], f[:, order], i_c[:, order]
+    t_vals, a, f = t_vals[order], a[:, order], f[:, order]
     n_pad = 0 if n_modes is None else min(n_modes, blocks.dim) - t_vals.size
     if n_pad > 0:  # the s = 1 modes, from the complement of the engine's excitations
         a_pad = _complement(a, n_pad)
         t_vals = np.concatenate([t_vals, np.zeros(n_pad, dtype=complex)])
         a, f = np.hstack([a, a_pad]), np.hstack([f, blocks.apply_sb(a_pad)])
-        i_c = np.hstack([i_c, np.zeros((nc, n_pad), dtype=complex)])
-    return ModeSet(s=1.0 + 2.0 * t_vals, a=a, f=f, currents_c=i_c, diagnostics=diag)
+    return ModeSet(s=1.0 + 2.0 * t_vals, a=a, f=f, diagnostics=diag)
 
 
 def tilde_tmatrix(blocks: BlockImpedance) -> tuple[np.ndarray, float]:

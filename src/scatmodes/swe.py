@@ -35,6 +35,12 @@ _ORIGIN_TM1 = 1.0 / math.sqrt(6.0 * math.pi)
 _ORIGIN_AXIS = {-1: 1, 0: 2, 1: 0}  # m -> axis index (y, z, x)
 
 
+def physical_memory() -> float:
+    """Bytes of physical memory, infinite where the platform does not say."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
+        if hasattr(os, "sysconf") else math.inf
+
+
 @dataclass(frozen=True)
 class WaveBasis:
     """Every spherical vector wave of degree 1 <= l <= ``l_max``, compared and hashed by
@@ -53,8 +59,7 @@ class WaveBasis:
         if self.l_max < 1:
             raise DomainError(f"l_max must be >= 1, got {self.l_max}")
         n = 2 * self.l_max * (self.l_max + 2)
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") \
-            if hasattr(os, "sysconf") else math.inf
+        memory = physical_memory()
         if 16 * n * n > memory:
             raise ResolutionError(f"wave basis l_max={self.l_max} has n={n} waves: one n x n "
                                   f"complex operator needs {16 * n * n} bytes, more than the "

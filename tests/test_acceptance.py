@@ -231,7 +231,7 @@ def test_criterion_6_iterative_solver(equivalence_results):
             err /= max(np.linalg.norm(composed @ x), 1e-300)
             assert err < 1e-12
             worst_mv = max(worst_mv, err)
-        est = iterate(oracle, n_modes=5, max_iter=60)
+        est = iterate(oracle, n_modes=5)
         assert est.diagnostics["iterations"] <= 60
         dense_top = np.abs(res["ms_exc"].t[:5])
         err = np.abs(dense_top - np.abs(est.t[:5])).max()

@@ -618,6 +618,19 @@ def test_hybrid_u4_failure_stands_when_more_degrees_do_not_help(tmp_path, capsys
     assert "ResolutionError: U4 truncation residual" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "tight"])
+def test_compare_tol_that_is_not_a_finite_number_at_least_0_is_a_usage_error(tmp_path, capsys,
+                                                                             tol):
+    # a NaN tolerance would fail identical files, a negative one every pair
+    traces = _one_row_traces(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", traces, traces, "--tol", tol])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: expected a finite number >= 0.0, got '{tol}'" in err
+    assert main(["compare", traces, traces, "--tol", "0"]) == 0
+
+
 def _set(path, value):
     """Scenario with the field at ``path`` (a key sequence) set to ``value``."""
     scn = _scenario()
@@ -676,6 +689,47 @@ def test_malformed_field_is_a_scenario_error(tmp_path, capsys, path, value, fiel
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+#: a 400-digit JSON integer literal, beyond the float range
+HUGE = 10 ** 399
+
+OVERSIZED_FIELDS = [
+    (("scene", "dipoles", 0, "position"), [HUGE, 0.0, 0.0], "scene.dipoles[0].position"),
+    (("scene", "dipoles", 0, "polarizability"), HUGE, "scene.dipoles[0].polarizability"),
+    (("scene", "ports"), [{"dipole": 0, "axis": "x", "z0": HUGE}], "scene.ports[0].z0"),
+    (("scene", "sphere"), {"radius": HUGE}, "scene.sphere.radius"),
+    (("scene", "sphere"), {"radius": 0.02, "material": "dielectric", "eps_r": HUGE},
+     "scene.sphere.eps_r"),
+    (("sweep", "f_min"), HUGE, "sweep.f_min"),
+    (("sweep", "f_max"), HUGE, "sweep.f_max"),
+    (("sweep", "n_points"), HUGE, "sweep.n_points"),
+    (("tolerances",), {"unitarity": HUGE}, "tolerances.unitarity"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", OVERSIZED_FIELDS,
+                         ids=[field for _, _, field in OVERSIZED_FIELDS])
+def test_oversized_integer_is_a_scenario_error(tmp_path, capsys, path, value, field):
+    # JSON integers are read as Python ints: one past the float range (or a grid count
+    # past physical memory) is refused with the field named, never an OverflowError
+    scenario = _write(tmp_path, _set(path, value))
+    for command in (["run", "--scenario", scenario, "--out", str(tmp_path / "o")],
+                    ["checks", "--scenario", scenario]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and f"'{field}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "checks"])
+def test_an_integer_past_the_digit_limit_is_a_scenario_error(tmp_path, capsys, command):
+    # json itself refuses integer literals of more than sys.get_int_max_str_digits() digits
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_scenario()).replace('"n_points": 3', '"n_points": ' + "9" * 5000))
+    assert main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: scenario cannot be read: Exceeds the limit")
 
 
 def test_sphere_ranges_are_the_library_s():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as la
 from numpy.testing import assert_allclose
 
+from scatmodes import iterative
 from scatmodes import (
     DipoleScene,
     DomainError,
@@ -56,27 +57,33 @@ def test_composed_matvec_against_dense_product():
 def test_symmetry_probe_rejects_nonreciprocal_operator():
     rng = np.random.default_rng(2)
     t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))  # not symmetric
-    oracle = ScatterOracle.from_matrices(t, np.zeros_like(t))
-    with pytest.raises(DomainError):
-        oracle.validate(rng)
+    with pytest.raises(DomainError, match="not complex symmetric"):
+        ScatterOracle.from_matrices(t, np.zeros_like(t))
+
+
+def test_callback_oracle_on_a_nonsymmetric_matrix_is_refused_when_made():
+    # the probe runs at construction, so composed_matvec never sees an operator whose
+    # conjugation trick would give a wrong composed product
+    a = np.triu(np.ones((6, 6))) + 0j
+    with pytest.raises(DomainError, match="apply is not complex symmetric"):
+        ScatterOracle(lambda x: a @ x, lambda x: 0 * x, dim=6)
+    with pytest.raises(DomainError, match="apply_background is not complex symmetric"):
+        ScatterOracle(lambda x: 0 * x, lambda x: a @ x, dim=6)
 
 
 def test_linearity_probe():
-    calls = {"n": 0}
-
     def nonlinear(x):
-        calls["n"] += 1
         return x + 1e-3 * np.abs(x)
 
-    oracle = ScatterOracle(apply=nonlinear, apply_background=lambda x: 0 * x, dim=5)
-    with pytest.raises(DomainError):
-        oracle.validate(np.random.default_rng(0))
+    with pytest.raises(DomainError, match="linearity probe"):
+        ScatterOracle(apply=nonlinear, apply_background=lambda x: 0 * x, dim=5)
 
 
 @pytest.mark.parametrize("pencil", ["blocks", "non-reciprocal-matrices", "non-linear-callback"])
 def test_iterate_probes_only_pencils_not_built_from_blocks(pencil):
     # blocks are trusted: Z is solved once per application of N and never for a
-    # probe; matrices and callbacks are probed, and the probe still rejects bad ones
+    # probe; matrices and callbacks are probed when the oracle is made, and the
+    # probe rejects bad ones before iterate can take them
     rng = np.random.default_rng(45)
     if pencil == "blocks":
         blocks = transition(random_scene(rng, 6, 0.6, n_background=2), 1.0)
@@ -85,40 +92,41 @@ def test_iterate_probes_only_pencils_not_built_from_blocks(pencil):
         ms = iterate(blocks, n_modes=3)
         assert len(calls) == ms.diagnostics["iterations"]
         return
-    if pencil == "non-reciprocal-matrices":
-        t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        oracle = ScatterOracle.from_matrices(t, np.zeros_like(t))
-    else:
-        oracle = ScatterOracle(apply=lambda x: x + 1e-3 * np.abs(x),
-                               apply_background=lambda x: 0 * x, dim=5)
     with pytest.raises(DomainError):
-        iterate(oracle, n_modes=3)
+        if pencil == "non-reciprocal-matrices":
+            t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            ScatterOracle.from_matrices(t, np.zeros_like(t))
+        else:
+            ScatterOracle(apply=lambda x: x + 1e-3 * np.abs(x),
+                          apply_background=lambda x: 0 * x, dim=5)
 
 
 def test_invariant_subspace_exactness():
-    # a start block spanning an invariant subspace: one block of responses
-    # adds no direction, and the Ritz pairs are exact
-    d = np.diag([-1.0, -0.5, -0.1] + [0.0] * 9).astype(complex)
+    # n_modes + OVERSAMPLING = 5 seeded columns span all of C^5, an invariant
+    # subspace: the Ritz pairs of the first block are exact
+    d = np.diag([-1.0, -0.5, -0.1, 0.0, 0.0]).astype(complex)
     oracle = ScatterOracle.from_matrices(d, np.zeros_like(d))
-    start = np.zeros((12, 3), dtype=complex)
-    start[:3] = [[1.0, 2.0, -1.0], [0.5, -1.0, 3.0], [2.0, 0.0, 1.0]]
-    ms = iterate(oracle, n_modes=3, max_iter=10, start=start)
+    ms = iterate(oracle, n_modes=3)
     assert ms.diagnostics["converged"] and ms.diagnostics["iterations"] == 1
     assert_allclose(np.sort(ms.t.real), [-1.0, -0.5, -0.1], atol=1e-12)
     assert np.abs(ms.t.imag).max() < 1e-12
 
 
-def test_start_block_narrower_than_n_modes_is_refused():
-    d = np.diag(np.arange(6.0)).astype(complex)
-    oracle = ScatterOracle.from_matrices(d, np.zeros_like(d))
-    with pytest.raises(DomainError, match="start block"):
-        iterate(oracle, n_modes=3, start=np.ones(6))
+def test_invariant_stop_when_a_response_adds_no_direction():
+    # the seeded block spans C^4, so the first response adds nothing to Q; at |t| ~ 1e8
+    # the rounding residual (about 1e-7) stays above TOL_RESIDUAL, so the stop is "invariant"
+    d = np.diag(1e8 * np.array([-1.0, -0.5, -0.25, -0.1])).astype(complex)
+    ms = iterate(ScatterOracle.from_matrices(d, np.zeros_like(d)), n_modes=2)
+    assert ms.diagnostics["reason"] == "invariant" and ms.diagnostics["iterations"] == 1
+    assert ms.diagnostics["residuals"][-1] > iterative.TOL_RESIDUAL
+    assert ms.diagnostics["converged"] is False
+    assert_allclose(ms.t.real, [-1e8, -0.5e8], rtol=1e-14)
 
 
 def test_zero_operator_terminates_immediately():
     z = np.zeros((10, 10), dtype=complex)
     oracle = ScatterOracle.from_matrices(z, z)
-    ms = iterate(oracle, n_modes=3, max_iter=20)
+    ms = iterate(oracle, n_modes=3)
     assert ms.diagnostics["converged"]
     assert ms.diagnostics["iterations"] <= 2
     assert np.abs(ms.t).max() == 0.0
@@ -132,7 +140,7 @@ def test_matches_dense_on_random_scene():
     assert ts.S.shape[0] <= 300
     dense = cm_t_form(ts.T, ts.T_b)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms = iterate(oracle, n_modes=5, max_iter=60)
+    ms = iterate(oracle, n_modes=5)
     assert ms.diagnostics["iterations"] <= 60
     assert np.abs(np.abs(dense.t[:5]) - np.abs(ms.t[:5])).max() < 1e-6
 
@@ -142,7 +150,7 @@ def test_krylov_basis_orthonormal():
     scene = random_scene(rng, 7, 0.7, n_background=3)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms = iterate(oracle, n_modes=4, max_iter=40)
+    ms = iterate(oracle, n_modes=4)
     q = ms.diagnostics["krylov_basis"]
     assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-10
 
@@ -155,7 +163,7 @@ def test_nested_subspace_coverage_monotone():
     scene = random_scene(rng, 6, 0.6, n_background=2)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms = iterate(oracle, n_modes=4, max_iter=30)
+    ms = iterate(oracle, n_modes=4)
     q = ms.diagnostics["krylov_basis"]
     probe = composed_matvec(oracle, ms.a[:, 0])
     errs = []
@@ -172,7 +180,7 @@ def test_residual_reaches_tolerance():
     scene = random_scene(rng, 5, 0.5, n_background=2)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms = iterate(oracle, n_modes=3, max_iter=60)
+    ms = iterate(oracle, n_modes=3)
     assert ms.diagnostics["converged"] and ms.diagnostics["reason"] == "residual"
     assert ms.diagnostics["residuals"][-1] <= 1e-8
     tbh = ts.T_b.conj().T
@@ -190,12 +198,13 @@ def test_n_modes_exceeds_dimension():
     assert ms.diagnostics["converged"]
 
 
-def test_max_iter_returns_nonconverged_estimate():
+def test_max_iter_returns_nonconverged_estimate(monkeypatch):
     rng = np.random.default_rng(40)
     scene = random_scene(rng, 8, 0.8, n_background=3)
     ts = transition(scene, 1.0)
     oracle = ScatterOracle.from_matrices(ts.T, ts.T_b)
-    ms = iterate(oracle, n_modes=5, max_iter=1)
+    monkeypatch.setattr(iterative, "MAX_ITER", 1)
+    ms = iterate(oracle, n_modes=5)
     assert ms.diagnostics["reason"] == "max_iter" and ms.diagnostics["iterations"] == 1
     assert ms.diagnostics["residuals"][-1] > 1e-8
     assert ms.diagnostics["converged"] is False
@@ -233,8 +242,8 @@ def test_composed_matvec_of_a_block_is_the_columnwise_product():
 def test_block_oracle_acts_as_the_dense_operators(bank):
     # T and T_b through the factors: the blocks' composed action, S_b and T - T_b (the
     # latter through the Schur complement) equal those of the n x n matrices, and an
-    # oracle on the blocks' actions passes its probes (a hybrid's readout is complex
-    # and its T_b carries the sphere's Mie offset)
+    # oracle on the blocks' actions passes its probes when made (a hybrid's readout is
+    # complex and its T_b carries the sphere's Mie offset)
     rng = np.random.default_rng(43)
     scene = random_scene(rng, 8, 0.7, n_background=3)
     if bank == "port":
@@ -248,7 +257,7 @@ def test_block_oracle_acts_as_the_dense_operators(bank):
         scene = DipoleScene(scene.positions, scene.polarizability, scene.region, sphere=sphere)
     blocks = assemble_hybrid(scene, 1.0, residual_tol=1.0) if bank == "hybrid" \
         else transition(scene, 1.0)
-    ScatterOracle(blocks.apply, blocks.apply_background, blocks.dim).validate(rng)
+    ScatterOracle(blocks.apply, blocks.apply_background, blocks.dim)
     t, t_b = blocks.T, blocks.T_b
     x = rng.standard_normal((blocks.dim, 5)) + 1j * rng.standard_normal((blocks.dim, 5))
     for got, want in ((composed_matvec(blocks, x),

@@ -9,6 +9,7 @@ from scatmodes import (
     DipoleScene,
     Port,
     ShapeError,
+    ScatterOracle,
     SolveError,
     SphereSpec,
     assemble_hybrid,
@@ -89,6 +90,20 @@ def test_cm_scattering_shape_error(two_region):
     _, _, ts = two_region
     with pytest.raises(ShapeError):
         cm_scattering(ts.S, np.eye(3))
+
+
+SHAPE_PAIRS = [((3,), (3,)), ((), ()), ((2, 3), (2, 3)), ((3, 3), (4, 4))]
+
+
+@pytest.mark.parametrize("shapes", SHAPE_PAIRS, ids=[f"{a}-{b}" for a, b in SHAPE_PAIRS])
+@pytest.mark.parametrize("entry", ["cm_scattering", "cm_t_form", "from_matrices"])
+def test_operators_that_are_not_one_square_pair_are_a_shape_error(entry, shapes):
+    # every matrix entry point refuses 1-D, 0-D, non-square and mismatched input alike
+    first, second = (np.zeros(shape, dtype=complex) for shape in shapes)
+    call = {"cm_scattering": cm_scattering, "cm_t_form": cm_t_form,
+            "from_matrices": ScatterOracle.from_matrices}[entry]
+    with pytest.raises(ShapeError):
+        call(first, second)
 
 
 def test_cm_scattering_orthogonality(two_region):
@@ -185,10 +200,12 @@ def test_impedance_no_background_is_classic_cm():
     ms_z = cm_impedance_substructure(ts)
     ms_s = cm_scattering(ts.S)
     assert matched_distance(ms_z.t, ms_s.t, threshold=1e-9) < 1e-8
-    # classic pencil: eigenvalues real, currents R-orthogonal
+    # classic pencil: eigenvalues real, currents R-orthogonal; a unit excitation's
+    # eigencurrent radiates |t|^2
     r = ts.Z_tilde.real
-    gram = ms_z.currents_c.conj().T @ r @ ms_z.currents_c
-    assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-8
+    i_c = recover_currents(ms_z, ts).currents_c
+    gram = i_c.conj().T @ r @ i_c
+    assert np.abs(gram - np.diag(np.abs(ms_z.t) ** 2)).max() < 1e-8
 
 
 def test_impedance_matches_scattering(two_region):

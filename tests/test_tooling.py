@@ -265,9 +265,9 @@ def test_checks_assemble_and_eliminate_once_per_point(case, monkeypatch):
 def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch):
     # checks runs on the blocks the run's solver works on: a port
     # scene's power-wave channels appended, a ground-plane scene image-reduced;
-    # S and S_b are checked densely once each, on all waves and channels (by
-    # the engine where its own check is dense)
-    from scatmodes import BlockImpedance, modes
+    # checks measures S and S_b itself, densely, once each, on all waves and
+    # channels, whatever form the engine's own unitarity figure took
+    from scatmodes import BlockImpedance
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     wave_basis, angular, points = cli._sweep_basis(sc)
@@ -287,8 +287,7 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
         return check_unitary(op, *args, **kwargs)
 
     monkeypatch.setattr(cli, "cm_scattering", recording_modes)
-    for module in (cli, modes):
-        monkeypatch.setattr(module, "check_unitary", recording_unitary)
+    monkeypatch.setattr(cli, "check_unitary", recording_unitary)
     report = cli.run_checks(sc)
     assert report["passed"], report
 
@@ -515,11 +514,14 @@ def test_compare_outputs_finds_a_tree_identical_to_itself(monkeypatch, capsys):
                  "--seeds", "1"]) == 0
     out = capsys.readouterr().out
     assert "exit 0/0" in out and "1 of 1 runs identical" in out
+    assert "ok   dipole-sweep seed 1 checks: exit 0/0; report identical" in out
+    assert "1 of 1 checks reports identical" in out
 
 
 def test_compare_outputs_fails_a_run_both_sides_fail(monkeypatch, capsys):
     # a solver name no scenario accepts: both sides exit nonzero and write
-    # nothing, which is no comparison, so the run is a DIFF and the tool exits 1
+    # nothing, which is no comparison, so the run is a DIFF and the tool exits 1;
+    # the checks report of the workload's own scenario still matches
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = next(path for path in TOOLS if path.stem == "compare_outputs")
     main = runpy.run_path(str(tool), run_name="tool")["main"]
@@ -529,7 +531,24 @@ def test_compare_outputs_fails_a_run_both_sides_fail(monkeypatch, capsys):
                  "--seeds", "1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("DIFF") and "traces.csv absent" in out
-    assert "exit 0/0" not in out and "0 of 1 runs identical" in out
+    assert "exit 0/0; traces" not in out and "0 of 1 runs identical" in out
+    assert "1 of 1 checks reports identical" in out
+
+
+def test_compare_outputs_fails_a_checks_report_both_sides_fail(monkeypatch, capsys):
+    # a scenario both sides refuse: the two checks print the same (nothing) but exit
+    # 2, which is no comparison either, so the report is a DIFF and the tool exits 1
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = next(path for path in TOOLS if path.stem == "compare_outputs")
+    main = runpy.run_path(str(tool), run_name="tool")["main"]
+    monkeypatch.setitem(main.__globals__, "solvers", lambda name: ["dense-scattering"])
+    monkeypatch.setitem(main.__globals__, "scenario", lambda name, seed: {"version": 1})
+    root = Path(__file__).resolve().parents[1]
+    assert main(["--parent-src", str(root / "src"), "--workload", "dipole-sweep",
+                 "--seeds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFF dipole-sweep seed 1 checks: exit 2/2; report identical" in out
+    assert "0 of 1 checks reports identical" in out
 
 
 def test_bench_iterative_times_every_part_it_names(monkeypatch, capsys):

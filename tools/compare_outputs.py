@@ -11,7 +11,9 @@ seed it writes the seeded scenario and runs ``scatmodes run --jobs 1
 --dump-vectors`` on it twice, with this tree's ``src/`` and with the other one
 on ``PYTHONPATH``: under the workload's solver and its reference, and
 dipole-sweep and hybrid-sweep also under the four formulations
-(dense-scattering, dense-impedance, t-form, iterative).
+(dense-scattering, dense-impedance, t-form, iterative).  On dipole-sweep and
+hybrid-sweep it also runs ``scatmodes checks`` on the scenario with both trees
+and compares the printed reports byte for byte.
 
 Prints, per run, both exit codes and whether ``traces.csv``, ``vectors.json``
 and ``diagnostics.json`` (without its ``blas`` record, which names the host's
@@ -20,8 +22,9 @@ deviation of the two; where ``diagnostics.json`` does, the keys (top level,
 or ``per_frequency.KEY`` of the points) that only this tree writes (``+``),
 only the other one writes (``-``) or that both write with other values
 (``~``).  A run counts as identical only when both sides exit 0 and write
-every file, and the files are identical; the tool exits 0 only when every
-run is, else 1.
+every file, and the files are identical; a ``checks`` report only when both
+sides exit 0 and print the same bytes.  The tool exits 0 only when every run
+and report is identical, else 1.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ def solvers(name: str) -> list[str]:
     return list(dict.fromkeys((w.solver, w.reference, *extra)))
 
 
-def run(src: Path, scenario_path: Path, out: Path) -> int:
-    """Exit code of ``scatmodes run`` with ``src`` as the only ``PYTHONPATH`` entry."""
+def scatmodes(src: Path, scenario_path: Path, *args: str) -> tuple[int, bytes]:
+    """(exit code, stdout) of ``scatmodes ARGS --scenario SCENARIO_PATH`` with ``src`` as the
+    only ``PYTHONPATH`` entry."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, "-m", "scatmodes.cli", "run", "--scenario", str(scenario_path),
-           "--out", str(out), "--jobs", "1", "--dump-vectors"]
-    return subprocess.run(cmd, env=env, cwd=scenario_path.parent, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    cmd = [sys.executable, "-m", "scatmodes.cli", *args, "--scenario", str(scenario_path)]
+    proc = subprocess.run(cmd, env=env, cwd=scenario_path.parent, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL)
+    return proc.returncode, proc.stdout
 
 
 def _diagnostics(path: Path) -> dict:
@@ -126,7 +130,8 @@ def main(argv=None):
         parser.error(f"{other} holds no scatmodes/cli.py")
 
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    failures = total = 0
+    sides = (ROOT / "src", "ours"), (other, "theirs")
+    failures = total = report_failures = reports = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             for seed in args.seeds:
@@ -135,16 +140,28 @@ def main(argv=None):
                     case.mkdir()
                     path = case / "scenario.json"
                     path.write_text(json.dumps(dict(scenario(name, seed), solver=solver)))
-                    codes = [run(src, path, case / side)
-                             for src, side in ((ROOT / "src", "ours"), (other, "theirs"))]
+                    codes = [scatmodes(src, path, "run", "--out", str(case / side), "--jobs",
+                                       "1", "--dump-vectors")[0] for src, side in sides]
                     same, notes = compare_run(case / "ours", case / "theirs")
                     ok = same and codes == [0, 0]
                     total += 1
                     failures += not ok
                     print(f"{'ok  ' if ok else 'DIFF'} {name} seed {seed} {solver}: "
                           f"exit {codes[0]}/{codes[1]}; " + "; ".join(notes), flush=True)
+                if name in ALL_FORMULATIONS:
+                    path = Path(tmp) / f"{name}-{seed}-checks.json"
+                    path.write_text(json.dumps(scenario(name, seed)))
+                    (code, ours), (code_theirs, theirs) = (scatmodes(src, path, "checks")
+                                                           for src, _ in sides)
+                    ok = ours == theirs and code == code_theirs == 0
+                    reports += 1
+                    report_failures += not ok
+                    print(f"{'ok  ' if ok else 'DIFF'} {name} seed {seed} checks: exit "
+                          f"{code}/{code_theirs}; report "
+                          f"{'identical' if ours == theirs else 'differs'}", flush=True)
     print(f"{total - failures} of {total} runs identical (exit codes and files)")
-    return 0 if failures == 0 else 1
+    print(f"{reports - report_failures} of {reports} checks reports identical")
+    return 0 if failures == report_failures == 0 else 1
 
 
 if __name__ == "__main__":
