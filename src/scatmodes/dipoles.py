@@ -60,11 +60,12 @@ class Port:
             raise DomainError(f"port reference impedance z0 must be positive, got {self.z0}")
 
 
-def symmetric_positive_definite(alpha: np.ndarray) -> np.ndarray:
-    """Whether each 3x3 tensor of alpha (..., 3, 3) is symmetric, to rounding, and positive
-    definite, what a polarisability must be: a boolean array of shape alpha.shape[:-2]."""
+def valid_polarizability(alpha: np.ndarray) -> np.ndarray:
+    """Whether each 3x3 tensor of alpha (..., 3, 3) is what a polarisability must be: symmetric,
+    to rounding, and positive definite with a finite inverse (its eigenvalues above 1 over the
+    largest float); a boolean array of shape alpha.shape[:-2]."""
     return np.isclose(alpha, np.swapaxes(alpha, -1, -2), rtol=1e-12, atol=0.0).all(axis=(-2, -1)) \
-        & (np.linalg.eigvalsh(alpha) > 0.0).all(axis=-1)
+        & (np.linalg.eigvalsh(alpha) > 1.0 / np.finfo(float).max).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class DipoleScene:
 
     ``polarizability`` may be a scalar, per-dipole scalars, one 3x3
     tensor, or per-dipole 3x3 tensors; it is broadcast to (N, 3, 3)
-    symmetric positive definite.  ``region`` defaults to all
-    controllable.  With ``ground_plane`` set the plane z = 0 is a PEC
+    symmetric positive definite with finite inverses.  ``region`` defaults
+    to all controllable.  With ``ground_plane`` set the plane z = 0 is a PEC
     mirror and all dipoles must sit strictly above it.  ``min_distance``
     is the shortest distance the Green function is evaluated at (dipole to
     dipole or image; infinite for one dipole in free space).  ``sphere`` is
@@ -117,8 +118,9 @@ class DipoleScene:
             alpha = np.tile(alpha, (n, 1, 1))
         elif alpha.shape != (n, 3, 3):
             raise ShapeError(f"polarizability shape {alpha.shape} not broadcastable to ({n}, 3, 3)")
-        if not symmetric_positive_definite(alpha).all():
-            raise DomainError("polarizability tensors must be symmetric positive definite")
+        if not valid_polarizability(alpha).all():
+            raise DomainError("polarizability tensors must be symmetric positive definite "
+                              "with a finite inverse")
         object.__setattr__(self, "polarizability", alpha)
 
         region = self.region
@@ -412,15 +414,19 @@ _PAIR_CHUNK = 4096
 
 def _check_wavenumber(scene: DipoleScene, k: float) -> None:
     """``DomainError``, and no floating-point warning, unless k > 0 is finite and so are
-    the Green terms ``1/k^3`` and ``1/(k d)^2``, d the scene's ``min_distance``."""
+    the Green terms ``1/k^3`` and ``1/(k d)^2``, d the scene's ``min_distance``, and the
+    bound ``1/(k^3 a)`` of the self terms ``alpha^-1/k^3``, a the smallest eigenvalue of
+    any polarisability."""
     if k <= 0 or not math.isfinite(k):
         raise DomainError(f"wavenumber must be positive and finite, got {k!r}")
-    with np.errstate(over="ignore", divide="ignore"):
-        scales = 1.0 / np.array([k, k * scene.min_distance]) ** [3, 2]
+    smallest = np.linalg.eigvalsh(scene.polarizability).min(initial=math.inf)
+    with np.errstate(all="ignore"):
+        scales = 1.0 / (np.array([k, k * scene.min_distance, k]) ** [3, 2, 3] * [1, 1, smallest])
     if not np.isfinite(scales).all():
         raise DomainError(
-            f"wavenumber k={float(k)!r} is too small: 1/k^3 or 1/(k d)^2 overflows "
-            f"(d = {scene.min_distance:.4g} m, the closest dipole or image distance)")
+            f"wavenumber k={float(k)!r} is too small: 1/k^3, 1/(k d)^2 or 1/(k^3 a) overflows "
+            f"(d = {scene.min_distance:.4g} m, the closest dipole or image distance; "
+            f"a = {smallest:.4g} m^3, the smallest polarizability eigenvalue)")
 
 
 def assemble_impedance(scene: DipoleScene, k: float,

@@ -400,27 +400,56 @@ def test_hybrid_impedance_scenario_runs(tmp_path):
     assert os.path.exists(out / "traces.csv")
 
 
-@pytest.mark.parametrize("command, solver", [
+RUN_AND_CHECKS = [
     *(("run", solver) for solver in ("dense-scattering", "dense-impedance", "t-form",
                                      "iterative")),
     ("checks", "dense-scattering"),
-])
-def test_tiny_frequency_is_a_solver_error(tmp_path, capsys, command, solver):
-    # at 1e-200 Hz the 1/k^3 of the self terms would overflow Z: the assembly
-    # names the wavenumber before any Green block, exit code 1, no traceback
-    # and no floating-point RuntimeWarning
-    scn = _scenario(solver=solver, sweep={"f_min": 1e-200, "f_max": 1e-200, "n_points": 1})
+]
+
+
+def _one_point(f_hz: float, solver: str, polarizability: float = 0.02):
+    scn = _scenario(solver=solver, sweep={"f_min": f_hz, "f_max": f_hz, "n_points": 1})
+    scn["scene"]["dipoles"][0]["polarizability"] = polarizability
+    return scn
+
+
+def _named_error(tmp_path, capsys, command: str, scn: dict, code: int) -> str:
+    """stderr of ``command`` on ``scn``, after asserting its exit code and that it printed no
+    traceback and raised no floating-point RuntimeWarning."""
     argv = [command, "--scenario", _write(tmp_path, scn)]
     if command == "run":
         argv += ["--out", str(tmp_path / "o")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(argv) == 1
+        assert main(argv) == code
     err = capsys.readouterr().err
-    assert "DomainError: wavenumber k=2.09584502195168" in err and "is too small" in err
     assert "Traceback" not in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return err
+
+
+@pytest.mark.parametrize("command, solver", RUN_AND_CHECKS)
+def test_tiny_frequency_is_a_solver_error(tmp_path, capsys, command, solver):
+    # at 1e-200 Hz the 1/k^3 of the self terms would overflow Z: the assembly
+    # names the wavenumber before any Green block, exit code 1, no traceback
+    # and no floating-point RuntimeWarning
+    err = _named_error(tmp_path, capsys, command, _one_point(1e-200, solver), 1)
+    assert "DomainError: wavenumber k=2.09584502195168" in err and "is too small" in err
+
+
+@pytest.mark.parametrize("command, solver", RUN_AND_CHECKS)
+def test_overflowing_inverse_polarizability_is_a_named_error(tmp_path, capsys, command, solver):
+    # alpha^-1 = 1e310 is no float: the scenario check names the field, exit
+    # code 2; alpha^-1 = 1e305 is one, but alpha^-1/k^3 at 1 MHz (k^3 = 9.2e-6)
+    # is not: the assembly names the wavenumber, exit code 1; neither prints
+    # a traceback or raises a floating-point RuntimeWarning
+    err = _named_error(tmp_path, capsys, command, _one_point(5e8, solver, 1e-310), 2)
+    assert "scenario error: field 'scene.dipoles[0].polarizability' must be" in err
+    assert "with a finite inverse, got 1e-310" in err
+    err = _named_error(tmp_path, capsys, command, _one_point(1e6, solver, 1e-305), 1)
+    assert "DomainError: wavenumber k=0.020958450219516818 is too small" in err
+    assert "a = 1e-305 m^3, the smallest polarizability eigenvalue" in err
 
 
 @pytest.mark.parametrize("command", ["run", "checks"])
@@ -554,6 +583,29 @@ def test_point_diagnostics_keep_json_types(tmp_path, solver, types):
     for point in points:
         assert {key: type(val) for key, val in point.items()} == \
             {"frequency_hz": float, "max_circle_deviation": float, **types}
+
+
+_CHECKS = {"frequency_hz": float, "factorization_residual": float,
+           "tilde_identity_residual": float, "equivalence": float, "unitarity_S": float,
+           "unitarity_S_b": float, "t_power": float, "max_circle_deviation": float,
+           "orthogonality": float, "power_identity": float, "passed": bool}
+
+
+@pytest.mark.parametrize("scenario, types", [
+    (_scenario(), _CHECKS),
+    (_port(), _CHECKS),
+    (_ground_plane(), {**_CHECKS, "parity_leakage": float}),
+    (_hybrid_scenario("hybrid-scattering"), {**_CHECKS, "u4_residual": float}),
+], ids=["plain", "port", "ground-plane", "sphere"])
+def test_checks_entries_keep_json_types(tmp_path, capsys, scenario, types):
+    # as run's points: every figure of a checks entry is a JSON float and
+    # its verdict a JSON boolean, not 1.0 or 1, whichever form of unitarity
+    # figure the engine made
+    assert main(["checks", "--scenario", _write(tmp_path, scenario)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert type(report["passed"]) is bool and report["per_frequency"]
+    for entry in report["per_frequency"]:
+        assert {key: type(val) for key, val in entry.items()} == types
 
 
 @pytest.mark.parametrize("scenario", [_scenario(solver="dense-impedance"),

@@ -91,6 +91,8 @@ def test_scene_validation():
         DipoleScene([[0, 0, 0], [0, 0, 0]], 1.0)
     with pytest.raises(DomainError):
         DipoleScene([[0, 0, 0]], -1.0)
+    with pytest.raises(DomainError):  # its inverse, 1e310, overflows
+        DipoleScene([[0, 0, 0]], 1e-310)
     with pytest.raises(DomainError):
         DipoleScene([[0, 0, 0]], 1.0, region=("elsewhere",))
     with pytest.raises(DomainError):

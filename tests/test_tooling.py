@@ -265,16 +265,17 @@ def test_checks_assemble_and_eliminate_once_per_point(case, monkeypatch):
 def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch):
     # checks runs on the blocks the run's solver works on: a port
     # scene's power-wave channels appended, a ground-plane scene image-reduced;
-    # checks measures S and S_b itself, densely, once each, on all waves and
-    # channels, whatever form the engine's own unitarity figure took
-    from scatmodes import BlockImpedance
+    # S and S_b on all waves and channels are checked densely once each per
+    # point, by checks itself or, where the engine's own unitarity figures
+    # are dense (every sphere point), by the engine alone
+    from scatmodes import BlockImpedance, modes
 
     sc = cli.parse_scenario(FACTORISATION_CASES[case])
     wave_basis, angular, points = cli._sweep_basis(sc)
     ks = 2.0 * math.pi * sc["frequencies"] / cli.SPEED_OF_LIGHT
     run_modes = [cli._solve_point(sc, k, wave_basis, seed=1, angular=angular,
                                   point=point)[0] for k, point in zip(ks, points)]
-    decomposed, unitary_dims = [], []
+    decomposed, checked = [], []
     cm_scattering, check_unitary = cli.cm_scattering, cli.check_unitary
 
     def recording_modes(*args, **kwargs):
@@ -283,17 +284,20 @@ def test_checks_decompose_the_operators_the_solver_decomposes(case, monkeypatch)
         return ms
 
     def recording_unitary(op, *args, **kwargs):
-        unitary_dims.append(op.shape[0])
+        checked.append(op)
         return check_unitary(op, *args, **kwargs)
 
     monkeypatch.setattr(cli, "cm_scattering", recording_modes)
     monkeypatch.setattr(cli, "check_unitary", recording_unitary)
+    monkeypatch.setattr(modes, "check_unitary", recording_unitary)
     report = cli.run_checks(sc)
     assert report["passed"], report
 
-    dim = wave_basis.size + len(sc["scene"].ports)
-    assert unitary_dims == [dim, dim] * len(ks)  # S and S_b of each point
     assert len(decomposed) == len(ks)
+    operators = [op for blocks, _ in decomposed for op in (blocks.S, blocks.S_b)]
+    assert len(checked) == len(operators)  # S and S_b of each point, through either binding
+    assert all(op is expected for op, expected in zip(checked, operators))
+    dim = wave_basis.size + len(sc["scene"].ports)
     for (blocks, ms), ms_run in zip(decomposed, run_modes):
         assert isinstance(blocks, BlockImpedance) and blocks.readout.shape[0] == dim
         n = min(ms.n_modes, ms_run.n_modes)
